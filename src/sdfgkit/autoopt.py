@@ -72,7 +72,7 @@ def _remove_degenerate_dim(g: Sdfg) -> bool:
                 continue
             for d, (p, (b, e, s)) in enumerate(node.params):
                 if symbolic.eq(b, e, g.assumptions()) is Ternary.TRUE:
-                    _substitute_param(st, node, p, b)
+                    _rename_in_scope(st, node, {p: b})
                     node.params = node.params[:d] + node.params[d + 1:]
                     if not node.params:
                         _dissolve_scope(st, node, st.exit_of(node))
@@ -80,21 +80,25 @@ def _remove_degenerate_dim(g: Sdfg) -> bool:
     return False
 
 
-def _substitute_param(st: State, entry: MapEntry, param: str, value: SymExpr) -> None:
-    scope = set(id(n) for n in st.scope_children(entry))
-    tsub = {param: texpr.parse_texpr(str(value))}
+def _rename_in_scope(st: State, entry: MapEntry, sub: dict[str, SymExpr]) -> None:
+    """Substitute ``sub`` for parameters of ``entry`` in its scope: memlets
+    (the scope's boundary included), tasklet code and nested map ranges."""
+    children = st.scope_children(entry)
+    inside = {id(n) for n in children}
+    exit_node = st.exit_of(entry)
+    tsub = {k: texpr.parse_texpr(str(v)) for k, v in sub.items()}
     for e in st.edges:
         if e.memlet is None:
             continue
-        if id(e.src) in scope or id(e.dst) in scope or e.src is entry or e.dst is st.exit_of(entry):
-            e.memlet.subset = e.memlet.subset.substitute({param: value})
-            e.memlet.volume = symbolic.substitute(e.memlet.volume, {param: value})
-    for n in st.scope_children(entry):
+        if id(e.src) in inside or id(e.dst) in inside or e.src is entry or e.dst is exit_node:
+            e.memlet.subset = e.memlet.subset.substitute(sub)
+            e.memlet.volume = symbolic.substitute(e.memlet.volume, sub)
+    for n in children:
         if isinstance(n, Tasklet):
             n.code = tuple((c, texpr.subst_refs(x, tsub)) for c, x in n.code)
         elif isinstance(n, MapEntry):
             n.params = tuple(
-                (p, tuple(symbolic.substitute(x, {param: value}) for x in rng))
+                (p, tuple(symbolic.substitute(x, sub) for x in rng))
                 for p, rng in n.params
             )
 
@@ -191,15 +195,6 @@ def _strip(conn: str | None) -> str:
 # Greedy subgraph fusion
 
 
-def _top_level_maps(st: State) -> list[MapEntry]:
-    parents = st.scope_parents()
-    return [
-        n for n in st.sorted_nodes()
-        if isinstance(n, MapEntry) and parents.get(n.nid) is None
-        and n.schedule is Schedule.PARALLEL
-    ]
-
-
 def _space_sig(entry: MapEntry) -> tuple:
     return tuple(sorted(f"{b}:{e}:{s}" for _, (b, e, s) in entry.params))
 
@@ -242,11 +237,13 @@ def subgraph_fusion(g: Sdfg) -> PassReport:
 
 def _fuse_one_pair(g: Sdfg, st: State, report: PassReport,
                    attempted: set[tuple[int, int]]) -> str:
-    maps = _top_level_maps(st)
+    # top-level parallel maps: more dimensions first, then in topological order
+    maps = [n for n in st.scopes()[None]
+            if isinstance(n, MapEntry) and n.schedule is Schedule.PARALLEL]
     if len(maps) < 2:
         return "done"
-    order = {n.nid: i for i, n in enumerate(st.topological())}
-    maps.sort(key=lambda m: (-len(m.params), order[m.nid]))
+    order = {n.nid: i for i, n in enumerate(maps)}
+    maps.sort(key=lambda m: -len(m.params))
     for i in range(len(maps)):
         for j in range(len(maps)):
             if i == j:
@@ -269,41 +266,24 @@ def _fuse_one_pair(g: Sdfg, st: State, report: PassReport,
 def _intermediates(st: State, m1: MapEntry, m2: MapEntry) -> dict[int, AccessNode] | None:
     """Access nodes fed by m1's exit and feeding m2's entry; None when other
     nodes sit on a path between the two maps (fusing would create a cycle)."""
-    x1 = st.exit_of(m1)
-    reach = st.reachability()
-    if m2.nid not in reach[x1.nid]:
-        mids: dict[int, AccessNode] = {}
-    else:
-        mids = {}
-    for e in st.out_edges(x1):
-        n = e.dst
-        if isinstance(n, AccessNode):
-            if any(e2.dst is m2 for e2 in st.out_edges(n)):
-                mids[n.nid] = n
+    consumers = {e.dst.nid: e.dst for e in st.out_edges(st.exit_of(m1))}
+    mids = {
+        nid: n for nid, n in consumers.items()
+        if isinstance(n, AccessNode) and any(e.dst is m2 for e in st.out_edges(n))
+    }
     # every path from m1 to m2 must go through a direct intermediate
-    for nid, reached in reach.items():
-        node = st.nodes[nid]
-        if nid in mids or node is x1 or node is m1:
-            continue
-        scope_nodes = {c.nid for c in st.scope_children(m1)} | {c.nid for c in st.scope_children(m2)}
-        if nid in scope_nodes:
-            continue
-        if x1.nid in [e.src.nid for e in st.in_edges(node)] and m2.nid in reached:
+    reach = st.reachability()
+    inside = {c.nid for c in st.scope_children(m1)} | {c.nid for c in st.scope_children(m2)}
+    for nid in consumers:
+        if nid not in mids and nid not in inside and m2.nid in reach[nid]:
             return None  # some other consumer of m1 still reaches m2
     return mids
 
 
-def _inner_reads(st: State, entry: MapEntry) -> dict[str, list]:
+def _by_container(edges) -> dict[str, list]:
+    """Memlet-carrying edges grouped by container, in edge order."""
     out: dict[str, list] = {}
-    for e in st.out_edges(entry):
-        if e.memlet is not None:
-            out.setdefault(e.memlet.container, []).append(e)
-    return out
-
-
-def _inner_writes(st: State, exit_node: MapExit) -> dict[str, list]:
-    out: dict[str, list] = {}
-    for e in st.in_edges(exit_node):
+    for e in edges:
         if e.memlet is not None:
             out.setdefault(e.memlet.container, []).append(e)
     return out
@@ -316,15 +296,15 @@ def _try_fuse(g: Sdfg, st: State, m1: MapEntry, m2: MapEntry) -> bool:
     mids = _intermediates(st, m1, m2)
     if mids is None:
         return False
-    x1, x2 = st.exit_of(m1), st.exit_of(m2)
+    x1 = st.exit_of(m1)
     if not mids:
         # only contiguous subgraphs fuse: the maps must at least share an input
         in1 = {e.memlet.container for e in st.in_edges(m1) if e.memlet}
         in2 = {e.memlet.container for e in st.in_edges(m2) if e.memlet}
         if not (in1 & in2):
             return False
-    w1 = _inner_writes(st, x1)
-    r2 = _inner_reads(st, m2)
+    w1 = _by_container(st.in_edges(x1))
+    r2 = _by_container(st.out_edges(m2))
     rename = {k: Sym(v) for k, v in mapping.items()}
     asm = g.assumptions()
     for p, (b, _, _) in m1.params:
@@ -361,24 +341,7 @@ def _try_fuse(g: Sdfg, st: State, m1: MapEntry, m2: MapEntry) -> bool:
 def _apply_fusion(g: Sdfg, st: State, m1: MapEntry, m2: MapEntry,
                   mapping: dict[str, str], mids: dict[int, AccessNode]) -> None:
     x1, x2 = st.exit_of(m1), st.exit_of(m2)
-    rename_sym = {k: Sym(v) for k, v in mapping.items()}
-
-    # rename m2's parameters in its scope
-    for e in st.edges:
-        if e.memlet is None:
-            continue
-        if e.src is m2 or e.dst is x2 or id(e.src) in {id(c) for c in st.scope_children(m2)}:
-            e.memlet.subset = e.memlet.subset.substitute(rename_sym)
-            e.memlet.volume = symbolic.substitute(e.memlet.volume, rename_sym)
-    tmap = {k: TRef(v) for k, v in mapping.items()}
-    for n in st.scope_children(m2):
-        if isinstance(n, Tasklet):
-            n.code = tuple((c, texpr.subst_refs(x, tmap)) for c, x in n.code)
-        elif isinstance(n, MapEntry):
-            n.params = tuple(
-                (p, tuple(symbolic.substitute(x, rename_sym) for x in rng))
-                for p, rng in n.params
-            )
+    _rename_in_scope(st, m2, {k: Sym(v) for k, v in mapping.items()})
 
     # move intermediate access nodes into the fused scope
     mid_containers = {n.container for n in mids.values()}
@@ -807,8 +770,6 @@ def _expand_matmul_native(g: Sdfg, st: State, node: LibraryNode,
     st.add_edge(exit_out if mx2 is None else mx, oe.dst,
                 Memlet(out_cont, oe.memlet.subset, Wcr.ADD), "OUT_c", oe.dst_conn)
 
-    for e in list(st.in_edges(node)) + list(st.out_edges(node)):
-        st.remove_edge(e)
     st.remove_node(node)
     _anchor_new_sources(st, enclosing, before_ids)
 
@@ -867,8 +828,6 @@ def _expand_reduce_native(g: Sdfg, st: State, node: LibraryNode,
     st.add_edge(t, mx, Memlet(out_cont, elem_o, wcr), src_conn="out", dst_conn="IN_c")
     st.add_edge(mx, oe.dst, Memlet(out_cont, oe.memlet.subset, wcr), "OUT_c", oe.dst_conn)
 
-    for e in list(st.in_edges(node)) + list(st.out_edges(node)):
-        st.remove_edge(e)
     st.remove_node(node)
     _anchor_new_sources(st, enclosing, before_ids)
     if tiled:
@@ -915,8 +874,6 @@ def _expand_transpose_native(g: Sdfg, st: State, node: LibraryNode) -> None:
     st.add_edge(t, mx, Memlet(oe.memlet.container, elem_o), src_conn="out", dst_conn="IN_c")
     st.add_edge(mx, oe.dst, Memlet(oe.memlet.container, oe.memlet.subset),
                 "OUT_c", oe.dst_conn)
-    for e in list(st.in_edges(node)) + list(st.out_edges(node)):
-        st.remove_edge(e)
     st.remove_node(node)
 
 

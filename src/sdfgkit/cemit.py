@@ -86,10 +86,6 @@ class _Emitter:
 
     # -- container addressing ---------------------------------------------------
 
-    def _is_scalar_var(self, name: str) -> bool:
-        d = self.g.containers[name]
-        return d.kind is DataKind.SCALAR and d.transient
-
     def addr(self, name: str, indices: list[str]) -> str:
         """Element lvalue for a container at the given index expressions."""
         d = self.g.containers[name]
@@ -196,11 +192,9 @@ class _Emitter:
         self.w(f"{st.label}:;")
         self.w("{")
         self.indent += 1
-        parents = st.scope_parents()
-        for node in st.topological():
-            if parents.get(node.nid) is not None:
-                continue
-            self.emit_node(st, node)
+        scopes = st.scopes()
+        for node in scopes[None]:
+            self.emit_node(st, node, scopes)
         self.indent -= 1
         self.w("}")
         outs = self.g.out_transitions(st.label)
@@ -226,7 +220,7 @@ class _Emitter:
 
     # -- node emission ---------------------------------------------------------------
 
-    def emit_node(self, st: State, node) -> None:
+    def emit_node(self, st: State, node, scopes) -> None:
         if isinstance(node, AccessNode):
             for e in st.in_edges(node):
                 if isinstance(e.src, AccessNode) and e.memlet is not None:
@@ -236,7 +230,7 @@ class _Emitter:
             self.emit_tasklet(st, node)
             return
         if isinstance(node, MapEntry):
-            self.emit_map(st, node)
+            self.emit_map(st, node, scopes)
             return
         if isinstance(node, MapExit):
             return
@@ -307,17 +301,15 @@ class _Emitter:
             else:
                 self.w(f"{lhs} = {rhs};")
 
-    def emit_map(self, st: State, entry: MapEntry) -> None:
+    def emit_map(self, st: State, entry: MapEntry, scopes) -> None:
         if entry.schedule is Schedule.PARALLEL:
             self.w("/* parallel-for */")
         for p, (b, e, s) in entry.params:
             self.w(f"for (int64_t {p} = {_cexpr(b)}; {p} <= {_cexpr(e)}; "
                    f"{p} += {_cexpr(s)}) {{")
             self.indent += 1
-        parents = st.scope_parents()
-        for node in st.topological():
-            if parents.get(node.nid) is entry:
-                self.emit_node(st, node)
+        for node in scopes[entry]:
+            self.emit_node(st, node, scopes)
         for _ in entry.params:
             self.indent -= 1
             self.w("}")

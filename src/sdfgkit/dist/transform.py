@@ -75,11 +75,11 @@ def distribute(g: Sdfg, grid: ProcessGrid) -> PassReport:
     """Distribute every supported operation of the top-level graph."""
     report = PassReport()
     for st in g.states:
-        parents = st.scope_parents()
+        scopes = st.scopes()
         maps = {}
-        for node in st.topological():
-            if isinstance(node, MapEntry) and parents[node.nid] is None:
-                ops = _map_operands(g, st, node, parents)
+        for node in scopes[None]:
+            if isinstance(node, MapEntry):
+                ops = _map_operands(g, st, node, scopes[node])
                 if ops is not None:
                     maps[node] = ops
         products = [n for n in st.sorted_nodes() if _product_ranks(g, st, n)]
@@ -114,16 +114,16 @@ def _aligned(sub: SubsetRange, params: tuple[str, ...]) -> bool:
     return tuple(used) == params
 
 
-def _map_operands(g: Sdfg, st: State, entry: MapEntry, parents) -> list[_Operand] | None:
+def _map_operands(g: Sdfg, st: State, entry: MapEntry,
+                  members: list) -> list[_Operand] | None:
     exit_node = st.exit_of(entry)
     params = entry.param_names
     if any(_extent(rng).free_symbols() & g.assigned_symbols() for _, rng in entry.params):
         return None  # rank-local containers are allocated once, before any loop runs
-    for n in st.nodes.values():
-        if parents.get(n.nid) is entry and n is not exit_node:
-            if not isinstance(n, Tasklet) or any(
-                    code.free_names() & set(params) for _, code in n.code):
-                return None
+    for n in members:
+        if not isinstance(n, Tasklet) or any(
+                code.free_names() & set(params) for _, code in n.code):
+            return None
     ops = []
     for outer in st.in_edges(entry):
         inner = [e for e in st.out_edges(entry)

@@ -56,9 +56,6 @@ class ProgramInfo:
     symbols: dict[str, int] = field(default_factory=dict)  # name -> lower bound
     funcs: dict[str, FuncInfo] = field(default_factory=dict)
 
-    def info(self, name: str) -> FuncInfo:
-        return self.funcs[name]
-
 
 def analyze(program: Program) -> ProgramInfo:
     """Build the program-wide symbol table and per-function environments.

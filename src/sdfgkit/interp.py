@@ -112,7 +112,6 @@ class ExecContext:
 class InterpOptions:
     reverse_maps: bool = False  # iterate every map in reversed order
     max_transitions: int = 10_000_000
-    skip_validation: bool = False
 
 
 # Communication events yielded to the rank simulator.
@@ -181,12 +180,11 @@ class Machine:
         if self._prepared:
             return
         g, ctx = self.g, self.ctx
-        if not self.opt.skip_validation:
-            errors = [d for d in g.validate() if d.severity == "error"]
-            if errors:
-                raise InterpreterError(
-                    "graph does not validate: " + "; ".join(d.message for d in errors)
-                )
+        errors = [d for d in g.validate() if d.severity == "error"]
+        if errors:
+            raise InterpreterError(
+                "graph does not validate: " + "; ".join(d.message for d in errors)
+            )
         missing = g.free_symbols() - set(ctx.bindings)
         if missing:
             raise InterpreterError(f"missing symbol bindings: {sorted(missing)}")
@@ -195,6 +193,12 @@ class Machine:
             if desc.kind is DataKind.STREAM and self._stream_used(name):
                 raise InterpreterError(
                     f"stream '{name}' is declarative only and cannot be executed")
+            unbound = {s for d in desc.shape for s in d.free_symbols()} - set(self.sym)
+            if unbound:
+                # containers are sized once, before any transition assigns a symbol
+                raise InterpreterError(
+                    f"cannot size container '{name}': its shape uses unbound symbol "
+                    + ", ".join(f"'{s}'" for s in sorted(unbound)))
             shape = tuple(d.evaluate(self.sym) for d in desc.shape)
             if not desc.transient:
                 if name not in ctx.store:
@@ -332,13 +336,11 @@ class Machine:
     # -- state execution -------------------------------------------------------------
 
     def exec_state(self, state: State) -> Iterator:
-        parents = state.scope_parents()
-        for node in state.topological():
-            if parents.get(node.nid) is not None:
-                continue  # inside a map scope; the scope executor runs it
+        scopes = state.scopes()
+        for node in scopes[None]:
             if self._dist_skip(state, node):
                 continue
-            yield from self.exec_node(state, node, dict(self.sym))
+            yield from self.exec_node(state, node, dict(self.sym), scopes)
 
     def _dist_skip(self, state: State, node) -> bool:
         """Non-root ranks skip nodes that touch only root-resident data."""
@@ -358,7 +360,7 @@ class Machine:
             return False
         return all(cls.get(c, "global") == "global" for c in conts)
 
-    def exec_node(self, state: State, node, env: dict[str, int]) -> Iterator:
+    def exec_node(self, state: State, node, env: dict[str, int], scopes) -> Iterator:
         if isinstance(node, AccessNode):
             for e in state.in_edges(node):
                 if isinstance(e.src, AccessNode) and e.memlet is not None:
@@ -368,7 +370,7 @@ class Machine:
             self.exec_tasklet(state, node, env)
             return
         if isinstance(node, MapEntry):
-            yield from self.exec_map(state, node, env)
+            yield from self.exec_map(state, node, env, scopes)
             return
         if isinstance(node, MapExit):
             return
@@ -417,14 +419,9 @@ class Machine:
             v = results[e.src_conn if e.src_conn in results else node.outputs[0]]
             self.write(e.memlet, v, env, state.label, node.nid)
 
-    def exec_map(self, state: State, entry: MapEntry, env) -> Iterator:
-        exit_node = state.exit_of(entry)
-        parents = state.scope_parents()
-        children = [
-            n
-            for n in state.topological()
-            if parents.get(n.nid) is entry and n is not exit_node
-        ]
+    def exec_map(self, state: State, entry: MapEntry, env, scopes) -> Iterator:
+        """Run the scope's members (from ``State.scopes``) once per point."""
+        children = scopes[entry]
         ranges = []
         for p, (b, e, s) in entry.params:
             bv, ev, sv = b.evaluate(env), e.evaluate(env), s.evaluate(env)
@@ -438,7 +435,7 @@ class Machine:
                 ienv[p] = v
             self.ctx.counters.map_iterations += 1
             for child in children:
-                yield from self.exec_node(state, child, ienv)
+                yield from self.exec_node(state, child, ienv, scopes)
 
     def exec_library(self, state: State, node: LibraryNode, env) -> Iterator:
         if node.kind in COMM_KINDS or node.attributes.get("comm"):

@@ -11,6 +11,7 @@ which container subset moves.
 from __future__ import annotations
 
 import copy
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
@@ -40,10 +41,6 @@ class DType(Enum):
             "i32": np.int32,
             "bool": np.bool_,
         }[self.value]
-
-    @property
-    def is_integer(self) -> bool:
-        return self in (DType.I64, DType.I32)
 
 
 class DataKind(Enum):
@@ -103,7 +100,6 @@ class LibKind(Enum):
     ISEND = "isend"
     IRECV = "irecv"
     WAITALL = "waitall"
-    DIST_MATMUL = "dist_matmul"
 
 
 COMM_KINDS = {
@@ -115,7 +111,6 @@ COMM_KINDS = {
     LibKind.ISEND,
     LibKind.IRECV,
     LibKind.WAITALL,
-    LibKind.DIST_MATMUL,
 }
 
 
@@ -188,12 +183,6 @@ class Tasklet(Node):
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     code: tuple[tuple[str, TExpr], ...]
-
-    def expr_for(self, out_conn: str) -> TExpr:
-        for conn, e in self.code:
-            if conn == out_conn:
-                return e
-        raise KeyError(out_conn)
 
 
 @dataclass(eq=False)
@@ -300,32 +289,35 @@ class State:
         return len(self.in_edges(node)), len(self.out_edges(node))
 
     def topological(self) -> list[Node]:
+        """Kahn's order that always takes the smallest ready node id."""
         indeg = {nid: 0 for nid in self.nodes}
+        succs: dict[int, list[int]] = {nid: [] for nid in self.nodes}
         for e in self.edges:
             indeg[e.dst.nid] += 1
-        ready = sorted(nid for nid, d in indeg.items() if d == 0)
+            succs[e.src.nid].append(e.dst.nid)
+        ready = [nid for nid, d in indeg.items() if d == 0]
+        heapq.heapify(ready)
         order: list[Node] = []
         while ready:
-            nid = ready.pop(0)
+            nid = heapq.heappop(ready)
             order.append(self.nodes[nid])
-            changed = False
-            for e in self.edges:
-                if e.src.nid == nid:
-                    indeg[e.dst.nid] -= 1
-                    if indeg[e.dst.nid] == 0:
-                        ready.append(e.dst.nid)
-                        changed = True
-            if changed:
-                ready.sort()
+            for dst in succs[nid]:
+                indeg[dst] -= 1
+                if indeg[dst] == 0:
+                    heapq.heappush(ready, dst)
         if len(order) != len(self.nodes):
             raise ValueError(f"cycle in state '{self.label}'")
         return order
 
     def scope_parents(self) -> dict[int, MapEntry | None]:
-        """Scope membership for every node; edges must respect scope brackets."""
+        """Scope membership for every node, in topological order; edges must
+        respect scope brackets."""
+        in_edges: dict[int, list[Edge]] = {nid: [] for nid in self.nodes}
+        for e in self.edges:
+            in_edges[e.dst.nid].append(e)
         parent: dict[int, MapEntry | None] = {}
         for node in self.topological():
-            preds = self.in_edges(node)
+            preds = in_edges[node.nid]
             if not preds:
                 parent[node.nid] = None
                 continue
@@ -352,6 +344,17 @@ class State:
             s = scopes.pop()
             parent[node.nid] = None if s == -1 else self.nodes[s]  # type: ignore[assignment]
         return parent
+
+    def scopes(self) -> dict[MapEntry | None, list[Node]]:
+        """Direct members of every scope (key None for the top level), each in
+        topological order.  An exit belongs to its entry's enclosing scope."""
+        members: dict[MapEntry | None, list[Node]] = {None: []}
+        for n in self.nodes.values():
+            if isinstance(n, MapEntry):
+                members[n] = []
+        for nid, p in self.scope_parents().items():
+            members[p].append(self.nodes[nid])
+        return members
 
     def scope_children(self, entry: MapEntry) -> list[Node]:
         parents = self.scope_parents()
@@ -470,10 +473,6 @@ class Sdfg:
             if s.label == label:
                 return s
         raise KeyError(f"no state '{label}'")
-
-    def start_state(self) -> State:
-        assert self.start is not None
-        return self.state(self.start)
 
     def out_transitions(self, label: str) -> list[InterstateEdge]:
         return [t for t in self.transitions if t.src == label]
@@ -657,9 +656,18 @@ def validate(g: Sdfg) -> list[Diagnostic]:
                 )
             if m.wcr is not None and not isinstance(e.dst, (AccessNode, MapExit)):
                 err(f"wcr memlet {m} on a non-write edge", "wcr-read", st.label, e.dst.nid)
-            for sname in m.subset.free_symbols():
-                if sname not in known_names and not _is_map_param(st, parents, e, sname):
-                    err(f"memlet {m} uses undeclared name '{sname}'", "unknown-symbol", st.label)
+            unknown = [s for s in m.subset.free_symbols() if s not in known_names]
+            if unknown:
+                # a map's own boundary memlets also see its parameters
+                visible = _enclosing_params(parents, e.src, e.dst)
+                if isinstance(e.src, MapEntry):
+                    visible.update(e.src.param_names)
+                if isinstance(e.dst, MapExit):
+                    visible.update(e.dst.entry.param_names)
+                for sname in unknown:
+                    if sname not in visible:
+                        err(f"memlet {m} uses undeclared name '{sname}'", "unknown-symbol",
+                            st.label)
 
         # dataflow endpoints: sinks must be access nodes; tasklet outputs consumed
         for n in st.nodes.values():
@@ -681,11 +689,7 @@ def validate(g: Sdfg) -> list[Diagnostic]:
                         st.label,
                         n.nid,
                     )
-                scope_params: set[str] = set()
-                cur = parents.get(n.nid)
-                while cur is not None:
-                    scope_params |= set(cur.param_names)
-                    cur = parents.get(cur.nid)
+                scope_params = _enclosing_params(parents, n)
                 for _, code in n.code:
                     for name in code.free_names():
                         if (name not in n.inputs and name not in known_names
@@ -745,18 +749,15 @@ def validate(g: Sdfg) -> list[Diagnostic]:
     return diags
 
 
-def _is_map_param(state: State, parents, edge: Edge, name: str) -> bool:
-    if isinstance(edge.src, MapEntry) and name in edge.src.param_names:
-        return True
-    if isinstance(edge.dst, MapExit) and name in edge.dst.entry.param_names:
-        return True
-    for endpoint in (edge.src, edge.dst):
-        cur = parents.get(endpoint.nid)
+def _enclosing_params(parents: Mapping[int, MapEntry | None], *nodes: Node) -> set[str]:
+    """Parameters of every map whose scope encloses one of ``nodes``."""
+    out: set[str] = set()
+    for node in nodes:
+        cur = parents.get(node.nid)
         while cur is not None:
-            if name in cur.param_names:
-                return True
+            out.update(cur.param_names)
             cur = parents.get(cur.nid)
-    return False
+    return out
 
 
 def _pinned(param: str, all_params: set[str], w: SubsetRange, x: SubsetRange) -> bool:

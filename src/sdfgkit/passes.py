@@ -317,7 +317,6 @@ def _inline_one(g: Sdfg, st: State, node: NestedSdfg) -> None:
                 raise ValueError(f"nested connector '{cname}' unbound")
             rename[cname] = (e.memlet.container, e.memlet.subset)
 
-    parents = istate.scope_parents()
     node_map: dict[int, object] = {}
     for n in istate.sorted_nodes():
         old_id = n.nid
@@ -363,8 +362,6 @@ def _inline_one(g: Sdfg, st: State, node: NestedSdfg) -> None:
             new_m = Memlet(outer_name, sub, m.wcr)
         st.add_edge(node_map[e.src.nid], node_map[e.dst.nid], new_m, e.src_conn, e.dst_conn)
 
-    for e in list(st.in_edges(node)) + list(st.out_edges(node)):
-        st.remove_edge(e)
     st.remove_node(node)
 
 

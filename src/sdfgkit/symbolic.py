@@ -41,14 +41,6 @@ def t_and(*values: Ternary) -> Ternary:
     return Ternary.UNKNOWN
 
 
-def t_or(*values: Ternary) -> Ternary:
-    if any(v is Ternary.TRUE for v in values):
-        return Ternary.TRUE
-    if all(v is Ternary.FALSE for v in values):
-        return Ternary.FALSE
-    return Ternary.UNKNOWN
-
-
 def t_not(value: Ternary) -> Ternary:
     if value is Ternary.TRUE:
         return Ternary.FALSE
@@ -162,10 +154,6 @@ def as_expr(value: SymExpr | int | str) -> SymExpr:
 
 def sym(name: str) -> Sym:
     return Sym(name)
-
-
-def const(value: int) -> Const:
-    return Const(value)
 
 
 def _collect_symbols(e: SymExpr, out: set[str]) -> None:
@@ -376,10 +364,6 @@ def substitute(e: SymExpr, bindings: Mapping[str, SymExpr | int]) -> SymExpr:
         return type(x)(walk(x.left), walk(x.right))
 
     return simplify(walk(e))
-
-
-def structurally_equal(a: SymExpr, b: SymExpr) -> bool:
-    return simplify(a) == simplify(b)
 
 
 # ---------------------------------------------------------------------------
@@ -884,10 +868,6 @@ class _Parser:
 def parse_expr(text: str) -> SymExpr:
     """Parse the textual expression syntax used in serialized graphs."""
     return _Parser(text).parse()
-
-
-def subset_to_text(s: SubsetRange) -> str:
-    return str(s)
 
 
 def parse_subset(text: str) -> SubsetRange:

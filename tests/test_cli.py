@@ -107,3 +107,21 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     rc = main(["run", str(src), "-s", "N=4,K=9", "--inputs", str(d)])
     assert rc == 2
     assert "out-of-bounds" in capsys.readouterr().err
+
+
+def test_loop_counter_sized_transient_exit_code(tmp_path):
+    src = tmp_path / "prefix.dpy"
+    src.write_text("def f(A: f64[N], B: f64[N]):\n"
+                   "    for i in range(1, N):\n"
+                   "        B[0:i] = A[0:i] * 2.0\n")
+    d = tmp_path / "i"
+    d.mkdir()
+    TensorValue.of(np.ones(8)).save(d / "A.json")
+    TensorValue.of(np.zeros(8)).save(d / "B.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdfgkit.cli", "run", str(src), "-s", "N=8",
+         "--inputs", str(d)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("runtime error:")
+    assert "'i'" in proc.stderr and "Traceback" not in proc.stderr

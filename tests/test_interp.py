@@ -3,8 +3,8 @@ import pytest
 
 from sdfgkit import frontend
 from sdfgkit.interp import (
-    ExecContext, InterpOptions, OutOfBoundsError, TensorValue, interpret,
-    run_twice_determinism,
+    ExecContext, InterpOptions, InterpreterError, OutOfBoundsError, TensorValue,
+    interpret, run_twice_determinism,
 )
 
 from conftest import (
@@ -87,6 +87,21 @@ class TestErrors:
                          "C": np.zeros((2, 2)), "alpha": 1.0, "beta": 0.0})
         with pytest.raises(Exception, match="shape"):
             interpret(g, ctx)
+
+    def test_transient_sized_by_loop_counter_is_an_interpreter_error(self):
+        # the slice temporary is sized by `i`, which has no value before the loop
+        src = ("def f(A: f64[N], B: f64[N]):\n"
+               "    for i in range(1, N):\n"
+               "        B[0:i] = A[0:i] * 2.0\n")
+        g, diags = frontend.compile_source(src)
+        assert g is not None and not diags
+        ctx = ExecContext(bindings={"N": 8})
+        ctx.bind_inputs({"A": np.ones(8), "B": np.zeros(8)})
+        with pytest.raises(InterpreterError) as exc:
+            interpret(g, ctx)
+        sized = [n for n, d in g.containers.items() if "i" in str(d.shape)]
+        assert sized and f"'{sized[0]}'" in str(exc.value)
+        assert "'i'" in str(exc.value)
 
 
 class TestInstrumentation:

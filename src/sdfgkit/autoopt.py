@@ -19,7 +19,7 @@ from . import passes, symbolic, texpr
 from .ir import (
     AccessNode, DataKind, LibKind, LibraryNode, Lifetime, MapEntry, MapExit,
     Memlet, NestedSdfg, Schedule, Sdfg, State, Storage, Tasklet, Ternary, Wcr,
-    scope_cross_iteration_hazards, unordered_hazards,
+    race_free,
 )
 from .passes import PassReport, coarsen, find_loops, loop_to_map
 from .symbolic import Const, Min, SubsetRange, Sym, SymExpr
@@ -220,47 +220,40 @@ def _align_params(m1: MapEntry, m2: MapEntry) -> dict[str, str] | None:
 def subgraph_fusion(g: Sdfg) -> PassReport:
     """Fuse maps sharing the same (or permuted) iteration space when the data
     each consumer reads per iteration is covered by what the producer wrote;
-    single-element intermediates private to the pair shrink to scalars."""
+    single-element intermediates private to the pair shrink to scalars.
+
+    Each fusion is built on a copy of the state and swapped in only when the
+    copy is race-free, so a rejected candidate leaves the graph untouched."""
     report = PassReport()
-    for st in g.states:
-        attempted: set[tuple[int, int]] = set()
-        while True:
-            outcome = _fuse_one_pair(g, st, report, attempted)
-            if outcome == "fused":
-                attempted.clear()
-            elif outcome == "failed":
-                continue  # other pairs may still match
-            else:
-                break
+    for i in range(len(g.states)):
+        while (fused := _fuse_one_pair(g, g.states[i])) is not None:
+            cand, scope, mids = fused
+            g.states[i] = cand
+            # after the swap: scalarization looks for occurrences in g.states
+            for n in mids:
+                _try_scalarize(g, cand, n, scope)
+            report.count("subgraph_fusion")
     return report
 
 
-def _fuse_one_pair(g: Sdfg, st: State, report: PassReport,
-                   attempted: set[tuple[int, int]]) -> str:
-    # top-level parallel maps: more dimensions first, then in topological order
+def _fuse_one_pair(g: Sdfg, st: State
+                   ) -> tuple[State, MapEntry, list[AccessNode]] | None:
+    """The first legal fusion candidate over top-level parallel maps, more
+    dimensions first, then in topological order; None when there is none."""
     maps = [n for n in st.scopes()[None]
             if isinstance(n, MapEntry) and n.schedule is Schedule.PARALLEL]
-    if len(maps) < 2:
-        return "done"
     order = {n.nid: i for i, n in enumerate(maps)}
     maps.sort(key=lambda m: -len(m.params))
-    for i in range(len(maps)):
-        for j in range(len(maps)):
-            if i == j:
-                continue
-            m1, m2 = maps[i], maps[j]
-            if (m1.nid, m2.nid) in attempted:
-                continue
-            if order[m1.nid] > order[m2.nid]:
+    for m1 in maps:
+        for m2 in maps:
+            if m1 is m2 or order[m1.nid] > order[m2.nid]:
                 continue
             if _space_sig(m1) != _space_sig(m2):
                 continue
-            if _try_fuse(g, st, m1, m2):
-                report.count("subgraph_fusion")
-                return "fused"
-            attempted.add((m1.nid, m2.nid))
-            return "failed"  # state objects changed under rollback; rescan
-    return "done"
+            fused = _try_fuse(g, st, m1, m2)
+            if fused is not None:
+                return fused
+    return None
 
 
 def _intermediates(st: State, m1: MapEntry, m2: MapEntry) -> dict[int, AccessNode] | None:
@@ -289,20 +282,23 @@ def _by_container(edges) -> dict[str, list]:
     return out
 
 
-def _try_fuse(g: Sdfg, st: State, m1: MapEntry, m2: MapEntry) -> bool:
+def _try_fuse(g: Sdfg, st: State, m1: MapEntry, m2: MapEntry
+              ) -> tuple[State, MapEntry, list[AccessNode]] | None:
+    """A race-free copy of ``st`` with m2 fused into m1, together with the
+    copy's fused scope and intermediates; None when the fusion is illegal."""
     mapping = _align_params(m1, m2)
     if mapping is None:
-        return False
+        return None
     mids = _intermediates(st, m1, m2)
     if mids is None:
-        return False
+        return None
     x1 = st.exit_of(m1)
     if not mids:
         # only contiguous subgraphs fuse: the maps must at least share an input
         in1 = {e.memlet.container for e in st.in_edges(m1) if e.memlet}
         in2 = {e.memlet.container for e in st.in_edges(m2) if e.memlet}
         if not (in1 & in2):
-            return False
+            return None
     w1 = _by_container(st.in_edges(x1))
     r2 = _by_container(st.out_edges(m2))
     rename = {k: Sym(v) for k, v in mapping.items()}
@@ -319,33 +315,24 @@ def _try_fuse(g: Sdfg, st: State, m1: MapEntry, m2: MapEntry) -> bool:
             continue
         for r in reads:
             if not any(symbolic.covers(w, r, asm) is Ternary.TRUE for w in writes):
-                return False
+                return None
 
-    snapshot = copy.deepcopy(st)
-    try:
-        _apply_fusion(g, st, m1, m2, mapping, mids)
-        st.topological()
-        if unordered_hazards(st, g.assumptions()):
-            raise ValueError("fusion produced unordered hazards")
-        for entry in [n for n in st.nodes.values() if isinstance(n, MapEntry)]:
-            if entry.schedule is Schedule.PARALLEL and scope_cross_iteration_hazards(st, entry):
-                raise ValueError("fusion produced cross-iteration hazards")
-    except ValueError:
-        st.nodes = snapshot.nodes
-        st.edges = snapshot.edges
-        st._next_id = snapshot._next_id
-        return False
-    return True
+    cand = copy.deepcopy(st)
+    scope = cand.nodes[m1.nid]
+    cand_mids = [cand.nodes[nid] for nid in mids]
+    _apply_fusion(cand, scope, cand.nodes[m2.nid], mapping, cand_mids)
+    if not race_free(cand, g.assumptions()):
+        return None
+    return cand, scope, cand_mids
 
 
-def _apply_fusion(g: Sdfg, st: State, m1: MapEntry, m2: MapEntry,
-                  mapping: dict[str, str], mids: dict[int, AccessNode]) -> None:
+def _apply_fusion(st: State, m1: MapEntry, m2: MapEntry,
+                  mapping: dict[str, str], mids: list[AccessNode]) -> None:
     x1, x2 = st.exit_of(m1), st.exit_of(m2)
     _rename_in_scope(st, m2, {k: Sym(v) for k, v in mapping.items()})
 
     # move intermediate access nodes into the fused scope
-    mid_containers = {n.container for n in mids.values()}
-    for n in mids.values():
+    for n in mids:
         for e in list(st.in_edges(n)):
             if e.src is x1:
                 # producer edge: rewire from the producing node directly
@@ -399,10 +386,6 @@ def _apply_fusion(g: Sdfg, st: State, m1: MapEntry, m2: MapEntry,
     st.remove_node(m2)
     st.remove_node(x2)
 
-    # shrink single-element private intermediates to scalars
-    for n in mids.values():
-        _try_scalarize(g, st, n, m1)
-
 
 def _try_scalarize(g: Sdfg, st: State, acc: AccessNode, scope: MapEntry) -> None:
     cont = acc.container
@@ -455,7 +438,8 @@ def tile_wcr(g: Sdfg, tile: int = 16) -> PassReport:
                     continue
                 if node.tiled:
                     continue
-                if _tile_one(g, st, node, tile, report):
+                if _tile_one(g, st, node, tile):
+                    report.count("tile_wcr")
                     changed = True
                     break
             if changed:
@@ -463,7 +447,7 @@ def tile_wcr(g: Sdfg, tile: int = 16) -> PassReport:
     return report
 
 
-def _tile_one(g: Sdfg, st: State, entry: MapEntry, tile: int, report: PassReport) -> bool:
+def _tile_one(g: Sdfg, st: State, entry: MapEntry, tile: int) -> bool:
     exit_node = st.exit_of(entry)
     wcr_edges = [e for e in st.in_edges(exit_node) if e.memlet is not None and e.memlet.wcr]
     if not wcr_edges:
@@ -484,7 +468,6 @@ def _tile_one(g: Sdfg, st: State, entry: MapEntry, tile: int, report: PassReport
     if wcr not in (Wcr.ADD, Wcr.MUL):
         return False
     _apply_tiling(g, st, entry, exit_node, d, tile, wcr)
-    report.count("tile_wcr")
     return True
 
 
@@ -831,7 +814,7 @@ def _expand_reduce_native(g: Sdfg, st: State, node: LibraryNode,
     st.remove_node(node)
     _anchor_new_sources(st, enclosing, before_ids)
     if tiled:
-        tile_wcr_scope(g, st, me, tile)
+        _tile_one(g, st, me, tile)
     me.tiled = True
 
 
@@ -846,11 +829,6 @@ def _anchor_new_sources(st: State, enclosing, before_ids: set[int]) -> None:
             continue
         if not st.in_edges(n):
             st.add_edge(enclosing, n)
-
-
-def tile_wcr_scope(g: Sdfg, st: State, entry: MapEntry, tile: int) -> bool:
-    report = PassReport()
-    return _tile_one(g, st, entry, tile, report)
 
 
 def _expand_transpose_native(g: Sdfg, st: State, node: LibraryNode) -> None:

@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import frontend
-from .autoopt import Device, auto_optimize, cleanup_maps, expand_library, \
-    subgraph_fusion, tile_wcr, transient_mitigation
+from .autoopt import Device, auto_optimize, cleanup_maps, cpu_registry, \
+    expand_library, subgraph_fusion, tile_wcr, transient_mitigation
 from .cemit import EmitError, emit_c
 from .dot import to_dot
 from .interp import ExecContext, InterpreterError, TensorValue, interpret
@@ -108,13 +108,22 @@ def cmd_optimize(args) -> int:
     if _print_diags(diags) or g is None:
         return 1
     tile = args.tile if args.tile is not None else int(os.environ.get("SDFGKIT_TILE", "16"))
+    if tile < 1:
+        raise UsageError(f"tile size must be positive, got {tile}")
     stack = (args.stack_limit if args.stack_limit is not None
              else int(os.environ.get("SDFGKIT_STACK_LIMIT", "4096")))
+    known = {kind.value: [x.name for x in xs] for kind, xs in cpu_registry().by_kind.items()}
     pinned = {}
     for spec in args.expand or []:
         kind, _, impl = spec.partition("=")
+        if impl not in known.get(kind, []):
+            raise UsageError(f"unknown expansion '{spec}'; choose from "
+                             + ", ".join(f"{k}={x}" for k, xs in known.items() for x in xs))
         pinned[kind] = impl
-    device = Device.parse(args.device)
+    try:
+        device = Device.parse(args.device)
+    except ValueError as ex:
+        raise UsageError(str(ex)) from None
     from .passes import PassReport
 
     report = PassReport()

@@ -63,7 +63,6 @@ class Storage(Enum):
 class Schedule(Enum):
     SEQUENTIAL = "sequential"
     PARALLEL = "parallel"
-    DISTRIBUTED_HINT = "distributed_hint"
 
 
 class Wcr(Enum):
@@ -382,11 +381,15 @@ class State:
         ]
 
     def reachability(self) -> dict[int, set[int]]:
+        succs: dict[int, list[int]] = {nid: [] for nid in self.nodes}
+        for e in self.edges:
+            succs[e.src.nid].append(e.dst.nid)
         reach: dict[int, set[int]] = {nid: set() for nid in self.nodes}
         for node in reversed(self.topological()):
-            for e in self.out_edges(node):
-                reach[node.nid].add(e.dst.nid)
-                reach[node.nid] |= reach[e.dst.nid]
+            mine = reach[node.nid]
+            for dst in succs[node.nid]:
+                mine.add(dst)
+                mine |= reach[dst]
         return reach
 
 
@@ -591,6 +594,38 @@ def unordered_hazards(
     return out
 
 
+def data_races(state: State, assumptions: Assumptions) -> list[tuple[str, int, Ternary]]:
+    """Every data race in an acyclic state as (container, node id, verdict).
+
+    Unordered same-container access pairs come first, reported at their
+    first node; then the cross-iteration conflicts of each non-sequential
+    map, reported at its entry (sequential maps execute in order and may
+    carry dependences).  FALSE means a proven collision, UNKNOWN an
+    unprovable disjointness."""
+    out = [(cont, u.nid, verdict)
+           for cont, u, _, verdict in unordered_hazards(state, assumptions)]
+    for entry in state.nodes.values():
+        if not isinstance(entry, MapEntry) or entry.schedule is Schedule.SEQUENTIAL:
+            continue
+        try:
+            state.exit_of(entry)
+        except KeyError:
+            continue  # validate reports the unbalanced brackets
+        out += [(cont, entry.nid, Ternary.FALSE)
+                for cont, _, _ in scope_cross_iteration_hazards(state, entry)]
+    return out
+
+
+def race_free(state: State, assumptions: Assumptions) -> bool:
+    """The legality predicate of every rewrite: the state is acyclic, its
+    edges respect scope brackets, and it has no data race."""
+    try:
+        state.scope_parents()
+    except ValueError:
+        return False
+    return not data_races(state, assumptions)
+
+
 def validate(g: Sdfg) -> list[Diagnostic]:
     """Structural validation; returns diagnostics instead of raising."""
     diags: list[Diagnostic] = []
@@ -701,25 +736,12 @@ def validate(g: Sdfg) -> list[Diagnostic]:
                                 n.nid,
                             )
 
-        # unordered write hazards
-        for cont, u, v, verdict in unordered_hazards(st, assumptions):
+        for cont, nid, verdict in data_races(st, assumptions):
             if verdict is Ternary.FALSE:
-                err(f"data race on {cont}", "data-race", st.label, u.nid)
+                err(f"data race on {cont}", "data-race", st.label, nid)
             else:
                 err(f"possible data race on {cont} (unprovable disjointness)",
-                    "data-race", st.label, u.nid)
-
-        # per-map cross-iteration conflicts: unsafe unless resolved by wcr
-        # (sequential maps execute in order and may carry dependences)
-        for entry in entries:
-            if entry.schedule is Schedule.SEQUENTIAL:
-                continue
-            try:
-                st.exit_of(entry)
-            except KeyError:
-                continue
-            for cont, w, x in scope_cross_iteration_hazards(st, entry):
-                err(f"data race on {cont}", "data-race", st.label, entry.nid)
+                    "data-race", st.label, nid)
 
     # interstate edges
     for t in g.transitions:

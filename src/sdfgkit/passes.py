@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 from . import symbolic, texpr
 from .ir import (
-    AccessNode, Edge, MapEntry, MapExit, Memlet, NestedSdfg, Schedule, Sdfg,
-    State, Tasklet, Ternary, Wcr, scope_cross_iteration_hazards,
-    unordered_hazards,
+    AccessNode, MapEntry, MapExit, Memlet, NestedSdfg, Schedule, Sdfg, State,
+    Tasklet, Ternary, Wcr, race_free,
 )
 from .symbolic import Const, SubsetRange, Sym, SymExpr, propagate_subset
 from .texpr import TBin, TExpr, TRef
@@ -98,7 +97,8 @@ def _merge_states(s1: State, s2: State) -> State | None:
     for n in a.sorted_nodes():
         n.nid = -1
         merged.add(n)
-    merged.edges = list(a.edges)
+    for e in a.edges:
+        merged.add_edge(e.src, e.dst, e.memlet, e.src_conn, e.dst_conn)
 
     # terminal occurrence per container: the version of the data that is live
     # at the end of the first state (no other occurrence downstream of it)
@@ -135,8 +135,7 @@ def _merge_states(s1: State, s2: State) -> State | None:
         n.nid = -1
         merged.add(n)
     for src, dst, m, sc, dc in b_edges:
-        merged.edges.append(Edge(fuse_map.get(id(src), src), fuse_map.get(id(dst), dst),
-                                 m, sc, dc))
+        merged.add_edge(fuse_map.get(id(src), src), fuse_map.get(id(dst), dst), m, sc, dc)
     return merged
 
 
@@ -165,17 +164,8 @@ def state_fusion(g: Sdfg, s1_label: str, s2_label: str) -> bool:
         return False
 
     merged = _merge_states(s1, s2)
-    if merged is None:
+    if merged is None or not race_free(merged, g.assumptions()):
         return False
-    try:
-        merged.topological()
-    except ValueError:
-        return False
-    if unordered_hazards(merged, g.assumptions()):
-        return False
-    for entry in [n for n in merged.nodes.values() if isinstance(n, MapEntry)]:
-        if entry.schedule is Schedule.PARALLEL and scope_cross_iteration_hazards(merged, entry):
-            return False
 
     # commit
     idx = g.states.index(s1)
@@ -285,14 +275,6 @@ def inline_nested(g: Sdfg) -> bool:
     return False
 
 
-def _subst_expr(e: SymExpr, symmap: dict[str, SymExpr]) -> SymExpr:
-    return symbolic.substitute(e, symmap)
-
-
-def _subst_subset(sub: SubsetRange, symmap: dict[str, SymExpr]) -> SubsetRange:
-    return sub.substitute(symmap)
-
-
 def _inline_one(g: Sdfg, st: State, node: NestedSdfg) -> None:
     inner = node.sdfg
     istate = inner.states[0]
@@ -308,7 +290,7 @@ def _inline_one(g: Sdfg, st: State, node: NestedSdfg) -> None:
             fresh = g.fresh_name(f"{inner.name}_{cname}")
             nd = copy.deepcopy(desc)
             nd.name = fresh
-            nd.shape = tuple(_subst_expr(d, symmap) for d in nd.shape)
+            nd.shape = tuple(symbolic.substitute(d, symmap) for d in nd.shape)
             g.add_container(nd)
             rename[cname] = (fresh, None)
         else:
@@ -338,7 +320,8 @@ def _inline_one(g: Sdfg, st: State, node: NestedSdfg) -> None:
         nn.nid = -1
         if isinstance(nn, MapEntry):
             nn.params = tuple(
-                (p, tuple(_subst_expr(x, symmap) for x in rng)) for p, rng in nn.params
+                (p, tuple(symbolic.substitute(x, symmap) for x in rng))
+                for p, rng in nn.params
             )
         if isinstance(nn, Tasklet):
             tmap = {k: texpr.parse_texpr(str(v)) for k, v in symmap.items()}
@@ -356,7 +339,7 @@ def _inline_one(g: Sdfg, st: State, node: NestedSdfg) -> None:
         new_m = None
         if m is not None:
             outer_name, outer_sub = rename[m.container]
-            sub = _subst_subset(m.subset, symmap)
+            sub = m.subset.substitute(symmap)
             if outer_sub is not None:
                 sub = compose_subsets(outer_sub, sub)
             new_m = Memlet(outer_name, sub, m.wcr)
@@ -590,13 +573,6 @@ def _sole_read_conn(body: State, tasklet: Tasklet, cont: str) -> str | None:
     return conns[0] if len(conns) == 1 else None
 
 
-def _read_conn(body: State, tasklet: Tasklet, cont: str) -> str:
-    for e in body.in_edges(tasklet):
-        if e.memlet is not None and e.memlet.container == cont:
-            return e.dst_conn
-    return ""
-
-
 def _privatizable(g: Sdfg, body: State, cont: str, a) -> bool:
     desc = g.containers.get(cont)
     if desc is None or not desc.transient:
@@ -636,7 +612,7 @@ def _convert_loop(g: Sdfg, loop: LoopInfo, reductions: dict[str, Wcr], private: 
             for e in body.in_edges(n):
                 t = e.src
                 assert isinstance(t, Tasklet)
-                red = _reduction_op(t, _read_conn(body, t, cont))
+                red = _reduction_op(t, _sole_read_conn(body, t, cont))
                 assert red is not None
                 out_conn_, _ = t.code[0]
                 _, rest = red

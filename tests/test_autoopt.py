@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sdfgkit import autoopt, frontend, passes
+from sdfgkit.frontend import oracle
 from sdfgkit.autoopt import (
     Device, auto_optimize, cleanup_maps, cpu_registry, expand_library,
     subgraph_fusion, tile_wcr, transient_mitigation,
@@ -9,6 +10,7 @@ from sdfgkit.autoopt import (
 from sdfgkit.interp import ExecContext, interpret
 from sdfgkit.ir import (
     DataKind, DType, LibKind, LibraryNode, Lifetime, MapEntry, Sdfg, Storage,
+    structural_eq,
 )
 from sdfgkit.symbolic import Sym
 
@@ -102,6 +104,36 @@ class TestSubgraphFusion:
         subgraph_fusion(g)
         # the shifted consumer must stay in its own map scope
         assert len(map_entries(g)) == 2
+
+    # fusing the shifted read into the write would race across iterations
+    SHIFTED_UPDATE = "def f(A: f64[N]):\n    A[0:N - 1] = (A[1:N] * 2.0) + 1.0\n"
+    SHIFTED_VIA_B = ("def f(A: f64[N], B: f64[N]):\n"
+                     "    B[0:N - 1] = A[1:N] * 2.0\n"
+                     "    A[0:N - 1] = B[0:N - 1] + 1.0\n")
+
+    @pytest.mark.parametrize("src", [SHIFTED_UPDATE, SHIFTED_VIA_B],
+                             ids=["one_statement", "through_B"])
+    def test_shifted_update_optimizes_to_oracle(self, src):
+        g, diags = frontend.compile_source(src)
+        assert not diags
+        auto_optimize(g)
+        assert [d for d in g.validate() if d.severity == "error"] == []
+        prog = frontend.parse(src)
+        syms = {"N": 8}
+        inputs = make_inputs(prog, syms, seed=6)
+        out, _ = run_graph(g, syms, inputs)
+        ref = oracle.evaluate_program(prog, syms, {k: v.copy() for k, v in inputs.items()})
+        for k in ref:
+            assert np.array_equal(out[k], ref[k]), k
+
+    def test_rejected_candidate_leaves_graph_unchanged(self):
+        g, _ = frontend.compile_source("def f(A: f64[N]):\n    A[0:N - 1] = A[1:N] * 2.0\n")
+        passes.coarsen(g)
+        cleanup_maps(g)
+        assert len(map_entries(g)) == 2  # the only candidate pair
+        before = g.copy()
+        assert subgraph_fusion(g).total == 0
+        assert structural_eq(g, before)
 
 
 class TestTileWcr:

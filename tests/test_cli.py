@@ -60,6 +60,21 @@ def test_optimize_then_emit(tmp_path, capsys):
     assert "/* parallel-for */" in capsys.readouterr().out
 
 
+def test_optimize_shifted_update(tmp_path):
+    src = tmp_path / "shift.dpy"
+    src.write_text("def f(A: f64[N]):\n    A[0:N - 1] = (A[1:N] * 2.0) + 1.0\n")
+    assert main(["optimize", str(src), "-o", str(tmp_path / "opt.sdfg.json")]) == 0
+
+
+@pytest.mark.parametrize("flags", [["--device", "gpu"], ["--expand", "matmul=bogus"],
+                                   ["--tile", "0"]], ids=["device", "expand", "tile"])
+def test_optimize_bad_flag_is_one_line(flags, capsys):
+    rc = main(["optimize", str(CORPUS / "gemm.dpy"), *flags])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_distributed_run_matches_shared_memory(tmp_path, gemm_inputs, capsys):
     graph = tmp_path / "g.sdfg.json"
     dist = tmp_path / "dist.sdfg.json"

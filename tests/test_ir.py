@@ -6,7 +6,7 @@ from sdfgkit import frontend
 from sdfgkit.autoopt import auto_optimize
 from sdfgkit.ir import (
     AccessNode, DataDescriptor, DataKind, DType, LibKind, LibraryNode, MapEntry,
-    MapExit, Memlet, Schedule, Sdfg, State, Tasklet, Wcr, structural_eq,
+    MapExit, Memlet, Schedule, Sdfg, State, Tasklet, Wcr, race_free, structural_eq,
 )
 from sdfgkit.symbolic import Const, SubsetRange, Sym
 from sdfgkit.texpr import TBin, TNum, TRef
@@ -102,6 +102,74 @@ class TestValidate:
         assert [d for d in g.validate() if d.severity == "error"] == []
 
 
+def build_shift_map(read: str) -> Sdfg:
+    """A parallel map over i that reads ``read[i + 1]`` and writes ``A[i]``."""
+    g = Sdfg("shift")
+    g.add_symbol("N", 2)
+    g.add_array("A", DType.F64, (Sym("N"),))
+    g.add_array("B", DType.F64, (Sym("N"),))
+    st = g.add_state("s0")
+    entry = st.add(MapEntry((("i", (Const(0), Sym("N") - 2, Const(1))),),
+                            Schedule.PARALLEL))
+    ex = st.add(MapExit(entry))
+    src = st.add(AccessNode(read))
+    t = st.add(Tasklet("t", ("v",), ("out",), (("out", TRef("v")),)))
+    dst = st.add(AccessNode("A"))
+    st.add_edge(src, entry, Memlet(read, SubsetRange.make([(1, Sym("N") - 1, 1)])),
+                dst_conn="IN_v")
+    st.add_edge(entry, t, Memlet(read, SubsetRange.point([Sym("i") + 1])),
+                src_conn="OUT_v", dst_conn="v")
+    st.add_edge(t, ex, Memlet("A", SubsetRange.point([Sym("i")])),
+                src_conn="out", dst_conn="IN_o")
+    st.add_edge(ex, dst, Memlet("A", SubsetRange.make([(0, Sym("N") - 2, 1)])),
+                src_conn="OUT_o")
+    return g
+
+
+def build_cycle() -> Sdfg:
+    g = Sdfg("cycle")
+    g.add_scalar("x", DType.F64)
+    st = g.add_state("s0")
+    x = st.add(AccessNode("x"))
+    t = st.add(Tasklet("t", ("v",), ("out",), (("out", TRef("v")),)))
+    st.add_edge(x, t, Memlet("x", SubsetRange(())), dst_conn="v")
+    st.add_edge(t, x, Memlet("x", SubsetRange(())), src_conn="out")
+    return g
+
+
+def build_scope_join() -> Sdfg:
+    """One tasklet fed from inside two different maps."""
+    g = Sdfg("join")
+    g.add_symbol("N", 1)
+    g.add_array("A", DType.F64, (Sym("N"),))
+    g.add_scalar("x", DType.F64)
+    st = g.add_state("s0")
+    a = st.add(AccessNode("A"))
+    t = st.add(Tasklet("t", ("u", "v"), ("out",),
+                       (("out", TBin("+", TRef("u"), TRef("v"))),)))
+    for conn in ("u", "v"):
+        entry = st.add(MapEntry(((conn, (Const(0), Sym("N") - 1, Const(1))),),
+                                Schedule.PARALLEL))
+        st.add_edge(a, entry, Memlet("A", SubsetRange.make([(0, Sym("N") - 1, 1)])),
+                    dst_conn="IN_a")
+        st.add_edge(entry, t, Memlet("A", SubsetRange.point([Sym(conn)])),
+                    src_conn="OUT_a", dst_conn=conn)
+    st.add_edge(t, st.add(AccessNode("x")), Memlet("x", SubsetRange(())), src_conn="out")
+    return g
+
+
+@pytest.mark.parametrize("build, legal", [
+    (lambda: build_shift_map("B"), True),
+    (build_cycle, False),
+    (build_scope_join, False),
+    (build_race_graph, False),
+    (lambda: build_shift_map("A"), False),
+], ids=["clean", "cycle", "scope_join", "unordered_writes", "cross_iteration"])
+def test_race_free_predicate(build, legal):
+    g = build()
+    assert race_free(g.states[0], g.assumptions()) is legal
+
+
 class TestFreeSymbols:
     def test_gemm(self):
         g = compile_kernel("gemm")
@@ -166,6 +234,16 @@ def quadratic_topological(st: State) -> list:
     return order
 
 
+def per_node_reachability(st: State) -> dict:
+    """The reference reachability: one scan of every edge per node."""
+    reach = {nid: set() for nid in st.nodes}
+    for node in reversed(quadratic_topological(st)):
+        for e in st.out_edges(node):
+            reach[node.nid].add(e.dst.nid)
+            reach[node.nid] |= reach[e.dst.nid]
+    return reach
+
+
 def _outcome(order_fn, st: State):
     try:
         return [n.nid for n in order_fn(st)]
@@ -198,7 +276,10 @@ class TestQueries:
     @given(random_multigraphs())
     @settings(max_examples=300, deadline=None)
     def test_topological_matches_quadratic_reference(self, st):
-        assert _outcome(State.topological, st) == _outcome(quadratic_topological, st)
+        order = _outcome(State.topological, st)
+        assert order == _outcome(quadratic_topological, st)
+        if order != "cycle":
+            assert st.reachability() == per_node_reachability(st)
 
     @pytest.mark.parametrize("name", ALL_KERNELS)
     def test_scopes_match_parent_filter(self, name):

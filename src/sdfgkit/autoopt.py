@@ -585,6 +585,10 @@ def transient_mitigation(g: Sdfg, stack_limit_bytes: int = 4096) -> PassReport:
 # Library expansion
 
 
+class ExpansionError(ValueError):
+    """No expansion applies to a library node (or the pinned one does not)."""
+
+
 @dataclass
 class Expansion:
     name: str
@@ -908,7 +912,11 @@ def expand_library(g: Sdfg, device: Device = Device.CPU,
                     continue
                 exp = reg.pick(g, st, node, pinned)
                 if exp is None:
-                    raise ValueError(f"no applicable expansion for {node.kind.value}")
+                    kind = node.kind.value
+                    why = (f": the pinned '{pinned[kind]}' does not apply to node "
+                           f"'{node.name}' in state '{st.label}'" if pinned and kind in pinned
+                           else "")
+                    raise ExpansionError(f"no applicable expansion for {kind}{why}")
                 exp.apply(g, st, node)
                 report.count(f"expand_{node.kind.value}_{exp.name}")
                 changed = True

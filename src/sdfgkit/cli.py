@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import frontend
-from .autoopt import Device, auto_optimize, cleanup_maps, cpu_registry, \
+from .autoopt import Device, ExpansionError, auto_optimize, cleanup_maps, cpu_registry, \
     expand_library, subgraph_fusion, tile_wcr, transient_mitigation
 from .cemit import EmitError, emit_c
 from .dot import to_dot
@@ -56,8 +56,21 @@ def _parse_bindings(items) -> dict[str, int]:
             if not part:
                 continue
             name, _, value = part.partition("=")
-            out[name.strip()] = int(value)
+            try:
+                out[name.strip()] = int(value)
+            except ValueError:
+                raise UsageError(f"symbol binding '{part}' must be NAME=INTEGER") from None
     return out
+
+
+def _env_int(name: str, default: int) -> int:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{name} must be an integer, got '{text}'") from None
 
 
 class UsageError(ValueError):
@@ -107,11 +120,11 @@ def cmd_optimize(args) -> int:
     g, diags = _load_graph(args.file)
     if _print_diags(diags) or g is None:
         return 1
-    tile = args.tile if args.tile is not None else int(os.environ.get("SDFGKIT_TILE", "16"))
+    tile = args.tile if args.tile is not None else _env_int("SDFGKIT_TILE", 16)
     if tile < 1:
         raise UsageError(f"tile size must be positive, got {tile}")
     stack = (args.stack_limit if args.stack_limit is not None
-             else int(os.environ.get("SDFGKIT_STACK_LIMIT", "4096")))
+             else _env_int("SDFGKIT_STACK_LIMIT", 4096))
     known = {kind.value: [x.name for x in xs] for kind, xs in cpu_registry().by_kind.items()}
     pinned = {}
     for spec in args.expand or []:
@@ -267,7 +280,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (frontend.DslSyntaxError, SchemaError, UsageError) as ex:
+    except (frontend.DslSyntaxError, SchemaError, UsageError, ExpansionError) as ex:
         print(str(ex), file=sys.stderr)
         return 1
 

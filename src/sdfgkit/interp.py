@@ -2,25 +2,29 @@
 
 Maps always run in lexicographic iteration order (even with a parallel
 schedule), so results are bitwise reproducible and usable as golden oracles.
-Communication library nodes are *yielded* as events; the plain entry point
-:func:`interpret` rejects them, while the rank simulator drives the same
-generator and services the events.
+Each run compiles the per-node work once (memlet accesses with their bounds
+checks, tasklet bodies, map ranges, transitions) and then only calls the
+compiled functions.  Communication library nodes are *yielded* as events;
+the plain entry point :func:`interpret` rejects them, while the rank
+simulator drives the same generator and services the events.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 from . import symbolic, texpr
 from .ir import (
-    COMM_KINDS, AccessNode, DataKind, DType, Edge, LibKind, LibraryNode, Lifetime,
-    MapEntry, MapExit, Memlet, NestedSdfg, Sdfg, State, Tasklet, Wcr,
+    COMM_KINDS, AccessNode, DataKind, DType, Edge, InterstateEdge, LibKind, LibraryNode,
+    Lifetime, MapEntry, MapExit, Memlet, NestedSdfg, Sdfg, State, Tasklet, Wcr,
 )
-from .symbolic import SubsetRange
+from .symbolic import SubsetRange, SymExpr
 
 
 class InterpreterError(RuntimeError):
@@ -161,7 +165,13 @@ def run_twice_determinism(g: Sdfg, ctx: ExecContext) -> bool:
 
 
 class Machine:
-    """One logical execution of a graph (one rank, in the simulator)."""
+    """One logical execution of a graph (one rank, in the simulator).
+
+    Each state is planned on its first execution: its edges are indexed by
+    node, and every node that does work becomes a step (a compiled tasklet,
+    a copy, a library call, a map launch).  Memlet accesses, tasklet bodies,
+    map ranges and transitions are compiled once per machine (see
+    :class:`_Source`), so executing a map point only calls compiled code."""
 
     def __init__(self, g: Sdfg, ctx: ExecContext, options: InterpOptions | None = None):
         self.g = g
@@ -170,6 +180,8 @@ class Machine:
         self.sym: dict[str, int] = {}
         self.store: dict[str, np.ndarray] = {}
         self._prepared = False
+        self._plans: dict[int, _StatePlan] = {}
+        self._accessors: dict[tuple, tuple[Memlet, Callable]] = {}
         # set by the rank simulator: container locality and root-only skipping
         self.dist_classification: dict[str, str] | None = None
         self.dist_nonroot = False
@@ -244,19 +256,27 @@ class Machine:
     def run(self) -> Iterator[CollectiveEvent | P2PEvent]:
         self.prepare()
         g = self.g
+        states: dict[str, State] = {}
+        for s in g.states:
+            states.setdefault(s.label, s)
+        leaving: dict[str, list[_Transition]] = {}
+        for t in g.transitions:
+            leaving.setdefault(t.src, []).append(_Transition(t))
+        sym = self.sym
         current = g.start
         steps = 0
         while current is not None:
-            state = g.state(current)
-            yield from self.exec_state(state)
-            nxt = None
-            transitions = g.out_transitions(current)
+            if current not in states:
+                raise KeyError(f"no state '{current}'")
+            yield from self.exec_state(states[current])
+            transitions = leaving.get(current)
             if not transitions:
                 break
+            nxt = None
             for t in transitions:
-                if t.condition is None or self.eval_cond(t.condition):
-                    for k, v in t.assignments.items():
-                        self.sym[k] = v.evaluate(self.sym)
+                if t.condition is None or self._holds(t):
+                    for k, fn in t.assignments:
+                        sym[k] = fn(sym)
                     nxt = t.dst
                     break
             if nxt is None:
@@ -266,66 +286,39 @@ class Machine:
             if steps > self.opt.max_transitions:
                 raise InterpreterError("transition budget exceeded (infinite loop?)")
 
-    def eval_cond(self, cond: texpr.TExpr) -> bool:
+    def _holds(self, t: "_Transition") -> bool:
         env: dict[str, float | int] = {}
-        for name in cond.free_names():
+        for name in t.names:
             if name in self.sym:
                 env[name] = self.sym[name]
             elif name in self.store:
                 env[name] = self.store[name][()]
             else:
                 raise InterpreterError(f"condition references unknown name '{name}'")
-        return bool(texpr.evaluate(cond, env))
+        return bool(texpr.evaluate(t.condition, env))
 
     # -- data movement -------------------------------------------------------------
-
-    def _concrete(self, sub: SubsetRange, env: Mapping[str, int]) -> tuple[range, ...]:
-        return sub.evaluate(env)
 
     def _key(self, ranges: tuple[range, ...]):
         return tuple(slice(r.start, r.stop, r.step) for r in ranges)
 
-    def _check_bounds(self, container: str, ranges: tuple[range, ...], state: str, nid: int):
-        arr = self.store[container]
-        if len(ranges) != arr.ndim:
-            raise OutOfBoundsError(
-                f"rank mismatch on '{container}' at node {nid} in state '{state}'"
-            )
-        for d, r in enumerate(ranges):
-            if len(r) == 0:
-                continue
-            last = r[-1]
-            if r.start < 0 or last >= arr.shape[d]:
-                raise OutOfBoundsError(
-                    f"out-of-bounds access {container}[dim {d}: {r.start}..{last}] "
-                    f"(extent {arr.shape[d]}) at node {nid} in state '{state}'"
-                )
+    def _access(self, m: Memlet, mode: str, state: str, nid: int) -> Callable:
+        """The compiled accessor of ``m`` in ``mode`` (see :func:`_compile_access`),
+        built on first use.  The cache holds ``m`` so its id stays unique."""
+        key = (id(m), mode, state, nid)
+        hit = self._accessors.get(key)
+        if hit is None:
+            desc = self.g.containers[m.container]
+            fn = _compile_access(m, mode, self.store[m.container], desc.dtype.nbytes,
+                                 self.ctx.counters, state, nid)
+            hit = self._accessors[key] = (m, fn)
+        return hit[1]
 
     def read(self, m: Memlet, env: Mapping[str, int], state: str, nid: int) -> np.ndarray:
-        ranges = self._concrete(m.subset, env)
-        self._check_bounds(m.container, ranges, state, nid)
-        arr = self.store[m.container][self._key(ranges)]
-        esize = self.g.containers[m.container].dtype.nbytes
-        self.ctx.counters.bytes_moved += arr.size * esize
-        return arr
-
-    def read_scalar(self, m: Memlet, env, state, nid):
-        v = self.read(m, env, state, nid)
-        return v.reshape(-1)[0] if v.ndim else v[()]
+        return self._access(m, "read", state, nid)(env)
 
     def write(self, m: Memlet, value, env: Mapping[str, int], state: str, nid: int) -> None:
-        ranges = self._concrete(m.subset, env)
-        self._check_bounds(m.container, ranges, state, nid)
-        arr = self.store[m.container]
-        key = self._key(ranges)
-        esize = self.g.containers[m.container].dtype.nbytes
-        n = int(np.prod([len(r) for r in ranges])) if ranges else 1
-        self.ctx.counters.bytes_moved += n * esize
-        if m.wcr is not None:
-            arr[key] = m.wcr.apply(arr[key], value)
-            self.ctx.counters.wcr_commits += n
-        else:
-            arr[key] = value
+        self._access(m, "write", state, nid)(env, value)
 
     def squeeze(self, value: np.ndarray, kept: list[bool] | None) -> np.ndarray:
         if kept is None:
@@ -336,13 +329,19 @@ class Machine:
     # -- state execution -------------------------------------------------------------
 
     def exec_state(self, state: State) -> Iterator:
-        scopes = state.scopes()
-        for node in scopes[None]:
-            if self._dist_skip(state, node):
+        plan = self._plans.get(id(state))
+        if plan is None:
+            plan = self._plans[id(state)] = self._plan_state(state)
+        env = dict(self.sym)
+        for node, fn, is_gen in plan.top:
+            if self._dist_skip(plan, node):
                 continue
-            yield from self.exec_node(state, node, dict(self.sym), scopes)
+            if is_gen:
+                yield from fn(env)
+            else:
+                fn(env)
 
-    def _dist_skip(self, state: State, node) -> bool:
+    def _dist_skip(self, plan: "_StatePlan", node) -> bool:
         """Non-root ranks skip nodes that touch only root-resident data."""
         cls = self.dist_classification
         if cls is None or not self.dist_nonroot:
@@ -351,173 +350,460 @@ class Machine:
             return False
         if isinstance(node, LibraryNode) and node.attributes.get("comm"):
             return False
-        edges = list(state.in_edges(node)) + list(state.out_edges(node))
+        edges = plan.ins[node.nid] + plan.outs[node.nid]
         if isinstance(node, MapEntry):
-            exit_node = state.exit_of(node)
-            edges += list(state.in_edges(exit_node)) + list(state.out_edges(exit_node))
+            exit_node = plan.state.exit_of(node)
+            edges += plan.ins[exit_node.nid] + plan.outs[exit_node.nid]
         conts = {e.memlet.container for e in edges if e.memlet is not None}
         if not conts:
             return False
         return all(cls.get(c, "global") == "global" for c in conts)
 
-    def exec_node(self, state: State, node, env: dict[str, int], scopes) -> Iterator:
+    def exec_map(self, plan: "_StatePlan", entry: MapEntry, env) -> Iterator:
+        """Run the scope's steps once per point, in lexicographic order."""
+        ranges, names, steps = plan.maps[entry.nid]
+        points = itertools.product(*ranges(env))
+        if self.opt.reverse_maps:
+            points = reversed(list(points))
+        ienv = dict(env)
+        counters = self.ctx.counters
+        for point in points:
+            ienv.update(zip(names, point))
+            counters.map_iterations += 1
+            for _, fn, is_gen in steps:
+                if is_gen:
+                    yield from fn(ienv)
+                else:
+                    fn(ienv)
+
+    # -- planning ---------------------------------------------------------------------
+
+    def _plan_state(self, state: State) -> "_StatePlan":
+        plan = _StatePlan(state)
+        for scope, members in state.scopes().items():
+            steps = []
+            for node in members:
+                try:
+                    steps += [(node, fn, is_gen) for fn, is_gen in self._steps(plan, node)]
+                except Exception as ex:  # a malformed node fails when it executes
+                    steps.append((node, _raiser(ex), False))
+            if scope is None:
+                plan.top = steps
+            else:
+                plan.maps[scope.nid] = (_compile_ranges(scope.params),
+                                        scope.param_names, steps)
+        return plan
+
+    def _steps(self, plan: "_StatePlan", node) -> list[tuple[Callable, bool]]:
+        """``(fn, is_generator)`` pairs that execute ``node``; none for a node
+        with nothing to do, such as an access node without an incoming copy."""
         if isinstance(node, AccessNode):
-            for e in state.in_edges(node):
-                if isinstance(e.src, AccessNode) and e.memlet is not None:
-                    self.exec_copy(state, e, env)
-            return
+            return [(self._copy_step(plan.state.label, e), False) for e in plan.ins[node.nid]
+                    if isinstance(e.src, AccessNode) and e.memlet is not None]
         if isinstance(node, Tasklet):
-            self.exec_tasklet(state, node, env)
-            return
+            return [(self._tasklet_step(plan, node), False)]
         if isinstance(node, MapEntry):
-            yield from self.exec_map(state, node, env, scopes)
-            return
+            return [(lambda env: self.exec_map(plan, node, env), True)]
         if isinstance(node, MapExit):
-            return
+            return []
         if isinstance(node, LibraryNode):
-            yield from self.exec_library(state, node, env)
-            return
+            return [self._library_step(plan, node)]
         if isinstance(node, NestedSdfg):
-            yield from self.exec_nested(state, node, env)
-            return
+            return [(lambda env: self.exec_nested(plan, node, env), True)]
         raise InterpreterError(f"cannot execute node {type(node).__name__}")
 
-    def exec_copy(self, state: State, e: Edge, env) -> None:
+    def _copy_step(self, label: str, e: Edge) -> Callable:
         src, dst = e.src, e.dst
-        assert isinstance(src, AccessNode) and isinstance(dst, AccessNode)
         m = e.memlet
         if m.container == src.container:
-            data = self.read(m, env, state.label, src.nid)
-            data = data.reshape(self.store[dst.container].shape)
-            full = Memlet(dst.container, SubsetRange.full(self.store[dst.container].shape),
-                          wcr=m.wcr)
-            self.write(full, data, env, state.label, dst.nid)
-        else:
-            whole = Memlet(src.container, SubsetRange.full(self.store[src.container].shape))
-            data = self.read(whole, env, state.label, src.nid)
-            ranges = self._concrete(m.subset, env)
-            want = tuple(len(r) for r in ranges)
-            self.write(m, data.reshape(want), env, state.label, dst.nid)
+            read = self._access(m, "read", label, src.nid)
+            shape = self.store[dst.container].shape
+            full = Memlet(dst.container, SubsetRange.full(shape), wcr=m.wcr)
+            write = self._access(full, "write", label, dst.nid)
+            return lambda env: write(env, read(env).reshape(shape))
+        whole = Memlet(src.container, SubsetRange.full(self.store[src.container].shape))
+        read = self._access(whole, "read", label, src.nid)
+        lengths = _compile_lengths(m.subset)
+        write = self._access(m, "write", label, dst.nid)
 
-    def exec_tasklet(self, state: State, node: Tasklet, env) -> None:
-        tenv: dict[str, float | int] = {}
-        for e in state.in_edges(node):
+        def copy(env):
+            data = read(env)
+            write(env, data.reshape(lengths(env)))
+
+        return copy
+
+    def _tasklet_step(self, plan: "_StatePlan", node: Tasklet) -> Callable:
+        """One function that reads the inputs, evaluates every output's code
+        and writes the outputs, in the order of the edges and of ``code``."""
+        label, src = plan.state.label, _Source()
+        conns: dict[str, str] = {}
+        for i, e in enumerate(e for e in plan.ins[node.nid] if e.memlet is not None):
+            read = self._access(e.memlet, "scalar", label, node.nid)
+            src.lines.append(f"_a{i} = {src.value(read)}(_e)")
+            conns[e.dst_conn] = f"_a{i}"
+        results: dict[str, str] = {}
+        body = []
+        for j, (conn, code) in enumerate(node.code):
+            body.append(f"    _o{j} = {src.texpr(code, conns)}")
+            results[conn] = f"_o{j}"
+        if body:
+            src.lines += ["try:", *body, "except KeyError as _x:",
+                          "    raise _unbound_name(_x) from None"]
+        for e in plan.outs[node.nid]:
             if e.memlet is None:
                 continue
-            tenv[e.dst_conn] = self.read_scalar(e.memlet, env, state.label, node.nid)
-        for _, code in node.code:
-            for name in code.free_names():
-                if name not in tenv:
-                    if name in env:
-                        tenv[name] = env[name]
-                    elif name in self.sym:
-                        tenv[name] = self.sym[name]
-        results = {conn: texpr.evaluate(code, tenv) for conn, code in node.code}
-        for e in state.out_edges(node):
-            if e.memlet is None:
-                continue
-            v = results[e.src_conn if e.src_conn in results else node.outputs[0]]
-            self.write(e.memlet, v, env, state.label, node.nid)
+            write = self._access(e.memlet, "pwrite", label, node.nid)
+            value = results[e.src_conn if e.src_conn in results else node.outputs[0]]
+            src.lines.append(f"{src.value(write)}(_e, {value})")
+        return src.build("_e")
 
-    def exec_map(self, state: State, entry: MapEntry, env, scopes) -> Iterator:
-        """Run the scope's members (from ``State.scopes``) once per point."""
-        children = scopes[entry]
-        ranges = []
-        for p, (b, e, s) in entry.params:
-            bv, ev, sv = b.evaluate(env), e.evaluate(env), s.evaluate(env)
-            ranges.append((p, range(bv, ev + 1, sv)))
-        gen = _product([r for _, r in ranges])
-        if self.opt.reverse_maps:
-            gen = reversed(list(gen))
-        for point in gen:
-            ienv = dict(env)
-            for (p, _), v in zip(entry.params, point):
-                ienv[p] = v
-            self.ctx.counters.map_iterations += 1
-            for child in children:
-                yield from self.exec_node(state, child, ienv, scopes)
-
-    def exec_library(self, state: State, node: LibraryNode, env) -> Iterator:
+    def _library_step(self, plan: "_StatePlan", node: LibraryNode) -> tuple[Callable, bool]:
         if node.kind in COMM_KINDS or node.attributes.get("comm"):
-            ev = self.comm_event(state, node, env)
-            yield ev
-            return
-        ins = {e.dst_conn: e for e in state.in_edges(node) if e.memlet is not None}
-        outs = [e for e in state.out_edges(node) if e.memlet is not None]
+            def comm(env):
+                yield self.comm_event(plan, node, env)
+
+            return comm, True
+        label, nid = plan.state.label, node.nid
+        ins = {e.dst_conn: e for e in plan.ins[nid] if e.memlet is not None}
+        outs = [e for e in plan.outs[nid] if e.memlet is not None]
+        if node.kind not in (LibKind.MATMUL, LibKind.REDUCE, LibKind.TRANSPOSE):
+            raise InterpreterError(f"unknown library node kind {node.kind}")
+        read_a = self._access(ins["a"].memlet, "read", label, nid)
+        out = outs[0].memlet
+        lengths = _compile_lengths(out.subset)
+        write = self._access(out, "write", label, nid)
+        squeeze, attrs = self.squeeze, node.attributes
         if node.kind is LibKind.MATMUL:
-            a_raw = self.read(ins["a"].memlet, env, state.label, node.nid)
-            b_raw = self.read(ins["b"].memlet, env, state.label, node.nid)
-            a = self.squeeze(a_raw, node.attributes.get("a_kept"))
-            b = self.squeeze(b_raw, node.attributes.get("b_kept"))
-            out = np.matmul(a, b)
-            e = outs[0]
-            ranges = self._concrete(e.memlet.subset, env)
-            self.write(e.memlet, out.reshape(tuple(len(r) for r in ranges)),
-                       env, state.label, node.nid)
-            return
+            read_b = self._access(ins["b"].memlet, "read", label, nid)
+
+            def matmul(env):
+                a_raw, b_raw = read_a(env), read_b(env)
+                a = squeeze(a_raw, attrs.get("a_kept"))
+                b = squeeze(b_raw, attrs.get("b_kept"))
+                write(env, np.matmul(a, b).reshape(lengths(env)))
+
+            return matmul, False
         if node.kind is LibKind.REDUCE:
-            a = self.squeeze(self.read(ins["a"].memlet, env, state.label, node.nid),
-                             node.attributes.get("a_kept"))
-            axes = node.attributes.get("axes")
-            op = Wcr(node.attributes.get("op", "add"))
-            fn = {Wcr.ADD: np.add, Wcr.MUL: np.multiply,
-                  Wcr.MIN: np.minimum, Wcr.MAX: np.maximum}[op]
-            out = fn.reduce(a, axis=None if axes is None else tuple(axes))
-            e = outs[0]
-            ranges = self._concrete(e.memlet.subset, env)
-            shape = tuple(len(r) for r in ranges)
-            self.write(e.memlet, np.asarray(out).reshape(shape), env, state.label, node.nid)
-            return
-        if node.kind is LibKind.TRANSPOSE:
-            a = self.read(ins["a"].memlet, env, state.label, node.nid)
-            e = outs[0]
-            ranges = self._concrete(e.memlet.subset, env)
-            self.write(e.memlet, a.T.reshape(tuple(len(r) for r in ranges)),
-                       env, state.label, node.nid)
-            return
-        raise InterpreterError(f"unknown library node kind {node.kind}")
+            axes = attrs.get("axes")
+            fn = _REDUCE_UFUNCS[Wcr(attrs.get("op", "add"))]
 
-    def comm_event(self, state: State, node: LibraryNode, env):
-        ins = {e.dst_conn: e for e in state.in_edges(node) if e.memlet is not None}
-        outs = {e.src_conn: e for e in state.out_edges(node) if e.memlet is not None}
+            def reduce(env):
+                a = squeeze(read_a(env), attrs.get("a_kept"))
+                out = fn.reduce(a, axis=None if axes is None else tuple(axes))
+                write(env, np.asarray(out).reshape(lengths(env)))
+
+            return reduce, False
+
+        def transpose(env):
+            a = read_a(env)
+            write(env, a.T.reshape(lengths(env)))
+
+        return transpose, False
+
+    def comm_event(self, plan: "_StatePlan", node: LibraryNode, env):
+        ins = {e.dst_conn: e for e in plan.ins[node.nid] if e.memlet is not None}
+        outs = {e.src_conn: e for e in plan.outs[node.nid] if e.memlet is not None}
         args = {"env": dict(env), "ins": ins, "outs": outs}
+        label = plan.state.label
         if node.kind in (LibKind.ISEND, LibKind.IRECV, LibKind.WAITALL):
-            return P2PEvent(node.kind, node, state.label, args, self)
-        return CollectiveEvent(node.kind, node, state.label, args, self)
+            return P2PEvent(node.kind, node, label, args, self)
+        return CollectiveEvent(node.kind, node, label, args, self)
 
-    def exec_nested(self, state: State, node: NestedSdfg, env) -> Iterator:
+    def exec_nested(self, plan: "_StatePlan", node: NestedSdfg, env) -> Iterator:
+        label = plan.state.label
         inner_bindings = {}
         for s in node.sdfg.free_symbols():
             expr = node.symbol_map.get(s, symbolic.Sym(s))
-            inner_bindings[s] = expr.evaluate({**self.sym, **env})
+            inner_bindings[s] = _compile_sym(expr)({**self.sym, **env})
         inner_ctx = ExecContext(
             bindings=inner_bindings,
             counters=self.ctx.counters,
             persistent={},
             rank=self.ctx.rank,
         )
-        for e in state.in_edges(node):
+        for e in plan.ins[node.nid]:
             if e.memlet is None:
                 continue
-            data = self.read(e.memlet, env, state.label, node.nid)
+            data = self.read(e.memlet, env, label, node.nid)
             desc = node.sdfg.containers[e.dst_conn]
             if desc.kind is DataKind.SCALAR:
                 inner_ctx.store[e.dst_conn] = np.asarray(data).reshape(())
             else:
-                ranges = self._concrete(e.memlet.subset, env)
-                inner_ctx.store[e.dst_conn] = data.reshape(tuple(len(r) for r in ranges))
+                lengths = _compile_lengths(e.memlet.subset)(env)
+                inner_ctx.store[e.dst_conn] = data.reshape(lengths)
         inner = Machine(node.sdfg, inner_ctx, self.opt)
         yield from inner.run()
-        for e in state.out_edges(node):
+        for e in plan.outs[node.nid]:
             if e.memlet is None:
                 continue
-            self.write(e.memlet, inner.store[e.src_conn], env, state.label, node.nid)
+            self.write(e.memlet, inner.store[e.src_conn], env, label, node.nid)
 
 
-def _product(ranges: list[range]):
-    if not ranges:
-        yield ()
-        return
-    import itertools
+_REDUCE_UFUNCS = {Wcr.ADD: np.add, Wcr.MUL: np.multiply,
+                  Wcr.MIN: np.minimum, Wcr.MAX: np.maximum}
 
-    yield from itertools.product(*ranges)
+
+class _StatePlan:
+    """A state's edges indexed by node id (in edge order), the steps of its
+    top level, and the compiled ranges, parameter names and steps of each
+    map.  A step is ``(node, fn, is_generator)``; ``fn`` takes the
+    environment."""
+
+    def __init__(self, state: State):
+        self.state = state
+        self.ins: dict[int, list[Edge]] = {nid: [] for nid in state.nodes}
+        self.outs: dict[int, list[Edge]] = {nid: [] for nid in state.nodes}
+        for e in state.edges:
+            self.ins[e.dst.nid].append(e)
+            self.outs[e.src.nid].append(e)
+        self.top: list[tuple] = []
+        self.maps: dict[int, tuple[Callable, tuple[str, ...], list[tuple]]] = {}
+
+
+class _Transition:
+    """An interstate edge with its condition's names resolved and its
+    assignments compiled."""
+
+    def __init__(self, t: InterstateEdge):
+        self.condition = t.condition
+        self.names = tuple(t.condition.free_names()) if t.condition is not None else ()
+        self.assignments = [(k, _compile_sym(v)) for k, v in t.assignments.items()]
+        self.dst = t.dst
+
+
+# -- compilation -------------------------------------------------------------------
+#
+# Accessors, tasklets, map ranges and symbolic expressions are compiled to
+# Python functions from generated source.  No graph name or token appears in
+# the source as code: every name and constant of the graph is a parameter of
+# a factory (``_k0, _k1, ...``, bound as closure cells), and operators and
+# intrinsics come from the fixed tables below.  Equal sources share one
+# compiled factory.
+
+_SYM_OPS = {symbolic.Add: "+", symbolic.Sub: "-", symbolic.Mul: "*"}
+_SYM_CALLS = {symbolic.FloorDiv: "_fdiv", symbolic.Min: "_min", symbolic.Max: "_max"}
+_TEXPR_OPS = {op: op for op in ("+", "-", "*", "/", "//", *texpr.COMPARISONS)}
+_WCR_UPDATE = {Wcr.ADD: "{old} + _v", Wcr.MUL: "{old} * _v",
+               Wcr.MIN: "_minimum({old}, _v)", Wcr.MAX: "_maximum({old}, _v)"}
+
+
+def _fdiv(a: int, b: int) -> int:
+    if b == 0:
+        raise ZeroDivisionError("symbolic floor division by zero")
+    return a // b
+
+
+def _unbound_symbol(ex: KeyError) -> KeyError:
+    return KeyError(f"unbound symbol '{ex.args[0]}'")
+
+
+def _unbound_name(ex: KeyError) -> KeyError:
+    return KeyError(f"unbound name '{ex.args[0]}' in scalar expression")
+
+
+def _raiser(ex: BaseException) -> Callable:
+    def fail(env):
+        raise ex
+
+    return fail
+
+
+_GLOBALS = {
+    "__builtins__": {}, "KeyError": KeyError, "slice": slice, "_range": range,
+    "_bool": bool, "_min": min, "_max": max, "_fdiv": _fdiv,
+    "_minimum": np.minimum, "_maximum": np.maximum,
+    "_unbound_symbol": _unbound_symbol, "_unbound_name": _unbound_name,
+}
+
+
+@functools.lru_cache(maxsize=1024)
+def _factory(source: str) -> Callable:
+    namespace = dict(_GLOBALS)
+    exec(compile(source, "<sdfgkit.interp>", "exec"), namespace)
+    return namespace["_make"]
+
+
+class _Source:
+    """The body of one generated function and the values it closes over."""
+
+    def __init__(self):
+        self.values: list = []
+        self.lines: list[str] = []
+
+    def value(self, v) -> str:
+        self.values.append(v)
+        return f"_k{len(self.values) - 1}"
+
+    def sym(self, e: SymExpr) -> str:
+        if isinstance(e, symbolic.Const):
+            return self.value(e.value)
+        if isinstance(e, symbolic.Sym):
+            return f"_e[{self.value(e.name)}]"
+        left, right = self.sym(e.left), self.sym(e.right)
+        if type(e) in _SYM_OPS:
+            return f"({left} {_SYM_OPS[type(e)]} {right})"
+        return f"{_SYM_CALLS[type(e)]}({left}, {right})"
+
+    def texpr(self, e: texpr.TExpr, conns: Mapping[str, str]) -> str:
+        if isinstance(e, texpr.TNum):
+            return self.value(e.value)
+        if isinstance(e, texpr.TRef):
+            return conns.get(e.name) or f"_e[{self.value(e.name)}]"
+        if isinstance(e, texpr.TUn):
+            operand = self.texpr(e.operand, conns)
+            return f"(not {operand})" if e.op == "not" else f"(-{operand})"
+        if isinstance(e, texpr.TBin):
+            left, right = self.texpr(e.left, conns), self.texpr(e.right, conns)
+            if e.op in ("and", "or"):
+                joiner = " and " if e.op == "and" else " or "
+                return f"(_bool({left}){joiner}_bool({right}))"
+            if e.op not in _TEXPR_OPS:
+                raise ValueError(f"unknown operator {e.op!r}")
+            return f"({left} {_TEXPR_OPS[e.op]} {right})"
+        if isinstance(e, texpr.TSelect):
+            cond, then, other = (self.texpr(x, conns) for x in (e.cond, e.then, e.other))
+            return f"({then} if {cond} else {other})"
+        if isinstance(e, texpr.TCall):
+            fn = self.value(texpr._INTRINSICS[e.fn])
+            return f"{fn}({', '.join(self.texpr(a, conns) for a in e.args)})"
+        raise TypeError(type(e).__name__)
+
+    def build(self, params: str) -> Callable:
+        values = ", ".join(f"_k{i}" for i in range(len(self.values)))
+        body = "".join(f"        {line}\n" for line in self.lines or ["pass"])
+        source = f"def _make({values}):\n    def _f({params}):\n{body}    return _f\n"
+        return _factory(source)(*self.values)
+
+
+def _compile_sym(e: SymExpr) -> Callable:
+    """``fn(env) -> int``, raising symbolic's unbound-symbol KeyError."""
+    src = _Source()
+    src.lines = [f"try:", f"    return {src.sym(e)}", "except KeyError as _x:",
+                 "    raise _unbound_symbol(_x) from None"]
+    return src.build("_e")
+
+
+def _compile_ranges(params) -> Callable:
+    """``fn(env) -> (range, ...)`` over a map's parameters."""
+    src = _Source()
+    ranges = "".join(f"_range({src.sym(b)}, {src.sym(e)} + 1, {src.sym(s)}), "
+                     for _, (b, e, s) in params)
+    src.lines = ["try:", f"    return ({ranges})", "except KeyError as _x:",
+                 "    raise _unbound_symbol(_x) from None"]
+    return src.build("_e")
+
+
+def _evaluate_subset(src: _Source, subset: SubsetRange) -> tuple[list[bool], list[str]]:
+    """Append the evaluation of every dimension of ``subset`` (its begin
+    ``_b<d>``, stop ``_t<d>`` and stride ``_s<d>``, each stride checked) to
+    ``src``; returns which dimensions are points and the length expressions.
+    A dimension whose begin and end are the same expression with stride 1 is
+    a point: only its begin is evaluated."""
+    point = [b == e and s == symbolic.Const(1) for b, e, s in subset.dims]
+    lines, lengths = [], []
+    for d, (b, e, s) in enumerate(subset.dims):
+        lines.append(f"    _b{d} = {src.sym(b)}")
+        if point[d]:
+            lengths.append("1")
+            continue
+        lines += [f"    _t{d} = {src.sym(e)} + 1", f"    _s{d} = {src.sym(s)}"]
+        if s == symbolic.Const(1):
+            lengths.append(f"_max(0, _t{d} - _b{d})")
+            continue
+        if not (isinstance(s, symbolic.Const) and s.value >= 1):
+            lines.append(f"    if _s{d} < 1: {src.value(_stride_error(subset))}(_s{d})")
+        lengths.append(f"_max(0, (_t{d} - _b{d} + _s{d} - 1) // _s{d})")
+    if lines:
+        src.lines += ["try:", *lines, "except KeyError as _x:",
+                      "    raise _unbound_symbol(_x) from None"]
+    return point, lengths
+
+
+def _compile_lengths(subset: SubsetRange) -> Callable:
+    """``fn(env)`` -> the length of every dimension of ``subset``."""
+    src = _Source()
+    _, lengths = _evaluate_subset(src, subset)
+    src.lines.append(f"return ({''.join(f'{x}, ' for x in lengths)})")
+    return src.build("_e")
+
+
+def _compile_access(m: Memlet, mode: str, arr: np.ndarray, nbytes: int,
+                    counters: Counters, state: str, nid: int) -> Callable:
+    """Compile the access of ``m`` to ``arr`` in one of four modes:
+
+    - ``read``: ``fn(env)`` -> the subset as an array view;
+    - ``scalar``: ``fn(env)`` -> the subset's first element (a tasklet input);
+    - ``write``: ``fn(env, value)`` stores ``value`` into the subset, through
+      ``m.wcr`` if set;
+    - ``pwrite``: like ``write``, storing a tasklet's scalar result.
+
+    Each evaluates the subset, checks the rank and the bounds, and counts
+    ``bytes_moved`` (and ``wcr_commits``).  A subset of points only is
+    indexed directly in ``scalar`` and ``pwrite`` mode."""
+    rank = m.subset.rank
+    if rank != arr.ndim:
+        raise OutOfBoundsError(f"rank mismatch on '{m.container}' at node {nid} "
+                               f"in state '{state}'")
+    src = _Source()
+    point, lengths = _evaluate_subset(src, m.subset)
+    triples, outside = [], []
+    for d in range(rank):
+        extent = src.value(arr.shape[d])
+        if point[d]:
+            triples.append(f"(_b{d}, _b{d} + 1, 1), ")
+            outside.append(f"not 0 <= _b{d} < {extent}")
+            continue
+        triples.append(f"(_b{d}, _t{d}, _s{d}), ")
+        last = (f"_t{d} - 1" if m.subset.dims[d][2] == symbolic.Const(1)
+                else f"_b{d} + (_t{d} - 1 - _b{d}) // _s{d} * _s{d}")
+        outside.append(f"(_t{d} > _b{d} and (_b{d} < 0 or {last} >= {extent}))")
+    if outside:
+        fail = src.value(_bounds_error(m.container, arr.shape, state, nid))
+        src.lines.append(f"if {' or '.join(outside)}: {fail}(({''.join(triples)}))")
+
+    a, c, nb = src.value(arr), src.value(counters), src.value(nbytes)
+    slices = "".join(f"slice(_b{d}, _b{d} + 1, 1), " if point[d] else
+                     f"slice(_b{d}, _t{d}, _s{d}), " for d in range(rank))
+    index = ", ".join(f"_b{d}" for d in range(rank)) or "()"
+    direct = all(point) and mode in ("scalar", "pwrite")
+    if mode == "scalar" and direct:
+        src.lines += [f"{c}.bytes_moved += {nb}", f"return {a}[{index}]"]
+    elif mode in ("scalar", "read"):
+        src.lines += [f"_r = {a}[({slices})]", f"{c}.bytes_moved += _r.size * {nb}"]
+        src.lines.append("return _r.reshape(-1)[0] if _r.ndim else _r[()]"
+                         if mode == "scalar" else "return _r")
+    else:
+        key = index if direct else "_key"
+        if not direct:
+            src.lines.append(f"_key = ({slices})")
+        count = " * ".join(x for x in lengths if x != "1") or "1"
+        src.lines += [f"_n = {count}", f"{c}.bytes_moved += _n * {nb}"]
+        if m.wcr is None:
+            src.lines.append(f"{a}[{key}] = _v")
+        else:
+            update = _WCR_UPDATE[m.wcr].format(old=f"{a}[{key}]")
+            src.lines += [f"{a}[{key}] = {update}", f"{c}.wcr_commits += _n"]
+    return src.build("_e, _v" if mode in ("write", "pwrite") else "_e")
+
+
+def _stride_error(subset: SubsetRange) -> Callable:
+    def fail(stride):
+        raise ValueError(f"stride {stride} < 1 in subset {subset}")
+
+    return fail
+
+
+def _bounds_error(container: str, shape: tuple[int, ...], state: str, nid: int) -> Callable:
+    def fail(triples):
+        for d, (begin, stop, stride) in enumerate(triples):
+            r = range(begin, stop, stride)
+            if len(r) == 0:
+                continue
+            last = r[-1]
+            if r.start < 0 or last >= shape[d]:
+                raise OutOfBoundsError(
+                    f"out-of-bounds access {container}[dim {d}: {r.start}..{last}] "
+                    f"(extent {shape[d]}) at node {nid} in state '{state}'"
+                )
+
+    return fail

@@ -140,3 +140,30 @@ def test_loop_counter_sized_transient_exit_code(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("runtime error:")
     assert "'i'" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_run_non_integer_binding_is_one_line(capsys):
+    rc = main(["run", str(CORPUS / "gemm.dpy"), "-s", "NI=abc"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "NI=abc" in err
+
+
+@pytest.mark.parametrize("var", ["SDFGKIT_TILE", "SDFGKIT_STACK_LIMIT"])
+def test_optimize_non_integer_environment_is_one_line(var, monkeypatch, capsys):
+    monkeypatch.setenv(var, "x")
+    rc = main(["optimize", str(CORPUS / "gemm.dpy")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert var in err
+
+
+def test_optimize_inapplicable_pinned_expansion_is_one_line(capsys):
+    # blocked_native expands only matrix-matrix products; mvt has matrix-vector ones
+    rc = main(["optimize", str(CORPUS / "mvt.dpy"), "--expand", "matmul=blocked_native"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "matmul" in err and "'blocked_native'" in err

@@ -895,14 +895,13 @@ CPU_EXPANDABLE = {LibKind.MATMUL, LibKind.REDUCE, LibKind.TRANSPOSE}
 
 
 def expand_library(g: Sdfg, device: Device = Device.CPU,
-                   registry: ExpansionRegistry | None = None,
                    pinned: dict[str, str] | None = None) -> PassReport:
     """Replace each library node with the first applicable expansion from the
     per-device priority list."""
     report = PassReport()
     if device is Device.DIST:
         raise ValueError("distributed expansion is driven by the distribution pipeline")
-    reg = registry or cpu_registry()
+    reg = cpu_registry()
     changed = True
     while changed:
         changed = False

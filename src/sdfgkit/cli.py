@@ -180,7 +180,7 @@ def cmd_optimize(args) -> int:
 
 def _has_comm(g: Sdfg) -> bool:
     return any(
-        isinstance(n, LibraryNode) and (n.kind in COMM_KINDS or n.attributes.get("comm"))
+        isinstance(n, LibraryNode) and n.kind in COMM_KINDS
         for st in g.states
         for n in st.nodes.values()
     )

@@ -9,8 +9,8 @@ Execution modes:
 
 * A *global-view* graph (produced by :func:`~sdfgkit.dist.distribute`; it has
   ``DISTRIBUTED_LOCAL`` containers) keeps its global containers on rank 0.
-  Other ranks start without inputs and skip the nodes that touch only global
-  data.
+  Other ranks start without inputs, and their machines drop, once per state,
+  the top-level steps that touch only global data.
 * Any other graph is a *local-view* (SPMD) program: every rank receives the
   inputs and runs every node, with its own per-rank symbol bindings.
 
@@ -30,8 +30,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..interp import CollectiveEvent, ExecContext, InterpreterError, Machine, P2PEvent
-from ..ir import LibKind, Memlet, Sdfg, Storage
+from ..interp import CommEvent, ExecContext, InterpreterError, Machine
+from ..ir import P2P_KINDS, LibKind, Memlet, Sdfg, Storage
 from .layout import Distribution, ProcessGrid
 
 
@@ -51,7 +51,7 @@ class CollectiveOrderError(SimError):
 class _Op:
     """A posted point-to-point operation."""
 
-    ev: P2PEvent
+    ev: CommEvent
     rank: int
     peer: int
     tag: int
@@ -63,7 +63,7 @@ class _Op:
     delivered: bool = False
 
     def describe(self) -> str:
-        if self.ev.kind is LibKind.ISEND:
+        if self.ev.node.kind is LibKind.ISEND:
             what = f"send to {self.peer}"
         else:
             what = f"receive from {self.peer}"
@@ -76,9 +76,13 @@ class _Rank:
     rank: int
     machine: Machine
     gen: Iterator
-    at: CollectiveEvent | P2PEvent | None = None  # the event blocking the rank
+    at: CommEvent | None = None  # the waitall or collective blocking the rank
     done: bool = False
     recvs: list[_Op] = field(default_factory=list)  # posted, not yet completed
+
+    @property
+    def at_collective(self) -> bool:
+        return self.at is not None and self.at.node.kind not in P2P_KINDS
 
 
 class RankSim:
@@ -99,9 +103,9 @@ class RankSim:
         if sorted(self.order) != list(range(n)):
             raise SimError(f"rank order {self.order} is not a permutation of {n} ranks")
         self.grid = grid
-        # containers the interpreter's root-only skipping treats as rank-local
-        local = {k: "local" for k, d in g.containers.items()
-                 if d.storage is Storage.DISTRIBUTED_LOCAL}
+        # a global-view program: rank 0 holds the global containers
+        local = frozenset(k for k, d in g.containers.items()
+                          if d.storage is Storage.DISTRIBUTED_LOCAL)
         self.ranks: list[_Rank] = []
         for r in range(n):
             rctx = ExecContext(
@@ -110,8 +114,8 @@ class RankSim:
                 rank=r,
             )
             m = Machine(g, rctx)
-            m.dist_classification = local or None
-            m.dist_nonroot = bool(local) and r != 0
+            if local and r != 0:
+                m.rank_local = local
             self.ranks.append(_Rank(r, m, m.run()))
         self.sends: dict[tuple[int, int, int], list[_Op]] = {}
         self.recv_counts: dict[tuple[int, int, int], int] = {}
@@ -128,7 +132,7 @@ class RankSim:
             live = [rk for rk in self.ranks if not rk.done]
             if not live:
                 break
-            if all(isinstance(rk.at, CollectiveEvent) for rk in live):
+            if all(rk.at_collective for rk in live):
                 if len(live) < len(self.ranks):
                     raise CollectiveOrderError(
                         "ranks finished while others wait at a collective:\n"
@@ -151,16 +155,16 @@ class RankSim:
 
     def _advance(self, rk: _Rank) -> bool:
         """Run one rank until it blocks or finishes; True if it moved."""
-        if rk.done or isinstance(rk.at, CollectiveEvent):
+        if rk.done or rk.at_collective:
             return False
         if rk.at is not None:
             if not self._waitall(rk, rk.at):
                 return False
             rk.at = None
         for ev in rk.gen:
-            if ev.kind in (LibKind.ISEND, LibKind.IRECV):
+            if ev.node.kind in (LibKind.ISEND, LibKind.IRECV):
                 self._post(rk, ev)
-            elif ev.kind is not LibKind.WAITALL or not self._waitall(rk, ev):
+            elif ev.node.kind is not LibKind.WAITALL or not self._waitall(rk, ev):
                 rk.at = ev
                 return True
         rk.done = True
@@ -172,7 +176,7 @@ class RankSim:
             if rk.done:
                 lines.append(f"  rank {rk.rank}: finished")
             elif rk.at is not None:
-                lines.append(f"  rank {rk.rank}: at {rk.at.kind.value} "
+                lines.append(f"  rank {rk.rank}: at {rk.at.node.kind.value} "
                              f"'{rk.at.node.name}' (state '{rk.at.state}')")
             lines += [op.describe() for op in rk.recvs]
         lines += [op.describe() for ops in self.sends.values()
@@ -181,32 +185,30 @@ class RankSim:
 
     # -- point to point --------------------------------------------------------
 
-    def _post(self, rk: _Rank, ev: P2PEvent) -> None:
-        env = ev.args["env"]
-        peer = ev.node.attributes["peer"].evaluate(env)
-        tag = ev.node.attributes["tag"].evaluate(env)
-        m = ev.machine
+    def _post(self, rk: _Rank, ev: CommEvent) -> None:
+        peer = ev.node.attributes["peer"].evaluate(ev.env)
+        tag = ev.node.attributes["tag"].evaluate(ev.env)
+        counters = ev.machine.ctx.counters
         if peer >= len(self.ranks):
             raise SimError(f"rank {rk.rank} addresses rank {peer} on a "
                            f"{len(self.ranks)}-rank grid")
-        req = ev.args["outs"]["req"].memlet.container
-        if ev.kind is LibKind.ISEND:
-            m.ctx.counters.messages_posted += 1
+        req = ev.outs["req"].container
+        if ev.node.kind is LibKind.ISEND:
+            counters.messages_posted += 1
             if peer < 0:
                 return
-            memlet = ev.args["ins"]["buf"].memlet
-            data = m.read(memlet, env, ev.state, ev.node.nid).copy()
-            m.ctx.counters.comm_bytes += data.nbytes
+            data = ev.read("buf").copy()
+            counters.comm_bytes += data.nbytes
             self.sends.setdefault((rk.rank, peer, tag), []).append(
-                _Op(ev, rk.rank, peer, tag, req, memlet, data=data))
+                _Op(ev, rk.rank, peer, tag, req, ev.ins["buf"], data=data))
             return
         if peer < 0:
             return
-        memlet = ev.args["outs"]["buf"].memlet
-        region = memlet.subset.evaluate(env)
+        memlet = ev.outs["buf"]
+        region = memlet.subset.evaluate(ev.env)
         op = _Op(ev, rk.rank, peer, tag, req, memlet, region=region)
         for other in rk.recvs:
-            if (other.ev.machine is m and other.memlet.container == memlet.container
+            if (other.ev.machine is ev.machine and other.memlet.container == memlet.container
                     and all(any(i in b for i in a) for a, b in zip(other.region, region))):
                 raise SimError(f"overlapping receives into '{memlet.container}':\n"
                                f"{other.describe()}\n{op.describe()}")
@@ -215,10 +217,10 @@ class RankSim:
         self.recv_counts[key] = op.seq + 1
         rk.recvs.append(op)
 
-    def _waitall(self, rk: _Rank, ev: P2PEvent) -> bool:
+    def _waitall(self, rk: _Rank, ev: CommEvent) -> bool:
         """Complete the rank's receives on the request array; True when none
         is left pending."""
-        req = ev.args["ins"]["req"].memlet.container
+        req = ev.ins["req"].container
         for op in [op for op in rk.recvs if op.req == req]:
             sent = self.sends.get((op.peer, op.rank, op.tag), [])
             if len(sent) <= op.seq:
@@ -228,18 +230,17 @@ class RankSim:
             if msg.data.size != math.prod(shape):
                 raise SimError(f"message of {msg.data.size} elements does not fit "
                                f"the receive:\n{msg.describe()}\n{op.describe()}")
-            m = op.ev.machine
-            m.write(op.memlet, msg.data.reshape(shape), op.ev.args["env"],
-                    op.ev.state, op.ev.node.nid)
-            m.ctx.counters.messages_delivered += 1
-            m.ctx.counters.comm_bytes += msg.data.nbytes
+            op.ev.write("buf", msg.data.reshape(shape))
+            counters = op.ev.machine.ctx.counters
+            counters.messages_delivered += 1
+            counters.comm_bytes += msg.data.nbytes
             msg.delivered = True
             rk.recvs.remove(op)
         return not any(op.req == req for op in rk.recvs)
 
     # -- collectives -----------------------------------------------------------
 
-    def _collective(self, evs: list[CollectiveEvent]) -> None:
+    def _collective(self, evs: list[CommEvent]) -> None:
         node = evs[0].node
         for r, ev in enumerate(evs):
             if ev.node is not node:
@@ -252,12 +253,12 @@ class RankSim:
             ev.machine.ctx.counters.collective_calls += 1
         kind = node.kind
         if kind is LibKind.BCAST:
-            value = _read(evs[0])
+            value = evs[0].read("a")
             for r, ev in enumerate(evs):
                 _write(ev, value)
                 self._transfer(0, r, value.nbytes)
         elif kind in (LibKind.SCATTER, LibKind.BLOCK_SCATTER):
-            view = _read(evs[0])
+            view = evs[0].read("a")
             if kind is LibKind.SCATTER:
                 view = view.reshape(-1)
             dist = self._layout(node, view.ndim)
@@ -267,15 +268,16 @@ class RankSim:
                 self._transfer(0, r, part.nbytes)
         elif kind in (LibKind.GATHER, LibKind.BLOCK_GATHER):
             root = evs[0]
-            out = root.args["outs"]["out"].memlet
-            shape = tuple(len(r) for r in out.subset.evaluate(root.args["env"]))
+            out = root.outs["out"]
+            shape = tuple(len(r) for r in out.subset.evaluate(root.env))
             if node.attributes.get("reduce"):
                 # partial results of a conflict-resolved map: summed in rank
                 # order and consumed, so the next execution restarts at zero
                 total = 0
                 for r, ev in enumerate(evs):
-                    m = ev.args["ins"]["a"].memlet
-                    key = ev.machine._key(m.subset.evaluate(ev.args["env"]))
+                    m = ev.ins["a"]
+                    key = tuple(slice(x.start, x.stop, x.step)
+                                for x in m.subset.evaluate(ev.env))
                     part = np.array(ev.machine.store[m.container][key])
                     ev.machine.store[m.container][key] = 0
                     total = total + part
@@ -288,7 +290,7 @@ class RankSim:
             dist = self._layout(node, len(shape))
             for r, ev in enumerate(evs):
                 idx = self._owned(dist, shape, ev)
-                part = _read(ev)
+                part = ev.read("a")
                 want = tuple(len(i) for i in idx)
                 if part.size != math.prod(want):
                     raise SimError(f"{node.name}: rank {r} holds {part.shape}, "
@@ -318,19 +320,16 @@ class RankSim:
             self.ranks[dst].machine.ctx.counters.comm_bytes += nbytes
 
 
-def _read(ev: CollectiveEvent) -> np.ndarray:
-    e = ev.args["ins"]["a"]
-    return ev.machine.read(e.memlet, ev.args["env"], ev.state, ev.node.nid)
-
-
-def _write(ev: CollectiveEvent, value: np.ndarray) -> None:
-    m = ev.args["outs"]["out"].memlet
-    shape = tuple(len(r) for r in m.subset.evaluate(ev.args["env"]))
+def _write(ev: CommEvent, value: np.ndarray) -> None:
+    """Store a collective's result into the ``out`` view, which must hold
+    exactly as many elements."""
+    m = ev.outs["out"]
+    shape = tuple(len(r) for r in m.subset.evaluate(ev.env))
     if np.size(value) != math.prod(shape):
         raise SimError(
             f"{ev.node.name}: {m} on rank {ev.machine.ctx.rank} has shape {shape}, "
             f"not the {np.shape(value)} elements it is covered by")
-    ev.machine.write(m, np.reshape(value, shape), ev.args["env"], ev.state, ev.node.nid)
+    ev.write("out", np.reshape(value, shape))
 
 
 def sim_run(g: Sdfg, grid: ProcessGrid, ctx: ExecContext,

@@ -115,28 +115,32 @@ class ExecContext:
 @dataclass
 class InterpOptions:
     reverse_maps: bool = False  # iterate every map in reversed order
-    max_transitions: int = 10_000_000
 
 
-# Communication events yielded to the rank simulator.
-
-
-@dataclass
-class CollectiveEvent:
-    kind: LibKind
-    node: LibraryNode
-    state: str
-    args: dict
-    machine: "Machine" = None
+MAX_TRANSITIONS = 10_000_000
 
 
 @dataclass
-class P2PEvent:
-    kind: LibKind  # ISEND | IRECV | WAITALL
+class CommEvent:
+    """A communication node reached by a machine, yielded to the rank
+    simulator.  ``ins`` and ``outs`` map the node's connectors to their
+    memlets, evaluated in ``env`` (a snapshot of the environment)."""
+
     node: LibraryNode
     state: str
-    args: dict
-    machine: "Machine" = None
+    env: dict
+    ins: dict[str, Memlet]
+    outs: dict[str, Memlet]
+    machine: "Machine"
+
+    def read(self, conn: str) -> np.ndarray:
+        """The view of input ``conn``, bounds-checked and counted."""
+        return self.machine._access(self.ins[conn], "read", self.state, self.node.nid)(self.env)
+
+    def write(self, conn: str, value) -> None:
+        """Store ``value`` into output ``conn``, bounds-checked and counted."""
+        self.machine._access(self.outs[conn], "write", self.state, self.node.nid)(
+            self.env, value)
 
 
 def interpret(
@@ -182,9 +186,11 @@ class Machine:
         self._prepared = False
         self._plans: dict[int, _StatePlan] = {}
         self._accessors: dict[tuple, tuple[Memlet, Callable]] = {}
-        # set by the rank simulator: container locality and root-only skipping
-        self.dist_classification: dict[str, str] | None = None
-        self.dist_nonroot = False
+        # Set by the rank simulator on the non-root ranks of a global-view
+        # program: the containers this rank holds.  Top-level steps whose
+        # memlets touch none of them are dropped, and missing inputs get a
+        # placeholder.
+        self.rank_local: frozenset[str] | None = None
 
     # -- setup -----------------------------------------------------------------
 
@@ -214,7 +220,7 @@ class Machine:
             shape = tuple(d.evaluate(self.sym) for d in desc.shape)
             if not desc.transient:
                 if name not in ctx.store:
-                    if self.dist_nonroot:
+                    if self.rank_local is not None:
                         # root-resident container: a placeholder this rank never reads
                         self.store[name] = np.zeros(
                             shape if desc.kind is not DataKind.SCALAR else (),
@@ -253,7 +259,7 @@ class Machine:
 
     # -- state machine -----------------------------------------------------------
 
-    def run(self) -> Iterator[CollectiveEvent | P2PEvent]:
+    def run(self) -> Iterator[CommEvent]:
         self.prepare()
         g = self.g
         states: dict[str, State] = {}
@@ -261,7 +267,7 @@ class Machine:
             states.setdefault(s.label, s)
         leaving: dict[str, list[_Transition]] = {}
         for t in g.transitions:
-            leaving.setdefault(t.src, []).append(_Transition(t))
+            leaving.setdefault(t.src, []).append(_Transition(t, self.store))
         sym = self.sym
         current = g.start
         steps = 0
@@ -274,7 +280,7 @@ class Machine:
                 break
             nxt = None
             for t in transitions:
-                if t.condition is None or self._holds(t):
+                if t.holds is None or t.holds(sym):
                     for k, fn in t.assignments:
                         sym[k] = fn(sym)
                     nxt = t.dst
@@ -283,24 +289,10 @@ class Machine:
                 raise InterpreterError(f"no transition taken out of state '{current}'")
             current = nxt
             steps += 1
-            if steps > self.opt.max_transitions:
+            if steps > MAX_TRANSITIONS:
                 raise InterpreterError("transition budget exceeded (infinite loop?)")
 
-    def _holds(self, t: "_Transition") -> bool:
-        env: dict[str, float | int] = {}
-        for name in t.names:
-            if name in self.sym:
-                env[name] = self.sym[name]
-            elif name in self.store:
-                env[name] = self.store[name][()]
-            else:
-                raise InterpreterError(f"condition references unknown name '{name}'")
-        return bool(texpr.evaluate(t.condition, env))
-
     # -- data movement -------------------------------------------------------------
-
-    def _key(self, ranges: tuple[range, ...]):
-        return tuple(slice(r.start, r.stop, r.step) for r in ranges)
 
     def _access(self, m: Memlet, mode: str, state: str, nid: int) -> Callable:
         """The compiled accessor of ``m`` in ``mode`` (see :func:`_compile_access`),
@@ -313,12 +305,6 @@ class Machine:
                                  self.ctx.counters, state, nid)
             hit = self._accessors[key] = (m, fn)
         return hit[1]
-
-    def read(self, m: Memlet, env: Mapping[str, int], state: str, nid: int) -> np.ndarray:
-        return self._access(m, "read", state, nid)(env)
-
-    def write(self, m: Memlet, value, env: Mapping[str, int], state: str, nid: int) -> None:
-        self._access(m, "write", state, nid)(env, value)
 
     def squeeze(self, value: np.ndarray, kept: list[bool] | None) -> np.ndarray:
         if kept is None:
@@ -333,31 +319,11 @@ class Machine:
         if plan is None:
             plan = self._plans[id(state)] = self._plan_state(state)
         env = dict(self.sym)
-        for node, fn, is_gen in plan.top:
-            if self._dist_skip(plan, node):
-                continue
+        for fn, is_gen in plan.top:
             if is_gen:
                 yield from fn(env)
             else:
                 fn(env)
-
-    def _dist_skip(self, plan: "_StatePlan", node) -> bool:
-        """Non-root ranks skip nodes that touch only root-resident data."""
-        cls = self.dist_classification
-        if cls is None or not self.dist_nonroot:
-            return False
-        if isinstance(node, LibraryNode) and node.kind in COMM_KINDS:
-            return False
-        if isinstance(node, LibraryNode) and node.attributes.get("comm"):
-            return False
-        edges = plan.ins[node.nid] + plan.outs[node.nid]
-        if isinstance(node, MapEntry):
-            exit_node = plan.state.exit_of(node)
-            edges += plan.ins[exit_node.nid] + plan.outs[exit_node.nid]
-        conts = {e.memlet.container for e in edges if e.memlet is not None}
-        if not conts:
-            return False
-        return all(cls.get(c, "global") == "global" for c in conts)
 
     def exec_map(self, plan: "_StatePlan", entry: MapEntry, env) -> Iterator:
         """Run the scope's steps once per point, in lexicographic order."""
@@ -370,7 +336,7 @@ class Machine:
         for point in points:
             ienv.update(zip(names, point))
             counters.map_iterations += 1
-            for _, fn, is_gen in steps:
+            for fn, is_gen in steps:
                 if is_gen:
                     yield from fn(ienv)
                 else:
@@ -383,16 +349,33 @@ class Machine:
         for scope, members in state.scopes().items():
             steps = []
             for node in members:
+                if scope is None and self._root_only(plan, node):
+                    continue
                 try:
-                    steps += [(node, fn, is_gen) for fn, is_gen in self._steps(plan, node)]
+                    steps += self._steps(plan, node)
                 except Exception as ex:  # a malformed node fails when it executes
-                    steps.append((node, _raiser(ex), False))
+                    steps.append((_raiser(ex), False))
             if scope is None:
                 plan.top = steps
             else:
                 plan.maps[scope.nid] = (_compile_ranges(scope.params),
                                         scope.param_names, steps)
         return plan
+
+    def _root_only(self, plan: "_StatePlan", node) -> bool:
+        """On a non-root rank: a top-level node other than a communication
+        node whose memlets (a map's entry and exit edges) all touch
+        containers this rank does not hold."""
+        if self.rank_local is None:
+            return False
+        if isinstance(node, LibraryNode) and node.kind in COMM_KINDS:
+            return False
+        edges = plan.ins[node.nid] + plan.outs[node.nid]
+        if isinstance(node, MapEntry):
+            exit_node = plan.state.exit_of(node)
+            edges += plan.ins[exit_node.nid] + plan.outs[exit_node.nid]
+        conts = {e.memlet.container for e in edges if e.memlet is not None}
+        return bool(conts) and conts.isdisjoint(self.rank_local)
 
     def _steps(self, plan: "_StatePlan", node) -> list[tuple[Callable, bool]]:
         """``(fn, is_generator)`` pairs that execute ``node``; none for a node
@@ -413,22 +396,30 @@ class Machine:
         raise InterpreterError(f"cannot execute node {type(node).__name__}")
 
     def _copy_step(self, label: str, e: Edge) -> Callable:
-        src, dst = e.src, e.dst
-        m = e.memlet
+        """A copy between access nodes.  A memlet on the source container
+        fills the whole destination; one on the destination container
+        receives the whole source."""
+        src, dst, m = e.src, e.dst, e.memlet
         if m.container == src.container:
             read = self._access(m, "read", label, src.nid)
             shape = self.store[dst.container].shape
-            full = Memlet(dst.container, SubsetRange.full(shape), wcr=m.wcr)
-            write = self._access(full, "write", label, dst.nid)
-            return lambda env: write(env, read(env).reshape(shape))
-        whole = Memlet(src.container, SubsetRange.full(self.store[src.container].shape))
-        read = self._access(whole, "read", label, src.nid)
-        lengths = _compile_lengths(m.subset)
+            m = Memlet(dst.container, SubsetRange.full(shape), wcr=m.wcr)
+        else:
+            whole = Memlet(src.container, SubsetRange.full(self.store[src.container].shape))
+            read = self._access(whole, "read", label, src.nid)
+        lengths = _compile_lengths(m)
         write = self._access(m, "write", label, dst.nid)
 
         def copy(env):
-            data = read(env)
-            write(env, data.reshape(lengths(env)))
+            data, shape = read(env), lengths(env)
+            try:
+                data = data.reshape(shape)
+            except ValueError:
+                raise InterpreterError(
+                    f"copy of {data.size} elements from '{src.container}' does not fit "
+                    f"the {shape} elements of '{dst.container}' at node {dst.nid} "
+                    f"in state '{label}'") from None
+            write(env, data)
 
         return copy
 
@@ -458,19 +449,22 @@ class Machine:
         return src.build("_e")
 
     def _library_step(self, plan: "_StatePlan", node: LibraryNode) -> tuple[Callable, bool]:
-        if node.kind in COMM_KINDS or node.attributes.get("comm"):
-            def comm(env):
-                yield self.comm_event(plan, node, env)
-
-            return comm, True
         label, nid = plan.state.label, node.nid
         ins = {e.dst_conn: e for e in plan.ins[nid] if e.memlet is not None}
+        if node.kind in COMM_KINDS:
+            ins = {c: e.memlet for c, e in ins.items()}
+            outs = {e.src_conn: e.memlet for e in plan.outs[nid] if e.memlet is not None}
+
+            def comm(env):
+                yield CommEvent(node, label, dict(env), ins, outs, self)
+
+            return comm, True
         outs = [e for e in plan.outs[nid] if e.memlet is not None]
         if node.kind not in (LibKind.MATMUL, LibKind.REDUCE, LibKind.TRANSPOSE):
             raise InterpreterError(f"unknown library node kind {node.kind}")
         read_a = self._access(ins["a"].memlet, "read", label, nid)
         out = outs[0].memlet
-        lengths = _compile_lengths(out.subset)
+        lengths = _compile_lengths(out)
         write = self._access(out, "write", label, nid)
         squeeze, attrs = self.squeeze, node.attributes
         if node.kind is LibKind.MATMUL:
@@ -500,15 +494,6 @@ class Machine:
 
         return transpose, False
 
-    def comm_event(self, plan: "_StatePlan", node: LibraryNode, env):
-        ins = {e.dst_conn: e for e in plan.ins[node.nid] if e.memlet is not None}
-        outs = {e.src_conn: e for e in plan.outs[node.nid] if e.memlet is not None}
-        args = {"env": dict(env), "ins": ins, "outs": outs}
-        label = plan.state.label
-        if node.kind in (LibKind.ISEND, LibKind.IRECV, LibKind.WAITALL):
-            return P2PEvent(node.kind, node, label, args, self)
-        return CollectiveEvent(node.kind, node, label, args, self)
-
     def exec_nested(self, plan: "_StatePlan", node: NestedSdfg, env) -> Iterator:
         label = plan.state.label
         inner_bindings = {}
@@ -524,19 +509,19 @@ class Machine:
         for e in plan.ins[node.nid]:
             if e.memlet is None:
                 continue
-            data = self.read(e.memlet, env, label, node.nid)
+            data = self._access(e.memlet, "read", label, node.nid)(env)
             desc = node.sdfg.containers[e.dst_conn]
             if desc.kind is DataKind.SCALAR:
                 inner_ctx.store[e.dst_conn] = np.asarray(data).reshape(())
             else:
-                lengths = _compile_lengths(e.memlet.subset)(env)
+                lengths = _compile_lengths(e.memlet)(env)
                 inner_ctx.store[e.dst_conn] = data.reshape(lengths)
         inner = Machine(node.sdfg, inner_ctx, self.opt)
         yield from inner.run()
         for e in plan.outs[node.nid]:
             if e.memlet is None:
                 continue
-            self.write(e.memlet, inner.store[e.src_conn], env, label, node.nid)
+            self._access(e.memlet, "write", label, node.nid)(env, inner.store[e.src_conn])
 
 
 _REDUCE_UFUNCS = {Wcr.ADD: np.add, Wcr.MUL: np.multiply,
@@ -546,8 +531,7 @@ _REDUCE_UFUNCS = {Wcr.ADD: np.add, Wcr.MUL: np.multiply,
 class _StatePlan:
     """A state's edges indexed by node id (in edge order), the steps of its
     top level, and the compiled ranges, parameter names and steps of each
-    map.  A step is ``(node, fn, is_generator)``; ``fn`` takes the
-    environment."""
+    map.  A step is ``(fn, is_generator)``; ``fn`` takes the environment."""
 
     def __init__(self, state: State):
         self.state = state
@@ -561,12 +545,10 @@ class _StatePlan:
 
 
 class _Transition:
-    """An interstate edge with its condition's names resolved and its
-    assignments compiled."""
+    """An interstate edge with its condition and assignments compiled."""
 
-    def __init__(self, t: InterstateEdge):
-        self.condition = t.condition
-        self.names = tuple(t.condition.free_names()) if t.condition is not None else ()
+    def __init__(self, t: InterstateEdge, store: Mapping[str, np.ndarray]):
+        self.holds = None if t.condition is None else _compile_condition(t.condition, store)
         self.assignments = [(k, _compile_sym(v)) for k, v in t.assignments.items()]
         self.dst = t.dst
 
@@ -609,8 +591,8 @@ def _raiser(ex: BaseException) -> Callable:
 
 
 _GLOBALS = {
-    "__builtins__": {}, "KeyError": KeyError, "slice": slice, "_range": range,
-    "_bool": bool, "_min": min, "_max": max, "_fdiv": _fdiv,
+    "__builtins__": {}, "KeyError": KeyError, "IndexError": IndexError, "slice": slice,
+    "_range": range, "_bool": bool, "_min": min, "_max": max, "_fdiv": _fdiv,
     "_minimum": np.minimum, "_maximum": np.maximum,
     "_unbound_symbol": _unbound_symbol, "_unbound_name": _unbound_name,
 }
@@ -683,6 +665,25 @@ def _compile_sym(e: SymExpr) -> Callable:
     return src.build("_e")
 
 
+def _compile_condition(cond: texpr.TExpr, store: Mapping[str, np.ndarray]) -> Callable:
+    """``fn(sym) -> bool``.  Every name of the condition is resolved first,
+    to a symbol or else to a container's scalar value, and then the
+    condition is evaluated like a tasklet body."""
+    src, conns = _Source(), {}
+    for i, name in enumerate(cond.free_names()):
+        key = src.value(name)
+        unknown = InterpreterError(f"condition references unknown name '{name}'")
+        other = (f"{src.value(store[name])}[()]" if name in store
+                 else f"{src.value(_raiser(unknown))}(None)")
+        src.lines.append(f"_c{i} = _e[{key}] if {key} in _e else {other}")
+        conns[name] = f"_c{i}"
+    try:
+        src.lines.append(f"return _bool({src.texpr(cond, conns)})")
+    except (KeyError, TypeError, ValueError) as ex:  # raised when evaluated
+        src.lines.append(f"{src.value(_raiser(ex))}(None)")
+    return src.build("_e")
+
+
 def _compile_ranges(params) -> Callable:
     """``fn(env) -> (range, ...)`` over a map's parameters."""
     src = _Source()
@@ -693,12 +694,13 @@ def _compile_ranges(params) -> Callable:
     return src.build("_e")
 
 
-def _evaluate_subset(src: _Source, subset: SubsetRange) -> tuple[list[bool], list[str]]:
-    """Append the evaluation of every dimension of ``subset`` (its begin
+def _evaluate_subset(src: _Source, m: Memlet) -> tuple[list[bool], list[str]]:
+    """Append the evaluation of every dimension of ``m``'s subset (its begin
     ``_b<d>``, stop ``_t<d>`` and stride ``_s<d>``, each stride checked) to
     ``src``; returns which dimensions are points and the length expressions.
     A dimension whose begin and end are the same expression with stride 1 is
     a point: only its begin is evaluated."""
+    subset = m.subset
     point = [b == e and s == symbolic.Const(1) for b, e, s in subset.dims]
     lines, lengths = [], []
     for d, (b, e, s) in enumerate(subset.dims):
@@ -711,7 +713,7 @@ def _evaluate_subset(src: _Source, subset: SubsetRange) -> tuple[list[bool], lis
             lengths.append(f"_max(0, _t{d} - _b{d})")
             continue
         if not (isinstance(s, symbolic.Const) and s.value >= 1):
-            lines.append(f"    if _s{d} < 1: {src.value(_stride_error(subset))}(_s{d})")
+            lines.append(f"    if _s{d} < 1: {src.value(_stride_error(m))}(_s{d})")
         lengths.append(f"_max(0, (_t{d} - _b{d} + _s{d} - 1) // _s{d})")
     if lines:
         src.lines += ["try:", *lines, "except KeyError as _x:",
@@ -719,10 +721,10 @@ def _evaluate_subset(src: _Source, subset: SubsetRange) -> tuple[list[bool], lis
     return point, lengths
 
 
-def _compile_lengths(subset: SubsetRange) -> Callable:
-    """``fn(env)`` -> the length of every dimension of ``subset``."""
+def _compile_lengths(m: Memlet) -> Callable:
+    """``fn(env)`` -> the length of every dimension of ``m``'s subset."""
     src = _Source()
-    _, lengths = _evaluate_subset(src, subset)
+    _, lengths = _evaluate_subset(src, m)
     src.lines.append(f"return ({''.join(f'{x}, ' for x in lengths)})")
     return src.build("_e")
 
@@ -745,7 +747,7 @@ def _compile_access(m: Memlet, mode: str, arr: np.ndarray, nbytes: int,
         raise OutOfBoundsError(f"rank mismatch on '{m.container}' at node {nid} "
                                f"in state '{state}'")
     src = _Source()
-    point, lengths = _evaluate_subset(src, m.subset)
+    point, lengths = _evaluate_subset(src, m)
     triples, outside = [], []
     for d in range(rank):
         extent = src.value(arr.shape[d])
@@ -770,8 +772,12 @@ def _compile_access(m: Memlet, mode: str, arr: np.ndarray, nbytes: int,
         src.lines += [f"{c}.bytes_moved += {nb}", f"return {a}[{index}]"]
     elif mode in ("scalar", "read"):
         src.lines += [f"_r = {a}[({slices})]", f"{c}.bytes_moved += _r.size * {nb}"]
-        src.lines.append("return _r.reshape(-1)[0] if _r.ndim else _r[()]"
-                         if mode == "scalar" else "return _r")
+        if mode == "read":
+            src.lines.append("return _r")
+        else:
+            empty = src.value(_empty_error(m, state, nid))
+            src.lines += ["try:", "    return _r.reshape(-1)[0] if _r.ndim else _r[()]",
+                          "except IndexError:", f"    {empty}()"]
     else:
         key = index if direct else "_key"
         if not direct:
@@ -786,9 +792,17 @@ def _compile_access(m: Memlet, mode: str, arr: np.ndarray, nbytes: int,
     return src.build("_e, _v" if mode in ("write", "pwrite") else "_e")
 
 
-def _stride_error(subset: SubsetRange) -> Callable:
+def _stride_error(m: Memlet) -> Callable:
     def fail(stride):
-        raise ValueError(f"stride {stride} < 1 in subset {subset}")
+        raise InterpreterError(f"stride {stride} < 1 in subset {m.subset} of '{m.container}'")
+
+    return fail
+
+
+def _empty_error(m: Memlet, state: str, nid: int) -> Callable:
+    def fail():
+        raise InterpreterError(f"tasklet reads the empty subset {m.subset} of "
+                               f"'{m.container}' at node {nid} in state '{state}'")
 
     return fail
 

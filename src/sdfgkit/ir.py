@@ -73,15 +73,6 @@ class Wcr(Enum):
     MIN = "min"
     MAX = "max"
 
-    def apply(self, old, new):
-        if self is Wcr.ADD:
-            return old + new
-        if self is Wcr.MUL:
-            return old * new
-        if self is Wcr.MIN:
-            return np.minimum(old, new)
-        return np.maximum(old, new)
-
     @property
     def identity(self):
         return {"add": 0.0, "mul": 1.0, "min": np.inf, "max": -np.inf}[self.value]
@@ -101,15 +92,14 @@ class LibKind(Enum):
     WAITALL = "waitall"
 
 
+P2P_KINDS = {LibKind.ISEND, LibKind.IRECV, LibKind.WAITALL}
 COMM_KINDS = {
     LibKind.SCATTER,
     LibKind.GATHER,
     LibKind.BCAST,
     LibKind.BLOCK_SCATTER,
     LibKind.BLOCK_GATHER,
-    LibKind.ISEND,
-    LibKind.IRECV,
-    LibKind.WAITALL,
+    *P2P_KINDS,
 }
 
 

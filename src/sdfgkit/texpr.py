@@ -316,24 +316,6 @@ def negated(e: TExpr) -> TExpr:
     return TUn("not", e)
 
 
-def rename_refs(e: TExpr, mapping: Mapping[str, str]) -> TExpr:
-    if isinstance(e, TNum):
-        return e
-    if isinstance(e, TRef):
-        return TRef(mapping.get(e.name, e.name))
-    if isinstance(e, TUn):
-        return TUn(e.op, rename_refs(e.operand, mapping))
-    if isinstance(e, TBin):
-        return TBin(e.op, rename_refs(e.left, mapping), rename_refs(e.right, mapping))
-    if isinstance(e, TSelect):
-        return TSelect(
-            rename_refs(e.cond, mapping), rename_refs(e.then, mapping), rename_refs(e.other, mapping)
-        )
-    if isinstance(e, TCall):
-        return TCall(e.fn, tuple(rename_refs(a, mapping) for a in e.args))
-    raise TypeError(type(e).__name__)
-
-
 def subst_refs(e: TExpr, mapping: Mapping[str, TExpr]) -> TExpr:
     if isinstance(e, TNum):
         return e

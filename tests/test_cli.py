@@ -167,3 +167,28 @@ def test_optimize_inapplicable_pinned_expansion_is_one_line(capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert "matmul" in err and "'blocked_native'" in err
+
+
+@pytest.mark.parametrize("case", ["stride", "empty", "misfit_source"])
+def test_malformed_graph_run_exit_code(case, tmp_path):
+    from sdfgkit.serialize import serialize
+    from test_interp_paths import MALFORMED
+
+    build, bindings, _, container = MALFORMED[case]
+    g = build()
+    for name in bindings:
+        g.add_symbol(name, 0)
+    graph = tmp_path / "g.sdfg.json"
+    graph.write_text(serialize(g))
+    d = tmp_path / "i"
+    d.mkdir()
+    for name in ("A", "B"):
+        TensorValue.of(np.zeros(int(g.containers[name].shape[0].evaluate({})))).save(
+            d / f"{name}.json")
+    binding = ["-s", ",".join(f"{k}={v}" for k, v in bindings.items())] if bindings else []
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdfgkit.cli", "run", str(graph), *binding, "--inputs", str(d)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("runtime error:") and container in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,0 +1,109 @@
+"""Interpreter paths the corpus does not reach: nested graphs, copies
+between access nodes, and malformed graphs that ``validate`` accepts."""
+
+import numpy as np
+import pytest
+
+from sdfgkit import frontend
+from sdfgkit.frontend import oracle
+from sdfgkit.interp import ExecContext, InterpOptions, InterpreterError, interpret
+from sdfgkit.ir import AccessNode, DType, Memlet, NestedSdfg, Sdfg, Tasklet
+from sdfgkit.symbolic import Const, Sym, SubsetRange
+from sdfgkit.texpr import parse_texpr
+
+CALLS = """
+def axpy(X: f64[N], Y: f64[N], a: f64):
+    Y[:] = a * X + Y
+
+def main(A: f64[N, M], x: f64[M], y: f64[N], s: f64):
+    for i in range(N):
+        y[i] = 0.0
+        for j in map[0:M]:
+            y[i] += A[i, j] * x[j]
+    axpy(y, y, s)
+    for k in range(M):
+        x[k] = x[k] * s
+"""
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_nested_graph_matches_oracle(reverse):
+    g, diags = frontend.compile_source(CALLS)
+    assert g is not None and not [d for d in diags if d.severity == "error"]
+    assert any(isinstance(n, NestedSdfg) for st in g.states for n in st.nodes.values())
+    symbols = {"N": 5, "M": 3}
+    rng = np.random.default_rng(7)
+    inputs = {"A": rng.uniform(-1, 1, (5, 3)), "x": rng.uniform(-1, 1, 3),
+              "y": rng.uniform(-1, 1, 5), "s": 1.5}
+    ref = oracle.evaluate_program(frontend.parse(CALLS), symbols,
+                                  {k: np.array(v, copy=True) for k, v in inputs.items()})
+    ctx = ExecContext(bindings=dict(symbols)).bind_inputs(
+        {k: np.array(v, copy=True) for k, v in inputs.items()})
+    out = interpret(g, ctx, InterpOptions(reverse_maps=reverse))
+    for name, want in ref.items():
+        assert np.allclose(out[name], want, rtol=1e-12, atol=0), name
+
+
+def _copy_graph(on_source: bool, sub: SubsetRange) -> Sdfg:
+    """One state copying ``A`` (6 elements) into ``B`` (6 elements), with the
+    memlet ``sub`` on ``A`` (``on_source``) or on ``B``."""
+    g = Sdfg("copy")
+    g.add_array("A", DType.F64, (Const(6),))
+    g.add_array("B", DType.F64, (Const(6),))
+    st = g.add_state("s0", start=True)
+    a, b = st.add(AccessNode("A")), st.add(AccessNode("B"))
+    st.add_edge(a, b, Memlet("A" if on_source else "B", sub))
+    return g
+
+
+@pytest.mark.parametrize("on_source", [True, False])
+def test_access_to_access_copy(on_source):
+    g = _copy_graph(on_source, SubsetRange.make([(0, 5, 1)]))
+    assert not [d for d in g.validate() if d.severity == "error"]
+    a = np.arange(6.0)
+    ctx = ExecContext().bind_inputs({"A": a, "B": np.zeros(6)})
+    out = interpret(g, ctx)
+    assert np.array_equal(out["B"], a)
+    assert np.array_equal(out["A"], a)
+    # 6 elements read and 6 written, 8 bytes each
+    assert ctx.counters.bytes_moved == 2 * 6 * 8
+
+
+def _empty_input_graph() -> Sdfg:
+    """``B[0] = A[1:1]``: a tasklet whose input subset holds no element."""
+    g = Sdfg("empty")
+    g.add_array("A", DType.F64, (Const(4),))
+    g.add_array("B", DType.F64, (Const(4),))
+    st = g.add_state("s0", start=True)
+    a, b = st.add(AccessNode("A")), st.add(AccessNode("B"))
+    t = st.add(Tasklet("t", ("x",), ("y",), (("y", parse_texpr("x")),)))
+    st.add_edge(a, t, Memlet("A", SubsetRange.make([(1, 0, 1)])), None, "x")
+    st.add_edge(t, b, Memlet("B", SubsetRange.point([0])), "y", None)
+    return g
+
+
+MALFORMED = {
+    # the stride of A's subset is a symbol bound to 0
+    "stride": (lambda: _copy_graph(True, SubsetRange.make([(0, 5, Sym("S"))])),
+               {"S": 0}, "stride 0 < 1", "'A'"),
+    "empty": (_empty_input_graph, {}, "empty subset", "'A'"),
+    "misfit_source": (lambda: _copy_graph(True, SubsetRange.make([(0, 2, 1)])),
+                      {}, "does not fit", "'B'"),
+    "misfit_destination": (lambda: _copy_graph(False, SubsetRange.make([(0, 2, 1)])),
+                           {}, "does not fit", "'B'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_graph_raises_interpreter_error(case):
+    build, bindings, what, container = MALFORMED[case]
+    g = build()
+    for name in bindings:
+        g.add_symbol(name, 0)
+    assert not [d for d in g.validate() if d.severity == "error"]
+    shapes = {k: int(d.shape[0].evaluate({})) for k, d in g.containers.items()}
+    ctx = ExecContext(bindings=dict(bindings)).bind_inputs(
+        {k: np.zeros(n) for k, n in shapes.items()})
+    with pytest.raises(InterpreterError) as exc:
+        interpret(g, ctx)
+    assert what in str(exc.value) and container in str(exc.value)

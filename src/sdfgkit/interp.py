@@ -4,7 +4,10 @@ Maps always run in lexicographic iteration order (even with a parallel
 schedule), so results are bitwise reproducible and usable as golden oracles.
 Each run compiles the per-node work once (memlet accesses with their bounds
 checks, tasklet bodies, map ranges, transitions) and then only calls the
-compiled functions.  Communication library nodes are *yielded* as events;
+compiled functions.  A map whose body is tasklets over affine point memlets
+also gets a vector launch that runs all its points at once with NumPy
+slices, equal bit for bit to the point-by-point order (see
+:func:`_compile_vector`).  Communication library nodes are *yielded* as events;
 the plain entry point :func:`interpret` rejects them, while the rank
 simulator drives the same generator and services the events.
 """
@@ -15,7 +18,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -115,6 +118,9 @@ class ExecContext:
 @dataclass
 class InterpOptions:
     reverse_maps: bool = False  # iterate every map in reversed order
+    # run qualifying maps as one vector launch; False keeps every map on the
+    # point-by-point reference path
+    vectorize: bool = True
 
 
 MAX_TRANSITIONS = 10_000_000
@@ -181,6 +187,9 @@ class Machine:
         self.g = g
         self.ctx = ctx
         self.opt = options or InterpOptions()
+        # the graphs validated in this run, shared with the machines of
+        # nested graphs so that each graph is validated once
+        self._validated: set[Sdfg] = set()
         self.sym: dict[str, int] = {}
         self.store: dict[str, np.ndarray] = {}
         self._prepared = False
@@ -198,11 +207,13 @@ class Machine:
         if self._prepared:
             return
         g, ctx = self.g, self.ctx
-        errors = [d for d in g.validate() if d.severity == "error"]
-        if errors:
-            raise InterpreterError(
-                "graph does not validate: " + "; ".join(d.message for d in errors)
-            )
+        if g not in self._validated:
+            errors = [d for d in g.validate() if d.severity == "error"]
+            if errors:
+                raise InterpreterError(
+                    "graph does not validate: " + "; ".join(d.message for d in errors)
+                )
+            self._validated.add(g)
         missing = g.free_symbols() - set(ctx.bindings)
         if missing:
             raise InterpreterError(f"missing symbol bindings: {sorted(missing)}")
@@ -325,12 +336,21 @@ class Machine:
             else:
                 fn(env)
 
-    def exec_map(self, plan: "_StatePlan", entry: MapEntry, env) -> Iterator:
+    def exec_map(self, plan: "_StatePlan", entry: MapEntry, env) -> Iterable:
+        """One launch of a map.  A map with a vector launch runs all its points
+        at once if that launch succeeds; otherwise the scope's steps run once
+        per point.  Returns the events of the per-point steps."""
+        launch = plan.maps[entry.nid]
+        if launch.vector is not None and launch.vector(env):
+            return ()
+        return self._run_points(launch, env)
+
+    def _run_points(self, launch: "_MapPlan", env) -> Iterator:
         """Run the scope's steps once per point, in lexicographic order."""
-        ranges, names, steps = plan.maps[entry.nid]
-        points = itertools.product(*ranges(env))
+        points = itertools.product(*launch.ranges(env))
         if self.opt.reverse_maps:
             points = reversed(list(points))
+        names, steps = launch.names, launch.steps()
         ienv = dict(env)
         counters = self.ctx.counters
         for point in points:
@@ -347,20 +367,38 @@ class Machine:
     def _plan_state(self, state: State) -> "_StatePlan":
         plan = _StatePlan(state)
         for scope, members in state.scopes().items():
-            steps = []
-            for node in members:
-                if scope is None and self._root_only(plan, node):
-                    continue
-                try:
-                    steps += self._steps(plan, node)
-                except Exception as ex:  # a malformed node fails when it executes
-                    steps.append((_raiser(ex), False))
             if scope is None:
-                plan.top = steps
-            else:
-                plan.maps[scope.nid] = (_compile_ranges(scope.params),
-                                        scope.param_names, steps)
+                plan.top = self._scope_steps(plan, None, members)
+                continue
+            ranges = _compile_ranges(scope.params)
+            plan.maps[scope.nid] = _MapPlan(
+                ranges, scope.param_names, self._vector_launch(plan, scope, members, ranges),
+                functools.partial(self._scope_steps, plan, scope, members))
         return plan
+
+    def _scope_steps(self, plan: "_StatePlan", scope: MapEntry | None, members) -> list:
+        steps = []
+        for node in members:
+            if scope is None and self._root_only(plan, node):
+                continue
+            try:
+                steps += self._steps(plan, node)
+            except Exception as ex:  # a malformed node fails when it executes
+                steps.append((_raiser(ex), False))
+        return steps
+
+    def _vector_launch(self, plan: "_StatePlan", scope: MapEntry, members,
+                       ranges: Callable) -> Callable | None:
+        """The map's vector launch (see :func:`_compile_vector`), or None when
+        vectorizing is off or the map does not qualify."""
+        if not self.opt.vectorize:
+            return None
+        try:
+            return _compile_vector(plan, scope, members, ranges, self.store,
+                                   self.g.containers, self.ctx.counters,
+                                   self.opt.reverse_maps)
+        except _NotVector:
+            return None
 
     def _root_only(self, plan: "_StatePlan", node) -> bool:
         """On a non-root rank: a top-level node other than a communication
@@ -467,6 +505,17 @@ class Machine:
         lengths = _compile_lengths(out)
         write = self._access(out, "write", label, nid)
         squeeze, attrs = self.squeeze, node.attributes
+
+        def fit(env, result: np.ndarray) -> np.ndarray:
+            shape = lengths(env)
+            try:
+                return result.reshape(shape)
+            except ValueError:
+                raise InterpreterError(
+                    f"{node.kind.value} result of {result.size} elements does not fit the "
+                    f"{shape} elements of '{out.container}' at node {nid} "
+                    f"in state '{label}'") from None
+
         if node.kind is LibKind.MATMUL:
             read_b = self._access(ins["b"].memlet, "read", label, nid)
 
@@ -474,7 +523,7 @@ class Machine:
                 a_raw, b_raw = read_a(env), read_b(env)
                 a = squeeze(a_raw, attrs.get("a_kept"))
                 b = squeeze(b_raw, attrs.get("b_kept"))
-                write(env, np.matmul(a, b).reshape(lengths(env)))
+                write(env, fit(env, np.matmul(a, b)))
 
             return matmul, False
         if node.kind is LibKind.REDUCE:
@@ -483,14 +532,14 @@ class Machine:
 
             def reduce(env):
                 a = squeeze(read_a(env), attrs.get("a_kept"))
-                out = fn.reduce(a, axis=None if axes is None else tuple(axes))
-                write(env, np.asarray(out).reshape(lengths(env)))
+                write(env, fit(env, np.asarray(
+                    fn.reduce(a, axis=None if axes is None else tuple(axes)))))
 
             return reduce, False
 
         def transpose(env):
             a = read_a(env)
-            write(env, a.T.reshape(lengths(env)))
+            write(env, fit(env, a.T))
 
         return transpose, False
 
@@ -517,6 +566,7 @@ class Machine:
                 lengths = _compile_lengths(e.memlet)(env)
                 inner_ctx.store[e.dst_conn] = data.reshape(lengths)
         inner = Machine(node.sdfg, inner_ctx, self.opt)
+        inner._validated = self._validated
         yield from inner.run()
         for e in plan.outs[node.nid]:
             if e.memlet is None:
@@ -530,8 +580,8 @@ _REDUCE_UFUNCS = {Wcr.ADD: np.add, Wcr.MUL: np.multiply,
 
 class _StatePlan:
     """A state's edges indexed by node id (in edge order), the steps of its
-    top level, and the compiled ranges, parameter names and steps of each
-    map.  A step is ``(fn, is_generator)``; ``fn`` takes the environment."""
+    top level, and the :class:`_MapPlan` of each map.  A step is
+    ``(fn, is_generator)``; ``fn`` takes the environment."""
 
     def __init__(self, state: State):
         self.state = state
@@ -541,7 +591,23 @@ class _StatePlan:
             self.ins[e.dst.nid].append(e)
             self.outs[e.src.nid].append(e)
         self.top: list[tuple] = []
-        self.maps: dict[int, tuple[Callable, tuple[str, ...], list[tuple]]] = {}
+        self.maps: dict[int, _MapPlan] = {}
+
+
+class _MapPlan:
+    """A map's compiled ranges, its parameter names, its vector launch (None
+    if it has none) and its per-point steps, compiled on first use."""
+
+    def __init__(self, ranges: Callable, names: tuple[str, ...], vector: Callable | None,
+                 compile_steps: Callable[[], list]):
+        self.ranges, self.names, self.vector = ranges, names, vector
+        self._compile_steps = compile_steps
+        self._steps: list | None = None
+
+    def steps(self) -> list:
+        if self._steps is None:
+            self._steps = self._compile_steps()
+        return self._steps
 
 
 class _Transition:
@@ -595,6 +661,8 @@ _GLOBALS = {
     "_range": range, "_bool": bool, "_min": min, "_max": max, "_fdiv": _fdiv,
     "_minimum": np.minimum, "_maximum": np.maximum,
     "_unbound_symbol": _unbound_symbol, "_unbound_name": _unbound_name,
+    "Exception": Exception, "_len": len, "_f64": np.float64, "_bcast": np.broadcast_to,
+    "_concat": np.concatenate,
 }
 
 
@@ -821,3 +889,348 @@ def _bounds_error(container: str, shape: tuple[int, ...], state: str, nid: int) 
                 )
 
     return fail
+
+
+# -- vector launches ---------------------------------------------------------------
+#
+# A map qualifies for a vector launch when its body is only tasklets (and
+# access nodes without a copy) over f64 containers, their code is arithmetic
+# (+ - * / and unary -) over connectors and numbers, and every memlet is a
+# point whose dimensions are ``parameter + offset`` or free of the map's
+# parameters.  Reads become strided views aligned to the iteration grid,
+# tasklets become array expressions, and stores happen only after every value
+# is computed.  The hazard rules of :func:`_vector_roles` keep the result
+# bitwise equal to the points run one by one in iteration order; a launch
+# whose bounds check or evaluation fails stores nothing and returns False,
+# and the caller reruns it point by point.
+
+_VEC_OPS = ("+", "-", "*", "/")
+_FOLD_UFUNCS = {"+": np.add, "*": np.multiply}
+_ZERO, _ONE = symbolic.Const(0), symbolic.Const(1)
+
+
+class _NotVector(Exception):
+    """The map does not qualify for a vector launch."""
+
+
+@dataclass(slots=True)
+class _Value:
+    """A value of the generated vector code."""
+
+    code: str
+    axes: frozenset  # the indices of the map parameters it varies with
+
+
+def _affine(subset: SubsetRange, params: tuple[str, ...]) -> list[tuple[int | None, SymExpr]]:
+    """Per dimension of a point subset, ``(d, offset)`` for ``params[d] +
+    offset`` or ``(None, index)`` for an index free of ``params``."""
+    out, used = [], set()
+    for b, e, s in subset.dims:
+        if b != e or s != _ONE:
+            raise _NotVector("not a point")
+        names = b.free_symbols()
+        present = [d for d, p in enumerate(params) if p in names]
+        if not present:
+            out.append((None, b))
+            continue
+        d, p = present[-1], params[present[-1]]
+        if len(present) > 1 or d in used:
+            raise _NotVector("a parameter twice, or two in one dimension")
+        offset = _param_offset(b, p)
+        if offset is None:
+            raise _NotVector("not parameter + offset")
+        used.add(d)
+        out.append((d, offset))
+    return out
+
+
+@functools.lru_cache(maxsize=4096)
+def _param_offset(b: SymExpr, p: str) -> SymExpr | None:
+    """``offset`` when ``b`` is ``p + offset`` (coefficient 1), else None.
+    Cached: graphs repeat the same few index expressions."""
+    if symbolic.linear_coeff(b, p) != 1:
+        return None
+    return symbolic.simplify(b - symbolic.Sym(p))
+
+
+def _vector_roles(accesses, dims, k: int, store) -> dict[str, str]:
+    """The role of every container the body touches:
+
+    - ``read``: never written;
+    - ``plain``: written without WCR through a subset that uses every
+      parameter, and every access uses that same subset;
+    - ``temp``: a rank-0 intermediate, written before it is read;
+    - ``fold``: rank 0, read and written by one tasklet only (``c = c OP x``);
+    - ``wcr``: written through WCR, with no other access."""
+    by_container: dict[str, list] = {}
+    for a in accesses:
+        by_container.setdefault(a[1].memlet.container, []).append(a)
+    roles = {}
+    for c, acc in by_container.items():
+        writes = [e for _, e, w in acc if w]
+        if not writes:
+            roles[c] = "read"
+        elif any(e.memlet.wcr is not None for e in writes):
+            if len(acc) != 1:
+                raise _NotVector(f"'{c}' is written through WCR and accessed again")
+            roles[c] = "wcr"
+        elif store[c].ndim == 0:
+            if acc[0][2]:
+                roles[c] = "temp"
+            elif len(acc) == 2 and acc[1][0] is acc[0][0]:
+                roles[c] = "fold"
+            else:
+                raise _NotVector(f"'{c}' is read before it is written")
+        else:
+            sub = writes[0].memlet.subset
+            if (sorted(d for d, _ in dims[id(writes[0].memlet)] if d is not None) != list(range(k))
+                    or any(e.memlet.subset != sub for _, e, _ in acc)):
+                raise _NotVector(f"'{c}' is written and accessed through other subsets")
+            roles[c] = "plain"
+    return roles
+
+
+def _fold(t: Tasklet, conn: str, outs: list[Edge]) -> tuple[np.ufunc, texpr.TExpr]:
+    """``(ufunc, x)`` of a tasklet ``c = c OP x`` whose input ``conn`` reads c."""
+    if len(t.code) != 1 or len(outs) != 1:
+        raise _NotVector("not a fold")
+    out, e = t.code[0]
+    if outs[0].src_conn != out and out not in t.outputs[:1]:  # the write stores another value
+        raise _NotVector("not a fold")
+    if isinstance(e, texpr.TBin) and e.op in _FOLD_UFUNCS:
+        for c, x in ((e.left, e.right), (e.right, e.left)):
+            if c == texpr.TRef(conn) and conn not in x.free_names():
+                return _FOLD_UFUNCS[e.op], x
+    raise _NotVector("not a fold")
+
+
+def _compile_vector(plan: "_StatePlan", scope: MapEntry, members, ranges: Callable,
+                    store: Mapping[str, np.ndarray], containers, counters: Counters,
+                    reverse: bool) -> Callable:
+    """Compile the vector launch of ``scope``: ``fn(env) -> bool``, True
+    when it ran every point (it also counts them), False when it stored
+    nothing and the launch must run point by point.  Raises
+    :class:`_NotVector` when the map does not qualify."""
+    params = scope.param_names
+    k = len(params)
+    tasklets = []
+    for n in members:
+        if isinstance(n, Tasklet):
+            tasklets.append(n)
+        elif not isinstance(n, AccessNode) or any(
+                isinstance(e.src, AccessNode) and e.memlet is not None for e in plan.ins[n.nid]):
+            raise _NotVector("a member other than a tasklet")
+    ins = {t.nid: [e for e in plan.ins[t.nid] if e.memlet is not None] for t in tasklets}
+    outs = {t.nid: [e for e in plan.outs[t.nid] if e.memlet is not None] for t in tasklets}
+    accesses = [(t, e, w) for t in tasklets
+                for w, edges in ((False, ins[t.nid]), (True, outs[t.nid])) for e in edges]
+    dims: dict[int, list] = {}  # by memlet id
+    for _, e, _ in accesses:
+        m = e.memlet
+        if m.container not in store or containers[m.container].dtype is not DType.F64:
+            raise _NotVector(f"'{m.container}' is not an f64 container")
+        if m.subset.rank != store[m.container].ndim:
+            raise _NotVector("rank mismatch")
+        dims[id(m)] = _affine(m.subset, params)
+    if not k or any(len(set(e.dst_conn for e in ins[t.nid])) != len(ins[t.nid]) for t in tasklets):
+        raise _NotVector("no parameters, or an input connector fed twice")
+    roles = _vector_roles(accesses, dims, k, store)
+
+    src = _Source()
+    numbers: dict[tuple, str] = {}
+    offsets: dict[SymExpr, str] = {}
+    prelude: list[str] = []
+    checks: dict[str, None] = {}
+    body: list[str] = []
+    stores: list[str] = []
+    unit = [isinstance(s, symbolic.Const) and s.value == 1 for _, (_, _, s) in scope.params]
+    arrays = {c: src.value(store[c]) for c in roles}
+
+    def num(v) -> str:
+        key = (type(v), v)
+        if key not in numbers:
+            numbers[key] = src.value(v)
+        return numbers[key]
+
+    def term(x: SymExpr) -> str:
+        if isinstance(x, symbolic.Const):
+            return num(x.value)
+        if x not in offsets:
+            offsets[x] = f"_q{len(offsets)}"
+            prelude.append(f"{offsets[x]} = {src.sym(x)}")
+        return offsets[x]
+
+    def index(m: Memlet) -> tuple[str, list[int]]:
+        """The bounds-checked index of ``m`` and the parameters of its
+        dimensions, in dimension order."""
+        parts, present = [], []
+        for dim, (d, x) in enumerate(dims[id(m)]):
+            extent = store[m.container].shape[dim]
+            if d is None:
+                if isinstance(x, symbolic.Const) and not 0 <= x.value < extent:
+                    raise _NotVector("index out of bounds at every launch")
+                i = term(x)
+                if not isinstance(x, symbolic.Const):
+                    checks[f"not 0 <= {i} < {num(extent)}"] = None
+                parts.append(i)
+                continue
+            off = "" if x == _ZERO else f" + {term(x)}"
+            checks[f"_a{d}{off} < 0 or _z{d}{off} >= {num(extent)}"] = None
+            step = "" if unit[d] else f":_r{d}.step"
+            parts.append(f"_a{d}{off}:_z{d}{off} + 1{step}")
+            present.append(d)
+        return ", ".join(parts), present
+
+    def aligned(code: str, present: list[int]) -> str:
+        """``code``, a view with one axis per parameter of ``present``,
+        transposed to parameter order."""
+        order = sorted(present)
+        if order != present:
+            code += f".transpose({src.value(tuple(present.index(d) for d in order))})"
+        return code
+
+    def read(m: Memlet) -> tuple[str, frozenset]:
+        idx, present = index(m)
+        code = f"{arrays[m.container]}[{idx or '()'}]"
+        if not present:
+            return code, frozenset()
+        code = aligned(code, present)
+        expand = tuple(slice(None) if d in present else None for d in range(min(present), k))
+        if None in expand:
+            code += f"[{src.value(expand)}]"
+        return code, frozenset(present)
+
+    def vexpr(e: texpr.TExpr, conns: Mapping[str, _Value]) -> _Value:
+        if isinstance(e, texpr.TNum) and type(e.value) in (int, float):
+            return _Value(num(e.value), frozenset())
+        if isinstance(e, texpr.TRef):
+            if e.name not in conns:
+                raise _NotVector(f"'{e.name}' is not a connector")
+            return conns[e.name]
+        if isinstance(e, texpr.TUn) and e.op == "-":
+            x = vexpr(e.operand, conns)
+            return _Value(f"(-{x.code})", x.axes)
+        if isinstance(e, texpr.TBin) and e.op in _VEC_OPS:
+            a, b = vexpr(e.left, conns), vexpr(e.right, conns)
+            return _Value(f"({a.code} {e.op} {b.code})", a.axes | b.axes)
+        raise _NotVector(f"{type(e).__name__} stays scalar")
+
+    def f64(v: _Value) -> _Value:
+        """``v`` as an f64 value, as a store converts it.  A value that
+        varies is an f64 array already; one that does not may be a Python
+        number, which the per-point path rounds when it stores it."""
+        return v if v.axes else _Value(f"_f64({v.code})", v.axes)
+
+    def grid(v: _Value) -> str:
+        """``v`` with the full shape of the iteration grid."""
+        if len(v.axes) == k:
+            return v.code
+        needs_grid.append(True)
+        return f"_bcast({v.code}, _g)"
+
+    def fresh(prefix: str, code: str) -> str:
+        name = f"{prefix}{len(body)}"
+        body.append(f"{name} = {code}")
+        return name
+
+    current: dict[str, _Value] = {}  # a written container's value
+    views: dict[str, _Value] = {}  # by the code of the view
+    plain: dict[str, tuple[Memlet, _Value]] = {}
+    temps: dict[str, _Value] = {}
+    wcrs: list[tuple[Memlet, _Value]] = []
+    needs_grid: list[bool] = []
+    for t in tasklets:
+        conns: dict[str, _Value] = {}
+        fold = None
+        for e in ins[t.nid]:
+            c = e.memlet.container
+            role = roles[c]
+            if role == "fold":
+                fold = (c, *_fold(t, e.dst_conn, outs[t.nid]))
+            elif role == "read":
+                code, axes = read(e.memlet)
+                if code not in views:
+                    views[code] = _Value(fresh("_v", code), axes)
+                conns[e.dst_conn] = views[code]
+            elif c in current:
+                conns[e.dst_conn] = current[c]
+            else:  # a plain container read before it is written: copy its old values
+                code, axes = read(e.memlet)
+                conns[e.dst_conn] = _Value(fresh("_v", code + ".copy()"), axes)
+        if fold is not None:
+            c, ufunc, x = fold
+            v = f64(vexpr(x, conns))
+            vals = grid(v) + ("" if k == 1 and len(v.axes) == k else ".reshape(-1)")
+            w = fresh("_w", f"{src.value(ufunc)}.accumulate(_concat(({arrays[c]}.reshape(1), "
+                            f"{vals}{'[::-1]' if reverse else ''})))[-1]")
+            stores.append(f"{arrays[c]}[()] = {w}")
+            continue
+        results = {}
+        for conn, code in t.code:
+            v = f64(vexpr(code, conns))
+            results[conn] = _Value(fresh("_o", v.code), v.axes)
+        for e in outs[t.nid]:
+            conn = e.src_conn if e.src_conn in results else t.outputs[0] if t.outputs else None
+            if conn not in results:
+                raise _NotVector("an output without code")
+            v, c = results[conn], e.memlet.container
+            if roles[c] == "wcr":
+                wcrs.append((e.memlet, v))
+            elif roles[c] == "temp":
+                current[c] = temps[c] = v
+            else:
+                current[c] = v
+                plain[c] = (e.memlet, v)
+
+    for m, v in wcrs:
+        idx, present = index(m)
+        target = fresh("_t", aligned(f"{arrays[m.container]}[{idx + ', ' if idx else ''}...]",
+                                     present))
+        ufunc = src.value(_REDUCE_UFUNCS[m.wcr])
+        reduced = [d for d in range(k) if d not in present]
+        if not reduced:
+            w = fresh("_w", f"{ufunc}({target}, {v.code})")
+        else:
+            vals = grid(v)
+            order = sorted(present) + reduced
+            if order != list(range(k)):
+                vals += f".transpose({src.value(tuple(order))})"
+            vals += f".reshape({target}.shape + (-1,))" + ("[..., ::-1]" if reverse else "")
+            w = fresh("_w", f"{ufunc}.accumulate(_concat(({target}[..., None], {vals}), "
+                            "axis=-1), axis=-1)[..., -1]")
+        stores.append(f"{target}[...] = {w}")
+    for c, v in temps.items():
+        last = v.code
+        if v.axes:
+            last += f"[{', '.join(['0' if reverse else '-1'] * (k - min(v.axes)))}]"
+        stores.append(f"{arrays[c]}[()] = {fresh('_l', last)}")
+    for c, (m, v) in plain.items():
+        idx, present = index(m)
+        target = f"{arrays[c]}[{idx}]"
+        if sorted(present) != present:
+            target = aligned(target, present) + "[...]"
+        stores.append(f"{target} = {v.code}")
+
+    head = [f"{''.join(f'_r{d}, ' for d in range(k))}= {src.value(ranges)}(_e)",
+            f"if not ({' and '.join(f'_r{d}' for d in range(k))}): return True"]
+    steps = [d for d, (_, (_, _, s)) in enumerate(scope.params)
+             if not (isinstance(s, symbolic.Const) and s.value >= 1)]
+    if steps:
+        head.append(f"if {' or '.join(f'_r{d}.step < 1' for d in steps)}: return False")
+    head += [f"_a{d}, _z{d} = _r{d}.start, _r{d}[-1]" for d in range(k)]
+    if needs_grid:
+        head.append(f"_g = ({''.join(f'_len(_r{d}), ' for d in range(k))})")
+    if checks:
+        prelude.append(f"if {' or '.join(checks)}: return False")
+    c = src.value(counters)
+    nbytes = sum(containers[e.memlet.container].dtype.nbytes for _, e, _ in accesses)
+    commits = sum(w and e.memlet.wcr is not None for _, e, w in accesses)
+    count = [f"_n = {' * '.join(f'_len(_r{d})' for d in range(k))}",
+             f"{c}.map_iterations += _n"]
+    if nbytes:
+        count.append(f"{c}.bytes_moved += _n * {num(nbytes)}")
+    if commits:
+        count.append(f"{c}.wcr_commits += _n * {num(commits)}")
+    src.lines = ["try:", *(f"    {line}" for line in head + prelude + body),
+                 "except Exception:", "    return False", *stores, *count, "return True"]
+    return src.build("_e")

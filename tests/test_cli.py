@@ -169,7 +169,7 @@ def test_optimize_inapplicable_pinned_expansion_is_one_line(capsys):
     assert "matmul" in err and "'blocked_native'" in err
 
 
-@pytest.mark.parametrize("case", ["stride", "empty", "misfit_source"])
+@pytest.mark.parametrize("case", ["stride", "empty", "misfit_source", "misfit_matmul"])
 def test_malformed_graph_run_exit_code(case, tmp_path):
     from sdfgkit.serialize import serialize
     from test_interp_paths import MALFORMED
@@ -182,8 +182,8 @@ def test_malformed_graph_run_exit_code(case, tmp_path):
     graph.write_text(serialize(g))
     d = tmp_path / "i"
     d.mkdir()
-    for name in ("A", "B"):
-        TensorValue.of(np.zeros(int(g.containers[name].shape[0].evaluate({})))).save(
+    for name, desc in g.containers.items():
+        TensorValue.of(np.zeros(tuple(int(x.evaluate({})) for x in desc.shape))).save(
             d / f"{name}.json")
     binding = ["-s", ",".join(f"{k}={v}" for k, v in bindings.items())] if bindings else []
     proc = subprocess.run(

@@ -7,7 +7,9 @@ import pytest
 from sdfgkit import frontend
 from sdfgkit.frontend import oracle
 from sdfgkit.interp import ExecContext, InterpOptions, InterpreterError, interpret
-from sdfgkit.ir import AccessNode, DType, Memlet, NestedSdfg, Sdfg, Tasklet
+from sdfgkit.ir import (
+    AccessNode, DType, LibKind, LibraryNode, Memlet, NestedSdfg, Sdfg, Tasklet,
+)
 from sdfgkit.symbolic import Const, Sym, SubsetRange
 from sdfgkit.texpr import parse_texpr
 
@@ -82,6 +84,23 @@ def _empty_input_graph() -> Sdfg:
     return g
 
 
+def _matmul_misfit_graph() -> Sdfg:
+    """``C = A @ B`` with a 2x3 ``A`` and a 3x2 ``B``: the 2x2 product does not
+    fit the 3x3 ``C``."""
+    g = Sdfg("misfit_matmul")
+    g.add_array("A", DType.F64, (Const(2), Const(3)))
+    g.add_array("B", DType.F64, (Const(3), Const(2)))
+    g.add_array("C", DType.F64, (Const(3), Const(3)))
+    st = g.add_state("s0", start=True)
+    node = st.add(LibraryNode(LibKind.MATMUL, "matmul"))
+    for conn, name in (("a", "A"), ("b", "B")):
+        acc = st.add(AccessNode(name))
+        st.add_edge(acc, node, Memlet(name, g.containers[name].full_subset()), dst_conn=conn)
+    st.add_edge(node, st.add(AccessNode("C")), Memlet("C", g.containers["C"].full_subset()),
+                src_conn="out")
+    return g
+
+
 MALFORMED = {
     # the stride of A's subset is a symbol bound to 0
     "stride": (lambda: _copy_graph(True, SubsetRange.make([(0, 5, Sym("S"))])),
@@ -91,6 +110,7 @@ MALFORMED = {
                       {}, "does not fit", "'B'"),
     "misfit_destination": (lambda: _copy_graph(False, SubsetRange.make([(0, 2, 1)])),
                            {}, "does not fit", "'B'"),
+    "misfit_matmul": (_matmul_misfit_graph, {}, "does not fit", "'C'"),
 }
 
 
@@ -101,9 +121,35 @@ def test_malformed_graph_raises_interpreter_error(case):
     for name in bindings:
         g.add_symbol(name, 0)
     assert not [d for d in g.validate() if d.severity == "error"]
-    shapes = {k: int(d.shape[0].evaluate({})) for k, d in g.containers.items()}
+    shapes = {k: tuple(int(x.evaluate({})) for x in d.shape) for k, d in g.containers.items()}
     ctx = ExecContext(bindings=dict(bindings)).bind_inputs(
         {k: np.zeros(n) for k, n in shapes.items()})
     with pytest.raises(InterpreterError) as exc:
         interpret(g, ctx)
     assert what in str(exc.value) and container in str(exc.value)
+
+
+LOOPED_CALL = """
+def scale(X: f64[N], a: f64):
+    X[:] = a * X
+
+def main(A: f64[N], s: f64):
+    for t in range(N):
+        scale(A, s)
+"""
+
+
+@pytest.mark.parametrize("trips", [1, 4])
+def test_nested_graph_validated_once_per_run(trips, monkeypatch):
+    g, diags = frontend.compile_source(LOOPED_CALL)
+    assert g is not None and not [d for d in diags if d.severity == "error"]
+    nested = [n.sdfg for st in g.states for n in st.nodes.values() if isinstance(n, NestedSdfg)]
+    assert len(nested) == 1
+    calls = []
+    validate = Sdfg.validate
+    monkeypatch.setattr(Sdfg, "validate", lambda self: calls.append(self) or validate(self))
+    a = np.arange(1.0, trips + 1.0)
+    ctx = ExecContext(bindings={"N": trips}).bind_inputs({"A": a, "s": 2.0})
+    out = interpret(g, ctx)
+    assert np.array_equal(out["A"], a * 2.0 ** trips)
+    assert [id(x) for x in calls] == [id(g), id(nested[0])]

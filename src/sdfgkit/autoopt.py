@@ -15,14 +15,16 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from . import passes, symbolic, texpr
+from . import symbolic, texpr
 from .ir import (
     AccessNode, DataKind, LibKind, LibraryNode, Lifetime, MapEntry, MapExit,
     Memlet, NestedSdfg, Schedule, Sdfg, State, Storage, Tasklet, Ternary, Wcr,
     race_free,
 )
-from .passes import PassReport, coarsen, find_loops, loop_to_map
-from .symbolic import Const, Min, SubsetRange, Sym, SymExpr
+from .passes import (
+    PassReport, _snapshot, coarsen, find_loops, loop_to_map, nodes_of, to_fixed_point,
+)
+from .symbolic import Const, Min, SubsetRange, Sym, SymExpr, element_subset
 from .texpr import TBin, TNum, TRef
 
 
@@ -46,37 +48,25 @@ def cleanup_maps(g: Sdfg) -> PassReport:
     """Remove size-1 map dimensions, run loop-to-map to a fixed point, and
     collapse directly nested maps into multidimensional ones."""
     report = PassReport()
-    changed = True
-    while changed:
-        changed = False
-        if _remove_degenerate_dim(g):
-            report.count("degenerate_map")
-            changed = True
-            continue
-        for loop in find_loops(g):
-            if loop_to_map(g, loop, report):
-                changed = True
-                break
-        if changed:
-            continue
-        if _collapse_nested(g):
-            report.count("map_collapse")
-            changed = True
+    for name in to_fixed_point({
+        "degenerate_map": lambda: _remove_degenerate_dim(g),
+        "loop_to_map": lambda: any(loop_to_map(g, loop, report) for loop in find_loops(g)),
+        "map_collapse": lambda: _collapse_nested(g),
+    }):
+        report.count(name)
     return report
 
 
 def _remove_degenerate_dim(g: Sdfg) -> bool:
-    for st in g.states:
-        for node in st.sorted_nodes():
-            if not isinstance(node, MapEntry):
-                continue
-            for d, (p, (b, e, s)) in enumerate(node.params):
-                if symbolic.eq(b, e, g.assumptions()) is Ternary.TRUE:
-                    _rename_in_scope(st, node, {p: b})
-                    node.params = node.params[:d] + node.params[d + 1:]
-                    if not node.params:
-                        _dissolve_scope(st, node, st.exit_of(node))
-                    return True
+    asm = g.assumptions()
+    for st, node in nodes_of(g, MapEntry):
+        for d, (p, (b, e, s)) in enumerate(node.params):
+            if symbolic.eq(b, e, asm) is Ternary.TRUE:
+                _rename_in_scope(st, node, {p: b})
+                node.params = node.params[:d] + node.params[d + 1:]
+                if not node.params:
+                    _dissolve_scope(st, node, st.exit_of(node))
+                return True
     return False
 
 
@@ -105,7 +95,7 @@ def _rename_in_scope(st: State, entry: MapEntry, sub: dict[str, SymExpr]) -> Non
 
 def _dissolve_scope(st: State, entry: MapEntry, exit_node: MapExit) -> None:
     """Remove an empty-parameter scope, bridging edges by connector."""
-    for hub, prefix_in, prefix_out in ((entry, "IN_", "OUT_"), (exit_node, "IN_", "OUT_")):
+    for hub in (entry, exit_node):
         ins = {e.dst_conn: e for e in st.in_edges(hub)}
         outs = st.out_edges(hub)
         for oe in list(outs):
@@ -126,27 +116,23 @@ def _dissolve_scope(st: State, entry: MapEntry, exit_node: MapExit) -> None:
 
 
 def _collapse_nested(g: Sdfg) -> bool:
-    for st in g.states:
-        for node in st.sorted_nodes():
-            if not isinstance(node, MapEntry):
-                continue
-            outs = st.out_edges(node)
-            inner = {e.dst for e in outs}
-            if len(inner) != 1:
-                continue
-            inner_entry = inner.pop()
-            if not isinstance(inner_entry, MapEntry):
-                continue
-            if inner_entry.schedule is not node.schedule:
-                continue
-            if {e.src for e in st.in_edges(inner_entry)} != {node}:
-                continue
-            inner_exit = st.exit_of(inner_entry)
-            outer_exit = st.exit_of(node)
-            if {e.dst for e in st.out_edges(inner_exit)} != {outer_exit}:
-                continue
-            _collapse_pair(st, node, inner_entry, inner_exit, outer_exit)
-            return True
+    for st, node in nodes_of(g, MapEntry):
+        inner = {e.dst for e in st.out_edges(node)}
+        if len(inner) != 1:
+            continue
+        inner_entry = inner.pop()
+        if not isinstance(inner_entry, MapEntry):
+            continue
+        if inner_entry.schedule is not node.schedule:
+            continue
+        if {e.src for e in st.in_edges(inner_entry)} != {node}:
+            continue
+        inner_exit = st.exit_of(inner_entry)
+        outer_exit = st.exit_of(node)
+        if {e.dst for e in st.out_edges(inner_exit)} != {outer_exit}:
+            continue
+        _collapse_pair(st, node, inner_entry, inner_exit, outer_exit)
+        return True
     return False
 
 
@@ -429,21 +415,9 @@ def tile_wcr(g: Sdfg, tile: int = 16) -> PassReport:
     if tile < 1:
         raise ValueError(f"tile size must be positive, got {tile}")
     report = PassReport()
-    changed = True
-    while changed:
-        changed = False
-        for st in g.states:
-            for node in st.sorted_nodes():
-                if not isinstance(node, MapEntry) or node.schedule is not Schedule.PARALLEL:
-                    continue
-                if node.tiled:
-                    continue
-                if _tile_one(g, st, node, tile):
-                    report.count("tile_wcr")
-                    changed = True
-                    break
-            if changed:
-                break
+    while any(_tile_one(g, st, node, tile) for st, node in nodes_of(g, MapEntry)
+              if node.schedule is Schedule.PARALLEL and not node.tiled):
+        report.count("tile_wcr")
     return report
 
 
@@ -640,20 +614,6 @@ def _is_mm(g, st, node):
     return len(a_lens) == 2 and len(b_lens) == 2
 
 
-def _elem_edge(node_subset: SubsetRange, kept, params_for_kept: list[str]) -> SubsetRange:
-    dims = []
-    it = iter(params_for_kept)
-    kept = kept if kept is not None else [True] * node_subset.rank
-    for (b, e, s), k in zip(node_subset.dims, kept):
-        if k:
-            q = Sym(next(it))
-            ix = symbolic.simplify(b + q * s)
-            dims.append((ix, ix, Const(1)))
-        else:
-            dims.append((b, e, s))
-    return SubsetRange.make(dims)
-
-
 def _expand_matmul_native(g: Sdfg, st: State, node: LibraryNode,
                           blocked: bool = False, tile: int = 4) -> None:
     enclosing = st.scope_parents().get(node.nid)
@@ -697,7 +657,7 @@ def _expand_matmul_native(g: Sdfg, st: State, node: LibraryNode,
     ix = st.add(MapExit(ie))
     t0 = st.add(Tasklet(f"{base}_zero", (), ("out",), (("out", TNum(0.0)),)))
     st.add_edge(ie, t0)
-    elem_out = _elem_edge(oe.memlet.subset, o_kept, [names[p] for p in out_params])
+    elem_out = element_subset(oe.memlet.subset, o_kept, [names[p] for p in out_params])
     st.add_edge(t0, ix, Memlet(out_cont, elem_out), src_conn="out", dst_conn="IN_o")
     mid = st.add(AccessNode(out_cont))
     st.add_edge(ix, mid, Memlet(out_cont, oe.memlet.subset), src_conn="OUT_o")
@@ -730,8 +690,8 @@ def _expand_matmul_native(g: Sdfg, st: State, node: LibraryNode,
     entry_in = me2 if me2 is not None else me
     exit_out = mx2 if mx2 is not None else mx
 
-    elem_a = _elem_edge(ae.memlet.subset, a_kept, [names[p] for p in a_params])
-    elem_b = _elem_edge(be.memlet.subset, b_kept, [names[p] for p in b_params])
+    elem_a = element_subset(ae.memlet.subset, a_kept, [names[p] for p in a_params])
+    elem_b = element_subset(be.memlet.subset, b_kept, [names[p] for p in b_params])
     st.add_edge(ae.src, me, Memlet(ae.memlet.container, ae.memlet.subset),
                 ae.src_conn, "IN_a")
     st.add_edge(be.src, me, Memlet(be.memlet.container, be.memlet.subset),
@@ -748,7 +708,7 @@ def _expand_matmul_native(g: Sdfg, st: State, node: LibraryNode,
         st.add_edge(me, t, Memlet(ae.memlet.container, elem_a), "OUT_a", "a")
         st.add_edge(me, t, Memlet(be.memlet.container, elem_b), "OUT_b", "b")
 
-    elem_o = _elem_edge(oe.memlet.subset, o_kept, [names[p] for p in out_params])
+    elem_o = element_subset(oe.memlet.subset, o_kept, [names[p] for p in out_params])
     st.add_edge(t, exit_out, Memlet(out_cont, elem_o, Wcr.ADD),
                 src_conn="out", dst_conn="IN_c")
     if mx2 is not None:
@@ -792,7 +752,7 @@ def _expand_reduce_native(g: Sdfg, st: State, node: LibraryNode,
             Schedule.PARALLEL))
         ix = st.add(MapExit(ie))
         st.add_edge(ie, init)
-        elem_o = _elem_edge(oe.memlet.subset, node.attributes.get("out_kept"),
+        elem_o = element_subset(oe.memlet.subset, node.attributes.get("out_kept"),
                             [pnames[i] for i in out_axes])
         st.add_edge(init, ix, Memlet(out_cont, elem_o), src_conn="out", dst_conn="IN_o")
         st.add_edge(ix, mid, Memlet(out_cont, oe.memlet.subset), src_conn="OUT_o")
@@ -808,9 +768,9 @@ def _expand_reduce_native(g: Sdfg, st: State, node: LibraryNode,
     st.add_edge(ae.src, me, Memlet(ae.memlet.container, ae.memlet.subset),
                 ae.src_conn, "IN_a")
     st.add_edge(mid, me, Memlet(out_cont, oe.memlet.subset), None, "IN_dep")
-    elem_a = _elem_edge(ae.memlet.subset, a_kept, pnames)
+    elem_a = element_subset(ae.memlet.subset, a_kept, pnames)
     st.add_edge(me, t, Memlet(ae.memlet.container, elem_a), "OUT_a", "a")
-    elem_o = _elem_edge(oe.memlet.subset, node.attributes.get("out_kept"),
+    elem_o = element_subset(oe.memlet.subset, node.attributes.get("out_kept"),
                         [pnames[i] for i in out_axes])
     st.add_edge(t, mx, Memlet(out_cont, elem_o, wcr), src_conn="out", dst_conn="IN_c")
     st.add_edge(mx, oe.dst, Memlet(out_cont, oe.memlet.subset, wcr), "OUT_c", oe.dst_conn)
@@ -850,9 +810,9 @@ def _expand_transpose_native(g: Sdfg, st: State, node: LibraryNode) -> None:
     t = st.add(Tasklet(f"{base}_copy", ("a",), ("out",), (("out", TRef("a")),)))
     st.add_edge(ae.src, me, Memlet(ae.memlet.container, ae.memlet.subset),
                 ae.src_conn, "IN_a")
-    elem_a = _elem_edge(ae.memlet.subset, None, params)
+    elem_a = element_subset(ae.memlet.subset, None, params)
     st.add_edge(me, t, Memlet(ae.memlet.container, elem_a), "OUT_a", "a")
-    elem_o = _elem_edge(oe.memlet.subset, None, [params[1], params[0]])
+    elem_o = element_subset(oe.memlet.subset, None, [params[1], params[0]])
     st.add_edge(t, mx, Memlet(oe.memlet.container, elem_o), src_conn="out", dst_conn="IN_c")
     st.add_edge(mx, oe.dst, Memlet(oe.memlet.container, oe.memlet.subset),
                 "OUT_c", oe.dst_conn)
@@ -902,26 +862,18 @@ def expand_library(g: Sdfg, device: Device = Device.CPU,
     if device is Device.DIST:
         raise ValueError("distributed expansion is driven by the distribution pipeline")
     reg = cpu_registry()
-    changed = True
-    while changed:
-        changed = False
-        for st in g.states:
-            for node in st.sorted_nodes():
-                if not isinstance(node, LibraryNode) or node.kind not in CPU_EXPANDABLE:
-                    continue
-                exp = reg.pick(g, st, node, pinned)
-                if exp is None:
-                    kind = node.kind.value
-                    why = (f": the pinned '{pinned[kind]}' does not apply to node "
-                           f"'{node.name}' in state '{st.label}'" if pinned and kind in pinned
-                           else "")
-                    raise ExpansionError(f"no applicable expansion for {kind}{why}")
-                exp.apply(g, st, node)
-                report.count(f"expand_{node.kind.value}_{exp.name}")
-                changed = True
-                break
-            if changed:
-                break
+    while (match := next(((st, node) for st, node in nodes_of(g, LibraryNode)
+                          if node.kind in CPU_EXPANDABLE), None)) is not None:
+        st, node = match
+        exp = reg.pick(g, st, node, pinned)
+        if exp is None:
+            kind = node.kind.value
+            why = (f": the pinned '{pinned[kind]}' does not apply to node "
+                   f"'{node.name}' in state '{st.label}'" if pinned and kind in pinned
+                   else "")
+            raise ExpansionError(f"no applicable expansion for {kind}{why}")
+        exp.apply(g, st, node)
+        report.count(f"expand_{node.kind.value}_{exp.name}")
     return report
 
 
@@ -929,27 +881,33 @@ def expand_library(g: Sdfg, device: Device = Device.CPU,
 # The pipeline
 
 
+def pipeline_stages(g: Sdfg, device: Device, tile: int, stack_limit_bytes: int,
+                    pinned: dict[str, str] | None) -> dict[str, Callable[[], PassReport]]:
+    """The stages of :func:`auto_optimize` on ``g`` by name, in pipeline
+    order.  Each stage looks its pass up by name when it runs, so a pass
+    rebound on this module (a tracing wrapper, say) sees the call."""
+    return {
+        "coarsen": lambda: coarsen(g),
+        "cleanup_maps": lambda: cleanup_maps(g),
+        "subgraph_fusion": lambda: subgraph_fusion(g),
+        "tile_wcr": lambda: tile_wcr(g, tile),
+        "transient_mitigation": lambda: transient_mitigation(g, stack_limit_bytes),
+        "expand_library": lambda: expand_library(g, device, pinned=pinned),
+    }
+
+
 def auto_optimize(g: Sdfg, device: Device = Device.CPU, tile: int = 16,
                   stack_limit_bytes: int = 4096,
                   pinned: dict[str, str] | None = None) -> PassReport:
-    """coarsen -> cleanup_maps -> subgraph_fusion -> tile_wcr ->
-    transient_mitigation -> expand_library, in exactly this order."""
+    """Run every stage of :func:`pipeline_stages`, in order, and check that
+    the result still validates."""
     report = PassReport()
-    report.before_states = len(g.states)
-    report.before_nodes = sum(len(s.nodes) for s in g.states)
-    for stage in (
-        lambda: coarsen(g),
-        lambda: cleanup_maps(g),
-        lambda: subgraph_fusion(g),
-        lambda: tile_wcr(g, tile),
-        lambda: transient_mitigation(g, stack_limit_bytes),
-        lambda: expand_library(g, device, pinned=pinned),
-    ):
+    _snapshot(g, report, before=True)
+    for stage in pipeline_stages(g, device, tile, stack_limit_bytes, pinned).values():
         report.merge(stage())
     errors = [d for d in g.validate() if d.severity == "error"]
     if errors:
         raise ValueError("optimized graph no longer validates: "
                          + "; ".join(d.message for d in errors))
-    report.after_states = len(g.states)
-    report.after_nodes = sum(len(s.nodes) for s in g.states)
+    _snapshot(g, report, before=False)
     return report

@@ -9,12 +9,12 @@ checked against golden files, not compiled by the test suite.
 
 from __future__ import annotations
 
-from . import symbolic, texpr
+from . import symbolic
 from .ir import (
     AccessNode, DataKind, DType, LibraryNode, Lifetime, MapEntry, MapExit,
     NestedSdfg, Schedule, Sdfg, State, Storage, Tasklet, Wcr,
 )
-from .symbolic import Const, SubsetRange, SymExpr
+from .symbolic import SubsetRange, SymExpr
 from .texpr import TBin, TCall, TExpr, TNum, TRef, TSelect, TUn
 
 
@@ -242,36 +242,21 @@ class _Emitter:
         raise EmitError(type(node).__name__)
 
     def emit_copy(self, st: State, e) -> None:
+        """One loop nest over the memlet's subset: the subset indexes the
+        container the memlet names, the loop counters index the other side."""
         m = e.memlet
         src, dst = e.src.container, e.dst.container
-        loops = []
-        idx = []
         self.w(f"/* copy {m} -> {dst} */")
-        close = 0
-        src_ix, dst_ix = [], []
-        if m.container == src:
-            dims = m.subset.dims
-            for d, (b, en, sp) in enumerate(dims):
-                v = self.fresh("c")
-                self.w(f"for (int64_t {v} = 0; {v} <= {_cexpr(symbolic.simplify((en - b) // sp))}; {v}++) {{")
-                self.indent += 1
-                close += 1
-                src_ix.append(f"{_cexpr(b)} + {v} * {_cexpr(sp)}")
-                dst_ix.append(v)
-            self.w(f"{self.addr(dst, [str(i) for i in dst_ix])} = "
-                   f"{self.addr(src, src_ix)};")
-        else:
-            dims = m.subset.dims
-            for d, (b, en, sp) in enumerate(dims):
-                v = self.fresh("c")
-                self.w(f"for (int64_t {v} = 0; {v} <= {_cexpr(symbolic.simplify((en - b) // sp))}; {v}++) {{")
-                self.indent += 1
-                close += 1
-                dst_ix.append(f"{_cexpr(b)} + {v} * {_cexpr(sp)}")
-                src_ix.append(v)
-            self.w(f"{self.addr(dst, dst_ix)} = "
-                   f"{self.addr(src, [str(i) for i in src_ix])};")
-        for _ in range(close):
+        strided, counters = [], []
+        for b, en, sp in m.subset.dims:
+            v = self.fresh("c")
+            self.w(f"for (int64_t {v} = 0; {v} <= {_cexpr(symbolic.simplify((en - b) // sp))}; {v}++) {{")
+            self.indent += 1
+            strided.append(f"{_cexpr(b)} + {v} * {_cexpr(sp)}")
+            counters.append(v)
+        src_ix, dst_ix = (strided, counters) if m.container == src else (counters, strided)
+        self.w(f"{self.addr(dst, dst_ix)} = {self.addr(src, src_ix)};")
+        for _ in m.subset.dims:
             self.indent -= 1
             self.w("}")
 
@@ -336,8 +321,7 @@ class _Emitter:
             seen.add(d.name)
             outer = edge.memlet.container
             if self.g.containers[outer].kind is DataKind.SCALAR:
-                ref = outer if self.g.containers[outer].transient else outer
-                args.append(f"&{ref}" if self.g.containers[outer].transient else outer)
+                args.append(f"&{outer}" if self.g.containers[outer].transient else outer)
             else:
                 args.append(outer)
         self.w(f"nested_{inner.name}({', '.join(args)});")

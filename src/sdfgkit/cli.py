@@ -13,16 +13,13 @@ import os
 import pathlib
 import sys
 
-import numpy as np
-
 from . import frontend
-from .autoopt import Device, ExpansionError, auto_optimize, cleanup_maps, cpu_registry, \
-    expand_library, subgraph_fusion, tile_wcr, transient_mitigation
+from .autoopt import Device, ExpansionError, auto_optimize, cpu_registry, pipeline_stages
 from .cemit import EmitError, emit_c
 from .dot import to_dot
 from .interp import ExecContext, InterpreterError, TensorValue, interpret
 from .ir import COMM_KINDS, LibraryNode, Sdfg
-from .passes import coarsen
+from .passes import PassReport, _snapshot, find_loops, loop_to_map
 from .serialize import SchemaError, deserialize, serialize
 
 
@@ -137,36 +134,29 @@ def cmd_optimize(args) -> int:
         device = Device.parse(args.device)
     except ValueError as ex:
         raise UsageError(str(ex)) from None
-    from .passes import PassReport
-
-    report = PassReport()
     if args.passes:
-        from .passes import find_loops, loop_to_map
+
+        def loops_to_maps():
+            rep = PassReport()
+            while any(loop_to_map(g, loop, rep) for loop in find_loops(g)):
+                rep.count("loop_to_map")
+            return rep
 
         stages = {
-            "coarsen": lambda: coarsen(g),
-            "cleanup_maps": lambda: cleanup_maps(g),
-            "subgraph_fusion": lambda: subgraph_fusion(g),
-            "tile_wcr": lambda: tile_wcr(g, tile),
-            "transient_mitigation": lambda: transient_mitigation(g, stack),
-            "expand_library": lambda: expand_library(g, Device.CPU, pinned=pinned),
+            **pipeline_stages(g, Device.CPU, tile, stack, pinned),
+            "loop_to_map": loops_to_maps,
             "distribute": lambda: _dist().distribute(g, _grid_of(args)),
             "remove_redundant_comm": lambda: _dist().remove_redundant_comm(g),
         }
-
-        def run_loop_to_map():
-            rep = PassReport()
-            for loop in find_loops(g):
-                loop_to_map(g, loop, rep)
-            return rep
-
-        stages["loop_to_map"] = run_loop_to_map
+        report = PassReport()
+        _snapshot(g, report, before=True)
         for name in args.passes.split(","):
             name = name.strip()
             if name not in stages:
                 print(f"unknown pass '{name}'", file=sys.stderr)
                 return 1
             report.merge(stages[name]())
+        _snapshot(g, report, before=False)
     elif device is Device.DIST:
         report = _dist().distribution_pipeline(g, _grid_of(args))
     else:

@@ -43,7 +43,7 @@ from ..ir import (
     AccessNode, DataKind, Edge, LibKind, LibraryNode, MapEntry, Memlet, Sdfg,
     State, Storage, Tasklet, Wcr,
 )
-from ..passes import PassReport, coarsen
+from ..passes import PassReport, _snapshot, coarsen, nodes_of
 from ..symbolic import Const, SubsetRange, Sym
 from .layout import Distribution, ProcessGrid
 
@@ -66,8 +66,7 @@ def distribution_pipeline(g: Sdfg, grid: ProcessGrid) -> PassReport:
     report = coarsen(g)
     report.merge(distribute(g, grid))
     report.merge(remove_redundant_comm(g))
-    report.after_states = len(g.states)
-    report.after_nodes = sum(len(s.nodes) for s in g.states)
+    _snapshot(g, report, before=False)
     return report
 
 
@@ -333,18 +332,16 @@ def remove_redundant_comm(g: Sdfg) -> PassReport:
         for e in st.edges:
             if e.memlet is not None:
                 uses[e.memlet.container] = uses.get(e.memlet.container, 0) + 1
-    for st in g.states:
-        for node in st.sorted_nodes():
-            pair = _redundant_pair(g, st, node, uses)
-            if pair is not None:
-                _bypass(g, st, node, *pair)
-                report.count("remove_redundant_comm")
+    for st, node in nodes_of(g, LibraryNode):
+        pair = _redundant_pair(g, st, node, uses)
+        if pair is not None:
+            _bypass(g, st, node, *pair)
+            report.count("remove_redundant_comm")
     return report
 
 
-def _redundant_pair(g: Sdfg, st: State, gather, uses):
-    if (not isinstance(gather, LibraryNode) or gather.kind not in _GATHER_TO_SCATTER
-            or gather.attributes.get("reduce")):
+def _redundant_pair(g: Sdfg, st: State, gather: LibraryNode, uses):
+    if gather.kind not in _GATHER_TO_SCATTER or gather.attributes.get("reduce"):
         return None
     (out,) = st.out_edges(gather)
     t = out.memlet.container

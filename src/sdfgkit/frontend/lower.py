@@ -16,7 +16,7 @@ from ..ir import (
     AccessNode, DType, LibKind, LibraryNode, MapEntry, MapExit, Memlet,
     NestedSdfg, Schedule, Sdfg, State, Tasklet, Wcr,
 )
-from ..symbolic import Const, SubsetRange, Sym, SymExpr, propagate_subset
+from ..symbolic import Const, SubsetRange, Sym, SymExpr, element_subset, propagate_subset
 from ..texpr import TBin, TCall, TExpr, TNum, TRef, TUn
 from .dsl_ast import (
     EBin, ECall, EName, ENum, ESlice, ESub, EUn, Expr, FuncDef, Program,
@@ -245,7 +245,7 @@ class _FuncLowerer:
         code = router.to_texpr(value)
         t = st.add(Tasklet("compute", tuple(router.conn_order), ("out",), (("out", code),)))
         router.connect_inputs(t)
-        elem = _elem_subset(target_sub, target_kept, params)
+        elem = element_subset(target_sub, target_kept, params)
         st.add_edge(t, exit_node, Memlet(tname, elem), src_conn="out", dst_conn="IN_w0")
         out_access = st.add(AccessNode(tname))
         st.add_edge(exit_node, out_access, Memlet(tname, target_sub), src_conn="OUT_w0")
@@ -512,20 +512,6 @@ def _written_params(f: FuncDef) -> set[str]:
     return {n for n in out if n in {p.name for p in f.params}}
 
 
-def _elem_subset(sub: SubsetRange, kept: list[bool], params: list[str]) -> SubsetRange:
-    """Per-iteration element subset: kept dims indexed by map parameters."""
-    dims = []
-    it = iter(params)
-    for (b, e, s), k in zip(sub.dims, kept):
-        if k:
-            p = Sym(next(it))
-            ix = symbolic.simplify(b + p * s)
-            dims.append((ix, ix, Const(1)))
-        else:
-            dims.append((b, e, s))
-    return SubsetRange.make(dims)
-
-
 class _Router:
     """Connector allocation and input routing for a tasklet being built.
 
@@ -607,7 +593,7 @@ class _Router:
                 f"statement iterates {len(kept_params)}",
                 self.fl.fi.func.span,
             )
-        elem = _elem_subset(sub, kept, kept_params)
+        elem = element_subset(sub, kept, kept_params)
         return elem, sub
 
     def propagate(self, elem: SubsetRange) -> SubsetRange:

@@ -2,7 +2,10 @@
 
 Each transformation matches a local graph pattern and rewrites in place; a
 rewrite only happens when its legality conditions hold, with UNKNOWN symbolic
-verdicts treated as unsafe.  The coarsening driver applies state fusion,
+verdicts treated as unsafe.  Every rewrite searches for its first match in
+one order (:func:`nodes_of`: state order, then node id), and every pass
+that repeats rewrites applies the first one that fires, counts it and
+searches again (:func:`to_fixed_point`).  Coarsening applies state fusion,
 redundant copy removal, and nested-graph inlining to a fixed point, which
 terminates because every application strictly shrinks the graph (nodes +
 states + copy edges).  Loop-to-map is consumed separately (by the map-cleanup
@@ -13,11 +16,12 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 from . import symbolic, texpr
 from .ir import (
-    AccessNode, MapEntry, MapExit, Memlet, NestedSdfg, Schedule, Sdfg, State,
-    Tasklet, Ternary, Wcr, race_free,
+    AccessNode, MapEntry, MapExit, Memlet, NestedSdfg, Node, Schedule, Sdfg,
+    State, Tasklet, Ternary, Wcr, race_free,
 )
 from .symbolic import Const, SubsetRange, Sym, SymExpr, propagate_subset
 from .texpr import TBin, TExpr, TRef
@@ -79,6 +83,23 @@ def _snapshot(g: Sdfg, report: PassReport, before: bool) -> None:
     else:
         report.after_states = len(g.states)
         report.after_nodes = sum(len(s.nodes) for s in g.states)
+
+
+def nodes_of(g: Sdfg, kind: type) -> Iterator[tuple[State, Node]]:
+    """Every node of type ``kind`` as ``(state, node)``, in the order each
+    rewrite searches for its first match: state order, then node id.  Each
+    state's nodes are listed when the search reaches it."""
+    for st in g.states:
+        for node in st.sorted_nodes():
+            if isinstance(node, kind):
+                yield st, node
+
+
+def to_fixed_point(rewrites: dict[str, Callable[[], bool]]) -> Iterator[str]:
+    """Apply the first of ``rewrites`` (name -> rewrite, in priority order)
+    that fires and yield its name; search again until none fires."""
+    while (name := next((n for n, fire in rewrites.items() if fire()), None)) is not None:
+        yield name
 
 
 # ---------------------------------------------------------------------------
@@ -199,61 +220,58 @@ def compose_subsets(outer: SubsetRange, inner: SubsetRange) -> SubsetRange:
 def redundant_copy_removal(g: Sdfg) -> bool:
     """Remove a transient that only materializes a copy of another container,
     composing the read subsets onto the source."""
-    for st in g.states:
-        for node in st.sorted_nodes():
-            if not isinstance(node, AccessNode):
-                continue
-            name = node.container
-            desc = g.containers.get(name)
-            if desc is None or not desc.transient:
-                continue
-            ins = st.in_edges(node)
-            if len(ins) != 1:
-                continue
-            ce = ins[0]
-            if not isinstance(ce.src, AccessNode) or ce.memlet is None:
-                continue
-            if ce.memlet.wcr is not None or ce.memlet.container != ce.src.container:
-                continue
-            src_name = ce.src.container
-            # the copy must cover the whole transient
-            copy_lens = tuple(map(str, ce.memlet.subset.lengths()))
-            t_shape = tuple(map(str, (symbolic.simplify(d) for d in desc.shape)))
-            if copy_lens != t_shape:
-                continue
-            # T must live entirely here: this single write, reads on this node only
-            occs = [
-                (s2, n2)
-                for s2 in g.states
-                for n2 in s2.nodes.values()
-                if isinstance(n2, AccessNode) and n2.container == name
-            ]
-            if len(occs) != 1:
-                continue
-            # rewired readers attach to the copy's own source occurrence, so
-            # only *other* written occurrences of the source can break ordering
-            if any(
-                st.in_edges(n2)
-                for n2 in st.nodes.values()
-                if isinstance(n2, AccessNode) and n2.container == src_name
-                and n2 is not ce.src
-            ):
-                continue
-            # rewire readers onto the copy source
-            for e in list(st.out_edges(node)):
-                if e.memlet is None or e.memlet.container != name:
-                    return False  # unexpected shape; bail conservatively
-                new_sub = compose_subsets(ce.memlet.subset, e.memlet.subset)
-                st.add_edge(
-                    ce.src, e.dst,
-                    Memlet(src_name, new_sub, e.memlet.wcr),
-                    ce.src_conn, e.dst_conn,
-                )
-                st.remove_edge(e)
-            st.remove_edge(ce)
-            st.remove_node(node)
-            del g.containers[name]
-            return True
+    for st, node in nodes_of(g, AccessNode):
+        name = node.container
+        desc = g.containers.get(name)
+        if desc is None or not desc.transient:
+            continue
+        ins = st.in_edges(node)
+        if len(ins) != 1:
+            continue
+        ce = ins[0]
+        if not isinstance(ce.src, AccessNode) or ce.memlet is None:
+            continue
+        if ce.memlet.wcr is not None or ce.memlet.container != ce.src.container:
+            continue
+        src_name = ce.src.container
+        # the copy must cover the whole transient
+        copy_lens = tuple(map(str, ce.memlet.subset.lengths()))
+        t_shape = tuple(map(str, (symbolic.simplify(d) for d in desc.shape)))
+        if copy_lens != t_shape:
+            continue
+        # T must live entirely here: this single write, reads on this node only
+        occs = [
+            (s2, n2)
+            for s2 in g.states
+            for n2 in s2.nodes.values()
+            if isinstance(n2, AccessNode) and n2.container == name
+        ]
+        if len(occs) != 1:
+            continue
+        # rewired readers attach to the copy's own source occurrence, so
+        # only *other* written occurrences of the source can break ordering
+        if any(
+            st.in_edges(n2)
+            for n2 in st.nodes.values()
+            if isinstance(n2, AccessNode) and n2.container == src_name
+            and n2 is not ce.src
+        ):
+            continue
+        # rewire readers onto the copy source
+        for e in list(st.out_edges(node)):
+            if e.memlet is None or e.memlet.container != name:
+                return False  # unexpected shape; bail conservatively
+            new_sub = compose_subsets(ce.memlet.subset, e.memlet.subset)
+            st.add_edge(
+                ce.src, e.dst,
+                Memlet(src_name, new_sub, e.memlet.wcr),
+                ce.src_conn, e.dst_conn,
+            )
+            st.remove_edge(e)
+        st.remove_edge(ce)
+        st.remove_node(node)
+        del g.containers[name]
+        return True
     return False
 
 
@@ -263,16 +281,11 @@ def redundant_copy_removal(g: Sdfg) -> bool:
 
 def inline_nested(g: Sdfg) -> bool:
     """Splice a single-state nested graph into its parent state."""
-    for st in g.states:
-        for node in st.sorted_nodes():
-            if not isinstance(node, NestedSdfg):
-                continue
-            inner = node.sdfg
-            if len(inner.states) != 1 or inner.transitions:
-                continue
-            _inline_one(g, st, node)
-            return True
-    return False
+    match = next(((st, node) for st, node in nodes_of(g, NestedSdfg)
+                  if len(node.sdfg.states) == 1 and not node.sdfg.transitions), None)
+    if match is not None:
+        _inline_one(g, *match)
+    return match is not None
 
 
 def _inline_one(g: Sdfg, st: State, node: NestedSdfg) -> None:
@@ -461,13 +474,13 @@ def loop_to_map(g: Sdfg, loop: LoopInfo, report: PassReport | None = None) -> bo
     from the other iteration's reads and writes; containers violating this are
     admitted only as same-operator reductions (turned into wcr) or as
     write-before-read transients private to the body (privatized per
-    iteration).  UNKNOWN verdicts refuse the conversion.
+    iteration).  UNKNOWN verdicts refuse the conversion.  ``report`` records
+    the decision and the state fusions that fold the converted loop into its
+    neighbours; the caller counts the conversion itself.
     """
     applied = _loop_to_map(g, loop)
     if report is not None:
         report.loop_decisions.append((loop.guard, applied))
-        if applied:
-            report.count("loop_to_map")
     if applied:
         # fold away the trivial states the loop construction left behind
         label = loop.body
@@ -734,31 +747,22 @@ def coarsen(g: Sdfg) -> PassReport:
     nested-graph inlining, in deterministic order."""
     report = PassReport()
     _snapshot(g, report, before=True)
-    budget = graph_measure(g)
-    while True:
-        measure = graph_measure(g)
-        changed = False
-        for t in sorted(
-            list(g.transitions),
-            key=lambda t: ([s.label for s in g.states].index(t.src),
-                           [s.label for s in g.states].index(t.dst)),
-        ):
-            if t not in g.transitions:
-                continue
-            if state_fusion(g, t.src, t.dst):
-                report.count("state_fusion")
-                changed = True
-                break
-        if not changed and redundant_copy_removal(g):
-            report.count("redundant_copy_removal")
-            changed = True
-        if not changed and inline_nested(g):
-            report.count("inline_nested")
-            changed = True
-        if not changed:
-            break
+    budget = measure = graph_measure(g)
+
+    def fuse_first_transition() -> bool:
+        order = [s.label for s in g.states]
+        return any(state_fusion(g, t.src, t.dst) for t in sorted(
+            g.transitions, key=lambda t: (order.index(t.src), order.index(t.dst))))
+
+    for name in to_fixed_point({
+        "state_fusion": fuse_first_transition,
+        "redundant_copy_removal": lambda: redundant_copy_removal(g),
+        "inline_nested": lambda: inline_nested(g),
+    }):
+        report.count(name)
         new_measure = graph_measure(g)
         assert new_measure < measure, "coarsening step failed to shrink the graph"
         assert report.total <= budget, "coarsening exceeded its termination budget"
+        measure = new_measure
     _snapshot(g, report, before=False)
     return report

@@ -155,10 +155,6 @@ def as_expr(value: SymExpr | int | str) -> SymExpr:
     raise TypeError(f"cannot interpret {value!r} as a symbolic expression")
 
 
-def sym(name: str) -> Sym:
-    return Sym(name)
-
-
 def _collect_symbols(e: SymExpr, out: set[str]) -> None:
     if isinstance(e, Sym):
         out.add(e.name)
@@ -218,9 +214,6 @@ class Assumptions:
         merged = dict(self.bounds)
         merged[name] = lower
         return Assumptions(merged)
-
-    def copy(self) -> "Assumptions":
-        return Assumptions(self.bounds)
 
     def __eq__(self, other):
         return isinstance(other, Assumptions) and self.bounds == other.bounds
@@ -447,10 +440,6 @@ def compare(lhs: SymExpr | int, rhs: SymExpr | int, a: Assumptions) -> Ternary:
     return Ternary.UNKNOWN
 
 
-def le(lhs, rhs, a: Assumptions) -> Ternary:
-    return compare(lhs, rhs, a)
-
-
 def lt(lhs, rhs, a: Assumptions) -> Ternary:
     return compare(Add(as_expr(lhs), Const(1)), rhs, a)
 
@@ -460,10 +449,6 @@ def eq(lhs, rhs, a: Assumptions) -> Ternary:
     if simplify(l) == simplify(r):
         return Ternary.TRUE
     return t_and(compare(l, r, a), compare(r, l, a))
-
-
-def provably(t: Ternary) -> bool:
-    return t is Ternary.TRUE
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +686,21 @@ def linear_coeff(e: SymExpr, p: str) -> int | None:
             return None
         coeff = c
     return coeff
+
+
+def element_subset(sub: SubsetRange, kept, params) -> SubsetRange:
+    """The element one map iteration touches in ``sub``: each kept dimension
+    (every dimension when ``kept`` is None) becomes the point ``b + p*s`` for
+    the next of the parameter names ``params``; the others stay whole."""
+    it = iter(params)
+    dims = []
+    for k, (b, e, s) in zip([True] * sub.rank if kept is None else kept, sub.dims):
+        if k:
+            ix = simplify(b + Sym(next(it)) * s)
+            dims.append((ix, ix, Const(1)))
+        else:
+            dims.append((b, e, s))
+    return SubsetRange.make(dims)
 
 
 def propagate_subset(sub: SubsetRange, params) -> SubsetRange:

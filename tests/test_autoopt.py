@@ -42,6 +42,30 @@ class TestCleanupMaps:
             {"A": np.zeros(4), "B": np.arange(4.0)})
         assert np.array_equal(interpret(g, ctx)["A"], np.arange(4.0) + 1)
 
+    # a one-point map dissolves into its body; a one-point dimension of a
+    # two-dimensional map is dropped and the other dimension stays
+    @pytest.mark.parametrize("src, maps_left", [
+        ("def f(A: f64[N], B: f64[N]):\n    for i in map[0:1]:\n        A[i] = B[i] + 1.0\n", 0),
+        ("def f(A: f64[N], B: f64[N]):\n    for i in range(0, 1):\n        A[i] = B[i] + 1.0\n",
+         0),
+        ("def f(A: f64[N, M], B: f64[N, M]):\n"
+         "    for i, j in map[0:1, 0:M]:\n        A[i, j] = B[i, j] + 1.0\n", 1),
+    ], ids=["map", "range", "map_2d"])
+    def test_degenerate_map_matches_oracle(self, src, maps_left):
+        g, diags = frontend.compile_source(src)
+        assert not diags
+        rep = auto_optimize(g)
+        assert rep.applications.get("degenerate_map") == 1
+        assert all(m.params for m in map_entries(g))
+        assert len(map_entries(g)) == maps_left
+        prog = frontend.parse(src)
+        syms = {"N": 4, "M": 3}
+        inputs = make_inputs(prog, syms, seed=5)
+        out, _ = run_graph(g, syms, inputs)
+        ref = oracle.evaluate_program(prog, syms, {k: v.copy() for k, v in inputs.items()})
+        for k in ref:
+            assert np.array_equal(out[k], ref[k]), k
+
     def test_doitgen_loops_become_3d_map(self):
         g = compile_kernel("doitgen")
         passes.coarsen(g)

@@ -1,7 +1,13 @@
+import re
+
+import numpy as np
 import pytest
 
 from sdfgkit import autoopt, frontend
 from sdfgkit.cemit import EmitError, emit_c
+from sdfgkit.interp import ExecContext, interpret
+from sdfgkit.ir import AccessNode, DType, Memlet, Sdfg
+from sdfgkit.symbolic import Const, SubsetRange
 
 from conftest import GOLDEN, compile_kernel
 
@@ -41,3 +47,38 @@ class TestErrors:
         g = compile_kernel("gemm")  # matmul still a library node
         with pytest.raises(EmitError, match="unexpanded"):
             emit_c(g)
+
+
+class TestCopy:
+    """Access-to-access copies, which graphs built with ``ir`` or loaded from
+    JSON can hold: the memlet's subset indexes the container it names, loop
+    counters index the other side."""
+
+    @pytest.mark.parametrize("on_source", [True, False], ids=["source", "destination"])
+    def test_copy_indices(self, on_source):
+        big, small = (Const(4), Const(6)), (Const(2), Const(3))
+        g = Sdfg("copy")
+        g.add_array("A", DType.F64, big if on_source else small)
+        g.add_array("B", DType.F64, small if on_source else big)
+        st = g.add_state("s0", start=True)
+        a, b = st.add(AccessNode("A")), st.add(AccessNode("B"))
+        st.add_edge(a, b, Memlet("A" if on_source else "B",
+                                 SubsetRange.make([(1, 2, 1), (0, 4, 2)])))
+        text = emit_c(g)
+        strided, counters = "(1 + _c1 * 1) * 6 + (0 + _c2 * 2)", "(_c1) * 3 + (_c2)"
+        dst, src = (counters, strided) if on_source else (strided, counters)
+        assert "for (int64_t _c1 = 0; _c1 <= 1; _c1++) {" in text
+        assert "for (int64_t _c2 = 0; _c2 <= 2; _c2++) {" in text
+        assert f"B[{dst}] = A[{src}];" in text
+
+        # the emitted loop nest, run on flat arrays, copies what the interpreter copies
+        a_in = np.arange(1.0, 25.0 if on_source else 7.0)
+        b_out = np.zeros(6 if on_source else 24)
+        (dst_ix, src_ix), = re.findall(r"B\[(.*)\] = A\[(.*)\];", text)
+        for c1 in range(2):
+            for c2 in range(3):
+                env = {"_c1": c1, "_c2": c2}
+                b_out[eval(dst_ix, env)] = a_in[eval(src_ix, env)]
+        shape_a, shape_b = ((4, 6), (2, 3)) if on_source else ((2, 3), (4, 6))
+        ctx = ExecContext().bind_inputs({"A": a_in.reshape(shape_a), "B": np.zeros(shape_b)})
+        assert np.array_equal(interpret(g, ctx)["B"].ravel(), b_out)

@@ -192,3 +192,35 @@ def test_malformed_graph_run_exit_code(case, tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("runtime error:") and container in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+TWO_LOOPS = ("def f(A: f64[N], B: f64[N]):\n"
+             "    for i in range(N):\n"
+             "        A[i] = A[i] * 2.0\n"
+             "    for j in range(N):\n"
+             "        B[j] = B[j] + 1.0\n")
+
+
+@pytest.mark.parametrize("passes", ["loop_to_map", "coarsen,loop_to_map"])
+def test_optimize_loop_to_map_converts_sequential_loops(passes, tmp_path, capsys):
+    from sdfgkit import frontend
+    from sdfgkit.frontend import oracle
+    from sdfgkit.interp import ExecContext, interpret
+    from sdfgkit.serialize import deserialize
+
+    src = tmp_path / "two_loops.dpy"
+    src.write_text(TWO_LOOPS)
+    out = tmp_path / "opt.sdfg.json"
+    assert main(["optimize", str(src), "--passes", passes, "-o", str(out)]) == 0
+    report = json.loads(capsys.readouterr().err)
+    assert report["applications"]["loop_to_map"] == 2
+    assert [d["parallelized"] for d in report["loop_decisions"]] == [True, True]
+    assert report["states"]["before"] > report["states"]["after"] > 0
+    rng = np.random.default_rng(3)
+    inputs = {"A": rng.uniform(-1, 1, 6), "B": rng.uniform(-1, 1, 6)}
+    ref = oracle.evaluate_program(frontend.parse(TWO_LOOPS), {"N": 6},
+                                  {k: v.copy() for k, v in inputs.items()})
+    ctx = ExecContext(bindings={"N": 6}).bind_inputs({k: v.copy() for k, v in inputs.items()})
+    got = interpret(deserialize(out.read_text()), ctx)
+    for name in ("A", "B"):
+        assert np.array_equal(got[name], ref[name]), name

@@ -1,11 +1,16 @@
 """Automatic optimization heuristics and library-node specialization.
 
-The pipeline runs, in order: dataflow coarsening, map-scope cleanup
-(degenerate-map removal, loop auto-parallelization, nested-map collapse),
-greedy subgraph fusion of maps with equal or permuted iteration spaces,
-tiling of write-conflict maps, transient allocation mitigation, and finally
-library-node expansion by a per-device priority list whose last entry is a
-"native" pure-graph expansion that always succeeds.
+The target-independent pipeline (:func:`auto_optimize`) runs, in order:
+dataflow coarsening, map-scope cleanup (degenerate-map removal, loop
+auto-parallelization, nested-map collapse), greedy subgraph fusion of maps
+with equal or permuted iteration spaces, and transient allocation
+mitigation.  Library nodes and write-conflict maps stay as they are, so the
+interpreter runs matrix products, reductions and transposes through numpy.
+
+CPU specialization (:func:`specialize`) is a code-generation step: tiling of
+write-conflict maps, then library-node expansion by a per-device priority
+list whose last entry is a "native" pure-graph expansion that always
+succeeds.  The C emitter runs it on a copy before it emits.
 """
 
 from __future__ import annotations
@@ -415,33 +420,46 @@ def tile_wcr(g: Sdfg, tile: int = 16) -> PassReport:
     if tile < 1:
         raise ValueError(f"tile size must be positive, got {tile}")
     report = PassReport()
-    while any(_tile_one(g, st, node, tile) for st, node in nodes_of(g, MapEntry)
-              if node.schedule is Schedule.PARALLEL and not node.tiled):
+    while any(_tile_one(g, st, node, tile) for st, node in _tiling_candidates(g)):
         report.count("tile_wcr")
     return report
 
 
-def _tile_one(g: Sdfg, st: State, entry: MapEntry, tile: int) -> bool:
+def _tiling_candidates(g: Sdfg):
+    return ((st, node) for st, node in nodes_of(g, MapEntry)
+            if node.schedule is Schedule.PARALLEL and not node.tiled)
+
+
+def _tiling(st: State, entry: MapEntry) -> tuple[MapExit, int, Wcr] | None:
+    """The exit, the dimension to tile and the conflict resolution of a map
+    that :func:`tile_wcr` tiles, else None."""
     exit_node = st.exit_of(entry)
     wcr_edges = [e for e in st.in_edges(exit_node) if e.memlet is not None and e.memlet.wcr]
     if not wcr_edges:
-        return False
+        return None
     if len(wcr_edges) != 1 or len([e for e in st.in_edges(exit_node) if e.memlet]) != 1:
-        return False
+        return None
     children = st.scope_children(entry)
     tasklets = [n for n in children if isinstance(n, Tasklet)]
     if len(tasklets) != 1 or any(isinstance(n, (MapEntry, NestedSdfg, LibraryNode)) for n in children):
-        return False
+        return None
     we = wcr_edges[0]
     target_params = set(we.memlet.subset.free_symbols()) & set(entry.param_names)
     red_dims = [i for i, p in enumerate(entry.param_names) if p not in target_params]
     if not red_dims:
-        return False
-    d = red_dims[0]  # tile the first reduction dimension
+        return None
     wcr = we.memlet.wcr
     if wcr not in (Wcr.ADD, Wcr.MUL):
+        return None
+    return exit_node, red_dims[0], wcr  # tile the first reduction dimension
+
+
+def _tile_one(g: Sdfg, st: State, entry: MapEntry, tile: int) -> bool:
+    found = _tiling(st, entry)
+    if found is None:
         return False
-    _apply_tiling(g, st, entry, exit_node, d, tile, wcr)
+    exit_node, dim, wcr = found
+    _apply_tiling(g, st, entry, exit_node, dim, tile, wcr)
     return True
 
 
@@ -858,9 +876,12 @@ def expand_library(g: Sdfg, device: Device = Device.CPU,
                    pinned: dict[str, str] | None = None) -> PassReport:
     """Replace each library node with the first applicable expansion from the
     per-device priority list."""
+    _require_cpu(device, "library expansion")
+    # expansions are named after their node's id: number the nodes as the
+    # JSON form does, so a graph expands to the same names after a round trip
+    for st in g.states:
+        st.renumber()
     report = PassReport()
-    if device is Device.DIST:
-        raise ValueError("distributed expansion is driven by the distribution pipeline")
     reg = cpu_registry()
     while (match := next(((st, node) for st, node in nodes_of(g, LibraryNode)
                           if node.kind in CPU_EXPANDABLE), None)) is not None:
@@ -878,36 +899,68 @@ def expand_library(g: Sdfg, device: Device = Device.CPU,
 
 
 # ---------------------------------------------------------------------------
-# The pipeline
+# The pipeline and CPU specialization
 
 
-def pipeline_stages(g: Sdfg, device: Device, tile: int, stack_limit_bytes: int,
-                    pinned: dict[str, str] | None) -> dict[str, Callable[[], PassReport]]:
-    """The stages of :func:`auto_optimize` on ``g`` by name, in pipeline
-    order.  Each stage looks its pass up by name when it runs, so a pass
-    rebound on this module (a tracing wrapper, say) sees the call."""
+def _require_cpu(device: Device, what: str) -> None:
+    if device is not Device.CPU:
+        raise ValueError(f"{what} targets the CPU; the distribution pipeline "
+                         f"optimizes for {device.value}")
+
+
+def pipeline_stages(g: Sdfg, stack_limit_bytes: int = 4096) -> dict[str, Callable[[], PassReport]]:
+    """The target-independent stages of :func:`auto_optimize` on ``g`` by
+    name, in pipeline order.  Each stage looks its pass up by name when it
+    runs, so a pass rebound on this module (a tracing wrapper, say) sees the
+    call."""
     return {
         "coarsen": lambda: coarsen(g),
         "cleanup_maps": lambda: cleanup_maps(g),
         "subgraph_fusion": lambda: subgraph_fusion(g),
-        "tile_wcr": lambda: tile_wcr(g, tile),
         "transient_mitigation": lambda: transient_mitigation(g, stack_limit_bytes),
-        "expand_library": lambda: expand_library(g, device, pinned=pinned),
     }
 
 
-def auto_optimize(g: Sdfg, device: Device = Device.CPU, tile: int = 16,
-                  stack_limit_bytes: int = 4096,
-                  pinned: dict[str, str] | None = None) -> PassReport:
+def specialization_stages(g: Sdfg, tile: int = 16, pinned: dict[str, str] | None = None
+                          ) -> dict[str, Callable[[], PassReport]]:
+    """The CPU code-generation stages of :func:`specialize` on ``g`` by
+    name, in order: tiling cuts the conflicting commits of a parallel-for,
+    and expansion replaces library calls with native maps."""
+    return {
+        "tile_wcr": lambda: tile_wcr(g, tile),
+        "expand_library": lambda: expand_library(g, Device.CPU, pinned=pinned),
+    }
+
+
+def auto_optimize(g: Sdfg, device: Device = Device.CPU,
+                  stack_limit_bytes: int = 4096) -> PassReport:
     """Run every stage of :func:`pipeline_stages`, in order, and check that
-    the result still validates."""
+    the result still validates.  Only ``Device.CPU`` is accepted; the
+    distribution pipeline optimizes for ``Device.DIST``."""
+    _require_cpu(device, "auto_optimize")
     report = PassReport()
     _snapshot(g, report, before=True)
-    for stage in pipeline_stages(g, device, tile, stack_limit_bytes, pinned).values():
+    for stage in pipeline_stages(g, stack_limit_bytes).values():
         report.merge(stage())
     errors = [d for d in g.validate() if d.severity == "error"]
     if errors:
         raise ValueError("optimized graph no longer validates: "
                          + "; ".join(d.message for d in errors))
     _snapshot(g, report, before=False)
+    return report
+
+
+def needs_specialization(g: Sdfg) -> bool:
+    """Whether :func:`specialize` would change ``g``: it has a library node
+    to expand or a write-conflict map to tile."""
+    return (any(node.kind in CPU_EXPANDABLE for _, node in nodes_of(g, LibraryNode))
+            or any(_tiling(st, node) for st, node in _tiling_candidates(g)))
+
+
+def specialize(g: Sdfg, tile: int = 16) -> PassReport:
+    """Lower ``g`` in place for C on the CPU: run every stage of
+    :func:`specialization_stages`, in order."""
+    report = PassReport()
+    for stage in specialization_stages(g, tile).values():
+        report.merge(stage())
     return report

@@ -1,5 +1,8 @@
-"""Readable C99-style source emission for fully expanded graphs.
+"""Readable C99-style source emission.
 
+The emitter specializes a copy of the graph for the CPU first
+(:func:`autoopt.specialize`: write-conflict tiling, then library expansion),
+so matrix products, reductions and transposes reach C as native loops.
 One function per graph; states become labeled blocks joined by gotos that
 mirror the interstate transitions; parallel maps carry a `/* parallel-for */`
 annotation.  Persistent transients are hoisted to lazily allocated statics,
@@ -10,6 +13,7 @@ checked against golden files, not compiled by the test suite.
 from __future__ import annotations
 
 from . import symbolic
+from .autoopt import needs_specialization, specialize
 from .ir import (
     AccessNode, DataKind, DType, LibraryNode, Lifetime, MapEntry, MapExit,
     NestedSdfg, Schedule, Sdfg, State, Storage, Tasklet, Wcr,
@@ -238,7 +242,7 @@ class _Emitter:
             self.emit_call(st, node)
             return
         if isinstance(node, LibraryNode):
-            raise EmitError(f"unexpanded library node '{node.kind.value}' cannot be emitted")
+            raise EmitError(f"library node '{node.kind.value}' has no C lowering")
         raise EmitError(type(node).__name__)
 
     def emit_copy(self, st: State, e) -> None:
@@ -327,6 +331,18 @@ class _Emitter:
         self.w(f"nested_{inner.name}({', '.join(args)});")
 
 
-def emit_c(g: Sdfg) -> str:
-    """Emit the graph as compilable-by-inspection C-style text."""
-    return _Emitter(g).emit()
+def lowered(g: Sdfg, tile: int = 16) -> Sdfg:
+    """The graph :func:`emit_c` emits: a copy of ``g`` specialized for the
+    CPU, with write-conflict maps tiled by ``tile``, or ``g`` itself when
+    specialization would not change it."""
+    if not needs_specialization(g):
+        return g
+    out = g.copy()
+    specialize(out, tile=tile)
+    return out
+
+
+def emit_c(g: Sdfg, tile: int = 16) -> str:
+    """Emit the graph, specialized for the CPU on a copy, as
+    compilable-by-inspection C-style text."""
+    return _Emitter(lowered(g, tile)).emit()

@@ -14,7 +14,9 @@ import pathlib
 import sys
 
 from . import frontend
-from .autoopt import Device, ExpansionError, auto_optimize, cpu_registry, pipeline_stages
+from .autoopt import (
+    Device, ExpansionError, auto_optimize, cpu_registry, pipeline_stages, specialization_stages,
+)
 from .cemit import EmitError, emit_c
 from .dot import to_dot
 from .interp import ExecContext, InterpreterError, TensorValue, interpret
@@ -70,6 +72,14 @@ def _env_int(name: str, default: int) -> int:
         raise UsageError(f"{name} must be an integer, got '{text}'") from None
 
 
+def _tile_size(flag: int | None) -> int:
+    """``--tile``, else ``SDFGKIT_TILE``, else 16."""
+    tile = flag if flag is not None else _env_int("SDFGKIT_TILE", 16)
+    if tile < 1:
+        raise UsageError(f"tile size must be positive, got {tile}")
+    return tile
+
+
 class UsageError(ValueError):
     """A malformed command-line value."""
 
@@ -117,9 +127,7 @@ def cmd_optimize(args) -> int:
     g, diags = _load_graph(args.file)
     if _print_diags(diags) or g is None:
         return 1
-    tile = args.tile if args.tile is not None else _env_int("SDFGKIT_TILE", 16)
-    if tile < 1:
-        raise UsageError(f"tile size must be positive, got {tile}")
+    tile = _tile_size(args.tile)
     stack = (args.stack_limit if args.stack_limit is not None
              else _env_int("SDFGKIT_STACK_LIMIT", 4096))
     known = {kind.value: [x.name for x in xs] for kind, xs in cpu_registry().by_kind.items()}
@@ -134,6 +142,11 @@ def cmd_optimize(args) -> int:
         device = Device.parse(args.device)
     except ValueError as ex:
         raise UsageError(str(ex)) from None
+    names = [name.strip() for name in args.passes.split(",")] if args.passes else []
+    for flag, given, stage in (("--tile", args.tile, "tile_wcr"),
+                               ("--expand", args.expand, "expand_library")):
+        if given is not None and stage not in names:
+            raise UsageError(f"{flag} applies only to '--passes' that name {stage}")
     if args.passes:
 
         def loops_to_maps():
@@ -142,25 +155,27 @@ def cmd_optimize(args) -> int:
                 rep.count("loop_to_map")
             return rep
 
+        specialization = specialization_stages(g, tile, pinned)
         stages = {
-            **pipeline_stages(g, Device.CPU, tile, stack, pinned),
+            **pipeline_stages(g, stack),
+            **(specialization if device is Device.CPU else {}),
             "loop_to_map": loops_to_maps,
             "distribute": lambda: _dist().distribute(g, _grid_of(args)),
             "remove_redundant_comm": lambda: _dist().remove_redundant_comm(g),
         }
+        for name in names:
+            if name not in stages:
+                raise UsageError(f"pass '{name}' specializes for cpu, not --device {device.value}"
+                                 if name in specialization else f"unknown pass '{name}'")
         report = PassReport()
         _snapshot(g, report, before=True)
-        for name in args.passes.split(","):
-            name = name.strip()
-            if name not in stages:
-                print(f"unknown pass '{name}'", file=sys.stderr)
-                return 1
+        for name in names:
             report.merge(stages[name]())
         _snapshot(g, report, before=False)
     elif device is Device.DIST:
         report = _dist().distribution_pipeline(g, _grid_of(args))
     else:
-        report = auto_optimize(g, device, tile, stack, pinned=pinned or None)
+        report = auto_optimize(g, device, stack)
     if _print_diags(g.validate()):
         return 1
     print(json.dumps(report.to_json(), indent=2), file=sys.stderr)
@@ -212,8 +227,9 @@ def cmd_emit(args) -> int:
     g, diags = _load_graph(args.file)
     if _print_diags(diags) or g is None:
         return 1
+    tile = _tile_size(None)
     try:
-        _emit_output(emit_c(g), args.output)
+        _emit_output(emit_c(g, tile), args.output)
     except EmitError as ex:
         print(f"emit error: {ex}", file=sys.stderr)
         return 1
@@ -244,9 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--device", default="cpu", help="cpu or dist")
     p.add_argument("--passes", help="comma-separated pass list (default: the full pipeline)")
-    p.add_argument("--tile", type=int, help="write-conflict tile size (default 16)")
+    p.add_argument("--tile", type=int,
+                   help="write-conflict tile size for the tile_wcr pass (default 16)")
     p.add_argument("--stack-limit", type=int, help="stack placement byte limit (default 4096)")
-    p.add_argument("--expand", action="append", help="pin an expansion, e.g. matmul=native")
+    p.add_argument("--expand", action="append",
+                   help="pin an expansion for the expand_library pass, e.g. matmul=native")
     p.add_argument("--grid", help="process grid RxC for --device dist")
     p.add_argument("--ranks", type=int, help="rank count (squarest grid)")
     p.set_defaults(fn=cmd_optimize)

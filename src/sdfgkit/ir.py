@@ -268,6 +268,16 @@ class State:
     def sorted_nodes(self) -> list[Node]:
         return [self.nodes[k] for k in sorted(self.nodes)]
 
+    def renumber(self) -> None:
+        """Number the nodes 0, 1, ... in their current order, as the JSON
+        form does, so that ids agree before and after a round trip."""
+        nodes = self.sorted_nodes()
+        self.nodes = {}
+        for i, n in enumerate(nodes):
+            n.nid = i
+            self.nodes[i] = n
+        self._next_id = len(nodes)
+
     def in_edges(self, node: Node) -> list[Edge]:
         return [e for e in self.edges if e.dst is node]
 

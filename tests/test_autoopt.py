@@ -4,14 +4,16 @@ import pytest
 from sdfgkit import autoopt, frontend, passes
 from sdfgkit.frontend import oracle
 from sdfgkit.autoopt import (
-    Device, auto_optimize, cleanup_maps, cpu_registry, expand_library,
-    subgraph_fusion, tile_wcr, transient_mitigation,
+    Device, auto_optimize, cleanup_maps, cpu_registry, expand_library, needs_specialization,
+    pipeline_stages, specialization_stages, subgraph_fusion, tile_wcr, transient_mitigation,
 )
+from sdfgkit.cemit import emit_c, lowered
 from sdfgkit.interp import ExecContext, interpret
 from sdfgkit.ir import (
     DataKind, DType, LibKind, LibraryNode, Lifetime, MapEntry, Sdfg, Storage,
     structural_eq,
 )
+from sdfgkit.serialize import deserialize, serialize
 from sdfgkit.symbolic import Sym
 
 from conftest import (
@@ -277,10 +279,12 @@ class TestExpandLibrary:
         assert np.allclose(out["out"], np.full(4, 3.0))
 
     def test_post_expansion_no_expandable_nodes(self):
+        # auto_optimize keeps the library nodes; the graph emit_c lowers has none
         for name in ("gemm", "k3mm", "doitgen", "gesummv"):
             g = compile_kernel(name)
             auto_optimize(g)
-            kinds = {n.kind for n in libnodes(g)}
+            assert {n.kind for n in libnodes(g)} & autoopt.CPU_EXPANDABLE
+            kinds = {n.kind for n in libnodes(lowered(g))}
             assert not (kinds & autoopt.CPU_EXPANDABLE)
 
     def test_priority_order(self):
@@ -297,22 +301,68 @@ class TestExpandLibrary:
 class TestAutoOptimizePipeline:
     @pytest.mark.parametrize("name", ALL_KERNELS)
     def test_corpus_outputs_preserved(self, name):
+        # the optimized graph and the one emit_c lowers both match the oracle
         syms = KERNEL_SYMBOLS[name]
         g = compile_kernel(name)
         auto_optimize(g)
         prog = frontend.parse(corpus_source(name))
         inputs = make_inputs(prog, syms, seed=23)
-        out, _ = run_graph(g, syms, {k: (np.array(v) if hasattr(v, "shape") else v)
-                                     for k, v in inputs.items()})
         ref = run_oracle(name, syms, inputs)
-        worst = max(rel_err(out[k], ref[k]) for k in ref)
-        assert worst <= 1e-6, f"{name}: {worst}"
+        for graph in (g, lowered(g)):
+            out, _ = run_graph(graph, syms, {k: (np.array(v) if hasattr(v, "shape") else v)
+                                             for k, v in inputs.items()})
+            worst = max(rel_err(out[k], ref[k]) for k in ref)
+            assert worst <= 1e-6, f"{name}: {worst}"
+
+    @pytest.mark.parametrize("name", ALL_KERNELS)
+    def test_optimized_moves_no_more_bytes(self, name):
+        """At test scale the optimized graph moves no more bytes than the
+        plain one (map iterations may rise: doitgen's do)."""
+        syms = KERNEL_SYMBOLS[name]
+        inputs = make_inputs(frontend.parse(corpus_source(name)), syms, seed=0)
+        g = compile_kernel(name)
+        _, plain = run_graph(g, syms, inputs)
+        auto_optimize(g)
+        _, optimized = run_graph(g, syms, inputs)
+        assert optimized.counters.bytes_moved <= plain.counters.bytes_moved
+
+    @pytest.mark.parametrize("name", ALL_KERNELS)
+    def test_library_nodes_and_wcr_maps_left_for_emission(self, name):
+        """auto_optimize neither expands nor tiles; emit_c of its output,
+        in memory or after a JSON round trip, equals emit_c of the graph
+        that also ran the specialization stages in their place in the
+        pipeline."""
+        g = compile_kernel(name)
+        plain = sorted(n.kind.value for n in libnodes(g))
+        auto_optimize(g)
+        assert sorted(n.kind.value for n in libnodes(g)) == plain
+        assert not any(m.tiled for m in map_entries(g))
+        # needs_specialization says whether emit_c has to lower a copy
+        assert needs_specialization(g) == (serialize(lowered(g)) != serialize(g))
+        assert not needs_specialization(lowered(g))
+        staged = compile_kernel(name)
+        stages = {**pipeline_stages(staged), **specialization_stages(staged)}
+        for stage in ("coarsen", "cleanup_maps", "subgraph_fusion", "tile_wcr",
+                      "transient_mitigation", "expand_library"):
+            stages[stage]()
+        assert emit_c(g) == emit_c(staged)
+        # expansions are named by node position, which the JSON form keeps
+        assert emit_c(deserialize(serialize(g))) == emit_c(g)
+
+    def test_dist_device_rejected_before_any_stage(self):
+        g = compile_kernel("gemm")
+        before = serialize(g)
+        with pytest.raises(ValueError, match="distribution pipeline"):
+            auto_optimize(g, Device.DIST)
+        assert serialize(g) == before
 
     def test_gemm_single_state_with_expanded_product(self):
+        # the product is expanded only for C; auto_optimize keeps the matmul node
         g = compile_kernel("gemm")
         auto_optimize(g)
         assert len(g.states) == 1
-        assert not libnodes(g)
+        assert [n.kind for n in libnodes(g)] == [LibKind.MATMUL]
+        assert len(lowered(g).states) == 1 and not libnodes(lowered(g))
 
     def test_report_level_idempotence(self):
         for name in ("gemm", "jacobi_1d", "mvt", "doitgen"):

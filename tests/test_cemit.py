@@ -5,8 +5,10 @@ import pytest
 
 from sdfgkit import autoopt, frontend
 from sdfgkit.cemit import EmitError, emit_c
+from sdfgkit.dist import ProcessGrid, distribution_pipeline
 from sdfgkit.interp import ExecContext, interpret
 from sdfgkit.ir import AccessNode, DType, Memlet, Sdfg
+from sdfgkit.serialize import serialize
 from sdfgkit.symbolic import Const, SubsetRange
 
 from conftest import GOLDEN, compile_kernel
@@ -44,8 +46,14 @@ class TestStability:
 
 class TestErrors:
     def test_unexpanded_library_node_rejected(self):
-        g = compile_kernel("gemm")  # matmul still a library node
-        with pytest.raises(EmitError, match="unexpanded"):
+        # emit_c expands MATMUL/REDUCE/TRANSPOSE itself, on a copy
+        g = compile_kernel("gemm")
+        before = serialize(g)
+        assert "for (int64_t" in emit_c(g)
+        assert serialize(g) == before
+        # communication nodes have no C lowering
+        distribution_pipeline(g, ProcessGrid.parse("2x2"))
+        with pytest.raises(EmitError, match="no C lowering"):
             emit_c(g)
 
 

@@ -54,7 +54,7 @@ def test_optimize_then_emit(tmp_path, capsys):
     graph = tmp_path / "g.sdfg.json"
     opt = tmp_path / "opt.sdfg.json"
     assert main(["parse", str(CORPUS / "gemm.dpy"), "-o", str(graph)]) == 0
-    assert main(["optimize", str(graph), "-o", str(opt), "--tile", "4"]) == 0
+    assert main(["optimize", str(graph), "-o", str(opt)]) == 0
     rc = main(["emit", str(opt)])
     assert rc == 0
     assert "/* parallel-for */" in capsys.readouterr().out
@@ -162,11 +162,50 @@ def test_optimize_non_integer_environment_is_one_line(var, monkeypatch, capsys):
 
 def test_optimize_inapplicable_pinned_expansion_is_one_line(capsys):
     # blocked_native expands only matrix-matrix products; mvt has matrix-vector ones
-    rc = main(["optimize", str(CORPUS / "mvt.dpy"), "--expand", "matmul=blocked_native"])
+    rc = main(["optimize", str(CORPUS / "mvt.dpy"), "--passes", "expand_library",
+               "--expand", "matmul=blocked_native"])
     assert rc == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert "matmul" in err and "'blocked_native'" in err
+
+
+@pytest.mark.parametrize("passes", [[], ["--passes", "coarsen,cleanup_maps"]],
+                         ids=["pipeline", "passes"])
+@pytest.mark.parametrize("flag, stage", [(["--tile", "4"], "tile_wcr"),
+                                         (["--expand", "matmul=native"], "expand_library")],
+                         ids=["tile", "expand"])
+def test_optimize_flag_without_its_pass_is_one_line(flag, stage, passes, capsys):
+    # only the tile_wcr and expand_library passes read --tile and --expand
+    rc = main(["optimize", str(CORPUS / "gemm.dpy"), *passes, *flag])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert flag[0] in err and stage in err
+
+
+@pytest.mark.parametrize("stage", ["tile_wcr", "expand_library"])
+def test_optimize_dist_device_has_no_cpu_specialization(stage, tmp_path, capsys):
+    out = tmp_path / "g.sdfg.json"
+    rc = main(["optimize", str(CORPUS / "gemm.dpy"), "--device", "dist",
+               "--passes", f"coarsen,{stage}", "-o", str(out)])
+    assert rc == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert stage in err and "dist" in err
+
+
+def test_tile_size_reaches_emitted_c(tmp_path, monkeypatch, capsys):
+    # --tile for the tile_wcr pass, SDFGKIT_TILE for what emit tiles itself
+    src, opt = str(CORPUS / "wcr_sum.dpy"), str(tmp_path / "opt.sdfg.json")
+    assert main(["optimize", src, "--passes", "coarsen,cleanup_maps,tile_wcr",
+                 "--tile", "4", "-o", opt]) == 0
+    assert main(["emit", opt]) == 0
+    assert "((NI + 3) / 4)" in capsys.readouterr().out
+    assert main(["optimize", src, "-o", opt]) == 0
+    monkeypatch.setenv("SDFGKIT_TILE", "8")
+    assert main(["emit", opt]) == 0
+    assert "((NI + 7) / 8)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("case", ["stride", "empty", "misfit_source", "misfit_matmul"])

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import ALL_KERNELS, KERNEL_SYMBOLS, compile_kernel, corpus_source, make_inputs
 from sdfgkit import frontend
-from sdfgkit.autoopt import auto_optimize
+from sdfgkit.autoopt import auto_optimize, specialize
 from sdfgkit.interp import (
     ExecContext, InterpOptions, InterpreterError, Machine, OutOfBoundsError,
 )
@@ -67,7 +67,9 @@ def test_corpus_vector_equals_reference(name):
     plain = compile_kernel(name)
     optimized = compile_kernel(name)
     auto_optimize(optimized)
-    for g in (plain, optimized, deserialize(serialize(optimized))):
+    specialized = optimized.copy()
+    specialize(specialized)
+    for g in (plain, optimized, deserialize(serialize(optimized)), specialized):
         for reverse in (False, True):
             assert assert_same(g, symbols, inputs, reverse)[0] is None
 
@@ -324,11 +326,13 @@ MEDIUM = {
 def test_fast_path_fires(name, monkeypatch):
     """With the per-point loop failing for every map that has a vector
     launch, the optimized kernel still runs at medium extents: each of those
-    launches ran vectorized.  Only maps with a nested map lack one."""
+    launches ran vectorized.  Only maps with a nested map lack one.  The
+    graph is specialized as for C, so expanded matmuls are covered."""
     symbols = MEDIUM[name]
     inputs = make_inputs(frontend.parse(corpus_source(name)), symbols, seed=0)
     g = compile_kernel(name)
     auto_optimize(g)
+    specialize(g)
     ref = run(g, symbols, inputs, vectorize=False)
     points = Machine._run_points
 

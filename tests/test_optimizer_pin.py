@@ -23,19 +23,19 @@ from sdfgkit.serialize import serialize
 
 OPTIMIZED = {
     "adi": "4aeead36bf3245a3fe10d833a3119a1d51e201875cb1c13c61a1c2f37ba16666",
-    "atax": "2d67fb5f61297d0f89c4027c9bb3e25869fa2db3f5a59876840de083cd50d206",
-    "bicg": "754f1cb1f4ee2294d7339103aaa9e493fd2428653bae8a3725153e68c68f10f2",
-    "doitgen": "05aea944900278cc045f0deb4d75d3e1d0bc40f3fe993d93dc5dda039d1f730d",
+    "atax": "da959df989c5eda5b33d114d7ccce59f4c99f9072d2bf154fde63909a78574e5",
+    "bicg": "1cb0ac13051580233b89eaebf00847393a480ace4f417264a9bc42815938baaf",
+    "doitgen": "251e2f02400303c6534e5955a40e604d5a8a08be13c0fc716842459c228638ec",
     "fig4_loop": "a343ad5b0e1b0546a8daad8023f3f883e23c7cc97cd20edfd4c5fcff860ee6ea",
-    "gemm": "d9aceb05b06a83268e9bdd12593aba1536defa55fe650216736de10aee85599b",
-    "gemver": "9532dda2ca5f5d4c1ca8a97d2082ada36c5d054534545af4af5ceeef783c87f3",
-    "gesummv": "77a3a54adb72cc9eccada77395f723c474ff40e591a2e9ccd662400f90c14031",
+    "gemm": "8d84f3a0c7ed07bbdbb203db5424f634cdbe6c87ce176cabc0ccc22c3c60a819",
+    "gemver": "36f8598b59d9158383cbb37b235300039e9516a2e32132f9ef0480f312576193",
+    "gesummv": "04dc30e596a9a74968ae0937ce17c3a909f32a2689b05692410ecd3a4036de94",
     "jacobi_1d": "9cb5fbb197128393e5215be175ac05cbafe7d02ac9ce912c9e3a33815f60143a",
     "jacobi_2d": "a20edb7db4680dd04513d70d01b4c071b44a8e13a2bc8908c2ebc813800152cb",
-    "k2mm": "ad9147a744d401bdc309cbb24c95eb22c425d573ea401c7718468b698f220592",
-    "k3mm": "2a8b7756c7c614ec9e3a3db1215110cfe019529bb18237e65a609b01834ae0a1",
-    "mvt": "153a732defccd1040d5bfa0e985035409696a02bae1fd96c749a1b35347a8910",
-    "wcr_sum": "6c0bf54b3375243030e8e7e092ff9afebbfcb40c01b1ae1b1da4c0ada2e0a676",
+    "k2mm": "a90b9c2585b7309878e42831acff24d28416c7d2693a8214c78838b857a18d89",
+    "k3mm": "aa8e50531e6e573f494e393f97756e3c4606bbea46834fd67097957cdaa9d608",
+    "mvt": "86edf00757fb8f12ec6ce1b7d5b122d7db7694c1da70aa3a56040fd4b72f88fe",
+    "wcr_sum": "e3d3cd90beb7b3ed7324d52a02e68efd8759583b03190de22d9988175033e352",
 }
 
 DISTRIBUTED = {

@@ -15,7 +15,6 @@ succeeds.  The C emitter runs it on a copy before it emits.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -257,7 +256,8 @@ def _intermediates(st: State, m1: MapEntry, m2: MapEntry) -> dict[int, AccessNod
     }
     # every path from m1 to m2 must go through a direct intermediate
     reach = st.reachability()
-    inside = {c.nid for c in st.scope_children(m1)} | {c.nid for c in st.scope_children(m2)}
+    parents = st.scope_parents()
+    inside = {c.nid for m in (m1, m2) for c in st.scope_children(m, parents)}
     for nid in consumers:
         if nid not in mids and nid not in inside and m2.nid in reach[nid]:
             return None  # some other consumer of m1 still reaches m2
@@ -308,7 +308,7 @@ def _try_fuse(g: Sdfg, st: State, m1: MapEntry, m2: MapEntry
             if not any(symbolic.covers(w, r, asm) is Ternary.TRUE for w in writes):
                 return None
 
-    cand = copy.deepcopy(st)
+    cand = st.clone()
     scope = cand.nodes[m1.nid]
     cand_mids = [cand.nodes[nid] for nid in mids]
     _apply_fusion(cand, scope, cand.nodes[m2.nid], mapping, cand_mids)

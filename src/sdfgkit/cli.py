@@ -26,7 +26,10 @@ from .serialize import SchemaError, deserialize, serialize
 
 
 def _load_graph(path: str) -> tuple[Sdfg | None, list]:
-    text = sys.stdin.read() if path == "-" else pathlib.Path(path).read_text()
+    try:
+        text = sys.stdin.read() if path == "-" else pathlib.Path(path).read_text()
+    except OSError as ex:
+        raise UsageError(f"cannot read '{path}': {ex.strerror or ex}") from None
     if path.endswith(".dpy") or (path == "-" and text.lstrip().startswith("def")):
         return frontend.compile_source(text)
     return deserialize(text), []
@@ -34,7 +37,10 @@ def _load_graph(path: str) -> tuple[Sdfg | None, list]:
 
 def _emit_output(text: str, out: str | None) -> None:
     if out:
-        pathlib.Path(out).write_text(text)
+        try:
+            pathlib.Path(out).write_text(text)
+        except OSError as ex:
+            raise UsageError(f"cannot write '{out}': {ex.strerror or ex}") from None
     else:
         sys.stdout.write(text)
 

@@ -10,7 +10,6 @@ which container subset moves.
 
 from __future__ import annotations
 
-import copy
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
@@ -21,6 +20,24 @@ import numpy as np
 from . import symbolic, texpr
 from .symbolic import Assumptions, SubsetRange, SymExpr, Ternary
 from .texpr import TExpr
+
+
+def _shallow(obj):
+    """A new object of ``obj``'s class with the same attribute values, as
+    ``copy.copy`` makes for these plain dataclasses, at a fraction of its
+    cost."""
+    twin = object.__new__(type(obj))
+    twin.__dict__.update(obj.__dict__)
+    return twin
+
+
+def _fresh(value):
+    """``value`` with every list and dict in it copied."""
+    if isinstance(value, list):
+        return [_fresh(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _fresh(v) for k, v in value.items()}
+    return value
 
 
 class DType(Enum):
@@ -158,6 +175,11 @@ class Memlet:
 class Node:
     nid: int = field(default=-1, init=False, compare=False)
 
+    def clone(self) -> "Node":
+        """A new node with the same id and fields; a copied ``MapExit`` still
+        names the original entry until :meth:`State.clone` re-links it."""
+        return _shallow(self)
+
 
 @dataclass(eq=False)
 class AccessNode(Node):
@@ -196,12 +218,23 @@ class LibraryNode(Node):
     name: str = ""
     attributes: dict = field(default_factory=dict)
 
+    def clone(self) -> "LibraryNode":
+        twin = _shallow(self)
+        twin.attributes = _fresh(self.attributes)
+        return twin
+
 
 @dataclass(eq=False)
 class NestedSdfg(Node):
     sdfg: "Sdfg"
     symbol_map: dict[str, SymExpr] = field(default_factory=dict)
     # connector name == inner container name; memlets on edges give the outer view
+
+    def clone(self) -> "NestedSdfg":
+        twin = _shallow(self)
+        twin.sdfg = self.sdfg.copy()
+        twin.symbol_map = dict(self.symbol_map)
+        return twin
 
 
 @dataclass(eq=False)
@@ -257,6 +290,26 @@ class State:
         e = Edge(src, dst, memlet, src_conn, dst_conn)
         self.edges.append(e)
         return e
+
+    def clone(self) -> "State":
+        """A copy that a rewrite may change without touching this state.
+
+        Nodes (ids and the next id kept), edges and memlets are new objects,
+        each copied ``MapExit.entry`` is the copy's own entry, and library
+        attributes, symbol maps and nested graphs are copied.  The immutable
+        ``SymExpr``, ``SubsetRange`` and ``TExpr`` values are shared."""
+        out = State(self.label)
+        out._next_id = self._next_id
+        out.nodes = {nid: n.clone() for nid, n in self.nodes.items()}
+        for n in out.nodes.values():
+            if isinstance(n, MapExit):
+                n.entry = out.nodes[n.entry.nid]
+        out.edges = [
+            Edge(out.nodes[e.src.nid], out.nodes[e.dst.nid],
+                 None if e.memlet is None else _shallow(e.memlet), e.src_conn, e.dst_conn)
+            for e in self.edges
+        ]
+        return out
 
     def remove_node(self, node: Node) -> None:
         self.edges = [e for e in self.edges if e.src is not node and e.dst is not node]
@@ -355,8 +408,13 @@ class State:
             members[p].append(self.nodes[nid])
         return members
 
-    def scope_children(self, entry: MapEntry) -> list[Node]:
-        parents = self.scope_parents()
+    def scope_children(self, entry: MapEntry,
+                       parents: Mapping[int, MapEntry | None] | None = None) -> list[Node]:
+        """Every node inside ``entry``'s scope, at any depth, by node id.
+        ``parents`` is this state's :meth:`scope_parents`, when the caller
+        already has it."""
+        if parents is None:
+            parents = self.scope_parents()
         out = []
         for node in self.sorted_nodes():
             p = parents.get(node.nid)
@@ -494,7 +552,17 @@ class Sdfg:
         return out
 
     def copy(self) -> "Sdfg":
-        return copy.deepcopy(self)
+        """A structural copy: states by :meth:`State.clone`, and new
+        descriptors, symbol table and transitions.  Descriptors are copied
+        without ``__post_init__``, so their shapes are kept as they are."""
+        out = Sdfg(self.name)
+        out.containers = {k: _shallow(d) for k, d in self.containers.items()}
+        out.symbols = dict(self.symbols)
+        out.states = [st.clone() for st in self.states]
+        out.transitions = [InterstateEdge(t.src, t.dst, t.condition, dict(t.assignments))
+                           for t in self.transitions]
+        out.start = self.start
+        return out
 
     def free_symbols(self) -> set[str]:
         """Symbols the caller must bind: everything that appears in shapes,

@@ -109,8 +109,7 @@ def to_fixed_point(rewrites: dict[str, Callable[[], bool]]) -> Iterator[str]:
 def _merge_states(s1: State, s2: State) -> State | None:
     """Build the fused state (copy); None when sink/source matching is
     ambiguous."""
-    bundle = copy.deepcopy((s1, s2))
-    a, b = bundle
+    a, b = s1.clone(), s2.clone()
     merged = State(s1.label)
     b_nodes = b.sorted_nodes()
     b_edges = [(e.src, e.dst, e.memlet, e.src_conn, e.dst_conn) for e in b.edges]
@@ -301,7 +300,7 @@ def _inline_one(g: Sdfg, st: State, node: NestedSdfg) -> None:
     for cname, desc in inner.containers.items():
         if desc.transient:
             fresh = g.fresh_name(f"{inner.name}_{cname}")
-            nd = copy.deepcopy(desc)
+            nd = copy.copy(desc)
             nd.name = fresh
             nd.shape = tuple(symbolic.substitute(d, symmap) for d in nd.shape)
             g.add_container(nd)
@@ -329,7 +328,7 @@ def _inline_one(g: Sdfg, st: State, node: NestedSdfg) -> None:
             st.add(nn)
             node_map[old_id] = nn
             continue
-        nn = copy.deepcopy(n)
+        nn = n.clone()
         nn.nid = -1
         if isinstance(nn, MapEntry):
             nn.params = tuple(

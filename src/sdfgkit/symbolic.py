@@ -89,9 +89,6 @@ class SymExpr:
     def evaluate(self, bindings: Mapping[str, int]) -> int:
         return _evaluate(self, bindings)
 
-    def __deepcopy__(self, memo) -> "SymExpr":
-        return self  # immutable: copies of a graph share it
-
     def __str__(self) -> str:
         return to_text(self)
 
@@ -517,9 +514,6 @@ class SubsetRange:
                 for b, e, s in self.dims
             )
         )
-
-    def __deepcopy__(self, memo) -> "SubsetRange":
-        return self  # immutable: copies of a graph share it
 
     def evaluate(self, bindings: Mapping[str, int]) -> tuple[range, ...]:
         out = []

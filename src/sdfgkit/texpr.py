@@ -20,9 +20,6 @@ class TExpr:
         _names(self, out)
         return out
 
-    def __deepcopy__(self, memo) -> "TExpr":
-        return self  # immutable: copies of a graph share it
-
 
 @dataclass(frozen=True)
 class TNum(TExpr):

@@ -75,6 +75,23 @@ def test_optimize_bad_flag_is_one_line(flags, capsys):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["parse", "show", "optimize", "run", "emit"])
+def test_missing_input_file_is_one_line(command, tmp_path, capsys):
+    missing = tmp_path / "missing.dpy"
+    assert main([command, str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert str(missing) in err and "No such file" in err
+
+
+def test_unwritable_output_is_one_line(tmp_path, capsys):
+    out = tmp_path / "no" / "dir" / "x.json"
+    assert main(["optimize", str(CORPUS / "gemm.dpy"), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"cannot write '{out}': No such file or directory"
+    assert "Traceback" not in err
+
+
 def test_distributed_run_matches_shared_memory(tmp_path, gemm_inputs, capsys):
     graph = tmp_path / "g.sdfg.json"
     dist = tmp_path / "dist.sdfg.json"

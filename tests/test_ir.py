@@ -6,7 +6,8 @@ from sdfgkit import frontend
 from sdfgkit.autoopt import auto_optimize
 from sdfgkit.ir import (
     AccessNode, DataDescriptor, DataKind, DType, LibKind, LibraryNode, MapEntry,
-    MapExit, Memlet, Schedule, Sdfg, State, Tasklet, Wcr, race_free, structural_eq,
+    MapExit, Memlet, NestedSdfg, Node, Schedule, Sdfg, State, Tasklet, Wcr, race_free,
+    structural_eq,
 )
 from sdfgkit.symbolic import Const, SubsetRange, Sym
 from sdfgkit.texpr import TBin, TNum, TRef
@@ -311,6 +312,107 @@ class TestQueries:
         monkeypatch.setattr(State, "topological", counting)
         auto_optimize(g)
         assert calls <= 2 * 822
+
+    def test_auto_optimize_scope_parents_calls_bounded(self, monkeypatch):
+        # one scope query per fusion candidate: adi takes 336 calls, and 456
+        # when each of a candidate's two scope_children calls derived its own
+        g = compile_kernel("adi")
+        calls = 0
+        original = State.scope_parents
+
+        def counting(self):
+            nonlocal calls
+            calls += 1
+            return original(self)
+
+        monkeypatch.setattr(State, "scope_parents", counting)
+        auto_optimize(g)
+        assert calls <= 360
+
+
+def graph_at(source: str, stage: str) -> Sdfg:
+    """A corpus kernel (or the nested-graph program) plain, after
+    ``auto_optimize``, or as ``emit_c`` lowers it."""
+    from sdfgkit.cemit import lowered
+    from test_interp_paths import CALLS
+
+    if source == "nested":
+        g, _ = frontend.compile_source(CALLS)
+    else:
+        g = compile_kernel(source)
+    if stage != "plain":
+        auto_optimize(g)
+    return lowered(g) if stage == "lowered" else g
+
+
+def mutate_everything(g: Sdfg) -> None:
+    """Change every mutable part of ``g`` that a rewrite may change."""
+    for d in g.containers.values():
+        d.shape = ()
+    for t in g.transitions:
+        t.assignments["mutated"] = Const(0)
+    for st in g.states:
+        for e in st.edges:
+            if e.memlet is not None:
+                e.memlet.subset = SubsetRange(())
+        for n in st.nodes.values():
+            if isinstance(n, MapEntry):
+                n.params = ()
+            elif isinstance(n, Tasklet):
+                n.code = ()
+            elif isinstance(n, LibraryNode):
+                for v in n.attributes.values():
+                    if isinstance(v, list):
+                        v.append("mutated")
+                n.attributes["mutated"] = True
+            elif isinstance(n, NestedSdfg):
+                n.symbol_map["mutated"] = Const(0)
+                mutate_everything(n.sdfg)
+
+
+def own_entries(g: Sdfg) -> bool:
+    """Every map exit of ``g`` and of its nested graphs names an entry of
+    its own state."""
+    for st in g.states:
+        for n in st.nodes.values():
+            if isinstance(n, MapExit) and st.nodes.get(n.entry.nid) is not n.entry:
+                return False
+            if isinstance(n, NestedSdfg) and not own_entries(n.sdfg):
+                return False
+    return True
+
+
+class TestClone:
+    @pytest.mark.parametrize("stage", ["plain", "optimized", "lowered"])
+    @pytest.mark.parametrize("source", ALL_KERNELS + ["nested"])
+    def test_copy_is_equal_and_independent(self, source, stage):
+        from sdfgkit.serialize import serialize
+
+        g = graph_at(source, stage)
+        before = serialize(g)
+        twin = g.copy()
+        assert structural_eq(twin, g)
+        assert own_entries(twin)
+        mutate_everything(twin)
+        assert serialize(g) == before
+
+    def test_pipelines_make_no_graph_deepcopy(self, monkeypatch):
+        import copy
+
+        from sdfgkit.cemit import emit_c
+
+        calls = []
+        original = copy.deepcopy
+
+        def counting(x, memo=None, _nil=[]):
+            if isinstance(x, (Sdfg, State, Node)):
+                calls.append(type(x).__name__)
+            return original(x, memo, _nil)
+
+        monkeypatch.setattr(copy, "deepcopy", counting)
+        auto_optimize(compile_kernel("adi"))
+        emit_c(compile_kernel("gemm"))
+        assert calls == []
 
 
 class TestStreams:

@@ -22,8 +22,8 @@ from typing import Callable
 from . import symbolic, texpr
 from .ir import (
     AccessNode, DataKind, LibKind, LibraryNode, Lifetime, MapEntry, MapExit,
-    Memlet, NestedSdfg, Schedule, Sdfg, State, Storage, Tasklet, Ternary, Wcr,
-    race_free,
+    Memlet, NestedSdfg, Node, Schedule, Sdfg, State, StateFacts, Storage, Tasklet, Ternary,
+    Wcr, race_free,
 )
 from .passes import (
     PassReport, _snapshot, coarsen, find_loops, loop_to_map, nodes_of, to_fixed_point,
@@ -66,7 +66,7 @@ def _remove_degenerate_dim(g: Sdfg) -> bool:
     for st, node in nodes_of(g, MapEntry):
         for d, (p, (b, e, s)) in enumerate(node.params):
             if symbolic.eq(b, e, asm) is Ternary.TRUE:
-                _rename_in_scope(st, node, {p: b})
+                _rename_in_scope(st, node, st.scope_children(node), {p: b})
                 node.params = node.params[:d] + node.params[d + 1:]
                 if not node.params:
                     _dissolve_scope(st, node, st.exit_of(node))
@@ -74,10 +74,11 @@ def _remove_degenerate_dim(g: Sdfg) -> bool:
     return False
 
 
-def _rename_in_scope(st: State, entry: MapEntry, sub: dict[str, SymExpr]) -> None:
-    """Substitute ``sub`` for parameters of ``entry`` in its scope: memlets
-    (the scope's boundary included), tasklet code and nested map ranges."""
-    children = st.scope_children(entry)
+def _rename_in_scope(st: State, entry: MapEntry, children: list[Node],
+                     sub: dict[str, SymExpr]) -> None:
+    """Substitute ``sub`` for parameters of ``entry`` in its scope, whose
+    nodes are ``children``: memlets (the scope's boundary included), tasklet
+    code and nested map ranges."""
     inside = {id(n) for n in children}
     exit_node = st.exit_of(entry)
     tsub = {k: texpr.parse_texpr(str(v)) for k, v in sub.items()}
@@ -216,21 +217,25 @@ def subgraph_fusion(g: Sdfg) -> PassReport:
     copy is race-free, so a rejected candidate leaves the graph untouched."""
     report = PassReport()
     for i in range(len(g.states)):
-        while (fused := _fuse_one_pair(g, g.states[i])) is not None:
-            cand, scope, mids = fused
-            g.states[i] = cand
+        facts = g.states[i].facts()
+        # the fused state's snapshot serves the next search: scalarization
+        # changes memlets and descriptors, not nodes or edges
+        while (fused := _fuse_one_pair(g, facts)) is not None:
+            facts, scope, mids = fused
+            g.states[i] = facts.state
             # after the swap: scalarization looks for occurrences in g.states
             for n in mids:
-                _try_scalarize(g, cand, n, scope)
+                _try_scalarize(g, facts, n, scope)
             report.count("subgraph_fusion")
     return report
 
 
-def _fuse_one_pair(g: Sdfg, st: State
-                   ) -> tuple[State, MapEntry, list[AccessNode]] | None:
-    """The first legal fusion candidate over top-level parallel maps, more
-    dimensions first, then in topological order; None when there is none."""
-    maps = [n for n in st.scopes()[None]
+def _fuse_one_pair(g: Sdfg, facts: StateFacts
+                   ) -> tuple[StateFacts, MapEntry, list[AccessNode]] | None:
+    """The first legal fusion candidate over top-level parallel maps of the
+    state ``facts`` describes, more dimensions first, then in topological
+    order; None when there is none."""
+    maps = [n for n in facts.scopes[None]
             if isinstance(n, MapEntry) and n.schedule is Schedule.PARALLEL]
     order = {n.nid: i for i, n in enumerate(maps)}
     maps.sort(key=lambda m: -len(m.params))
@@ -240,24 +245,24 @@ def _fuse_one_pair(g: Sdfg, st: State
                 continue
             if _space_sig(m1) != _space_sig(m2):
                 continue
-            fused = _try_fuse(g, st, m1, m2)
+            fused = _try_fuse(g, facts, m1, m2)
             if fused is not None:
                 return fused
     return None
 
 
-def _intermediates(st: State, m1: MapEntry, m2: MapEntry) -> dict[int, AccessNode] | None:
+def _intermediates(facts: StateFacts, m1: MapEntry, m2: MapEntry
+                   ) -> dict[int, AccessNode] | None:
     """Access nodes fed by m1's exit and feeding m2's entry; None when other
     nodes sit on a path between the two maps (fusing would create a cycle)."""
-    consumers = {e.dst.nid: e.dst for e in st.out_edges(st.exit_of(m1))}
+    consumers = {e.dst.nid: e.dst for e in facts.outs[facts.exits[m1].nid]}
     mids = {
         nid: n for nid, n in consumers.items()
-        if isinstance(n, AccessNode) and any(e.dst is m2 for e in st.out_edges(n))
+        if isinstance(n, AccessNode) and any(e.dst is m2 for e in facts.outs[nid])
     }
     # every path from m1 to m2 must go through a direct intermediate
-    reach = st.reachability()
-    parents = st.scope_parents()
-    inside = {c.nid for m in (m1, m2) for c in st.scope_children(m, parents)}
+    reach = facts.reach
+    inside = {c.nid for m in (m1, m2) for c in facts.scope_children(m)}
     for nid in consumers:
         if nid not in mids and nid not in inside and m2.nid in reach[nid]:
             return None  # some other consumer of m1 still reaches m2
@@ -273,25 +278,25 @@ def _by_container(edges) -> dict[str, list]:
     return out
 
 
-def _try_fuse(g: Sdfg, st: State, m1: MapEntry, m2: MapEntry
-              ) -> tuple[State, MapEntry, list[AccessNode]] | None:
-    """A race-free copy of ``st`` with m2 fused into m1, together with the
-    copy's fused scope and intermediates; None when the fusion is illegal."""
+def _try_fuse(g: Sdfg, facts: StateFacts, m1: MapEntry, m2: MapEntry
+              ) -> tuple[StateFacts, MapEntry, list[AccessNode]] | None:
+    """The snapshot of a race-free copy of the state ``facts`` describes
+    with m2 fused into m1, together with the copy's fused scope and
+    intermediates; None when the fusion is illegal."""
     mapping = _align_params(m1, m2)
     if mapping is None:
         return None
-    mids = _intermediates(st, m1, m2)
+    mids = _intermediates(facts, m1, m2)
     if mids is None:
         return None
-    x1 = st.exit_of(m1)
     if not mids:
         # only contiguous subgraphs fuse: the maps must at least share an input
-        in1 = {e.memlet.container for e in st.in_edges(m1) if e.memlet}
-        in2 = {e.memlet.container for e in st.in_edges(m2) if e.memlet}
+        in1 = {e.memlet.container for e in facts.ins[m1.nid] if e.memlet}
+        in2 = {e.memlet.container for e in facts.ins[m2.nid] if e.memlet}
         if not (in1 & in2):
             return None
-    w1 = _by_container(st.in_edges(x1))
-    r2 = _by_container(st.out_edges(m2))
+    w1 = _by_container(facts.ins[facts.exits[m1].nid])
+    r2 = _by_container(facts.outs[m2.nid])
     rename = {k: Sym(v) for k, v in mapping.items()}
     asm = g.assumptions()
     for p, (b, _, _) in m1.params:
@@ -308,19 +313,25 @@ def _try_fuse(g: Sdfg, st: State, m1: MapEntry, m2: MapEntry
             if not any(symbolic.covers(w, r, asm) is Ternary.TRUE for w in writes):
                 return None
 
-    cand = st.clone()
+    cand = facts.state.clone()
     scope = cand.nodes[m1.nid]
     cand_mids = [cand.nodes[nid] for nid in mids]
-    _apply_fusion(cand, scope, cand.nodes[m2.nid], mapping, cand_mids)
-    if not race_free(cand, g.assumptions()):
+    # the copy keeps the node ids, so m2's scope is read off the snapshot
+    m2_children = [cand.nodes[c.nid] for c in facts.scope_children(m2)]
+    _apply_fusion(cand, scope, cand.nodes[m2.nid], m2_children, mapping, cand_mids)
+    try:
+        cand_facts = cand.facts()
+    except ValueError:
+        return None  # the fusion closed a cycle
+    if not race_free(cand, g.assumptions(), cand_facts):
         return None
-    return cand, scope, cand_mids
+    return cand_facts, scope, cand_mids
 
 
-def _apply_fusion(st: State, m1: MapEntry, m2: MapEntry,
+def _apply_fusion(st: State, m1: MapEntry, m2: MapEntry, m2_children: list[Node],
                   mapping: dict[str, str], mids: list[AccessNode]) -> None:
     x1, x2 = st.exit_of(m1), st.exit_of(m2)
-    _rename_in_scope(st, m2, {k: Sym(v) for k, v in mapping.items()})
+    _rename_in_scope(st, m2, m2_children, {k: Sym(v) for k, v in mapping.items()})
 
     # move intermediate access nodes into the fused scope
     for n in mids:
@@ -378,7 +389,7 @@ def _apply_fusion(st: State, m1: MapEntry, m2: MapEntry,
     st.remove_node(x2)
 
 
-def _try_scalarize(g: Sdfg, st: State, acc: AccessNode, scope: MapEntry) -> None:
+def _try_scalarize(g: Sdfg, facts: StateFacts, acc: AccessNode, scope: MapEntry) -> None:
     cont = acc.container
     desc = g.containers.get(cont)
     if desc is None or not desc.transient or desc.kind is not DataKind.ARRAY:
@@ -393,7 +404,7 @@ def _try_scalarize(g: Sdfg, st: State, acc: AccessNode, scope: MapEntry) -> None
         e for s2, _ in occs for e in s2.edges
         if e.memlet is not None and e.memlet.container == cont
     ]
-    in_scope = {id(c) for c in st.scope_children(scope)}
+    in_scope = {id(c) for c in facts.scope_children(scope)}
     if any(id(n) not in in_scope for _, n in occs):
         return
     # all accesses must address one element with the same index expression

@@ -676,7 +676,7 @@ def _conflicts(t_sub: SubsetRange, params: set[str]) -> bool:
     """Whether two iterations may write the same cells (needs wcr)."""
     from ..ir import _pinned  # shared with validation
 
-    return not all(_pinned(p, params, t_sub, t_sub) for p in params)
+    return not _pinned(params, t_sub, t_sub) >= params
 
 
 class _ScopeRouter:

@@ -25,7 +25,7 @@ import numpy as np
 from . import symbolic, texpr
 from .ir import (
     COMM_KINDS, AccessNode, DataKind, DType, Edge, InterstateEdge, LibKind, LibraryNode,
-    Lifetime, MapEntry, MapExit, Memlet, NestedSdfg, Sdfg, State, Tasklet, Wcr,
+    Lifetime, MapEntry, MapExit, Memlet, NestedSdfg, Sdfg, State, StateFacts, Tasklet, Wcr,
 )
 from .symbolic import SubsetRange, SymExpr
 
@@ -187,9 +187,11 @@ class Machine:
         self.g = g
         self.ctx = ctx
         self.opt = options or InterpOptions()
-        # the graphs validated in this run, shared with the machines of
-        # nested graphs so that each graph is validated once
+        # the graphs validated in this run and the snapshots of their states,
+        # shared with the machines of nested graphs so that each graph is
+        # validated once and each state's facts are derived once
         self._validated: set[Sdfg] = set()
+        self._facts: dict[State, StateFacts] = {}
         self.sym: dict[str, int] = {}
         self.store: dict[str, np.ndarray] = {}
         self._prepared = False
@@ -208,7 +210,7 @@ class Machine:
             return
         g, ctx = self.g, self.ctx
         if g not in self._validated:
-            errors = [d for d in g.validate() if d.severity == "error"]
+            errors = [d for d in g.validate(self._facts) if d.severity == "error"]
             if errors:
                 raise InterpreterError(
                     "graph does not validate: " + "; ".join(d.message for d in errors)
@@ -365,8 +367,11 @@ class Machine:
     # -- planning ---------------------------------------------------------------------
 
     def _plan_state(self, state: State) -> "_StatePlan":
-        plan = _StatePlan(state)
-        for scope, members in state.scopes().items():
+        facts = self._facts.get(state)
+        if facts is None:
+            facts = self._facts[state] = state.facts()
+        plan = _StatePlan(facts)
+        for scope, members in facts.scopes.items():
             if scope is None:
                 plan.top = self._scope_steps(plan, None, members)
                 continue
@@ -410,7 +415,7 @@ class Machine:
             return False
         edges = plan.ins[node.nid] + plan.outs[node.nid]
         if isinstance(node, MapEntry):
-            exit_node = plan.state.exit_of(node)
+            exit_node = plan.facts.exits[node]
             edges += plan.ins[exit_node.nid] + plan.outs[exit_node.nid]
         conts = {e.memlet.container for e in edges if e.memlet is not None}
         return bool(conts) and conts.isdisjoint(self.rank_local)
@@ -566,7 +571,7 @@ class Machine:
                 lengths = _compile_lengths(e.memlet)(env)
                 inner_ctx.store[e.dst_conn] = data.reshape(lengths)
         inner = Machine(node.sdfg, inner_ctx, self.opt)
-        inner._validated = self._validated
+        inner._validated, inner._facts = self._validated, self._facts
         yield from inner.run()
         for e in plan.outs[node.nid]:
             if e.memlet is None:
@@ -579,17 +584,13 @@ _REDUCE_UFUNCS = {Wcr.ADD: np.add, Wcr.MUL: np.multiply,
 
 
 class _StatePlan:
-    """A state's edges indexed by node id (in edge order), the steps of its
-    top level, and the :class:`_MapPlan` of each map.  A step is
-    ``(fn, is_generator)``; ``fn`` takes the environment."""
+    """A state's snapshot and its edges indexed by node id (in edge order),
+    the steps of its top level, and the :class:`_MapPlan` of each map.  A
+    step is ``(fn, is_generator)``; ``fn`` takes the environment."""
 
-    def __init__(self, state: State):
-        self.state = state
-        self.ins: dict[int, list[Edge]] = {nid: [] for nid in state.nodes}
-        self.outs: dict[int, list[Edge]] = {nid: [] for nid in state.nodes}
-        for e in state.edges:
-            self.ins[e.dst.nid].append(e)
-            self.outs[e.src.nid].append(e)
+    def __init__(self, facts: StateFacts):
+        self.facts, self.state = facts, facts.state
+        self.ins, self.outs = facts.ins, facts.outs
         self.top: list[tuple] = []
         self.maps: dict[int, _MapPlan] = {}
 

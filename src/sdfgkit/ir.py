@@ -13,6 +13,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -337,9 +339,6 @@ class State:
     def out_edges(self, node: Node) -> list[Edge]:
         return [e for e in self.edges if e.src is node]
 
-    def degree(self, node: Node) -> tuple[int, int]:
-        return len(self.in_edges(node)), len(self.out_edges(node))
-
     def topological(self) -> list[Node]:
         """Kahn's order that always takes the smallest ready node id."""
         indeg = {nid: 0 for nid in self.nodes}
@@ -361,15 +360,84 @@ class State:
             raise ValueError(f"cycle in state '{self.label}'")
         return order
 
+    def facts(self) -> "StateFacts":
+        """A snapshot of this state's structural analyses (see
+        :class:`StateFacts`); raises ``ValueError`` when the state has a
+        cycle."""
+        ins: dict[int, list[Edge]] = {nid: [] for nid in self.nodes}
+        outs: dict[int, list[Edge]] = {nid: [] for nid in self.nodes}
+        for e in self.edges:
+            ins[e.dst.nid].append(e)
+            outs[e.src.nid].append(e)
+        exits: dict[MapEntry, MapExit] = {}
+        for n in self.nodes.values():
+            if isinstance(n, MapExit):
+                exits.setdefault(n.entry, n)
+        return StateFacts(
+            self, tuple(self.topological()),
+            MappingProxyType({nid: tuple(v) for nid, v in ins.items()}),
+            MappingProxyType({nid: tuple(v) for nid, v in outs.items()}),
+            MappingProxyType(exits))
+
     def scope_parents(self) -> dict[int, MapEntry | None]:
         """Scope membership for every node, in topological order; edges must
         respect scope brackets."""
-        in_edges: dict[int, list[Edge]] = {nid: [] for nid in self.nodes}
-        for e in self.edges:
-            in_edges[e.dst.nid].append(e)
+        return dict(self.facts().parents)
+
+    def scopes(self) -> dict[MapEntry | None, list[Node]]:
+        """Direct members of every scope (key None for the top level), each in
+        topological order.  An exit belongs to its entry's enclosing scope."""
+        return {k: list(v) for k, v in self.facts().scopes.items()}
+
+    def scope_children(self, entry: MapEntry) -> list[Node]:
+        """Every node inside ``entry``'s scope, at any depth, by node id."""
+        return self.facts().scope_children(entry)
+
+    def exit_of(self, entry: MapEntry) -> MapExit:
+        for node in self.nodes.values():
+            if isinstance(node, MapExit) and node.entry is entry:
+                return node
+        raise KeyError(f"map entry {entry.nid} has no exit")
+
+    def accesses(self, container: str) -> list[AccessNode]:
+        return [
+            n
+            for n in self.sorted_nodes()
+            if isinstance(n, AccessNode) and n.container == container
+        ]
+
+    def reachability(self) -> dict[int, frozenset[int]]:
+        """The ids every node reaches by a path of one or more edges."""
+        return dict(self.facts().reach)
+
+
+@dataclass(frozen=True, eq=False)
+class StateFacts:
+    """An immutable snapshot of one state's structural analyses, derived
+    from one topological pass.
+
+    It describes the state as it was when :meth:`State.facts` took it, so it
+    holds only while the state's nodes and edges stay unchanged: the caller
+    that owns such a state takes one snapshot and passes it to every
+    analysis of the state.  The order, the edges of each node (in edge
+    order) and the entry-to-exit lookup are built at once; the scope
+    parents, scopes and reachability on first use.  ``parents`` (and
+    ``scopes``) raise ``ValueError`` when an edge breaks the scope brackets.
+    """
+
+    state: State
+    order: tuple[Node, ...]
+    ins: Mapping[int, tuple[Edge, ...]]
+    outs: Mapping[int, tuple[Edge, ...]]
+    exits: Mapping[MapEntry, MapExit]
+
+    @cached_property
+    def parents(self) -> Mapping[int, MapEntry | None]:
+        """The innermost map entry whose scope holds each node (None at the
+        top level), keyed in topological order."""
         parent: dict[int, MapEntry | None] = {}
-        for node in self.topological():
-            preds = in_edges[node.nid]
+        for node in self.order:
+            preds = self.ins[node.nid]
             if not preds:
                 parent[node.nid] = None
                 continue
@@ -386,69 +454,47 @@ class State:
                     scopes.add(p.nid if p is not None else -1)
             if isinstance(node, MapExit):
                 # the exit lives in the same scope as its entry
-                p = parent[node.entry.nid]
-                parent[node.nid] = p
+                parent[node.nid] = parent[node.entry.nid]
                 continue
             if len(scopes) != 1:
                 raise ValueError(
-                    f"node {node.nid} in state '{self.label}' joins different map scopes"
+                    f"node {node.nid} in state '{self.state.label}' joins different map scopes"
                 )
             s = scopes.pop()
-            parent[node.nid] = None if s == -1 else self.nodes[s]  # type: ignore[assignment]
-        return parent
+            parent[node.nid] = None if s == -1 else self.state.nodes[s]  # type: ignore[assignment]
+        return MappingProxyType(parent)
 
-    def scopes(self) -> dict[MapEntry | None, list[Node]]:
-        """Direct members of every scope (key None for the top level), each in
-        topological order.  An exit belongs to its entry's enclosing scope."""
+    @cached_property
+    def scopes(self) -> Mapping[MapEntry | None, tuple[Node, ...]]:
+        """Direct members of every scope, as :meth:`State.scopes`."""
         members: dict[MapEntry | None, list[Node]] = {None: []}
-        for n in self.nodes.values():
+        for n in self.state.nodes.values():
             if isinstance(n, MapEntry):
                 members[n] = []
-        for nid, p in self.scope_parents().items():
-            members[p].append(self.nodes[nid])
-        return members
+        parents = self.parents
+        for node in self.order:
+            members[parents[node.nid]].append(node)
+        return MappingProxyType({k: tuple(v) for k, v in members.items()})
 
-    def scope_children(self, entry: MapEntry,
-                       parents: Mapping[int, MapEntry | None] | None = None) -> list[Node]:
-        """Every node inside ``entry``'s scope, at any depth, by node id.
-        ``parents`` is this state's :meth:`scope_parents`, when the caller
-        already has it."""
-        if parents is None:
-            parents = self.scope_parents()
-        out = []
-        for node in self.sorted_nodes():
-            p = parents.get(node.nid)
-            while p is not None:
-                if p is entry:
-                    out.append(node)
-                    break
-                p = parents.get(p.nid)
-        return out
+    @cached_property
+    def reach(self) -> Mapping[int, frozenset[int]]:
+        """The ids each node reaches by a path of one or more edges."""
+        reach: dict[int, frozenset[int]] = {}
+        for node in reversed(self.order):
+            succs = [e.dst.nid for e in self.outs[node.nid]]
+            reach[node.nid] = frozenset(succs).union(*(reach[d] for d in succs))
+        return MappingProxyType(reach)
 
-    def exit_of(self, entry: MapEntry) -> MapExit:
-        for node in self.nodes.values():
-            if isinstance(node, MapExit) and node.entry is entry:
-                return node
-        raise KeyError(f"map entry {entry.nid} has no exit")
-
-    def accesses(self, container: str) -> list[AccessNode]:
-        return [
-            n
-            for n in self.sorted_nodes()
-            if isinstance(n, AccessNode) and n.container == container
-        ]
-
-    def reachability(self) -> dict[int, set[int]]:
-        succs: dict[int, list[int]] = {nid: [] for nid in self.nodes}
-        for e in self.edges:
-            succs[e.src.nid].append(e.dst.nid)
-        reach: dict[int, set[int]] = {nid: set() for nid in self.nodes}
-        for node in reversed(self.topological()):
-            mine = reach[node.nid]
-            for dst in succs[node.nid]:
-                mine.add(dst)
-                mine |= reach[dst]
-        return reach
+    def scope_children(self, entry: MapEntry) -> list[Node]:
+        """Every node inside ``entry``'s scope, at any depth, by node id."""
+        out: list[Node] = []
+        pending = [entry]
+        while pending:
+            for n in self.scopes.get(pending.pop(), ()):
+                out.append(n)
+                if isinstance(n, MapEntry):
+                    pending.append(n)
+        return sorted(out, key=lambda n: n.nid)
 
 
 @dataclass(eq=False)
@@ -603,27 +649,28 @@ class Sdfg:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self) -> list[Diagnostic]:
-        return validate(self)
+    def validate(self, facts: dict[State, StateFacts] | None = None) -> list[Diagnostic]:
+        return validate(self, facts)
 
 
 # ---------------------------------------------------------------------------
 # Validation
 
 
-def _node_memlets(state: State, node: AccessNode):
-    writes = [e.memlet for e in state.in_edges(node) if e.memlet is not None]
-    reads = [e.memlet for e in state.out_edges(node) if e.memlet is not None]
+def _node_memlets(facts: StateFacts, node: AccessNode):
+    writes = [e.memlet for e in facts.ins[node.nid] if e.memlet is not None]
+    reads = [e.memlet for e in facts.outs[node.nid] if e.memlet is not None]
     return writes, reads
 
 
 def unordered_hazards(
-    state: State, assumptions: Assumptions
+    state: State, assumptions: Assumptions, facts: StateFacts | None = None
 ) -> list[tuple[str, AccessNode, AccessNode, Ternary]]:
     """Pairs of same-container access occurrences with a write and no
     ordering path between them.  The Ternary reports provable disjointness of
-    the colliding subsets (UNKNOWN and FALSE are hazards)."""
-    reach = state.reachability()
+    the colliding subsets (UNKNOWN and FALSE are hazards).  ``facts`` is the
+    state's snapshot, taken here when not given."""
+    facts = facts or state.facts()
     by_container: dict[str, list[AccessNode]] = {}
     for n in state.sorted_nodes():
         if isinstance(n, AccessNode):
@@ -633,11 +680,13 @@ def unordered_hazards(
         for i in range(len(occs)):
             for j in range(i + 1, len(occs)):
                 u, v = occs[i], occs[j]
-                if v.nid in reach[u.nid] or u.nid in reach[v.nid]:
-                    continue
-                uw, ur = _node_memlets(state, u)
-                vw, vr = _node_memlets(state, v)
+                uw, ur = _node_memlets(facts, u)
+                vw, vr = _node_memlets(facts, v)
                 if not uw and not vw:
+                    continue
+                # reachability is derived only for states that need it
+                reach = facts.reach
+                if v.nid in reach[u.nid] or u.nid in reach[v.nid]:
                     continue
                 verdicts = []
                 for m1 in uw:
@@ -662,40 +711,51 @@ def unordered_hazards(
     return out
 
 
-def data_races(state: State, assumptions: Assumptions) -> list[tuple[str, int, Ternary]]:
+def data_races(state: State, assumptions: Assumptions,
+               facts: StateFacts | None = None) -> list[tuple[str, int, Ternary]]:
     """Every data race in an acyclic state as (container, node id, verdict).
 
     Unordered same-container access pairs come first, reported at their
     first node; then the cross-iteration conflicts of each non-sequential
     map, reported at its entry (sequential maps execute in order and may
     carry dependences).  FALSE means a proven collision, UNKNOWN an
-    unprovable disjointness."""
+    unprovable disjointness.  ``facts`` is the state's snapshot, taken here
+    when not given."""
+    facts = facts or state.facts()
     out = [(cont, u.nid, verdict)
-           for cont, u, _, verdict in unordered_hazards(state, assumptions)]
+           for cont, u, _, verdict in unordered_hazards(state, assumptions, facts)]
     for entry in state.nodes.values():
         if not isinstance(entry, MapEntry) or entry.schedule is Schedule.SEQUENTIAL:
             continue
-        try:
-            state.exit_of(entry)
-        except KeyError:
+        if entry not in facts.exits:
             continue  # validate reports the unbalanced brackets
         out += [(cont, entry.nid, Ternary.FALSE)
-                for cont, _, _ in scope_cross_iteration_hazards(state, entry)]
+                for cont, _, _ in scope_cross_iteration_hazards(state, entry, facts)]
     return out
 
 
-def race_free(state: State, assumptions: Assumptions) -> bool:
+def race_free(state: State, assumptions: Assumptions,
+              facts: StateFacts | None = None) -> bool:
     """The legality predicate of every rewrite: the state is acyclic, its
-    edges respect scope brackets, and it has no data race."""
+    edges respect scope brackets, and it has no data race.  ``facts`` is
+    the state's snapshot, taken here when not given."""
     try:
-        state.scope_parents()
+        facts = facts or state.facts()
+        facts.parents
     except ValueError:
         return False
-    return not data_races(state, assumptions)
+    return not data_races(state, assumptions, facts)
 
 
-def validate(g: Sdfg) -> list[Diagnostic]:
-    """Structural validation; returns diagnostics instead of raising."""
+def validate(g: Sdfg, facts: dict[State, StateFacts] | None = None) -> list[Diagnostic]:
+    """Structural validation; returns diagnostics instead of raising.
+
+    ``facts`` maps states to their snapshots.  Validation uses the
+    snapshots it finds there and adds the ones it takes, so a caller that
+    goes on to analyse the unchanged graph derives each state's facts once.
+    """
+    if facts is None:
+        facts = {}
     diags: list[Diagnostic] = []
 
     def err(msg, code, state=None, node=None):
@@ -727,16 +787,24 @@ def validate(g: Sdfg) -> list[Diagnostic]:
 
     for st in g.states:
         # acyclicity + scope structure
+        sf = facts.get(st)
+        if sf is None:
+            try:
+                sf = facts[st] = st.facts()
+            except ValueError as ex:
+                err(str(ex), "state-cycle", st.label)
+                continue
         try:
-            st.topological()
-        except ValueError as ex:
-            err(str(ex), "state-cycle", st.label)
-            continue
-        try:
-            parents = st.scope_parents()
+            parents = sf.parents
         except ValueError as ex:
             err(str(ex), "scope-structure", st.label)
             continue
+
+        # the map parameters visible inside each scope
+        visible: dict[MapEntry | None, frozenset[str]] = {None: frozenset()}
+        for n in sf.order:
+            if isinstance(n, MapEntry):
+                visible[n] = visible[parents[n.nid]].union(n.param_names)
 
         entries = [n for n in st.nodes.values() if isinstance(n, MapEntry)]
         exits = [n for n in st.nodes.values() if isinstance(n, MapExit)]
@@ -762,20 +830,19 @@ def validate(g: Sdfg) -> list[Diagnostic]:
             unknown = [s for s in m.subset.free_symbols() if s not in known_names]
             if unknown:
                 # a map's own boundary memlets also see its parameters
-                visible = _enclosing_params(parents, e.src, e.dst)
+                seen = set(visible[parents[e.src.nid]] | visible[parents[e.dst.nid]])
                 if isinstance(e.src, MapEntry):
-                    visible.update(e.src.param_names)
+                    seen.update(e.src.param_names)
                 if isinstance(e.dst, MapExit):
-                    visible.update(e.dst.entry.param_names)
+                    seen.update(e.dst.entry.param_names)
                 for sname in unknown:
-                    if sname not in visible:
+                    if sname not in seen:
                         err(f"memlet {m} uses undeclared name '{sname}'", "unknown-symbol",
                             st.label)
 
         # dataflow endpoints: sinks must be access nodes; tasklet outputs consumed
         for n in st.nodes.values():
-            indeg, outdeg = st.degree(n)
-            if outdeg == 0 and not isinstance(n, AccessNode):
+            if not sf.outs[n.nid] and not isinstance(n, AccessNode):
                 err(
                     f"{type(n).__name__} {n.nid} is a dataflow sink",
                     "sink-not-access",
@@ -783,7 +850,7 @@ def validate(g: Sdfg) -> list[Diagnostic]:
                     n.nid,
                 )
             if isinstance(n, Tasklet):
-                conns = {e.dst_conn for e in st.in_edges(n)}
+                conns = {e.dst_conn for e in sf.ins[n.nid]}
                 missing = set(n.inputs) - conns
                 if missing:
                     err(
@@ -792,7 +859,7 @@ def validate(g: Sdfg) -> list[Diagnostic]:
                         st.label,
                         n.nid,
                     )
-                scope_params = _enclosing_params(parents, n)
+                scope_params = visible[parents[n.nid]]
                 for _, code in n.code:
                     for name in code.free_names():
                         if (name not in n.inputs and name not in known_names
@@ -804,7 +871,7 @@ def validate(g: Sdfg) -> list[Diagnostic]:
                                 n.nid,
                             )
 
-        for cont, nid, verdict in data_races(st, assumptions):
+        for cont, nid, verdict in data_races(st, assumptions, sf):
             if verdict is Ternary.FALSE:
                 err(f"data race on {cont}", "data-race", st.label, nid)
             else:
@@ -812,10 +879,11 @@ def validate(g: Sdfg) -> list[Diagnostic]:
                     "data-race", st.label, nid)
 
     # interstate edges
+    labels = {s.label for s in g.states}
+    leaving: dict[str, list[InterstateEdge]] = {}
     for t in g.transitions:
-        if not any(s.label == t.src for s in g.states) or not any(
-            s.label == t.dst for s in g.states
-        ):
+        leaving.setdefault(t.src, []).append(t)
+        if t.src not in labels or t.dst not in labels:
             err(f"transition {t.src}->{t.dst} references unknown state", "unknown-state")
             continue
         if t.condition is not None:
@@ -826,7 +894,7 @@ def validate(g: Sdfg) -> list[Diagnostic]:
                         "unknown-symbol",
                     )
     for st in g.states:
-        outs = g.out_transitions(st.label)
+        outs = leaving.get(st.label, [])
         conded = [t for t in outs if t.condition is not None]
         if conded and len(conded) == len(outs):
             if not _exhaustive_conditions([t.condition for t in conded]):
@@ -839,47 +907,40 @@ def validate(g: Sdfg) -> list[Diagnostic]:
     return diags
 
 
-def _enclosing_params(parents: Mapping[int, MapEntry | None], *nodes: Node) -> set[str]:
-    """Parameters of every map whose scope encloses one of ``nodes``."""
+def _pinned(params: set[str], w: SubsetRange, x: SubsetRange) -> set[str]:
+    """The parameters that ``w`` and ``x`` pin.  A dimension pins a parameter
+    when both subsets index it with the same single-parameter point
+    expression, so a collision forces equal values."""
     out: set[str] = set()
-    for node in nodes:
-        cur = parents.get(node.nid)
-        while cur is not None:
-            out.update(cur.param_names)
-            cur = parents.get(cur.nid)
-    return out
-
-
-def _pinned(param: str, all_params: set[str], w: SubsetRange, x: SubsetRange) -> bool:
-    """A dimension pins a parameter when both subsets index it with the same
-    single-parameter point expression, so a collision forces equal values."""
     for (wb, we, _), (xb, xe, _) in zip(w.dims, x.dims):
         if wb != we or xb != xe:
             continue
-        if symbolic.simplify(wb) != symbolic.simplify(xb):
+        if wb != xb and symbolic.simplify(wb) != symbolic.simplify(xb):
             continue
-        deps = wb.free_symbols() & all_params
-        if deps == {param}:
-            return True
-    return False
+        deps = wb.free_symbols() & params
+        if len(deps) == 1:
+            out |= deps
+    return out
 
 
 def scope_cross_iteration_hazards(
-    state: State, entry: MapEntry
+    state: State, entry: MapEntry, facts: StateFacts | None = None
 ) -> list[tuple[str, Memlet, Memlet]]:
     """Same-container boundary memlets that may collide across iterations.
 
     A write/access pair is safe only if every map parameter is pinned (the
     colliding cells force the iterations to be identical) or both sides agree
-    on the same write-conflict resolution.
+    on the same write-conflict resolution.  ``facts`` is the state's
+    snapshot, taken here when not given.
     """
-    exit_node = state.exit_of(entry)
+    facts = facts or state.facts()
+    exit_node = facts.exits[entry]
     reads: dict[str, list[Memlet]] = {}
     writes: dict[str, list[Memlet]] = {}
-    for e in state.out_edges(entry):
+    for e in facts.outs[entry.nid]:
         if e.memlet is not None:
             reads.setdefault(e.memlet.container, []).append(e.memlet)
-    for e in state.in_edges(exit_node):
+    for e in facts.ins[exit_node.nid]:
         if e.memlet is not None:
             writes.setdefault(e.memlet.container, []).append(e.memlet)
     params = set(entry.param_names)
@@ -890,7 +951,7 @@ def scope_cross_iteration_hazards(
             for x in others:
                 if w.wcr is not None and x.wcr == w.wcr:
                     continue
-                if all(_pinned(p, params, w.subset, x.subset) for p in params):
+                if _pinned(params, w.subset, x.subset) >= params:
                     continue
                 hazards.append((cont, w, x))
     return hazards

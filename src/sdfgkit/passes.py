@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 from . import symbolic, texpr
 from .ir import (
     AccessNode, MapEntry, MapExit, Memlet, NestedSdfg, Node, Schedule, Sdfg,
-    State, Tasklet, Ternary, Wcr, race_free,
+    State, StateFacts, Tasklet, Ternary, Wcr, race_free,
 )
 from .symbolic import Const, SubsetRange, Sym, SymExpr, propagate_subset
 from .texpr import TBin, TExpr, TRef
@@ -106,25 +106,21 @@ def to_fixed_point(rewrites: dict[str, Callable[[], bool]]) -> Iterator[str]:
 # State fusion
 
 
-def _merge_states(s1: State, s2: State) -> State | None:
-    """Build the fused state (copy); None when sink/source matching is
-    ambiguous."""
-    a, b = s1.clone(), s2.clone()
-    merged = State(s1.label)
-    b_nodes = b.sorted_nodes()
+def _merge_states(f1: StateFacts, s2: State) -> State | None:
+    """Build the fused state of the state ``f1`` describes and ``s2`` (a
+    copy); None when sink/source matching is ambiguous."""
+    a, b = f1.state.clone(), s2.clone()
+    a_nodes, b_nodes = a.sorted_nodes(), b.sorted_nodes()
     b_edges = [(e.src, e.dst, e.memlet, e.src_conn, e.dst_conn) for e in b.edges]
-    b_sources = {id(n) for n in b_nodes if isinstance(n, AccessNode) and not b.in_edges(n)}
-    for n in a.sorted_nodes():
-        n.nid = -1
-        merged.add(n)
-    for e in a.edges:
-        merged.add_edge(e.src, e.dst, e.memlet, e.src_conn, e.dst_conn)
+    b_written = {id(e.dst) for e in b.edges}
+    b_sources = {id(n) for n in b_nodes if isinstance(n, AccessNode) and id(n) not in b_written}
 
     # terminal occurrence per container: the version of the data that is live
-    # at the end of the first state (no other occurrence downstream of it)
-    reach = merged.reachability()
+    # at the end of the first state (no other occurrence downstream of it);
+    # the copy's nodes keep the first state's ids until they are added below
+    reach = f1.reach
     occs: dict[str, list[AccessNode]] = {}
-    for n in merged.sorted_nodes():
+    for n in a_nodes:
         if isinstance(n, AccessNode):
             occs.setdefault(n.container, []).append(n)
     terminals: dict[str, list[AccessNode]] = {}
@@ -133,12 +129,14 @@ def _merge_states(s1: State, s2: State) -> State | None:
             u for u in nodes
             if not any(v is not u and v.nid in reach[u.nid] for v in nodes)
         ]
+    written = {n.container for n in a_nodes if isinstance(n, AccessNode) and f1.ins[n.nid]}
 
-    written = {
-        n.container
-        for n in merged.sorted_nodes()
-        if isinstance(n, AccessNode) and merged.in_edges(n)
-    }
+    merged = State(a.label)
+    for n in a_nodes:
+        n.nid = -1
+        merged.add(n)
+    for e in a.edges:
+        merged.add_edge(e.src, e.dst, e.memlet, e.src_conn, e.dst_conn)
     fuse_map: dict[int, AccessNode] = {}  # id(b node) -> merged node
     for n in b_nodes:
         if id(n) in b_sources:
@@ -183,7 +181,7 @@ def state_fusion(g: Sdfg, s1_label: str, s2_label: str) -> bool:
     if len(g.out_transitions(s1_label)) != 1 or len(g.in_transitions(s2_label)) != 1:
         return False
 
-    merged = _merge_states(s1, s2)
+    merged = _merge_states(s1.facts(), s2)
     if merged is None or not race_free(merged, g.assumptions()):
         return False
 

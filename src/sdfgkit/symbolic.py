@@ -15,6 +15,7 @@ undecidable, which keeps the analysis conservative.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -96,6 +97,12 @@ class SymExpr:
 @dataclass(frozen=True)
 class Const(SymExpr):
     value: int
+
+    def __post_init__(self):
+        # a float, bool or numpy integer would compare and hash equal to the
+        # int, so a memoized canonical form could hand back the wrong type
+        if type(self.value) is not int:
+            raise TypeError(f"symbolic constant must be an int, not {type(self.value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -340,8 +347,10 @@ def _rebuild(p: dict) -> SymExpr:
     return out
 
 
+@functools.lru_cache(maxsize=4096)
 def simplify(e: SymExpr) -> SymExpr:
-    """Normalize to the canonical sum-of-products form (idempotent)."""
+    """Normalize to the canonical sum-of-products form (idempotent).
+    Cached: expressions are immutable, and graphs repeat the same few."""
     return _rebuild(_normalize(e))
 
 
@@ -410,7 +419,10 @@ def _atom_interval(atom: SymExpr, a: Assumptions):
 
 
 def _expr_interval(e: SymExpr, a: Assumptions):
-    poly = _normalize(e)
+    return _poly_interval(_normalize(e), a)
+
+
+def _poly_interval(poly: dict, a: Assumptions):
     total = (float(poly.get((), 0)), float(poly.get((), 0)))
     for mono, coeff in poly.items():
         if mono == ():
@@ -429,7 +441,7 @@ def compare(lhs: SymExpr | int, rhs: SymExpr | int, a: Assumptions) -> Ternary:
     c = _poly_const(diff)
     if c is not None:
         return Ternary.TRUE if c <= 0 else Ternary.FALSE
-    lo, hi = _expr_interval(_rebuild(diff), a)
+    lo, hi = _poly_interval(diff, a)
     if hi <= 0:
         return Ternary.TRUE
     if lo >= 1:

@@ -8,7 +8,7 @@ from sdfgkit import frontend
 from sdfgkit.frontend import oracle
 from sdfgkit.interp import ExecContext, InterpOptions, InterpreterError, interpret
 from sdfgkit.ir import (
-    AccessNode, DType, LibKind, LibraryNode, Memlet, NestedSdfg, Sdfg, Tasklet,
+    AccessNode, DType, LibKind, LibraryNode, Memlet, NestedSdfg, Sdfg, State, Tasklet,
 )
 from sdfgkit.symbolic import Const, Sym, SubsetRange
 from sdfgkit.texpr import parse_texpr
@@ -147,9 +147,25 @@ def test_nested_graph_validated_once_per_run(trips, monkeypatch):
     assert len(nested) == 1
     calls = []
     validate = Sdfg.validate
-    monkeypatch.setattr(Sdfg, "validate", lambda self: calls.append(self) or validate(self))
+    monkeypatch.setattr(Sdfg, "validate",
+                        lambda self, *facts: calls.append(self) or validate(self, *facts))
     a = np.arange(1.0, trips + 1.0)
     ctx = ExecContext(bindings={"N": trips}).bind_inputs({"A": a, "s": 2.0})
     out = interpret(g, ctx)
     assert np.array_equal(out["A"], a * 2.0 ** trips)
     assert [id(x) for x in calls] == [id(g), id(nested[0])]
+
+
+def test_each_state_analysed_once_per_run(monkeypatch):
+    # validation and planning share one snapshot of each state, and so do
+    # the four launches of the nested graph
+    g, _ = frontend.compile_source(LOOPED_CALL)
+    nested = [n.sdfg for st in g.states for n in st.nodes.values() if isinstance(n, NestedSdfg)]
+    calls = []
+    topological = State.topological
+    monkeypatch.setattr(State, "topological",
+                        lambda self: calls.append(self) or topological(self))
+    ctx = ExecContext(bindings={"N": 4}).bind_inputs({"A": np.ones(4), "s": 2.0})
+    interpret(g, ctx)
+    states = g.states + nested[0].states
+    assert sorted(map(id, calls)) == sorted(map(id, states))

@@ -6,8 +6,8 @@ from sdfgkit import frontend
 from sdfgkit.autoopt import auto_optimize
 from sdfgkit.ir import (
     AccessNode, DataDescriptor, DataKind, DType, LibKind, LibraryNode, MapEntry,
-    MapExit, Memlet, NestedSdfg, Node, Schedule, Sdfg, State, Tasklet, Wcr, race_free,
-    structural_eq,
+    MapExit, Memlet, NestedSdfg, Node, Schedule, Sdfg, State, StateFacts, Tasklet, Wcr,
+    race_free, structural_eq, validate,
 )
 from sdfgkit.symbolic import Const, SubsetRange, Sym
 from sdfgkit.texpr import TBin, TNum, TRef
@@ -299,35 +299,134 @@ class TestQueries:
 
     def test_auto_optimize_topological_calls_bounded(self, monkeypatch):
         # machine-independent guard against re-deriving the order in a loop:
-        # adi took 822 calls after the linear-time rewrite and 13068 before
+        # each snapshot derives it once, and adi takes 168 calls; 612 before
+        # the fusion searches passed their snapshots on, 822 after the
+        # linear-time rewrite and 13068 before
         g = compile_kernel("adi")
-        calls = 0
-        original = State.topological
-
-        def counting(self):
-            nonlocal calls
-            calls += 1
-            return original(self)
-
-        monkeypatch.setattr(State, "topological", counting)
+        calls = count_calls(monkeypatch, "topological")
         auto_optimize(g)
-        assert calls <= 2 * 822
+        assert len(calls) <= 168
 
     def test_auto_optimize_scope_parents_calls_bounded(self, monkeypatch):
-        # one scope query per fusion candidate: adi takes 336 calls, and 456
-        # when each of a candidate's two scope_children calls derived its own
+        # one derivation per snapshot that asks for scopes: adi takes 120;
+        # it made 336 scope_parents calls when every query derived its own
         g = compile_kernel("adi")
-        calls = 0
-        original = State.scope_parents
-
-        def counting(self):
-            nonlocal calls
-            calls += 1
-            return original(self)
-
-        monkeypatch.setattr(State, "scope_parents", counting)
+        calls = count_derivations(monkeypatch, "parents")
         auto_optimize(g)
-        assert calls <= 360
+        assert len(calls) <= 120
+
+    def test_auto_optimize_reachability_calls_bounded(self, monkeypatch):
+        # adi takes 114 derivations; it made 261 reachability calls when each
+        # fusion candidate and each race check derived its own
+        g = compile_kernel("adi")
+        calls = count_derivations(monkeypatch, "reach")
+        auto_optimize(g)
+        assert len(calls) <= 114
+
+    def test_validate_derives_the_order_once_per_state(self, monkeypatch):
+        # 45 calls on jacobi_2d's 15 states before validate took one snapshot
+        g = compile_kernel("jacobi_2d")
+        calls = count_calls(monkeypatch, "topological")
+        assert [d for d in validate(g) if d.severity == "error"] == []
+        assert len(calls) == len(g.states) == 15
+
+
+def count_calls(monkeypatch, method: str) -> list:
+    """Record every call of the ``State`` method ``method``."""
+    calls = []
+    original = getattr(State, method)
+    monkeypatch.setattr(State, method, lambda self: calls.append(1) or original(self))
+    return calls
+
+
+def count_derivations(monkeypatch, field: str) -> list:
+    """Record every derivation of the lazy snapshot field ``field``."""
+    prop = StateFacts.__dict__[field]
+    derive = prop.func
+    calls = []
+    monkeypatch.setattr(prop, "func", lambda facts: calls.append(1) or derive(facts))
+    return calls
+
+
+def reference_parents(st: State) -> dict:
+    """Scope parents by definition, over the reference order and edge scans:
+    a node shares the scope of its predecessors (an entry opens its own
+    scope to its successors, an exit closes it), and an exit shares its
+    entry's scope."""
+    parent = {}
+    for node in quadratic_topological(st):
+        scopes = set()
+        for e in st.in_edges(node):
+            if isinstance(e.src, MapEntry):
+                scopes.add(e.src)
+            elif isinstance(e.src, MapExit):
+                scopes.add(parent[e.src.entry.nid])
+            else:
+                scopes.add(parent[e.src.nid])
+        if isinstance(node, MapExit):
+            parent[node.nid] = parent[node.entry.nid]
+        else:
+            assert len(scopes) <= 1
+            parent[node.nid] = scopes.pop() if scopes else None
+    return parent
+
+
+class TestFacts:
+    @pytest.mark.parametrize("stage", ["plain", "optimized", "lowered"])
+    @pytest.mark.parametrize("source", ALL_KERNELS)
+    def test_snapshot_matches_reference_queries(self, source, stage):
+        g = graph_at(source, stage)
+        for st in g.states:
+            facts = st.facts()
+            assert facts.state is st
+            order = quadratic_topological(st)
+            assert list(facts.order) == order == st.topological()
+            parents = reference_parents(st)
+            assert list(facts.parents) == [n.nid for n in order]
+            assert dict(facts.parents) == parents == st.scope_parents()
+            entries = [n for n in st.nodes.values() if isinstance(n, MapEntry)]
+            assert list(facts.scopes) == [None] + entries
+            for key, members in facts.scopes.items():
+                assert list(members) == [n for n in order if parents[n.nid] is key]
+            assert {k: list(v) for k, v in facts.scopes.items()} == st.scopes()
+            assert dict(facts.reach) == per_node_reachability(st) == st.reachability()
+            for n in st.nodes.values():
+                assert list(facts.ins[n.nid]) == st.in_edges(n)
+                assert list(facts.outs[n.nid]) == st.out_edges(n)
+            for entry in entries:
+                assert facts.exits[entry] is st.exit_of(entry)
+                inside = [n for n in st.sorted_nodes() if entry in enclosing(parents, n)]
+                assert facts.scope_children(entry) == inside == st.scope_children(entry)
+
+    @pytest.mark.parametrize("build, code, message", [
+        (build_cycle, "state-cycle", "cycle in state 's0'"),
+        (build_scope_join, "scope-structure", "node 1 in state 's0' joins different map scopes"),
+    ], ids=["cycle", "scope_join"])
+    def test_malformed_state_raises_what_validate_reports(self, build, code, message):
+        g = build()
+        with pytest.raises(ValueError) as raised:
+            g.states[0].facts().parents
+        assert str(raised.value) == message
+        assert [(d.code, d.message) for d in g.validate()] == [(code, message)]
+
+    def test_snapshot_is_read_only(self):
+        facts = compile_kernel("gemm").states[0].facts()
+        with pytest.raises(AttributeError):
+            facts.order = ()
+        with pytest.raises(TypeError):
+            facts.ins[0] = ()
+        with pytest.raises(TypeError):
+            facts.parents[0] = None
+
+
+def enclosing(parents: dict, node: Node) -> list:
+    """The map entries whose scopes hold ``node``, innermost first."""
+    out = []
+    p = parents[node.nid]
+    while p is not None:
+        out.append(p)
+        p = parents[p.nid]
+    return out
 
 
 def graph_at(source: str, stage: str) -> Sdfg:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +12,21 @@ from sdfgkit.symbolic import (
 )
 
 N, M, I, J = Sym("N"), Sym("M"), Sym("i"), Sym("j")
+
+
+class TestConst:
+    @pytest.mark.parametrize("value", [1.0, True, np.int64(1), "1"],
+                             ids=["float", "bool", "numpy_int", "str"])
+    def test_only_python_ints(self, value):
+        # each of these compares and hashes equal to Const(1), so a memoized
+        # canonical form could hand one back for the others
+        with pytest.raises(TypeError):
+            Const(value)
+
+    def test_memoized_forms_keep_their_type(self):
+        assert type(simplify(Const(2) + Const(-1)).value) is int
+        # an equal expression, built anew, gets the cached canonical form
+        assert simplify(N + Const(1)) is simplify(N + Const(1))
 
 
 class TestSimplify:

@@ -107,6 +107,10 @@ class RankSim:
         local = frozenset(k for k, d in g.containers.items()
                           if d.storage is Storage.DISTRIBUTED_LOCAL)
         self.ranks: list[_Rank] = []
+        # every rank runs the same graph: it is validated once, and each
+        # state's snapshot is taken once, for all of them
+        validated: set[Sdfg] = set()
+        facts: dict = {}
         for r in range(n):
             rctx = ExecContext(
                 bindings={**ctx.bindings, **(bindings[r] if bindings else {})},
@@ -114,6 +118,7 @@ class RankSim:
                 rank=r,
             )
             m = Machine(g, rctx)
+            m._validated, m._facts = validated, facts
             if local and r != 0:
                 m.rank_local = local
             self.ranks.append(_Rank(r, m, m.run()))

@@ -5,8 +5,9 @@ schedule), so results are bitwise reproducible and usable as golden oracles.
 Each run compiles the per-node work once (memlet accesses with their bounds
 checks, tasklet bodies, map ranges, transitions) and then only calls the
 compiled functions.  A map whose body is tasklets over affine point memlets
-also gets a vector launch that runs all its points at once with NumPy
-slices, equal bit for bit to the point-by-point order (see
+(and possibly inner maps of such tasklets and reductions of what they
+write) also gets a vector launch that runs all its points at once with
+NumPy slices, equal bit for bit to the point-by-point order (see
 :func:`_compile_vector`).  Communication library nodes are *yielded* as events;
 the plain entry point :func:`interpret` rejects them, while the rank
 simulator drives the same generator and services the events.
@@ -163,25 +164,15 @@ def interpret(
     return machine.outputs()
 
 
-def run_twice_determinism(g: Sdfg, ctx: ExecContext) -> bool:
-    """Two interpretations with identical contexts are bitwise identical."""
-    import copy
-
-    out1 = interpret(g, copy.deepcopy(ctx))
-    out2 = interpret(g, copy.deepcopy(ctx))
-    if set(out1) != set(out2):
-        return False
-    return all(np.array_equal(out1[k], out2[k]) for k in out1)
-
-
 class Machine:
     """One logical execution of a graph (one rank, in the simulator).
 
     Each state is planned on its first execution: its edges are indexed by
     node, and every node that does work becomes a step (a compiled tasklet,
-    a copy, a library call, a map launch).  Memlet accesses, tasklet bodies,
-    map ranges and transitions are compiled once per machine (see
-    :class:`_Source`), so executing a map point only calls compiled code."""
+    a copy, a library call, a map launch), and each map is planned on its
+    first launch.  Memlet accesses, tasklet bodies, map ranges and
+    transitions are compiled once per machine (see :class:`_Source`), so
+    executing a map point only calls compiled code."""
 
     def __init__(self, g: Sdfg, ctx: ExecContext, options: InterpOptions | None = None):
         self.g = g
@@ -342,7 +333,9 @@ class Machine:
         """One launch of a map.  A map with a vector launch runs all its points
         at once if that launch succeeds; otherwise the scope's steps run once
         per point.  Returns the events of the per-point steps."""
-        launch = plan.maps[entry.nid]
+        launch = plan.maps.get(entry.nid)
+        if launch is None:
+            launch = plan.maps[entry.nid] = self._plan_map(plan, entry)
         if launch.vector is not None and launch.vector(env):
             return ()
         return self._run_points(launch, env)
@@ -371,15 +364,18 @@ class Machine:
         if facts is None:
             facts = self._facts[state] = state.facts()
         plan = _StatePlan(facts)
-        for scope, members in facts.scopes.items():
-            if scope is None:
-                plan.top = self._scope_steps(plan, None, members)
-                continue
-            ranges = _compile_ranges(scope.params)
-            plan.maps[scope.nid] = _MapPlan(
-                ranges, scope.param_names, self._vector_launch(plan, scope, members, ranges),
-                functools.partial(self._scope_steps, plan, scope, members))
+        plan.top = self._scope_steps(plan, None, facts.scopes[None])
         return plan
+
+    def _plan_map(self, plan: "_StatePlan", scope: MapEntry) -> "_MapPlan":
+        """A map's plan, made on its first launch.  The maps inside a map
+        with a vector launch are planned only if a launch falls back to the
+        per-point steps, which launch them."""
+        members = plan.facts.scopes[scope]
+        ranges = _compile_ranges(scope.params)
+        return _MapPlan(ranges, scope.param_names,
+                        self._vector_launch(plan, scope, members, ranges),
+                        functools.partial(self._scope_steps, plan, scope, members))
 
     def _scope_steps(self, plan: "_StatePlan", scope: MapEntry | None, members) -> list:
         steps = []
@@ -585,8 +581,9 @@ _REDUCE_UFUNCS = {Wcr.ADD: np.add, Wcr.MUL: np.multiply,
 
 class _StatePlan:
     """A state's snapshot and its edges indexed by node id (in edge order),
-    the steps of its top level, and the :class:`_MapPlan` of each map.  A
-    step is ``(fn, is_generator)``; ``fn`` takes the environment."""
+    the steps of its top level, and the :class:`_MapPlan` of each map
+    launched so far.  A step is ``(fn, is_generator)``; ``fn`` takes the
+    environment."""
 
     def __init__(self, facts: StateFacts):
         self.facts, self.state = facts, facts.state
@@ -663,7 +660,7 @@ _GLOBALS = {
     "_minimum": np.minimum, "_maximum": np.maximum,
     "_unbound_symbol": _unbound_symbol, "_unbound_name": _unbound_name,
     "Exception": Exception, "_len": len, "_f64": np.float64, "_bcast": np.broadcast_to,
-    "_concat": np.concatenate,
+    "_concat": np.concatenate, "_contig": np.ascontiguousarray,
 }
 
 
@@ -720,10 +717,15 @@ class _Source:
         raise TypeError(type(e).__name__)
 
     def build(self, params: str) -> Callable:
-        values = ", ".join(f"_k{i}" for i in range(len(self.values)))
-        body = "".join(f"        {line}\n" for line in self.lines or ["pass"])
-        source = f"def _make({values}):\n    def _f({params}):\n{body}    return _f\n"
+        body = "\n        ".join(self.lines or ["pass"])
+        source = (f"def _make({_value_names(len(self.values))}):\n    def _f({params}):\n"
+                  f"        {body}\n    return _f\n")
         return _factory(source)(*self.values)
+
+
+@functools.lru_cache(maxsize=None)
+def _value_names(n: int) -> str:
+    return ", ".join(f"_k{i}" for i in range(n))
 
 
 def _compile_sym(e: SymExpr) -> Callable:
@@ -894,13 +896,20 @@ def _bounds_error(container: str, shape: tuple[int, ...], state: str, nid: int) 
 
 # -- vector launches ---------------------------------------------------------------
 #
-# A map qualifies for a vector launch when its body is only tasklets (and
-# access nodes without a copy) over f64 containers, their code is arithmetic
-# (+ - * / and unary -) over connectors and numbers, and every memlet is a
-# point whose dimensions are ``parameter + offset`` or free of the map's
-# parameters.  Reads become strided views aligned to the iteration grid,
-# tasklets become array expressions, and stores happen only after every value
-# is computed.  The hazard rules of :func:`_vector_roles` keep the result
+# A map qualifies for a vector launch when its members are tasklets, access
+# nodes without a copy, inner maps whose members are tasklets and such access
+# nodes, and REDUCE library nodes, over f64 containers.  Tasklet code must be
+# arithmetic (+ - * / and unary -) over connectors and numbers, and every
+# tasklet memlet a point whose dimensions are ``parameter + offset`` or free
+# of the parameters.  The launch runs over a grid with one axis per
+# parameter of the map and one more per parameter of each inner map.  Reads
+# become strided views aligned to the grid, tasklets become array
+# expressions, and stores happen only after every value is computed.  An
+# inner map reads only containers the map's body does not write, and writes
+# only intermediates (see :func:`_intermediates`): each is materialized
+# C-contiguous over the map's axes and the inner map's, so a REDUCE of it
+# reduces the last axes row by row exactly as the per-point path reduces the
+# transient.  The hazard rules of :func:`_vector_roles` keep the result
 # bitwise equal to the points run one by one in iteration order; a launch
 # whose bounds check or evaluation fails stores nothing and returns False,
 # and the caller reruns it point by point.
@@ -908,6 +917,9 @@ def _bounds_error(container: str, shape: tuple[int, ...], state: str, nid: int) 
 _VEC_OPS = ("+", "-", "*", "/")
 _FOLD_UFUNCS = {"+": np.add, "*": np.multiply}
 _ZERO, _ONE = symbolic.Const(0), symbolic.Const(1)
+# the most elements of a nested launch's grid; a larger launch runs point by
+# point rather than allocate its intermediates
+_GRID_LIMIT = 1 << 21
 
 
 class _NotVector(Exception):
@@ -919,7 +931,40 @@ class _Value:
     """A value of the generated vector code."""
 
     code: str
-    axes: frozenset  # the indices of the map parameters it varies with
+    axes: frozenset  # the grid axes it varies with
+
+
+def _copy_free(plan: "_StatePlan", n) -> bool:
+    """``n`` is an access node without an incoming copy."""
+    return isinstance(n, AccessNode) and not any(
+        isinstance(e.src, AccessNode) and e.memlet is not None for e in plan.ins[n.nid])
+
+
+def _vector_members(plan: "_StatePlan", scope: MapEntry, members) -> tuple[list, list, list]:
+    """The tasklets and REDUCE nodes of the map's body in execution order,
+    each with its level (0 for the map, ``i`` for its ``i``-th inner map);
+    the inner maps, whose ranges must not use the map's parameters; and the
+    REDUCE nodes."""
+    order, inner, reduces = [], [], []
+    for n in members:
+        if isinstance(n, Tasklet):
+            order.append((n, 0))
+        elif isinstance(n, LibraryNode) and n.kind is LibKind.REDUCE:
+            order.append((n, 0))
+            reduces.append(n)
+        elif isinstance(n, MapEntry):
+            used = {s for _, dim in n.params for x in dim for s in x.free_symbols()}
+            if not used.union(n.param_names).isdisjoint(scope.param_names):
+                raise _NotVector("an inner range uses the map's parameters")
+            inner.append(n)
+            for m in plan.facts.scopes[n]:
+                if isinstance(m, Tasklet):
+                    order.append((m, len(inner)))
+                elif not _copy_free(plan, m):
+                    raise _NotVector("an inner member other than a tasklet")
+        elif not (isinstance(n, MapExit) or _copy_free(plan, n)):
+            raise _NotVector("a member other than a tasklet, an inner map or a reduction")
+    return order, inner, reduces
 
 
 def _affine(subset: SubsetRange, params: tuple[str, ...]) -> list[tuple[int | None, SymExpr]]:
@@ -927,7 +972,7 @@ def _affine(subset: SubsetRange, params: tuple[str, ...]) -> list[tuple[int | No
     offset`` or ``(None, index)`` for an index free of ``params``."""
     out, used = [], set()
     for b, e, s in subset.dims:
-        if b != e or s != _ONE:
+        if b is not e and b != e or not (type(s) is symbolic.Const and s.value == 1):
             raise _NotVector("not a point")
         names = b.free_symbols()
         present = [d for d, p in enumerate(params) if p in names]
@@ -968,7 +1013,7 @@ def _vector_roles(accesses, dims, k: int, store) -> dict[str, str]:
         by_container.setdefault(a[1].memlet.container, []).append(a)
     roles = {}
     for c, acc in by_container.items():
-        writes = [e for _, e, w in acc if w]
+        writes = [e for _, e, w, _ in acc if w]
         if not writes:
             roles[c] = "read"
         elif any(e.memlet.wcr is not None for e in writes):
@@ -985,7 +1030,7 @@ def _vector_roles(accesses, dims, k: int, store) -> dict[str, str]:
         else:
             sub = writes[0].memlet.subset
             if (sorted(d for d, _ in dims[id(writes[0].memlet)] if d is not None) != list(range(k))
-                    or any(e.memlet.subset != sub for _, e, _ in acc)):
+                    or any(e.memlet.subset != sub for _, e, _, _ in acc)):
                 raise _NotVector(f"'{c}' is written and accessed through other subsets")
             roles[c] = "plain"
     return roles
@@ -1005,6 +1050,53 @@ def _fold(t: Tasklet, conn: str, outs: list[Edge]) -> tuple[np.ufunc, texpr.TExp
     raise _NotVector("not a fold")
 
 
+def _intermediates(accesses, dims, levels, inner, containers) -> dict[str, Memlet]:
+    """The write memlet of every container an inner map writes.  Each must
+    be an intermediate: a transient that no other memlet of a tasklet
+    touches, written without WCR through one memlet whose dimension ``d``
+    is the inner map's ``d``-th parameter plus an offset that makes the
+    inner range cover the dimension exactly, so that every element is
+    written before a REDUCE reads it at the same point of the map."""
+    grids = {e.memlet.container: (lv, e.memlet) for _, e, w, lv in accesses if w and lv}
+    for c, (lv, m) in grids.items():
+        entry, own = inner[lv - 1], levels[lv][len(levels[0]):]
+        if sum(e.memlet.container == c for _, e, _, _ in accesses) != 1:
+            raise _NotVector(f"'{c}' is an intermediate touched twice")
+        desc = containers[c]
+        if not desc.transient or m.wcr is not None or len(desc.shape) != len(own):
+            raise _NotVector(f"'{c}' is not a transient of the inner map's rank")
+        for (d, off), axis, (_, (b, e, s)), extent in zip(dims[id(m)], own, entry.params,
+                                                           desc.shape):
+            if d != axis or s != _ONE or symbolic.simplify(b + off) != _ZERO or (
+                    symbolic.simplify(e + off) != symbolic.simplify(extent - 1)):
+                raise _NotVector(f"the inner map does not write all of '{c}'")
+    return {c: m for c, (_, m) in grids.items()}
+
+
+def _reduction(node: LibraryNode, ins: list[Edge], outs: list[Edge], store,
+               containers) -> tuple[Edge, np.ufunc]:
+    """``(input edge, ufunc)`` of a REDUCE node that reads one whole
+    container and reduces its last axes to a single element (the axes it
+    keeps have extent 1), written through one memlet."""
+    attrs = node.attributes
+    if len(ins) != 1 or ins[0].dst_conn != "a" or len(outs) != 1 or not all(
+            attrs.get("a_kept") or ()):
+        raise _NotVector("not a reduction of one input to one output")
+    m = ins[0].memlet
+    if m.container not in store or m.subset != containers[m.container].full_subset():
+        raise _NotVector("a reduction of part of a container")
+    try:
+        ufunc = _REDUCE_UFUNCS[Wcr(attrs.get("op", "add"))]
+    except ValueError:
+        raise _NotVector("an unknown reduction") from None
+    shape, axes = store[m.container].shape, attrs.get("axes")
+    kept = 0 if axes is None else len(shape) - len(axes)
+    if axes is not None and sorted(axes) != list(range(kept, len(shape))) or any(
+            n != 1 for n in shape[:kept]):
+        raise _NotVector("a reduction that keeps axes")
+    return ins[0], ufunc
+
+
 def _compile_vector(plan: "_StatePlan", scope: MapEntry, members, ranges: Callable,
                     store: Mapping[str, np.ndarray], containers, counters: Counters,
                     reverse: bool) -> Callable:
@@ -1012,30 +1104,44 @@ def _compile_vector(plan: "_StatePlan", scope: MapEntry, members, ranges: Callab
     when it ran every point (it also counts them), False when it stored
     nothing and the launch must run point by point.  Raises
     :class:`_NotVector` when the map does not qualify."""
-    params = scope.param_names
-    k = len(params)
-    tasklets = []
-    for n in members:
-        if isinstance(n, Tasklet):
-            tasklets.append(n)
-        elif not isinstance(n, AccessNode) or any(
-                isinstance(e.src, AccessNode) and e.memlet is not None for e in plan.ins[n.nid]):
-            raise _NotVector("a member other than a tasklet")
-    ins = {t.nid: [e for e in plan.ins[t.nid] if e.memlet is not None] for t in tasklets}
-    outs = {t.nid: [e for e in plan.outs[t.nid] if e.memlet is not None] for t in tasklets}
-    accesses = [(t, e, w) for t in tasklets
+    outer = scope.param_names
+    k = len(outer)
+    order, inner, reduces = _vector_members(plan, scope, members)
+    # the grid axes and the parameter names of each level: the map's, then
+    # each inner map's, whose own axes follow those of the maps before it
+    levels, names, params = [tuple(range(k))], [outer], scope.params
+    for entry in inner:
+        levels.append(levels[0] + tuple(range(len(params), len(params) + len(entry.params))))
+        names.append(outer + entry.param_names)
+        params += entry.params
+    ins = {t.nid: [e for e in plan.ins[t.nid] if e.memlet is not None] for t, _ in order}
+    outs = {t.nid: [e for e in plan.outs[t.nid] if e.memlet is not None] for t, _ in order}
+    reductions = {}
+    for t in reduces:  # its input is an intermediate, not a point memlet
+        reductions[t.nid] = _reduction(t, ins[t.nid], outs[t.nid], store, containers)
+        ins[t.nid] = []
+    # (node, edge, is a write, level) of every point memlet
+    accesses = [(t, e, w, lv) for t, lv in order
                 for w, edges in ((False, ins[t.nid]), (True, outs[t.nid])) for e in edges]
-    dims: dict[int, list] = {}  # by memlet id
-    for _, e, _ in accesses:
+    dims: dict[int, list] = {}  # by memlet id, with the grid axes of the parameters
+    for _, e, _, lv in accesses:
         m = e.memlet
         if m.container not in store or containers[m.container].dtype is not DType.F64:
             raise _NotVector(f"'{m.container}' is not an f64 container")
         if m.subset.rank != store[m.container].ndim:
             raise _NotVector("rank mismatch")
-        dims[id(m)] = _affine(m.subset, params)
-    if not k or any(len(set(e.dst_conn for e in ins[t.nid])) != len(ins[t.nid]) for t in tasklets):
+        dims[id(m)] = _affine(m.subset, names[lv])
+        if lv:  # the inner map's parameters are grid axes after the map's
+            dims[id(m)] = [(d if d is None else levels[lv][d], x) for d, x in dims[id(m)]]
+    if not k or any(len(set(e.dst_conn for e in ins[t.nid])) != len(ins[t.nid])
+                    for t, _ in order):
         raise _NotVector("no parameters, or an input connector fed twice")
-    roles = _vector_roles(accesses, dims, k, store)
+    grids = _intermediates(accesses, dims, levels, inner, containers) if inner else {}
+    roles = _vector_roles([a for a in accesses if a[1].memlet.container not in grids]
+                          if grids else accesses, dims, k, store)
+    if inner and any(lv and not w and roles[e.memlet.container] != "read"
+                     for _, e, w, lv in accesses):
+        raise _NotVector("an inner map reads what the map's body writes")
 
     src = _Source()
     numbers: dict[tuple, str] = {}
@@ -1044,8 +1150,8 @@ def _compile_vector(plan: "_StatePlan", scope: MapEntry, members, ranges: Callab
     checks: dict[str, None] = {}
     body: list[str] = []
     stores: list[str] = []
-    unit = [isinstance(s, symbolic.Const) and s.value == 1 for _, (_, _, s) in scope.params]
-    arrays = {c: src.value(store[c]) for c in roles}
+    unit = [isinstance(s, symbolic.Const) and s.value == 1 for _, (_, _, s) in params]
+    arrays = {c: src.value(store[c]) for c in (*roles, *grids)}
 
     def num(v) -> str:
         key = (type(v), v)
@@ -1062,7 +1168,7 @@ def _compile_vector(plan: "_StatePlan", scope: MapEntry, members, ranges: Callab
         return offsets[x]
 
     def index(m: Memlet) -> tuple[str, list[int]]:
-        """The bounds-checked index of ``m`` and the parameters of its
+        """The bounds-checked index of ``m`` and the grid axes of its
         dimensions, in dimension order."""
         parts, present = [], []
         for dim, (d, x) in enumerate(dims[id(m)]):
@@ -1083,20 +1189,21 @@ def _compile_vector(plan: "_StatePlan", scope: MapEntry, members, ranges: Callab
         return ", ".join(parts), present
 
     def aligned(code: str, present: list[int]) -> str:
-        """``code``, a view with one axis per parameter of ``present``,
-        transposed to parameter order."""
+        """``code``, a view with one axis per grid axis of ``present``,
+        transposed to grid order."""
         order = sorted(present)
         if order != present:
             code += f".transpose({src.value(tuple(present.index(d) for d in order))})"
         return code
 
-    def read(m: Memlet) -> tuple[str, frozenset]:
+    def read(m: Memlet, lv: int) -> tuple[str, frozenset]:
         idx, present = index(m)
         code = f"{arrays[m.container]}[{idx or '()'}]"
         if not present:
             return code, frozenset()
         code = aligned(code, present)
-        expand = tuple(slice(None) if d in present else None for d in range(min(present), k))
+        axes = levels[lv][levels[lv].index(min(present)):]
+        expand = tuple(slice(None) if d in present else None for d in axes)
         if None in expand:
             code += f"[{src.value(expand)}]"
         return code, frozenset(present)
@@ -1122,25 +1229,46 @@ def _compile_vector(plan: "_StatePlan", scope: MapEntry, members, ranges: Callab
         number, which the per-point path rounds when it stores it."""
         return v if v.axes else _Value(f"_f64({v.code})", v.axes)
 
-    def grid(v: _Value) -> str:
-        """``v`` with the full shape of the iteration grid."""
-        if len(v.axes) == k:
+    def grid(v: _Value, lv: int) -> str:
+        """``v`` with the full shape of the grid of level ``lv``."""
+        if len(v.axes) == len(levels[lv]):
             return v.code
-        needs_grid.append(True)
-        return f"_bcast({v.code}, _g)"
+        needs_grid.add(lv)
+        return f"_bcast({v.code}, _g{lv})"
 
     def fresh(prefix: str, code: str) -> str:
         name = f"{prefix}{len(body)}"
         body.append(f"{name} = {code}")
         return name
 
+    def output(m: Memlet, v: _Value) -> None:
+        """Record the write of ``v`` through ``m`` at the map's level."""
+        c = m.container
+        if roles[c] == "wcr":
+            wcrs.append((m, v))
+        elif roles[c] == "temp":
+            current[c] = temps[c] = v
+        else:
+            current[c] = v
+            plain[c] = (m, v)
+
     current: dict[str, _Value] = {}  # a written container's value
     views: dict[str, _Value] = {}  # by the code of the view
     plain: dict[str, tuple[Memlet, _Value]] = {}
     temps: dict[str, _Value] = {}
     wcrs: list[tuple[Memlet, _Value]] = []
-    needs_grid: list[bool] = []
-    for t in tasklets:
+    inters: dict[str, str] = {}  # an intermediate's grid-shaped array
+    needs_grid: set[int] = set()
+    for t, lv in order:
+        if t.nid in reductions:
+            e, ufunc = reductions[t.nid]
+            x = inters.get(e.memlet.container)
+            if x is None:
+                raise _NotVector("a reduction reads an intermediate before it is written")
+            needs_grid.add(0)
+            v = fresh("_o", f"{src.value(ufunc)}.reduce({x}.reshape(_g0 + (-1,)), axis=-1)")
+            output(outs[t.nid][0].memlet, _Value(v, frozenset(levels[0])))
+            continue
         conns: dict[str, _Value] = {}
         fold = None
         for e in ins[t.nid]:
@@ -1149,19 +1277,19 @@ def _compile_vector(plan: "_StatePlan", scope: MapEntry, members, ranges: Callab
             if role == "fold":
                 fold = (c, *_fold(t, e.dst_conn, outs[t.nid]))
             elif role == "read":
-                code, axes = read(e.memlet)
+                code, axes = read(e.memlet, lv)
                 if code not in views:
                     views[code] = _Value(fresh("_v", code), axes)
                 conns[e.dst_conn] = views[code]
             elif c in current:
                 conns[e.dst_conn] = current[c]
             else:  # a plain container read before it is written: copy its old values
-                code, axes = read(e.memlet)
+                code, axes = read(e.memlet, lv)
                 conns[e.dst_conn] = _Value(fresh("_v", code + ".copy()"), axes)
         if fold is not None:
             c, ufunc, x = fold
             v = f64(vexpr(x, conns))
-            vals = grid(v) + ("" if k == 1 and len(v.axes) == k else ".reshape(-1)")
+            vals = grid(v, 0) + ("" if k == 1 and len(v.axes) == k else ".reshape(-1)")
             w = fresh("_w", f"{src.value(ufunc)}.accumulate(_concat(({arrays[c]}.reshape(1), "
                             f"{vals}{'[::-1]' if reverse else ''})))[-1]")
             stores.append(f"{arrays[c]}[()] = {w}")
@@ -1174,14 +1302,10 @@ def _compile_vector(plan: "_StatePlan", scope: MapEntry, members, ranges: Callab
             conn = e.src_conn if e.src_conn in results else t.outputs[0] if t.outputs else None
             if conn not in results:
                 raise _NotVector("an output without code")
-            v, c = results[conn], e.memlet.container
-            if roles[c] == "wcr":
-                wcrs.append((e.memlet, v))
-            elif roles[c] == "temp":
-                current[c] = temps[c] = v
+            if lv:  # an intermediate, C-contiguous over the whole grid of the level
+                inters[e.memlet.container] = fresh("_x", f"_contig({grid(results[conn], lv)})")
             else:
-                current[c] = v
-                plain[c] = (e.memlet, v)
+                output(e.memlet, results[conn])
 
     for m, v in wcrs:
         idx, present = index(m)
@@ -1192,19 +1316,25 @@ def _compile_vector(plan: "_StatePlan", scope: MapEntry, members, ranges: Callab
         if not reduced:
             w = fresh("_w", f"{ufunc}({target}, {v.code})")
         else:
-            vals = grid(v)
-            order = sorted(present) + reduced
-            if order != list(range(k)):
-                vals += f".transpose({src.value(tuple(order))})"
+            vals = grid(v, 0)
+            perm = sorted(present) + reduced
+            if perm != list(range(k)):
+                vals += f".transpose({src.value(tuple(perm))})"
             vals += f".reshape({target}.shape + (-1,))" + ("[..., ::-1]" if reverse else "")
             w = fresh("_w", f"{ufunc}.accumulate(_concat(({target}[..., None], {vals}), "
                             "axis=-1), axis=-1)[..., -1]")
         stores.append(f"{target}[...] = {w}")
+    last = "0" if reverse else "-1"  # the index of the last point of an axis
     for c, v in temps.items():
-        last = v.code
+        code = v.code
         if v.axes:
-            last += f"[{', '.join(['0' if reverse else '-1'] * (k - min(v.axes)))}]"
-        stores.append(f"{arrays[c]}[()] = {fresh('_l', last)}")
+            code += f"[{', '.join([last] * (k - min(v.axes)))}]"
+        stores.append(f"{arrays[c]}[()] = {fresh('_l', code)}")
+    for c, x in inters.items():  # what the last point leaves in the transient
+        stores.append(f"{arrays[c]}[...] = {x}[{', '.join([last] * k)}]")
+        for (d, shift), extent in zip(dims[id(grids[c])], store[c].shape):
+            off = "" if shift == _ZERO else f" + {term(shift)}"
+            checks[f"_a{d}{off} != 0 or _z{d}{off} != {num(extent - 1)}"] = None
     for c, (m, v) in plain.items():
         idx, present = index(m)
         target = f"{arrays[c]}[{idx}]"
@@ -1212,24 +1342,43 @@ def _compile_vector(plan: "_StatePlan", scope: MapEntry, members, ranges: Callab
             target = aligned(target, present) + "[...]"
         stores.append(f"{target} = {v.code}")
 
+    def lens(axes) -> str:
+        return " * ".join(f"_len(_r{d})" for d in axes)
+
     head = [f"{''.join(f'_r{d}, ' for d in range(k))}= {src.value(ranges)}(_e)",
             f"if not ({' and '.join(f'_r{d}' for d in range(k))}): return True"]
-    steps = [d for d, (_, (_, _, s)) in enumerate(scope.params)
+    for entry, axes in zip(inner, levels[1:]):
+        own = axes[k:]
+        head += [f"{''.join(f'_r{d}, ' for d in own)}= "
+                 f"{src.value(_compile_ranges(entry.params))}(_e)",
+                 f"if not ({' and '.join(f'_r{d}' for d in own)}): return False"]
+    steps = [d for d, (_, (_, _, s)) in enumerate(params)
              if not (isinstance(s, symbolic.Const) and s.value >= 1)]
     if steps:
         head.append(f"if {' or '.join(f'_r{d}.step < 1' for d in steps)}: return False")
-    head += [f"_a{d}, _z{d} = _r{d}.start, _r{d}[-1]" for d in range(k)]
-    if needs_grid:
-        head.append(f"_g = ({''.join(f'_len(_r{d}), ' for d in range(k))})")
+    head += [f"_a{d}, _z{d} = _r{d}.start, _r{d}[-1]" for d in range(len(params))]
+    head.append(f"_n = {lens(range(k))}")
+    # elements a memlet moves at each point of each level (all of them f64)
+    moved = [0] * len(levels)
+    for a in accesses:
+        moved[a[3]] += 1
+    for e, _ in reductions.values():
+        moved[0] += store[e.memlet.container].size
+    c, nbytes = src.value(counters), DType.F64.nbytes
+    count = [f"{c}.map_iterations += _n"]
+    if moved[0]:
+        count.append(f"{c}.bytes_moved += _n * {num(moved[0] * nbytes)}")
+    for lv in range(1, len(levels)):
+        head += [f"_m{lv} = {lens(levels[lv][k:])}",
+                 f"if _n * _m{lv} > {num(_GRID_LIMIT)}: return False"]
+        count.append(f"{c}.map_iterations += _n * _m{lv}")
+        if moved[lv]:
+            count.append(f"{c}.bytes_moved += _n * _m{lv} * {num(moved[lv] * nbytes)}")
+    head += [f"_g{lv} = ({''.join(f'_len(_r{d}), ' for d in levels[lv])})"
+             for lv in sorted(needs_grid)]
     if checks:
         prelude.append(f"if {' or '.join(checks)}: return False")
-    c = src.value(counters)
-    nbytes = sum(containers[e.memlet.container].dtype.nbytes for _, e, _ in accesses)
-    commits = sum(w and e.memlet.wcr is not None for _, e, w in accesses)
-    count = [f"_n = {' * '.join(f'_len(_r{d})' for d in range(k))}",
-             f"{c}.map_iterations += _n"]
-    if nbytes:
-        count.append(f"{c}.bytes_moved += _n * {num(nbytes)}")
+    commits = sum(w and e.memlet.wcr is not None for _, e, w, _ in accesses)
     if commits:
         count.append(f"{c}.wcr_commits += _n * {num(commits)}")
     src.lines = ["try:", *(f"    {line}" for line in head + prelude + body),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sdfgkit import frontend, passes
+from sdfgkit import frontend, ir, passes
 from sdfgkit.dist import (
     DeadlockError, Distribution, ProcessGrid, RankSim, distribute,
     distribution_pipeline, remove_redundant_comm, sim_run,
@@ -50,6 +50,27 @@ def _run_dist(name, grid_dims, syms=None, seed=31, rank_order=None):
     out, instr = sim_run(g, grid, ctx, rank_order=rank_order)
     ref = run_oracle(name, syms, inputs)
     return out, ref, instr
+
+
+def test_ranks_validate_the_graph_once(monkeypatch):
+    """The rank machines of one simulation share one validation (and the
+    snapshots of the states) instead of each validating the graph."""
+    syms, grid = DIST_SYMBOLS["gemm"], ProcessGrid((2, 2))
+    g = _dist_graph("gemm", grid)
+    inputs = make_inputs(frontend.parse(corpus_source("gemm")), syms, seed=31)
+    ctx = ExecContext(bindings=syms).bind_inputs(inputs)
+    validated = []
+    validate = ir.validate
+
+    def counting(graph, facts=None):
+        validated.append(graph)
+        return validate(graph, facts)
+
+    monkeypatch.setattr(ir, "validate", counting)
+    out, _ = sim_run(g, grid, ctx)
+    assert validated == [g]
+    ref = run_oracle("gemm", syms, inputs)
+    assert rel_err(out["C"], ref["C"]) < 1e-12
 
 
 class TestCollectives:

@@ -1,10 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 
 from sdfgkit import frontend
 from sdfgkit.interp import (
     ExecContext, InterpOptions, InterpreterError, OutOfBoundsError, TensorValue,
-    interpret, run_twice_determinism,
+    interpret,
 )
 
 from conftest import (
@@ -38,6 +40,15 @@ class TestExamples:
         out = interpret(g, ctx)
         assert out["alpha"][()] == 4.0
         assert ctx.counters.wcr_commits == 4
+
+
+def run_twice_determinism(g, ctx: ExecContext) -> bool:
+    """Two interpretations with identical contexts are bitwise identical."""
+    out1 = interpret(g, copy.deepcopy(ctx))
+    out2 = interpret(g, copy.deepcopy(ctx))
+    if set(out1) != set(out2):
+        return False
+    return all(np.array_equal(out1[k], out2[k]) for k in out1)
 
 
 class TestDeterminism:

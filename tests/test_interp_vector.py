@@ -2,13 +2,16 @@
 
 Every run here is made twice, with ``InterpOptions(vectorize=True)`` and
 ``vectorize=False``, and the two must agree bit for bit: outputs (dtype,
-shape and bytes), counters, and the error raised, if any.  The corpus runs
-plain, optimized and JSON round-tripped in both map orders; the hand-built
-graphs cover what the corpus does not (transposed reads, strides, empty
-ranges, reductions over an inner parameter, folds, Python integers stored
-into f64 data, an access out of bounds in the middle of a launch), and maps
-that stay on the per-point path (int64 data, parameters and symbols as
-values)."""
+shape and bytes), transients, counters, and the error raised, if any.  The
+corpus runs plain, optimized and JSON round-tripped in both map orders; the
+hand-built graphs cover what the corpus does not (transposed reads,
+strides, empty ranges, reductions over an inner parameter, folds, Python
+integers stored into f64 data, an access out of bounds in the middle of a
+launch, maps that hold an inner map and REDUCE nodes of each operator), and
+maps that stay on the per-point path (int64 data, parameters and symbols as
+values, inner maps that write part of a transient, use the outer
+parameters in their ranges or read what the outer body writes, and a
+reduction whose result does not fit its output)."""
 
 import copy
 
@@ -16,12 +19,14 @@ import numpy as np
 import pytest
 
 from conftest import ALL_KERNELS, KERNEL_SYMBOLS, compile_kernel, corpus_source, make_inputs
-from sdfgkit import frontend
+from sdfgkit import frontend, interp
 from sdfgkit.autoopt import auto_optimize, specialize
 from sdfgkit.interp import (
     ExecContext, InterpOptions, InterpreterError, Machine, OutOfBoundsError,
 )
-from sdfgkit.ir import AccessNode, DType, MapEntry, MapExit, Memlet, Sdfg, Tasklet, Wcr
+from sdfgkit.ir import (
+    AccessNode, DType, LibKind, LibraryNode, MapEntry, MapExit, Memlet, Sdfg, Tasklet, Wcr,
+)
 from sdfgkit.serialize import deserialize, serialize
 from sdfgkit.symbolic import Const, Sym, SubsetRange, as_expr
 from sdfgkit.texpr import parse_texpr
@@ -314,6 +319,191 @@ def test_scalar_case_equals_reference(case, reverse):
     assert vector_maps(m) == [False]
 
 
+# -- maps that hold an inner map and a reduction -----------------------------------
+
+
+def nested_graph(outer, inner, arrays, inner_tasklet, reduce, tail=None) -> Sdfg:
+    """One state with a map that holds an inner map, which writes a
+    transient, and a REDUCE node that reads it, as the optimizer leaves
+    doitgen.
+
+    ``outer`` and ``inner`` hold ``(name, begin, end, stride)``; ``arrays``
+    maps a container to ``(shape, transient)`` (all f64);
+    ``inner_tasklet`` is ``(code, inputs, (container, index))``, ``inputs``
+    mapping a connector to ``(container, index)``; ``reduce`` is ``(op,
+    axes, (container, index, wcr))``, the REDUCE node's attributes and its
+    output.  ``tail`` is an optional tasklet ``(code, inputs, (container,
+    index))`` after the REDUCE node, in the outer map."""
+    g = Sdfg("nested")
+    for name, (shape, transient) in arrays.items():
+        g.add_array(name, F, tuple(as_expr(x) for x in shape), transient=transient)
+    used = [x for _, *r in outer + inner for x in r] + [
+        x for shape, _ in arrays.values() for x in shape]
+    for name in {s for x in used for s in as_expr(x).free_symbols()} - {p for p, *_ in outer}:
+        g.add_symbol(name, 0)
+    st = g.add_state("s0", start=True)
+
+    def scope(params):
+        entry = st.add(MapEntry(tuple((p, tuple(as_expr(x) for x in r)) for p, *r in params)))
+        return entry, st.add(MapExit(entry))
+
+    def full(name, wcr=None):
+        return Memlet(name, g.containers[name].full_subset(), wcr)
+
+    def point(name, index, wcr=None):
+        return Memlet(name, SubsetRange.point(index), wcr)
+
+    entry, exit_ = scope(outer)
+    ientry, iexit = scope(inner)
+    fed = set()
+
+    def feed(name, into):
+        if name not in fed:
+            fed.add(name)
+            st.add_edge(st.add(AccessNode(name)), entry, full(name), dst_conn=f"IN_{name}")
+        if into is not entry:
+            st.add_edge(entry, into, full(name), src_conn=f"OUT_{name}", dst_conn=f"IN_{name}")
+
+    def tasklet(name, code, ins, src, local=None):
+        """A tasklet fed from ``src``, except for ``local``'s container,
+        read from that access node."""
+        t = st.add(Tasklet(name, tuple(ins), ("out",), (("out", parse_texpr(code)),)))
+        for conn, (c, index) in ins.items():
+            if local is not None and c == local.container:
+                st.add_edge(local, t, point(c, index), dst_conn=conn)
+                continue
+            feed(c, src)
+            st.add_edge(src, t, point(c, index), src_conn=f"OUT_{c}", dst_conn=conn)
+        return t
+
+    code, ins, (tname, tindex) = inner_tasklet
+    t = tasklet("inner", code, ins, ientry)
+    st.add_edge(t, iexit, point(tname, tindex), src_conn="out", dst_conn=f"IN_{tname}")
+    acc = st.add(AccessNode(tname))
+    st.add_edge(iexit, acc, full(tname), src_conn=f"OUT_{tname}")
+    op, axes, (oname, oindex, wcr) = reduce
+    red = st.add(LibraryNode(LibKind.REDUCE, "reduce", {"op": op, "axes": axes}))
+    st.add_edge(acc, red, full(tname), dst_conn="a")
+    drained = {}
+    if tail is None:
+        st.add_edge(red, exit_, point(oname, oindex, wcr), src_conn="out", dst_conn=f"IN_{oname}")
+        drained[oname] = wcr
+    else:
+        result = st.add(AccessNode(oname))
+        st.add_edge(red, result, point(oname, oindex, wcr), src_conn="out")
+        code, ins, (cname, cindex) = tail
+        t = tasklet("tail", code, ins, entry, result)
+        st.add_edge(t, exit_, point(cname, cindex), src_conn="out", dst_conn=f"IN_{cname}")
+        drained[cname] = None
+    for name, w in drained.items():
+        st.add_edge(exit_, st.add(AccessNode(name)), full(name, w), src_conn=f"OUT_{name}")
+    errors = [d for d in g.validate() if d.severity == "error"]
+    assert not errors, errors
+    return g
+
+
+NK = 12  # a reduced axis of 8 or more elements: numpy sums those pairwise
+NESTED_ARRAYS = {"A": ((3, n), False), "B": ((n, 4), False), "C": ((3, 4), False),
+                 "T": ((n,), True)}
+NESTED_INPUTS = {"A": RNG.uniform(0.5, 1.5, (3, NK)), "B": RNG.uniform(0.5, 1.5, (NK, 4)),
+                 "C": RNG.uniform(-1, 1, (3, 4)), "D": RNG.uniform(-1, 1, (3, 4, 3))}
+MATVEC = ("a * b", {"a": ("A", [i, k]), "b": ("B", [k, j])}, ("T", [k]))
+IJ = [("i", 0, 2, 1), ("j", 0, 3, 1)]
+K = [("k", 0, n - 1, 1)]
+
+NESTED = {
+    # C[i, j] = OP over k of A[i, k] B[k, j], for each reduction
+    **{f"reduce_{op}": (IJ, K, NESTED_ARRAYS, MATVEC, (op, None, ("C", [i, j], None)), None)
+       for op in ("add", "mul", "min", "max")},
+    # the reduction lands in a scalar transient that a tasklet then reads
+    "reduce_into_temp": (
+        IJ, K, {**NESTED_ARRAYS, "s": ((), True)}, MATVEC, ("add", None, ("s", [], None)),
+        ("x * 2.0 - c", {"x": ("s", []), "c": ("A", [i, j])}, ("C", [i, j]))),
+    # a sum over j of the reductions, through WCR
+    "reduce_wcr": (IJ, K, NESTED_ARRAYS, MATVEC, ("add", [0], ("C", [i, 0], Wcr.ADD)), None),
+    # an inner map over two parameters, reduced over both
+    "inner_2d": (
+        [("i", 0, 2, 1)], [("k", 0, 3, 1), ("l", 0, 2, 1)],
+        {"D": ((3, 4, 3), False), "C": ((3, 4), False), "T": ((4, 3), True)},
+        ("a * a + 1.0", {"a": ("D", [i, k, Sym("l")])}, ("T", [k, Sym("l")])),
+        ("add", None, ("C", [i, 0], None)), None),
+    # only the last axis is reduced; the first has extent 1
+    "keeps_unit_axis": (
+        [("i", 0, 2, 1)], [("z", 0, 0, 1), ("k", 0, n - 1, 1)],
+        {"A": ((3, n), False), "C": ((3, 4), False), "T": ((1, n), True)},
+        ("a - 0.25", {"a": ("A", [i, k])}, ("T", [Sym("z"), k])),
+        ("max", [1], ("C", [i, 1], None)), None),
+}
+
+NESTED_PER_POINT = {
+    # the inner map leaves T[N - 1] as the previous point wrote it
+    "partial_write": (IJ, [("k", 0, n - 2, 1)], NESTED_ARRAYS, MATVEC,
+                      ("add", None, ("C", [i, j], None)), None),
+    # a triangular inner range
+    "inner_range_uses_outer": (IJ, [("k", 0, i, 1)], NESTED_ARRAYS, MATVEC,
+                               ("add", None, ("C", [i, j], None)), None),
+    # a range that names the map's parameter, though it covers T
+    "inner_range_names_outer": (IJ, [("k", i - i, n - 1, 1)], NESTED_ARRAYS, MATVEC,
+                                ("add", None, ("C", [i, j], None)), None),
+    # the inner map reads C[i, j], which the reduction then writes
+    "inner_reads_output": (
+        IJ, K, NESTED_ARRAYS,
+        ("a * c", {"a": ("A", [i, k]), "c": ("C", [i, j])}, ("T", [k])),
+        ("add", None, ("C", [i, j], None)), None),
+    # a result of N elements does not fit the one element of C[i, j]
+    "result_does_not_fit": (
+        [("i", 0, 2, 1)], [("k", 0, n - 1, 1), ("l", 0, 1, 1)],
+        {"A": ((3, n), False), "C": ((3, 4), False), "T": ((n, 2), True)},
+        ("a", {"a": ("A", [i, k])}, ("T", [k, Sym("l")])),
+        ("add", [1], ("C", [i, 0], None)), None),
+}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("case", sorted(NESTED))
+def test_nested_vector_equals_reference(case, reverse):
+    """A map holding an inner map and a REDUCE node runs as one launch, bit
+    for bit as point by point: outputs, the transient and counters."""
+    g = nested_graph(*NESTED[case])
+    error, _, _, m = assert_same(g, {"N": NK}, NESTED_INPUTS, reverse)
+    assert error is None
+    assert vector_maps(m) == [True]  # the inner map was never planned
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("case", sorted(NESTED_PER_POINT))
+def test_nested_map_that_does_not_qualify_runs_point_by_point(case, reverse):
+    g = nested_graph(*NESTED_PER_POINT[case])
+    error, _, _, m = assert_same(g, {"N": NK}, NESTED_INPUTS, reverse)
+    assert vector_maps(m)[0] is False
+    if case == "result_does_not_fit":
+        assert error[0] is InterpreterError and "does not fit" in error[1]
+    else:
+        assert error is None
+
+
+def test_nested_out_of_bounds_falls_back():
+    """A nested launch whose bounds check fails stores nothing, and the
+    per-point path raises its own error."""
+    reads_past_end = ("a * b", {"a": ("A", [i, k + 1]), "b": ("B", [k, j])}, ("T", [k]))
+    g = nested_graph(IJ, K, NESTED_ARRAYS, reads_past_end, ("add", None, ("C", [i, j], None)))
+    for reverse in (False, True):
+        error, _, _, m = assert_same(g, {"N": NK}, NESTED_INPUTS, reverse)
+        assert error[0] is OutOfBoundsError
+        assert vector_maps(m) == [True, True]
+
+
+def test_nested_grid_over_the_limit_falls_back(monkeypatch):
+    """A nested launch whose grid has more elements than the interpreter
+    allocates for intermediates runs point by point."""
+    monkeypatch.setattr(interp, "_GRID_LIMIT", 3 * 4 * NK - 1)
+    g = nested_graph(*NESTED["reduce_add"])
+    for reverse in (False, True):
+        error, _, _, m = assert_same(g, {"N": NK}, NESTED_INPUTS, reverse)
+        assert error is None
+        assert vector_maps(m) == [True, True]
+
+
 MEDIUM = {
     "gemm": {"NI": 20, "NJ": 20, "NK": 20},
     "k3mm": {"NI": 12, "NJ": 12, "NK": 12, "NM": 12, "NL": 12},
@@ -326,8 +516,9 @@ MEDIUM = {
 def test_fast_path_fires(name, monkeypatch):
     """With the per-point loop failing for every map that has a vector
     launch, the optimized kernel still runs at medium extents: each of those
-    launches ran vectorized.  Only maps with a nested map lack one.  The
-    graph is specialized as for C, so expanded matmuls are covered."""
+    launches ran vectorized.  Only maps with a nested map that does not
+    qualify (here the tile maps of expanded matmuls) lack one.  The graph is
+    specialized as for C, so expanded matmuls are covered."""
     symbols = MEDIUM[name]
     inputs = make_inputs(frontend.parse(corpus_source(name)), symbols, seed=0)
     g = compile_kernel(name)
@@ -344,7 +535,31 @@ def test_fast_path_fires(name, monkeypatch):
     error, store, counters, m = run(g, symbols, inputs)
     assert error is None and counters == ref[2]
     assert all(store[k].tobytes() == ref[1][k].tobytes() for k in store)
-    nested = [any(isinstance(x, MapEntry) for x in members)
-              for st in g.states for scope, members in st.scopes().items() if scope is not None]
-    assert sorted(vector_maps(m)) == sorted(not x for x in nested)
-    assert any(vector_maps(m))
+    nested = {(st.label, scope.nid): any(isinstance(x, MapEntry) for x in members)
+              for st in g.states for scope, members in st.scopes().items() if scope is not None}
+    planned = {(plan.state.label, nid): mp.vector is not None
+               for plan in m._plans.values() for nid, mp in plan.maps.items()}
+    assert all(vector or nested[key] for key, vector in planned.items())
+    assert any(planned.values())
+
+
+def test_doitgen_runs_one_launch(monkeypatch):
+    """Optimized doitgen's map over (r, q, p) holds an inner map over the
+    summed axis and a REDUCE node; it runs as one vector launch, so no map
+    runs point by point, and the counters are the per-point path's."""
+    symbols = {"NR": 6, "NQ": 8, "NP": 12}
+    inputs = make_inputs(frontend.parse(corpus_source("doitgen")), symbols, seed=0)
+    g = compile_kernel("doitgen")
+    auto_optimize(g)
+    refs = [run(g, symbols, inputs, reverse, vectorize=False) for reverse in (False, True)]
+
+    def no_points(self, launch, env):
+        raise AssertionError("a map ran point by point")
+
+    monkeypatch.setattr(Machine, "_run_points", no_points)
+    for reverse, ref in zip((False, True), refs):
+        error, store, counters, m = run(g, symbols, inputs, reverse)
+        assert error is None and counters == ref[2]
+        assert counters["map_iterations"] == 576 + 6912 and counters["bytes_moved"] == 225_792
+        assert all(store[k].tobytes() == ref[1][k].tobytes() for k in store)
+        assert vector_maps(m) == [True]

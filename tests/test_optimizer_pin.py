@@ -1,10 +1,17 @@
-"""Pin the optimizer's and the distribution pipeline's output per corpus kernel.
+"""Pin the frontend's, the optimizer's and the distribution pipeline's output.
 
-Each ``OPTIMIZED`` digest is a sha256 over three texts, joined by newlines:
+Each ``LOWERED`` digest is a sha256 over ``serialize(g)`` of the graph
+``frontend.compile_source`` returns (``no graph`` when it returns none) and
+the sorted diagnostic strings, for every corpus kernel, the nested-call
+program of ``test_interp_paths``, the local-view stencil and the programs of
+``LOWERING_PROGRAMS``, which reach the lowering branches the others do not:
+compound conditions, calls in tasklets, per-iteration locals and
+write-conflict resolution in map bodies, and the rejections.  Each
+``OPTIMIZED`` digest is a sha256 over three texts, joined by newlines:
 ``serialize(g)`` after ``auto_optimize``, ``emit_c(g)``, and the pass report
 as sorted-key JSON.  Each ``DISTRIBUTED`` digest is a sha256 over
 ``serialize(g)`` after ``distribution_pipeline`` on a 2x2 grid.  Refactors of
-the graph queries, passes or emitter must leave every digest unchanged; a
+the frontend, graph queries, passes or emitter must leave every digest unchanged; a
 change that means to alter the output regenerates the tables with
 
     PYTHONPATH=src python tests/test_optimizer_pin.py
@@ -13,13 +20,134 @@ change that means to alter the output regenerates the tables with
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from conftest import ALL_KERNELS, compile_kernel
+from conftest import ALL_KERNELS, compile_kernel, corpus_source
+from sdfgkit import frontend
 from sdfgkit.autoopt import auto_optimize
 from sdfgkit.cemit import emit_c
 from sdfgkit.dist import ProcessGrid, distribution_pipeline
+from sdfgkit.dist.benchmark import JACOBI2D_LOCAL_VIEW
+from sdfgkit.frontend import oracle
+from sdfgkit.interp import ExecContext, InterpOptions, interpret
 from sdfgkit.serialize import serialize
+from test_interp_paths import CALLS
+
+LOWERING_PROGRAMS = {
+    "branches": """
+def branches(A: f64[N], x: f64, y: f64, out: f64):
+    if x > 0.5:
+        if not y < 0.0:
+            out = sqrt(x) + abs(y)
+        else:
+            out = -x
+    else:
+        out = pow(x, 2.0)
+    if -x < sqrt(y * y) and (x < 0.9 or not y > 0.2):
+        A[0] = exp(out) * max(x, y)
+    out = min(out, pow(x, 2.0))
+    A[1] += sqrt(abs(out))
+""",
+    "map_body": """
+def map_body(A: f64[N, M], B: f64[N, M], v: f64[N], w: f64[M], s: f64):
+    for i, j in map[0:N, 0:M]:
+        t = A[i, j] * s
+        t = t * A[i, j] + sqrt(abs(t))
+        u = max(t, s) - exp(-t * t)
+        B[i, j] = u - 2.0 * s + j
+    for i, j in map[0:N, 0:M]:
+        v[i] -= A[i, j]
+    for i, j in map[0:N, 0:M]:
+        w[j] *= A[i, j]
+    for i, j in map[0:N, 0:M]:
+        B[i, j] += A[i, j] * A[i, j] + s
+    for i in map[0:N]:
+        v[i] *= s
+""",
+    "condition_subscript": """
+def f(A: f64[N], x: f64):
+    if A[0] > x:
+        x = 1.0
+""",
+    "map_array_op": """
+def f(A: f64[N], B: f64[N]):
+    for i in map[0:N]:
+        B[i] = sum(A)
+""",
+    "map_sliced_operand": """
+def f(A: f64[N], B: f64[N]):
+    for i in map[0:N]:
+        B[i] = A[0:2] < 1.0
+""",
+    "unknown_function": """
+def f(A: f64[N], x: f64):
+    x = foo(x)
+    foo(A)
+""",
+    "call_in_tasklet": """
+def g(A: f64[N]):
+    A[0] = 1.0
+
+def f(A: f64[N], x: f64):
+    x = g(A) < 1.0
+""",
+    "call_in_map_body": """
+def g(A: f64[N]):
+    A[0] = 1.0
+
+def f(A: f64[N], B: f64[N]):
+    for i in map[0:N]:
+        B[i] = g(A) < 1.0
+""",
+    "control_dependent": """
+def f(x: f64, out: f64):
+    if x > 5.0:
+        y = 1.0
+    out = y
+""",
+    "recursion": """
+def f(A: f64[N]):
+    h(A)
+
+def h(A: f64[N]):
+    f(A)
+""",
+}
+
+# Extents of the programs of LOWERING_PROGRAMS that compile.
+LOWERING_SYMBOLS = {"branches": {"N": 4}, "map_body": {"N": 4, "M": 3}}
+
+LOWERED_NAMES = ALL_KERNELS + ["calls", "jacobi2d_local_view"] + list(LOWERING_PROGRAMS)
+
+LOWERED = {
+    "adi": "d5aa4f717a6687b48012174f6207f80359c5f02e31ad90ce1746b04f0692da9e",
+    "atax": "4f9c2e9c3d4e2a1a318bdfb9a3d209a3adfb5f0eca0f20c5f84d42080aad3276",
+    "bicg": "b0d7d3513542047c0653544dfaa4524e5fbdc89e61cffc66629eb267d0874281",
+    "doitgen": "a5f72ab732c8ffd0a41d411c08db6f542e6f7e1076628c8fdd0354e384cf4743",
+    "fig4_loop": "005e222b3684162db009752b31250469883765b432c293f3591d7c7b1fdd3b99",
+    "gemm": "b0a45f4da5618176e07e973249b045811ba60495236098128af62b1afa149cc9",
+    "gemver": "960a2babf720fa1e5f3e582dc40b4dd3681863801a879591e016bdcf3367a82a",
+    "gesummv": "75c1051ff5944a0b1e96677ebf9277fd20b2435ff3688955abb28ffff298f91a",
+    "jacobi_1d": "85e8dc06da3dc59406e270878c61c94c3f16cfe71e777d1b8b544e20250649f2",
+    "jacobi_2d": "c105d02e29c414f4438e668ce1098307474e01665ff468e2782eaf67744665c0",
+    "k2mm": "0d349f50589c13245ac944d1f3bbee355f2835e0eee8ea849efb54b2bcb03efc",
+    "k3mm": "0173d59cacbc297c2c6bef0a2c242f4bc950c169957956cf2862359116e75a17",
+    "mvt": "59a37144b9d3c3cb8f10fb61528c9e5bcf9f04ce0522825f6460980fb09d181a",
+    "wcr_sum": "07b4e023dde6f154fae2df0dd5b11bbef7b798814bbdf7854cdbd99350145484",
+    "calls": "bdf0711e7b9fea1acc8a42b20b2276c2f9818d7a3ab8214538becdefe3c02c39",
+    "jacobi2d_local_view": "d3b2278429b4f5911dfa8794db87bed63b88b6e552e3c37e1837f38f58f4ff1a",
+    "branches": "b49ad98b2c4d6a11088214f079df75692fc68969fb4ff755507a677b880c8d51",
+    "map_body": "bb42bccde41252ab2f831c54f0131b9da89e469483a1465396eeb00a7119f63c",
+    "condition_subscript": "6d105987ed642a2b7fbe81c4927734ec901c615a7479a94a5820d4f25cb2e13e",
+    "map_array_op": "4257d640c05e9edcb705f90840672b24961654ee0334d5468d5c49e44a0be341",
+    "map_sliced_operand": "ae38ba754c09ed30764a66f97c81b7d8d9b69ae09826473edc4a6c2ec415613d",
+    "unknown_function": "676ad9a864027a64fa49c679fb352fb186b7c03a5ab9e16bd2973e4fcf6c6e94",
+    "call_in_tasklet": "eb7ee293f73dd7c6cc8865d08158ade0796571ff4954a7b83162f46ce48bb154",
+    "call_in_map_body": "31a2e157cb189e34da06271d35728f0d0abf471e1c8550f50bf45b261b8cc53e",
+    "control_dependent": "a44654a5132cc836c00a435e9f1b1bf68183c00fba72f01c874a2f30d5138cc0",
+    "recursion": "04bc9a04fed930f661220af0755dcc5f2dbf11885df05bf146d976096361b49a",
+}
 
 OPTIMIZED = {
     "adi": "4aeead36bf3245a3fe10d833a3119a1d51e201875cb1c13c61a1c2f37ba16666",
@@ -60,6 +188,20 @@ def _sha(*texts: str) -> str:
     return hashlib.sha256("\n".join(texts).encode()).hexdigest()
 
 
+def lowered_source(name: str) -> str:
+    if name == "calls":
+        return CALLS
+    if name == "jacobi2d_local_view":
+        return JACOBI2D_LOCAL_VIEW
+    return LOWERING_PROGRAMS.get(name) or corpus_source(name)
+
+
+def lowered_digest(name: str) -> str:
+    g, diags = frontend.compile_source(lowered_source(name))
+    return _sha(serialize(g) if g is not None else "no graph",
+                *sorted(str(d) for d in diags))
+
+
 def optimized_digest(name: str) -> str:
     g = compile_kernel(name)
     report = auto_optimize(g)
@@ -70,6 +212,39 @@ def distributed_digest(name: str) -> str:
     g = compile_kernel(name)
     distribution_pipeline(g, ProcessGrid.parse("2x2"))
     return _sha(serialize(g))
+
+
+@pytest.mark.parametrize("name", LOWERED_NAMES)
+def test_lowered_output_pinned(name):
+    assert lowered_digest(name) == LOWERED[name]
+
+
+@pytest.mark.parametrize("name", sorted(LOWERING_SYMBOLS))
+def test_lowering_programs_match_oracle(name):
+    """The pinned programs that compile agree with the oracle, plain and
+    optimized, in both map orders, with inputs that take both branches."""
+    symbols = LOWERING_SYMBOLS[name]
+    src = LOWERING_PROGRAMS[name]
+    g, _ = frontend.compile_source(src)
+    optimized = g.copy()
+    auto_optimize(optimized)
+    program = frontend.parse(src)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        inputs = {
+            p.name: (rng.uniform(0.5, 1.5, tuple(symbols[d.id] for d in p.shape))
+                     if p.shape else float(rng.uniform(-1.0, 1.0)))
+            for p in program.entry.params
+        }
+        want = oracle.evaluate_program(
+            program, symbols, {k: np.array(v, copy=True) for k, v in inputs.items()})
+        for graph in (g, optimized):
+            for reverse in (False, True):
+                ctx = ExecContext(bindings=dict(symbols)).bind_inputs(
+                    {k: np.array(v, copy=True) for k, v in inputs.items()})
+                out = interpret(graph, ctx, InterpOptions(reverse_maps=reverse))
+                for k, ref in want.items():
+                    assert np.allclose(out[k], ref, rtol=1e-12, atol=1e-14), (seed, k)
 
 
 @pytest.mark.parametrize("name", ALL_KERNELS)
@@ -83,8 +258,10 @@ def test_distributed_output_pinned(name):
 
 
 if __name__ == "__main__":
-    for table, fn in (("OPTIMIZED", optimized_digest), ("DISTRIBUTED", distributed_digest)):
+    for table, fn, names in (("LOWERED", lowered_digest, LOWERED_NAMES),
+                             ("OPTIMIZED", optimized_digest, ALL_KERNELS),
+                             ("DISTRIBUTED", distributed_digest, ALL_KERNELS)):
         print(f"{table} = {{")
-        for name in ALL_KERNELS:
+        for name in names:
             print(f'    "{name}": "{fn(name)}",')
         print("}\n")

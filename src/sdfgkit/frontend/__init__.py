@@ -15,10 +15,12 @@ def parse(source: str) -> Program:
 
     Grammar errors raise :class:`DslSyntaxError` with line/column; name
     resolution problems (use before definition, unknown symbols in shapes)
-    are collected into ``Program.diagnostics``.
+    are collected into ``Program.diagnostics``.  The analysis is kept as
+    ``Program.info``, which the restriction checks, desugaring and lowering
+    reuse.
     """
     program = parse_tokens(source)
-    analyze(program)  # fills program.diagnostics
+    analyze(program)  # fills program.diagnostics and program.info
     return program
 
 

@@ -16,8 +16,8 @@ from .dsl_ast import (
     Program, SAssign, SFor, SIf, Stmt,
 )
 from .sema import (
-    ProgramInfo, SemanticError, Ty, TypeCtx, analyze, classify, contains_array_op,
-    loop_var_bounds,
+    ProgramInfo, SemanticError, Ty, TypeCtx, classify, contains_array_op, loop_var_bounds,
+    program_info,
 )
 
 _ALLOC_FNS = ("zeros", "empty", "requests")
@@ -26,13 +26,10 @@ _COMM_EXPR_FNS = ("block_scatter", "block_gather")
 
 class _Desugarer:
     def __init__(self, pi: ProgramInfo, fname: str):
-        self.pi = pi
-        self.fi = pi.funcs[fname]
-        self.ctx = TypeCtx(pi, self.fi)
+        fi = pi.funcs[fname]
+        self.ctx = TypeCtx(pi, fi)
         self.counter = 0
-        self.taken = (
-            set(self.fi.arrays) | set(self.fi.float_scalars) | set(pi.symbols)
-        )
+        self.taken = set(fi.arrays) | set(fi.float_scalars) | set(pi.symbols)
 
     def fresh_temp(self) -> str:
         while True:
@@ -93,7 +90,7 @@ class _Desugarer:
             value = EBin(s.span, op, copy.deepcopy(s.target), value)
 
         value = self.split_root(value, out)
-        target_ty = self.target_type(s.target, value)
+        target_ty = classify(self.ctx, value)
         if isinstance(s.target, EName):
             self.ctx.local_types.setdefault(s.target.id, target_ty)
         elif self.is_partial_target(s.target) and not self.is_atom(value):
@@ -103,17 +100,6 @@ class _Desugarer:
             out.append(SAssign(s.span, EName(s.span, tmp), "=", value))
             value = EName(s.span, tmp)
         out.append(SAssign(s.span, s.target, "=", value))
-
-    def target_type(self, target: Expr, value: Expr) -> Ty:
-        vt = classify(self.ctx, value)
-        if isinstance(target, EName) and target.id not in self.ctx.local_types:
-            if (
-                target.id not in self.fi.arrays
-                and target.id not in self.fi.float_scalars
-                and target.id not in self.pi.symbols
-            ):
-                return vt  # first assignment declares the local
-        return vt
 
     def is_partial_target(self, target: Expr) -> bool:
         """Array-valued subset targets that do not cover the whole container.
@@ -165,7 +151,7 @@ class _Desugarer:
 
 def desugar(program: Program) -> Program:
     """Return a program in single-operation form (see module docstring)."""
-    pi = analyze(Program(program.functions, program.source, []))
+    pi = program_info(program)
     funcs = []
     diags = list(program.diagnostics)
     for f in program.functions:
@@ -177,4 +163,4 @@ def desugar(program: Program) -> Program:
             body = f.body
         diags.extend(d.ctx.warnings)
         funcs.append(FuncDef(f.name, f.params, body, f.span))
-    return Program(funcs, program.source, diags)
+    return Program(funcs, program.source, diags, pi.with_bodies(funcs))

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterator
+
+if TYPE_CHECKING:
+    from .sema import ProgramInfo
 
 
 @dataclass(frozen=True)
@@ -150,6 +154,8 @@ class Program:
     functions: list[FuncDef]
     source: str = ""
     diagnostics: list[Diagnostic] = field(default_factory=list)
+    # the analysis of the functions' parameters (``sema.program_info``)
+    info: ProgramInfo | None = field(default=None, repr=False, compare=False)
 
     def function(self, name: str) -> FuncDef:
         for f in self.functions:
@@ -163,6 +169,37 @@ class Program:
         if not self.functions:
             raise ValueError("empty program")
         return self.functions[-1]
+
+
+def children(node: Expr | Stmt) -> Iterator[Expr | Stmt]:
+    """The direct sub-expressions and sub-statements of ``node`` in source
+    order; absent slice bounds and range parts are skipped."""
+    if isinstance(node, ESub):
+        kids = node.indices
+    elif isinstance(node, ESlice):
+        kids = (node.lo, node.hi, node.step)
+    elif isinstance(node, EUn):
+        kids = (node.operand,)
+    elif isinstance(node, EBin):
+        kids = (node.left, node.right)
+    elif isinstance(node, (ECall, SCall)):
+        kids = node.args
+    elif isinstance(node, SAssign):
+        kids = (node.target, node.value)
+    elif isinstance(node, SFor):
+        kids = (*node.ranges, *node.body)
+    elif isinstance(node, SIf):
+        kids = (node.cond, *node.then, *node.orelse)
+    else:
+        kids = ()
+    return (k for k in kids if k is not None)
+
+
+def walk(*nodes: Expr | Stmt) -> Iterator[Expr | Stmt]:
+    """Each of ``nodes`` and every node under it, in pre-order."""
+    for node in nodes:
+        yield node
+        yield from walk(*children(node))
 
 
 DTYPES = ("f64", "i64", "i32")

@@ -20,14 +20,17 @@ from ..symbolic import Const, SubsetRange, Sym, SymExpr, element_subset, propaga
 from ..texpr import TBin, TCall, TExpr, TNum, TRef, TUn
 from .dsl_ast import (
     EBin, ECall, EName, ENum, ESlice, ESub, EUn, Expr, FuncDef, Program,
-    SAssign, SCall, SFor, SIf, Span, SReturn, Stmt,
+    SAssign, SCall, SFor, SIf, Span, SReturn, Stmt, walk,
 )
 from .sema import (
-    ProgramInfo, SemanticError, Ty, TypeCtx, analyze, classify, loop_var_bounds,
+    ProgramInfo, SemanticError, Ty, TypeCtx, classify, loop_var_bounds, program_info,
     resolve_subscript,
 )
 
 _WCR_FOR_OP = {"+=": Wcr.ADD, "-=": Wcr.ADD, "*=": Wcr.MUL}
+_TASKLET_CALLS = ("sqrt", "exp", "abs", "pow", "min", "max")
+# The arguments a communication statement writes, by position.
+_COMM_WRITES = {"comm_irecv": (0, 3), "comm_isend": (3,), "comm_waitall": (0,)}
 
 
 class LowerError(SemanticError):
@@ -36,8 +39,7 @@ class LowerError(SemanticError):
 
 def lower(program: Program) -> Sdfg:
     """Lower the program's entry function (the last one in the file)."""
-    pi = analyze(Program(program.functions, program.source, []))
-    lw = _Lowerer(pi)
+    lw = _Lowerer(program_info(program))
     return lw.lower_function(program.entry.name)
 
 
@@ -196,11 +198,10 @@ class _FuncLowerer:
         if s.op != "=":
             # augmented scalar assignment at statement level (sequential)
             in_conn = router.route(tname, self.target_subset(s.target))
-            op = {"+=": "+", "-=": "-", "*=": "*"}[s.op]
-            code = TBin(op, TRef(in_conn), code)
+            code = TBin(s.op[0], TRef(in_conn), code)
         t = st.add(Tasklet(f"assign_{tname}", tuple(router.conn_order), ("out",),
                            (("out", code),)))
-        router.connect_inputs(t)
+        router.connect(t)
         out_access = st.add(AccessNode(tname))
         st.add_edge(t, out_access, Memlet(tname, self.target_subset(s.target)),
                     src_conn="out")
@@ -240,11 +241,10 @@ class _FuncLowerer:
             )
         )
         exit_node = st.add(MapExit(entry))
-        router = _Router(self, st, entry=entry, params=params,
-                         target_kept=target_kept, target_sub=target_sub)
+        router = _Router(self, st, entry, params)
         code = router.to_texpr(value)
         t = st.add(Tasklet("compute", tuple(router.conn_order), ("out",), (("out", code),)))
-        router.connect_inputs(t)
+        router.connect(t)
         elem = element_subset(target_sub, target_kept, params)
         st.add_edge(t, exit_node, Memlet(tname, elem), src_conn="out", dst_conn="IN_w0")
         out_access = st.add(AccessNode(tname))
@@ -294,19 +294,6 @@ class _FuncLowerer:
 
     # -- control flow -------------------------------------------------------------
 
-    def cond_texpr(self, e: Expr) -> TExpr:
-        if isinstance(e, ENum):
-            return TNum(e.value)
-        if isinstance(e, EName):
-            return TRef(e.id)
-        if isinstance(e, EUn):
-            return TUn("-" if e.op == "-" else "not", self.cond_texpr(e.operand))
-        if isinstance(e, EBin):
-            return TBin(e.op, self.cond_texpr(e.left), self.cond_texpr(e.right))
-        if isinstance(e, ECall) and e.fn in ("sqrt", "exp", "abs", "pow", "min", "max"):
-            return TCall(e.fn, tuple(self.cond_texpr(a) for a in e.args))
-        raise LowerError("unsupported expression in condition", e.span)
-
     def for_range(self, s: SFor) -> None:
         var = s.names[0]
         start = symbolic.simplify(self.ctx.symexpr(s.ranges[0])) if s.ranges[0] is not None else Const(0)
@@ -350,7 +337,7 @@ class _FuncLowerer:
     def if_stmt(self, s: SIf) -> None:
         if not self.pending:
             self.new_state()  # branches need a predecessor to hang conditions on
-        cond = self.cond_texpr(s.cond)
+        cond = _texpr(s.cond, _condition_ref, "unsupported expression in condition")
         entry_pending = list(self.pending)
         self.pending = [
             _Pending(p.src, _and(p.condition, cond), p.assignments) for p in entry_pending
@@ -469,7 +456,7 @@ class _FuncLowerer:
     def comm_collective(self, s: SAssign, call: ECall) -> None:
         view_sub, view_base, _ = self.atom_view(call.args[0])
         tgt_sub = self.target_subset(s.target)
-        tname = s.target.id if isinstance(s.target, EName) else s.target.base
+        tname = _base_name(s.target)
         st = self.new_state()
         kind = LibKind.BLOCK_SCATTER if call.fn == "block_scatter" else LibKind.BLOCK_GATHER
         node = st.add(LibraryNode(kind, call.fn, {"scheme": "block"}))
@@ -483,67 +470,117 @@ def _and(a: TExpr | None, b: TExpr) -> TExpr:
     return b if a is None else TBin("and", a, b)
 
 
+def _base_name(e: EName | ESub) -> str:
+    return e.id if isinstance(e, EName) else e.base
+
+
 def _written_params(f: FuncDef) -> set[str]:
     out: set[str] = set()
+    for x in walk(*f.body):
+        if isinstance(x, SAssign):
+            out.add(_base_name(x.target))
+        elif isinstance(x, SCall):
+            out.update(_base_name(x.args[i]) for i in _COMM_WRITES.get(x.fn, ()))
+    return out & {p.name for p in f.params}
 
-    def walk(stmts):
-        for s in stmts:
-            if isinstance(s, SAssign):
-                t = s.target
-                out.add(t.id if isinstance(t, EName) else t.base)
-            elif isinstance(s, SFor):
-                walk(s.body)
-            elif isinstance(s, SIf):
-                walk(s.then)
-                walk(s.orelse)
-            elif isinstance(s, SCall):
-                if s.fn in ("comm_irecv",):
-                    if isinstance(s.args[0], (EName, ESub)):
-                        a = s.args[0]
-                        out.add(a.id if isinstance(a, EName) else a.base)
-                    out.add(s.args[3].base if isinstance(s.args[3], ESub) else s.args[3].id)
-                elif s.fn == "comm_isend":
-                    out.add(s.args[3].base if isinstance(s.args[3], ESub) else s.args[3].id)
-                elif s.fn == "comm_waitall":
-                    a = s.args[0]
-                    out.add(a.id if isinstance(a, EName) else a.base)
 
-    walk(f.body)
-    return {n for n in out if n in {p.name for p in f.params}}
+def _texpr(e: Expr, ref, unsupported: str) -> TExpr:
+    """Translate a scalar expression into a tasklet expression.  ``ref`` turns
+    each name and subscript into a reference; any other operand but numbers,
+    unary and binary operations and the math calls raises ``unsupported``."""
+    if isinstance(e, ENum):
+        return TNum(e.value)
+    if isinstance(e, (EName, ESub)):
+        return ref(e)
+    if isinstance(e, EUn):
+        return TUn(e.op, _texpr(e.operand, ref, unsupported))
+    if isinstance(e, EBin):
+        return TBin(e.op, _texpr(e.left, ref, unsupported), _texpr(e.right, ref, unsupported))
+    if isinstance(e, ECall) and e.fn in _TASKLET_CALLS:
+        return TCall(e.fn, tuple(_texpr(a, ref, unsupported) for a in e.args))
+    raise LowerError(unsupported, e.span)
+
+
+def _condition_ref(e: EName | ESub) -> TRef:
+    """Interstate conditions name symbols and scalar containers directly."""
+    if isinstance(e, ESub):
+        raise LowerError("unsupported expression in condition", e.span)
+    return TRef(e.id)
 
 
 class _Router:
     """Connector allocation and input routing for a tasklet being built.
 
-    At statement level, array atoms resolve to per-element subsets indexed by
-    the surrounding map parameters; scalar containers are routed whole.
+    At statement level, array operands resolve to per-element subsets indexed
+    by the surrounding map parameters ``params``, and scalar containers are
+    routed whole.  In a map body (``scope_values`` given) operands are
+    scalars, and the body's per-iteration locals are read from the access
+    nodes in ``scope_values`` rather than through the map entry.
     """
 
     def __init__(self, fl: _FuncLowerer, st: State, entry: MapEntry | None = None,
-                 params: list[str] | None = None, target_kept=None, target_sub=None):
+                 params: list[str] = (), scope_values: dict[str, AccessNode] | None = None):
         self.fl = fl
         self.st = st
         self.entry = entry
-        self.params = params or []
-        self.target_kept = target_kept
-        self.target_sub = target_sub
+        self.params = list(params)
+        self.in_map_body = scope_values is not None
+        self.scope_values = scope_values or {}
         self.routes: dict[tuple, str] = {}
         self.conn_order: list[str] = []
         self.edges: list[tuple[str, str, SubsetRange, SubsetRange]] = []
         # (conn, container, outer subset, elem subset)
 
+    def to_texpr(self, e: Expr) -> TExpr:
+        return _texpr(e, self.ref, "expression not allowed inside a tasklet")
+
+    def ref(self, e: EName | ESub) -> TRef:
+        ctx = self.fl.ctx
+        if isinstance(e, EName):
+            ty = ctx.lookup(e.id, e.span)
+            if ty.kind == "index":
+                return TRef(e.id)
+            if ty.kind == "scalar" or self.in_map_body:
+                return TRef(self.route(e.id, SubsetRange(())))
+            # whole-array operand
+            sub, kept = SubsetRange.full(ty.shape), [True] * len(ty.shape)
+        else:
+            sub, kept = resolve_subscript(ctx, e)
+            if not any(kept):  # fully indexed: a scalar element
+                return TRef(self.route(e.base, sub))
+            if self.in_map_body:
+                raise LowerError("sliced operands are not allowed in map bodies", e.span)
+        # array operand: element access aligned with the target's kept dims
+        base = _base_name(e)
+        n_kept = sum(kept)
+        if n_kept != len(self.params):
+            raise LowerError(
+                f"operand '{base}' has {n_kept} iterated dimensions, "
+                f"statement iterates {len(self.params)}",
+                self.fl.fi.func.span,
+            )
+        return TRef(self.route(base, element_subset(sub, kept, self.params), sub))
+
     def route(self, container: str, elem: SubsetRange, outer: SubsetRange | None = None) -> str:
+        """The connector reading ``elem`` of ``container``; ``outer`` is what
+        the map entry passes in (by default ``elem`` swept over the map)."""
         key = (container, str(elem))
         if key in self.routes:
             return self.routes[key]
         conn = f"in{len(self.conn_order)}"
         self.routes[key] = conn
         self.conn_order.append(conn)
-        self.edges.append((conn, container, outer if outer is not None else elem, elem))
+        if outer is None and self.entry is not None:
+            outer = propagate_subset(elem, self.entry.params)
+        self.edges.append((conn, container, outer, elem))
         return conn
 
-    def connect_inputs(self, tasklet: Tasklet) -> None:
+    def connect(self, tasklet: Tasklet) -> None:
         for conn, container, outer, elem in self.edges:
+            if container in self.scope_values:
+                self.st.add_edge(self.scope_values[container], tasklet,
+                                 Memlet(container, elem), dst_conn=conn)
+                continue
             acc = self.st.add(AccessNode(container))
             if self.entry is not None:
                 self.st.add_edge(acc, self.entry, Memlet(container, outer),
@@ -554,50 +591,6 @@ class _Router:
                 self.st.add_edge(acc, tasklet, Memlet(container, elem), dst_conn=conn)
         if self.entry is not None and not self.edges:
             self.st.add_edge(self.entry, tasklet)  # dependency-only edge
-
-    def to_texpr(self, e: Expr) -> TExpr:
-        ctx = self.fl.ctx
-        if isinstance(e, ENum):
-            return TNum(e.value)
-        if isinstance(e, EName):
-            ty = ctx.lookup(e.id, e.span)
-            if ty.kind == "index":
-                return TRef(e.id)
-            if ty.kind == "scalar":
-                return TRef(self.route(e.id, SubsetRange(())))
-            # whole-array operand: element access aligned with the target
-            elem, outer = self.array_elem(e.id, SubsetRange.full(ty.shape),
-                                          [True] * len(ty.shape))
-            return TRef(self.route(e.id, elem, outer))
-        if isinstance(e, ESub):
-            sub, kept = resolve_subscript(ctx, e)
-            if all(not k for k in kept):  # fully indexed: a scalar element
-                return TRef(self.route(e.base, sub, self.propagate(sub)))
-            elem, outer = self.array_elem(e.base, sub, kept)
-            return TRef(self.route(e.base, elem, outer))
-        if isinstance(e, EUn):
-            return TUn("-" if e.op == "-" else "not", self.to_texpr(e.operand))
-        if isinstance(e, EBin):
-            return TBin(e.op, self.to_texpr(e.left), self.to_texpr(e.right))
-        if isinstance(e, ECall) and e.fn in ("sqrt", "exp", "abs", "pow", "min", "max"):
-            return TCall(e.fn, tuple(self.to_texpr(a) for a in e.args))
-        raise LowerError("expression not allowed inside a tasklet", e.span)
-
-    def array_elem(self, base: str, sub: SubsetRange, kept: list[bool]):
-        """Element subset of an array operand, aligned with target kept dims."""
-        kept_params = [p for p in self.params]
-        n_kept = sum(1 for k in kept if k)
-        if n_kept != len(kept_params):
-            raise LowerError(
-                f"operand '{base}' has {n_kept} iterated dimensions, "
-                f"statement iterates {len(kept_params)}",
-                self.fl.fi.func.span,
-            )
-        elem = element_subset(sub, kept, kept_params)
-        return elem, sub
-
-    def propagate(self, elem: SubsetRange) -> SubsetRange:
-        return propagate_subset(elem, self.entry.params if self.entry else ())
 
 
 class _MapScopeLowerer:
@@ -612,29 +605,21 @@ class _MapScopeLowerer:
         self.params = params
         self.scope_values: dict[str, AccessNode] = {}  # per-iteration scalar locals
         self.wrote_through_exit = False
-        self.used_entry = False
 
     def assign(self, s: SAssign) -> None:
-        ctx = self.fl.ctx
-        router = _ScopeRouter(self, s.span)
+        router = _Router(self.fl, self.st, self.entry, scope_values=self.scope_values)
         code = router.to_texpr(s.value)
         wcr: Wcr | None = None
         if isinstance(s.target, EName):
             tname = s.target.id
-            ty = ctx.local_types.get(tname) or (
-                ctx.lookup(tname, s.span)
-                if tname in self.fl.g.containers
-                else None
-            )
-            if ty is None or tname not in self.fl.g.containers:
-                # per-iteration scalar local
-                self.fl.declare_local(tname, Ty("scalar", "f64"), s.span)
+            # a name first assigned here is a per-iteration scalar local
+            self.fl.declare_local(tname, Ty("scalar", "f64"), s.span)
             t_sub = SubsetRange(())
             is_param_local = tname in self.scope_values or self.fl.g.containers[tname].transient
         else:
             assert isinstance(s.target, ESub)
             tname = s.target.base
-            t_sub, _ = resolve_subscript(ctx, s.target)
+            t_sub, _ = resolve_subscript(self.fl.ctx, s.target)
             is_param_local = False
 
         if s.op != "=":
@@ -642,12 +627,9 @@ class _MapScopeLowerer:
                 wcr = _WCR_FOR_OP[s.op]
                 if s.op == "-=":
                     code = TUn("-", code)
-                elif s.op == "*=" and wcr is Wcr.MUL:
-                    pass
             else:
                 in_conn = router.route(tname, t_sub)
-                op = {"+=": "+", "-=": "-", "*=": "*"}[s.op]
-                code = TBin(op, TRef(in_conn), code)
+                code = TBin(s.op[0], TRef(in_conn), code)
 
         t = self.st.add(Tasklet(f"map_assign_{tname}", tuple(router.conn_order),
                                 ("out",), (("out", code),)))
@@ -677,62 +659,3 @@ def _conflicts(t_sub: SubsetRange, params: set[str]) -> bool:
     from ..ir import _pinned  # shared with validation
 
     return not _pinned(params, t_sub, t_sub) >= params
-
-
-class _ScopeRouter:
-    """Routes tasklet inputs inside an explicit map scope."""
-
-    def __init__(self, scope: _MapScopeLowerer, span: Span):
-        self.scope = scope
-        self.span = span
-        self.routes: dict[tuple, str] = {}
-        self.conn_order: list[str] = []
-        self.edges = []  # (conn, container, subset, via_scope_value)
-
-    def route(self, container: str, sub: SubsetRange) -> str:
-        key = (container, str(sub))
-        if key in self.routes:
-            return self.routes[key]
-        conn = f"in{len(self.conn_order)}"
-        self.routes[key] = conn
-        self.conn_order.append(conn)
-        self.edges.append((conn, container, sub))
-        return conn
-
-    def to_texpr(self, e: Expr) -> TExpr:
-        ctx = self.scope.fl.ctx
-        if isinstance(e, ENum):
-            return TNum(e.value)
-        if isinstance(e, EName):
-            ty = ctx.lookup(e.id, e.span)
-            if ty.kind == "index":
-                return TRef(e.id)
-            return TRef(self.route(e.id, SubsetRange(())))
-        if isinstance(e, ESub):
-            sub, kept = resolve_subscript(ctx, e)
-            if any(kept):
-                raise LowerError("sliced operands are not allowed in map bodies", e.span)
-            return TRef(self.route(e.base, sub))
-        if isinstance(e, EUn):
-            return TUn("-" if e.op == "-" else "not", self.to_texpr(e.operand))
-        if isinstance(e, EBin):
-            return TBin(e.op, self.to_texpr(e.left), self.to_texpr(e.right))
-        if isinstance(e, ECall) and e.fn in ("sqrt", "exp", "abs", "pow", "min", "max"):
-            return TCall(e.fn, tuple(self.to_texpr(a) for a in e.args))
-        raise LowerError("expression not allowed inside a tasklet", e.span)
-
-    def connect(self, tasklet: Tasklet) -> None:
-        st = self.scope.st
-        for conn, container, sub in self.edges:
-            if container in self.scope.scope_values:
-                st.add_edge(self.scope.scope_values[container], tasklet,
-                            Memlet(container, sub), dst_conn=conn)
-                continue
-            acc = st.add(AccessNode(container))
-            outer = propagate_subset(sub, self.scope.entry.params)
-            st.add_edge(acc, self.scope.entry, Memlet(container, outer),
-                        dst_conn=f"IN_{conn}")
-            st.add_edge(self.scope.entry, tasklet, Memlet(container, sub),
-                        src_conn=f"OUT_{conn}", dst_conn=conn)
-        if not self.edges:
-            st.add_edge(self.scope.entry, tasklet)

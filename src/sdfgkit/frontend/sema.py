@@ -8,14 +8,13 @@ integer parameters get a lower bound of 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .. import symbolic
 from ..symbolic import SymExpr
 from .dsl_ast import (
     EXPR_BUILTINS, STMT_BUILTINS, Diagnostic, EBin, ECall, EName, ENum, ESlice,
-    ESub, EUn, Expr, FuncDef, Program, SAssign, SCall, SFor, SIf, Span, SReturn,
-    Stmt,
+    ESub, EUn, Expr, FuncDef, Program, SAssign, SCall, SFor, SIf, Span, Stmt, walk,
 )
 
 
@@ -45,25 +44,28 @@ class FuncInfo:
     arrays: dict[str, tuple[str, tuple[SymExpr, ...]]] = field(default_factory=dict)
     float_scalars: dict[str, str] = field(default_factory=dict)  # name -> dtype
     int_params: list[str] = field(default_factory=list)  # promoted to symbols
-    locals_: dict[str, Ty] = field(default_factory=dict)  # discovered assignments
-    written_params: set[str] = field(default_factory=set)
-    read_params: set[str] = field(default_factory=set)
 
 
 @dataclass
 class ProgramInfo:
-    program: Program
     symbols: dict[str, int] = field(default_factory=dict)  # name -> lower bound
     funcs: dict[str, FuncInfo] = field(default_factory=dict)
+
+    def with_bodies(self, functions: list[FuncDef]) -> ProgramInfo:
+        """The same analysis for ``functions``, the analyzed functions with
+        rewritten bodies: symbols and environments depend on parameters only."""
+        return ProgramInfo(self.symbols,
+                           {f.name: replace(self.funcs[f.name], func=f) for f in functions})
 
 
 def analyze(program: Program) -> ProgramInfo:
     """Build the program-wide symbol table and per-function environments.
 
     Fills ``program.diagnostics`` with name-resolution errors (use before
-    definition, container/symbol confusion) instead of raising.
+    definition, container/symbol confusion) instead of raising, and stores
+    the result as ``program.info``.
     """
-    pi = ProgramInfo(program)
+    pi = ProgramInfo()
     diags = program.diagnostics
 
     # Pass 1: declare symbols from all shape annotations; collect params.
@@ -103,33 +105,21 @@ def analyze(program: Program) -> ProgramInfo:
     # Pass 2: per-function name resolution (use-before-def, arity).
     for f in program.functions:
         _resolve_function(pi, pi.funcs[f.name], diags)
+    program.info = pi
     return pi
 
 
+def program_info(program: Program) -> ProgramInfo:
+    """The analysis ``parse`` stored on ``program``.  A program built another
+    way is analyzed on first use, without adding to its diagnostics."""
+    if program.info is None:
+        program.info = analyze(Program(program.functions, program.source))
+    return program.info
+
+
 def _expr_names(e: Expr) -> list[str]:
-    out: list[str] = []
-
-    def walk(x: Expr | None):
-        if x is None:
-            return
-        if isinstance(x, EName):
-            out.append(x.id)
-        elif isinstance(x, ESub):
-            out.append(x.base)
-            for i in x.indices:
-                walk(i)
-        elif isinstance(x, ESlice):
-            walk(x.lo), walk(x.hi), walk(x.step)
-        elif isinstance(x, EUn):
-            walk(x.operand)
-        elif isinstance(x, EBin):
-            walk(x.left), walk(x.right)
-        elif isinstance(x, ECall):
-            for a in x.args:
-                walk(a)
-
-    walk(e)
-    return out
+    return [x.id if isinstance(x, EName) else x.base
+            for x in walk(e) if isinstance(x, (EName, ESub))]
 
 
 def to_symexpr(e: Expr, pi: ProgramInfo, fi: FuncInfo, loop_vars: set[str]) -> SymExpr:
@@ -141,7 +131,7 @@ def to_symexpr(e: Expr, pi: ProgramInfo, fi: FuncInfo, loop_vars: set[str]) -> S
     if isinstance(e, EName):
         if e.id in loop_vars or e.id in pi.symbols:
             return symbolic.Sym(e.id)
-        if e.id in fi.arrays or e.id in fi.float_scalars or e.id in fi.locals_:
+        if e.id in fi.arrays or e.id in fi.float_scalars:
             raise SemanticError(f"container '{e.id}' used in index position", e.span)
         raise SemanticError(f"unknown symbol '{e.id}' in index expression", e.span)
     if isinstance(e, EUn) and e.op == "-":
@@ -167,38 +157,20 @@ def _resolve_function(pi: ProgramInfo, fi: FuncInfo, diags: list[Diagnostic]) ->
     def check_expr(e: Expr | None, loop_vars: set[str]):
         if e is None:
             return
-        if isinstance(e, EName):
-            if e.id not in defined and e.id not in loop_vars:
-                diags.append(Diagnostic("error", e.span, f"use of undefined name '{e.id}'"))
-        elif isinstance(e, ESub):
-            if e.base not in defined and e.base not in loop_vars:
-                diags.append(Diagnostic("error", e.span, f"use of undefined name '{e.base}'"))
-            for i in e.indices:
-                check_expr(i, loop_vars)
-        elif isinstance(e, ESlice):
-            check_expr(e.lo, loop_vars), check_expr(e.hi, loop_vars), check_expr(e.step, loop_vars)
-        elif isinstance(e, EUn):
-            check_expr(e.operand, loop_vars)
-        elif isinstance(e, EBin):
-            check_expr(e.left, loop_vars), check_expr(e.right, loop_vars)
-        elif isinstance(e, ECall):
-            if e.fn not in EXPR_BUILTINS and e.fn not in pi.funcs:
-                diags.append(Diagnostic("error", e.span, f"unknown function '{e.fn}'"))
-            for a in e.args:
-                check_expr(a, loop_vars)
+        for x in walk(e):
+            if isinstance(x, (EName, ESub)):
+                name = x.id if isinstance(x, EName) else x.base
+                if name not in defined and name not in loop_vars:
+                    diags.append(Diagnostic("error", x.span, f"use of undefined name '{name}'"))
+            elif isinstance(x, ECall) and x.fn not in EXPR_BUILTINS and x.fn not in pi.funcs:
+                diags.append(Diagnostic("error", x.span, f"unknown function '{x.fn}'"))
 
-    def walk(stmts: list[Stmt], loop_vars: set[str]):
+    def walk_stmts(stmts: list[Stmt], loop_vars: set[str]):
         for s in stmts:
             if isinstance(s, SAssign):
                 check_expr(s.value, loop_vars)
                 if isinstance(s.target, ESub):
-                    if s.target.base not in defined and s.target.base not in loop_vars:
-                        diags.append(
-                            Diagnostic("error", s.target.span,
-                                       f"use of undefined name '{s.target.base}'")
-                        )
-                    for i in s.target.indices:
-                        check_expr(i, loop_vars)
+                    check_expr(s.target, loop_vars)
                 elif isinstance(s.target, EName):
                     if s.op != "=" and s.target.id not in defined and s.target.id not in loop_vars:
                         diags.append(
@@ -207,36 +179,30 @@ def _resolve_function(pi: ProgramInfo, fi: FuncInfo, diags: list[Diagnostic]) ->
                         )
                     defined.add(s.target.id)
             elif isinstance(s, SFor):
-                if s.kind == "range":
-                    for r in s.ranges:
-                        check_expr(r, loop_vars)
-                    if len(s.names) != 1:
-                        diags.append(
-                            Diagnostic("error", s.span, "range loops bind exactly one variable")
-                        )
-                else:
-                    for r in s.ranges:
-                        check_expr(r, loop_vars)
-                    if len(s.names) != len(s.ranges):
-                        diags.append(
-                            Diagnostic("error", s.span,
-                                       f"map binds {len(s.ranges)} dimensions to "
-                                       f"{len(s.names)} names")
-                        )
-                walk(s.body, loop_vars | set(s.names))
+                for r in s.ranges:
+                    check_expr(r, loop_vars)
+                if s.kind == "range" and len(s.names) != 1:
+                    diags.append(
+                        Diagnostic("error", s.span, "range loops bind exactly one variable")
+                    )
+                elif s.kind != "range" and len(s.names) != len(s.ranges):
+                    diags.append(
+                        Diagnostic("error", s.span,
+                                   f"map binds {len(s.ranges)} dimensions to "
+                                   f"{len(s.names)} names")
+                    )
+                walk_stmts(s.body, loop_vars | set(s.names))
             elif isinstance(s, SIf):
                 check_expr(s.cond, loop_vars)
-                walk(s.then, loop_vars)
-                walk(s.orelse, loop_vars)
+                walk_stmts(s.then, loop_vars)
+                walk_stmts(s.orelse, loop_vars)
             elif isinstance(s, SCall):
                 if s.fn not in pi.funcs and s.fn not in STMT_BUILTINS:
                     diags.append(Diagnostic("error", s.span, f"unknown function '{s.fn}'"))
                 for a in s.args:
                     check_expr(a, loop_vars)
-            elif isinstance(s, SReturn):
-                pass
 
-    walk(fi.func.body, set())
+    walk_stmts(fi.func.body, set())
 
 
 # ---------------------------------------------------------------------------
@@ -441,52 +407,32 @@ def _classify_matmul(ctx: TypeCtx, e: EBin) -> Ty:
     raise SemanticError(f"rank mismatch for '@': {lr}-d @ {rr}-d", e.span)
 
 
-def loop_var_bounds(ctx: TypeCtx, s) -> dict[str, int]:
+def loop_var_bounds(ctx: TypeCtx, s: SFor) -> dict[str, int]:
     """Provable lower bounds for the variables a for-statement binds."""
-    from .dsl_ast import ESlice, SFor
+    if s.kind != "range":
+        return {name: max(0, _const_value(ctx, rng.lo) or 0)
+                for name, rng in zip(s.names, s.ranges)}
+    start, stop, step = s.ranges
+    stepv = _const_value(ctx, step)
+    if stepv is None or stepv > 0:
+        lb = _const_value(ctx, start)
+    elif stepv < 0:
+        lb = _const_value(ctx, stop)
+        lb = None if lb is None else lb + 1
+    else:
+        lb = None
+    return {s.names[0]: 0 if lb is None else max(0, lb)}
 
-    assert isinstance(s, SFor)
-    out: dict[str, int] = {}
-    if s.kind == "range":
-        start, stop, step = s.ranges
-        stepv = 1
-        if step is not None:
-            try:
-                sv = symbolic.simplify(ctx.symexpr(step))
-            except SemanticError:
-                sv = None
-            if isinstance(sv, symbolic.Const):
-                stepv = sv.value
-        lb = 0
-        if stepv > 0 and start is not None:
-            try:
-                sv = symbolic.simplify(ctx.symexpr(start))
-                if isinstance(sv, symbolic.Const):
-                    lb = max(0, sv.value)
-            except SemanticError:
-                pass
-        elif stepv > 0 and start is None:
-            lb = 0
-        elif stepv < 0:
-            try:
-                sv = symbolic.simplify(ctx.symexpr(stop))
-                if isinstance(sv, symbolic.Const):
-                    lb = max(0, sv.value + 1)
-            except SemanticError:
-                pass
-        out[s.names[0]] = lb
-        return out
-    for name, rng in zip(s.names, s.ranges):
-        lb = 0
-        if isinstance(rng, ESlice) and rng.lo is not None:
-            try:
-                sv = symbolic.simplify(ctx.symexpr(rng.lo))
-                if isinstance(sv, symbolic.Const):
-                    lb = max(0, sv.value)
-            except SemanticError:
-                pass
-        out[name] = lb
-    return out
+
+def _const_value(ctx: TypeCtx, e: Expr | None) -> int | None:
+    """The value of an index expression that simplifies to a constant."""
+    if e is None:
+        return None
+    try:
+        v = symbolic.simplify(ctx.symexpr(e))
+    except SemanticError:
+        return None
+    return v.value if isinstance(v, symbolic.Const) else None
 
 
 def _join_dtype(a: str, b: str) -> str:
@@ -537,7 +483,7 @@ def check_restrictions(program: Program) -> list[Diagnostic]:
     R4  recursion (direct or mutual)
     """
     diags: list[Diagnostic] = []
-    pi = analyze(Program(program.functions, program.source, []))
+    pi = program_info(program)
 
     for f in program.functions:
         fi = pi.funcs[f.name]
@@ -546,19 +492,8 @@ def check_restrictions(program: Program) -> list[Diagnostic]:
 
     # R4: call-graph cycles
     calls: dict[str, set[str]] = {f.name: set() for f in program.functions}
-
-    def collect_calls(stmts, out: set[str]):
-        for s in stmts:
-            if isinstance(s, SCall) and s.fn in calls:
-                out.add(s.fn)
-            elif isinstance(s, SFor):
-                collect_calls(s.body, out)
-            elif isinstance(s, SIf):
-                collect_calls(s.then, out)
-                collect_calls(s.orelse, out)
-
     for f in program.functions:
-        collect_calls(f.body, calls[f.name])
+        calls[f.name] |= {x.fn for x in walk(*f.body) if isinstance(x, SCall) and x.fn in calls}
 
     state: dict[str, int] = {}
 
@@ -626,12 +561,8 @@ def _check_control_dependent(
             defined |= new_both
             maybe |= new_any - new_both
         elif isinstance(s, SFor):
-            if s.kind == "range":
-                for r in s.ranges:
-                    check_use(r)
-            else:
-                for r in s.ranges:
-                    check_use(r)
+            for r in s.ranges:
+                check_use(r)
             inner = _check_control_dependent(
                 s.body, set(defined), diags, loop_vars | set(s.names)
             )

@@ -1,14 +1,18 @@
+import sys
+
 import numpy as np
 import pytest
 
 from sdfgkit import frontend
-from sdfgkit.frontend import check_restrictions, desugar, lower, parse
+from sdfgkit.frontend import check_restrictions, desugar, lower, parse, parse_tokens, sema
 from sdfgkit.frontend.dsl_ast import SAssign, SFor
 from sdfgkit.frontend.parser import DslSyntaxError
 from sdfgkit.ir import LibKind, LibraryNode, MapEntry, Wcr, structural_eq
+from sdfgkit.serialize import serialize
 from sdfgkit.texpr import to_text
 
-from conftest import corpus_source
+from conftest import ALL_KERNELS, corpus_source
+from test_interp_paths import CALLS
 
 
 class TestParse:
@@ -159,3 +163,41 @@ class TestLower:
         kinds = [n.kind for st in g.states for n in st.nodes.values()
                  if isinstance(n, LibraryNode)]
         assert LibKind.REDUCE in kinds
+
+
+class TestOneAnalysis:
+    @pytest.fixture
+    def analyses(self, monkeypatch):
+        """Counts ``sema.analyze`` calls, wrapping it in every sdfgkit module
+        that holds it by name."""
+        calls = []
+        original = sema.analyze
+
+        def counting(program):
+            calls.append(program)
+            return original(program)
+
+        for name, mod in list(sys.modules.items()):
+            if mod is not None and name.startswith("sdfgkit"):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counting)
+        return calls
+
+    @pytest.mark.parametrize("name", ALL_KERNELS + ["calls"])
+    def test_compile_source_analyzes_once(self, analyses, name):
+        src = CALLS if name == "calls" else corpus_source(name)
+        g, _ = frontend.compile_source(src)
+        assert g is not None
+        assert len(analyses) == 1
+
+    def test_stages_analyze_a_program_parse_did_not(self, analyses):
+        """A program built without ``parse`` is analyzed once, on first use,
+        and lowers to the graph ``compile_source`` makes."""
+        src = corpus_source("gemver")
+        program = parse_tokens(src)
+        assert check_restrictions(program) == []
+        g = lower(desugar(program))
+        assert len(analyses) == 1
+        assert program.diagnostics == []
+        assert serialize(g) == serialize(frontend.compile_source(src)[0])

@@ -8,7 +8,7 @@ mitigation.  Library nodes and write-conflict maps stay as they are, so the
 interpreter runs matrix products, reductions and transposes through numpy.
 
 CPU specialization (:func:`specialize`) is a code-generation step: tiling of
-write-conflict maps, then library-node expansion by a per-device priority
+write-conflict maps, then library-node expansion by a priority
 list whose last entry is a "native" pure-graph expansion that always
 succeeds.  The C emitter runs it on a copy before it emits.
 """
@@ -883,11 +883,9 @@ def _reduce_rank(g, st, node) -> int:
 CPU_EXPANDABLE = {LibKind.MATMUL, LibKind.REDUCE, LibKind.TRANSPOSE}
 
 
-def expand_library(g: Sdfg, device: Device = Device.CPU,
-                   pinned: dict[str, str] | None = None) -> PassReport:
+def expand_library(g: Sdfg, pinned: dict[str, str] | None = None) -> PassReport:
     """Replace each library node with the first applicable expansion from the
-    per-device priority list."""
-    _require_cpu(device, "library expansion")
+    CPU priority list."""
     # expansions are named after their node's id: number the nodes as the
     # JSON form does, so a graph expands to the same names after a round trip
     for st in g.states:
@@ -913,12 +911,6 @@ def expand_library(g: Sdfg, device: Device = Device.CPU,
 # The pipeline and CPU specialization
 
 
-def _require_cpu(device: Device, what: str) -> None:
-    if device is not Device.CPU:
-        raise ValueError(f"{what} targets the CPU; the distribution pipeline "
-                         f"optimizes for {device.value}")
-
-
 def pipeline_stages(g: Sdfg, stack_limit_bytes: int = 4096) -> dict[str, Callable[[], PassReport]]:
     """The target-independent stages of :func:`auto_optimize` on ``g`` by
     name, in pipeline order.  Each stage looks its pass up by name when it
@@ -939,16 +931,14 @@ def specialization_stages(g: Sdfg, tile: int = 16, pinned: dict[str, str] | None
     and expansion replaces library calls with native maps."""
     return {
         "tile_wcr": lambda: tile_wcr(g, tile),
-        "expand_library": lambda: expand_library(g, Device.CPU, pinned=pinned),
+        "expand_library": lambda: expand_library(g, pinned),
     }
 
 
-def auto_optimize(g: Sdfg, device: Device = Device.CPU,
-                  stack_limit_bytes: int = 4096) -> PassReport:
+def auto_optimize(g: Sdfg, stack_limit_bytes: int = 4096) -> PassReport:
     """Run every stage of :func:`pipeline_stages`, in order, and check that
-    the result still validates.  Only ``Device.CPU`` is accepted; the
-    distribution pipeline optimizes for ``Device.DIST``."""
-    _require_cpu(device, "auto_optimize")
+    the result still validates.  The distribution pipeline optimizes the
+    programs of ``Device.DIST``."""
     report = PassReport()
     _snapshot(g, report, before=True)
     for stage in pipeline_stages(g, stack_limit_bytes).values():

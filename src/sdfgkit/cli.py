@@ -181,7 +181,7 @@ def cmd_optimize(args) -> int:
     elif device is Device.DIST:
         report = _dist().distribution_pipeline(g, _grid_of(args))
     else:
-        report = auto_optimize(g, device, stack)
+        report = auto_optimize(g, stack)
     if _print_diags(g.validate()):
         return 1
     print(json.dumps(report.to_json(), indent=2), file=sys.stderr)

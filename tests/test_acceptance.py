@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from sdfgkit import autoopt, frontend, passes, symbolic
-from sdfgkit.autoopt import Device, auto_optimize, cleanup_maps, expand_library, \
-    subgraph_fusion, tile_wcr
+from sdfgkit.autoopt import auto_optimize, cleanup_maps, expand_library, subgraph_fusion, \
+    tile_wcr
 from sdfgkit.cemit import emit_c, lowered
 from sdfgkit.dist import ProcessGrid, distribute, distribution_pipeline, \
     remove_redundant_comm, sim_run
@@ -199,7 +199,7 @@ def test_criterion_05_library_expansion():
             g, _ = frontend.compile_source(
                 "def mm(A: f64[M, K], B: f64[K, N], C: f64[M, N]):\n"
                 "    C[:] = A @ B\n")
-            expand_library(g, Device.CPU, pinned={"matmul": impl})
+            expand_library(g, pinned={"matmul": impl})
             ctx = ExecContext(bindings={"M": m, "K": k, "N": n})
             ctx.bind_inputs({"A": A, "B": B, "C": np.zeros((m, n))})
             out = interpret(g, ctx)

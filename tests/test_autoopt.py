@@ -253,7 +253,7 @@ class TestExpandLibrary:
             src = ("def mm(A: f64[M, K], B: f64[K, N], C: f64[M, N]):\n"
                    "    C[:] = A @ B\n")
             g, _ = frontend.compile_source(src)
-            expand_library(g, Device.CPU, pinned={"matmul": impl})
+            expand_library(g, pinned={"matmul": impl})
             assert not libnodes(g)
             A = rng.uniform(-1, 1, (m, k))
             B = rng.uniform(-1, 1, (k, n))
@@ -272,7 +272,7 @@ class TestExpandLibrary:
                "    out[:] = sum(A, 0)\n")
         g, diags = frontend.compile_source(src)
         assert not diags
-        expand_library(g, Device.CPU)
+        expand_library(g)
         ctx = ExecContext(bindings={"N": 3, "M": 4})
         ctx.bind_inputs({"A": np.ones((3, 4)), "out": np.zeros(4)})
         out = interpret(g, ctx)
@@ -349,13 +349,6 @@ class TestAutoOptimizePipeline:
         # expansions are named by node position, which the JSON form keeps
         assert emit_c(deserialize(serialize(g))) == emit_c(g)
 
-    def test_dist_device_rejected_before_any_stage(self):
-        g = compile_kernel("gemm")
-        before = serialize(g)
-        with pytest.raises(ValueError, match="distribution pipeline"):
-            auto_optimize(g, Device.DIST)
-        assert serialize(g) == before
-
     def test_gemm_single_state_with_expanded_product(self):
         # the product is expanded only for C; auto_optimize keeps the matmul node
         g = compile_kernel("gemm")
@@ -392,7 +385,7 @@ class TestExpansionErrors:
         st.add_edge(b, mm, Memlet("B", SubsetRange.full((5, 4))), dst_conn="b")
         st.add_edge(mm, c, Memlet("C", SubsetRange.full((4, 4))), src_conn="out")
         with pytest.raises(ValueError, match="inner dimensions"):
-            expand_library(g, Device.CPU)
+            expand_library(g)
 
 
 class TestPipelineSoak:

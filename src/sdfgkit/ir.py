@@ -399,17 +399,6 @@ class State:
                 return node
         raise KeyError(f"map entry {entry.nid} has no exit")
 
-    def accesses(self, container: str) -> list[AccessNode]:
-        return [
-            n
-            for n in self.sorted_nodes()
-            if isinstance(n, AccessNode) and n.container == container
-        ]
-
-    def reachability(self) -> dict[int, frozenset[int]]:
-        """The ids every node reaches by a path of one or more edges."""
-        return dict(self.facts().reach)
-
 
 @dataclass(frozen=True, eq=False)
 class StateFacts:

@@ -36,7 +36,8 @@ class TestStateFusion:
         s0, s1 = g.states[0].label, g.states[1].label
         assert state_fusion(g, s0, s1)
         st = g.states[0]
-        tmp0_nodes = st.accesses("tmp0")
+        tmp0_nodes = [n for n in st.nodes.values()
+                      if isinstance(n, AccessNode) and n.container == "tmp0"]
         assert len(tmp0_nodes) == 1
         assert st.in_edges(tmp0_nodes[0]) and st.out_edges(tmp0_nodes[0])
 

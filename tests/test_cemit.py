@@ -7,11 +7,12 @@ from sdfgkit import autoopt, frontend
 from sdfgkit.cemit import EmitError, emit_c
 from sdfgkit.dist import ProcessGrid, distribution_pipeline
 from sdfgkit.interp import ExecContext, interpret
-from sdfgkit.ir import AccessNode, DType, Memlet, Sdfg
-from sdfgkit.serialize import serialize
+from sdfgkit.ir import AccessNode, DType, Memlet, NestedSdfg, Sdfg
+from sdfgkit.serialize import deserialize, serialize
 from sdfgkit.symbolic import Const, SubsetRange
 
 from conftest import GOLDEN, compile_kernel
+from test_interp_paths import CALLS
 
 
 class TestGolden:
@@ -33,6 +34,33 @@ class TestGolden:
         assert text == (GOLDEN / "gemm_optimized.c").read_text()
         assert "/* parallel-for */" in text
         assert "static double *" in text  # persistent transients hoisted
+
+
+class TestNestedGraphs:
+    """A call becomes one static function for the callee and one call of it."""
+
+    def _check(self, g, callee: str, call: str):
+        text = emit_c(g)
+        assert text.count(f"static void nested_{callee}(") == 1
+        assert text.count(call) == 1
+        assert emit_c(deserialize(serialize(g))) == text
+
+    def test_optimized_callee_with_loop(self):
+        # the loop keeps the callee a nested graph through auto_optimize
+        g, _ = frontend.compile_source(
+            "def scale(X: f64[N], s: f64):\n"
+            "    for k in range(N):\n"
+            "        X[k] = X[k] * s\n"
+            "\n"
+            "def main(A: f64[N], s: f64):\n"
+            "    scale(A, s)\n")
+        autoopt.auto_optimize(g)
+        assert any(isinstance(n, NestedSdfg) for st in g.states for n in st.nodes.values())
+        self._check(g, "scale", "nested_scale(N, A, s);")
+
+    def test_unoptimized_calls_graph(self):
+        g, _ = frontend.compile_source(CALLS)
+        self._check(g, "axpy", "nested_axpy(N, y, y, s);")
 
 
 class TestStability:

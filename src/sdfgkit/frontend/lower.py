@@ -519,11 +519,12 @@ class _Router:
     """
 
     def __init__(self, fl: _FuncLowerer, st: State, entry: MapEntry | None = None,
-                 params: list[str] = (), scope_values: dict[str, AccessNode] | None = None):
+                 params: list[str] | None = None,
+                 scope_values: dict[str, AccessNode] | None = None):
         self.fl = fl
         self.st = st
         self.entry = entry
-        self.params = list(params)
+        self.params = params or []
         self.in_map_body = scope_values is not None
         self.scope_values = scope_values or {}
         self.routes: dict[tuple, str] = {}

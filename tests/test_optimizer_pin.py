@@ -222,14 +222,15 @@ def test_lowered_output_pinned(name):
 @pytest.mark.parametrize("name", sorted(LOWERING_SYMBOLS))
 def test_lowering_programs_match_oracle(name):
     """The pinned programs that compile agree with the oracle, plain and
-    optimized, in both map orders, with inputs that take both branches."""
+    optimized, in both map orders; the seeds take every branch of
+    ``branches``."""
     symbols = LOWERING_SYMBOLS[name]
     src = LOWERING_PROGRAMS[name]
     g, _ = frontend.compile_source(src)
     optimized = g.copy()
     auto_optimize(optimized)
     program = frontend.parse(src)
-    for seed in range(6):
+    for seed in range(9):
         rng = np.random.default_rng(seed)
         inputs = {
             p.name: (rng.uniform(0.5, 1.5, tuple(symbols[d.id] for d in p.shape))

@@ -4,17 +4,26 @@ This evaluator is the independent reference for the whole pipeline: it never
 touches the graph IR, the symbolic engine, or the interpreter.  Slices are
 evaluated with raw Python/numpy semantics (including negative indices), so it
 also cross-checks the frontend's symbolic slice rewriting.
+
+Each ``evaluate_program`` call first translates every function body it
+reaches, once, into nested Python closures over a frame dict, and then runs
+them.  Operators, constant subexpressions and subscript shapes are resolved
+while translating; the closures perform the same Python and numpy operations
+in the same order as a walk of the tree would, so only the dispatch is gone.
+Nothing translated outlives the call.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from typing import Callable
 
 import numpy as np
 
 from .dsl_ast import (
-    EBin, ECall, EName, ENum, ESlice, ESub, EUn, Expr, Program,
-    SAssign, SCall, SFor, SIf, SReturn, Stmt,
+    EBin, ECall, EName, ENum, ESlice, ESub, EUn, Expr, FuncDef, Param, Program,
+    SAssign, SCall, SFor, SIf, Stmt,
 )
 
 _NP_DTYPES = {"f64": np.float64, "i64": np.int64, "i32": np.int32}
@@ -24,14 +33,22 @@ _SCALAR_FNS = {
     "min": min, "max": max,
 }
 
+_BINARY = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "//": operator.floordiv, "@": operator.matmul,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "==": operator.eq, "!=": operator.ne,
+}
+
+# A marker for "not a constant" and "not in the frame"; never a value.
+_ABSENT = object()
+
+Run = Callable[[dict], None]  # a statement: run(frame)
+Eval = Callable[[dict], object]  # an expression: value = ev(frame)
+
 
 class OracleError(ValueError):
     pass
-
-
-class _Frame:
-    def __init__(self):
-        self.values: dict[str, object] = {}  # arrays, floats, ints
 
 
 def evaluate_program(
@@ -43,220 +60,474 @@ def evaluate_program(
     """Run the entry function on copies of the inputs; returns all parameter
     containers (arrays as ndarrays, scalars as 0-d float64 arrays)."""
     f = program.function(function) if function else program.entry
-    ev = _Evaluator(program, symbols)
-    frame = _Frame()
+    tr = _Translator(program, symbols)
+    frame: dict[str, object] = {}  # arrays, floats, ints
     outputs: dict[str, np.ndarray] = {}
     for p in f.params:
         if p.shape:
             if p.name not in inputs:
                 raise OracleError(f"missing input array '{p.name}'")
             arr = np.array(inputs[p.name], dtype=_NP_DTYPES[p.dtype])
-            want = tuple(ev.eval_index_static(d, frame) for d in p.shape)
+            want = tuple(tr.index(d)(frame) for d in p.shape)
             if arr.shape != want:
                 raise OracleError(f"input '{p.name}' has shape {arr.shape}, want {want}")
-            frame.values[p.name] = arr
+            frame[p.name] = arr
             outputs[p.name] = arr
         elif p.dtype in ("i64", "i32"):
             if p.name not in symbols:
                 raise OracleError(f"missing integer binding '{p.name}'")
-            frame.values[p.name] = int(symbols[p.name])
+            frame[p.name] = int(symbols[p.name])
         else:
             if p.name not in inputs:
                 raise OracleError(f"missing scalar input '{p.name}'")
             box = np.array(float(np.asarray(inputs[p.name]).reshape(())), dtype=np.float64)
-            frame.values[p.name] = box
+            frame[p.name] = box
             outputs[p.name] = box
-    ev.exec_block(f.body, frame)
+    tr.body(f)(frame)
     return outputs
 
 
-class _Evaluator:
+def _constant(value) -> Eval:
+    return lambda frame: value
+
+
+def _raising(exc: type[Exception], *args) -> Callable:
+    """A closure that raises ``exc(*args)`` whenever it runs: translating
+    never fails, so an error shows when and only if its code is reached."""
+    def run(*_):
+        raise exc(*args)
+    return run
+
+
+def _nothing(frame: dict) -> None:
+    pass
+
+
+class _Translator:
+    """Translates the functions of one program for one ``evaluate_program``
+    call.  Scalar parameters live in 0-d float64 boxes that assignments
+    update in place; callees get arrays by reference and fresh scalars."""
+
     def __init__(self, program: Program, symbols: dict[str, int]):
-        self.program = program
         self.symbols = dict(symbols)
         self.functions = {f.name: f for f in program.functions}
+        self.bodies: dict[int, Run] = {}  # id(FuncDef) -> its translated body
+
+    def body(self, f: FuncDef) -> Run:
+        run = self.bodies.get(id(f))
+        if run is None:
+            run = self.bodies[id(f)] = self.block(f.body)
+        return run
 
     # -- statements ------------------------------------------------------------
 
-    def exec_block(self, stmts: list[Stmt], frame: _Frame) -> None:
-        for s in stmts:
-            self.exec_stmt(s, frame)
+    def block(self, stmts: list[Stmt]) -> Run:
+        runs = tuple(r for r in map(self.stmt, stmts) if r is not None)
+        if not runs:
+            return _nothing
+        if len(runs) == 1:
+            return runs[0]
 
-    def exec_stmt(self, s: Stmt, frame: _Frame) -> None:
+        def run(frame):
+            for r in runs:
+                r(frame)
+        return run
+
+    def stmt(self, s: Stmt) -> Run | None:
+        """``None`` for a statement that does nothing (``return`` included)."""
         if isinstance(s, SAssign):
-            self.exec_assign(s, frame)
-        elif isinstance(s, SFor) and s.kind == "range":
-            start = self.eval_index(s.ranges[0], frame) if s.ranges[0] is not None else 0
-            stop = self.eval_index(s.ranges[1], frame)
-            step = self.eval_index(s.ranges[2], frame) if s.ranges[2] is not None else 1
-            var = s.names[0]
-            for v in range(start, stop, step):
-                frame.values[var] = v
-                self.exec_block(s.body, frame)
-            frame.values.pop(var, None)
-        elif isinstance(s, SFor):
-            ranges = []
-            for r in s.ranges:
-                assert isinstance(r, ESlice)
-                lo = self.eval_index(r.lo, frame) if r.lo is not None else 0
-                hi = self.eval_index(r.hi, frame)
-                st = self.eval_index(r.step, frame) if r.step is not None else 1
-                ranges.append(range(lo, hi, st))
-            self._run_map(s, ranges, 0, frame)
-        elif isinstance(s, SIf):
-            if self.eval_expr(s.cond, frame):
-                self.exec_block(s.then, frame)
-            else:
-                self.exec_block(s.orelse, frame)
-        elif isinstance(s, SCall):
-            self.exec_call(s, frame)
-        elif isinstance(s, SReturn):
-            pass
+            return self.assign(s)
+        if isinstance(s, SFor) and s.kind == "range":
+            return self.range_loop(s)
+        if isinstance(s, SFor):
+            return self.map_nest(s)
+        if isinstance(s, SIf):
+            cond, then, orelse = self.expr(s.cond), self.block(s.then), self.block(s.orelse)
 
-    def _run_map(self, s: SFor, ranges: list[range], depth: int, frame: _Frame) -> None:
-        if depth == len(ranges):
-            self.exec_block(s.body, frame)
-            return
-        var = s.names[depth]
-        for v in ranges[depth]:
-            frame.values[var] = v
-            self._run_map(s, ranges, depth + 1, frame)
-        frame.values.pop(var, None)
-
-    def exec_assign(self, s: SAssign, frame: _Frame) -> None:
-        value = self.eval_expr(s.value, frame)
-        if isinstance(s.target, EName):
-            name = s.target.id
-            if s.op == "=":
-                cur = frame.values.get(name)
-                if isinstance(cur, np.ndarray) and cur.shape == ():
-                    cur[()] = value  # keep scalar parameter boxes in place
+            def run(frame):
+                if cond(frame):
+                    then(frame)
                 else:
-                    frame.values[name] = value
-            else:
-                cur = frame.values[name]
-                new = self._combine(s.op, cur, value)
-                if isinstance(cur, np.ndarray) and cur.shape == ():
-                    cur[()] = new
-                else:
-                    frame.values[name] = new
-            return
-        assert isinstance(s.target, ESub)
-        arr = frame.values[s.target.base]
-        if not isinstance(arr, np.ndarray):
-            raise OracleError(f"'{s.target.base}' is not an array")
-        key = self._subscript_key(s.target, frame)
-        if s.op == "=":
-            arr[key] = value
-        elif s.op == "+=":
-            arr[key] += value
-        elif s.op == "-=":
-            arr[key] -= value
-        elif s.op == "*=":
-            arr[key] *= value
+                    orelse(frame)
+            return run
+        if isinstance(s, SCall):
+            return self.call(s)
+        return None
 
-    def exec_call(self, s: SCall, frame: _Frame) -> None:
+    def range_loop(self, s: SFor) -> Run:
+        start, stop, step = s.ranges
+        start = self.index(start) if start is not None else _constant(0)
+        stop = self.index(stop)
+        step = self.index(step) if step is not None else _constant(1)
+        var = s.names[0]
+        body = self.block(s.body)
+
+        def run(frame):
+            for v in range(start(frame), stop(frame), step(frame)):
+                frame[var] = v
+                body(frame)
+            frame.pop(var, None)
+        return run
+
+    def map_nest(self, s: SFor) -> Run:
+        """All ranges are evaluated first, outermost first; the nest then
+        runs as nested loops, each binding its variable when it advances
+        and popping it when it ends."""
+        bounds = tuple(map(self.map_range, s.ranges))
+        nest = self.block(s.body)
+        if not bounds:
+            return nest
+        nest = self.map_level(s.names, len(bounds) - 1, nest, innermost=True)
+        for depth in reversed(range(len(bounds) - 1)):
+            nest = self.map_level(s.names, depth, nest, innermost=False)
+
+        def run(frame):
+            nest(frame, [b(frame) for b in bounds])
+        return run
+
+    def map_range(self, r) -> Eval:
+        if not isinstance(r, ESlice):
+            return _raising(AssertionError)
+        lo = self.index(r.lo) if r.lo is not None else _constant(0)
+        hi = self.index(r.hi)
+        st = self.index(r.step) if r.step is not None else _constant(1)
+        return lambda frame: range(lo(frame), hi(frame), st(frame))
+
+    @staticmethod
+    def map_level(names: list[str], depth: int, inner: Callable, innermost: bool) -> Callable:
+        """Loop ``depth`` of a map nest, ``run(frame, ranges)``; ``inner`` is
+        the body at the innermost level and the next level above it."""
+        if depth >= len(names):
+            return _raising(IndexError, "list index out of range")
+        var = names[depth]
+        if innermost:
+            def run(frame, ranges):
+                for v in ranges[depth]:
+                    frame[var] = v
+                    inner(frame)
+                frame.pop(var, None)
+        else:
+            def run(frame, ranges):
+                for v in ranges[depth]:
+                    frame[var] = v
+                    inner(frame, ranges)
+                frame.pop(var, None)
+        return run
+
+    def assign(self, s: SAssign) -> Run:
+        value = self.expr(s.value)
+        target = s.target
+        if isinstance(target, EName):
+            return self.assign_name(target.id, s.op, value)
+        if not isinstance(target, ESub):
+            def run(frame):
+                value(frame)
+                raise AssertionError
+            return run
+        base, key, op = target.base, self.key(target), s.op
+
+        def array(frame):
+            arr = frame[base]
+            if not isinstance(arr, np.ndarray):
+                raise OracleError(f"'{base}' is not an array")
+            return arr
+
+        if op == "=":
+            def run(frame):
+                v = value(frame)
+                array(frame)[key(frame)] = v
+        elif op == "+=":
+            def run(frame):
+                v = value(frame)
+                array(frame)[key(frame)] += v
+        elif op == "-=":
+            def run(frame):
+                v = value(frame)
+                array(frame)[key(frame)] -= v
+        elif op == "*=":
+            def run(frame):
+                v = value(frame)
+                array(frame)[key(frame)] *= v
+        else:
+            def run(frame):
+                value(frame)
+                array(frame)
+                key(frame)
+        return run
+
+    @staticmethod
+    def assign_name(name: str, op: str, value: Eval) -> Run:
+        """Assign to a variable, or into its 0-d box if it holds one."""
+        if op == "=":
+            def run(frame):
+                v = value(frame)
+                cur = frame.get(name)
+                if isinstance(cur, np.ndarray) and cur.shape == ():
+                    cur[()] = v
+                else:
+                    frame[name] = v
+            return run
+        combine = {"+=": operator.add, "-=": operator.sub}.get(op, operator.mul)
+
+        def run(frame):
+            v = value(frame)
+            cur = frame[name]
+            new = combine(cur, v)
+            if isinstance(cur, np.ndarray) and cur.shape == ():
+                cur[()] = new
+            else:
+                frame[name] = new
+        return run
+
+    def call(self, s: SCall) -> Run:
         if s.fn.startswith("comm_"):
-            raise OracleError("communication statements have no shared-memory oracle")
-        callee = self.functions[s.fn]
-        sub = _Frame()
-        for p, a in zip(callee.params, s.args):
-            v = self.eval_expr(a, frame)
-            if p.shape:
-                if not isinstance(v, np.ndarray):
-                    raise OracleError(f"argument '{p.name}' must be an array")
-                sub.values[p.name] = v  # by reference
-            elif p.dtype in ("i64", "i32"):
-                sub.values[p.name] = int(v)
-            else:
-                sub.values[p.name] = np.array(float(v), dtype=np.float64)
-        self.exec_block(callee.body, sub)
+            return _raising(OracleError, "communication statements have no shared-memory oracle")
+        callee = self.functions.get(s.fn)
+        if callee is None:
+            return _raising(KeyError, s.fn)
+        binders = tuple(map(self.binder, callee.params, s.args))
+        body = self.body
+
+        def run(frame):
+            sub = {}
+            for bind in binders:
+                bind(frame, sub)
+            body(callee)(sub)
+        return run
+
+    def binder(self, p: Param, arg: Expr) -> Callable[[dict, dict], None]:
+        """Binds parameter ``p`` of a callee's frame to ``arg``."""
+        v, name = self.expr(arg), p.name
+        if p.shape:
+            def bind(frame, sub):
+                x = v(frame)
+                if not isinstance(x, np.ndarray):
+                    raise OracleError(f"argument '{name}' must be an array")
+                sub[name] = x  # by reference
+        elif p.dtype in ("i64", "i32"):
+            def bind(frame, sub):
+                sub[name] = int(v(frame))
+        else:
+            def bind(frame, sub):
+                sub[name] = np.array(float(v(frame)), dtype=np.float64)
+        return bind
 
     # -- expressions -------------------------------------------------------------
 
-    def eval_index_static(self, e: Expr, frame: _Frame) -> int:
-        return self.eval_index(e, frame)
+    def expr(self, e: Expr) -> Eval:
+        return self.term(e)[1]
 
-    def eval_index(self, e: Expr, frame: _Frame) -> int:
-        v = self.eval_expr(e, frame)
-        if isinstance(v, np.ndarray):
-            v = v[()]
-        return int(v)
-
-    def _subscript_key(self, e: ESub, frame: _Frame):
-        key = []
-        for ix in e.indices:
-            if isinstance(ix, ESlice):
-                lo = self.eval_index(ix.lo, frame) if ix.lo is not None else None
-                hi = self.eval_index(ix.hi, frame) if ix.hi is not None else None
-                st = self.eval_index(ix.step, frame) if ix.step is not None else None
-                key.append(slice(lo, hi, st))
-            else:
-                key.append(self.eval_index(ix, frame))
-        return tuple(key)
-
-    def _combine(self, op: str, a, b):
-        if op == "+=":
-            return a + b
-        if op == "-=":
-            return a - b
-        return a * b
-
-    def eval_expr(self, e: Expr, frame: _Frame):
+    def term(self, e: Expr) -> tuple[object, Eval]:
+        """``(value, ev)``: ``value`` is the constant ``e`` folds to when it
+        is made of literals only (an operation that would raise is left to
+        run time), else ``_ABSENT``."""
         if isinstance(e, ENum):
-            return float(e.value) if e.is_float else e.value
+            c = float(e.value) if e.is_float else e.value
+            return c, _constant(c)
         if isinstance(e, EName):
-            if e.id in frame.values:
-                v = frame.values[e.id]
+            return _ABSENT, self.name(e.id)
+        if isinstance(e, ESub):
+            base, key = e.base, self.key(e)
+            return _ABSENT, lambda frame: frame[base][key(frame)]
+        if isinstance(e, EUn):
+            c, v = self.term(e.operand)
+            if c is not _ABSENT:
+                c = (not c) if e.op == "not" else -c
+                return c, _constant(c)
+            if e.op == "not":
+                return _ABSENT, lambda frame: not v(frame)
+            return _ABSENT, lambda frame: -v(frame)
+        if isinstance(e, EBin):
+            return self.binary(e)
+        if isinstance(e, ECall):
+            return _ABSENT, self.builtin(e)
+        return _ABSENT, _raising(OracleError, f"cannot evaluate {type(e).__name__}")
+
+    def name(self, n: str) -> Eval:
+        """Frame first, then the symbols, else ``unbound name``; a 0-d box
+        reads as its element."""
+        if n in self.symbols:
+            sym = self.symbols[n]
+
+            def read(frame):
+                v = frame.get(n, _ABSENT)
+                if v.__class__ is int:
+                    return v
+                if v is _ABSENT:
+                    return int(sym)
                 if isinstance(v, np.ndarray) and v.shape == ():
                     return v[()]
                 return v
-            if e.id in self.symbols:
-                return int(self.symbols[e.id])
-            raise OracleError(f"unbound name '{e.id}'")
-        if isinstance(e, ESub):
-            arr = frame.values[e.base]
-            return arr[self._subscript_key(e, frame)]
-        if isinstance(e, EUn):
-            v = self.eval_expr(e.operand, frame)
-            return (not v) if e.op == "not" else -v
-        if isinstance(e, EBin):
-            if e.op == "and":
-                return bool(self.eval_expr(e.left, frame)) and bool(
-                    self.eval_expr(e.right, frame))
-            if e.op == "or":
-                return bool(self.eval_expr(e.left, frame)) or bool(
-                    self.eval_expr(e.right, frame))
-            a = self.eval_expr(e.left, frame)
-            b = self.eval_expr(e.right, frame)
-            return {
-                "+": lambda: a + b,
-                "-": lambda: a - b,
-                "*": lambda: a * b,
-                "/": lambda: a / b,
-                "//": lambda: a // b,
-                "@": lambda: a @ b,
-                "<": lambda: a < b,
-                "<=": lambda: a <= b,
-                ">": lambda: a > b,
-                ">=": lambda: a >= b,
-                "==": lambda: a == b,
-                "!=": lambda: a != b,
-            }[e.op]()
-        if isinstance(e, ECall):
-            if e.fn == "sum":
-                x = self.eval_expr(e.args[0], frame)
-                if len(e.args) > 1:
-                    return np.sum(x, axis=self.eval_index(e.args[1], frame))
-                return np.sum(x)
-            if e.fn in _SCALAR_FNS:
-                return _SCALAR_FNS[e.fn](*(self.eval_expr(a, frame) for a in e.args))
-            if e.fn in ("zeros", "empty"):
-                shape = tuple(self.eval_index(a, frame) for a in e.args)
-                return np.zeros(shape, dtype=np.float64)
-            if e.fn == "requests":
-                return np.zeros((self.eval_index(e.args[0], frame),), dtype=np.int64)
-            if e.fn in ("block_scatter", "block_gather"):
-                raise OracleError("communication has no shared-memory oracle")
-            raise OracleError(f"unknown function '{e.fn}'")
-        raise OracleError(f"cannot evaluate {type(e).__name__}")
+            return read
+
+        def read(frame):
+            v = frame.get(n, _ABSENT)
+            if v.__class__ is int:
+                return v
+            if v is _ABSENT:
+                raise OracleError(f"unbound name '{n}'")
+            if isinstance(v, np.ndarray) and v.shape == ():
+                return v[()]
+            return v
+        return read
+
+    def binary(self, e: EBin) -> tuple[object, Eval]:
+        (a, left), (b, right) = self.term(e.left), self.term(e.right)
+        if e.op == "and":
+            return _ABSENT, lambda frame: bool(left(frame)) and bool(right(frame))
+        if e.op == "or":
+            return _ABSENT, lambda frame: bool(left(frame)) or bool(right(frame))
+        op = _BINARY.get(e.op)
+        if op is None:
+            def unknown(frame):
+                left(frame)
+                right(frame)
+                raise KeyError(e.op)
+            return _ABSENT, unknown
+        if a is not _ABSENT and b is not _ABSENT and e.op != "@":
+            try:
+                c = op(a, b)
+            except ArithmeticError:
+                pass
+            else:
+                return c, _constant(c)
+        if a is not _ABSENT:
+            return _ABSENT, lambda frame: op(a, right(frame))
+        if b is not _ABSENT:
+            return _ABSENT, lambda frame: op(left(frame), b)
+        return _ABSENT, lambda frame: op(left(frame), right(frame))
+
+    def builtin(self, e: ECall) -> Eval:
+        fn, args = e.fn, e.args
+        if fn == "sum":
+            if not args:
+                return _raising(IndexError, "list index out of range")
+            x = self.expr(args[0])
+            if len(args) > 1:
+                axis = self.index(args[1])
+                return lambda frame: np.sum(x(frame), axis=axis(frame))
+            return lambda frame: np.sum(x(frame))
+        if fn in _SCALAR_FNS:
+            f, vs = _SCALAR_FNS[fn], tuple(map(self.expr, args))
+            if len(vs) == 1:
+                (a,) = vs
+                return lambda frame: f(a(frame))
+            if len(vs) == 2:
+                a, b = vs
+                return lambda frame: f(a(frame), b(frame))
+            return lambda frame: f(*[v(frame) for v in vs])
+        if fn in ("zeros", "empty"):
+            extents = tuple(map(self.index, args))
+            return lambda frame: np.zeros(tuple([x(frame) for x in extents]), dtype=np.float64)
+        if fn == "requests":
+            if not args:
+                return _raising(IndexError, "list index out of range")
+            count = self.index(args[0])
+            return lambda frame: np.zeros((count(frame),), dtype=np.int64)
+        if fn in ("block_scatter", "block_gather"):
+            return _raising(OracleError, "communication has no shared-memory oracle")
+        return _raising(OracleError, f"unknown function '{fn}'")
+
+    def index(self, e: Expr) -> Eval:
+        return self.index_term(e)[1]
+
+    def index_term(self, e: Expr) -> tuple[object, Eval]:
+        """``e`` as a Python int, a 0-d array unwrapped first; the constant
+        as in ``term``."""
+        c, slow = self.term(e)
+        if c is not _ABSENT:
+            try:
+                c = int(c)
+            except (OverflowError, ValueError):
+                pass
+            else:
+                return c, _constant(c)
+
+        def index(frame):
+            v = slow(frame)
+            if v.__class__ is int:
+                return v
+            if isinstance(v, np.ndarray):
+                v = v[()]
+            return int(v)
+
+        # an int variable, plus or minus an int literal: read it directly
+        # and fall back to the full evaluation for anything else
+        if isinstance(e, EName):
+            n = e.id
+
+            def var(frame):
+                v = frame.get(n)
+                return v if v.__class__ is int else index(frame)
+            return _ABSENT, var
+        if isinstance(e, EBin) and e.op in ("+", "-") and isinstance(e.left, EName) \
+                and isinstance(e.right, ENum) and not e.right.is_float \
+                and e.right.value.__class__ is int:
+            n, k = e.left.id, e.right.value
+            if e.op == "+":
+                def shifted(frame):
+                    v = frame.get(n)
+                    return v + k if v.__class__ is int else index(frame)
+            else:
+                def shifted(frame):
+                    v = frame.get(n)
+                    return v - k if v.__class__ is int else index(frame)
+            return _ABSENT, shifted
+        return _ABSENT, index
+
+    def key(self, e: ESub) -> Eval:
+        """The subscript tuple of ``e``: ints for points, slices (bounds
+        ``None`` where absent) for ranges, built left to right."""
+        parts, fixed = [], True  # (constant or _ABSENT, closure)
+        for ix in e.indices:
+            if isinstance(ix, ESlice):
+                ends = [(None, _constant(None)) if b is None else self.index_term(b)
+                        for b in (ix.lo, ix.hi, ix.step)]
+                if all(c is not _ABSENT for c, _ in ends):
+                    part = (slice(*(c for c, _ in ends)), None)
+                else:
+                    lo, hi, st = (f for _, f in ends)
+                    part = (_ABSENT, lambda frame: slice(lo(frame), hi(frame), st(frame)))
+            else:
+                part = self.index_term(ix)
+            parts.append(part)
+            fixed = fixed and part[0] is not _ABSENT
+        if fixed:
+            k = tuple(c for c, _ in parts)
+            return lambda frame: k
+        fs = tuple(f if c is _ABSENT else _constant(c) for c, f in parts)
+        if len(fs) == 1:
+            (a,) = fs
+            slow = lambda frame: (a(frame),)
+        elif len(fs) == 2:
+            a, b = fs
+            slow = lambda frame: (a(frame), b(frame))
+        elif len(fs) == 3:
+            a, b, c = fs
+            slow = lambda frame: (a(frame), b(frame), c(frame))
+        else:
+            return lambda frame: tuple([f(frame) for f in fs])
+        if not all(isinstance(ix, EName) for ix in e.indices):
+            return slow
+        # a point per variable: read int variables straight from the frame
+        if len(fs) == 1:
+            (n0,) = (ix.id for ix in e.indices)
+
+            def point(frame):
+                i = frame.get(n0)
+                return (i,) if i.__class__ is int else slow(frame)
+        elif len(fs) == 2:
+            n0, n1 = (ix.id for ix in e.indices)
+
+            def point(frame):
+                i, j = frame.get(n0), frame.get(n1)
+                return (i, j) if i.__class__ is int and j.__class__ is int else slow(frame)
+        else:
+            n0, n1, n2 = (ix.id for ix in e.indices)
+
+            def point(frame):
+                i, j, k = frame.get(n0), frame.get(n1), frame.get(n2)
+                if i.__class__ is int and j.__class__ is int and k.__class__ is int:
+                    return (i, j, k)
+                return slow(frame)
+        return point

@@ -1,3 +1,4 @@
+import operator
 import pathlib
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from sdfgkit import frontend
 from sdfgkit.frontend import oracle
+from sdfgkit.frontend.dsl_ast import EBin, EName, ENum
 from sdfgkit.interp import ExecContext, interpret
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
@@ -49,15 +51,19 @@ def make_inputs(program, symbols: dict[str, int], seed: int = 0):
     return inputs
 
 
+_SHAPE_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "//": operator.floordiv}
+
+
 def _eval_shape(expr, symbols):
-    from sdfgkit.frontend.sema import analyze
-    from sdfgkit.frontend.dsl_ast import Program
-
-    # shapes are simple symbolic expressions; evaluate through the AST oracle
-    from sdfgkit.frontend.oracle import _Evaluator, _Frame
-
-    ev = _Evaluator(Program([], ""), symbols)
-    return ev.eval_index(expr, _Frame())
+    """An extent: integer literals and symbols under + - * //."""
+    if isinstance(expr, ENum):
+        return int(expr.value)
+    if isinstance(expr, EName):
+        return int(symbols[expr.id])
+    if isinstance(expr, EBin) and expr.op in _SHAPE_OPS:
+        return _SHAPE_OPS[expr.op](_eval_shape(expr.left, symbols),
+                                   _eval_shape(expr.right, symbols))
+    raise ValueError(f"unsupported shape expression {expr!r}")
 
 
 def compile_kernel(name: str):

@@ -2,10 +2,15 @@
 elementwise with direct big-step evaluation of the AST for the whole corpus,
 across sizes and random inputs."""
 
+import ast
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
 from sdfgkit import frontend
+from sdfgkit.frontend import oracle
 
 from conftest import (
     ALL_KERNELS, KERNEL_SYMBOLS, compile_kernel, corpus_source, make_inputs,
@@ -46,3 +51,57 @@ def test_lowered_graph_matches_big_step_oracle(name):
                 # identical operation order: integer data would be 0 ulp; for
                 # floats the runs are in fact bitwise equal
                 assert np.array_equal(out[k], ref[k])
+
+
+def test_oracle_imports_only_the_ast():
+    """The oracle stays an independent reference: besides numpy and the
+    standard library it imports only the DSL's AST, nothing of the graph IR,
+    the symbolic engine, the tasklet expressions or the interpreter."""
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            modules += [a.name for a in node.names]
+    assert ".dsl_ast" in modules
+    for module in modules:
+        top = module.split(".")[0]
+        if module.startswith(".") or top == "sdfgkit":
+            assert module in (".dsl_ast", "sdfgkit.frontend.dsl_ast"), module
+        else:
+            assert top == "numpy" or top in sys.stdlib_module_names, module
+
+
+SEMANTICS = """
+def g(Y: f64[N], c: f64):
+    Y[0] = c
+    c = 7.0
+
+def f(A: f64[N], x: f64, y: f64):
+    for i in range(N):
+        A[i] = i
+    return
+    g(A, x)
+    y = x > 0.0 and 3.0
+"""
+
+
+def test_oracle_keeps_python_semantics():
+    """``return`` does nothing, a callee writes arrays by reference and its
+    own copy of a scalar, ``and`` gives a bool, and a scalar parameter's
+    box is updated in place."""
+    program = frontend.parse(SEMANTICS)
+    out = oracle.evaluate_program(program, {"N": 3}, {"A": np.zeros(3), "x": 0.5, "y": 0.0})
+    assert out["A"].tolist() == [0.5, 1.0, 2.0]
+    assert out["x"] == 0.5 and out["y"] == 1.0
+
+
+@pytest.mark.parametrize("kind", ["range(N)", "map[0:N]"])
+def test_loop_variable_is_unbound_after_its_loop(kind):
+    program = frontend.parse(
+        f"def f(A: f64[N]):\n    for i in {kind}:\n        A[i] = 1.0\n    A[0] = i\n")
+    with pytest.raises(oracle.OracleError, match="unbound name 'i'"):
+        oracle.evaluate_program(program, {"N": 3}, {"A": np.zeros(3)})
+    out = oracle.evaluate_program(program, {"N": 3, "i": 2}, {"A": np.zeros(3)})
+    assert out["A"].tolist() == [2.0, 1.0, 1.0]

@@ -652,12 +652,25 @@ def _node_memlets(facts: StateFacts, node: AccessNode):
     return writes, reads
 
 
+def _late_reads(facts: StateFacts, first: AccessNode, later: AccessNode):
+    """(read, write) memlet pairs where ``first`` reaches ``later`` but the
+    consumer of a read of ``first`` does not reach the producer of a write
+    of ``later``, so the write may overwrite what the read still needs."""
+    reach = facts.reach
+    return [(r.memlet, w.memlet)
+            for r in facts.outs[first.nid] if r.memlet is not None
+            for w in facts.ins[later.nid] if w.memlet is not None
+            if r.dst is not w.src and w.src.nid not in reach[r.dst.nid]]
+
+
 def unordered_hazards(
     state: State, assumptions: Assumptions, facts: StateFacts | None = None
 ) -> list[tuple[str, AccessNode, AccessNode, Ternary]]:
     """Pairs of same-container access occurrences with a write and no
-    ordering path between them.  The Ternary reports provable disjointness of
-    the colliding subsets (UNKNOWN and FALSE are hazards).  ``facts`` is the
+    ordering path between them, and ordered pairs whose earlier occurrence
+    has a consumer that is not ordered before a write of the later one
+    (write after read).  The Ternary reports provable disjointness of the
+    colliding subsets (UNKNOWN and FALSE are hazards).  ``facts`` is the
     state's snapshot, taken here when not given."""
     facts = facts or state.facts()
     by_container: dict[str, list[AccessNode]] = {}
@@ -675,19 +688,17 @@ def unordered_hazards(
                     continue
                 # reachability is derived only for states that need it
                 reach = facts.reach
-                if v.nid in reach[u.nid] or u.nid in reach[v.nid]:
-                    continue
-                verdicts = []
-                for m1 in uw:
-                    for m2 in vw + vr:
-                        if m1.wcr is not None and m2.wcr == m1.wcr:
-                            continue  # commuting conflict resolution
-                        verdicts.append(symbolic.disjoint(m1.subset, m2.subset, assumptions))
-                for m1 in vw:
-                    for m2 in ur:
-                        if m1.wcr is not None and m2.wcr == m1.wcr:
-                            continue
-                        verdicts.append(symbolic.disjoint(m1.subset, m2.subset, assumptions))
+                if v.nid in reach[u.nid]:
+                    pairs = _late_reads(facts, u, v)
+                elif u.nid in reach[v.nid]:
+                    pairs = _late_reads(facts, v, u)
+                else:
+                    pairs = [(m1, m2) for m1 in uw for m2 in vw + vr]
+                    pairs += [(m1, m2) for m1 in vw for m2 in ur]
+                verdicts = [symbolic.disjoint(m1.subset, m2.subset, assumptions)
+                            for m1, m2 in pairs
+                            # commuting conflict resolution
+                            if not (m1.wcr is not None and m2.wcr == m1.wcr)]
                 if not verdicts:
                     continue
                 verdict = (

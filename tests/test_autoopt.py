@@ -8,7 +8,7 @@ from sdfgkit.autoopt import (
     pipeline_stages, specialization_stages, subgraph_fusion, tile_wcr, transient_mitigation,
 )
 from sdfgkit.cemit import emit_c, lowered
-from sdfgkit.interp import ExecContext, interpret
+from sdfgkit.interp import ExecContext, InterpOptions, interpret
 from sdfgkit.ir import (
     DataKind, DType, LibKind, LibraryNode, Lifetime, MapEntry, Sdfg, Storage,
     structural_eq,
@@ -29,6 +29,37 @@ def map_entries(g):
 def libnodes(g):
     return [n for st in g.states for n in st.nodes.values()
             if isinstance(n, LibraryNode)]
+
+
+# A map reads B between the map that writes it and the map that updates it
+# in place; fusing must keep the read before the update.
+READ_THEN_OVERWRITE = """
+def f(A: f64[N, M], B: f64[N, M], w: f64[M], s: f64):
+    for i, j in map[0:N, 0:M]:
+        B[i, j] = A[i, j] * s
+    for i, j in map[0:N, 0:M]:
+        w[j] += B[i, j]
+    for i, j in map[0:N, 0:M]:
+        B[i, j] += A[i, j]
+"""
+
+
+@pytest.mark.parametrize("optimized", [False, True])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_read_then_overwrite_matches_oracle(optimized, reverse):
+    g, diags = frontend.compile_source(READ_THEN_OVERWRITE)
+    assert g is not None and not [d for d in diags if d.severity == "error"]
+    if optimized:
+        auto_optimize(g)
+    symbols = {"N": 4, "M": 3}
+    rng = np.random.default_rng(3)
+    inputs = {"A": rng.uniform(-1, 1, (4, 3)), "B": rng.uniform(-1, 1, (4, 3)),
+              "w": rng.uniform(-1, 1, 3), "s": 1.25}
+    want = oracle.evaluate_program(frontend.parse(READ_THEN_OVERWRITE), symbols,
+                                   {k: np.array(v, copy=True) for k, v in inputs.items()})
+    out, _ = run_graph(g, symbols, inputs, options=InterpOptions(reverse_maps=reverse))
+    for name, ref in want.items():
+        assert rel_err(out[name], ref) <= 1e-12, name
 
 
 class TestCleanupMaps:

@@ -159,13 +159,39 @@ def build_scope_join() -> Sdfg:
     return g
 
 
+def build_read_then_overwrite(ordered: bool) -> Sdfg:
+    """``x = A[0]`` and ``A[0] = A[0] + 1.0`` in one state, both reading one
+    access node of ``A``; unless ``ordered`` (the update then also reads
+    ``x``), no path orders the read of ``x`` before the overwrite of ``A``."""
+    g = Sdfg("war")
+    g.add_array("A", DType.F64, (Const(2),))
+    g.add_scalar("x", DType.F64)
+    st = g.add_state("s0")
+    first, x = st.add(AccessNode("A")), st.add(AccessNode("x"))
+    read = st.add(Tasklet("read", ("v",), ("out",), (("out", TRef("v")),)))
+    ins = ("v", "w") if ordered else ("v",)
+    bump = st.add(Tasklet("bump", ins, ("out",),
+                          (("out", TBin("+", TRef("v"), TNum(1.0))),)))
+    point = SubsetRange.point([Const(0)])
+    st.add_edge(first, read, Memlet("A", point), dst_conn="v")
+    st.add_edge(read, x, Memlet("x", SubsetRange(())), src_conn="out")
+    st.add_edge(first, bump, Memlet("A", point), dst_conn="v")
+    if ordered:
+        st.add_edge(x, bump, Memlet("x", SubsetRange(())), dst_conn="w")
+    st.add_edge(bump, st.add(AccessNode("A")), Memlet("A", point), src_conn="out")
+    return g
+
+
 @pytest.mark.parametrize("build, legal", [
     (lambda: build_shift_map("B"), True),
     (build_cycle, False),
     (build_scope_join, False),
     (build_race_graph, False),
     (lambda: build_shift_map("A"), False),
-], ids=["clean", "cycle", "scope_join", "unordered_writes", "cross_iteration"])
+    (lambda: build_read_then_overwrite(True), True),
+    (lambda: build_read_then_overwrite(False), False),
+], ids=["clean", "cycle", "scope_join", "unordered_writes", "cross_iteration",
+        "read_before_overwrite", "read_unordered_with_overwrite"])
 def test_race_free_predicate(build, legal):
     g = build()
     assert race_free(g.states[0], g.assumptions()) is legal

@@ -23,8 +23,8 @@ from .dsl_ast import (
     SAssign, SCall, SFor, SIf, Span, SReturn, Stmt, walk,
 )
 from .sema import (
-    ProgramInfo, SemanticError, Ty, TypeCtx, classify, loop_var_bounds, program_info,
-    resolve_subscript,
+    FuncInfo, ProgramInfo, SemanticError, Ty, TypeCtx, classify, loop_var_bounds,
+    program_info, resolve_subscript,
 )
 
 _WCR_FOR_OP = {"+=": Wcr.ADD, "-=": Wcr.ADD, "*=": Wcr.MUL}
@@ -398,7 +398,7 @@ class _FuncLowerer:
         # positional binding: arrays/scalars by name, integers feed symbols
         symbol_map: dict[str, SymExpr] = {sy: Sym(sy) for sy in inner.free_symbols()}
         node = st.add(NestedSdfg(inner, symbol_map))
-        written = _written_params(callee.func)
+        written = _written_params(callee.func, self.pi.funcs)
         for p, arg in zip(callee.func.params, s.args):
             if p.name in fi.int_params:
                 if not isinstance(arg, EName):
@@ -474,13 +474,23 @@ def _base_name(e: EName | ESub) -> str:
     return e.id if isinstance(e, EName) else e.base
 
 
-def _written_params(f: FuncDef) -> set[str]:
+def _written_params(f: FuncDef, funcs: dict[str, FuncInfo],
+                    active: frozenset[str] = frozenset()) -> set[str]:
+    """The parameters of ``f`` it writes: by assignment, by communication
+    calls, or as arguments of calls to functions that write them (``active``
+    holds the callers, so a recursive call adds nothing)."""
     out: set[str] = set()
+    active = active | {f.name}
     for x in walk(*f.body):
         if isinstance(x, SAssign):
             out.add(_base_name(x.target))
-        elif isinstance(x, SCall):
-            out.update(_base_name(x.args[i]) for i in _COMM_WRITES.get(x.fn, ()))
+        elif isinstance(x, SCall) and x.fn in _COMM_WRITES:
+            out.update(_base_name(x.args[i]) for i in _COMM_WRITES[x.fn])
+        elif isinstance(x, SCall) and x.fn in funcs and x.fn not in active:
+            callee = funcs[x.fn].func
+            inner = _written_params(callee, funcs, active)
+            out.update(a.id for p, a in zip(callee.params, x.args)
+                       if p.name in inner and isinstance(a, EName))
     return out & {p.name for p in f.params}
 
 

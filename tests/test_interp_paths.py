@@ -46,6 +46,37 @@ def test_nested_graph_matches_oracle(reverse):
         assert np.allclose(out[name], want, rtol=1e-12, atol=0), name
 
 
+# ``main`` writes A only through two levels of calls.
+NESTED_WRITE = """
+def inner(Y: f64[N], c: f64):
+    Y[0] = 5.0 * c
+
+def outer(X: f64[N], c: f64):
+    inner(X, c)
+
+def main(A: f64[N], B: f64[N], c: f64):
+    outer(A, c)
+    B[:] = A + B
+"""
+
+
+def test_parameter_written_through_nested_calls():
+    g, diags = frontend.compile_source(NESTED_WRITE)
+    assert g is not None and not [d for d in diags if d.severity == "error"]
+    assert not [d for d in g.validate() if d.severity == "error"]
+    symbols = {"N": 4}
+    rng = np.random.default_rng(5)
+    inputs = {"A": rng.uniform(-1, 1, 4), "B": rng.uniform(-1, 1, 4), "c": 0.75}
+    ref = oracle.evaluate_program(frontend.parse(NESTED_WRITE), symbols,
+                                  {k: np.array(v, copy=True) for k, v in inputs.items()})
+    ctx = ExecContext(bindings=dict(symbols)).bind_inputs(
+        {k: np.array(v, copy=True) for k, v in inputs.items()})
+    out = interpret(g, ctx)
+    assert ref["A"][0] == 3.75
+    for name, want in ref.items():
+        assert np.array_equal(out[name], want), name
+
+
 def _copy_graph(on_source: bool, sub: SubsetRange) -> Sdfg:
     """One state copying ``A`` (6 elements) into ``B`` (6 elements), with the
     memlet ``sub`` on ``A`` (``on_source``) or on ``B``."""

@@ -303,6 +303,18 @@ def resolve_subscript(ctx: TypeCtx, e: ESub) -> tuple["symbolic.SubsetRange", li
     return symbolic.SubsetRange.make(dims), kept
 
 
+def _logical(ctx: TypeCtx, *operands: Expr) -> Ty:
+    """The type of a comparison or logical operation: element-wise over a
+    whole-array operand, else a scalar ``bool``.  Other operands are checked
+    where they are lowered."""
+    for x in operands:
+        if isinstance(x, EName):
+            ty = ctx.lookup(x.id, x.span)
+            if ty.is_array:
+                return Ty("array", "bool", ty.shape)
+    return Ty("scalar", "bool")
+
+
 def classify(ctx: TypeCtx, e: Expr) -> Ty:
     """Type and symbolic shape of an expression."""
     if isinstance(e, ENum):
@@ -318,13 +330,13 @@ def classify(ctx: TypeCtx, e: Expr) -> Ty:
         return Ty("array", ty.dtype, tuple(lengths))
     if isinstance(e, EUn):
         if e.op == "not":
-            return Ty("scalar", "bool")
+            return _logical(ctx, e.operand)
         return classify(ctx, e.operand)
     if isinstance(e, EBin):
         if e.op == "@":
             return _classify_matmul(ctx, e)
         if e.op in ("<", "<=", ">", ">=", "==", "!=", "and", "or"):
-            return Ty("scalar", "bool")
+            return _logical(ctx, e.left, e.right)
         lt_, rt = classify(ctx, e.left), classify(ctx, e.right)
         if lt_.is_array and rt.is_array:
             verdict = _shapes_conform(lt_.shape, rt.shape, ctx.assumptions())

@@ -110,6 +110,15 @@ class TestDesugar:
         assert len(temps) == 3
 
 
+    @pytest.mark.parametrize("value", ["A < 1.0", "not A", "A and x > 0.0"])
+    def test_whole_array_logic_in_map_body_rejected(self, value):
+        src = ("def f(A: f64[N], B: f64[N], x: f64):\n"
+               f"    for i in map[0:N]:\n        B[i] = {value}\n")
+        g, diags = frontend.compile_source(src)
+        assert g is None
+        assert [d.message for d in diags] == ["array-valued operation inside a map body"]
+
+
 class TestLower:
     def test_wcr_augassign(self):
         g, diags = frontend.compile_source(corpus_source("wcr_sum"))

@@ -80,6 +80,11 @@ def f(A: f64[N], B: f64[N]):
     for i in map[0:N]:
         B[i] = A[0:2] < 1.0
 """,
+    "map_whole_array_compare": """
+def f(A: f64[N], B: f64[N]):
+    for i in map[0:N]:
+        B[i] = A < 1.0
+""",
     "unknown_function": """
 def f(A: f64[N], x: f64):
     x = foo(x)
@@ -142,6 +147,7 @@ LOWERED = {
     "condition_subscript": "6d105987ed642a2b7fbe81c4927734ec901c615a7479a94a5820d4f25cb2e13e",
     "map_array_op": "4257d640c05e9edcb705f90840672b24961654ee0334d5468d5c49e44a0be341",
     "map_sliced_operand": "ae38ba754c09ed30764a66f97c81b7d8d9b69ae09826473edc4a6c2ec415613d",
+    "map_whole_array_compare": "4257d640c05e9edcb705f90840672b24961654ee0334d5468d5c49e44a0be341",
     "unknown_function": "676ad9a864027a64fa49c679fb352fb186b7c03a5ab9e16bd2973e4fcf6c6e94",
     "call_in_tasklet": "eb7ee293f73dd7c6cc8865d08158ade0796571ff4954a7b83162f46ce48bb154",
     "call_in_map_body": "31a2e157cb189e34da06271d35728f0d0abf471e1c8550f50bf45b261b8cc53e",

@@ -40,6 +40,11 @@ _BINARY = {
     "==": operator.eq, "!=": operator.ne,
 }
 
+# Augmented assignment: a variable gets ``x = x + v``, an array element or
+# slice ``A[k] += v`` (numpy updates a slice in place).
+_COMBINE = {"+=": operator.add, "-=": operator.sub, "*=": operator.mul}
+_IN_PLACE = {"+=": operator.iadd, "-=": operator.isub, "*=": operator.imul}
+
 # A marker for "not a constant" and "not in the frame"; never a value.
 _ABSENT = object()
 
@@ -97,6 +102,10 @@ def _raising(exc: type[Exception], *args) -> Callable:
     def run(*_):
         raise exc(*args)
     return run
+
+
+def _slice(lo: Eval, hi: Eval, st: Eval) -> Eval:
+    return lambda frame: slice(lo(frame), hi(frame), st(frame))
 
 
 def _nothing(frame: dict) -> None:
@@ -185,9 +194,7 @@ class _Translator:
             nest(frame, [b(frame) for b in bounds])
         return run
 
-    def map_range(self, r) -> Eval:
-        if not isinstance(r, ESlice):
-            return _raising(AssertionError)
+    def map_range(self, r: ESlice) -> Eval:
         lo = self.index(r.lo) if r.lo is not None else _constant(0)
         hi = self.index(r.hi)
         st = self.index(r.step) if r.step is not None else _constant(1)
@@ -219,11 +226,6 @@ class _Translator:
         target = s.target
         if isinstance(target, EName):
             return self.assign_name(target.id, s.op, value)
-        if not isinstance(target, ESub):
-            def run(frame):
-                value(frame)
-                raise AssertionError
-            return run
         base, key, op = target.base, self.key(target), s.op
 
         def array(frame):
@@ -236,23 +238,13 @@ class _Translator:
             def run(frame):
                 v = value(frame)
                 array(frame)[key(frame)] = v
-        elif op == "+=":
-            def run(frame):
-                v = value(frame)
-                array(frame)[key(frame)] += v
-        elif op == "-=":
-            def run(frame):
-                v = value(frame)
-                array(frame)[key(frame)] -= v
-        elif op == "*=":
-            def run(frame):
-                v = value(frame)
-                array(frame)[key(frame)] *= v
-        else:
-            def run(frame):
-                value(frame)
-                array(frame)
-                key(frame)
+            return run
+        update = _IN_PLACE[op]
+
+        def run(frame):  # what ``arr[k] += v`` does
+            v = value(frame)
+            arr, k = array(frame), key(frame)
+            arr[k] = update(arr[k], v)
         return run
 
     @staticmethod
@@ -267,7 +259,7 @@ class _Translator:
                 else:
                     frame[name] = v
             return run
-        combine = {"+=": operator.add, "-=": operator.sub}.get(op, operator.mul)
+        combine = _COMBINE[op]
 
         def run(frame):
             v = value(frame)
@@ -348,24 +340,16 @@ class _Translator:
         reads as its element."""
         if n in self.symbols:
             sym = self.symbols[n]
-
-            def read(frame):
-                v = frame.get(n, _ABSENT)
-                if v.__class__ is int:
-                    return v
-                if v is _ABSENT:
-                    return int(sym)
-                if isinstance(v, np.ndarray) and v.shape == ():
-                    return v[()]
-                return v
-            return read
+            missing = lambda: int(sym)
+        else:
+            missing = _raising(OracleError, f"unbound name '{n}'")
 
         def read(frame):
             v = frame.get(n, _ABSENT)
             if v.__class__ is int:
                 return v
             if v is _ABSENT:
-                raise OracleError(f"unbound name '{n}'")
+                return missing()
             if isinstance(v, np.ndarray) and v.shape == ():
                 return v[()]
             return v
@@ -377,13 +361,7 @@ class _Translator:
             return _ABSENT, lambda frame: bool(left(frame)) and bool(right(frame))
         if e.op == "or":
             return _ABSENT, lambda frame: bool(left(frame)) or bool(right(frame))
-        op = _BINARY.get(e.op)
-        if op is None:
-            def unknown(frame):
-                left(frame)
-                right(frame)
-                raise KeyError(e.op)
-            return _ABSENT, unknown
+        op = _BINARY[e.op]
         if a is not _ABSENT and b is not _ABSENT and e.op != "@":
             try:
                 c = op(a, b)
@@ -451,8 +429,8 @@ class _Translator:
                 v = v[()]
             return int(v)
 
-        # an int variable, plus or minus an int literal: read it directly
-        # and fall back to the full evaluation for anything else
+        # an int variable is read straight from the frame; anything else
+        # takes the full evaluation
         if isinstance(e, EName):
             n = e.id
 
@@ -460,19 +438,6 @@ class _Translator:
                 v = frame.get(n)
                 return v if v.__class__ is int else index(frame)
             return _ABSENT, var
-        if isinstance(e, EBin) and e.op in ("+", "-") and isinstance(e.left, EName) \
-                and isinstance(e.right, ENum) and not e.right.is_float \
-                and e.right.value.__class__ is int:
-            n, k = e.left.id, e.right.value
-            if e.op == "+":
-                def shifted(frame):
-                    v = frame.get(n)
-                    return v + k if v.__class__ is int else index(frame)
-            else:
-                def shifted(frame):
-                    v = frame.get(n)
-                    return v - k if v.__class__ is int else index(frame)
-            return _ABSENT, shifted
         return _ABSENT, index
 
     def key(self, e: ESub) -> Eval:
@@ -486,8 +451,7 @@ class _Translator:
                 if all(c is not _ABSENT for c, _ in ends):
                     part = (slice(*(c for c, _ in ends)), None)
                 else:
-                    lo, hi, st = (f for _, f in ends)
-                    part = (_ABSENT, lambda frame: slice(lo(frame), hi(frame), st(frame)))
+                    part = (_ABSENT, _slice(*(f for _, f in ends)))
             else:
                 part = self.index_term(ix)
             parts.append(part)
@@ -498,36 +462,11 @@ class _Translator:
         fs = tuple(f if c is _ABSENT else _constant(c) for c, f in parts)
         if len(fs) == 1:
             (a,) = fs
-            slow = lambda frame: (a(frame),)
-        elif len(fs) == 2:
+            return lambda frame: (a(frame),)
+        if len(fs) == 2:
             a, b = fs
-            slow = lambda frame: (a(frame), b(frame))
-        elif len(fs) == 3:
+            return lambda frame: (a(frame), b(frame))
+        if len(fs) == 3:
             a, b, c = fs
-            slow = lambda frame: (a(frame), b(frame), c(frame))
-        else:
-            return lambda frame: tuple([f(frame) for f in fs])
-        if not all(isinstance(ix, EName) for ix in e.indices):
-            return slow
-        # a point per variable: read int variables straight from the frame
-        if len(fs) == 1:
-            (n0,) = (ix.id for ix in e.indices)
-
-            def point(frame):
-                i = frame.get(n0)
-                return (i,) if i.__class__ is int else slow(frame)
-        elif len(fs) == 2:
-            n0, n1 = (ix.id for ix in e.indices)
-
-            def point(frame):
-                i, j = frame.get(n0), frame.get(n1)
-                return (i, j) if i.__class__ is int and j.__class__ is int else slow(frame)
-        else:
-            n0, n1, n2 = (ix.id for ix in e.indices)
-
-            def point(frame):
-                i, j, k = frame.get(n0), frame.get(n1), frame.get(n2)
-                if i.__class__ is int and j.__class__ is int and k.__class__ is int:
-                    return (i, j, k)
-                return slow(frame)
-        return point
+            return lambda frame: (a(frame), b(frame), c(frame))
+        return lambda frame: tuple([f(frame) for f in fs])

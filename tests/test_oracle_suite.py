@@ -105,3 +105,18 @@ def test_loop_variable_is_unbound_after_its_loop(kind):
         oracle.evaluate_program(program, {"N": 3}, {"A": np.zeros(3)})
     out = oracle.evaluate_program(program, {"N": 3, "i": 2}, {"A": np.zeros(3)})
     assert out["A"].tolist() == [2.0, 1.0, 1.0]
+
+
+def test_subscripts_with_variable_slices():
+    """Each slice of a subscript keeps its own bounds."""
+    program = frontend.parse(
+        "def f(A: f64[N, N], B: f64[N, N]):\n"
+        "    for i in range(N - 1):\n"
+        "        B[i:i + 2, 1:N - i] = A[0:2, i:N - 1] + B[i:i + 2, 1:N - i]\n")
+    rng = np.random.default_rng(2)
+    a, b = rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, (4, 4))
+    out = oracle.evaluate_program(program, {"N": 4}, {"A": a, "B": b})
+    want = b.copy()
+    for i in range(3):
+        want[i:i + 2, 1:4 - i] = a[0:2, i:3] + want[i:i + 2, 1:4 - i]
+    assert np.array_equal(out["B"], want)

@@ -164,15 +164,10 @@ class _Translator:
         return None
 
     def range_loop(self, s: SFor) -> Run:
-        start, stop, step = s.ranges
-        start = self.index(start) if start is not None else _constant(0)
-        stop = self.index(stop)
-        step = self.index(step) if step is not None else _constant(1)
-        var = s.names[0]
-        body = self.block(s.body)
+        bounds, var, body = self.range_of(*s.ranges), s.names[0], self.block(s.body)
 
         def run(frame):
-            for v in range(start(frame), stop(frame), step(frame)):
+            for v in bounds(frame):
                 frame[var] = v
                 body(frame)
             frame.pop(var, None)
@@ -182,11 +177,8 @@ class _Translator:
         """All ranges are evaluated first, outermost first; the nest then
         runs as nested loops, each binding its variable when it advances
         and popping it when it ends."""
-        bounds = tuple(map(self.map_range, s.ranges))
-        nest = self.block(s.body)
-        if not bounds:
-            return nest
-        nest = self.map_level(s.names, len(bounds) - 1, nest, innermost=True)
+        bounds = tuple(self.range_of(r.lo, r.hi, r.step) for r in s.ranges)
+        nest = self.map_level(s.names, len(bounds) - 1, self.block(s.body), innermost=True)
         for depth in reversed(range(len(bounds) - 1)):
             nest = self.map_level(s.names, depth, nest, innermost=False)
 
@@ -194,11 +186,13 @@ class _Translator:
             nest(frame, [b(frame) for b in bounds])
         return run
 
-    def map_range(self, r: ESlice) -> Eval:
-        lo = self.index(r.lo) if r.lo is not None else _constant(0)
-        hi = self.index(r.hi)
-        st = self.index(r.step) if r.step is not None else _constant(1)
-        return lambda frame: range(lo(frame), hi(frame), st(frame))
+    def range_of(self, start: Expr | None, stop: Expr, step: Expr | None) -> Eval:
+        """``range(start, stop, step)``, the bounds evaluated in that order;
+        an absent start is 0 and an absent step 1."""
+        start = self.index(start) if start is not None else _constant(0)
+        stop = self.index(stop)
+        step = self.index(step) if step is not None else _constant(1)
+        return lambda frame: range(start(frame), stop(frame), step(frame))
 
     @staticmethod
     def map_level(names: list[str], depth: int, inner: Callable, innermost: bool) -> Callable:

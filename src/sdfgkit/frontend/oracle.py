@@ -97,8 +97,8 @@ def _constant(value) -> Eval:
 
 
 def _raising(exc: type[Exception], *args) -> Callable:
-    """A closure that raises ``exc(*args)`` whenever it runs: translating
-    never fails, so an error shows when and only if its code is reached."""
+    """A closure that raises ``exc(*args)`` whenever it runs, so an error
+    is raised when, and only if, the code that causes it is reached."""
     def run(*_):
         raise exc(*args)
     return run

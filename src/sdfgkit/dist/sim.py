@@ -109,8 +109,7 @@ class RankSim:
         self.ranks: list[_Rank] = []
         # every rank runs the same graph: it is validated once, and each
         # state's snapshot is taken once, for all of them
-        validated: set[Sdfg] = set()
-        facts: dict = {}
+        shared = None
         for r in range(n):
             rctx = ExecContext(
                 bindings={**ctx.bindings, **(bindings[r] if bindings else {})},
@@ -118,7 +117,7 @@ class RankSim:
                 rank=r,
             )
             m = Machine(g, rctx)
-            m._validated, m._facts = validated, facts
+            shared = m._shared = shared or m._shared
             if local and r != 0:
                 m.rank_local = local
             self.ranks.append(_Rank(r, m, m.run()))

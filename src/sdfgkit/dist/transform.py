@@ -102,7 +102,7 @@ def _aligned(sub: SubsetRange, params: tuple[str, ...]) -> bool:
     for b, e, _ in sub.dims:
         if b != e:
             return False
-        ps = b.free_symbols() & set(params)
+        ps = set(params) & b.free_symbols()
         if len(ps) > 1:
             return False
         if ps:

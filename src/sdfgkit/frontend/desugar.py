@@ -16,8 +16,8 @@ from .dsl_ast import (
     Program, SAssign, SFor, SIf, Stmt,
 )
 from .sema import (
-    ProgramInfo, SemanticError, Ty, TypeCtx, classify, contains_array_op, loop_var_bounds,
-    program_info,
+    ProgramInfo, SemanticError, Ty, TypeCtx, array_operand, classify, contains_array_op,
+    loop_var_bounds, program_info,
 )
 
 _ALLOC_FNS = ("zeros", "empty", "requests")
@@ -58,6 +58,9 @@ class _Desugarer:
             self.ctx.loop_vars = saved
             out.append(SFor(s.span, s.names, s.kind, s.ranges, body))
         elif isinstance(s, SIf):
+            operand = array_operand(self.ctx, s.cond)
+            if operand is not None:
+                raise SemanticError("array-valued operand in a condition", operand.span)
             out.append(
                 SIf(s.span, s.cond, self.stmts(s.then, in_map), self.stmts(s.orelse, in_map))
             )

@@ -73,7 +73,7 @@ def evaluate_program(
             if p.name not in inputs:
                 raise OracleError(f"missing input array '{p.name}'")
             arr = np.array(inputs[p.name], dtype=_NP_DTYPES[p.dtype])
-            want = tuple(tr.index(d)(frame) for d in p.shape)
+            want = tuple(tr.extent(d, frame) for d in p.shape)
             if arr.shape != want:
                 raise OracleError(f"input '{p.name}' has shape {arr.shape}, want {want}")
             frame[p.name] = arr
@@ -402,6 +402,15 @@ class _Translator:
 
     def index(self, e: Expr) -> Eval:
         return self.index_term(e)[1]
+
+    def extent(self, e: Expr, frame: dict) -> int:
+        """``index(e)(frame)``, evaluated at once: an integer literal and a
+        symbol that the frame does not hide need no translation."""
+        if isinstance(e, ENum) and not e.is_float:
+            return int(e.value)
+        if isinstance(e, EName) and e.id not in frame and e.id in self.symbols:
+            return int(self.symbols[e.id])
+        return self.index(e)(frame)
 
     def index_term(self, e: Expr) -> tuple[object, Eval]:
         """``e`` as a Python int, a 0-d array unwrapped first; the constant

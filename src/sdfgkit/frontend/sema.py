@@ -315,6 +315,19 @@ def _logical(ctx: TypeCtx, *operands: Expr) -> Ty:
     return Ty("scalar", "bool")
 
 
+def array_operand(ctx: TypeCtx, cond: Expr) -> Expr | None:
+    """The first operand of a condition's comparisons and logical operations
+    whose value is an array, or None: a condition must be one truth value."""
+    if isinstance(cond, EUn) and cond.op == "not":
+        return array_operand(ctx, cond.operand)
+    if isinstance(cond, EBin) and cond.op in _LOGICAL_OPS:
+        return array_operand(ctx, cond.left) or array_operand(ctx, cond.right)
+    return cond if classify(ctx, cond).is_array else None
+
+
+_LOGICAL_OPS = ("<", "<=", ">", ">=", "==", "!=", "and", "or")
+
+
 def classify(ctx: TypeCtx, e: Expr) -> Ty:
     """Type and symbolic shape of an expression."""
     if isinstance(e, ENum):
@@ -335,7 +348,7 @@ def classify(ctx: TypeCtx, e: Expr) -> Ty:
     if isinstance(e, EBin):
         if e.op == "@":
             return _classify_matmul(ctx, e)
-        if e.op in ("<", "<=", ">", ">=", "==", "!=", "and", "or"):
+        if e.op in _LOGICAL_OPS:
             return _logical(ctx, e.left, e.right)
         lt_, rt = classify(ctx, e.left), classify(ctx, e.right)
         if lt_.is_array and rt.is_array:

@@ -178,15 +178,12 @@ class Machine:
         self.g = g
         self.ctx = ctx
         self.opt = options or InterpOptions()
-        # the graphs validated in this run and the snapshots of their states,
-        # shared with the machines of nested graphs so that each graph is
-        # validated once and each state's facts are derived once
-        self._validated: set[Sdfg] = set()
-        self._facts: dict[State, StateFacts] = {}
+        # shared with the machines of nested graphs (and of the other ranks)
+        self._shared = _Shared()
         self.sym: dict[str, int] = {}
         self.store: dict[str, np.ndarray] = {}
         self._prepared = False
-        self._plans: dict[int, _StatePlan] = {}
+        self._plans: dict[State, _StatePlan] = {}
         self._accessors: dict[tuple, tuple[Memlet, Callable]] = {}
         # Set by the rank simulator on the non-root ranks of a global-view
         # program: the containers this rank holds.  Top-level steps whose
@@ -199,15 +196,15 @@ class Machine:
     def prepare(self) -> None:
         if self._prepared:
             return
-        g, ctx = self.g, self.ctx
-        if g not in self._validated:
-            errors = [d for d in g.validate(self._facts) if d.severity == "error"]
+        g, ctx, shared = self.g, self.ctx, self._shared
+        if g not in shared.validated:
+            errors = [d for d in g.validate(shared.facts) if d.severity == "error"]
             if errors:
                 raise InterpreterError(
                     "graph does not validate: " + "; ".join(d.message for d in errors)
                 )
-            self._validated.add(g)
-        missing = g.free_symbols() - set(ctx.bindings)
+            shared.validated.add(g)
+        missing = shared.free_symbols(g) - set(ctx.bindings)
         if missing:
             raise InterpreterError(f"missing symbol bindings: {sorted(missing)}")
         self.sym = {k: int(v) for k, v in ctx.bindings.items()}
@@ -266,20 +263,24 @@ class Machine:
     def run(self) -> Iterator[CommEvent]:
         self.prepare()
         g = self.g
-        states: dict[str, State] = {}
-        for s in g.states:
-            states.setdefault(s.label, s)
         leaving: dict[str, list[_Transition]] = {}
         for t in g.transitions:
             leaving.setdefault(t.src, []).append(_Transition(t, self.store))
+        # each label's state and the transitions that leave it
+        states: dict[str, tuple[State, list[_Transition] | None]] = {}
+        for s in g.states:
+            states.setdefault(s.label, (s, leaving.get(s.label)))
         sym = self.sym
         current = g.start
         steps = 0
         while current is not None:
-            if current not in states:
+            here = states.get(current)
+            if here is None:
                 raise KeyError(f"no state '{current}'")
-            yield from self.exec_state(states[current])
-            transitions = leaving.get(current)
+            state, transitions = here
+            events = self.exec_state(state)
+            if events:
+                yield from events
             if not transitions:
                 break
             nxt = None
@@ -310,29 +311,29 @@ class Machine:
             hit = self._accessors[key] = (m, fn)
         return hit[1]
 
-    def squeeze(self, value: np.ndarray, kept: list[bool] | None) -> np.ndarray:
-        if kept is None:
-            return value
-        key = tuple(slice(None) if k else 0 for k in kept)
-        return value[key]
-
     # -- state execution -------------------------------------------------------------
 
-    def exec_state(self, state: State) -> Iterator:
-        plan = self._plans.get(id(state))
+    def exec_state(self, state: State) -> Iterable[CommEvent]:
+        """Execute one state.  A state that can reach a communication node
+        returns a generator of its events, which runs the state as it is
+        driven; any other state runs at once and returns ``()``.  The
+        state's environment is the symbol table, which no step writes and
+        no transition changes before the state is done."""
+        plan = self._plans.get(state)
         if plan is None:
-            plan = self._plans[id(state)] = self._plan_state(state)
-        env = dict(self.sym)
-        for fn, is_gen in plan.top:
-            if is_gen:
-                yield from fn(env)
-            else:
-                fn(env)
+            plan = self._plans[state] = self._plan_state(state)
+        env = self.sym
+        if plan.events:
+            return _drive(plan.top, env)
+        for fn in plan.top:
+            fn(env)
+        return ()
 
-    def exec_map(self, plan: "_StatePlan", entry: MapEntry, env) -> Iterable:
+    def exec_map(self, plan: "_StatePlan", entry: MapEntry, env) -> Iterable[CommEvent]:
         """One launch of a map.  A map with a vector launch runs all its points
         at once if that launch succeeds; otherwise the scope's steps run once
-        per point.  Returns the events of the per-point steps."""
+        per point.  Returns the events of the per-point steps, as
+        :meth:`exec_state` does."""
         launch = plan.maps.get(entry.nid)
         if launch is None:
             launch = plan.maps[entry.nid] = self._plan_map(plan, entry)
@@ -340,31 +341,33 @@ class Machine:
             return ()
         return self._run_points(launch, env)
 
-    def _run_points(self, launch: "_MapPlan", env) -> Iterator:
-        """Run the scope's steps once per point, in lexicographic order."""
+    def _run_points(self, launch: "_MapPlan", env) -> Iterable[CommEvent]:
+        """Run the scope's steps once per point, in lexicographic order: at
+        once, or as a generator of events if the scope can raise any."""
         points = itertools.product(*launch.ranges(env))
         if self.opt.reverse_maps:
             points = reversed(list(points))
         names, steps = launch.names, launch.steps()
         ienv = dict(env)
         counters = self.ctx.counters
+        if launch.events:
+            return _drive_points(points, names, steps, ienv, counters)
         for point in points:
             ienv.update(zip(names, point))
             counters.map_iterations += 1
-            for fn, is_gen in steps:
-                if is_gen:
-                    yield from fn(ienv)
-                else:
-                    fn(ienv)
+            for fn in steps:
+                fn(ienv)
+        return ()
 
     # -- planning ---------------------------------------------------------------------
 
     def _plan_state(self, state: State) -> "_StatePlan":
-        facts = self._facts.get(state)
+        facts = self._shared.facts.get(state)
         if facts is None:
-            facts = self._facts[state] = state.facts()
+            facts = self._shared.facts[state] = state.facts()
         plan = _StatePlan(facts)
         plan.top = self._scope_steps(plan, None, facts.scopes[None])
+        plan.events = None in plan.event_scopes
         return plan
 
     def _plan_map(self, plan: "_StatePlan", scope: MapEntry) -> "_MapPlan":
@@ -375,7 +378,8 @@ class Machine:
         ranges = _compile_ranges(scope.params)
         return _MapPlan(ranges, scope.param_names,
                         self._vector_launch(plan, scope, members, ranges),
-                        functools.partial(self._scope_steps, plan, scope, members))
+                        functools.partial(self._scope_steps, plan, scope, members),
+                        scope in plan.event_scopes)
 
     def _scope_steps(self, plan: "_StatePlan", scope: MapEntry | None, members) -> list:
         steps = []
@@ -385,7 +389,7 @@ class Machine:
             try:
                 steps += self._steps(plan, node)
             except Exception as ex:  # a malformed node fails when it executes
-                steps.append((_raiser(ex), False))
+                steps.append(_raiser(ex))
         return steps
 
     def _vector_launch(self, plan: "_StatePlan", scope: MapEntry, members,
@@ -416,22 +420,22 @@ class Machine:
         conts = {e.memlet.container for e in edges if e.memlet is not None}
         return bool(conts) and conts.isdisjoint(self.rank_local)
 
-    def _steps(self, plan: "_StatePlan", node) -> list[tuple[Callable, bool]]:
-        """``(fn, is_generator)`` pairs that execute ``node``; none for a node
-        with nothing to do, such as an access node without an incoming copy."""
+    def _steps(self, plan: "_StatePlan", node) -> list[Callable]:
+        """The steps that execute ``node``; none for a node with nothing to
+        do, such as an access node without an incoming copy."""
         if isinstance(node, AccessNode):
-            return [(self._copy_step(plan.state.label, e), False) for e in plan.ins[node.nid]
+            return [self._copy_step(plan.state.label, e) for e in plan.ins[node.nid]
                     if isinstance(e.src, AccessNode) and e.memlet is not None]
         if isinstance(node, Tasklet):
-            return [(self._tasklet_step(plan, node), False)]
+            return [self._tasklet_step(plan, node)]
         if isinstance(node, MapEntry):
-            return [(lambda env: self.exec_map(plan, node, env), True)]
+            return [lambda env: self.exec_map(plan, node, env)]
         if isinstance(node, MapExit):
             return []
         if isinstance(node, LibraryNode):
             return [self._library_step(plan, node)]
         if isinstance(node, NestedSdfg):
-            return [(lambda env: self.exec_nested(plan, node, env), True)]
+            return [lambda env: self.exec_nested(plan, node, env)]
         raise InterpreterError(f"cannot execute node {type(node).__name__}")
 
     def _copy_step(self, label: str, e: Edge) -> Callable:
@@ -487,7 +491,7 @@ class Machine:
             src.lines.append(f"{src.value(write)}(_e, {value})")
         return src.build("_e")
 
-    def _library_step(self, plan: "_StatePlan", node: LibraryNode) -> tuple[Callable, bool]:
+    def _library_step(self, plan: "_StatePlan", node: LibraryNode) -> Callable:
         label, nid = plan.state.label, node.nid
         ins = {e.dst_conn: e for e in plan.ins[nid] if e.memlet is not None}
         if node.kind in COMM_KINDS:
@@ -497,7 +501,7 @@ class Machine:
             def comm(env):
                 yield CommEvent(node, label, dict(env), ins, outs, self)
 
-            return comm, True
+            return comm
         outs = [e for e in plan.outs[nid] if e.memlet is not None]
         if node.kind not in (LibKind.MATMUL, LibKind.REDUCE, LibKind.TRANSPOSE):
             raise InterpreterError(f"unknown library node kind {node.kind}")
@@ -505,7 +509,7 @@ class Machine:
         out = outs[0].memlet
         lengths = _compile_lengths(out)
         write = self._access(out, "write", label, nid)
-        squeeze, attrs = self.squeeze, node.attributes
+        attrs = node.attributes
 
         def fit(env, result: np.ndarray) -> np.ndarray:
             shape = lengths(env)
@@ -518,38 +522,41 @@ class Machine:
                     f"in state '{label}'") from None
 
         if node.kind is LibKind.MATMUL:
-            read_b = self._access(ins["b"].memlet, "read", label, nid)
+            read_a = _squeezed(read_a, attrs.get("a_kept"))
+            read_b = _squeezed(self._access(ins["b"].memlet, "read", label, nid),
+                               attrs.get("b_kept"))
 
             def matmul(env):
-                a_raw, b_raw = read_a(env), read_b(env)
-                a = squeeze(a_raw, attrs.get("a_kept"))
-                b = squeeze(b_raw, attrs.get("b_kept"))
+                a, b = read_a(env), read_b(env)
                 write(env, fit(env, np.matmul(a, b)))
 
-            return matmul, False
+            return matmul
         if node.kind is LibKind.REDUCE:
             axes = attrs.get("axes")
+            axes = None if axes is None else tuple(axes)
             fn = _REDUCE_UFUNCS[Wcr(attrs.get("op", "add"))]
+            read_a = _squeezed(read_a, attrs.get("a_kept"))
 
             def reduce(env):
-                a = squeeze(read_a(env), attrs.get("a_kept"))
-                write(env, fit(env, np.asarray(
-                    fn.reduce(a, axis=None if axes is None else tuple(axes)))))
+                write(env, fit(env, np.asarray(fn.reduce(read_a(env), axis=axes))))
 
-            return reduce, False
+            return reduce
 
         def transpose(env):
             a = read_a(env)
             write(env, fit(env, a.T))
 
-        return transpose, False
+        return transpose
 
     def exec_nested(self, plan: "_StatePlan", node: NestedSdfg, env) -> Iterator:
         label = plan.state.label
-        inner_bindings = {}
-        for s in node.sdfg.free_symbols():
-            expr = node.symbol_map.get(s, symbolic.Sym(s))
-            inner_bindings[s] = _compile_sym(expr)({**self.sym, **env})
+        symbol_map = self._shared.symbol_maps.get(node)
+        if symbol_map is None:
+            symbol_map = self._shared.symbol_maps[node] = [
+                (s, _compile_sym(node.symbol_map.get(s, symbolic.Sym(s))))
+                for s in self._shared.free_symbols(node.sdfg)]
+        outer = {**self.sym, **env}
+        inner_bindings = {s: fn(outer) for s, fn in symbol_map}
         inner_ctx = ExecContext(
             bindings=inner_bindings,
             counters=self.ctx.counters,
@@ -567,7 +574,7 @@ class Machine:
                 lengths = _compile_lengths(e.memlet)(env)
                 inner_ctx.store[e.dst_conn] = data.reshape(lengths)
         inner = Machine(node.sdfg, inner_ctx, self.opt)
-        inner._validated, inner._facts = self._validated, self._facts
+        inner._shared = self._shared
         yield from inner.run()
         for e in plan.outs[node.nid]:
             if e.memlet is None:
@@ -579,28 +586,90 @@ _REDUCE_UFUNCS = {Wcr.ADD: np.add, Wcr.MUL: np.multiply,
                   Wcr.MIN: np.minimum, Wcr.MAX: np.maximum}
 
 
+class _Shared:
+    """What the machines of one run share, so that it is derived once: the
+    graphs validated so far, the snapshots of their states, the free symbols
+    of each graph, and the compiled symbol map of each nested graph node."""
+
+    def __init__(self):
+        self.validated: set[Sdfg] = set()
+        self.facts: dict[State, StateFacts] = {}
+        self.free: dict[Sdfg, set[str]] = {}
+        self.symbol_maps: dict[NestedSdfg, list[tuple[str, Callable]]] = {}
+
+    def free_symbols(self, g: Sdfg) -> set[str]:
+        free = self.free.get(g)
+        if free is None:
+            free = self.free[g] = g.free_symbols()
+        return free
+
+
+def _squeezed(read: Callable, kept: list[bool] | None) -> Callable:
+    """``read`` without the dimensions ``kept`` marks False."""
+    if kept is None:
+        return read
+    key = tuple(slice(None) if k else 0 for k in kept)
+    return lambda env: read(env)[key]
+
+
+def _drive(steps: list[Callable], env) -> Iterator[CommEvent]:
+    """Run ``steps`` in order, passing on the events of those that return
+    any."""
+    for fn in steps:
+        events = fn(env)
+        if events is not None:
+            yield from events
+
+
+def _drive_points(points, names, steps, env, counters: Counters) -> Iterator[CommEvent]:
+    for point in points:
+        env.update(zip(names, point))
+        counters.map_iterations += 1
+        yield from _drive(steps, env)
+
+
+def _event_scopes(facts: StateFacts) -> frozenset:
+    """The scopes (None for the top level) that hold a communication node or
+    a nested graph at any depth: their steps can raise events."""
+    out = set()
+    for node in facts.order:
+        if isinstance(node, NestedSdfg) or (isinstance(node, LibraryNode)
+                                            and node.kind in COMM_KINDS):
+            scope = facts.parents[node.nid]
+            while scope not in out:
+                out.add(scope)
+                if scope is None:
+                    break
+                scope = facts.parents[scope.nid]
+    return frozenset(out)
+
+
 class _StatePlan:
     """A state's snapshot and its edges indexed by node id (in edge order),
-    the steps of its top level, and the :class:`_MapPlan` of each map
-    launched so far.  A step is ``(fn, is_generator)``; ``fn`` takes the
-    environment."""
+    the steps of its top level, the scopes that can raise events and the
+    :class:`_MapPlan` of each map launched so far.  A step takes the
+    environment and returns None or an iterable of events."""
 
     def __init__(self, facts: StateFacts):
         self.facts, self.state = facts, facts.state
         self.ins, self.outs = facts.ins, facts.outs
-        self.top: list[tuple] = []
+        self.event_scopes = _event_scopes(facts)
+        self.events = False
+        self.top: list[Callable] = []
         self.maps: dict[int, _MapPlan] = {}
 
 
 class _MapPlan:
     """A map's compiled ranges, its parameter names, its vector launch (None
-    if it has none) and its per-point steps, compiled on first use."""
+    if it has none), its per-point steps, compiled on first use, and whether
+    they can raise events."""
 
     def __init__(self, ranges: Callable, names: tuple[str, ...], vector: Callable | None,
-                 compile_steps: Callable[[], list]):
+                 compile_steps: Callable[[], list], events: bool):
         self.ranges, self.names, self.vector = ranges, names, vector
         self._compile_steps = compile_steps
         self._steps: list | None = None
+        self.events = events
 
     def steps(self) -> list:
         if self._steps is None:
@@ -728,8 +797,10 @@ def _value_names(n: int) -> str:
     return ", ".join(f"_k{i}" for i in range(n))
 
 
+@functools.lru_cache(maxsize=1024)
 def _compile_sym(e: SymExpr) -> Callable:
-    """``fn(env) -> int``, raising symbolic's unbound-symbol KeyError."""
+    """``fn(env) -> int``, raising symbolic's unbound-symbol KeyError.
+    Cached: the function binds nothing but ``e``."""
     src = _Source()
     src.lines = [f"try:", f"    return {src.sym(e)}", "except KeyError as _x:",
                  "    raise _unbound_symbol(_x) from None"]
@@ -757,6 +828,13 @@ def _compile_condition(cond: texpr.TExpr, store: Mapping[str, np.ndarray]) -> Ca
 
 def _compile_ranges(params) -> Callable:
     """``fn(env) -> (range, ...)`` over a map's parameters."""
+    return _ranges_of(tuple((p, tuple(dim)) for p, dim in params))
+
+
+@functools.lru_cache(maxsize=1024)
+def _ranges_of(params) -> Callable:
+    """:func:`_compile_ranges`, cached: the function binds nothing but the
+    ranges."""
     src = _Source()
     ranges = "".join(f"_range({src.sym(b)}, {src.sym(e)} + 1, {src.sym(s)}), "
                      for _, (b, e, s) in params)
@@ -967,12 +1045,14 @@ def _vector_members(plan: "_StatePlan", scope: MapEntry, members) -> tuple[list,
     return order, inner, reduces
 
 
-def _affine(subset: SubsetRange, params: tuple[str, ...]) -> list[tuple[int | None, SymExpr]]:
+@functools.lru_cache(maxsize=4096)
+def _affine(subset: SubsetRange, params: tuple[str, ...]) -> tuple[tuple[int | None, SymExpr], ...]:
     """Per dimension of a point subset, ``(d, offset)`` for ``params[d] +
-    offset`` or ``(None, index)`` for an index free of ``params``."""
+    offset`` or ``(None, index)`` for an index free of ``params``.  Cached:
+    graphs repeat the same few subsets."""
     out, used = [], set()
     for b, e, s in subset.dims:
-        if b is not e and b != e or not (type(s) is symbolic.Const and s.value == 1):
+        if b is not e or s is not _ONE:
             raise _NotVector("not a point")
         names = b.free_symbols()
         present = [d for d, p in enumerate(params) if p in names]
@@ -987,7 +1067,7 @@ def _affine(subset: SubsetRange, params: tuple[str, ...]) -> list[tuple[int | No
             raise _NotVector("not parameter + offset")
         used.add(d)
         out.append((d, offset))
-    return out
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=4096)

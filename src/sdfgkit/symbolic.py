@@ -18,7 +18,8 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -54,9 +55,16 @@ def t_not(value: Ternary) -> Ternary:
 # Expression trees
 
 
-@dataclass(frozen=True)
 class SymExpr:
-    """Base class for symbolic integer expressions."""
+    """Base class for symbolic integer expressions.
+
+    Nodes are immutable and hash-consed: building a node equal to a live one
+    returns that node, so equal expressions are one object and ``==`` is
+    ``is``.  Each node keeps its hash, which equals the hash of the tuple of
+    its fields (the hash a frozen dataclass computes), and its free symbols.
+    The table of live nodes holds them weakly."""
+
+    __slots__ = ("_hash", "_free", "__weakref__")
 
     def __add__(self, other) -> SymExpr:
         return Add(self, as_expr(other))
@@ -82,10 +90,30 @@ class SymExpr:
     def __neg__(self) -> SymExpr:
         return Mul(Const(-1), self)
 
-    def free_symbols(self) -> set[str]:
-        out: set[str] = set()
-        _collect_symbols(self, out)
-        return out
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field '{name}'")
+
+    def __copy__(self) -> SymExpr:
+        return self
+
+    def __deepcopy__(self, memo) -> SymExpr:
+        return self
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def free_symbols(self) -> frozenset[str]:
+        return self._free
 
     def evaluate(self, bindings: Mapping[str, int]) -> int:
         return _evaluate(self, bindings)
@@ -94,56 +122,99 @@ class SymExpr:
         return to_text(self)
 
 
-@dataclass(frozen=True)
-class Const(SymExpr):
-    value: int
+# the live nodes, held weakly, by (class, value) for leaves and by (class,
+# id(left), id(right)) for the others: a node keeps its children alive, so
+# their ids name them for as long as its entry lasts
+_interned: dict[tuple, weakref.KeyedRef] = {}
+_NO_SYMBOLS: frozenset[str] = frozenset()
+_setfield = object.__setattr__
 
-    def __post_init__(self):
+
+def _forget(ref: weakref.KeyedRef, table=_interned) -> None:
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+def _intern(node: SymExpr, key: tuple, h: int, free: frozenset[str]) -> None:
+    _setfield(node, "_hash", h)
+    _setfield(node, "_free", free)
+    _interned[key] = weakref.KeyedRef(node, _forget, key)
+
+
+class Const(SymExpr):
+    __slots__ = ("value",)
+    __match_args__ = ("value",)
+
+    def __new__(cls, value: int):
         # a float, bool or numpy integer would compare and hash equal to the
         # int, so a memoized canonical form could hand back the wrong type
-        if type(self.value) is not int:
-            raise TypeError(f"symbolic constant must be an int, not {type(self.value).__name__}")
+        if type(value) is not int:
+            raise TypeError(f"symbolic constant must be an int, not {type(value).__name__}")
+        key = (cls, value)
+        ref = _interned.get(key)
+        node = ref() if ref is not None else None
+        if node is None:
+            node = object.__new__(cls)
+            _setfield(node, "value", value)
+            _intern(node, key, hash((value,)), _NO_SYMBOLS)
+        return node
 
 
-@dataclass(frozen=True)
 class Sym(SymExpr):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __new__(cls, name: str):
+        key = (cls, name)
+        ref = _interned.get(key)
+        node = ref() if ref is not None else None
+        if node is None:
+            node = object.__new__(cls)
+            _setfield(node, "name", name)
+            _intern(node, key, hash((name,)), frozenset((name,)))
+        return node
 
 
-@dataclass(frozen=True)
-class Add(SymExpr):
-    left: SymExpr
-    right: SymExpr
+class _Binary(SymExpr):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: SymExpr, right: SymExpr):
+        key = (cls, id(left), id(right))
+        ref = _interned.get(key)
+        node = ref() if ref is not None else None
+        if node is None:
+            node = object.__new__(cls)
+            _setfield(node, "left", left)
+            _setfield(node, "right", right)
+            lf, rf = left._free, right._free
+            _intern(node, key, hash((left, right)),
+                    lf if rf <= lf else rf if lf <= rf else lf | rf)
+        return node
 
 
-@dataclass(frozen=True)
-class Sub(SymExpr):
-    left: SymExpr
-    right: SymExpr
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul(SymExpr):
-    left: SymExpr
-    right: SymExpr
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FloorDiv(SymExpr):
-    left: SymExpr
-    right: SymExpr
+class Mul(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Min(SymExpr):
-    left: SymExpr
-    right: SymExpr
+class FloorDiv(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Max(SymExpr):
-    left: SymExpr
-    right: SymExpr
+class Min(_Binary):
+    __slots__ = ()
+
+
+class Max(_Binary):
+    __slots__ = ()
 
 
 def as_expr(value: SymExpr | int | str) -> SymExpr:
@@ -157,16 +228,6 @@ def as_expr(value: SymExpr | int | str) -> SymExpr:
     if isinstance(value, str):
         return Sym(value)
     raise TypeError(f"cannot interpret {value!r} as a symbolic expression")
-
-
-def _collect_symbols(e: SymExpr, out: set[str]) -> None:
-    if isinstance(e, Sym):
-        out.add(e.name)
-    elif isinstance(e, Const):
-        pass
-    else:
-        _collect_symbols(e.left, out)
-        _collect_symbols(e.right, out)
 
 
 def _evaluate(e: SymExpr, b: Mapping[str, int]) -> int:
@@ -513,11 +574,20 @@ class SubsetRange:
             v = Mul(v, ln)
         return simplify(v)
 
-    def free_symbols(self) -> set[str]:
-        out: set[str] = set()
-        for b, e, s in self.dims:
-            out |= b.free_symbols() | e.free_symbols() | s.free_symbols()
-        return out
+    def free_symbols(self) -> frozenset[str]:
+        return self._free
+
+    # a subset is immutable, so its free symbols and hash are kept
+    @functools.cached_property
+    def _free(self) -> frozenset[str]:
+        return _NO_SYMBOLS.union(*(x._free for dim in self.dims for x in dim))
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.dims,))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def substitute(self, bindings: Mapping[str, SymExpr | int]) -> "SubsetRange":
         return SubsetRange(

@@ -7,6 +7,7 @@ interpreter, the serializer, and the C emitter.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -16,9 +17,16 @@ from typing import Callable, Mapping
 @dataclass(frozen=True)
 class TExpr:
     def free_names(self) -> set[str]:
-        out: set[str] = set()
+        # a set filled in the order of the walk, as the walk itself fills it
+        return set(self._name_order)
+
+    @functools.cached_property
+    def _name_order(self) -> tuple[str, ...]:
+        """The names the expression reads, each once, in the order of a
+        walk; kept, since the expression is immutable."""
+        out: dict[str, None] = {}
         _names(self, out)
-        return out
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -69,9 +77,9 @@ _INTRINSICS: dict[str, Callable] = {
 COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
 
 
-def _names(e: TExpr, out: set[str]) -> None:
+def _names(e: TExpr, out: dict[str, None]) -> None:
     if isinstance(e, TRef):
-        out.add(e.name)
+        out[e.name] = None
     elif isinstance(e, TUn):
         _names(e.operand, out)
     elif isinstance(e, TBin):

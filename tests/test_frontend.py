@@ -119,6 +119,25 @@ class TestDesugar:
         assert [d.message for d in diags] == ["array-valued operation inside a map body"]
 
 
+    @pytest.mark.parametrize("cond, col", [
+        ("A < x", 8), ("x < A", 12), ("not A", 12), ("x > 0.0 and A < x", 20),
+        ("A + 1.0 < x", 10), ("A[0:2] < x", 8),
+    ])
+    def test_array_operand_in_condition_rejected(self, cond, col):
+        src = ("def f(A: f64[N], B: f64[N], x: f64):\n"
+               f"    if {cond}:\n        x = 1.0\n")
+        g, diags = frontend.compile_source(src)
+        assert g is None
+        assert [(d.message, d.span.col) for d in diags] == [
+            ("array-valued operand in a condition", col)]
+
+    def test_scalar_condition_compiles(self):
+        src = ("def f(A: f64[N], B: f64[N], x: f64):\n"
+               "    if x < 1.0 and not (x > 0.5):\n        B[0] = x\n")
+        g, diags = frontend.compile_source(src)
+        assert g is not None and not diags
+
+
 class TestLower:
     def test_wcr_augassign(self):
         g, diags = frontend.compile_source(corpus_source("wcr_sum"))

@@ -4,9 +4,11 @@ between access nodes, and malformed graphs that ``validate`` accepts."""
 import numpy as np
 import pytest
 
+from conftest import KERNEL_SYMBOLS, compile_kernel, corpus_source, make_inputs
 from sdfgkit import frontend
+from sdfgkit.autoopt import auto_optimize
 from sdfgkit.frontend import oracle
-from sdfgkit.interp import ExecContext, InterpOptions, InterpreterError, interpret
+from sdfgkit.interp import ExecContext, InterpOptions, InterpreterError, Machine, interpret
 from sdfgkit.ir import (
     AccessNode, DType, LibKind, LibraryNode, Memlet, NestedSdfg, Sdfg, State, Tasklet,
 )
@@ -200,3 +202,41 @@ def test_each_state_analysed_once_per_run(monkeypatch):
     interpret(g, ctx)
     states = g.states + nested[0].states
     assert sorted(map(id, calls)) == sorted(map(id, states))
+
+
+def test_nested_symbols_derived_once_per_run(monkeypatch):
+    # the callee's free symbols are derived once for the whole run (plus once
+    # inside the outer graph's own free symbols), not on each of its launches
+    g, _ = frontend.compile_source(LOOPED_CALL)
+    callee = [n.sdfg for st in g.states for n in st.nodes.values()
+              if isinstance(n, NestedSdfg)][0]
+    calls = []
+    free_symbols = Sdfg.free_symbols
+    monkeypatch.setattr(Sdfg, "free_symbols",
+                        lambda self: calls.append(self) or free_symbols(self))
+    ctx = ExecContext(bindings={"N": 4}).bind_inputs({"A": np.ones(4), "s": 2.0})
+    out = interpret(g, ctx)
+    assert np.array_equal(out["A"], np.full(4, 16.0))
+    assert [x is callee for x in calls].count(True) == 2
+    assert [x is g for x in calls].count(True) == 1
+
+
+@pytest.mark.parametrize("optimized, states, launches", [(False, 30, 24), (True, 9, 6)])
+@pytest.mark.parametrize("reverse, vectorize", [(False, True), (True, True), (False, False)])
+def test_state_and_map_entry_points(optimized, states, launches, reverse, vectorize,
+                                    monkeypatch):
+    # every state execution goes through Machine.exec_state and every map
+    # launch through Machine.exec_map, whether or not a state can raise events
+    calls = []
+    for name in ("exec_state", "exec_map"):
+        method = getattr(Machine, name)
+        monkeypatch.setattr(Machine, name, lambda self, *args, _name=name, _method=method:
+                            calls.append(_name) or _method(self, *args))
+    symbols = KERNEL_SYMBOLS["jacobi_1d"]
+    inputs = make_inputs(frontend.parse(corpus_source("jacobi_1d")), symbols, seed=0)
+    g = compile_kernel("jacobi_1d")
+    if optimized:
+        auto_optimize(g)
+    ctx = ExecContext(bindings=dict(symbols)).bind_inputs(inputs)
+    interpret(g, ctx, InterpOptions(reverse_maps=reverse, vectorize=vectorize))
+    assert (calls.count("exec_state"), calls.count("exec_map")) == (states, launches)

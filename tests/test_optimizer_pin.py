@@ -70,6 +70,11 @@ def f(A: f64[N], x: f64):
     if A[0] > x:
         x = 1.0
 """,
+    "condition_whole_array": """
+def f(A: f64[N], B: f64[N], x: f64):
+    if A < x:
+        x = 1.0
+""",
     "map_array_op": """
 def f(A: f64[N], B: f64[N]):
     for i in map[0:N]:
@@ -145,6 +150,7 @@ LOWERED = {
     "branches": "b49ad98b2c4d6a11088214f079df75692fc68969fb4ff755507a677b880c8d51",
     "map_body": "bb42bccde41252ab2f831c54f0131b9da89e469483a1465396eeb00a7119f63c",
     "condition_subscript": "6d105987ed642a2b7fbe81c4927734ec901c615a7479a94a5820d4f25cb2e13e",
+    "condition_whole_array": "5e0ad4bb0381885d328fc6a01f15dcd8e35783aa610fda0f9725b4537c92fd1d",
     "map_array_op": "4257d640c05e9edcb705f90840672b24961654ee0334d5468d5c49e44a0be341",
     "map_sliced_operand": "ae38ba754c09ed30764a66f97c81b7d8d9b69ae09826473edc4a6c2ec415613d",
     "map_whole_array_compare": "4257d640c05e9edcb705f90840672b24961654ee0334d5468d5c49e44a0be341",

@@ -1,10 +1,17 @@
+import copy
+import gc
+import pickle
 import random
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdfgkit import symbolic
+from sdfgkit.ir import Sdfg
+from sdfgkit.serialize import deserialize, serialize
 from sdfgkit.symbolic import (
     Assumptions, Const, FloorDiv, Max, Min, SubsetRange, Sym, SymExpr, Ternary,
     compare, covers, disjoint, parse_expr, parse_subset, simplify, substitute,
@@ -250,3 +257,127 @@ def test_propagate_subset_covers_every_iteration(coeff_off, off, coeff, pb, pe):
     for v in range(pb, pe + 1):
         x = ix.evaluate({"p": v})
         assert x in points
+
+
+# --- interning ------------------------------------------------------------------
+
+# A tree is described by a recipe, so that the same tree can be built twice:
+# ("c", value), ("s", name) or (class, left recipe, right recipe).
+_BINARY = (symbolic.Add, symbolic.Sub, symbolic.Mul, FloorDiv, Min, Max)
+_recipes = st.recursive(
+    st.integers(-4, 6).map(lambda v: ("c", v)) | st.sampled_from("NMij").map(lambda n: ("s", n)),
+    lambda kids: st.tuples(st.sampled_from(_BINARY), kids, kids),
+    max_leaves=8)
+
+
+def _build(r) -> SymExpr:
+    if r[0] == "c":
+        return Const(r[1])
+    if r[0] == "s":
+        return Sym(r[1])
+    return r[0](_build(r[1]), _build(r[2]))
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    value: object
+
+
+@dataclass(frozen=True)
+class _Node:
+    left: object
+    right: object
+
+
+def _mirror(r):
+    """The tree as plain frozen dataclasses, whose hash is structural."""
+    if r[0] in ("c", "s"):
+        return _Leaf(r[1])
+    return _Node(_mirror(r[1]), _mirror(r[2]))
+
+
+def _walk_symbols(e: SymExpr) -> set[str]:
+    if isinstance(e, Sym):
+        return {e.name}
+    if isinstance(e, Const):
+        return set()
+    return _walk_symbols(e.left) | _walk_symbols(e.right)
+
+
+def _canonical(e: SymExpr) -> SymExpr | None:
+    try:
+        return simplify(e)
+    except ZeroDivisionError:
+        return None
+
+
+class TestInterning:
+    @given(_recipes)
+    @settings(max_examples=200, deadline=None)
+    def test_equal_trees_are_one_object(self, r):
+        e = _build(r)
+        assert _build(r) is e
+        assert symbolic.as_expr(_build(r)) is e
+        assert _canonical(_build(r)) is _canonical(e)
+        bindings = {"N": Sym("M") + 1, "i": 2}
+        try:
+            assert substitute(_build(r), bindings) is substitute(e, bindings)
+        except ZeroDivisionError:
+            pass
+        if _canonical(e) is not None:
+            s1, s2 = SubsetRange.make([(e, e, 1)]), SubsetRange.make([(_build(r), _build(r), 1)])
+            assert all(x is y for d1, d2 in zip(s1.dims, s2.dims) for x, y in zip(d1, d2))
+
+    @given(_recipes)
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_builds_the_same_objects(self, r):
+        e = _canonical(_build(r))
+        if e is None:
+            return
+        g = Sdfg("t")
+        for name in "NMij":
+            g.add_symbol(name)
+        g.add_state("a")
+        g.add_state("b")
+        g.add_transition("a", "b", assignments={"k": e})
+        text = serialize(g)
+        first, second = deserialize(text), deserialize(text)
+        assert first.transitions[0].assignments["k"] is second.transitions[0].assignments["k"]
+        assert first.transitions[0].assignments["k"] is e
+
+    @given(_recipes)
+    @settings(max_examples=200, deadline=None)
+    def test_stored_hash_is_structural(self, r):
+        e = _build(r)
+        assert hash(e) == hash(_mirror(r))
+
+    @given(_recipes)
+    @settings(max_examples=200, deadline=None)
+    def test_free_symbols_match_a_tree_walk(self, r):
+        e = _build(r)
+        assert e.free_symbols() == _walk_symbols(e)
+        sub = SubsetRange.make([(0, Sym("N"), 1)] + ([(e, e, 1)] if _canonical(e) else []))
+        want = set().union(*(_walk_symbols(x) for dim in sub.dims for x in dim))
+        assert sub.free_symbols() == want
+
+    def test_interned_ints_keep_rejecting_other_types(self):
+        assert Const(1) is Const(1)
+        for value in (True, 1.0):
+            with pytest.raises(TypeError):
+                Const(value)
+
+    def test_copies_are_the_node(self):
+        e = (N + 1) * M
+        assert copy.copy(e) is e and copy.deepcopy(e) is e
+        assert pickle.loads(pickle.dumps(e)) is e
+        with pytest.raises(AttributeError):
+            e.left = N
+
+    def test_table_is_weak(self):
+        e = symbolic.Add(Sym("held_only_here"), Const(918273645))
+        ref = weakref.ref(e)
+        del e
+        gc.collect()
+        assert ref() is None
+        assert (Sym, "held_only_here") not in symbolic._interned
+        assert (Const, 918273645) not in symbolic._interned

@@ -61,10 +61,11 @@ class SymExpr:
     Nodes are immutable and hash-consed: building a node equal to a live one
     returns that node, so equal expressions are one object and ``==`` is
     ``is``.  Each node keeps its hash, which equals the hash of the tuple of
-    its fields (the hash a frozen dataclass computes), and its free symbols.
-    The table of live nodes holds them weakly."""
+    its fields (the hash a frozen dataclass computes), its free symbols and,
+    once derived, its polynomial (see :func:`_normalize`).  The table of
+    live nodes holds them weakly."""
 
-    __slots__ = ("_hash", "_free", "__weakref__")
+    __slots__ = ("_hash", "_free", "_poly", "__weakref__")
 
     def __add__(self, other) -> SymExpr:
         return Add(self, as_expr(other))
@@ -138,6 +139,7 @@ def _forget(ref: weakref.KeyedRef, table=_interned) -> None:
 def _intern(node: SymExpr, key: tuple, h: int, free: frozenset[str]) -> None:
     _setfield(node, "_hash", h)
     _setfield(node, "_free", free)
+    _setfield(node, "_poly", None)
     _interned[key] = weakref.KeyedRef(node, _forget, key)
 
 
@@ -346,6 +348,23 @@ def _poly_const(p: dict) -> int | None:
 
 
 def _normalize(e: SymExpr) -> dict:
+    """``e`` as a polynomial, monomial -> coefficient.  Kept on the node, so
+    callers must not change it; an atom's polynomial names the node itself
+    and is derived anew, which keeps nodes free of reference cycles."""
+    poly = e._poly
+    if poly is None:
+        poly = _polynomial(e)
+        if (e,) not in poly:
+            _setfield(e, "_poly", poly)
+    return poly
+
+
+def _difference(a: SymExpr, b: SymExpr) -> dict:
+    """The polynomial of ``a - b``, without building that node."""
+    return _poly_add(_normalize(a), _poly_scale(_normalize(b), -1))
+
+
+def _polynomial(e: SymExpr) -> dict:
     if isinstance(e, Const):
         return {(): e.value} if e.value != 0 else {}
     if isinstance(e, Sym):
@@ -353,7 +372,7 @@ def _normalize(e: SymExpr) -> dict:
     if isinstance(e, Add):
         return _poly_add(_normalize(e.left), _normalize(e.right))
     if isinstance(e, Sub):
-        return _poly_add(_normalize(e.left), _poly_scale(_normalize(e.right), -1))
+        return _difference(e.left, e.right)
     if isinstance(e, Mul):
         return _poly_mul(_normalize(e.left), _normalize(e.right))
     if isinstance(e, FloorDiv):
@@ -498,7 +517,7 @@ def _poly_interval(poly: dict, a: Assumptions):
 
 def compare(lhs: SymExpr | int, rhs: SymExpr | int, a: Assumptions) -> Ternary:
     """Decide ``lhs <= rhs`` for all bindings satisfying the assumptions."""
-    diff = _normalize(Sub(as_expr(lhs), as_expr(rhs)))
+    diff = _difference(as_expr(lhs), as_expr(rhs))
     c = _poly_const(diff)
     if c is not None:
         return Ternary.TRUE if c <= 0 else Ternary.FALSE
@@ -649,7 +668,7 @@ def _dim_covers(outer, inner, a: Assumptions) -> Ternary:
         stride_ok = Ternary.TRUE
     else:
         osc = _poly_const(_normalize(os))
-        off = _poly_const(_normalize(Sub(ib, ob)))
+        off = _poly_const(_difference(ib, ob))
         isc = _poly_const(_normalize(istride))
         if osc is not None and off is not None and isc is not None and osc >= 1:
             stride_ok = Ternary.TRUE if (off % osc == 0 and isc % osc == 0) else Ternary.UNKNOWN
@@ -702,7 +721,7 @@ def _dim_disjoint(d1, d2, a: Assumptions) -> Ternary:
         return Ternary.TRUE
     # Congruence separation: offsets differ modulo gcd of constant strides.
     s1c, s2c = _poly_const(_normalize(s1)), _poly_const(_normalize(s2))
-    off = _poly_const(_normalize(Sub(b1, b2)))
+    off = _poly_const(_difference(b1, b2))
     if s1c is not None and s2c is not None and off is not None:
         g = math.gcd(s1c, s2c)
         if g > 1 and off % g != 0:
@@ -718,7 +737,7 @@ def _dim_disjoint(d1, d2, a: Assumptions) -> Ternary:
                 ob, oe, ostride = other
                 inside = t_and(compare(ob, pb, a), compare(pb, oe, a))
                 osc = _poly_const(_normalize(ostride))
-                offp = _poly_const(_normalize(Sub(pb, ob)))
+                offp = _poly_const(_difference(pb, ob))
                 aligned = (
                     Ternary.TRUE
                     if osc == 1 or (osc is not None and offp is not None and offp % osc == 0)

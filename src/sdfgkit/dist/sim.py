@@ -109,7 +109,6 @@ class RankSim:
         self.ranks: list[_Rank] = []
         # every rank runs the same graph: it is validated once, and each
         # state's snapshot is taken once, for all of them
-        shared = None
         for r in range(n):
             rctx = ExecContext(
                 bindings={**ctx.bindings, **(bindings[r] if bindings else {})},
@@ -117,7 +116,8 @@ class RankSim:
                 rank=r,
             )
             m = Machine(g, rctx)
-            shared = m._shared = shared or m._shared
+            if self.ranks:
+                m._shared = self.ranks[0].machine._shared
             if local and r != 0:
                 m.rank_local = local
             self.ranks.append(_Rank(r, m, m.run()))

@@ -367,7 +367,6 @@ class Machine:
             facts = self._shared.facts[state] = state.facts()
         plan = _StatePlan(facts)
         plan.top = self._scope_steps(plan, None, facts.scopes[None])
-        plan.events = None in plan.event_scopes
         return plan
 
     def _plan_map(self, plan: "_StatePlan", scope: MapEntry) -> "_MapPlan":
@@ -622,6 +621,7 @@ def _drive(steps: list[Callable], env) -> Iterator[CommEvent]:
 
 
 def _drive_points(points, names, steps, env, counters: Counters) -> Iterator[CommEvent]:
+    """:meth:`Machine._run_points` for a scope that can raise events."""
     for point in points:
         env.update(zip(names, point))
         counters.map_iterations += 1
@@ -646,15 +646,16 @@ def _event_scopes(facts: StateFacts) -> frozenset:
 
 class _StatePlan:
     """A state's snapshot and its edges indexed by node id (in edge order),
-    the steps of its top level, the scopes that can raise events and the
-    :class:`_MapPlan` of each map launched so far.  A step takes the
-    environment and returns None or an iterable of events."""
+    the steps of its top level, the scopes that can raise events (``events``:
+    whether the top level can) and the :class:`_MapPlan` of each map
+    launched so far.  A step takes the environment and returns None or an
+    iterable of events."""
 
     def __init__(self, facts: StateFacts):
         self.facts, self.state = facts, facts.state
         self.ins, self.outs = facts.ins, facts.outs
         self.event_scopes = _event_scopes(facts)
-        self.events = False
+        self.events = None in self.event_scopes
         self.top: list[Callable] = []
         self.maps: dict[int, _MapPlan] = {}
 

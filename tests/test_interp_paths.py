@@ -10,7 +10,8 @@ from sdfgkit.autoopt import auto_optimize
 from sdfgkit.frontend import oracle
 from sdfgkit.interp import ExecContext, InterpOptions, InterpreterError, Machine, interpret
 from sdfgkit.ir import (
-    AccessNode, DType, LibKind, LibraryNode, Memlet, NestedSdfg, Sdfg, State, Tasklet,
+    AccessNode, DType, LibKind, LibraryNode, MapEntry, MapExit, Memlet, NestedSdfg, Sdfg,
+    State, Tasklet,
 )
 from sdfgkit.symbolic import Const, Sym, SubsetRange
 from sdfgkit.texpr import parse_texpr
@@ -240,3 +241,40 @@ def test_state_and_map_entry_points(optimized, states, launches, reverse, vector
     ctx = ExecContext(bindings=dict(symbols)).bind_inputs(inputs)
     interpret(g, ctx, InterpOptions(reverse_maps=reverse, vectorize=vectorize))
     assert (calls.count("exec_state"), calls.count("exec_map")) == (states, launches)
+
+
+def _nested_in_map_graph() -> Sdfg:
+    """``B[i] = 2 * A[i] + i`` for i in 0..3, each point a launch of a
+    nested graph inside a map, whose scope can therefore raise events."""
+    inner = Sdfg("double")
+    inner.add_symbol("k", 0)
+    inner.add_array("X", DType.F64, (Const(1),))
+    inner.add_array("Y", DType.F64, (Const(1),), transient=True)
+    ist = inner.add_state("s0", start=True)
+    t = ist.add(Tasklet("t", ("x",), ("y",), (("y", parse_texpr("2.0 * x + k")),)))
+    ist.add_edge(ist.add(AccessNode("X")), t, Memlet("X", SubsetRange.point([0])), None, "x")
+    ist.add_edge(t, ist.add(AccessNode("Y")), Memlet("Y", SubsetRange.point([0])), "y", None)
+    g = Sdfg("outer")
+    g.add_array("A", DType.F64, (Const(4),))
+    g.add_array("B", DType.F64, (Const(4),))
+    st = g.add_state("s0", start=True)
+    entry = st.add(MapEntry((("i", (Const(0), Const(3), Const(1))),)))
+    exit_ = st.add(MapExit(entry))
+    call = st.add(NestedSdfg(inner, {"k": Sym("i")}))
+    whole = SubsetRange.make([(0, 3, 1)])
+    st.add_edge(st.add(AccessNode("A")), entry, Memlet("A", whole))
+    st.add_edge(entry, call, Memlet("A", SubsetRange.point([Sym("i")])), dst_conn="X")
+    st.add_edge(call, exit_, Memlet("B", SubsetRange.point([Sym("i")])), src_conn="Y")
+    st.add_edge(exit_, st.add(AccessNode("B")), Memlet("B", whole))
+    return g
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_nested_graph_inside_a_map(reverse):
+    g = _nested_in_map_graph()
+    assert not [d for d in g.validate() if d.severity == "error"]
+    a = np.array([1.0, -2.0, 0.5, 3.0])
+    ctx = ExecContext().bind_inputs({"A": a, "B": np.zeros(4)})
+    out = interpret(g, ctx, InterpOptions(reverse_maps=reverse))
+    assert np.array_equal(out["B"], 2.0 * a + np.arange(4.0))
+    assert ctx.counters.map_iterations == 4

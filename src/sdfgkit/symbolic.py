@@ -100,13 +100,7 @@ class SymExpr:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field '{name}'")
 
-    def __copy__(self) -> SymExpr:
-        return self
-
-    def __deepcopy__(self, memo) -> SymExpr:
-        return self
-
-    def __reduce__(self):
+    def __reduce__(self):  # copies and unpickled nodes are interned too
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def __repr__(self) -> str:

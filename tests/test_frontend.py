@@ -118,7 +118,6 @@ class TestDesugar:
         assert g is None
         assert [d.message for d in diags] == ["array-valued operation inside a map body"]
 
-
     @pytest.mark.parametrize("cond, col", [
         ("A < x", 8), ("x < A", 12), ("not A", 12), ("x > 0.0 and A < x", 20),
         ("A + 1.0 < x", 10), ("A[0:2] < x", 8),

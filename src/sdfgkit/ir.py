@@ -206,7 +206,7 @@ class MapEntry(Node):
 
     @property
     def param_names(self) -> tuple[str, ...]:
-        return tuple([p for p, _ in self.params])
+        return tuple(p for p, _ in self.params)
 
 
 @dataclass(eq=False)

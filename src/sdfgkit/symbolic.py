@@ -126,6 +126,8 @@ _setfield = object.__setattr__
 
 
 def _forget(ref: weakref.KeyedRef, table=_interned) -> None:
+    # the table is bound as a default, so that a node freed while the
+    # interpreter exits still finds it; the key may name a newer node
     if table.get(ref.key) is ref:
         del table[ref.key]
 

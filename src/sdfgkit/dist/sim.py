@@ -107,8 +107,9 @@ class RankSim:
         local = frozenset(k for k, d in g.containers.items()
                           if d.storage is Storage.DISTRIBUTED_LOCAL)
         self.ranks: list[_Rank] = []
-        # every rank runs the same graph: it is validated once, and each
-        # state's snapshot is taken once, for all of them
+        # every rank runs the same graph: the machines take its program from
+        # the interpreter's table, so it is validated once, and ranks with
+        # equal container shapes and rank sets share one program
         for r in range(n):
             rctx = ExecContext(
                 bindings={**ctx.bindings, **(bindings[r] if bindings else {})},
@@ -116,8 +117,6 @@ class RankSim:
                 rank=r,
             )
             m = Machine(g, rctx)
-            if self.ranks:
-                m._shared = self.ranks[0].machine._shared
             if local and r != 0:
                 m.rank_local = local
             self.ranks.append(_Rank(r, m, m.run()))

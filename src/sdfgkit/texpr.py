@@ -16,17 +16,46 @@ from typing import Callable, Mapping
 
 @dataclass(frozen=True)
 class TExpr:
+    """Base class of scalar expressions.
+
+    Nodes are immutable, so each keeps what it derives: its hash (equal to
+    the hash a frozen dataclass computes from its fields, so the order of
+    sets and dicts of expressions does not move), its text
+    (:func:`to_text`), its negation (:func:`negated`) and the names it
+    reads.  Copies and pickles carry none of these."""
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in _DERIVED}
+
     def free_names(self) -> set[str]:
         # a set filled in the order of the walk, as the walk itself fills it
         return set(self._name_order)
 
     @functools.cached_property
+    def _hash(self) -> int:
+        return hash(tuple(getattr(self, f) for f in self.__match_args__))
+
+    @functools.cached_property
+    def _text(self) -> str:
+        return _render(self, 0)
+
+    @functools.cached_property
+    def _negation(self) -> "TExpr":
+        return _negate(self)
+
+    @functools.cached_property
     def _name_order(self) -> tuple[str, ...]:
         """The names the expression reads, each once, in the order of a
-        walk; kept, since the expression is immutable."""
+        walk."""
         out: dict[str, None] = {}
         _names(self, out)
         return tuple(out)
+
+
+_DERIVED = ("_hash", "_text", "_negation", "_name_order")
 
 
 @dataclass(frozen=True)
@@ -63,6 +92,12 @@ class TSelect(TExpr):
 class TCall(TExpr):
     fn: str  # sqrt exp abs pow min max
     args: tuple[TExpr, ...]
+
+
+# the dataclass decorator gives each node class the hash of its fields;
+# each keeps the base class's, which computes that hash once
+for _cls in (TNum, TRef, TUn, TBin, TSelect, TCall):
+    _cls.__hash__ = TExpr.__hash__
 
 
 _INTRINSICS: dict[str, Callable] = {
@@ -156,33 +191,34 @@ _PREC = {
 
 
 def to_text(e: TExpr) -> str:
-    def render(x: TExpr, parent: int) -> str:
-        if isinstance(x, TNum):
-            if isinstance(x.value, float):
-                s = repr(x.value)
-            else:
-                s = str(x.value)
-            return f"({s})" if (isinstance(x.value, (int, float)) and x.value < 0 and parent > 5) else s
-        if isinstance(x, TRef):
-            return x.name
-        if isinstance(x, TCall):
-            return f"{x.fn}({', '.join(render(a, 0) for a in x.args)})"
-        if isinstance(x, TSelect):
-            body = f"{render(x.cond, 4)} ? {render(x.then, 1)} : {render(x.other, 1)}"
-            return f"({body})" if parent > 0 else body
-        if isinstance(x, TUn):
-            if x.op == "not":
-                body = f"not {render(x.operand, _PREC['not'])}"
-                return f"({body})" if parent > _PREC["not"] else body
-            body = f"-{render(x.operand, _PREC['u-'])}"
-            return f"({body})" if parent > _PREC["u-"] else body
-        if isinstance(x, TBin):
-            p = _PREC[x.op]
-            body = f"{render(x.left, p)} {x.op} {render(x.right, p + 1)}"
-            return f"({body})" if p < parent else body
-        raise TypeError(type(x).__name__)
+    return e._text
 
-    return render(e, 0)
+
+def _render(x: TExpr, parent: int) -> str:
+    if isinstance(x, TNum):
+        if isinstance(x.value, float):
+            s = repr(x.value)
+        else:
+            s = str(x.value)
+        return f"({s})" if (isinstance(x.value, (int, float)) and x.value < 0 and parent > 5) else s
+    if isinstance(x, TRef):
+        return x.name
+    if isinstance(x, TCall):
+        return f"{x.fn}({', '.join(_render(a, 0) for a in x.args)})"
+    if isinstance(x, TSelect):
+        body = f"{_render(x.cond, 4)} ? {_render(x.then, 1)} : {_render(x.other, 1)}"
+        return f"({body})" if parent > 0 else body
+    if isinstance(x, TUn):
+        if x.op == "not":
+            body = f"not {_render(x.operand, _PREC['not'])}"
+            return f"({body})" if parent > _PREC["not"] else body
+        body = f"-{_render(x.operand, _PREC['u-'])}"
+        return f"({body})" if parent > _PREC["u-"] else body
+    if isinstance(x, TBin):
+        p = _PREC[x.op]
+        body = f"{_render(x.left, p)} {x.op} {_render(x.right, p + 1)}"
+        return f"({body})" if p < parent else body
+    raise TypeError(type(x).__name__)
 
 
 _TOK = re.compile(
@@ -316,6 +352,10 @@ def parse_texpr(text: str) -> TExpr:
 
 def negated(e: TExpr) -> TExpr:
     """Structural negation, used for else-branches and loop exits."""
+    return e._negation
+
+
+def _negate(e: TExpr) -> TExpr:
     if isinstance(e, TUn) and e.op == "not":
         return e.operand
     flip = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}

@@ -8,7 +8,7 @@ from sdfgkit.dist import (
 )
 from sdfgkit.dist.benchmark import JACOBI2D_LOCAL_VIEW, build_graph, rank_bindings, run
 from sdfgkit.dist.layout import SCHEME_BLOCK, SCHEME_BLOCK_CYCLIC, block_indices
-from sdfgkit.interp import ExecContext
+from sdfgkit.interp import ExecContext, clear_programs
 from sdfgkit.ir import LibKind, LibraryNode
 
 from conftest import (
@@ -54,7 +54,9 @@ def _run_dist(name, grid_dims, syms=None, seed=31, rank_order=None):
 
 def test_ranks_validate_the_graph_once(monkeypatch):
     """The rank machines of one simulation share one validation (and the
-    snapshots of the states) instead of each validating the graph."""
+    snapshots of the states) instead of each validating the graph.  The
+    table of programs starts empty, as for the graph's first run."""
+    clear_programs()
     syms, grid = DIST_SYMBOLS["gemm"], ProcessGrid((2, 2))
     g = _dist_graph("gemm", grid)
     inputs = make_inputs(frontend.parse(corpus_source("gemm")), syms, seed=31)

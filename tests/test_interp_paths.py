@@ -8,7 +8,9 @@ from conftest import KERNEL_SYMBOLS, compile_kernel, corpus_source, make_inputs
 from sdfgkit import frontend
 from sdfgkit.autoopt import auto_optimize
 from sdfgkit.frontend import oracle
-from sdfgkit.interp import ExecContext, InterpOptions, InterpreterError, Machine, interpret
+from sdfgkit.interp import (
+    ExecContext, InterpOptions, InterpreterError, Machine, clear_programs, interpret,
+)
 from sdfgkit.ir import (
     AccessNode, DType, LibKind, LibraryNode, MapEntry, MapExit, Memlet, NestedSdfg, Sdfg,
     State, Tasklet,
@@ -175,6 +177,8 @@ def main(A: f64[N], s: f64):
 
 @pytest.mark.parametrize("trips", [1, 4])
 def test_nested_graph_validated_once_per_run(trips, monkeypatch):
+    # from an empty table of programs, as every graph's first run
+    clear_programs()
     g, diags = frontend.compile_source(LOOPED_CALL)
     assert g is not None and not [d for d in diags if d.severity == "error"]
     nested = [n.sdfg for st in g.states for n in st.nodes.values() if isinstance(n, NestedSdfg)]
@@ -192,7 +196,8 @@ def test_nested_graph_validated_once_per_run(trips, monkeypatch):
 
 def test_each_state_analysed_once_per_run(monkeypatch):
     # validation and planning share one snapshot of each state, and so do
-    # the four launches of the nested graph
+    # the four launches of the nested graph (from an empty table of programs)
+    clear_programs()
     g, _ = frontend.compile_source(LOOPED_CALL)
     nested = [n.sdfg for st in g.states for n in st.nodes.values() if isinstance(n, NestedSdfg)]
     calls = []
@@ -208,6 +213,8 @@ def test_each_state_analysed_once_per_run(monkeypatch):
 def test_nested_symbols_derived_once_per_run(monkeypatch):
     # the callee's free symbols are derived once for the whole run (plus once
     # inside the outer graph's own free symbols), not on each of its launches
+    # (from an empty table of programs)
+    clear_programs()
     g, _ = frontend.compile_source(LOOPED_CALL)
     callee = [n.sdfg for st in g.states for n in st.nodes.values()
               if isinstance(n, NestedSdfg)][0]

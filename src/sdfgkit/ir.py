@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -965,101 +965,109 @@ def _exhaustive_conditions(conds: Sequence[TExpr]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Structural equality (identity-insensitive, order-sensitive)
+# Content signatures, shared by structural equality and content keys
+#
+# Every field the JSON form holds, as flat tuples of interned values: names,
+# enums, interned expressions and subsets, and tasklet code and conditions as
+# text (which tells 1 from 1.0).  A signature names another node by its
+# entry in ``names``: its key in the state's table in a content key, its
+# position in structural equality; a node the state does not hold names
+# itself.  Signatures are compared, never hashed.
 
 
-def _node_signature(n: Node, pos: Mapping[int, int]):
-    if isinstance(n, AccessNode):
-        return ("access", n.container)
-    if isinstance(n, Tasklet):
-        return ("tasklet", n.name, n.inputs, n.outputs,
-                tuple((c, texpr.to_text(e)) for c, e in n.code))
-    if isinstance(n, MapEntry):
-        return (
-            "map_entry",
-            tuple((p, str(b), str(e), str(s)) for p, (b, e, s) in n.params),
-            n.schedule.value,
-            n.tiled,
-        )
-    if isinstance(n, MapExit):
-        return ("map_exit", pos[n.entry.nid])
-    if isinstance(n, LibraryNode):
-        return ("library", n.kind.value, n.name, _attr_sig(n.attributes))
-    if isinstance(n, NestedSdfg):
-        return ("nested", tuple(sorted((k, str(v)) for k, v in n.symbol_map.items())))
+def _unknown_node(n: Node, names: dict) -> tuple:
     raise TypeError(type(n).__name__)
 
 
-def _attr_sig(attrs: Mapping) -> tuple:
-    out = []
-    for k in sorted(attrs):
-        v = attrs[k]
-        if isinstance(v, SymExpr):
-            v = str(v)
-        elif isinstance(v, (list, tuple)):
-            v = tuple(str(x) if isinstance(x, SymExpr) else x for x in v)
-        out.append((k, v))
+def _attr_sig(v):
+    """A library attribute as a signature: dicts by their sorted items,
+    lists and tuples alike by their items (the JSON form keeps no tuple),
+    any other value with its type, so that 1, 1.0 and True differ."""
+    if isinstance(v, dict):
+        return (dict, tuple((k, _attr_sig(v[k])) for k in sorted(v)))
+    if isinstance(v, (list, tuple)):
+        return (tuple, tuple(_attr_sig(x) for x in v))
+    return (type(v), v)
+
+
+# each node type's signature: its fields after a tag that fixes how many
+# follow (a nested graph's own content is left to the caller)
+_NODE_SIGNATURES: dict[type, Callable] = {
+    AccessNode: lambda n, names: ("access", n.container),
+    Tasklet: lambda n, names: ("tasklet", n.name, n.inputs, n.outputs, len(n.code),
+                               *[y for c, x in n.code for y in (c, texpr.to_text(x))]),
+    MapEntry: lambda n, names: ("map_entry", n.params, n.schedule, n.tiled),
+    MapExit: lambda n, names: ("map_exit", names.get(n.entry, n.entry)),
+    LibraryNode: lambda n, names: ("library", n.kind, n.name, _attr_sig(n.attributes)),
+    NestedSdfg: lambda n, names: ("nested", tuple(sorted(n.symbol_map.items()))),
+}
+
+
+def _edge_signature(e: Edge, names: dict) -> tuple:
+    m = e.memlet
+    src, dst = names.get(e.src, e.src), names.get(e.dst, e.dst)
+    if m is None:
+        return (src, dst, e.src_conn, e.dst_conn, None)
+    return (src, dst, e.src_conn, e.dst_conn, m.container, m.wcr, m.volume, m.subset.dims)
+
+
+def _graph_signature(g: Sdfg) -> tuple:
+    """Every field of ``g`` outside its states."""
+    return (
+        g.name, g.start, tuple(sorted(g.symbols.items())),
+        tuple([(k, d.name, d.dtype, d.shape, d.kind, d.transient, d.lifetime, d.storage)
+               for k, d in g.containers.items()]),
+        tuple([(t.src, t.dst, None if t.condition is None else texpr.to_text(t.condition),
+                tuple(t.assignments.items())) for t in g.transitions]),
+    )
+
+
+def content_key(g: Sdfg) -> tuple:
+    """An exact key of ``g``'s content, for tables that share work between
+    equal graphs: two graphs have equal keys exactly when every field their
+    JSON forms hold is equal and their node ids are too.  Each state is one
+    flat tuple (its label, node count, each node's place in the state's
+    table, id and signature, then each edge's), which keeps the objects a
+    table of keys holds few, so that garbage collection has little to walk;
+    a nested graph's key follows its node's signature.  Raises what a
+    malformed graph makes a signature raise (``TypeError`` for a node of
+    another type)."""
+    return (_graph_signature(g), tuple([_state_key(st) for st in g.states]))
+
+
+def _state_key(st: State) -> tuple:
+    nodes = st.nodes
+    names = {n: k for k, n in nodes.items()}
+    out = [st.label, len(nodes)]
+    for k, n in nodes.items():
+        out += (k, n.nid)
+        out += _NODE_SIGNATURES.get(type(n), _unknown_node)(n, names)
+        if type(n) is NestedSdfg:
+            out.append(content_key(n.sdfg))
+    for e in st.edges:
+        out += _edge_signature(e, names)
     return tuple(out)
 
 
-def _memlet_sig(m: Memlet | None):
-    if m is None:
-        return None
-    return (m.container, str(m.subset), m.wcr.value if m.wcr else None, str(m.volume))
+def _state_signature(st: State) -> tuple[tuple, list[Sdfg]]:
+    """The state with its nodes by position (in id order) instead of id, and
+    its nested graphs."""
+    nodes = st.sorted_nodes()
+    pos = {n: i for i, n in enumerate(nodes)}
+    out = [st.label, len(nodes)]
+    for n in nodes:
+        out += _NODE_SIGNATURES.get(type(n), _unknown_node)(n, pos)
+    for e in st.edges:
+        out += _edge_signature(e, pos)
+    return tuple(out), [n.sdfg for n in nodes if type(n) is NestedSdfg]
 
 
 def structural_eq(a: Sdfg, b: Sdfg) -> bool:
     """Field-by-field comparison ignoring raw node-id values."""
-    if a.name != b.name or a.start != b.start or a.symbols != b.symbols:
-        return False
-    if list(a.containers) != list(b.containers):
-        return False
-    for name in a.containers:
-        da, db = a.containers[name], b.containers[name]
-        if (da.dtype, da.kind, da.transient, da.lifetime, da.storage) != (
-            db.dtype, db.kind, db.transient, db.lifetime, db.storage,
-        ):
-            return False
-        if tuple(map(str, da.shape)) != tuple(map(str, db.shape)):
-            return False
-    if len(a.states) != len(b.states):
+    if _graph_signature(a) != _graph_signature(b) or len(a.states) != len(b.states):
         return False
     for sa, sb in zip(a.states, b.states):
-        if sa.label != sb.label:
+        (sig_a, nested_a), (sig_b, nested_b) = _state_signature(sa), _state_signature(sb)
+        if sig_a != sig_b or not all(map(structural_eq, nested_a, nested_b)):
             return False
-        na, nb = sa.sorted_nodes(), sb.sorted_nodes()
-        if len(na) != len(nb):
-            return False
-        pos_a = {n.nid: i for i, n in enumerate(na)}
-        pos_b = {n.nid: i for i, n in enumerate(nb)}
-        for x, y in zip(na, nb):
-            if isinstance(x, NestedSdfg) != isinstance(y, NestedSdfg):
-                return False
-            if isinstance(x, NestedSdfg):
-                if _node_signature(x, pos_a) != _node_signature(y, pos_b):
-                    return False
-                if not structural_eq(x.sdfg, y.sdfg):
-                    return False
-            elif _node_signature(x, pos_a) != _node_signature(y, pos_b):
-                return False
-        ea = [
-            (pos_a[e.src.nid], pos_a[e.dst.nid], e.src_conn, e.dst_conn, _memlet_sig(e.memlet))
-            for e in sa.edges
-        ]
-        eb = [
-            (pos_b[e.src.nid], pos_b[e.dst.nid], e.src_conn, e.dst_conn, _memlet_sig(e.memlet))
-            for e in sb.edges
-        ]
-        if ea != eb:
-            return False
-    ta = [
-        (t.src, t.dst, texpr.to_text(t.condition) if t.condition else None,
-         tuple((k, str(v)) for k, v in t.assignments.items()))
-        for t in a.transitions
-    ]
-    tb = [
-        (t.src, t.dst, texpr.to_text(t.condition) if t.condition else None,
-         tuple((k, str(v)) for k, v in t.assignments.items()))
-        for t in b.transitions
-    ]
-    return ta == tb
+    return True

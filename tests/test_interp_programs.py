@@ -23,10 +23,10 @@ from sdfgkit.dist import ProcessGrid, distribution_pipeline, sim_run
 from sdfgkit.interp import (
     ExecContext, InterpOptions, InterpreterError, Machine, clear_programs, interpret,
 )
-from sdfgkit.ir import DType, NestedSdfg, Sdfg, Tasklet
+from sdfgkit.ir import AccessNode, DType, Memlet, NestedSdfg, Sdfg, Tasklet, content_key
 from sdfgkit.serialize import deserialize, serialize
-from sdfgkit.symbolic import Sym
-from sdfgkit.texpr import TNum, parse_texpr
+from sdfgkit.symbolic import Const, SubsetRange, Sym
+from sdfgkit.texpr import TBin, TNum, TRef, parse_texpr
 
 LOOPED_CALL = """
 def scale(X: f64[N], a: f64):
@@ -303,6 +303,28 @@ def test_warm_table_gives_cold_results(name, monkeypatch):
             assert plans.none
             monkeypatch.undo()
             assert_same(warm, cold)
+
+
+def test_graph_without_a_key_runs_unshared():
+    """A graph that has no content key, here because a tasklet in a state
+    that never runs has an operator no text renders, still runs; it is
+    validated on each run and never enters the table."""
+    clear_programs()
+    g = Sdfg("bad_operator")
+    g.add_array("A", DType.F64, (Const(4),))
+    g.add_array("B", DType.F64, (Const(4),))
+    for label, code in (("s0", parse_texpr("x")), ("never", TBin("%%", TRef("x"), TNum(1)))):
+        st = g.add_state(label)
+        a, b = st.add(AccessNode("A")), st.add(AccessNode("B"))
+        t = st.add(Tasklet("t", ("x",), ("y",), (("y", code),)))
+        st.add_edge(a, t, Memlet("A", SubsetRange.point([0])), None, "x")
+        st.add_edge(t, b, Memlet("B", SubsetRange.point([0])), "y", None)
+    with pytest.raises(KeyError):
+        content_key(g)
+    for _ in range(2):
+        out, _ = run(g, {}, {"A": np.arange(1.0, 5.0), "B": np.zeros(4)})
+        assert out["B"].tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert not interp._GRAPHS
 
 
 def test_stale_persistent_array_is_reported():

@@ -7,8 +7,9 @@ from sdfgkit.autoopt import auto_optimize
 from sdfgkit.ir import (
     AccessNode, DataDescriptor, DataKind, DType, LibKind, LibraryNode, MapEntry,
     MapExit, Memlet, NestedSdfg, Node, Schedule, Sdfg, State, StateFacts, Tasklet, Wcr,
-    race_free, structural_eq, validate,
+    content_key, race_free, structural_eq, validate,
 )
+from sdfgkit.serialize import deserialize, serialize
 from sdfgkit.symbolic import Const, SubsetRange, Sym
 from sdfgkit.texpr import TBin, TNum, TRef
 
@@ -237,6 +238,58 @@ class TestScopes:
         assert structural_eq(g1, g2)
         g2.states[0].label = "other"
         assert not structural_eq(g1, g2)
+
+    def test_content_key_shares_structural_eqs_fields(self):
+        """``content_key`` and ``structural_eq`` read one signature of each
+        field: a change one of them sees, the other sees too, and only the
+        key tells a renumbered copy from the graph."""
+
+        def nodes(graph, kind):
+            return [n for st in graph.states for n in st.nodes.values() if isinstance(n, kind)]
+
+        g = compile_kernel("gemm")
+        auto_optimize(g)
+        t = nodes(g, Tasklet)[0]
+        t.code = tuple((c, TBin("*", TNum(2), x)) for c, x in t.code)
+        nodes(g, LibraryNode)[0].attributes["alpha"] = 1
+        ids = [n.nid for st in g.states for n in st.sorted_nodes()]
+        renumbered = deserialize(serialize(g))
+        assert ids != [n.nid for st in renumbered.states for n in st.sorted_nodes()]
+        assert structural_eq(renumbered, g) and content_key(renumbered) != content_key(g)
+        assert content_key(g.copy()) == content_key(g)
+
+        def tasklet_constant(twin):  # an equal value, but other code
+            t = nodes(twin, Tasklet)[0]
+            t.code = tuple((c, TBin("*", TNum(2.0), x.right)) for c, x in t.code)
+
+        def attribute_type(twin):  # an equal value of another type
+            nodes(twin, LibraryNode)[0].attributes["alpha"] = 1.0
+
+        def subset(twin):
+            e = next(e for st in twin.states for e in st.edges
+                     if e.memlet is not None and e.memlet.subset.dims)
+            e.memlet = Memlet(e.memlet.container, SubsetRange.make(
+                [(b + 1, x + 1, s) for b, x, s in e.memlet.subset.dims]))
+
+        def edge_end(twin):  # an edge moved to another access node of its container
+            st = twin.states[0]
+            first, second = [n for n in st.nodes.values()
+                             if isinstance(n, AccessNode) and n.container == "C"]
+            e = next(e for e in st.edges if first in (e.src, e.dst))
+            e.src, e.dst = (second if e.src is first else e.src,
+                            second if e.dst is first else e.dst)
+
+        def descriptor(twin):
+            twin.containers["A"].dtype = DType.I64
+
+        def symbol_bound(twin):
+            twin.symbols["NI"] += 1
+
+        for edit in (tasklet_constant, attribute_type, subset, edge_end, descriptor,
+                     symbol_bound):
+            twin = g.copy()
+            edit(twin)
+            assert not structural_eq(twin, g) and content_key(twin) != content_key(g), edit
 
 
 def quadratic_topological(st: State) -> list:

@@ -943,12 +943,24 @@ def auto_optimize(g: Sdfg, stack_limit_bytes: int = 4096) -> PassReport:
     _snapshot(g, report, before=True)
     for stage in pipeline_stages(g, stack_limit_bytes).values():
         report.merge(stage())
+    # number the nodes as the JSON form does, so that the optimized graph and
+    # its round trip have one content key (one program in the interpreter)
+    _renumber(g)
     errors = [d for d in g.validate() if d.severity == "error"]
     if errors:
         raise ValueError("optimized graph no longer validates: "
                          + "; ".join(d.message for d in errors))
     _snapshot(g, report, before=False)
     return report
+
+
+def _renumber(g: Sdfg) -> None:
+    """Renumber the nodes of every state of ``g`` and of its nested graphs."""
+    for st in g.states:
+        st.renumber()
+        for node in st.nodes.values():
+            if isinstance(node, NestedSdfg):
+                _renumber(node.sdfg)
 
 
 def needs_specialization(g: Sdfg) -> bool:

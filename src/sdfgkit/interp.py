@@ -5,8 +5,11 @@ schedule), so results are bitwise reproducible and usable as golden oracles.
 A graph is validated and its per-node work compiled (memlet accesses with
 their bounds checks, tasklet bodies, map ranges, transitions) once per
 content, container shapes and options, into a :class:`Program` kept in a
-table of programs; each run links the compiled functions to its own store
-and counters and then only calls them (see :func:`compile`).  A map whose body is tasklets over affine point memlets
+table of programs (see :func:`compile`).  The compiled functions are built
+once per program and never rebound: each takes the run's environment, which
+holds the run's store arrays, counters and machine under keys no name can
+equal, so a run only calls them.  A map whose body is tasklets over affine
+point memlets
 (and possibly inner maps of such tasklets and reductions of what they
 write) also gets a vector launch that runs all its points at once with
 NumPy slices, equal bit for bit to the point-by-point order (see
@@ -24,13 +27,13 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from . import ir, symbolic, texpr
 from .ir import (
-    COMM_KINDS, AccessNode, DataKind, DType, Edge, InterstateEdge, LibKind, LibraryNode,
+    COMM_KINDS, AccessNode, DataKind, DType, Edge, LibKind, LibraryNode,
     Lifetime, MapEntry, MapExit, Memlet, NestedSdfg, Sdfg, State, StateFacts, Tasklet, Wcr,
 )
 from .symbolic import SubsetRange, SymExpr
@@ -252,21 +255,21 @@ class Machine:
     """One logical execution of a graph (one rank, in the simulator).
 
     :meth:`prepare` takes the graph's :class:`Program` from the table of
-    programs (see :func:`compile`) and fills the run's store.  The program
+    programs (see :func:`compile`), fills the run's store and puts each
+    store array and the counters into the run's environment, the symbol
+    table; :meth:`run` adds the machine itself while it runs.  The program
     keeps every plan across runs: a state is planned on its first execution
     (its edges are indexed by node, and every node that does work becomes
     a step: a compiled tasklet, a copy, a library call, a map launch), and
-    each map on its first launch.  The machine links what it runs to its
-    own store, counters and graph (see :class:`_Code`): a state's steps and
-    transitions on the state's first execution in this run, and a map on
-    its first launch.  Executing a map point then only calls compiled
-    code."""
+    each map on its first launch.  A step reads what it needs of the run
+    from the environment it is called with, so executing a map point only
+    calls compiled code."""
 
     def __init__(self, g: Sdfg, ctx: ExecContext, options: InterpOptions | None = None):
         self.g = g
         self.ctx = ctx
         self.opt = options or InterpOptions()
-        self.sym: dict[str, int] = {}
+        self.sym: dict = {}
         self.store: dict[str, np.ndarray] = {}
         self.program: Program | None = None
         # the table's entry for the graph; the machine of a nested graph is
@@ -274,21 +277,11 @@ class Machine:
         self._entry: _Graph | None = None
         # the state snapshots that validation took or planning needed
         self._facts_of: dict[State, StateFacts] = {}
-        self._accessors: dict[tuple, tuple[Memlet, Callable]] = {}
         # Set by the rank simulator on the non-root ranks of a global-view
         # program: the containers this rank holds.  Top-level steps whose
         # memlets touch none of them are dropped, and missing inputs get a
         # placeholder.
         self.rank_local: frozenset[str] | None = None
-
-    @property
-    def _plans(self) -> dict[int, "_PlanView"]:
-        """The program's state plans by state index, each with this run's
-        state (a plan keeps no graph) and its map plans by entry id."""
-        if self.program is None:
-            return {}
-        return {i: _PlanView(self.g.states[i], plan.maps)
-                for i, plan in self.program.plans.items()}
 
     # -- setup -----------------------------------------------------------------
 
@@ -330,6 +323,11 @@ class Machine:
                 self.store[name] = arr
             else:
                 self.store[name] = np.zeros(shape, dtype=desc.dtype.np)
+        # the store is never rebound after this (every write is in place), so
+        # the environment holds the run's arrays for the whole run
+        for name, arr in self.store.items():
+            self.sym[_array(name)] = arr
+        self.sym[_COUNTERS] = ctx.counters
         self.program = program
 
     def outputs(self) -> dict[str, np.ndarray]:
@@ -343,141 +341,96 @@ class Machine:
 
     def run(self) -> Iterator[CommEvent]:
         self.prepare()
-        sym = self.sym
-        linked: dict[str, tuple] = {}
-        current = self.g.start
-        steps = 0
-        while current is not None:
-            here = linked.get(current)
-            if here is None:
-                here = linked[current] = self._link_state(current)
-            events = self.exec_state(here)
-            if events:
-                yield from events
-            transitions = here[2]
-            if not transitions:
-                break
-            nxt = None
-            for holds, assignments, dst in transitions:
-                if holds is None or holds(sym):
-                    for k, fn in assignments:
-                        sym[k] = fn(sym)
-                    nxt = dst
+        sym, program = self.sym, self.program
+        # the machine is in its environment only while it runs, so that no
+        # reference cycle outlives the run and keeps its arrays
+        sym[_MACHINE] = self
+        try:
+            current = self.g.start
+            steps = 0
+            while current is not None:
+                plan = program.plans.get(current)
+                if plan is None:
+                    i = program.index.get(current)
+                    if i is None:
+                        raise KeyError(f"no state '{current}'")
+                    plan = program.plans[current] = self._plan_state(i)
+                events = self.exec_state(plan)
+                if events:
+                    yield from events
+                if not plan.leaving:
                     break
-            if nxt is None:
-                raise InterpreterError(f"no transition taken out of state '{current}'")
-            current = nxt
-            steps += 1
-            if steps > MAX_TRANSITIONS:
-                raise InterpreterError("transition budget exceeded (infinite loop?)")
-
-    # -- linking -------------------------------------------------------------------
-
-    def _link(self, fn):
-        """``fn`` linked to this run: a :class:`_Code` is made with its slots
-        filled from this run and its own codes linked; anything else is
-        returned as it is."""
-        if type(fn) is not _Code:
-            return fn
-        args = list(fn.values)
-        for i in fn.links:
-            v = args[i]
-            if type(v) is _Code:
-                args[i] = self._link(v)
-            elif v is _COUNTERS:
-                args[i] = self.ctx.counters
-            elif v is _MACHINE:
-                args[i] = self
-            else:
-                args[i] = self.store[v.name]
-        return fn.make(*args)
-
-    def _link_state(self, label: str) -> tuple:
-        """State ``label`` linked to this run: whether its top level can
-        raise events, its top-level steps and the transitions that leave
-        it, as ``(condition, assignments, destination)``.  The state is
-        planned first if no run has executed it yet."""
-        program = self.program
-        i = program.index.get(label)
-        if i is None:
-            raise KeyError(f"no state '{label}'")
-        plan = program.plans.get(i)
-        if plan is None:
-            plan = program.plans[i] = self._plan_state(i)
-        transitions = [(self._link(t.holds), t.assignments, t.dst)
-                       for t in program.leaving.get(label, ())]
-        return plan.events, [self._link(fn) for fn in plan.top], transitions
-
-    def _link_map(self, launch: "_Launch") -> None:
-        """Link ``launch`` to its map's plan, planning the map first if no
-        run has launched it yet."""
-        plan = launch.plan
-        mp = plan.maps.get(launch.nid)
-        if mp is None:
-            mp = plan.maps[launch.nid] = self._plan_map(plan, launch.nid)
-        launch.map, launch.vector = mp, self._link(mp.vector)
+                nxt = None
+                for holds, assignments, dst in plan.leaving:
+                    if holds is None or holds(sym):
+                        for k, fn in assignments:
+                            sym[k] = fn(sym)
+                        nxt = dst
+                        break
+                if nxt is None:
+                    raise InterpreterError(f"no transition taken out of state '{current}'")
+                current = nxt
+                steps += 1
+                if steps > MAX_TRANSITIONS:
+                    raise InterpreterError("transition budget exceeded (infinite loop?)")
+        finally:
+            del sym[_MACHINE]
 
     # -- data movement -------------------------------------------------------------
 
-    def _accessor(self, m: Memlet, mode: str, state: str, nid: int) -> "_Code":
+    def _accessor(self, m: Memlet, mode: str, state: str, nid: int) -> Callable:
         """The compiled accessor of ``m`` in ``mode`` (see
         :func:`_compile_access`)."""
         return _compile_access(m, mode, self.program.shapes[m.container],
                                self.g.containers[m.container].dtype.nbytes, state, nid)
 
     def _access(self, m: Memlet, mode: str, state: str, nid: int) -> Callable:
-        """:meth:`_accessor` linked to this run, for communication events.
-        The program keeps the accessor by what it reads, and the machine the
-        linked one by memlet, holding ``m`` so that its id stays unique."""
-        key = (id(m), mode)
-        hit = self._accessors.get(key)
-        if hit is None:
-            kept = self.program.accessors
-            reads = (state, nid, mode, m.container, m.subset.dims, m.wcr)
-            code = kept.get(reads)
-            if code is None:
-                code = kept[reads] = self._accessor(m, mode, state, nid)
-            hit = self._accessors[key] = (m, self._link(code))
-        return hit[1]
+        """:meth:`_accessor`, for communication events: the program keeps
+        it by what it reads."""
+        kept = self.program.accessors
+        reads = (state, nid, mode, m.container, m.subset.dims, m.wcr)
+        fn = kept.get(reads)
+        if fn is None:
+            fn = kept[reads] = self._accessor(m, mode, state, nid)
+        return fn
 
     # -- state execution -------------------------------------------------------------
 
-    def exec_state(self, state: tuple) -> Iterable[CommEvent]:
-        """Execute one state, linked to this run (see :meth:`_link_state`).
-        A state that can reach a communication node returns a generator of
-        its events, which runs the state as it is driven; any other state
-        runs at once and returns ``()``.  The state's environment is the
-        symbol table, which no step writes and no transition changes before
-        the state is done."""
-        events, top, _ = state
+    def exec_state(self, plan: "_StatePlan") -> Iterable[CommEvent]:
+        """Execute one state by its plan.  A state that can reach a
+        communication node returns a generator of its events, which runs the
+        state as it is driven; any other state runs at once and returns
+        ``()``.  The state's environment is the symbol table, which no step
+        writes and no transition changes before the state is done."""
         env = self.sym
-        if events:
-            return _drive(top, env)
-        for fn in top:
+        if plan.events:
+            return _drive(plan.top, env)
+        for fn in plan.top:
             fn(env)
         return ()
 
-    def exec_map(self, launch: "_Launch", env) -> Iterable[CommEvent]:
-        """One launch of a map.  A map with a vector launch runs all its points
-        at once if that launch succeeds; otherwise the scope's steps run once
-        per point.  Returns the events of the per-point steps, as
+    def exec_map(self, plan: "_StatePlan", nid: int, env) -> Iterable[CommEvent]:
+        """One launch of map ``nid`` of ``plan``, planning the map first if
+        no run has launched it yet.  A map with a vector launch runs all its
+        points at once if that launch succeeds; otherwise the scope's steps
+        run once per point.  Returns the events of the per-point steps, as
         :meth:`exec_state` does."""
-        if launch.map is None:
-            self._link_map(launch)
-        if launch.vector is not None and launch.vector(env):
+        mp = plan.maps.get(nid)
+        if mp is None:
+            mp = plan.maps[nid] = self._plan_map(plan, nid)
+        if mp.vector is not None and mp.vector(env):
             return ()
-        return self._run_points(launch, env)
+        return self._run_points(mp, env)
 
-    def _run_points(self, launch: "_Launch", env) -> Iterable[CommEvent]:
+    def _run_points(self, mp: "_MapPlan", env) -> Iterable[CommEvent]:
         """Run the scope's steps once per point, in lexicographic order: at
         once, or as a generator of events if the scope can raise any."""
-        mp = launch.map
         points = itertools.product(*mp.ranges(env))
         if self.opt.reverse_maps:
             points = reversed(list(points))
-        steps = launch.steps
+        steps = mp.steps
         if steps is None:
-            steps = launch.steps = [self._link(fn) for fn in self._map_steps(launch.plan, mp)]
+            steps = self._map_steps(mp)
         names = mp.names
         ienv = dict(env)
         counters = self.ctx.counters
@@ -509,6 +462,11 @@ class Machine:
         facts = self._facts(i)
         plan = _StatePlan(i, facts)
         plan.top = self._scope_steps(facts, plan, None, facts.scopes[None])
+        shapes = self.program.shapes
+        plan.leaving = [
+            (None if t.condition is None else _compile_condition(t.condition, shapes),
+             [(k, _compile_sym(v)) for k, v in t.assignments.items()], t.dst)
+            for t in self.g.transitions if t.src == plan.label]
         return plan
 
     def _plan_map(self, plan: "_StatePlan", nid: int) -> "_MapPlan":
@@ -518,13 +476,14 @@ class Machine:
         facts = self._facts(plan.index)
         scope = facts.state.nodes[nid]
         ranges = _compile_ranges(scope.params)
-        return _MapPlan(nid, ranges, scope.param_names,
+        return _MapPlan(plan, nid, ranges, scope.param_names,
                         self._vector_launch(facts, scope, ranges), nid in plan.event_scopes)
 
-    def _map_steps(self, plan: "_StatePlan", mp: "_MapPlan") -> list:
+    def _map_steps(self, mp: "_MapPlan") -> list:
         """The per-point steps of a map, compiled on its first per-point
         launch."""
         if mp.steps is None:
+            plan = mp.plan
             facts = self._facts(plan.index)
             scope = facts.state.nodes[mp.nid]
             mp.steps = self._scope_steps(facts, plan, scope, facts.scopes[scope])
@@ -543,7 +502,7 @@ class Machine:
         return steps
 
     def _vector_launch(self, facts: StateFacts, scope: MapEntry,
-                       ranges: Callable) -> "_Code | None":
+                       ranges: Callable) -> Callable | None:
         """The map's vector launch (see :func:`_compile_vector`), or None when
         vectorizing is off or the map does not qualify."""
         if not self.opt.vectorize:
@@ -579,7 +538,7 @@ class Machine:
         if isinstance(node, Tasklet):
             return [self._tasklet_step(facts, plan.label, node)]
         if isinstance(node, MapEntry):
-            return [_Code(_launcher, (_MACHINE, plan, node.nid))]
+            return [_launch_step(plan, node.nid)]
         if isinstance(node, MapExit):
             return []
         if isinstance(node, LibraryNode):
@@ -588,7 +547,7 @@ class Machine:
             return [self._nested_step(facts, plan, node)]
         raise InterpreterError(f"cannot execute node {type(node).__name__}")
 
-    def _copy_step(self, label: str, e: Edge) -> "_Code":
+    def _copy_step(self, label: str, e: Edge) -> Callable:
         """A copy between access nodes.  A memlet on the source container
         fills the whole destination; one on the destination container
         receives the whole source."""
@@ -603,23 +562,20 @@ class Machine:
         lengths = _compile_lengths(m)
         write = self._accessor(m, "write", label, nid)
 
-        def make(read, write):
-            def copy(env):
-                data, shape = read(env), lengths(env)
-                try:
-                    data = data.reshape(shape)
-                except ValueError:
-                    raise InterpreterError(
-                        f"copy of {data.size} elements from '{src}' does not fit "
-                        f"the {shape} elements of '{dst}' at node {nid} "
-                        f"in state '{label}'") from None
-                write(env, data)
+        def copy(env):
+            data, shape = read(env), lengths(env)
+            try:
+                data = data.reshape(shape)
+            except ValueError:
+                raise InterpreterError(
+                    f"copy of {data.size} elements from '{src}' does not fit "
+                    f"the {shape} elements of '{dst}' at node {nid} "
+                    f"in state '{label}'") from None
+            write(env, data)
 
-            return copy
+        return copy
 
-        return _Code(make, (read, write))
-
-    def _tasklet_step(self, facts: StateFacts, label: str, node: Tasklet) -> "_Code":
+    def _tasklet_step(self, facts: StateFacts, label: str, node: Tasklet) -> Callable:
         """One function that reads the inputs, evaluates every output's code
         and writes the outputs, in the order of the edges and of ``code``."""
         src = _Source()
@@ -645,24 +601,21 @@ class Machine:
         return src.build("_e")
 
     def _library_step(self, facts: StateFacts, plan: "_StatePlan",
-                      node: LibraryNode) -> "_Code":
+                      node: LibraryNode) -> Callable:
         label, nid, index = plan.label, node.nid, plan.index
         if node.kind in COMM_KINDS:
-            def make_comm(machine):
-                # the event carries the run's own node and memlets
+            def comm(env):
+                # the event carries the running machine's own node and memlets
+                machine = env[_MACHINE]
                 st = machine.g.states[index]
                 comm_node = st.nodes[nid]
                 ins = {e.dst_conn: e.memlet for e in st.edges
                        if e.dst is comm_node and e.memlet is not None}
                 outs = {e.src_conn: e.memlet for e in st.edges
                         if e.src is comm_node and e.memlet is not None}
+                yield CommEvent(comm_node, label, dict(env), ins, outs, machine)
 
-                def comm(env):
-                    yield CommEvent(comm_node, label, dict(env), ins, outs, machine)
-
-                return comm
-
-            return _Code(make_comm, (_MACHINE,))
+            return comm
         ins = {e.dst_conn: e for e in facts.ins[nid] if e.memlet is not None}
         outs = [e for e in facts.outs[nid] if e.memlet is not None]
         if node.kind not in (LibKind.MATMUL, LibKind.REDUCE, LibKind.TRANSPOSE):
@@ -684,46 +637,34 @@ class Machine:
                     f"in state '{label}'") from None
 
         if kind is LibKind.MATMUL:
-            a_key, b_key = _squeeze_key(attrs.get("a_kept")), _squeeze_key(attrs.get("b_kept"))
+            read_a = _squeezed(read_a, _squeeze_key(attrs.get("a_kept")))
+            read_b = _squeezed(self._accessor(ins["b"].memlet, "read", label, nid),
+                               _squeeze_key(attrs.get("b_kept")))
 
-            def make_matmul(read_a, read_b, write):
-                read_a, read_b = _squeezed(read_a, a_key), _squeezed(read_b, b_key)
+            def matmul(env):
+                a, b = read_a(env), read_b(env)
+                write(env, fit(env, np.matmul(a, b)))
 
-                def matmul(env):
-                    a, b = read_a(env), read_b(env)
-                    write(env, fit(env, np.matmul(a, b)))
-
-                return matmul
-
-            read_b = self._accessor(ins["b"].memlet, "read", label, nid)
-            return _Code(make_matmul, (read_a, read_b, write))
+            return matmul
         if kind is LibKind.REDUCE:
             axes = attrs.get("axes")
             axes = None if axes is None else tuple(axes)
             ufunc = _REDUCE_UFUNCS[Wcr(attrs.get("op", "add"))]
-            a_key = _squeeze_key(attrs.get("a_kept"))
+            read_a = _squeezed(read_a, _squeeze_key(attrs.get("a_kept")))
 
-            def make_reduce(read_a, write):
-                read_a = _squeezed(read_a, a_key)
+            def reduce(env):
+                write(env, fit(env, np.asarray(ufunc.reduce(read_a(env), axis=axes))))
 
-                def reduce(env):
-                    write(env, fit(env, np.asarray(ufunc.reduce(read_a(env), axis=axes))))
+            return reduce
 
-                return reduce
+        def transpose(env):
+            a = read_a(env)
+            write(env, fit(env, a.T))
 
-            return _Code(make_reduce, (read_a, write))
-
-        def make_transpose(read_a, write):
-            def transpose(env):
-                a = read_a(env)
-                write(env, fit(env, a.T))
-
-            return transpose
-
-        return _Code(make_transpose, (read_a, write))
+        return transpose
 
     def _nested_step(self, facts: StateFacts, plan: "_StatePlan",
-                     node: NestedSdfg) -> "_Code":
+                     node: NestedSdfg) -> Callable:
         """A launch of a nested graph: its symbol map and accessors are
         compiled here, and its graph's entry is kept in this graph's."""
         label, nid, index = plan.label, node.nid, plan.index
@@ -741,18 +682,13 @@ class Machine:
                         None if scalar else _compile_lengths(e.memlet)))
         outs = [(e.src_conn, self._accessor(e.memlet, "write", label, nid))
                 for e in facts.outs[nid] if e.memlet is not None]
-
-        def make_nested(machine):
-            call = (machine.g.states[index].nodes[nid].sdfg, entry, symbol_map,
-                    [(c, machine._link(read), lengths) for c, read, lengths in ins],
-                    [(c, machine._link(write)) for c, write in outs])
-            return lambda env: machine.exec_nested(call, env)
-
-        return _Code(make_nested, (_MACHINE,))
+        call = (index, nid, entry, symbol_map, ins, outs)
+        return lambda env: env[_MACHINE].exec_nested(call, env)
 
     def exec_nested(self, call: tuple, env) -> Iterator:
-        """One launch of a nested graph, in a machine of its own."""
-        sdfg, entry, symbol_map, ins, outs = call
+        """One launch of a nested graph, in a machine of its own.  The
+        callee is this run's own nested graph."""
+        index, nid, entry, symbol_map, ins, outs = call
         outer = {**self.sym, **env}
         inner_ctx = ExecContext(
             bindings={s: fn(outer) for s, fn in symbol_map},
@@ -764,7 +700,7 @@ class Machine:
             data = read(env)
             inner_ctx.store[conn] = (np.asarray(data).reshape(()) if lengths is None
                                      else data.reshape(lengths(env)))
-        inner = Machine(sdfg, inner_ctx, self.opt)
+        inner = Machine(self.g.states[index].nodes[nid].sdfg, inner_ctx, self.opt)
         inner._entry = entry
         yield from inner.run()
         for conn, write in outs:
@@ -775,10 +711,11 @@ _REDUCE_UFUNCS = {Wcr.ADD: np.add, Wcr.MUL: np.multiply,
                   Wcr.MIN: np.minimum, Wcr.MAX: np.maximum}
 
 
-def _launcher(machine: Machine, plan: "_StatePlan", nid: int) -> Callable:
-    """The step that launches map ``nid`` of ``plan`` in ``machine``'s run."""
-    launch = _Launch(plan, nid)
-    return lambda env: machine.exec_map(launch, env)
+def _launch_step(plan: "_StatePlan", nid: int) -> Callable:
+    """The step that launches map ``nid`` of ``plan`` in the running
+    machine.  ``exec_map`` is looked up on each launch, never kept, so a
+    method patched on the class between runs sees every launch."""
+    return lambda env: env[_MACHINE].exec_map(plan, nid, env)
 
 
 def _squeeze_key(kept: list[bool] | None) -> tuple | None:
@@ -831,17 +768,19 @@ def _event_scopes(facts: StateFacts) -> frozenset:
 # -- programs ---------------------------------------------------------------------
 #
 # A program is what planning a graph yields at one set of container shapes,
-# options and rank set.  Its compiled functions read the run's store arrays
-# and counters, which each run supplies when it links them: such a function
-# is kept as a _Code, the factory that makes it and its values, among which
-# a _Slot stands for what the run supplies.  A linked function is exactly
-# the closure a plan bound to one run would be.
+# options and rank set.  Its compiled functions are closures over
+# compile-time values only (names, numbers, expressions, other compiled
+# functions), built once and never rebound.  What a run supplies, its store
+# arrays, counters and machine, each function reads from the environment it
+# is called with, under a key of its own (see _Key): the machine puts them
+# there before it runs, and every copy of the environment carries them.
 
 
-class _Slot:
-    """A value of a compiled function that each run supplies: the array of
-    container ``name`` in its store, or (``_COUNTERS``, ``_MACHINE``) its
-    counters or its machine."""
+class _Key:
+    """A key of the run's environment that no symbol, map parameter or
+    container name can equal: of the array of container ``name`` (one per
+    name, see :func:`_array`), or (``_COUNTERS``, ``_MACHINE``) of the
+    counters or the machine."""
 
     __slots__ = ("name",)
 
@@ -849,28 +788,14 @@ class _Slot:
         self.name = name
 
 
-_COUNTERS, _MACHINE = _Slot(None), _Slot(None)
+_COUNTERS, _MACHINE = _Key(None), _Key(None)
 
 
-@functools.lru_cache(maxsize=4096)
-def _array(name: str) -> _Slot:
-    """The slot of container ``name``'s array, one per name."""
-    return _Slot(name)
-
-
-class _Code:
-    """A function compiled for a program and not yet linked to a run:
-    ``make(*values)``, once each value that is a :class:`_Slot` is replaced
-    by what the run supplies and each that is a ``_Code`` by its linked
-    function (see :meth:`Machine._link`)."""
-
-    __slots__ = ("make", "values", "links")
-
-    def __init__(self, make: Callable, values):
-        self.make, self.values = make, tuple(values)
-        # the positions of the values to replace
-        self.links = tuple([i for i, v in enumerate(self.values)
-                            if type(v) is _Slot or type(v) is _Code])
+@functools.cache
+def _array(name: str) -> _Key:
+    """The key of container ``name``'s array, one per name.  Unbounded:
+    compiled functions look arrays up by this very object."""
+    return _Key(name)
 
 
 class _Graph:
@@ -907,7 +832,7 @@ class _Graph:
         if program is None:
             if len(self.programs) >= _PROGRAMS_LIMIT:
                 del self.programs[next(iter(self.programs))]
-            program = self.programs[key] = Program(g, shapes, rank_local)
+            program = self.programs[key] = Program(g, shapes)
         return program
 
 
@@ -915,80 +840,50 @@ class Program:
     """A validated graph's plans at one set of container shapes, options
     and rank set, kept in the table of programs (see :func:`compile`).
 
-    It holds the index of each state label, the transitions that leave
-    each state, compiled, the container shapes, the plan of every state
-    executed so far (by index; see :class:`_StatePlan`) and the accessors
-    of communication events.  Plans are made on first use by the machine that needs
-    them, from its own graph, and hold no run's arrays, counters or
-    machine: a machine links them to its run."""
+    It holds the container shapes, the index of each state label, the plan
+    of every state executed so far (by label; see :class:`_StatePlan`) and
+    the accessors of communication events.
+    Plans are made on first use by the machine that needs them, from its
+    own graph, and hold no run's arrays, counters or machine: their
+    functions read those from the run's environment."""
 
-    def __init__(self, g: Sdfg, shapes: tuple, rank_local: frozenset[str] | None):
+    def __init__(self, g: Sdfg, shapes: tuple):
         self.shapes: dict[str, tuple[int, ...]] = dict(zip(g.containers, shapes))
-        self.rank_local = rank_local
         self.index: dict[str, int] = {}
         for i, s in enumerate(g.states):
             self.index.setdefault(s.label, i)
-        self.leaving: dict[str, list[_Transition]] = {}
-        for t in g.transitions:
-            self.leaving.setdefault(t.src, []).append(_Transition(t, self.shapes))
-        self.plans: dict[int, _StatePlan] = {}
-        self.accessors: dict[tuple, _Code] = {}
+        self.plans: dict[str, _StatePlan] = {}
+        self.accessors: dict[tuple, Callable] = {}
 
 
 class _StatePlan:
     """A state's plan: its index and label, the scopes that can raise events
     (by map entry id, None for the top level; ``events``: whether the top
-    level can), the steps of its top level and the :class:`_MapPlan` of
-    each map launched so far, by entry id.  A step is a function or a
-    :class:`_Code`; linked, it takes the environment and returns None or an
-    iterable of events."""
+    level can), the steps of its top level, the transitions that leave it
+    as ``(condition, assignments, destination)``, compiled, and the
+    :class:`_MapPlan` of each map launched so far, by entry id.  A step
+    takes the environment and returns None or an iterable of events."""
 
     def __init__(self, index: int, facts: StateFacts):
         self.index, self.label = index, facts.state.label
         self.event_scopes = _event_scopes(facts)
         self.events = None in self.event_scopes
         self.top: list = []
+        self.leaving: list[tuple] = []
         self.maps: dict[int, _MapPlan] = {}
 
 
-class _PlanView(NamedTuple):
-    """A state plan as one run sees it (see :attr:`Machine._plans`)."""
-
-    state: State
-    maps: dict[int, "_MapPlan"]
-
-
 class _MapPlan:
-    """A map's entry id, compiled ranges, parameter names, vector launch
-    (None if it has none), per-point steps (None until a launch first runs
-    point by point) and whether they can raise events."""
+    """A map's state plan and entry id, compiled ranges, parameter names,
+    vector launch (None if it has none), per-point steps (None until a
+    launch first runs point by point) and whether they can raise events."""
 
-    def __init__(self, nid: int, ranges: Callable, names: tuple[str, ...],
-                 vector: "_Code | None", events: bool):
-        self.nid, self.ranges, self.names, self.vector = nid, ranges, names, vector
+    def __init__(self, plan: _StatePlan, nid: int, ranges: Callable, names: tuple[str, ...],
+                 vector: Callable | None, events: bool):
+        self.plan, self.nid, self.ranges, self.names = plan, nid, ranges, names
+        self.vector = vector
         self.steps: list | None = None
         self.events = events
-
-
-class _Launch:
-    """A map of a state plan as one run launches it: linked on its first
-    launch to the map's plan (``map``) and vector launch, and on its first
-    per-point launch to its steps."""
-
-    __slots__ = ("plan", "nid", "map", "vector", "steps")
-
-    def __init__(self, plan: _StatePlan, nid: int):
-        self.plan, self.nid = plan, nid
-        self.map = self.vector = self.steps = None
-
-
-class _Transition:
-    """An interstate edge with its condition and assignments compiled."""
-
-    def __init__(self, t: InterstateEdge, shapes: Mapping[str, tuple]):
-        self.holds = None if t.condition is None else _compile_condition(t.condition, shapes)
-        self.assignments = [(k, _compile_sym(v)) for k, v in t.assignments.items()]
-        self.dst = t.dst
 
 
 # -- compilation -------------------------------------------------------------------
@@ -998,8 +893,8 @@ class _Transition:
 # the source as code: every name and constant of the graph is a parameter of
 # a factory (``_k0, _k1, ...``, bound as closure cells), and operators and
 # intrinsics come from the fixed tables below.  Equal sources share one
-# compiled factory.  A store array or the counters is a _Slot among the
-# values, which makes the function a _Code that each run links.
+# compiled factory.  A store array or the counters is read from the
+# environment, ``_e[<key>]``, with the key among the values (see _Key).
 
 _SYM_OPS = {symbolic.Add: "+", symbolic.Sub: "-", symbolic.Mul: "*"}
 _SYM_CALLS = {symbolic.FloorDiv: "_fdiv", symbolic.Min: "_min", symbolic.Max: "_max"}
@@ -1097,13 +992,16 @@ class _Source:
             return f"{fn}({', '.join(self.texpr(a, conns) for a in e.args)})"
         raise TypeError(type(e).__name__)
 
-    def build(self, params: str) -> "Callable | _Code":
-        """The function, or a :class:`_Code` if a value is one or a slot."""
+    def env(self, key: _Key) -> str:
+        """The environment's entry under ``key``."""
+        return f"_e[{self.value(key)}]"
+
+    def build(self, params: str) -> Callable:
+        """The function, closed over the values."""
         body = "\n        ".join(self.lines or ["pass"])
         source = (f"def _make({_value_names(len(self.values))}):\n    def _f({params}):\n"
                   f"        {body}\n    return _f\n")
-        code = _Code(_factory(source), self.values)
-        return code if code.links else code.make(*code.values)
+        return _factory(source)(*self.values)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1121,7 +1019,7 @@ def _compile_sym(e: SymExpr) -> Callable:
     return src.build("_e")
 
 
-def _compile_condition(cond: texpr.TExpr, shapes: Mapping[str, tuple]) -> "Callable | _Code":
+def _compile_condition(cond: texpr.TExpr, shapes: Mapping[str, tuple]) -> Callable:
     """``fn(sym) -> bool``.  Every name of the condition is resolved first,
     to a symbol or else to a container's scalar value, and then the
     condition is evaluated like a tasklet body."""
@@ -1129,7 +1027,7 @@ def _compile_condition(cond: texpr.TExpr, shapes: Mapping[str, tuple]) -> "Calla
     for i, name in enumerate(cond.free_names()):
         key = src.value(name)
         unknown = InterpreterError(f"condition references unknown name '{name}'")
-        other = (f"{src.value(_array(name))}[()]" if name in shapes
+        other = (f"{src.env(_array(name))}[()]" if name in shapes
                  else f"{src.value(_raiser(unknown))}(None)")
         src.lines.append(f"_c{i} = _e[{key}] if {key} in _e else {other}")
         conns[name] = f"_c{i}"
@@ -1193,7 +1091,7 @@ def _compile_lengths(m: Memlet) -> Callable:
 
 
 def _compile_access(m: Memlet, mode: str, shape: tuple[int, ...], nbytes: int,
-                    state: str, nid: int) -> "_Code":
+                    state: str, nid: int) -> Callable:
     """Compile the access of ``m`` to its container, of shape ``shape``, in
     one of four modes:
 
@@ -1227,7 +1125,7 @@ def _compile_access(m: Memlet, mode: str, shape: tuple[int, ...], nbytes: int,
         fail = src.value(_bounds_error(m.container, shape, state, nid))
         src.lines.append(f"if {' or '.join(outside)}: {fail}(({''.join(triples)}))")
 
-    a, c, nb = src.value(_array(m.container)), src.value(_COUNTERS), src.value(nbytes)
+    a, c, nb = src.env(_array(m.container)), src.env(_COUNTERS), src.value(nbytes)
     slices = "".join(f"slice(_b{d}, _b{d} + 1, 1), " if point[d] else
                      f"slice(_b{d}, _t{d}, _s{d}), " for d in range(rank))
     index = ", ".join(f"_b{d}" for d in range(rank)) or "()"
@@ -1247,12 +1145,13 @@ def _compile_access(m: Memlet, mode: str, shape: tuple[int, ...], nbytes: int,
         if not direct:
             src.lines.append(f"_key = ({slices})")
         count = " * ".join(x for x in lengths if x != "1") or "1"
-        src.lines += [f"_n = {count}", f"{c}.bytes_moved += _n * {nb}"]
+        src.lines.append(f"_n = {count}")
         if m.wcr is None:
-            src.lines.append(f"{a}[{key}] = _v")
+            src.lines += [f"{c}.bytes_moved += _n * {nb}", f"{a}[{key}] = _v"]
         else:
-            update = _WCR_UPDATE[m.wcr].format(old=f"{a}[{key}]")
-            src.lines += [f"{a}[{key}] = {update}", f"{c}.wcr_commits += _n"]
+            update = _WCR_UPDATE[m.wcr].format(old=f"_A[{key}]")
+            src.lines += [f"_C = {c}", f"_C.bytes_moved += _n * {nb}", f"_A = {a}",
+                          f"_A[{key}] = {update}", "_C.wcr_commits += _n"]
     return src.build("_e, _v" if mode in ("write", "pwrite") else "_e")
 
 
@@ -1494,7 +1393,7 @@ def _reduction(node: LibraryNode, ins: list[Edge], outs: list[Edge], shapes,
 
 def _compile_vector(facts: StateFacts, scope: MapEntry, members, ranges: Callable,
                     shapes: Mapping[str, tuple[int, ...]], containers,
-                    reverse: bool) -> "_Code":
+                    reverse: bool) -> Callable:
     """Compile the vector launch of ``scope``: ``fn(env) -> bool``, True
     when it ran every point (it also counts them), False when it stored
     nothing and the launch must run point by point.  Raises
@@ -1546,7 +1445,8 @@ def _compile_vector(facts: StateFacts, scope: MapEntry, members, ranges: Callabl
     body: list[str] = []
     stores: list[str] = []
     unit = [isinstance(s, symbolic.Const) and s.value == 1 for _, (_, _, s) in params]
-    arrays = {c: src.value(_array(c)) for c in (*roles, *grids)}
+    # each array is loaded once, at the head of the launch
+    arrays = {c: f"_A{i}" for i, c in enumerate((*roles, *grids))}
 
     def num(v) -> str:
         key = (type(v), v)
@@ -1759,23 +1659,24 @@ def _compile_vector(facts: StateFacts, scope: MapEntry, members, ranges: Callabl
         moved[a[3]] += 1
     for e, _ in reductions.values():
         moved[0] += math.prod(shapes[e.memlet.container])
-    c, nbytes = src.value(_COUNTERS), DType.F64.nbytes
-    count = [f"{c}.map_iterations += _n"]
+    nbytes = DType.F64.nbytes
+    count = [f"_c = {src.env(_COUNTERS)}", "_c.map_iterations += _n"]
     if moved[0]:
-        count.append(f"{c}.bytes_moved += _n * {num(moved[0] * nbytes)}")
+        count.append(f"_c.bytes_moved += _n * {num(moved[0] * nbytes)}")
     for lv in range(1, len(levels)):
         head += [f"_m{lv} = {lens(levels[lv][k:])}",
                  f"if _n * _m{lv} > {num(_GRID_LIMIT)}: return False"]
-        count.append(f"{c}.map_iterations += _n * _m{lv}")
+        count.append(f"_c.map_iterations += _n * _m{lv}")
         if moved[lv]:
-            count.append(f"{c}.bytes_moved += _n * _m{lv} * {num(moved[lv] * nbytes)}")
+            count.append(f"_c.bytes_moved += _n * _m{lv} * {num(moved[lv] * nbytes)}")
     head += [f"_g{lv} = ({''.join(f'_len(_r{d}), ' for d in levels[lv])})"
              for lv in sorted(needs_grid)]
     if checks:
         prelude.append(f"if {' or '.join(checks)}: return False")
     commits = sum(w and e.memlet.wcr is not None for _, e, w, _ in accesses)
     if commits:
-        count.append(f"{c}.wcr_commits += _n * {num(commits)}")
-    src.lines = ["try:", *(f"    {line}" for line in head + prelude + body),
+        count.append(f"_c.wcr_commits += _n * {num(commits)}")
+    loads = [f"{a} = {src.env(_array(c))}" for c, a in arrays.items()]
+    src.lines = ["try:", *(f"    {line}" for line in head + loads + prelude + body),
                  "except Exception:", "    return False", *stores, *count, "return True"]
     return src.build("_e")

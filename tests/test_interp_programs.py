@@ -1,6 +1,6 @@
 """The table of programs: each graph is validated and planned once per
-content, container shapes, options and rank set, and each run links the
-kept plans to its own store and counters.
+content, container shapes, options and rank set, and each run calls the
+kept plans, which read its own store and counters from its environment.
 
 Plans are counted by wrapping ``interp._compile_vector`` (one vector launch
 planned) and ``Machine._plan_state`` (one state planned).  A graph run again
@@ -303,6 +303,14 @@ def test_warm_table_gives_cold_results(name, monkeypatch):
             assert plans.none
             monkeypatch.undo()
             assert_same(warm, cold)
+
+
+@pytest.mark.parametrize("name", ALL_KERNELS)
+def test_optimized_graph_and_round_trip_share_a_key(name):
+    """``auto_optimize`` numbers the nodes as the JSON form does, so an
+    optimized graph and its round trip are one content in the table."""
+    g = kernel(name, optimized=True)[0]
+    assert content_key(g) == content_key(deserialize(serialize(g)))
 
 
 def test_graph_without_a_key_runs_unshared():

@@ -62,7 +62,8 @@ def assert_same(g, bindings, inputs, reverse=False):
 
 def vector_maps(m: Machine) -> list[bool]:
     """For every map the machine planned: whether it has a vector launch."""
-    return [mp.vector is not None for plan in m._plans.values() for mp in plan.maps.values()]
+    return [mp.vector is not None for plan in m.program.plans.values()
+            for mp in plan.maps.values()]
 
 
 @pytest.mark.parametrize("name", ALL_KERNELS)
@@ -537,8 +538,8 @@ def test_fast_path_fires(name, monkeypatch):
     assert all(store[k].tobytes() == ref[1][k].tobytes() for k in store)
     nested = {(st.label, scope.nid): any(isinstance(x, MapEntry) for x in members)
               for st in g.states for scope, members in st.scopes().items() if scope is not None}
-    planned = {(plan.state.label, nid): mp.vector is not None
-               for plan in m._plans.values() for nid, mp in plan.maps.items()}
+    planned = {(plan.label, nid): mp.vector is not None
+               for plan in m.program.plans.values() for nid, mp in plan.maps.items()}
     assert all(vector or nested[key] for key, vector in planned.items())
     assert any(planned.values())
 

@@ -35,6 +35,19 @@ def _load_graph(path: str) -> tuple[Sdfg | None, list]:
     return deserialize(text), []
 
 
+def _load_valid_graph(path: str) -> Sdfg | None:
+    """The graph at ``path``, or None after the diagnostics that keep it from
+    compiling or validating are printed."""
+    g, diags = _load_graph(path)
+    if _print_diags(diags) or g is None:
+        return None
+    found = g.validate()
+    if any(d.severity == "error" for d in found):
+        _print_diags(found)
+        return None
+    return g
+
+
 def _emit_output(text: str, out: str | None) -> None:
     if out:
         try:
@@ -130,8 +143,8 @@ def cmd_show(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    g, diags = _load_graph(args.file)
-    if _print_diags(diags) or g is None:
+    g = _load_valid_graph(args.file)
+    if g is None:
         return 1
     tile = _tile_size(args.tile)
     stack = (args.stack_limit if args.stack_limit is not None
@@ -230,8 +243,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_emit(args) -> int:
-    g, diags = _load_graph(args.file)
-    if _print_diags(diags) or g is None:
+    g = _load_valid_graph(args.file)
+    if g is None:
         return 1
     tile = _tile_size(None)
     try:

@@ -243,7 +243,11 @@ def from_dict(d: dict) -> Sdfg:
     try:
         g = Sdfg(d["name"])
         for s in d["symbols"]:
-            g.symbols[s["name"]] = s["min"]
+            lower = s["min"]
+            if type(lower) is not int:  # a bool is an int to isinstance
+                raise SchemaError(f"symbol '{s['name']}' has lower bound {lower!r}, "
+                                  "not an integer")
+            g.symbols[s["name"]] = lower
         for c in d["containers"]:
             g.containers[c["name"]] = DataDescriptor(
                 c["name"],

@@ -21,6 +21,7 @@ import re
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 
@@ -62,10 +63,10 @@ class SymExpr:
     returns that node, so equal expressions are one object and ``==`` is
     ``is``.  Each node keeps its hash, which equals the hash of the tuple of
     its fields (the hash a frozen dataclass computes), its free symbols and,
-    once derived, its polynomial (see :func:`_normalize`).  The table of
-    live nodes holds them weakly."""
+    once derived, its polynomial (see :func:`_normalize`) and its text (see
+    :func:`to_text`).  The table of live nodes holds them weakly."""
 
-    __slots__ = ("_hash", "_free", "_poly", "__weakref__")
+    __slots__ = ("_hash", "_free", "_poly", "_text", "__weakref__")
 
     def __add__(self, other) -> SymExpr:
         return Add(self, as_expr(other))
@@ -136,6 +137,7 @@ def _intern(node: SymExpr, key: tuple, h: int, free: frozenset[str]) -> None:
     _setfield(node, "_hash", h)
     _setfield(node, "_free", free)
     _setfield(node, "_poly", None)
+    _setfield(node, "_text", None)
     _interned[key] = weakref.KeyedRef(node, _forget, key)
 
 
@@ -263,26 +265,49 @@ class Assumptions:
 
     Declared size symbols get a default lower bound of 1; auxiliary symbols
     (offsets, iteration distances) carry explicit bounds.
+
+    Immutable and hashable, so that :func:`compare` can key its table on
+    them: two assumptions are equal, and hash equal, when their bounds are.
     """
 
+    __slots__ = ("_bounds", "_hash")
     DEFAULT_LOWER = 1
 
     def __init__(self, bounds: Mapping[str, int] | None = None):
-        self.bounds: dict[str, int] = dict(bounds or {})
+        _setfield(self, "_bounds", dict(bounds or {}))
+        _setfield(self, "_hash", None)
+
+    @property
+    def bounds(self) -> Mapping[str, int]:
+        return MappingProxyType(self._bounds)
 
     def lower(self, name: str) -> int:
-        return self.bounds.get(name, self.DEFAULT_LOWER)
+        return self._bounds.get(name, self.DEFAULT_LOWER)
 
     def with_bound(self, name: str, lower: int) -> "Assumptions":
-        merged = dict(self.bounds)
-        merged[name] = lower
-        return Assumptions(merged)
+        return Assumptions({**self._bounds, name: lower})
 
     def __eq__(self, other):
-        return isinstance(other, Assumptions) and self.bounds == other.bounds
+        return self is other or (isinstance(other, Assumptions) and self._bounds == other._bounds)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(frozenset(self._bounds.items()))
+            _setfield(self, "_hash", h)
+        return h
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field '{name}'")
+
+    def __reduce__(self):
+        return Assumptions, (self._bounds,)
 
     def __repr__(self):
-        return f"Assumptions({self.bounds!r})"
+        return f"Assumptions({self._bounds!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +537,16 @@ def _poly_interval(poly: dict, a: Assumptions):
 
 
 def compare(lhs: SymExpr | int, rhs: SymExpr | int, a: Assumptions) -> Ternary:
-    """Decide ``lhs <= rhs`` for all bindings satisfying the assumptions."""
-    diff = _difference(as_expr(lhs), as_expr(rhs))
+    """Decide ``lhs <= rhs`` for all bindings satisfying the assumptions.
+    The verdict is a function of two interned expressions and immutable
+    assumptions, so it is kept in a bounded table; the operands are coerced
+    first, so an int and its ``Const`` share an entry and a bool is refused."""
+    return _decide(as_expr(lhs), as_expr(rhs), a)
+
+
+@functools.lru_cache(maxsize=4096)
+def _decide(lhs: SymExpr, rhs: SymExpr, a: Assumptions) -> Ternary:
+    diff = _difference(lhs, rhs)
     c = _poly_const(diff)
     if c is not None:
         return Ternary.TRUE if c <= 0 else Ternary.FALSE
@@ -592,7 +625,7 @@ class SubsetRange:
     def free_symbols(self) -> frozenset[str]:
         return self._free
 
-    # a subset is immutable, so its free symbols and hash are kept
+    # a subset is immutable, so its free symbols, hash and text are kept
     @functools.cached_property
     def _free(self) -> frozenset[str]:
         return _NO_SYMBOLS.union(*(x._free for dim in self.dims for x in dim))
@@ -600,6 +633,10 @@ class SubsetRange:
     @functools.cached_property
     def _hash(self) -> int:
         return hash((self.dims,))
+
+    @functools.cached_property
+    def _text(self) -> str:
+        return ", ".join(f"{to_text(b)}:{to_text(e)}:{to_text(s)}" for b, e, s in self.dims)
 
     def __hash__(self) -> int:
         return self._hash
@@ -622,7 +659,7 @@ class SubsetRange:
         return tuple(out)
 
     def __str__(self) -> str:
-        return ", ".join(f"{b}:{e}:{s}" for b, e, s in self.dims)
+        return self._text
 
 
 def _dim_const(dim, bindings=None) -> tuple[int, int, int] | None:
@@ -840,45 +877,57 @@ _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|//|[-+*()\,:])")
 
 
 def to_text(e: SymExpr) -> str:
-    def prec(x: SymExpr) -> int:
-        if isinstance(x, (Const, Sym, Min, Max)):
-            return 3
-        if isinstance(x, (Mul, FloorDiv)):
-            return 2
-        return 1
+    """The text of ``e`` in the grammar :func:`parse_expr` reads, rendered
+    once and kept on the node."""
+    text = e._text
+    if text is None:
+        text = _render(e)
+        _setfield(e, "_text", text)
+    return text
 
-    def render(x: SymExpr, parent_prec: int) -> str:
-        if isinstance(x, Const):
-            s = str(x.value)
-            return f"({s})" if x.value < 0 and parent_prec > 1 else s
-        if isinstance(x, Sym):
-            return x.name
-        if isinstance(x, Min):
-            return f"min({render(x.left, 0)}, {render(x.right, 0)})"
-        if isinstance(x, Max):
-            return f"max({render(x.left, 0)}, {render(x.right, 0)})"
-        p = prec(x)
-        if isinstance(x, Add):
-            # Render `a + (-c)*b` and `a + (-c)` subtractively.
-            rhs = x.right
-            if isinstance(rhs, Const) and rhs.value < 0:
-                body = f"{render(x.left, p)} - {-rhs.value}"
-            elif isinstance(rhs, Mul) and isinstance(rhs.left, Const) and rhs.left.value < 0:
-                neg = Mul(Const(-rhs.left.value), rhs.right) if rhs.left.value != -1 else rhs.right
-                body = f"{render(x.left, p)} - {render(neg, p + 1)}"
-            else:
-                body = f"{render(x.left, p)} + {render(rhs, p + 1)}"
-        elif isinstance(x, Sub):
-            body = f"{render(x.left, p)} - {render(x.right, p + 1)}"
-        elif isinstance(x, Mul):
-            body = f"{render(x.left, p)} * {render(x.right, p + 1)}"
-        elif isinstance(x, FloorDiv):
-            body = f"{render(x.left, p)} // {render(x.right, p + 1)}"
-        else:
-            raise TypeError(type(x).__name__)
-        return f"({body})" if p < parent_prec else body
 
-    return render(e, 0)
+def _prec(x: SymExpr) -> int:
+    if isinstance(x, (Const, Sym, Min, Max)):
+        return 3
+    if isinstance(x, (Mul, FloorDiv)):
+        return 2
+    return 1
+
+
+def _operand(x: SymExpr, parent_prec: int) -> str:
+    """The text of ``x`` as an operand of an operator of ``parent_prec``."""
+    text = to_text(x)
+    if isinstance(x, Const):
+        return f"({text})" if x.value < 0 and parent_prec > 1 else text
+    return f"({text})" if _prec(x) < parent_prec else text
+
+
+def _render(x: SymExpr) -> str:
+    if isinstance(x, Const):
+        return str(x.value)
+    if isinstance(x, Sym):
+        return x.name
+    if isinstance(x, Min):
+        return f"min({to_text(x.left)}, {to_text(x.right)})"
+    if isinstance(x, Max):
+        return f"max({to_text(x.left)}, {to_text(x.right)})"
+    p = _prec(x)
+    if isinstance(x, Add):
+        # Render `a + (-c)*b` and `a + (-c)` subtractively.
+        rhs = x.right
+        if isinstance(rhs, Const) and rhs.value < 0:
+            return f"{_operand(x.left, p)} - {-rhs.value}"
+        if isinstance(rhs, Mul) and isinstance(rhs.left, Const) and rhs.left.value < 0:
+            neg = Mul(Const(-rhs.left.value), rhs.right) if rhs.left.value != -1 else rhs.right
+            return f"{_operand(x.left, p)} - {_operand(neg, p + 1)}"
+        return f"{_operand(x.left, p)} + {_operand(rhs, p + 1)}"
+    if isinstance(x, Sub):
+        return f"{_operand(x.left, p)} - {_operand(x.right, p + 1)}"
+    if isinstance(x, Mul):
+        return f"{_operand(x.left, p)} * {_operand(x.right, p + 1)}"
+    if isinstance(x, FloorDiv):
+        return f"{_operand(x.left, p)} // {_operand(x.right, p + 1)}"
+    raise TypeError(type(x).__name__)
 
 
 class ExprSyntaxError(ValueError):
@@ -962,11 +1011,17 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected token {tok!r}")
 
 
+# graphs repeat the same few texts, and a parse is a function of its text
+# (an expression parses to the one interned node, a subset to an immutable
+# value), so each parser answers from a bounded table; a text that fails to
+# parse is not kept, and raises on every call
+@functools.lru_cache(maxsize=4096)
 def parse_expr(text: str) -> SymExpr:
     """Parse the textual expression syntax used in serialized graphs."""
     return _Parser(text).parse()
 
 
+@functools.lru_cache(maxsize=4096)
 def parse_subset(text: str) -> SubsetRange:
     text = text.strip()
     if not text:

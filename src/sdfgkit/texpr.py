@@ -346,6 +346,9 @@ class _Parser:
         raise TExprSyntaxError(f"unexpected token {t!r}")
 
 
+# an expression is an immutable value, so the parse of a text is kept in a
+# bounded table; a text that fails to parse is not kept, and raises on every call
+@functools.lru_cache(maxsize=4096)
 def parse_texpr(text: str) -> TExpr:
     return _Parser(text).parse()
 

@@ -280,3 +280,37 @@ def test_optimize_loop_to_map_converts_sequential_loops(passes, tmp_path, capsys
     got = interpret(deserialize(out.read_text()), ctx)
     for name in ("A", "B"):
         assert np.array_equal(got[name], ref[name]), name
+
+
+def _gemm_document(tmp_path, capsys) -> dict:
+    graph = tmp_path / "gemm.sdfg.json"
+    assert main(["optimize", str(CORPUS / "gemm.dpy"), "-o", str(graph)]) == 0
+    capsys.readouterr()
+    return json.loads(graph.read_text())
+
+
+@pytest.mark.parametrize("command", ["optimize", "emit"])
+def test_graph_that_fails_validation_is_one_line(command, tmp_path, capsys):
+    doc = _gemm_document(tmp_path, capsys)
+    nodes = doc["states"][0]["nodes"]
+    nodes.append({"id": len(nodes), "type": "tasklet", "name": "t",
+                  "ins": [], "outs": [], "code": []})
+    graph = tmp_path / "sink.sdfg.json"
+    graph.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, str(graph), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "is a dataflow sink" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bound", ["x", True, 1.5], ids=["str", "bool", "float"])
+@pytest.mark.parametrize("command", ["optimize", "emit", "run"])
+def test_non_integer_symbol_bound_is_one_line(command, bound, tmp_path, capsys):
+    doc = _gemm_document(tmp_path, capsys)
+    doc["symbols"][0]["min"] = bound
+    graph = tmp_path / "bound.sdfg.json"
+    graph.write_text(json.dumps(doc))
+    assert main([command, str(graph)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not an integer" in err

@@ -1,9 +1,11 @@
+import json
+
 import pytest
 
-from sdfgkit import autoopt, passes
+from sdfgkit import autoopt, passes, symbolic, texpr
 from sdfgkit.dot import to_dot
-from sdfgkit.ir import Sdfg, structural_eq
-from sdfgkit.serialize import SchemaError, deserialize, serialize
+from sdfgkit.ir import Sdfg, content_key, structural_eq
+from sdfgkit.serialize import SchemaError, deserialize, from_dict, serialize
 
 from conftest import ALL_KERNELS, GOLDEN, compile_kernel
 
@@ -69,3 +71,41 @@ class TestDot:
         g1 = compile_kernel("jacobi_1d")
         g2 = compile_kernel("jacobi_1d")
         assert to_dot(g1) == to_dot(g2)
+
+
+class TestSymbolBounds:
+    @pytest.mark.parametrize("bound", ["x", True, False, 1.0, None],
+                             ids=["str", "true", "false", "float", "null"])
+    def test_non_integer_bound_is_a_schema_error(self, bound):
+        text = serialize(compile_kernel("gemm"))
+        doc = json.loads(text)
+        doc["symbols"][0]["min"] = bound
+        with pytest.raises(SchemaError, match="not an integer"):
+            from_dict(doc)
+
+    def test_integer_bounds_load(self):
+        doc = json.loads(serialize(compile_kernel("gemm")))
+        doc["symbols"][0]["min"] = -3
+        assert from_dict(doc).symbols[doc["symbols"][0]["name"]] == -3
+
+
+def _clear_tables():
+    for table in (symbolic.parse_expr, symbolic.parse_subset, texpr.parse_texpr,
+                  symbolic._decide):
+        table.cache_clear()
+
+
+@pytest.mark.parametrize("name", ALL_KERNELS)
+def test_round_trip_key_is_the_same_with_tables_cleared_and_warm(name):
+    # parses and comparisons answer from tables keyed by hashed texts and
+    # interned values; what a round trip builds must not depend on them
+    g = compile_kernel(name)
+    opt = g.copy()
+    autoopt.auto_optimize(opt)
+    for graph in (g, opt):
+        text = serialize(graph)
+        _clear_tables()
+        cold = deserialize(text)
+        warm = deserialize(text)
+        assert content_key(cold) == content_key(warm)
+        assert serialize(cold) == serialize(warm) == text

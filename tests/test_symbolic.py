@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdfgkit import symbolic
+from sdfgkit import symbolic, texpr
 from sdfgkit.ir import Sdfg
 from sdfgkit.serialize import deserialize, serialize
 from sdfgkit.symbolic import (
@@ -381,3 +381,96 @@ class TestInterning:
         assert ref() is None
         assert (Sym, "held_only_here") not in symbolic._interned
         assert (Const, 918273645) not in symbolic._interned
+
+
+# --- kept texts and bounded tables -------------------------------------------
+
+
+def _reference_text(x: SymExpr, parent: int = 0) -> str:
+    """A from-scratch rendering that keeps nothing."""
+    prec = 3 if isinstance(x, (Const, Sym, Min, Max)) else 2 if isinstance(
+        x, (symbolic.Mul, FloorDiv)) else 1
+    if isinstance(x, Const):
+        return f"({x.value})" if x.value < 0 and parent > 1 else str(x.value)
+    if isinstance(x, Sym):
+        return x.name
+    if isinstance(x, (Min, Max)):
+        fn = "min" if isinstance(x, Min) else "max"
+        return f"{fn}({_reference_text(x.left)}, {_reference_text(x.right)})"
+    left = _reference_text(x.left, prec)
+    if isinstance(x, symbolic.Add):
+        r = x.right
+        if isinstance(r, Const) and r.value < 0:
+            body = f"{left} - {-r.value}"
+        elif isinstance(r, symbolic.Mul) and isinstance(r.left, Const) and r.left.value < 0:
+            neg = r.right if r.left.value == -1 else symbolic.Mul(Const(-r.left.value), r.right)
+            body = f"{left} - {_reference_text(neg, prec + 1)}"
+        else:
+            body = f"{left} + {_reference_text(r, prec + 1)}"
+    else:
+        op = {symbolic.Sub: "-", symbolic.Mul: "*", FloorDiv: "//"}[type(x)]
+        body = f"{left} {op} {_reference_text(x.right, prec + 1)}"
+    return f"({body})" if prec < parent else body
+
+
+class TestTables:
+    def test_memoized_parse_is_the_built_node(self):
+        built = symbolic.Sub(Sym("N"), Const(1))
+        assert parse_expr("N - 1") is built
+        assert parse_expr("N - 1") is built
+        assert parse_subset("0:N - 1:1") == SubsetRange.make([(0, N - 1, 1)])
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_expr, "N +"), (parse_expr, "N $ 1"), (parse_subset, "0:N:1:2"),
+        (texpr.parse_texpr, "a <"), (texpr.parse_texpr, "b ? 1"),
+    ])
+    def test_bad_text_raises_on_every_call(self, parse, text):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                parse(text)
+
+    def test_text_is_the_same_before_and_after_it_is_kept(self):
+        e = Sym("kept_text_only_here") * (Const(-2) + N) - Max(M, Const(-1))
+        assert e._text is None
+        first = str(e)
+        assert e._text == first
+        assert str(e) == to_text(e) == first == _reference_text(e)
+        sub = SubsetRange(((e, e, Const(1)),))
+        assert str(sub) == str(sub) == f"{first}:{first}:1"
+
+    @given(_recipes)
+    @settings(max_examples=300, deadline=None)
+    def test_kept_text_matches_a_fresh_rendering(self, r):
+        e = _build(r)
+        assert str(e) == _reference_text(e)
+        assert str(e) == _reference_text(e)
+
+    def test_compare_keys_on_equal_bounds(self):
+        one, same, zero = Assumptions({"N": 1}), Assumptions({"N": 1}), Assumptions({"N": 0})
+        assert one is not same and one == same and hash(one) == hash(same)
+        assert compare(1, N, one) is Ternary.TRUE
+        assert compare(1, N, same) is Ternary.TRUE
+        assert compare(1, N, zero) is Ternary.UNKNOWN
+        assert compare(1, N, one.with_bound("N", 0)) is Ternary.UNKNOWN
+
+    def test_compare_refuses_a_bool_after_the_int_is_decided(self):
+        a = Assumptions()
+        assert compare(1, 1, a) is Ternary.TRUE
+        with pytest.raises(TypeError):
+            compare(True, 1, a)
+        with pytest.raises(TypeError):
+            compare(1, True, a)
+
+    def test_assumptions_are_immutable(self):
+        given_bounds = {"N": 2}
+        a = Assumptions(given_bounds)
+        given_bounds["N"] = 0
+        assert a.lower("N") == 2
+        with pytest.raises(TypeError):
+            a.bounds["N"] = 0
+        with pytest.raises(AttributeError):
+            a.bounds = {"N": 0}
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert a.with_bound("N", 0).lower("N") == 0 and a.lower("N") == 2
+        assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a

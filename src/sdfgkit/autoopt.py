@@ -52,12 +52,12 @@ def cleanup_maps(g: Sdfg) -> PassReport:
     """Remove size-1 map dimensions, run loop-to-map to a fixed point, and
     collapse directly nested maps into multidimensional ones."""
     report = PassReport()
-    for name in to_fixed_point({
+    for name, n in to_fixed_point({
         "degenerate_map": lambda: _remove_degenerate_dim(g),
         "loop_to_map": lambda: any(loop_to_map(g, loop, report) for loop in find_loops(g)),
         "map_collapse": lambda: _collapse_nested(g),
     }):
-        report.count(name)
+        report.count(name, n)
     return report
 
 

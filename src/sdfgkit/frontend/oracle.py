@@ -258,11 +258,11 @@ class _Translator:
         def run(frame):
             v = value(frame)
             cur = frame[name]
-            new = combine(cur, v)
             if isinstance(cur, np.ndarray) and cur.shape == ():
-                cur[()] = new
+                # combine the element: a 0-d array operand takes numpy's slow path
+                cur[()] = combine(cur[()], v)
             else:
-                frame[name] = new
+                frame[name] = combine(cur, v)
         return run
 
     def call(self, s: SCall) -> Run:
@@ -378,7 +378,8 @@ class _Translator:
             if len(args) > 1:
                 axis = self.index(args[1])
                 return lambda frame: np.sum(x(frame), axis=axis(frame))
-            return lambda frame: np.sum(x(frame))
+            # np.sum's value and type, without its dispatch
+            return lambda frame: np.add.reduce(x(frame), axis=None)
         if fn in _SCALAR_FNS:
             f, vs = _SCALAR_FNS[fn], tuple(map(self.expr, args))
             if len(vs) == 1:

@@ -265,6 +265,13 @@ class Diagnostic:
             "node": self.node,
         }
 
+    def __str__(self) -> str:
+        at = [f"{k} {v}" for k, v in (("state", self.state), ("node", self.node))
+              if v is not None]
+        where = f" ({', '.join(at)})" if at else ""
+        code = f" [{self.code}]" if self.code else ""
+        return f"{self.severity}: {self.message}{where}{code}"
+
 
 class State:
     """A label plus an acyclic dataflow multigraph."""

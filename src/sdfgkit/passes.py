@@ -8,20 +8,24 @@ that repeats rewrites applies the first one that fires, counts it and
 searches again (:func:`to_fixed_point`).  Coarsening applies state fusion,
 redundant copy removal, and nested-graph inlining to a fixed point, which
 terminates because every application strictly shrinks the graph (nodes +
-states + copy edges).  Loop-to-map is consumed separately (by the map-cleanup
-pass) and terminates by consuming one loop per application.
+states + copy edges), by at least one for each pair of states that a
+state-fusion application merges: one application fuses a whole chain of
+states, with one race check when the fused state is race-free.  Loop-to-map
+is consumed separately (by the map-cleanup pass) and terminates by consuming
+one loop per application.
 """
 
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from . import symbolic, texpr
 from .ir import (
-    AccessNode, MapEntry, MapExit, Memlet, NestedSdfg, Node, Schedule, Sdfg,
-    State, StateFacts, Tasklet, Ternary, Wcr, race_free,
+    AccessNode, InterstateEdge, MapEntry, MapExit, Memlet, NestedSdfg, Node, Schedule,
+    Sdfg, State, Tasklet, Ternary, Wcr, race_free,
 )
 from .symbolic import Const, SubsetRange, Sym, SymExpr, propagate_subset
 from .texpr import TBin, TExpr, TRef
@@ -95,66 +99,176 @@ def nodes_of(g: Sdfg, kind: type) -> Iterator[tuple[State, Node]]:
                 yield st, node
 
 
-def to_fixed_point(rewrites: dict[str, Callable[[], bool]]) -> Iterator[str]:
+def to_fixed_point(rewrites: dict[str, Callable[[], int]]) -> Iterator[tuple[str, int]]:
     """Apply the first of ``rewrites`` (name -> rewrite, in priority order)
-    that fires and yield its name; search again until none fires."""
-    while (name := next((n for n, fire in rewrites.items() if fire()), None)) is not None:
-        yield name
+    that fires and yield its name with the number of rewrites it made (a
+    rewrite that fires with True makes one); search again until none
+    fires."""
+    while True:
+        for name, fire in rewrites.items():
+            if made := fire():
+                yield name, int(made)
+                break
+        else:
+            return
 
 
 # ---------------------------------------------------------------------------
 # State fusion
 
 
-def _merge_states(f1: StateFacts, s2: State) -> State | None:
-    """Build the fused state of the state ``f1`` describes and ``s2`` (a
-    copy); None when sink/source matching is ambiguous."""
-    a, b = f1.state.clone(), s2.clone()
-    a_nodes, b_nodes = a.sorted_nodes(), b.sorted_nodes()
-    b_edges = [(e.src, e.dst, e.memlet, e.src_conn, e.dst_conn) for e in b.edges]
-    b_written = {id(e.dst) for e in b.edges}
-    b_sources = {id(n) for n in b_nodes if isinstance(n, AccessNode) and id(n) not in b_written}
+def _fusible_links(g: Sdfg) -> dict[str, InterstateEdge]:
+    """Each transition state fusion may merge across, keyed by its source:
+    unconditional, assignment-free, and the only edge out of its source and
+    into its (other) destination state."""
+    outs = Counter(t.src for t in g.transitions)
+    ins = Counter(t.dst for t in g.transitions)
+    return {t.src: t for t in g.transitions
+            if t.condition is None and not t.assignments and t.src != t.dst
+            and outs[t.src] == 1 and ins[t.dst] == 1}
 
-    # terminal occurrence per container: the version of the data that is live
-    # at the end of the first state (no other occurrence downstream of it);
-    # the copy's nodes keep the first state's ids until they are added below
-    reach = f1.reach
+
+def _fusible_chains(g: Sdfg) -> list[list[InterstateEdge]]:
+    """The maximal runs of fusible links, each in control-flow order, by the
+    place of its first state in the graph's state list; then each ring of
+    fusible links (states with no other way in or out), from its state that
+    comes first in that list."""
+    links = _fusible_links(g)
+    targets = {t.dst for t in links.values()}
+    chains: list[list[InterstateEdge]] = []
+    seen: set[str] = set()
+    for ring in (False, True):
+        for st in g.states:
+            first = st.label
+            if first not in links or first in seen or (first in targets) != ring:
+                continue
+            chain = [links[first]]
+            while chain[-1].dst in links and chain[-1].dst != first:
+                chain.append(links[chain[-1].dst])
+            seen.update(t.src for t in chain)
+            chains.append(chain)
+    return chains
+
+
+def _merge_states(states: list[State]) -> State | None:
+    """Build from copies of ``states`` (each running right after the one
+    before) their fused state, the left fold of pairwise merges; None when
+    sink/source matching is ambiguous at any step.
+
+    Each state's source access nodes fuse with the occurrence of their
+    container that is live at the end of the states before it (the one
+    reaching no other occurrence), when those states write the container.
+    The fold keeps the reachability of its result up to date instead of
+    deriving it again from each intermediate state."""
+    merged = State(states[0].label)
+    reach: dict[Node, set[Node]] = {}  # node -> the nodes it reaches
     occs: dict[str, list[AccessNode]] = {}
-    for n in a_nodes:
-        if isinstance(n, AccessNode):
-            occs.setdefault(n.container, []).append(n)
-    terminals: dict[str, list[AccessNode]] = {}
-    for cont, nodes in occs.items():
-        terminals[cont] = [
-            u for u in nodes
-            if not any(v is not u and v.nid in reach[u.nid] for v in nodes)
-        ]
-    written = {n.container for n in a_nodes if isinstance(n, AccessNode) and f1.ins[n.nid]}
-
-    merged = State(a.label)
-    for n in a_nodes:
-        n.nid = -1
-        merged.add(n)
-    for e in a.edges:
-        merged.add_edge(e.src, e.dst, e.memlet, e.src_conn, e.dst_conn)
-    fuse_map: dict[int, AccessNode] = {}  # id(b node) -> merged node
-    for n in b_nodes:
-        if id(n) in b_sources:
+    written: set[str] = set()
+    for i, st in enumerate(states):
+        b = st.clone()
+        b_nodes = b.sorted_nodes()
+        b_written = {id(e.dst) for e in b.edges}
+        terminals: dict[str, list[AccessNode]] = {}
+        fuse_map: dict[Node, AccessNode] = {}  # b node -> merged node
+        for n in b_nodes:
+            if not isinstance(n, AccessNode) or id(n) in b_written:
+                continue
             if n.container not in written:
                 continue  # read-only so far: a separate read occurrence is safe
-            cands = terminals.get(n.container, [])
+            cont = n.container
+            if cont not in terminals:
+                terminals[cont] = [u for u in occs[cont]
+                                   if not any(v is not u and v in reach[u] for v in occs[cont])]
+            cands = terminals[cont]
             if len(cands) > 1:
                 return None  # ambiguous merge target
-            if len(cands) == 1:
-                fuse_map[id(n)] = cands[0]
-    for n in b_nodes:
-        if id(n) in fuse_map:
-            continue
-        n.nid = -1
-        merged.add(n)
-    for src, dst, m, sc, dc in b_edges:
-        merged.add_edge(fuse_map.get(id(src), src), fuse_map.get(id(dst), dst), m, sc, dc)
+            if cands:
+                fuse_map[n] = cands[0]
+        last = i == len(states) - 1
+        if not last:
+            # the ids each node reaches in b, as nodes, before b's ids change
+            b_reach = {b.nodes[k]: {b.nodes[j] for j in v} for k, v in b.facts().reach.items()}
+            grown: dict[Node, set[Node]] = {}
+            for n, target in fuse_map.items():
+                grown.setdefault(target, set()).update(b_reach[n])
+            for u, r in reach.items():
+                for target, extra in grown.items():
+                    if target is u or target in r:
+                        r |= extra
+        for n in b_nodes:
+            if n in fuse_map:
+                continue
+            n.nid = -1
+            merged.add(n)
+            if not last:
+                reach[n] = b_reach[n]
+            if isinstance(n, AccessNode):
+                occs.setdefault(n.container, []).append(n)
+                if id(n) in b_written:
+                    written.add(n.container)
+        for e in b.edges:
+            merged.add_edge(fuse_map.get(e.src, e.src), fuse_map.get(e.dst, e.dst),
+                            e.memlet, e.src_conn, e.dst_conn)
     return merged
+
+
+def _fuse(g: Sdfg, chain: list[InterstateEdge]) -> bool:
+    """Replace the states of ``chain``, fusible links in control-flow order,
+    by their fused state when no data race can arise; one race check."""
+    labels = [chain[0].src] + [t.dst for t in chain]
+    if labels[-1] == labels[0]:
+        return False  # a ring has no first state to fold from
+    states = [g.state(label) for label in labels]
+    merged = _merge_states(states)
+    if merged is None or not race_free(merged, g.assumptions()):
+        return False
+
+    # commit: the fused state takes the first state's place and label
+    gone = {id(s) for s in states[1:]}
+    g.states[:] = [merged if s is states[0] else s for s in g.states if id(s) not in gone]
+    links = {id(t) for t in chain}
+    g.transitions[:] = [t for t in g.transitions if id(t) not in links]
+    renamed = set(labels[1:])
+    for tr in g.transitions:
+        if tr.src in renamed:
+            tr.src = labels[0]
+        if tr.dst in renamed:
+            tr.dst = labels[0]
+    return True
+
+
+def _fuse_pairwise(g: Sdfg, chain: list[InterstateEdge]) -> int:
+    """Fuse ``chain`` one link at a time, each time the first link (by the
+    places of its states) whose pair fuses, until none does; the number of
+    links fused."""
+    chain = list(chain)
+    fused = 0
+    while True:
+        order = {s.label: i for i, s in enumerate(g.states)}
+        link = next((t for t in sorted(chain, key=lambda t: (order[t.src], order[t.dst]))
+                     if _fuse(g, [t])), None)
+        if link is None:
+            return fused
+        chain.remove(link)
+        fused += 1
+
+
+def _fuse_first_chain(g: Sdfg) -> int:
+    """One state-fusion application: fuse the first chain of fusible links
+    that fuses at all, the whole chain with one race check when its fused
+    state is race-free, else one link at a time; the number of links fused.
+
+    The result equals fusing one pair at a time to a fixed point: a race or
+    an ambiguous match among some states stays when states after them join,
+    so a chain whose fused state is race-free fuses pair by pair too, and
+    the merges give the same state in any order."""
+    for chain in _fusible_chains(g):
+        if _fuse(g, chain):
+            return len(chain)
+        fused = _fuse_pairwise(g, chain) if len(chain) > 1 else 0
+        if fused:
+            return fused
+    return 0
 
 
 def state_fusion(g: Sdfg, s1_label: str, s2_label: str) -> bool:
@@ -169,33 +283,11 @@ def state_fusion(g: Sdfg, s1_label: str, s2_label: str) -> bool:
     if s1_label == s2_label:
         return False
     try:
-        s1, s2 = g.state(s1_label), g.state(s2_label)
+        g.state(s1_label), g.state(s2_label)
     except KeyError:
         raise ValueError(f"invalid state ids {s1_label!r}, {s2_label!r}")
-    between = [t for t in g.transitions if t.src == s1_label and t.dst == s2_label]
-    if len(between) != 1:
-        return False
-    t = between[0]
-    if t.condition is not None or t.assignments:
-        return False
-    if len(g.out_transitions(s1_label)) != 1 or len(g.in_transitions(s2_label)) != 1:
-        return False
-
-    merged = _merge_states(s1.facts(), s2)
-    if merged is None or not race_free(merged, g.assumptions()):
-        return False
-
-    # commit
-    idx = g.states.index(s1)
-    g.states[idx] = merged
-    g.states.remove(s2)
-    g.transitions.remove(t)
-    for tr in g.transitions:
-        if tr.src == s2_label:
-            tr.src = s1_label
-        if tr.dst == s2_label:
-            tr.dst = s1_label
-    return True
+    link = _fusible_links(g).get(s1_label)
+    return link is not None and link.dst == s2_label and _fuse(g, [link])
 
 
 # ---------------------------------------------------------------------------
@@ -741,24 +833,19 @@ def reversed_loop_clone(g: Sdfg, guard_label: str) -> Sdfg:
 
 def coarsen(g: Sdfg) -> PassReport:
     """Fixed-point application of state fusion, redundant copy removal, and
-    nested-graph inlining, in deterministic order."""
+    nested-graph inlining, in deterministic order.  One state-fusion
+    application fuses a chain of states and counts each pair it merged."""
     report = PassReport()
     _snapshot(g, report, before=True)
     budget = measure = graph_measure(g)
-
-    def fuse_first_transition() -> bool:
-        order = [s.label for s in g.states]
-        return any(state_fusion(g, t.src, t.dst) for t in sorted(
-            g.transitions, key=lambda t: (order.index(t.src), order.index(t.dst))))
-
-    for name in to_fixed_point({
-        "state_fusion": fuse_first_transition,
+    for name, n in to_fixed_point({
+        "state_fusion": lambda: _fuse_first_chain(g),
         "redundant_copy_removal": lambda: redundant_copy_removal(g),
         "inline_nested": lambda: inline_nested(g),
     }):
-        report.count(name)
+        report.count(name, n)
         new_measure = graph_measure(g)
-        assert new_measure < measure, "coarsening step failed to shrink the graph"
+        assert new_measure <= measure - n, "coarsening step failed to shrink the graph"
         assert report.total <= budget, "coarsening exceeded its termination budget"
         measure = new_measure
     _snapshot(g, report, before=False)

@@ -608,6 +608,18 @@ class SubsetRange:
         return len(self.dims)
 
     def lengths(self) -> tuple[SymExpr, ...]:
+        return self._lengths
+
+    def volume(self) -> SymExpr:
+        return self._volume
+
+    def free_symbols(self) -> frozenset[str]:
+        return self._free
+
+    # a subset is immutable, so its lengths, volume, free symbols, hash and
+    # text are kept
+    @functools.cached_property
+    def _lengths(self) -> tuple[SymExpr, ...]:
         out = []
         for b, e, s in self.dims:
             if s == Const(1):
@@ -616,16 +628,13 @@ class SubsetRange:
                 out.append(simplify(Add(FloorDiv(Sub(e, b), s), Const(1))))
         return tuple(out)
 
-    def volume(self) -> SymExpr:
+    @functools.cached_property
+    def _volume(self) -> SymExpr:
         v: SymExpr = Const(1)
-        for ln in self.lengths():
+        for ln in self._lengths:
             v = Mul(v, ln)
         return simplify(v)
 
-    def free_symbols(self) -> frozenset[str]:
-        return self._free
-
-    # a subset is immutable, so its free symbols, hash and text are kept
     @functools.cached_property
     def _free(self) -> frozenset[str]:
         return _NO_SYMBOLS.union(*(x._free for dim in self.dims for x in dim))

@@ -301,6 +301,9 @@ def test_graph_that_fails_validation_is_one_line(command, tmp_path, capsys):
     assert main([command, str(graph), "-o", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "is a dataflow sink" in err
+    # a located message, not the diagnostic's repr
+    label, node = doc["states"][0]["label"], nodes[-1]["id"]
+    assert f"(state {label}, node {node})" in err and "Diagnostic(" not in err
     assert not out.exists()
 
 

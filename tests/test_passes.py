@@ -2,15 +2,17 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from sdfgkit import frontend, passes
 from sdfgkit.interp import ExecContext, InterpOptions, interpret
 from sdfgkit.ir import (
-    AccessNode, DType, MapEntry, Memlet, NestedSdfg, Sdfg, Tasklet, Wcr,
+    AccessNode, DType, MapEntry, Memlet, NestedSdfg, Sdfg, State, StateFacts, Tasklet, Wcr,
+    content_key, race_free, structural_eq,
 )
 from sdfgkit.passes import (
     PassReport, coarsen, find_loops, graph_measure, inline_nested, loop_to_map,
-    redundant_copy_removal, reversed_loop_clone, state_fusion,
+    redundant_copy_removal, reversed_loop_clone, state_fusion, to_fixed_point,
 )
 from sdfgkit.symbolic import Const, SubsetRange, Sym
 from sdfgkit.texpr import TBin, TRef
@@ -19,6 +21,8 @@ from conftest import (
     ALL_KERNELS, KERNEL_SYMBOLS, compile_kernel, corpus_source, make_inputs,
     rel_err, run_graph, run_oracle,
 )
+from test_interp_paths import CALLS
+from test_optimizer_pin import LOWERING_PROGRAMS
 
 
 def outputs_of(g, name, syms, seed=3):
@@ -302,3 +306,275 @@ class TestCoarsen:
         ref = run_oracle(name, syms, inputs)
         for k in ref:
             assert np.array_equal(out[k], ref[k]), f"{name}: {k} differs"
+
+
+# ---------------------------------------------------------------------------
+# Reference coarsening: state fusion one pair at a time, each time the first
+# transition (by the places of its states) whose pair fuses, every merge on
+# fresh copies with its own race check.
+
+
+def _reference_merge(f1: StateFacts, s2: State) -> State | None:
+    a, b = f1.state.clone(), s2.clone()
+    a_nodes, b_nodes = a.sorted_nodes(), b.sorted_nodes()
+    b_edges = [(e.src, e.dst, e.memlet, e.src_conn, e.dst_conn) for e in b.edges]
+    b_written = {id(e.dst) for e in b.edges}
+    b_sources = {id(n) for n in b_nodes if isinstance(n, AccessNode) and id(n) not in b_written}
+    reach = f1.reach
+    occs: dict[str, list[AccessNode]] = {}
+    for n in a_nodes:
+        if isinstance(n, AccessNode):
+            occs.setdefault(n.container, []).append(n)
+    terminals = {
+        cont: [u for u in nodes if not any(v is not u and v.nid in reach[u.nid] for v in nodes)]
+        for cont, nodes in occs.items()
+    }
+    written = {n.container for n in a_nodes if isinstance(n, AccessNode) and f1.ins[n.nid]}
+    merged = State(a.label)
+    for n in a_nodes:
+        n.nid = -1
+        merged.add(n)
+    for e in a.edges:
+        merged.add_edge(e.src, e.dst, e.memlet, e.src_conn, e.dst_conn)
+    fuse_map: dict[int, AccessNode] = {}
+    for n in b_nodes:
+        if id(n) in b_sources and n.container in written:
+            cands = terminals.get(n.container, [])
+            if len(cands) > 1:
+                return None
+            if len(cands) == 1:
+                fuse_map[id(n)] = cands[0]
+    for n in b_nodes:
+        if id(n) not in fuse_map:
+            n.nid = -1
+            merged.add(n)
+    for src, dst, m, sc, dc in b_edges:
+        merged.add_edge(fuse_map.get(id(src), src), fuse_map.get(id(dst), dst), m, sc, dc)
+    return merged
+
+
+def _reference_fusion(g: Sdfg, s1_label: str, s2_label: str) -> bool:
+    if s1_label == s2_label:
+        return False
+    s1, s2 = g.state(s1_label), g.state(s2_label)
+    between = [t for t in g.transitions if t.src == s1_label and t.dst == s2_label]
+    if len(between) != 1:
+        return False
+    t = between[0]
+    if t.condition is not None or t.assignments:
+        return False
+    if len(g.out_transitions(s1_label)) != 1 or len(g.in_transitions(s2_label)) != 1:
+        return False
+    merged = _reference_merge(s1.facts(), s2)
+    if merged is None or not race_free(merged, g.assumptions()):
+        return False
+    g.states[g.states.index(s1)] = merged
+    g.states.remove(s2)
+    g.transitions.remove(t)
+    for tr in g.transitions:
+        if tr.src == s2_label:
+            tr.src = s1_label
+        if tr.dst == s2_label:
+            tr.dst = s1_label
+    return True
+
+
+def reference_coarsen(g: Sdfg) -> PassReport:
+    report = PassReport()
+    report.before_states = len(g.states)
+    report.before_nodes = sum(len(s.nodes) for s in g.states)
+
+    def fuse_first_transition() -> bool:
+        order = [s.label for s in g.states]
+        return any(_reference_fusion(g, t.src, t.dst) for t in sorted(
+            g.transitions, key=lambda t: (order.index(t.src), order.index(t.dst))))
+
+    for name, n in to_fixed_point({
+        "state_fusion": fuse_first_transition,
+        "redundant_copy_removal": lambda: redundant_copy_removal(g),
+        "inline_nested": lambda: inline_nested(g),
+    }):
+        report.count(name, n)
+    report.after_states = len(g.states)
+    report.after_nodes = sum(len(s.nodes) for s in g.states)
+    return report
+
+
+def assert_coarsens_as_reference(g: Sdfg) -> PassReport:
+    """``coarsen`` gives the reference's graph, node ids included, and its
+    pass report."""
+    ref = g.copy()
+    want = reference_coarsen(ref)
+    got = coarsen(g)
+    assert structural_eq(g, ref)
+    assert content_key(g) == content_key(ref)
+    assert got.to_json() == want.to_json()
+    return got
+
+
+# Hand-built chains of one-tasklet states over four arrays.  A state is a
+# list of writes ``(container, index, reads)``; each read and write gets its
+# own access node, except that the containers in ``shared`` have a current
+# node in each state: reads use it, and each write makes a new one.
+
+
+def chain_graph(states: list[list[tuple]], order: list[int] | None = None,
+                shared: tuple[str, ...] = (), conditional: tuple[int, ...] = (),
+                ring: bool = False) -> Sdfg:
+    """States ``s0 -> s1 -> ...`` (``sK -> s0`` too for a ring), listed in
+    ``order``; the links out of the states in ``conditional`` carry a
+    condition."""
+    g = Sdfg("chain")
+    g.add_symbol("N", 8)
+    for name in "ABCD":
+        g.add_array(name, DType.F64, (Sym("N"),))
+    for i in list(range(len(states))) if order is None else order:
+        st = g.add_state(f"s{i}", start=i == 0)
+        current: dict[str, AccessNode] = {}
+
+        def read(cont):
+            if cont not in shared:
+                return st.add(AccessNode(cont))
+            if cont not in current:
+                current[cont] = st.add(AccessNode(cont))
+            return current[cont]
+
+        def write(cont):
+            current[cont] = st.add(AccessNode(cont))
+            return current[cont]
+
+        for k, (cont, idx, reads) in enumerate(states[i]):
+            ins = tuple(f"v{j}" for j in range(len(reads)))
+            code = TRef(ins[0]) if ins else TRef("N")
+            for conn in ins[1:]:
+                code = TBin("+", code, TRef(conn))
+            t = st.add(Tasklet(f"t{i}_{k}", ins, ("o",), (("o", code),)))
+            for conn, (rc, ri) in zip(ins, reads):
+                st.add_edge(read(rc), t, Memlet(rc, SubsetRange.make([(ri, ri, 1)])),
+                            dst_conn=conn)
+            st.add_edge(t, write(cont), Memlet(cont, SubsetRange.make([(idx, idx, 1)])),
+                        src_conn="o")
+    n = len(states)
+    for i in range(n if ring else n - 1):
+        cond = TBin("<", TRef("N"), TRef("N")) if i in conditional else None
+        g.add_transition(f"s{i}", f"s{(i + 1) % n}", cond)
+    return g
+
+
+class TestChainFusion:
+    """Coarsening fuses a chain of states in one application with one race
+    check, and gives what fusing one pair at a time gives."""
+
+    @pytest.mark.parametrize("name", ALL_KERNELS)
+    def test_corpus_as_reference(self, name):
+        assert_coarsens_as_reference(compile_kernel(name))
+
+    @pytest.mark.parametrize("source", [CALLS, *LOWERING_PROGRAMS.values()],
+                             ids=["calls", *LOWERING_PROGRAMS])
+    def test_programs_as_reference(self, source):
+        g, _ = frontend.compile_source(source)
+        if g is not None:
+            assert_coarsens_as_reference(g)
+
+    def test_racy_middle_link(self):
+        # s1 and s2 write C[0] from unordered nodes: only s0+s1 and s2+s3 fuse
+        g = chain_graph([
+            [("A", 0, [("B", 0)])],
+            [("C", 0, [("B", 1)])],
+            [("C", 0, [("D", 0)])],
+            [("D", 1, [("A", 0)])],
+        ])
+        rep = assert_coarsens_as_reference(g)
+        assert rep.applications == {"state_fusion": 2}
+        assert [s.label for s in g.states] == ["s0", "s2"]
+
+    def test_ambiguous_link(self):
+        # s1 leaves two live C nodes, so s2's read of C has no one to fuse with
+        g = chain_graph([
+            [("A", 0, [("B", 0)])],
+            [("C", 0, [("B", 0)]), ("C", 1, [("B", 1)])],
+            [("D", 0, [("C", 0)])],
+            [("B", 2, [("D", 0)])],
+        ])
+        rep = assert_coarsens_as_reference(g)
+        assert rep.applications == {"state_fusion": 2}
+        assert [s.label for s in g.states] == ["s0", "s2"]
+
+    def test_out_of_chain_order(self):
+        # listed s1, s2, s0: s1+s2 fuse first, and s0 then joins them
+        g = chain_graph([
+            [("A", 0, [("B", 0)])],
+            [("C", 0, [("A", 0)])],
+            [("D", 0, [("C", 0)])],
+        ], order=[1, 2, 0], shared=("A", "C"))
+        rep = assert_coarsens_as_reference(g)
+        assert rep.applications == {"state_fusion": 2}
+        assert [s.label for s in g.states] == ["s0"]
+
+    def test_out_of_chain_order_partial(self):
+        # s0 and s1 each leave a live C node; s2 reads C[0], which only
+        # s1+s2 can match, and s0 must not join them: one fusion
+        g = chain_graph([
+            [("C", 0, [("B", 0)])],
+            [("C", 1, [("B", 1)])],
+            [("D", 0, [("C", 0)])],
+        ], order=[1, 2, 0])
+        rep = assert_coarsens_as_reference(g)
+        assert rep.applications == {"state_fusion": 1}
+        assert [s.label for s in g.states] == ["s1", "s0"]
+
+    def test_conditional_link_breaks_chain(self):
+        g = chain_graph([
+            [("A", 0, [("B", 0)])],
+            [("B", 1, [("A", 0)])],
+            [("C", 0, [("B", 1)])],
+            [("D", 0, [("C", 0)])],
+        ], shared=("A", "B", "C"), conditional=(0,))
+        rep = assert_coarsens_as_reference(g)
+        assert rep.applications == {"state_fusion": 2}
+        assert [s.label for s in g.states] == ["s0", "s1"]
+
+    def test_ring(self):
+        g = chain_graph([
+            [("A", 0, [("B", 0)])],
+            [("C", 0, [("A", 0)])],
+            [("D", 0, [("C", 0)])],
+        ], order=[1, 0, 2], shared=("A", "C"), ring=True)
+        rep = assert_coarsens_as_reference(g)
+        assert rep.applications == {"state_fusion": 2}
+        assert len(g.states) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(hst.data())
+    def test_random_chains_as_reference(self, data):
+        access = hst.tuples(hst.sampled_from("ABCD"), hst.integers(0, 2))
+        write = hst.tuples(hst.sampled_from("ABCD"), hst.integers(0, 2),
+                           hst.lists(access, max_size=2))
+        states = data.draw(hst.lists(hst.lists(write, min_size=1, max_size=3),
+                                     min_size=2, max_size=5))
+        order = data.draw(hst.permutations(range(len(states))))
+        shared = data.draw(hst.sets(hst.sampled_from("ABCD")))
+        conditional = data.draw(hst.sets(hst.integers(0, len(states) - 1)))
+        g = chain_graph(states, order, tuple(sorted(shared)), tuple(sorted(conditional)),
+                        ring=data.draw(hst.booleans()))
+        assert_coarsens_as_reference(g)
+
+    def test_adi_one_check_per_chain(self, monkeypatch):
+        """adi's 48 fusions come in 7 chains: one race check per chain and
+        one copy of each of the 55 states in them, where pair by pair took
+        48 checks and two copies a merge."""
+        calls = {"race_free": 0, "clone": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+            return wrapper
+
+        g = compile_kernel("adi")
+        monkeypatch.setattr(passes, "race_free", counted("race_free", passes.race_free))
+        monkeypatch.setattr(State, "clone", counted("clone", State.clone))
+        rep = coarsen(g)
+        assert rep.applications["state_fusion"] == 48
+        assert calls["race_free"] <= 7
+        assert calls["clone"] <= 48 + 7

@@ -21,9 +21,9 @@ from typing import Callable
 
 from . import symbolic, texpr
 from .ir import (
-    AccessNode, DataKind, LibKind, LibraryNode, Lifetime, MapEntry, MapExit,
-    Memlet, NestedSdfg, Node, Schedule, Sdfg, State, StateFacts, Storage, Tasklet, Ternary,
-    Wcr, race_free,
+    AccessNode, DataKind, Edge, LibKind, LibraryNode, Lifetime, MapEntry, MapExit,
+    Memlet, NestedSdfg, Node, Schedule, Sdfg, State, Storage, Tasklet, Ternary, Wcr,
+    iteration_conflicts, race_free,
 )
 from .passes import (
     PassReport, _snapshot, coarsen, find_loops, loop_to_map, nodes_of, to_fixed_point,
@@ -81,11 +81,17 @@ def _rename_in_scope(st: State, entry: MapEntry, children: list[Node],
     code and nested map ranges."""
     inside = {id(n) for n in children}
     exit_node = st.exit_of(entry)
+    _rename([e for e in st.edges
+             if id(e.src) in inside or id(e.dst) in inside
+             or e.src is entry or e.dst is exit_node], children, sub)
+
+
+def _rename(edges: list[Edge], children: list[Node], sub: dict[str, SymExpr]) -> None:
+    """Substitute ``sub`` in the memlets of ``edges``, the edges of a scope
+    whose nodes are ``children``, and in those nodes."""
     tsub = {k: texpr.parse_texpr(str(v)) for k, v in sub.items()}
-    for e in st.edges:
-        if e.memlet is None:
-            continue
-        if id(e.src) in inside or id(e.dst) in inside or e.src is entry or e.dst is exit_node:
+    for e in edges:
+        if e.memlet is not None:
             e.memlet.subset = e.memlet.subset.substitute(sub)
             e.memlet.volume = symbolic.substitute(e.memlet.volume, sub)
     for n in children:
@@ -213,60 +219,43 @@ def subgraph_fusion(g: Sdfg) -> PassReport:
     each consumer reads per iteration is covered by what the producer wrote;
     single-element intermediates private to the pair shrink to scalars.
 
-    Each fusion is built on a copy of the state and swapped in only when the
-    copy is race-free, so a rejected candidate leaves the graph untouched."""
+    The result is that of fusing one pair at a time, each time the first
+    legal pair of top-level parallel maps (more dimensions first, then in
+    topological order), every fusion built on a copy of the state and kept
+    only when the copy is race-free.  Each state's fusions are folded on one
+    copy instead, checked for races once (see :class:`_MapFusion`); only when
+    that check fails does the state fuse pair by pair.  Container
+    descriptors change when the state's result is swapped in, so a rejected
+    candidate leaves the graph untouched."""
     report = PassReport()
-    for i in range(len(g.states)):
-        facts = g.states[i].facts()
-        # the fused state's snapshot serves the next search: scalarization
-        # changes memlets and descriptors, not nodes or edges
-        while (fused := _fuse_one_pair(g, facts)) is not None:
-            facts, scope, mids = fused
-            g.states[i] = facts.state
-            # after the swap: scalarization looks for occurrences in g.states
-            for n in mids:
-                _try_scalarize(g, facts, n, scope)
-            report.count("subgraph_fusion")
+    places = _access_places(g)
+    for i, st in enumerate(g.states):
+        if sum(isinstance(n, MapEntry) and n.schedule is Schedule.PARALLEL
+               for n in st.nodes.values()) < 2:
+            continue
+        fusion = _MapFusion(g, i, places, deferred=True)
+        if not fusion.run():
+            fusion = _MapFusion(g, i, places, deferred=False)
+            fusion.run()
+        if fusion.count:
+            g.states[i] = fusion.work
+            for cont in fusion.scalars:
+                g.containers[cont].shape = ()
+                g.containers[cont].kind = DataKind.SCALAR
+            report.count("subgraph_fusion", fusion.count)
     return report
 
 
-def _fuse_one_pair(g: Sdfg, facts: StateFacts
-                   ) -> tuple[StateFacts, MapEntry, list[AccessNode]] | None:
-    """The first legal fusion candidate over top-level parallel maps of the
-    state ``facts`` describes, more dimensions first, then in topological
-    order; None when there is none."""
-    maps = [n for n in facts.scopes[None]
-            if isinstance(n, MapEntry) and n.schedule is Schedule.PARALLEL]
-    order = {n.nid: i for i, n in enumerate(maps)}
-    maps.sort(key=lambda m: -len(m.params))
-    for m1 in maps:
-        for m2 in maps:
-            if m1 is m2 or order[m1.nid] > order[m2.nid]:
-                continue
-            if _space_sig(m1) != _space_sig(m2):
-                continue
-            fused = _try_fuse(g, facts, m1, m2)
-            if fused is not None:
-                return fused
-    return None
-
-
-def _intermediates(facts: StateFacts, m1: MapEntry, m2: MapEntry
-                   ) -> dict[int, AccessNode] | None:
-    """Access nodes fed by m1's exit and feeding m2's entry; None when other
-    nodes sit on a path between the two maps (fusing would create a cycle)."""
-    consumers = {e.dst.nid: e.dst for e in facts.outs[facts.exits[m1].nid]}
-    mids = {
-        nid: n for nid, n in consumers.items()
-        if isinstance(n, AccessNode) and any(e.dst is m2 for e in facts.outs[nid])
-    }
-    # every path from m1 to m2 must go through a direct intermediate
-    reach = facts.reach
-    inside = {c.nid for m in (m1, m2) for c in facts.scope_children(m)}
-    for nid in consumers:
-        if nid not in mids and nid not in inside and m2.nid in reach[nid]:
-            return None  # some other consumer of m1 still reaches m2
-    return mids
+def _access_places(g: Sdfg) -> dict[str, list[tuple[int, int]]]:
+    """Each container's access nodes as (state index, node id).  Fusion
+    keeps every access node and its id, so the table holds for the whole
+    pass."""
+    places: dict[str, list[tuple[int, int]]] = {}
+    for i, st in enumerate(g.states):
+        for n in st.nodes.values():
+            if isinstance(n, AccessNode):
+                places.setdefault(n.container, []).append((i, n.nid))
+    return places
 
 
 def _by_container(edges) -> dict[str, list]:
@@ -278,147 +267,363 @@ def _by_container(edges) -> dict[str, list]:
     return out
 
 
-def _try_fuse(g: Sdfg, facts: StateFacts, m1: MapEntry, m2: MapEntry
-              ) -> tuple[StateFacts, MapEntry, list[AccessNode]] | None:
-    """The snapshot of a race-free copy of the state ``facts`` describes
-    with m2 fused into m1, together with the copy's fused scope and
-    intermediates; None when the fusion is illegal."""
-    mapping = _align_params(m1, m2)
-    if mapping is None:
-        return None
-    mids = _intermediates(facts, m1, m2)
-    if mids is None:
-        return None
-    if not mids:
-        # only contiguous subgraphs fuse: the maps must at least share an input
-        in1 = {e.memlet.container for e in facts.ins[m1.nid] if e.memlet}
-        in2 = {e.memlet.container for e in facts.ins[m2.nid] if e.memlet}
-        if not (in1 & in2):
+class _Racy(Exception):
+    """A fused state whose race check was deferred is not race-free."""
+
+
+class _MapFusion:
+    """The fusions of the top-level parallel maps of ``g.states[i]``, one
+    pair at a time as :func:`subgraph_fusion` describes, on a working copy
+    of the state (``work``, taken at the first fusion).
+
+    Without ``deferred``, every fusion is built on a copy of the working
+    state and kept only when the copy passes ``race_free``.  With it, a
+    fusion whose shape keeps the scope brackets (:meth:`_clean`) is applied
+    to the working state in place and its race check is deferred: one
+    ``race_free`` of the state before the fusions and one of the state after
+    stand for the checks of every state between.  A race that a fusion
+    introduces stays in the later states, except a conflict across
+    iterations that involves an intermediate's memlets, which the fusion
+    moves inside the scope; such a conflict is in the scopes being fused, so
+    it is looked for there before the fusion.  Any other fusion is checked
+    like one without ``deferred``, after a check of the working state.  A
+    deferred check that fails raises :class:`_Racy`.
+
+    The search skips a pair it rejected when neither map's scope nor any
+    node connecting it has changed since: a rejection stands while reach
+    only grows, which a fusion of that shape ensures.
+    """
+
+    def __init__(self, g: Sdfg, i: int, places: dict[str, list[tuple[int, int]]],
+                 deferred: bool):
+        self.g, self.i, self.places, self.deferred = g, i, places, deferred
+        self.asm = g.assumptions()
+        self.base = self.work = g.states[i]
+        self.base_facts = self.base.facts()
+        self.top = {n.nid for n in self.base_facts.scopes[None]
+                    if isinstance(n, MapEntry) and n.schedule is Schedule.PARALLEL}
+        self.sig = {nid: _space_sig(self.base.nodes[nid]) for nid in self.top}
+        self.count = 0
+        self.scalars: set[str] = set()
+        self.base_checked = False  # the state before the fusions is race-free
+        self.unchecked = 0  # fusions applied since the working state was checked
+        # how often each map's scope or connecting nodes changed, by its role
+        # in a pair: as the map fused into (first) or the one fused (second)
+        self.first: dict[int, int] = {}
+        self.second: dict[int, int] = {}
+        self.rejected: dict[tuple[int, int], tuple[int, int]] = {}
+        self._index()
+
+    def run(self) -> bool:
+        """Fuse to a fixed point; False when a deferred race check fails."""
+        try:
+            while self._step():
+                pass
+            self._check()
+        except _Racy:
+            return False
+        return True
+
+    def _index(self) -> None:
+        self.ins, self.outs = _edge_index(self.work)
+        self.exits: dict[int, MapExit] = {}
+        for n in self.work.nodes.values():
+            if isinstance(n, MapExit):
+                self.exits.setdefault(n.entry.nid, n)
+
+    def _check(self) -> None:
+        """Check the races deferred so far.  The state before the fusions
+        is checked only when more than one fusion followed it unchecked: the
+        check of the state after one fusion is that fusion's own."""
+        if not self.unchecked:
+            return
+        if (not self.base_checked and self.unchecked > 1
+                and not race_free(self.base, self.asm, self.base_facts)):
+            raise _Racy
+        self.base_checked = True
+        if not race_free(self.work, self.asm):
+            raise _Racy
+        self.unchecked = 0
+
+    def _step(self) -> bool:
+        """Apply the first legal fusion; False when there is none."""
+        order = self.base_facts.order if self.work is self.base else self.work.topological()
+        maps = [n for n in order if n.nid in self.top]
+        pos = {n.nid: k for k, n in enumerate(maps)}
+        maps.sort(key=lambda m: -len(m.params))
+        for m1 in maps:
+            for m2 in maps:
+                if m1 is m2 or pos[m1.nid] > pos[m2.nid] or self.sig[m1.nid] != self.sig[m2.nid]:
+                    continue
+                stamp = (self.first.get(m1.nid, 0), self.second.get(m2.nid, 0))
+                if self.rejected.get((m1.nid, m2.nid)) == stamp:
+                    continue
+                legal = self._legal(m1, m2)
+                fused = None if legal is None else self._fuse(m1, m2, *legal)
+                if fused:
+                    return True
+                if fused is None:  # the pair's own shape rejects it
+                    self.rejected[m1.nid, m2.nid] = stamp
+        return False
+
+    def _legal(self, m1: MapEntry, m2: MapEntry
+               ) -> tuple[dict[str, str], dict[int, AccessNode]] | None:
+        """The parameter mapping and intermediates of fusing m2 into m1, when
+        the checks on the maps and their connecting nodes pass."""
+        mapping = _align_params(m1, m2)
+        if mapping is None:
             return None
-    w1 = _by_container(facts.ins[facts.exits[m1].nid])
-    r2 = _by_container(facts.outs[m2.nid])
-    rename = {k: Sym(v) for k, v in mapping.items()}
-    asm = g.assumptions()
-    for p, (b, _, _) in m1.params:
-        asm = asm.with_bound(p, 0)
-
-    # every intermediate the consumer reads must be covered by the producer
-    for n in mids.values():
-        cont = n.container
-        reads = [e.memlet.subset.substitute(rename) for e in r2.get(cont, [])]
-        writes = [e.memlet.subset for e in w1.get(cont, [])]
-        if not reads:
-            continue
-        for r in reads:
-            if not any(symbolic.covers(w, r, asm) is Ternary.TRUE for w in writes):
+        consumers = {e.dst.nid: e.dst for e in self.outs[self.exits[m1.nid].nid]}
+        # the intermediates: access nodes fed by m1's exit and feeding m2's entry
+        mids = {
+            nid: n for nid, n in consumers.items()
+            if isinstance(n, AccessNode) and any(e.dst is m2 for e in self.outs[nid])
+        }
+        if not mids:
+            # only contiguous subgraphs fuse: the maps must at least share an input
+            in1 = {e.memlet.container for e in self.ins[m1.nid] if e.memlet}
+            in2 = {e.memlet.container for e in self.ins[m2.nid] if e.memlet}
+            if not (in1 & in2):
                 return None
+        # no other consumer of m1 may reach m2 (fusing would close a cycle);
+        # the consumers of a top-level exit are top-level
+        if any(nid not in mids and self._reaches(nid, m2.nid) for nid in consumers):
+            return None
+        w1 = _by_container(self.ins[self.exits[m1.nid].nid])
+        r2 = _by_container(self.outs[m2.nid])
+        rename = {k: Sym(v) for k, v in mapping.items()}
+        asm = self.asm
+        for p, _ in m1.params:
+            asm = asm.with_bound(p, 0)
+        # every intermediate the consumer reads must be covered by the producer
+        for n in mids.values():
+            writes = [e.memlet.subset for e in w1.get(n.container, [])]
+            for e in r2.get(n.container, []):
+                r = e.memlet.subset.substitute(rename)
+                if not any(symbolic.covers(w, r, asm) is Ternary.TRUE for w in writes):
+                    return None
+        return mapping, mids
 
-    cand = facts.state.clone()
-    scope = cand.nodes[m1.nid]
-    cand_mids = [cand.nodes[nid] for nid in mids]
-    # the copy keeps the node ids, so m2's scope is read off the snapshot
-    m2_children = [cand.nodes[c.nid] for c in facts.scope_children(m2)]
-    _apply_fusion(cand, scope, cand.nodes[m2.nid], m2_children, mapping, cand_mids)
-    try:
-        cand_facts = cand.facts()
-    except ValueError:
-        return None  # the fusion closed a cycle
-    if not race_free(cand, g.assumptions(), cand_facts):
-        return None
-    return cand_facts, scope, cand_mids
+    def _reaches(self, src: int, dst: int) -> bool:
+        seen, pending = {src}, [src]
+        while pending:
+            for e in self.outs[pending.pop()]:
+                nid = e.dst.nid
+                if nid == dst:
+                    return True
+                if nid not in seen:
+                    seen.add(nid)
+                    pending.append(nid)
+        return False
+
+    def _children(self, entry: MapEntry) -> list[int]:
+        """The ids of the nodes inside ``entry``'s scope, in id order: those
+        its out edges reach before its exit."""
+        exit_node = self.exits[entry.nid]
+        seen: set[int] = set()
+        pending = [entry]
+        while pending:
+            for e in self.outs[pending.pop().nid]:
+                if e.dst is not exit_node and e.dst.nid not in seen:
+                    seen.add(e.dst.nid)
+                    pending.append(e.dst)
+        return sorted(seen)
+
+    def _clean(self, m1: MapEntry, m2: MapEntry, mids: dict[int, AccessNode]) -> bool:
+        """Whether fusing m2 into m1 keeps the scope brackets and drops no
+        memlet by its shape: each intermediate is written only by m1's exit,
+        on connectors of their own that some write into the exit matches
+        (so that each keeps a producer inside the scope), and read only by
+        m2; the connectors into m2's entry are distinct, carry memlets and
+        match the ones out of it; and those into m2's exit match the ones
+        out of it."""
+        ins, outs = self.ins, self.outs
+        x1, x2 = self.exits[m1.nid], self.exits[m2.nid]
+        written = {pe.dst_conn for pe in ins[x1.nid] if pe.memlet is not None}
+        producers = [e for nid in mids for e in ins[nid]]
+        if (any(e.src is not x1 or "IN_" + _strip(e.src_conn) not in written for e in producers)
+                or len({e.src_conn for e in producers}) != len(producers)
+                or any(e.dst is not m2 for nid in mids for e in outs[nid])):
+            return False
+        if any(e.memlet is None for e in ins[m2.nid]):
+            return False
+        entry_in = [_strip(e.dst_conn) for e in ins[m2.nid]]
+        entry_out = {_strip(e.src_conn) for e in outs[m2.nid] if e.memlet is not None}
+        exit_in = [_strip(e.dst_conn) for e in ins[x2.nid]]
+        exit_out = {_strip(e.src_conn) for e in outs[x2.nid]}
+        return (len(set(entry_in)) == len(entry_in) and set(entry_in) == entry_out
+                and len(set(exit_in)) == len(exit_in) and set(exit_in) == exit_out)
+
+    def _producers_touched(self, m2: MapEntry) -> set[int]:
+        """The maps whose exit feeds a node that fusing m2 rewires: a source
+        of m2's entry (its out edges change) or a consumer of m2's exit (its
+        in edges change).  Their checks as the first map of a pair read
+        those nodes; the intermediates, which change too, are the fused
+        pair's own."""
+        nodes = [e.src for e in self.ins[m2.nid]] + [e.dst for e in self.outs[self.exits[m2.nid].nid]]
+        return {e.src.entry.nid for n in nodes for e in self.ins[n.nid] if isinstance(e.src, MapExit)}
+
+    def _fuse(self, m1: MapEntry, m2: MapEntry, mapping: dict[str, str],
+              mids: dict[int, AccessNode]) -> bool | None:
+        """Fuse m2 into m1: True when fused, False when the fused state
+        races, None when the fusion breaks the scope brackets or closes a
+        cycle."""
+        clean = self._clean(m1, m2, mids)
+        touched = self._producers_touched(m2) if clean else ()
+        children = self._children(m2)
+        if self.deferred and clean:
+            if mids and any(iteration_conflicts(m.param_names, self.outs[m.nid],
+                                                self.ins[self.exits[m.nid].nid])
+                            for m in (m1, m2)):
+                raise _Racy  # the working state races already
+            if self.work is self.base:
+                self.work = self.base.clone()
+                self._index()
+            st, ins, outs = self.work, self.ins, self.outs
+            self.unchecked += 1
+        else:
+            st = self.work.clone()
+            ins, outs = _edge_index(st)
+        nodes = st.nodes
+        _apply_fusion(st, ins, outs, nodes[m1.nid], nodes[m2.nid], [nodes[c] for c in children],
+                      mapping, [nodes[nid] for nid in mids])
+        if st is not self.work:
+            try:
+                facts = st.facts()
+                facts.parents
+            except ValueError:
+                return None
+            if self.deferred:
+                self._check()
+            if not race_free(st, self.asm, facts):
+                return False
+            self.work, self.base_checked = st, True
+            self._index()
+            self.top = {n.nid for n in facts.scopes[None]
+                        if isinstance(n, MapEntry) and n.schedule is Schedule.PARALLEL}
+        else:
+            del self.exits[m2.nid]
+            self.top.discard(m2.nid)
+        if clean:
+            for nid in touched | {m1.nid}:
+                self.first[nid] = self.first.get(nid, 0) + 1
+            self.second[m1.nid] = self.second.get(m1.nid, 0) + 1
+        else:
+            self.rejected.clear()  # a dropped edge may have shortened paths
+        self.count += 1
+        inside = set(self._children(nodes[m1.nid]))
+        for nid in mids:
+            self._scalarize(nodes[nid], inside)
+        return True
+
+    def _scalarize(self, acc: AccessNode, inside: set[int]) -> None:
+        """Shrink ``acc``'s container to a scalar when it is a transient
+        array whose every access node is in the fused scope (node ids
+        ``inside``) and whose every memlet addresses one element with the
+        same index expression."""
+        cont = acc.container
+        desc = self.g.containers.get(cont)
+        if desc is None or not desc.transient or desc.kind is not DataKind.ARRAY:
+            return
+        if any(i != self.i or nid not in inside for i, nid in self.places[cont]):
+            return
+        edges = [e for e in self.work.edges if e.memlet is not None and e.memlet.container == cont]
+        if len({str(e.memlet.subset) for e in edges}) != 1:
+            return
+        if any(str(b) != str(e) for b, e, _ in edges[0].memlet.subset.dims):
+            return
+        for e in edges:
+            e.memlet.subset = SubsetRange(())
+            e.memlet.volume = Const(1)
+        self.scalars.add(cont)
 
 
-def _apply_fusion(st: State, m1: MapEntry, m2: MapEntry, m2_children: list[Node],
+def _edge_index(st: State) -> tuple[dict[int, list[Edge]], dict[int, list[Edge]]]:
+    """The in and out edges of each node of ``st`` by id, in edge order."""
+    ins: dict[int, list[Edge]] = {nid: [] for nid in st.nodes}
+    outs: dict[int, list[Edge]] = {nid: [] for nid in st.nodes}
+    for e in st.edges:
+        outs[e.src.nid].append(e)
+        ins[e.dst.nid].append(e)
+    return ins, outs
+
+
+def _apply_fusion(st: State, ins: dict[int, list[Edge]], outs: dict[int, list[Edge]],
+                  m1: MapEntry, m2: MapEntry, m2_children: list[Node],
                   mapping: dict[str, str], mids: list[AccessNode]) -> None:
+    """Fuse m2's scope, whose nodes are ``m2_children``, into m1's with m2's
+    parameters renamed by ``mapping``; the intermediates ``mids`` move into
+    the fused scope.  ``ins`` and ``outs`` index the state's edges
+    (:func:`_edge_index`) and are kept up to date; the edge list ends as
+    adding and removing each edge in turn would leave it."""
+    removed: set[int] = set()
+
+    def add(src, dst, memlet=None, src_conn=None, dst_conn=None):
+        e = st.add_edge(src, dst, memlet, src_conn, dst_conn)
+        outs[src.nid].append(e)
+        ins[dst.nid].append(e)
+
+    def remove(e):
+        removed.add(id(e))
+        outs[e.src.nid].remove(e)
+        ins[e.dst.nid].remove(e)
+
     x1, x2 = st.exit_of(m1), st.exit_of(m2)
-    _rename_in_scope(st, m2, m2_children, {k: Sym(v) for k, v in mapping.items()})
+    scope = {id(e): e for n in m2_children for e in ins[n.nid] + outs[n.nid]}
+    scope.update((id(e), e) for e in outs[m2.nid] + ins[x2.nid])
+    _rename(list(scope.values()), m2_children, {k: Sym(v) for k, v in mapping.items()})
 
     # move intermediate access nodes into the fused scope
     for n in mids:
-        for e in list(st.in_edges(n)):
+        for e in list(ins[n.nid]):
             if e.src is x1:
                 # producer edge: rewire from the producing node directly
-                inner = [
-                    pe for pe in st.in_edges(x1)
-                    if pe.dst_conn == "IN_" + _strip(e.src_conn) and pe.memlet is not None
-                ]
-                for pe in inner:
-                    st.add_edge(pe.src, n, pe.memlet, pe.src_conn, None)
-                    st.remove_edge(pe)
-                st.remove_edge(e)
-        for e in list(st.out_edges(n)):
+                conn = "IN_" + _strip(e.src_conn)
+                for pe in [pe for pe in ins[x1.nid] if pe.dst_conn == conn and pe.memlet is not None]:
+                    add(pe.src, n, pe.memlet, pe.src_conn, None)
+                    remove(pe)
+                remove(e)
+        for e in list(outs[n.nid]):
             if e.dst is m2:
                 # consumer edge: connect the access node into m2's scope reads
                 conn = _strip(e.dst_conn)
-                for ce in list(st.out_edges(m2)):
-                    if _strip(ce.src_conn) == conn:
-                        st.add_edge(n, ce.dst, ce.memlet, None, ce.dst_conn)
-                        st.remove_edge(ce)
-                st.remove_edge(e)
+                for ce in [ce for ce in outs[m2.nid] if _strip(ce.src_conn) == conn]:
+                    add(n, ce.dst, ce.memlet, None, ce.dst_conn)
+                    remove(ce)
+                remove(e)
 
     # remaining m2 entry routing moves to m1's entry
-    for e in list(st.in_edges(m2)):
+    for e in list(ins[m2.nid]):
         if e.memlet is None:
-            st.remove_edge(e)
+            remove(e)
             continue
         conn = _strip(e.dst_conn)
-        for ce in list(st.out_edges(m2)):
-            if _strip(ce.src_conn) == conn:
-                fresh = f"F{st._next_id}_{conn}"
-                st.add_edge(e.src, m1, e.memlet, e.src_conn, f"IN_{fresh}")
-                st.add_edge(m1, ce.dst, ce.memlet, f"OUT_{fresh}", ce.dst_conn)
-                st.remove_edge(ce)
-        st.remove_edge(e)
-    for e in list(st.out_edges(m2)):  # dependency-only edges
+        for ce in [ce for ce in outs[m2.nid] if _strip(ce.src_conn) == conn]:
+            fresh = f"F{st._next_id}_{conn}"
+            add(e.src, m1, e.memlet, e.src_conn, f"IN_{fresh}")
+            add(m1, ce.dst, ce.memlet, f"OUT_{fresh}", ce.dst_conn)
+            remove(ce)
+        remove(e)
+    for e in list(outs[m2.nid]):  # dependency-only edges
         if e.memlet is None:
-            st.add_edge(m1, e.dst)
-        st.remove_edge(e)
+            add(m1, e.dst)
+        remove(e)
 
     # m2's writes move to m1's exit
-    for e in list(st.in_edges(x2)):
+    for e in list(ins[x2.nid]):
         conn = _strip(e.dst_conn)
-        for ce in list(st.out_edges(x2)):
-            if _strip(ce.src_conn) == conn:
-                fresh = f"F{st._next_id}_{conn}"
-                st.add_edge(e.src, x1, e.memlet, e.src_conn, f"IN_{fresh}")
-                st.add_edge(x1, ce.dst, ce.memlet, f"OUT_{fresh}", ce.dst_conn)
-                st.remove_edge(ce)
-        st.remove_edge(e)
+        for ce in [ce for ce in outs[x2.nid] if _strip(ce.src_conn) == conn]:
+            fresh = f"F{st._next_id}_{conn}"
+            add(e.src, x1, e.memlet, e.src_conn, f"IN_{fresh}")
+            add(x1, ce.dst, ce.memlet, f"OUT_{fresh}", ce.dst_conn)
+            remove(ce)
+        remove(e)
 
-    st.remove_node(m2)
-    st.remove_node(x2)
-
-
-def _try_scalarize(g: Sdfg, facts: StateFacts, acc: AccessNode, scope: MapEntry) -> None:
-    cont = acc.container
-    desc = g.containers.get(cont)
-    if desc is None or not desc.transient or desc.kind is not DataKind.ARRAY:
-        return
-    occs = [
-        (s2, n)
-        for s2 in g.states
-        for n in s2.nodes.values()
-        if isinstance(n, AccessNode) and n.container == cont
-    ]
-    edges = [
-        e for s2, _ in occs for e in s2.edges
-        if e.memlet is not None and e.memlet.container == cont
-    ]
-    in_scope = {id(c) for c in facts.scope_children(scope)}
-    if any(id(n) not in in_scope for _, n in occs):
-        return
-    # all accesses must address one element with the same index expression
-    subsets = {str(e.memlet.subset) for e in edges}
-    if len(subsets) != 1:
-        return
-    sub = next(iter(edges)).memlet.subset
-    if any(str(b) != str(e) for b, e, _ in sub.dims):
-        return
-    for e in edges:
-        e.memlet.subset = SubsetRange(())
-        e.memlet.volume = Const(1)
-    desc.shape = ()
-    desc.kind = DataKind.SCALAR
+    for n in (m2, x2):  # the edges left at the removed nodes go with them
+        for e in ins[n.nid] + outs[n.nid]:
+            remove(e)
+        del ins[n.nid], outs[n.nid], st.nodes[n.nid]
+    st.edges = [e for e in st.edges if id(e) not in removed]
 
 
 # ---------------------------------------------------------------------------

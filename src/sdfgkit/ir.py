@@ -849,6 +849,18 @@ def validate(g: Sdfg, facts: dict[State, StateFacts] | None = None) -> list[Diag
 
         # dataflow endpoints: sinks must be access nodes; tasklet outputs consumed
         for n in st.nodes.values():
+            if isinstance(n, MapExit):
+                # an exit passes each write on from IN_x to the edges out of OUT_x
+                # (a graph without connectors pairs its unnamed edges)
+                passed = {e.src_conn for e in sf.outs[n.nid]}
+                for e in sf.ins[n.nid]:
+                    conn = e.dst_conn
+                    if conn is not None and not conn.startswith("IN_"):
+                        err(f"edge into map exit {n.nid} names connector '{conn}', not IN_x",
+                            "exit-connector", st.label, n.nid)
+                    elif (None if conn is None else "OUT_" + conn[3:]) not in passed:
+                        err(f"no edge leaves map exit {n.nid} for its input {conn or 'without a connector'}",
+                            "exit-connector", st.label, n.nid)
             if not sf.outs[n.nid] and not isinstance(n, AccessNode):
                 err(
                     f"{type(n).__name__} {n.nid} is a dataflow sink",
@@ -941,16 +953,23 @@ def scope_cross_iteration_hazards(
     snapshot, taken here when not given.
     """
     facts = facts or state.facts()
-    exit_node = facts.exits[entry]
+    return iteration_conflicts(entry.param_names, facts.outs[entry.nid],
+                               facts.ins[facts.exits[entry].nid])
+
+
+def iteration_conflicts(param_names: Sequence[str], read_edges: Sequence[Edge],
+                        write_edges: Sequence[Edge]) -> list[tuple[str, Memlet, Memlet]]:
+    """The same-container memlet pairs of a map with parameters
+    ``param_names``, which reads by the edges ``read_edges`` (out of its
+    entry) and writes by ``write_edges`` (into its exit), that may collide
+    across iterations (see :func:`scope_cross_iteration_hazards`)."""
     reads: dict[str, list[Memlet]] = {}
     writes: dict[str, list[Memlet]] = {}
-    for e in facts.outs[entry.nid]:
-        if e.memlet is not None:
-            reads.setdefault(e.memlet.container, []).append(e.memlet)
-    for e in facts.ins[exit_node.nid]:
-        if e.memlet is not None:
-            writes.setdefault(e.memlet.container, []).append(e.memlet)
-    params = set(entry.param_names)
+    for edges, out in ((read_edges, reads), (write_edges, writes)):
+        for e in edges:
+            if e.memlet is not None:
+                out.setdefault(e.memlet.container, []).append(e.memlet)
+    params = set(param_names)
     hazards = []
     for cont, wlist in writes.items():
         others = wlist + reads.get(cont, [])

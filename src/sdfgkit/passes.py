@@ -150,6 +150,31 @@ def _fusible_chains(g: Sdfg) -> list[list[InterstateEdge]]:
     return chains
 
 
+def _reach(st: State) -> dict[Node, set[Node]]:
+    """The nodes each node of the acyclic state ``st`` reaches by one or
+    more edges, from a walk over its edges alone."""
+    succs: dict[Node, list[Node]] = {n: [] for n in st.nodes.values()}
+    for e in st.edges:
+        succs[e.src].append(e.dst)
+    reach: dict[Node, set[Node]] = {}
+    for root in succs:
+        path = [(root, iter(succs[root]))] if root not in reach else []
+        on_path = {root}
+        while path:
+            n, todo = path[-1]
+            d = next((d for d in todo if d not in reach), None)
+            if d is None:
+                path.pop()
+                on_path.discard(n)
+                reach[n] = set(succs[n]).union(*(reach[x] for x in succs[n]))
+            elif d in on_path:
+                raise ValueError(f"cycle in state '{st.label}'")
+            else:
+                path.append((d, iter(succs[d])))
+                on_path.add(d)
+    return reach
+
+
 def _merge_states(states: list[State]) -> State | None:
     """Build from copies of ``states`` (each running right after the one
     before) their fused state, the left fold of pairwise merges; None when
@@ -186,8 +211,7 @@ def _merge_states(states: list[State]) -> State | None:
                 fuse_map[n] = cands[0]
         last = i == len(states) - 1
         if not last:
-            # the ids each node reaches in b, as nodes, before b's ids change
-            b_reach = {b.nodes[k]: {b.nodes[j] for j in v} for k, v in b.facts().reach.items()}
+            b_reach = _reach(b)
             grown: dict[Node, set[Node]] = {}
             for n, target in fuse_map.items():
                 grown.setdefault(target, set()).update(b_reach[n])

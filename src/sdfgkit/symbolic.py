@@ -456,14 +456,15 @@ def simplify(e: SymExpr) -> SymExpr:
 
 
 def substitute(e: SymExpr, bindings: Mapping[str, SymExpr | int]) -> SymExpr:
-    """Replace bound symbols by expressions, then simplify."""
-    repl = {n: as_expr(v) for n, v in bindings.items()}
+    """Replace bound symbols by expressions, then simplify.  A subtree free
+    of the symbols that change is kept as it is."""
+    repl = {n: v for n, v in ((n, as_expr(v)) for n, v in bindings.items()) if v is not Sym(n)}
 
     def walk(x: SymExpr) -> SymExpr:
-        if isinstance(x, Const):
+        if x._free.isdisjoint(repl):
             return x
         if isinstance(x, Sym):
-            return repl.get(x.name, x)
+            return repl[x.name]
         return type(x)(walk(x.left), walk(x.right))
 
     return simplify(walk(e))
@@ -651,12 +652,7 @@ class SubsetRange:
         return self._hash
 
     def substitute(self, bindings: Mapping[str, SymExpr | int]) -> "SubsetRange":
-        return SubsetRange(
-            tuple(
-                (substitute(b, bindings), substitute(e, bindings), substitute(s, bindings))
-                for b, e, s in self.dims
-            )
-        )
+        return _substitute_subset(self, tuple((n, as_expr(v)) for n, v in bindings.items()))
 
     def evaluate(self, bindings: Mapping[str, int]) -> tuple[range, ...]:
         out = []
@@ -669,6 +665,15 @@ class SubsetRange:
 
     def __str__(self) -> str:
         return self._text
+
+
+@functools.lru_cache(maxsize=4096)
+def _substitute_subset(subset: SubsetRange, bindings: tuple) -> SubsetRange:
+    """:meth:`SubsetRange.substitute`, kept in a bounded table: a subset and
+    its bindings are immutable, and renamings repeat the same few."""
+    b = dict(bindings)
+    return SubsetRange(tuple((substitute(x, b), substitute(y, b), substitute(z, b))
+                             for x, y, z in subset.dims))
 
 
 def _dim_const(dim, bindings=None) -> tuple[int, int, int] | None:
@@ -733,8 +738,11 @@ def _dim_covers(outer, inner, a: Assumptions) -> Ternary:
     return Ternary.UNKNOWN
 
 
+@functools.lru_cache(maxsize=4096)
 def covers(outer: SubsetRange, inner: SubsetRange, a: Assumptions) -> Ternary:
-    """Decide whether every point of ``inner`` lies in ``outer``."""
+    """Decide whether every point of ``inner`` lies in ``outer``.  The
+    verdict is a function of immutable operands, so it is kept in a bounded
+    table."""
     if outer.rank != inner.rank:
         raise ValueError(f"rank mismatch: {outer.rank} vs {inner.rank}")
     per_dim = [_dim_covers(o, i, a) for o, i in zip(outer.dims, inner.dims)]

@@ -78,6 +78,38 @@ class TestValidate:
         codes = [d.code for d in g.validate()]
         assert "sink-not-access" in codes
 
+    @pytest.mark.parametrize("conn", [None, "w0", "IN_gone"])
+    def test_exit_input_must_name_a_passed_connector(self, conn):
+        # adi's lowered edge tasklet -> exit[IN_w0]; without its connector
+        # subgraph fusion drops the write and auto_optimize's own check
+        # later fails on a tasklet left as a sink
+        g = compile_kernel("adi")
+        e = g.states[49].edges[4]
+        assert isinstance(e.dst, MapExit) and e.dst_conn == "IN_w0"
+        e.dst_conn = conn
+        errors = [d for d in g.validate() if d.severity == "error"]
+        assert [(d.code, d.state, d.node) for d in errors] == [
+            ("exit-connector", g.states[49].label, e.dst.nid)]
+
+    def test_pinned_graphs_pass_exit_connectors(self):
+        from test_optimizer_pin import DISTRIBUTED, LOWERED_NAMES, lowered_source
+        from sdfgkit.autoopt import specialize
+        from sdfgkit.dist import ProcessGrid, distribution_pipeline
+        graphs = [frontend.compile_source(lowered_source(n))[0] for n in LOWERED_NAMES]
+        for name in ALL_KERNELS:
+            g = compile_kernel(name)
+            auto_optimize(g)
+            cpu = g.copy()
+            specialize(cpu)
+            graphs += [g, cpu]
+        for name in DISTRIBUTED:
+            g = compile_kernel(name)
+            distribution_pipeline(g, ProcessGrid.parse("2x2"))
+            graphs.append(g)
+        for g in graphs:
+            if g is not None:
+                assert not [d for d in g.validate() if d.code == "exit-connector"], g.name
+
     def test_parallel_map_conflict_needs_wcr(self):
         g = Sdfg("bad")
         g.add_symbol("N", 1)

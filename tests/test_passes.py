@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from sdfgkit import frontend, passes
+from sdfgkit import autoopt, frontend, passes, symbolic
+from sdfgkit.autoopt import subgraph_fusion
 from sdfgkit.interp import ExecContext, InterpOptions, interpret
 from sdfgkit.ir import (
-    AccessNode, DType, MapEntry, Memlet, NestedSdfg, Sdfg, State, StateFacts, Tasklet, Wcr,
-    content_key, race_free, structural_eq,
+    AccessNode, DataKind, DType, MapEntry, MapExit, Memlet, NestedSdfg, Schedule, Sdfg, State,
+    StateFacts, Tasklet, Ternary, Wcr, content_key, race_free, structural_eq,
 )
 from sdfgkit.passes import (
     PassReport, coarsen, find_loops, graph_measure, inline_nested, loop_to_map,
@@ -578,3 +579,357 @@ class TestChainFusion:
         assert rep.applications["state_fusion"] == 48
         assert calls["race_free"] <= 7
         assert calls["clone"] <= 48 + 7
+
+
+# ---------------------------------------------------------------------------
+# Reference subgraph fusion: one pair of maps at a time, each time the first
+# legal pair of top-level parallel maps (more dimensions first, then in
+# topological order), every fusion on a copy of the state with its own race
+# check, the search starting again from the first pair after each fusion.
+
+
+def _reference_intermediates(facts: StateFacts, m1: MapEntry, m2: MapEntry):
+    consumers = {e.dst.nid: e.dst for e in facts.outs[facts.exits[m1].nid]}
+    mids = {
+        nid: n for nid, n in consumers.items()
+        if isinstance(n, AccessNode) and any(e.dst is m2 for e in facts.outs[nid])
+    }
+    reach = facts.reach
+    inside = {c.nid for m in (m1, m2) for c in facts.scope_children(m)}
+    for nid in consumers:
+        if nid not in mids and nid not in inside and m2.nid in reach[nid]:
+            return None
+    return mids
+
+
+def _reference_apply_fusion(st: State, m1: MapEntry, m2: MapEntry, m2_children,
+                            mapping, mids) -> None:
+    x1, x2 = st.exit_of(m1), st.exit_of(m2)
+    autoopt._rename_in_scope(st, m2, m2_children, {k: Sym(v) for k, v in mapping.items()})
+    strip = autoopt._strip
+    for n in mids:
+        for e in list(st.in_edges(n)):
+            if e.src is x1:
+                inner = [pe for pe in st.in_edges(x1)
+                         if pe.dst_conn == "IN_" + strip(e.src_conn) and pe.memlet is not None]
+                for pe in inner:
+                    st.add_edge(pe.src, n, pe.memlet, pe.src_conn, None)
+                    st.remove_edge(pe)
+                st.remove_edge(e)
+        for e in list(st.out_edges(n)):
+            if e.dst is m2:
+                conn = strip(e.dst_conn)
+                for ce in list(st.out_edges(m2)):
+                    if strip(ce.src_conn) == conn:
+                        st.add_edge(n, ce.dst, ce.memlet, None, ce.dst_conn)
+                        st.remove_edge(ce)
+                st.remove_edge(e)
+    for e in list(st.in_edges(m2)):
+        if e.memlet is None:
+            st.remove_edge(e)
+            continue
+        conn = strip(e.dst_conn)
+        for ce in list(st.out_edges(m2)):
+            if strip(ce.src_conn) == conn:
+                fresh = f"F{st._next_id}_{conn}"
+                st.add_edge(e.src, m1, e.memlet, e.src_conn, f"IN_{fresh}")
+                st.add_edge(m1, ce.dst, ce.memlet, f"OUT_{fresh}", ce.dst_conn)
+                st.remove_edge(ce)
+        st.remove_edge(e)
+    for e in list(st.out_edges(m2)):
+        if e.memlet is None:
+            st.add_edge(m1, e.dst)
+        st.remove_edge(e)
+    for e in list(st.in_edges(x2)):
+        conn = strip(e.dst_conn)
+        for ce in list(st.out_edges(x2)):
+            if strip(ce.src_conn) == conn:
+                fresh = f"F{st._next_id}_{conn}"
+                st.add_edge(e.src, x1, e.memlet, e.src_conn, f"IN_{fresh}")
+                st.add_edge(x1, ce.dst, ce.memlet, f"OUT_{fresh}", ce.dst_conn)
+                st.remove_edge(ce)
+        st.remove_edge(e)
+    st.remove_node(m2)
+    st.remove_node(x2)
+
+
+def _reference_try_fuse(g: Sdfg, facts: StateFacts, m1: MapEntry, m2: MapEntry):
+    mapping = autoopt._align_params(m1, m2)
+    if mapping is None:
+        return None
+    mids = _reference_intermediates(facts, m1, m2)
+    if mids is None:
+        return None
+    if not mids:
+        in1 = {e.memlet.container for e in facts.ins[m1.nid] if e.memlet}
+        in2 = {e.memlet.container for e in facts.ins[m2.nid] if e.memlet}
+        if not (in1 & in2):
+            return None
+    w1 = autoopt._by_container(facts.ins[facts.exits[m1].nid])
+    r2 = autoopt._by_container(facts.outs[m2.nid])
+    rename = {k: Sym(v) for k, v in mapping.items()}
+    asm = g.assumptions()
+    for p, _ in m1.params:
+        asm = asm.with_bound(p, 0)
+    for n in mids.values():
+        reads = [e.memlet.subset.substitute(rename) for e in r2.get(n.container, [])]
+        writes = [e.memlet.subset for e in w1.get(n.container, [])]
+        for r in reads:
+            if not any(symbolic.covers(w, r, asm) is Ternary.TRUE for w in writes):
+                return None
+    cand = facts.state.clone()
+    scope = cand.nodes[m1.nid]
+    cand_mids = [cand.nodes[nid] for nid in mids]
+    m2_children = [cand.nodes[c.nid] for c in facts.scope_children(m2)]
+    _reference_apply_fusion(cand, scope, cand.nodes[m2.nid], m2_children, mapping, cand_mids)
+    try:
+        cand_facts = cand.facts()
+    except ValueError:
+        return None
+    if not race_free(cand, g.assumptions(), cand_facts):
+        return None
+    return cand_facts, scope, cand_mids
+
+
+def _reference_scalarize(g: Sdfg, facts: StateFacts, acc: AccessNode, scope: MapEntry) -> None:
+    cont = acc.container
+    desc = g.containers.get(cont)
+    if desc is None or not desc.transient or desc.kind is not DataKind.ARRAY:
+        return
+    occs = [(s2, n) for s2 in g.states for n in s2.nodes.values()
+            if isinstance(n, AccessNode) and n.container == cont]
+    edges = [e for s2, _ in occs for e in s2.edges
+             if e.memlet is not None and e.memlet.container == cont]
+    in_scope = {id(c) for c in facts.scope_children(scope)}
+    if any(id(n) not in in_scope for _, n in occs):
+        return
+    subsets = {str(e.memlet.subset) for e in edges}
+    if len(subsets) != 1:
+        return
+    sub = next(iter(edges)).memlet.subset
+    if any(str(b) != str(e) for b, e, _ in sub.dims):
+        return
+    for e in edges:
+        e.memlet.subset = SubsetRange(())
+        e.memlet.volume = Const(1)
+    desc.shape = ()
+    desc.kind = DataKind.SCALAR
+
+
+def reference_subgraph_fusion(g: Sdfg) -> PassReport:
+    report = PassReport()
+    for i in range(len(g.states)):
+        facts = g.states[i].facts()
+        while True:
+            maps = [n for n in facts.scopes[None]
+                    if isinstance(n, MapEntry) and n.schedule is Schedule.PARALLEL]
+            order = {n.nid: k for k, n in enumerate(maps)}
+            maps.sort(key=lambda m: -len(m.params))
+            fused = next((f for m1 in maps for m2 in maps
+                          if m1 is not m2 and order[m1.nid] <= order[m2.nid]
+                          and autoopt._space_sig(m1) == autoopt._space_sig(m2)
+                          and (f := _reference_try_fuse(g, facts, m1, m2)) is not None), None)
+            if fused is None:
+                break
+            facts, scope, mids = fused
+            g.states[i] = facts.state
+            for n in mids:
+                _reference_scalarize(g, facts, n, scope)
+            report.count("subgraph_fusion")
+    return report
+
+
+def assert_fuses_as_reference(g: Sdfg) -> PassReport:
+    """``subgraph_fusion`` gives the reference's graph, node ids and
+    descriptors included, and its pass report."""
+    ref = g.copy()
+    want = reference_subgraph_fusion(ref)
+    got = subgraph_fusion(g)
+    assert structural_eq(g, ref)
+    assert content_key(g) == content_key(ref)
+    assert got.to_json() == want.to_json()
+    return got
+
+
+# Hand-built groups of one-tasklet maps in one state over arrays of length N.
+# A map is ``(param, hi, write, reads)``: parameter ``param`` runs over
+# 0..N - hi, the map writes ``write = (container, offset)`` at ``param +
+# offset`` and reads each ``(container, offset)`` of ``reads`` likewise.
+# Each container has a current access node: reads use it (a fresh node when
+# there is none), so that a map reads what an earlier map wrote through the
+# same node, and each write makes a new one.  T and U are transient.
+
+
+def group_graph(maps: list[tuple]) -> Sdfg:
+    g = Sdfg("group")
+    g.add_symbol("N", 8)
+    for name in "ABCD":
+        g.add_array(name, DType.F64, (Sym("N"),))
+    for name in "TU":
+        g.add_array(name, DType.F64, (Sym("N"),), transient=True)
+    st = g.add_state("s0", start=True)
+    current: dict[str, AccessNode] = {}
+    for k, (param, hi, (wc, wo), reads) in enumerate(maps):
+        i = Sym(param)
+        entry = st.add(MapEntry(((param, (Const(0), Sym("N") - hi, Const(1))),),
+                                Schedule.PARALLEL))
+        exit_ = st.add(MapExit(entry))
+        ins = tuple(f"v{j}" for j in range(len(reads)))
+        code = TRef(ins[0]) if ins else TRef("N")
+        for conn in ins[1:]:
+            code = TBin("+", code, TRef(conn))
+        t = st.add(Tasklet(f"t{k}", ins, ("o",), (("o", code),)))
+        if not reads:
+            st.add_edge(entry, t)
+        for conn, (rc, ro) in zip(ins, reads):
+            if rc not in current:
+                current[rc] = st.add(AccessNode(rc))
+            st.add_edge(current[rc], entry,
+                        Memlet(rc, SubsetRange.make([(ro, Sym("N") - hi + ro, 1)])),
+                        dst_conn=f"IN_{conn}")
+            st.add_edge(entry, t, Memlet(rc, SubsetRange.point([i + ro])),
+                        src_conn=f"OUT_{conn}", dst_conn=conn)
+        st.add_edge(t, exit_, Memlet(wc, SubsetRange.point([i + wo])),
+                    src_conn="o", dst_conn="IN_o")
+        current[wc] = st.add(AccessNode(wc))
+        st.add_edge(exit_, current[wc],
+                    Memlet(wc, SubsetRange.make([(wo, Sym("N") - hi + wo, 1)])),
+                    src_conn="OUT_o")
+    return g
+
+
+def draw_group(data) -> list[tuple]:
+    """2 to 6 maps that mostly read A, B or what an earlier map wrote and
+    write a container no map wrote before; now and then a map reads or
+    writes any container, which makes the state race."""
+    maps, written = [], []
+
+    def pick(usual: list[str], any_of: str) -> str:
+        usual = usual or list(any_of)
+        return data.draw(hst.sampled_from(usual if data.draw(hst.integers(0, 5)) else any_of))
+
+    for _ in range(data.draw(hst.integers(2, 6))):
+        reads = [(pick(["A", "B", *written], "ABCDTU"), data.draw(hst.integers(0, 2)))
+                 for _ in range(data.draw(hst.integers(0, 2)))]
+        write = (pick([c for c in "CDTU" if c not in written], "CDTU"),
+                 data.draw(hst.integers(0, 2)))
+        maps.append((data.draw(hst.sampled_from("ij")), data.draw(hst.sampled_from([2, 2, 3])),
+                     write, reads))
+        written.append(write[0])
+    return maps
+
+
+def counting(monkeypatch, calls: dict) -> None:
+    """Count the calls of ``race_free`` from subgraph fusion, of
+    ``State.clone``, and the runs of each kind of state fusion (a fold with
+    deferred checks, or pair by pair)."""
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kw)
+        return wrapper
+
+    run = autoopt._MapFusion.run
+
+    def counted_run(self):
+        calls[self.deferred] = calls.get(self.deferred, 0) + 1
+        return run(self)
+
+    monkeypatch.setattr(autoopt, "race_free", counted("race_free", autoopt.race_free))
+    monkeypatch.setattr(State, "clone", counted("clone", State.clone))
+    monkeypatch.setattr(autoopt._MapFusion, "run", counted_run)
+
+
+class TestGroupFusion:
+    """Subgraph fusion folds each state's fusions on one copy with deferred
+    race checks, and gives what fusing one pair at a time gives."""
+
+    @pytest.mark.parametrize("name", ALL_KERNELS)
+    def test_corpus_as_reference(self, name):
+        g = compile_kernel(name)
+        coarsen(g)
+        autoopt.cleanup_maps(g)
+        assert_fuses_as_reference(g)
+
+    @pytest.mark.parametrize("source", [CALLS, *LOWERING_PROGRAMS.values()],
+                             ids=["calls", *LOWERING_PROGRAMS])
+    def test_programs_as_reference(self, source):
+        g, _ = frontend.compile_source(source)
+        if g is not None:
+            coarsen(g)
+            autoopt.cleanup_maps(g)
+            assert_fuses_as_reference(g)
+
+    def test_chain_folds_with_one_copy(self, monkeypatch):
+        # C = A, T = C + B, D = T, U = D + B: three fusions through C, T, D
+        g = group_graph([("i", 2, ("C", 0), [("A", 0)]),
+                         ("j", 2, ("T", 0), [("C", 0), ("B", 1)]),
+                         ("i", 2, ("D", 0), [("T", 0)]),
+                         ("j", 2, ("U", 0), [("D", 0), ("B", 0)])])
+        assert_fuses_as_reference(g.copy())
+        calls: dict = {}
+        counting(monkeypatch, calls)
+        rep = subgraph_fusion(g)
+        assert rep.applications == {"subgraph_fusion": 3}
+        # the reference takes a copy and a check per fusion; the fold one
+        # copy, and checks the state before and after
+        assert calls == {True: 1, "clone": 1, "race_free": 2}
+        assert g.containers["T"].kind is DataKind.SCALAR
+
+    def test_racy_fold_falls_back(self, monkeypatch):
+        # the first two maps fuse, but folding in the third races (it
+        # writes C at j + 2 and the first map reads C at i + 1): the state
+        # fuses pair by pair, and only the first fusion stays
+        g = group_graph([("i", 2, ("D", 2), [("A", 0)]),
+                         ("i", 2, ("T", 2), [("C", 1), ("A", 1)]),
+                         ("j", 2, ("C", 2), [("T", 2)])])
+        assert_fuses_as_reference(g.copy())
+        calls: dict = {}
+        counting(monkeypatch, calls)
+        rep = subgraph_fusion(g)
+        assert rep.applications == {"subgraph_fusion": 1}
+        assert calls[True] == 1 and calls[False] == 1
+
+    def test_conflict_hidden_by_a_later_fusion(self, monkeypatch):
+        # fusing the T[i + 1] reader with the T[i] writer races across
+        # iterations; folding the reader of that T[i] in next would move the
+        # write inside the scope, where the check of the folded state no
+        # longer sees it, so the fold stops at that fusion and falls back
+        g = group_graph([("i", 2, ("T", 0), [("A", 0)]),
+                         ("i", 2, ("C", 0), [("T", 1)]),
+                         ("i", 2, ("T", 0), [("C", 0)]),
+                         ("i", 2, ("D", 0), [("T", 0)])])
+        assert race_free(g.states[0], g.assumptions())
+        assert_fuses_as_reference(g.copy())
+        calls: dict = {}
+        counting(monkeypatch, calls)
+        subgraph_fusion(g)
+        assert calls[True] == 1 and calls[False] == 1
+
+    def test_racy_state_fuses_as_reference(self):
+        # two unordered whole writes of C race before any fusion
+        g = group_graph([("i", 2, ("C", 0), [("A", 0)]),
+                         ("i", 2, ("C", 1), [("A", 0)]),
+                         ("i", 2, ("D", 0), [("A", 1)])])
+        assert not race_free(g.states[0], g.assumptions())
+        assert_fuses_as_reference(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(hst.data())
+    def test_random_groups_as_reference(self, data):
+        assert_fuses_as_reference(group_graph(draw_group(data)))
+
+    def test_adi_copies_and_checks(self, monkeypatch):
+        """adi's 30 fusions take 6 working copies, one per state that fuses,
+        and 8 copies for candidates whose connectors collide; pair by pair
+        took 42 copies and 42 race checks."""
+        g = compile_kernel("adi")
+        coarsen(g)
+        autoopt.cleanup_maps(g)
+        calls: dict = {}
+        counting(monkeypatch, calls)
+        rep = subgraph_fusion(g)
+        assert rep.applications["subgraph_fusion"] == 30
+        assert False not in calls
+        assert calls["clone"] <= 14
+        assert calls["race_free"] <= 12

@@ -15,6 +15,7 @@ succeeds.  The C emitter runs it on a copy before it emits.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -300,6 +301,7 @@ class _MapFusion:
         self.asm = g.assumptions()
         self.base = self.work = g.states[i]
         self.base_facts = self.base.facts()
+        self.order = list(self.base_facts.order)  # the working state's topological order
         self.top = {n.nid for n in self.base_facts.scopes[None]
                     if isinstance(n, MapEntry) and n.schedule is Schedule.PARALLEL}
         self.sig = {nid: _space_sig(self.base.nodes[nid]) for nid in self.top}
@@ -347,8 +349,7 @@ class _MapFusion:
 
     def _step(self) -> bool:
         """Apply the first legal fusion; False when there is none."""
-        order = self.base_facts.order if self.work is self.base else self.work.topological()
-        maps = [n for n in order if n.nid in self.top]
+        maps = [n for n in self.order if n.nid in self.top]
         pos = {n.nid: k for k, n in enumerate(maps)}
         maps.sort(key=lambda m: -len(m.params))
         for m1 in maps:
@@ -479,6 +480,7 @@ class _MapFusion:
             if self.work is self.base:
                 self.work = self.base.clone()
                 self._index()
+                self.order = [self.work.nodes[n.nid] for n in self.order]
             st, ins, outs = self.work, self.ins, self.outs
             self.unchecked += 1
         else:
@@ -499,11 +501,13 @@ class _MapFusion:
                 return False
             self.work, self.base_checked = st, True
             self._index()
+            self.order = list(facts.order)
             self.top = {n.nid for n in facts.scopes[None]
                         if isinstance(n, MapEntry) and n.schedule is Schedule.PARALLEL}
         else:
             del self.exits[m2.nid]
             self.top.discard(m2.nid)
+            self._reorder(m1.nid)
         if clean:
             for nid in touched | {m1.nid}:
                 self.first[nid] = self.first.get(nid, 0) + 1
@@ -515,6 +519,36 @@ class _MapFusion:
         for nid in mids:
             self._scalarize(nodes[nid], inside)
         return True
+
+    def _reorder(self, nid: int) -> None:
+        """Bring ``self.order`` up to date after a fusion in place into the
+        map ``nid``, as ``State.topological`` would order the working state.
+        Such a fusion keeps every node whose in edges it changes below the
+        map (:meth:`_clean`), and each of them came after the map, so the
+        nodes before the map keep their places; Kahn's order is taken on
+        from there."""
+        nodes, outs = self.work.nodes, self.outs
+        order = self.order[:next(k for k, n in enumerate(self.order) if n.nid == nid)]
+        done = {n.nid for n in order}
+        # the nodes left have no edge into the ones placed
+        indeg = {k: 0 for k in nodes if k not in done}
+        for k in indeg:
+            for e in outs[k]:
+                indeg[e.dst.nid] += 1
+        ready = [k for k, d in indeg.items() if not d]
+        heapq.heapify(ready)
+        pop, push = heapq.heappop, heapq.heappush
+        while ready:
+            k = pop(ready)
+            order.append(nodes[k])
+            for e in outs[k]:
+                dst = e.dst.nid
+                indeg[dst] -= 1
+                if not indeg[dst]:
+                    push(ready, dst)
+        if len(order) != len(nodes):
+            raise ValueError(f"cycle in state '{self.work.label}'")
+        self.order = order
 
     def _scalarize(self, acc: AccessNode, inside: set[int]) -> None:
         """Shrink ``acc``'s container to a scalar when it is a transient

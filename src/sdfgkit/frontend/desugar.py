@@ -16,7 +16,7 @@ from .dsl_ast import (
     Program, SAssign, SFor, SIf, Stmt,
 )
 from .sema import (
-    ProgramInfo, SemanticError, Ty, TypeCtx, array_operand, classify, contains_array_op,
+    ProgramInfo, SemanticError, Ty, TypeCtx, array_operand, contains_array_op,
     loop_var_bounds, program_info,
 )
 
@@ -70,7 +70,7 @@ class _Desugarer:
     def assign(self, s: SAssign, out: list[Stmt], in_map: bool) -> None:
         if in_map:
             # map bodies are scalar-valued; keep whole expressions in one tasklet
-            if contains_array_op(self.ctx, s.value) or classify(self.ctx, s.value).is_array:
+            if contains_array_op(self.ctx, s.value) or self.ctx.type_of(s.value).is_array:
                 raise SemanticError("array-valued operation inside a map body", s.span)
             if isinstance(s.target, EName):
                 self.ctx.local_types.setdefault(s.target.id, Ty("scalar", "f64"))
@@ -83,7 +83,7 @@ class _Desugarer:
             if value.fn in _ALLOC_FNS:
                 if not isinstance(s.target, EName):
                     raise SemanticError(f"{value.fn}() must assign to a plain name", s.span)
-                self.ctx.local_types[s.target.id] = classify(self.ctx, value)
+                self.ctx.local_types[s.target.id] = self.ctx.type_of(value)
             out.append(s)
             return
 
@@ -93,7 +93,7 @@ class _Desugarer:
             value = EBin(s.span, op, copy.deepcopy(s.target), value)
 
         value = self.split_root(value, out)
-        target_ty = classify(self.ctx, value)
+        target_ty = self.ctx.type_of(value)
         if isinstance(s.target, EName):
             self.ctx.local_types.setdefault(s.target.id, target_ty)
         elif self.is_partial_target(s.target) and not self.is_atom(value):
@@ -127,35 +127,42 @@ class _Desugarer:
         if self.is_atom(e):
             return e
         # pure scalar expressions stay whole
-        if not contains_array_op(self.ctx, e) and not classify(self.ctx, e).is_array:
+        if not contains_array_op(self.ctx, e) and not self.ctx.type_of(e).is_array:
             return e
+        # a node whose operands stay is kept, and so are its derivations
         if isinstance(e, EUn):
-            return EUn(e.span, e.op, self.split_inner(e.operand, out))
+            operand = self.split_inner(e.operand, out)
+            return e if operand is e.operand else EUn(e.span, e.op, operand)
         if isinstance(e, EBin):
             left = self.split_inner(e.left, out)
             right = self.split_inner(e.right, out)
+            if left is e.left and right is e.right:
+                return e
             return EBin(e.span, e.op, left, right)
         if isinstance(e, ECall) and e.fn == "sum":
-            args = [self.split_inner(e.args[0], out)] + list(e.args[1:])
-            return ECall(e.span, e.fn, args)
+            arg = self.split_inner(e.args[0], out)
+            return e if arg is e.args[0] else ECall(e.span, e.fn, [arg, *e.args[1:]])
         raise SemanticError("expression not allowed here", e.span)
 
     def split_inner(self, e: Expr, out: list[Stmt]) -> Expr:
         if self.is_atom(e):
             return e
-        if not contains_array_op(self.ctx, e) and not classify(self.ctx, e).is_array:
+        if not contains_array_op(self.ctx, e) and not self.ctx.type_of(e).is_array:
             return e  # scalar subexpression, evaluated inside the tasklet
         root = self.split_root(e, out)
         tmp = self.fresh_temp()
-        self.ctx.local_types[tmp] = classify(self.ctx, root)
+        self.ctx.local_types[tmp] = self.ctx.type_of(root)
         out.append(SAssign(e.span, EName(e.span, tmp), "=", root))
         return EName(e.span, tmp)
 
 
 def desugar(program: Program) -> Program:
-    """Return a program in single-operation form (see module docstring)."""
+    """Return a program in single-operation form (see module docstring).
+    Its analysis holds each function's typing table, so that lowering reads
+    the types desugaring derived instead of deriving them again."""
     pi = program_info(program)
     funcs = []
+    typing = {}
     diags = list(program.diagnostics)
     for f in program.functions:
         d = _Desugarer(pi, f.name)
@@ -166,4 +173,5 @@ def desugar(program: Program) -> Program:
             body = f.body
         diags.extend(d.ctx.warnings)
         funcs.append(FuncDef(f.name, f.params, body, f.span))
-    return Program(funcs, program.source, diags, pi.with_bodies(funcs))
+        typing[f.name] = d.ctx.table
+    return Program(funcs, program.source, diags, pi.with_bodies(funcs, typing))

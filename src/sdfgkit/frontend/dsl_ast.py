@@ -171,35 +171,40 @@ class Program:
         return self.functions[-1]
 
 
-def children(node: Expr | Stmt) -> Iterator[Expr | Stmt]:
+# the direct sub-nodes of each kind of node that has any, in source order;
+# absent slice bounds and range parts are None
+_KIDS = {
+    ESub: lambda n: n.indices,
+    ESlice: lambda n: (n.lo, n.hi, n.step),
+    EUn: lambda n: (n.operand,),
+    EBin: lambda n: (n.left, n.right),
+    ECall: lambda n: n.args,
+    SCall: lambda n: n.args,
+    SAssign: lambda n: (n.target, n.value),
+    SFor: lambda n: (*n.ranges, *n.body),
+    SIf: lambda n: (n.cond, *n.then, *n.orelse),
+}
+
+
+def children(node: Expr | Stmt) -> list[Expr | Stmt]:
     """The direct sub-expressions and sub-statements of ``node`` in source
     order; absent slice bounds and range parts are skipped."""
-    if isinstance(node, ESub):
-        kids = node.indices
-    elif isinstance(node, ESlice):
-        kids = (node.lo, node.hi, node.step)
-    elif isinstance(node, EUn):
-        kids = (node.operand,)
-    elif isinstance(node, EBin):
-        kids = (node.left, node.right)
-    elif isinstance(node, (ECall, SCall)):
-        kids = node.args
-    elif isinstance(node, SAssign):
-        kids = (node.target, node.value)
-    elif isinstance(node, SFor):
-        kids = (*node.ranges, *node.body)
-    elif isinstance(node, SIf):
-        kids = (node.cond, *node.then, *node.orelse)
-    else:
-        kids = ()
-    return (k for k in kids if k is not None)
+    kids = _KIDS.get(type(node))
+    return [] if kids is None else [k for k in kids(node) if k is not None]
 
 
 def walk(*nodes: Expr | Stmt) -> Iterator[Expr | Stmt]:
     """Each of ``nodes`` and every node under it, in pre-order."""
-    for node in nodes:
+    stack = list(reversed(nodes))
+    kids_of = _KIDS.get
+    while stack:
+        node = stack.pop()
+        if node is None:  # an absent slice bound or range part
+            continue
         yield node
-        yield from walk(*children(node))
+        kids = kids_of(type(node))
+        if kids is not None:
+            stack.extend(reversed(kids(node)))
 
 
 DTYPES = ("f64", "i64", "i32")

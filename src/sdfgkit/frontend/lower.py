@@ -23,8 +23,7 @@ from .dsl_ast import (
     SAssign, SCall, SFor, SIf, Span, SReturn, Stmt, walk,
 )
 from .sema import (
-    FuncInfo, ProgramInfo, SemanticError, Ty, TypeCtx, classify, loop_var_bounds,
-    program_info, resolve_subscript,
+    FuncInfo, ProgramInfo, SemanticError, Ty, TypeCtx, loop_var_bounds, program_info,
 )
 
 _WCR_FOR_OP = {"+=": Wcr.ADD, "-=": Wcr.ADD, "*=": Wcr.MUL}
@@ -87,9 +86,17 @@ class _FuncLowerer:
         self.g = g
         self.fi = fi
         self.ctx = TypeCtx(self.pi, fi)
+        self.full_subsets: dict[tuple[SymExpr, ...], SubsetRange] = {}
         self.pending: list[_Pending] = []
         self.counter = 0
         self.loop_counter = 0
+
+    def full(self, shape: tuple[SymExpr, ...]) -> SubsetRange:
+        """The whole of a container of ``shape``, one subset per shape."""
+        sub = self.full_subsets.get(shape)
+        if sub is None:
+            sub = self.full_subsets[shape] = SubsetRange.full(shape)
+        return sub
 
     # -- state chaining --------------------------------------------------------
 
@@ -140,6 +147,10 @@ class _FuncLowerer:
     def declare_local(self, name: str, ty: Ty, span: Span) -> None:
         if name in self.g.containers or name in self.pi.symbols:
             return
+        # containers are sized once, before any transition runs
+        for var in self.ctx.loop_vars:
+            if any(var in d.free_symbols() for d in ty.shape):
+                raise LowerError(f"shape of container '{name}' uses loop variable '{var}'", span)
         if ty.is_array:
             self.g.add_array(name, DType(ty.dtype), ty.shape, transient=True)
         else:
@@ -151,14 +162,14 @@ class _FuncLowerer:
         value = s.value
         if isinstance(value, ECall) and value.fn in ("zeros", "empty", "requests"):
             assert isinstance(s.target, EName)
-            self.declare_local(s.target.id, classify(self.ctx, value), s.span)
+            self.declare_local(s.target.id, self.ctx.type_of(value), s.span)
             return
         if isinstance(value, ECall) and value.fn in ("block_scatter", "block_gather"):
             self.comm_collective(s, value)
             return
 
         target_ty, target_sub, target_kept, tname = self.resolve_target(s.target, value, s.span)
-        vt = classify(self.ctx, value)
+        vt = self.ctx.type_of(value)
 
         if isinstance(value, EBin) and value.op == "@":
             self.matmul_stmt(s, tname, target_sub, target_kept)
@@ -175,19 +186,16 @@ class _FuncLowerer:
         if isinstance(target, EName):
             name = target.id
             if name not in self.g.containers and name not in self.pi.symbols:
-                ty = classify(self.ctx, value)
+                ty = self.ctx.type_of(value)
                 self.declare_local(name, ty, span)
             ty = self.ctx.lookup(name, span)
             if ty.is_array:
-                sub = SubsetRange.full(ty.shape)
+                sub = self.full(ty.shape)
                 return ty, sub, [True] * len(ty.shape), name
             return ty, SubsetRange(()), [], name
         assert isinstance(target, ESub)
-        sub, kept = resolve_subscript(self.ctx, target)
-        base_ty = self.ctx.lookup(target.base, target.span)
-        lens = [ln for ln, k in zip(sub.lengths(), kept) if k]
-        ty = Ty("array", base_ty.dtype, tuple(lens)) if lens else Ty("scalar", base_ty.dtype)
-        return ty, sub, kept, target.base
+        d = self.ctx.derivation(target)
+        return d.ty, d.subset, list(d.kept), target.base
 
     # -- scalar tasklet ---------------------------------------------------------
 
@@ -209,9 +217,9 @@ class _FuncLowerer:
     def target_subset(self, target: Expr) -> SubsetRange:
         if isinstance(target, EName):
             ty = self.ctx.lookup(target.id, target.span)
-            return SubsetRange.full(ty.shape) if ty.is_array else SubsetRange(())
+            return self.full(ty.shape) if ty.is_array else SubsetRange(())
         assert isinstance(target, ESub)
-        sub, _ = resolve_subscript(self.ctx, target)
+        sub, _ = self.ctx.subscript(target)
         return sub
 
     # -- element-wise map -------------------------------------------------------
@@ -286,9 +294,9 @@ class _FuncLowerer:
             ty = self.ctx.lookup(e.id, e.span)
             if not ty.is_array:
                 raise LowerError(f"'{e.id}' is not an array", e.span)
-            return SubsetRange.full(ty.shape), e.id, [True] * len(ty.shape)
+            return self.full(ty.shape), e.id, [True] * len(ty.shape)
         if isinstance(e, ESub):
-            sub, kept = resolve_subscript(self.ctx, e)
+            sub, kept = self.ctx.subscript(e)
             return sub, e.base, kept
         raise LowerError("expected an array operand", e.span)
 
@@ -409,7 +417,7 @@ class _FuncLowerer:
                 raise LowerError("container arguments must be plain names", s.span)
             outer = arg.id
             ty = self.ctx.lookup(outer, arg.span)
-            sub = SubsetRange.full(ty.shape) if ty.is_array else SubsetRange(())
+            sub = self.full(ty.shape) if ty.is_array else SubsetRange(())
             acc_in = st.add(AccessNode(outer))
             st.add_edge(acc_in, node, Memlet(outer, sub), dst_conn=p.name)
             if p.name in written:
@@ -427,7 +435,7 @@ class _FuncLowerer:
         tag_e = symbolic.simplify(self.ctx.symexpr(tag))
         if not isinstance(req, ESub):
             raise LowerError("request argument must be a request-array element", s.span)
-        req_sub, _ = resolve_subscript(self.ctx, req)
+        req_sub, _ = self.ctx.subscript(req)
         st = self.new_state()
         kind = LibKind.ISEND if s.fn == "comm_isend" else LibKind.IRECV
         node = st.add(LibraryNode(kind, s.fn, {"peer": peer_e, "tag": tag_e}))
@@ -449,7 +457,7 @@ class _FuncLowerer:
         node = st.add(LibraryNode(LibKind.WAITALL, "comm_waitall"))
         a_in = st.add(AccessNode(name))
         a_out = st.add(AccessNode(name))
-        sub = SubsetRange.full(ty.shape)
+        sub = self.full(ty.shape)
         st.add_edge(a_in, node, Memlet(name, sub), dst_conn="req")
         st.add_edge(node, a_out, Memlet(name, sub), src_conn="req")
 
@@ -554,9 +562,9 @@ class _Router:
             if ty.kind == "scalar" or self.in_map_body:
                 return TRef(self.route(e.id, SubsetRange(())))
             # whole-array operand
-            sub, kept = SubsetRange.full(ty.shape), [True] * len(ty.shape)
+            sub, kept = self.fl.full(ty.shape), [True] * len(ty.shape)
         else:
-            sub, kept = resolve_subscript(ctx, e)
+            sub, kept = ctx.subscript(e)
             if not any(kept):  # fully indexed: a scalar element
                 return TRef(self.route(e.base, sub))
             if self.in_map_body:
@@ -630,7 +638,7 @@ class _MapScopeLowerer:
         else:
             assert isinstance(s.target, ESub)
             tname = s.target.base
-            t_sub, _ = resolve_subscript(self.fl.ctx, s.target)
+            t_sub, _ = self.fl.ctx.subscript(s.target)
             is_param_local = False
 
         if s.op != "=":

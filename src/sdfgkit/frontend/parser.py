@@ -18,11 +18,12 @@ from .dsl_ast import (
 KEYWORDS = {"def", "for", "in", "if", "elif", "else", "return", "range", "map",
             "and", "or", "not"}
 
+# one token and the spaces before it
 _TOKEN_RE = re.compile(
-    r"(?P<FLOAT>\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)"
+    r" *(?:(?P<FLOAT>\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)"
     r"|(?P<INT>\d+)"
     r"|(?P<NAME>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<OP>\+=|-=|\*=|//|<=|>=|==|!=|[-+*/@=<>()\[\]:,])"
+    r"|(?P<OP>\+=|-=|\*=|//|<=|>=|==|!=|[-+*/@=<>()\[\]:,]))"
 )
 
 
@@ -47,6 +48,7 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
+    match = _TOKEN_RE.match
     indents = [0]
     lines = source.split("\n")
     for ln, raw in enumerate(lines, start=1):
@@ -64,24 +66,23 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(Token("DEDENT", indent, Span(ln, 1)))
         if indent != indents[-1]:
             raise DslSyntaxError("inconsistent indentation", Span(ln, indent + 1))
-        pos = indent
-        while pos < len(line):
-            if line[pos] == " ":
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(line, pos)
+        pos, end = indent, len(line)  # the line ends in a token
+        while pos < end:
+            m = match(line, pos)
             if not m:
+                pos = end - len(line[pos:].lstrip(" "))
                 raise DslSyntaxError(f"unexpected character {line[pos]!r}", Span(ln, pos + 1))
-            span = Span(ln, pos + 1)
-            if m.lastgroup == "FLOAT":
-                tokens.append(Token("FLOAT", float(m.group()), span))
-            elif m.lastgroup == "INT":
-                tokens.append(Token("INT", int(m.group()), span))
-            elif m.lastgroup == "NAME":
-                name = m.group()
-                tokens.append(Token("KW" if name in KEYWORDS else "NAME", name, span))
+            kind = m.lastgroup
+            text = m.group(kind)
+            span = Span(ln, m.start(kind) + 1)
+            if kind == "FLOAT":
+                tokens.append(Token("FLOAT", float(text), span))
+            elif kind == "INT":
+                tokens.append(Token("INT", int(text), span))
+            elif kind == "NAME":
+                tokens.append(Token("KW" if text in KEYWORDS else "NAME", text, span))
             else:
-                tokens.append(Token("OP", m.group(), span))
+                tokens.append(Token("OP", text, span))
             pos = m.end()
         tokens.append(Token("NEWLINE", None, Span(ln, len(line) + 1)))
     while len(indents) > 1:
@@ -98,15 +99,21 @@ class _Parser:
 
     # -- token helpers -------------------------------------------------------
 
+    # ``take`` never consumes the EOF token that ends the list, so the
+    # current token is always there; a read past it finds EOF
+
     def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.i + k, len(self.toks) - 1)]
+        try:
+            return self.toks[self.i + k]
+        except IndexError:
+            return self.toks[-1]
 
     def at(self, kind: str, value=None) -> bool:
-        t = self.peek()
+        t = self.toks[self.i]
         return t.kind == kind and (value is None or t.value == value)
 
     def take(self, kind: str, value=None) -> Token:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind != kind or (value is not None and t.value != value):
             want = value if value is not None else kind
             raise DslSyntaxError(f"expected {want!r}, got {t.value!r}", t.span)

@@ -14,7 +14,7 @@ from .. import symbolic
 from ..symbolic import SymExpr
 from .dsl_ast import (
     EXPR_BUILTINS, STMT_BUILTINS, Diagnostic, EBin, ECall, EName, ENum, ESlice,
-    ESub, EUn, Expr, FuncDef, Program, SAssign, SCall, SFor, SIf, Span, Stmt, walk,
+    ESub, EUn, Expr, FuncDef, Program, SAssign, SCall, SFor, SIf, Span, Stmt, children, walk,
 )
 
 
@@ -25,7 +25,7 @@ class SemanticError(ValueError):
         self.raw_message = message
 
 
-@dataclass
+@dataclass(frozen=True)
 class Ty:
     """Classification of an expression value."""
 
@@ -44,6 +44,8 @@ class FuncInfo:
     arrays: dict[str, tuple[str, tuple[SymExpr, ...]]] = field(default_factory=dict)
     float_scalars: dict[str, str] = field(default_factory=dict)  # name -> dtype
     int_params: list[str] = field(default_factory=list)  # promoted to symbols
+    # the derivations desugaring made, which lowering reads (``TypingTable``)
+    typing: TypingTable | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -51,11 +53,15 @@ class ProgramInfo:
     symbols: dict[str, int] = field(default_factory=dict)  # name -> lower bound
     funcs: dict[str, FuncInfo] = field(default_factory=dict)
 
-    def with_bodies(self, functions: list[FuncDef]) -> ProgramInfo:
+    def with_bodies(self, functions: list[FuncDef],
+                    typing: dict[str, TypingTable]) -> ProgramInfo:
         """The same analysis for ``functions``, the analyzed functions with
-        rewritten bodies: symbols and environments depend on parameters only."""
-        return ProgramInfo(self.symbols,
-                           {f.name: replace(self.funcs[f.name], func=f) for f in functions})
+        rewritten bodies: symbols and environments depend on parameters only.
+        ``typing`` holds each function's typing table, which stays exact for
+        the rewritten body (its keys name the nodes and their contexts)."""
+        return ProgramInfo(self.symbols, {
+            f.name: replace(self.funcs[f.name], func=f, typing=typing[f.name])
+            for f in functions})
 
 
 def analyze(program: Program) -> ProgramInfo:
@@ -210,7 +216,9 @@ def _resolve_function(pi: ProgramInfo, fi: FuncInfo, diags: list[Diagnostic]) ->
 
 
 class TypeCtx:
-    """Per-function typing context, updated as locals are assigned."""
+    """Per-function typing context, updated as locals are assigned.  Its
+    derivations are kept in the function's typing table (``fi.typing``, or
+    a new one)."""
 
     def __init__(self, pi: ProgramInfo, fi: FuncInfo):
         self.pi = pi
@@ -218,6 +226,7 @@ class TypeCtx:
         self.loop_vars: dict[str, int] = {}  # name -> assumed lower bound
         self.local_types: dict[str, Ty] = {}
         self.warnings: list[Diagnostic] = []
+        self.table = fi.typing if fi.typing is not None else TypingTable()
 
     def assumptions(self) -> symbolic.Assumptions:
         a = symbolic.Assumptions(dict(self.pi.symbols))
@@ -239,6 +248,103 @@ class TypeCtx:
 
     def symexpr(self, e: Expr) -> SymExpr:
         return to_symexpr(e, self.pi, self.fi, set(self.loop_vars))
+
+    def derivation(self, e: Expr) -> Derivation:
+        """The derivation of ``e`` in this context, made once."""
+        return self.table.lookup(self, e)
+
+    def type_of(self, e: Expr) -> Ty:
+        """Type and symbolic shape of an expression (see :func:`classify`).
+        A number's or a name's is read off; any other is derived once."""
+        if isinstance(e, (ENum, EName)):
+            return _leaf_type(self, e)
+        return self.table.lookup(self, e).ty
+
+    def subscript(self, e: ESub) -> tuple[symbolic.SubsetRange, list[bool]]:
+        """The subset and kept-dimension mask of a subscript (see
+        :func:`resolve_subscript`)."""
+        d = self.table.lookup(self, e)
+        return d.subset, list(d.kept)
+
+
+@dataclass(frozen=True)
+class Derivation:
+    """What typing one expression in one context derives: its type; for a
+    subscript, its full-rank subset and kept-dimension mask; and the
+    warnings the derivation raised itself (its operands raise their own)."""
+
+    ty: Ty
+    subset: symbolic.SubsetRange | None = None
+    kept: tuple[bool, ...] = ()
+    warnings: tuple[Diagnostic, ...] = ()
+
+
+class TypingTable:
+    """The derivations of one function's expressions, each made once.
+
+    A derivation reads the expression, the function's parameters, the bounds
+    of the loop variables in scope, and the types of the locals the
+    expression names, which change as statements are processed.  An entry
+    is keyed on all of these that can change: the node (held alive by the
+    table and compared by identity), the loop variables with their bounds,
+    and the type, or absence, of each name the expression reads that is not
+    a parameter.  So a hit is exact, and a context the table has not seen
+    derives afresh.  Desugaring fills the table and lowering reads it
+    (``FuncInfo.typing``).  A warning is raised by the derivation that finds
+    it, not by a hit, and reported once, in the order of first derivation
+    (see :func:`_derive`).
+    """
+
+    def __init__(self):
+        self.entries: dict[tuple, Derivation] = {}
+        # id of a node -> (the node, the names it reads that are not parameters)
+        self._reads: dict[int, tuple[Expr, tuple[str, ...]]] = {}
+
+    def key(self, ctx: TypeCtx, e: Expr) -> tuple:
+        local = ctx.local_types.get
+        return (id(e), tuple(ctx.loop_vars.items()),
+                tuple([local(n) for n in self._names(ctx.fi, e)]))
+
+    def _names(self, fi: FuncInfo, e: Expr) -> tuple[str, ...]:
+        """The names ``e`` reads that are not parameters, in pre-order."""
+        held = self._reads.get(id(e))
+        if held is not None:
+            return held[1]
+        acc: dict[str, None] = {}
+        if isinstance(e, (EName, ESub)):
+            name = e.id if isinstance(e, EName) else e.base
+            if name not in fi.arrays and name not in fi.float_scalars:
+                acc[name] = None
+        for k in children(e):
+            for name in self._names(fi, k):
+                acc[name] = None
+        names = tuple(acc)
+        self._reads[id(e)] = (e, names)
+        return names
+
+    def lookup(self, ctx: TypeCtx, e: Expr) -> Derivation:
+        key = self.key(ctx, e)
+        d = self.entries.get(key)
+        if d is None:
+            d = self.entries[key] = _derive(ctx, e)
+        return d
+
+
+def _derive(ctx: TypeCtx, e: Expr) -> Derivation:
+    """Derive ``e`` in ``ctx``, its operands through the table.  The warnings
+    it raises are kept with it and passed on to ``ctx.warnings``, each one
+    that is not there yet: an expression desugaring rebuilds around new
+    operands finds its original's warning again."""
+    outer, ctx.warnings = ctx.warnings, []
+    try:
+        if isinstance(e, ESub):
+            sub, kept = resolve_subscript(ctx, e)
+            return Derivation(_subscript_type(ctx, e, sub, kept), sub, tuple(kept),
+                              tuple(ctx.warnings))
+        return Derivation(classify(ctx, e), warnings=tuple(ctx.warnings))
+    finally:
+        own, ctx.warnings = ctx.warnings, outer
+        outer.extend(w for w in own if w not in outer)
 
 
 def _shapes_conform(a: tuple, b: tuple, asm: symbolic.Assumptions) -> symbolic.Ternary:
@@ -322,35 +428,30 @@ def array_operand(ctx: TypeCtx, cond: Expr) -> Expr | None:
         return array_operand(ctx, cond.operand)
     if isinstance(cond, EBin) and cond.op in _LOGICAL_OPS:
         return array_operand(ctx, cond.left) or array_operand(ctx, cond.right)
-    return cond if classify(ctx, cond).is_array else None
+    return cond if ctx.type_of(cond).is_array else None
 
 
 _LOGICAL_OPS = ("<", "<=", ">", ">=", "==", "!=", "and", "or")
 
 
 def classify(ctx: TypeCtx, e: Expr) -> Ty:
-    """Type and symbolic shape of an expression."""
-    if isinstance(e, ENum):
-        return Ty("index", "i64") if not e.is_float else Ty("scalar", "f64")
-    if isinstance(e, EName):
-        return ctx.lookup(e.id, e.span)
+    """Type and symbolic shape of an expression; its operands' types come
+    from the typing table (``ctx.type_of``)."""
+    if isinstance(e, (ENum, EName)):
+        return _leaf_type(ctx, e)
     if isinstance(e, ESub):
         sub, kept = resolve_subscript(ctx, e)
-        ty = ctx.lookup(e.base, e.span)
-        lengths = [ln for ln, k in zip(sub.lengths(), kept) if k]
-        if not lengths:
-            return Ty("scalar", ty.dtype)
-        return Ty("array", ty.dtype, tuple(lengths))
+        return _subscript_type(ctx, e, sub, kept)
     if isinstance(e, EUn):
         if e.op == "not":
             return _logical(ctx, e.operand)
-        return classify(ctx, e.operand)
+        return ctx.type_of(e.operand)
     if isinstance(e, EBin):
         if e.op == "@":
             return _classify_matmul(ctx, e)
         if e.op in _LOGICAL_OPS:
             return _logical(ctx, e.left, e.right)
-        lt_, rt = classify(ctx, e.left), classify(ctx, e.right)
+        lt_, rt = ctx.type_of(e.left), ctx.type_of(e.right)
         if lt_.is_array and rt.is_array:
             verdict = _shapes_conform(lt_.shape, rt.shape, ctx.assumptions())
             if verdict is symbolic.Ternary.FALSE:
@@ -374,7 +475,7 @@ def classify(ctx: TypeCtx, e: Expr) -> Ty:
         return Ty("scalar", _join_dtype(lt_.dtype, rt.dtype))
     if isinstance(e, ECall):
         if e.fn == "sum":
-            arg = classify(ctx, e.args[0])
+            arg = ctx.type_of(e.args[0])
             if not arg.is_array:
                 raise SemanticError("sum() needs an array argument", e.span)
             if len(e.args) == 1:
@@ -386,7 +487,7 @@ def classify(ctx: TypeCtx, e: Expr) -> Ty:
             return Ty("array", arg.dtype, shape) if shape else Ty("scalar", arg.dtype)
         if e.fn in ("sqrt", "exp", "abs", "pow", "min", "max"):
             for a in e.args:
-                if classify(ctx, a).is_array:
+                if ctx.type_of(a).is_array:
                     raise SemanticError(f"{e.fn}() takes scalar arguments", e.span)
             return Ty("scalar", "f64")
         if e.fn in ("zeros", "empty"):
@@ -395,7 +496,7 @@ def classify(ctx: TypeCtx, e: Expr) -> Ty:
         if e.fn == "requests":
             return Ty("array", "i64", (symbolic.simplify(ctx.symexpr(e.args[0])),))
         if e.fn in ("block_scatter", "block_gather"):
-            arg = classify(ctx, e.args[0])
+            arg = ctx.type_of(e.args[0])
             return Ty("array", arg.dtype, ())  # shape taken from the target
         if e.fn in ctx.pi.funcs:
             raise SemanticError("function calls are statements, not expressions", e.span)
@@ -403,8 +504,22 @@ def classify(ctx: TypeCtx, e: Expr) -> Ty:
     raise SemanticError("expression not allowed here", e.span)
 
 
+def _leaf_type(ctx: TypeCtx, e: ENum | EName) -> Ty:
+    if isinstance(e, EName):
+        return ctx.lookup(e.id, e.span)
+    return Ty("index", "i64") if not e.is_float else Ty("scalar", "f64")
+
+
+def _subscript_type(ctx: TypeCtx, e: ESub, sub: symbolic.SubsetRange,
+                    kept: list[bool]) -> Ty:
+    """The type of the subscript ``e``, resolved to ``sub`` and ``kept``."""
+    dtype = ctx.lookup(e.base, e.span).dtype
+    lengths = tuple(ln for ln, k in zip(sub.lengths(), kept) if k)
+    return Ty("array", dtype, lengths) if lengths else Ty("scalar", dtype)
+
+
 def _classify_matmul(ctx: TypeCtx, e: EBin) -> Ty:
-    lt_, rt = classify(ctx, e.left), classify(ctx, e.right)
+    lt_, rt = ctx.type_of(e.left), ctx.type_of(e.right)
     if not lt_.is_array or not rt.is_array:
         raise SemanticError("'@' needs array operands", e.span)
     lr, rr = len(lt_.shape), len(rt.shape)
@@ -478,12 +593,12 @@ def contains_array_op(ctx: TypeCtx, e: Expr) -> bool:
     if isinstance(e, (ENum, EName)) or isinstance(e, ESub):
         return False
     if isinstance(e, EUn):
-        return classify(ctx, e).is_array or contains_array_op(ctx, e.operand)
+        return ctx.type_of(e).is_array or contains_array_op(ctx, e.operand)
     if isinstance(e, EBin):
         if e.op == "@":
             return True
         return (
-            classify(ctx, e).is_array
+            ctx.type_of(e).is_array
             or contains_array_op(ctx, e.left)
             or contains_array_op(ctx, e.right)
         )

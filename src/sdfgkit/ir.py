@@ -776,6 +776,11 @@ def validate(g: Sdfg, facts: dict[State, StateFacts] | None = None) -> list[Diag
         return diags
 
     labels = [s.label for s in g.states]
+    odd = [label for label in labels if not isinstance(label, str)]
+    for label in odd:
+        err(f"state label {label!r} is not a string", "state-labels")
+    if odd:
+        return diags  # the checks below look states up by their labels
     if len(set(labels)) != len(labels):
         err("duplicate state labels", "state-labels")
 

@@ -260,14 +260,18 @@ def from_dict(d: dict) -> Sdfg:
             )
         for sd in d["states"]:
             g.states.append(_state_from_json(sd))
-        for td in d["transitions"]:
+        for i, td in enumerate(d["transitions"]):
+            assignments = td["assignments"]
+            if not isinstance(assignments, dict):
+                raise SchemaError(f"transitions[{i}].assignments is a "
+                                  f"{type(assignments).__name__}, not an object")
             g.transitions.append(
                 InterstateEdge(
                     td["src"],
                     td["dst"],
                     texpr.parse_texpr(td["condition"]) if td.get("condition") else None,
                     {k: symbolic.simplify(symbolic.parse_expr(v))
-                     for k, v in td["assignments"].items()},
+                     for k, v in assignments.items()},
                 )
             )
         g.start = d["start"]

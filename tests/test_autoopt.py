@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sdfgkit import autoopt, frontend, passes
+from sdfgkit import autoopt, frontend, ir, passes
 from sdfgkit.frontend import oracle
 from sdfgkit.autoopt import (
     Device, auto_optimize, cleanup_maps, cpu_registry, expand_library, needs_specialization,
@@ -182,6 +182,26 @@ class TestSubgraphFusion:
         ref = oracle.evaluate_program(prog, syms, {k: v.copy() for k, v in inputs.items()})
         for k in ref:
             assert np.array_equal(out[k], ref[k]), k
+
+    def test_adi_keeps_its_map_order(self, monkeypatch):
+        """The search orders the top-level maps by the working state's
+        topological order, which it keeps up to date as fusions apply; the
+        orders left are those of the state snapshots (one per state, one per
+        candidate copied for colliding connectors).  Re-deriving the order
+        after every fusion took 48."""
+        g = compile_kernel("adi")
+        passes.coarsen(g)
+        cleanup_maps(g)
+        calls = []
+        original = ir.State.topological
+
+        def counting(st):
+            calls.append(st)
+            return original(st)
+
+        monkeypatch.setattr(ir.State, "topological", counting)
+        assert subgraph_fusion(g).applications["subgraph_fusion"] == 30
+        assert len(calls) <= 18
 
     def test_rejected_candidate_leaves_graph_unchanged(self):
         g, _ = frontend.compile_source("def f(A: f64[N]):\n    A[0:N - 1] = A[1:N] * 2.0\n")

@@ -1,3 +1,4 @@
+import copy
 import sys
 
 import numpy as np
@@ -5,14 +6,16 @@ import pytest
 
 from sdfgkit import frontend
 from sdfgkit.frontend import check_restrictions, desugar, lower, parse, parse_tokens, sema
-from sdfgkit.frontend.dsl_ast import SAssign, SFor
+from sdfgkit.frontend.dsl_ast import ESub, SAssign, SFor, walk
 from sdfgkit.frontend.parser import DslSyntaxError
 from sdfgkit.ir import LibKind, LibraryNode, MapEntry, Wcr, structural_eq
 from sdfgkit.serialize import serialize
+from sdfgkit.symbolic import Sym
 from sdfgkit.texpr import to_text
 
 from conftest import ALL_KERNELS, corpus_source
 from test_interp_paths import CALLS
+from test_optimizer_pin import LOWERING_PROGRAMS
 
 
 class TestParse:
@@ -192,31 +195,37 @@ class TestLower:
         assert LibKind.REDUCE in kinds
 
 
-class TestOneAnalysis:
-    @pytest.fixture
-    def analyses(self, monkeypatch):
-        """Counts ``sema.analyze`` calls, wrapping it in every sdfgkit module
-        that holds it by name."""
-        calls = []
-        original = sema.analyze
+def _counting(monkeypatch, *names: str) -> dict[str, int]:
+    """Counts the calls of the ``sema`` functions ``names``, wrapping each in
+    every sdfgkit module that holds it by name; calls within ``sema`` go
+    through its module attributes, so recursion is counted too."""
+    counts = dict.fromkeys(names, 0)
+    for fn in names:
+        original = getattr(sema, fn)
 
-        def counting(program):
-            calls.append(program)
-            return original(program)
+        def counting(*args, _fn=fn, _original=original):
+            counts[_fn] += 1
+            return _original(*args)
 
         for name, mod in list(sys.modules.items()):
             if mod is not None and name.startswith("sdfgkit"):
                 for attr, value in list(vars(mod).items()):
                     if value is original:
                         monkeypatch.setattr(mod, attr, counting)
-        return calls
+    return counts
+
+
+class TestOneAnalysis:
+    @pytest.fixture
+    def analyses(self, monkeypatch):
+        return _counting(monkeypatch, "analyze")
 
     @pytest.mark.parametrize("name", ALL_KERNELS + ["calls"])
     def test_compile_source_analyzes_once(self, analyses, name):
         src = CALLS if name == "calls" else corpus_source(name)
         g, _ = frontend.compile_source(src)
         assert g is not None
-        assert len(analyses) == 1
+        assert analyses["analyze"] == 1
 
     def test_stages_analyze_a_program_parse_did_not(self, analyses):
         """A program built without ``parse`` is analyzed once, on first use,
@@ -225,6 +234,154 @@ class TestOneAnalysis:
         program = parse_tokens(src)
         assert check_restrictions(program) == []
         g = lower(desugar(program))
-        assert len(analyses) == 1
+        assert analyses["analyze"] == 1
         assert program.diagnostics == []
         assert serialize(g) == serialize(frontend.compile_source(src)[0])
+
+
+class TestOneDerivation:
+    """Desugaring and lowering share one typing table per function, so each
+    expression is typed once in each context it is read in."""
+
+    def test_corpus_derivations(self, monkeypatch):
+        # deriving every subtree again at each level of desugaring, and every
+        # emitted statement again in lowering, took 1,739 and 402
+        counts = _counting(monkeypatch, "classify", "resolve_subscript")
+        for name in ALL_KERNELS:
+            g, _ = frontend.compile_source(corpus_source(name))
+            assert g is not None
+        assert counts["classify"] <= 700
+        assert counts["resolve_subscript"] <= 200
+
+    @pytest.mark.parametrize("value, spans", [
+        ("A * B + A", ["2:14"]),
+        ("(A * B + A) * 2.0 - B", ["2:15", "2:30"]),
+    ])
+    def test_each_warning_once(self, value, spans):
+        g, diags = frontend.compile_source(
+            f"def f(A: f64[N], B: f64[M], C: f64[N]):\n    C[:] = {value}\n")
+        assert g is not None
+        assert [str(d) for d in diags] == [
+            f"{span}: warning: element-wise shapes not provably equal" for span in spans]
+
+
+# Programs whose expressions are read in two contexts: desugaring gives the
+# reallocated `x` its second type while lowering keeps the container's first,
+# and lowering forgets the shadowed `i` after the inner loop.
+CONTEXT_PROGRAMS = {
+    "reallocated_local": ("def f(A: f64[N], B: f64[M]):\n"
+                          "    x = zeros(N)\n"
+                          "    A[:] = x + 1.0\n"
+                          "    x = zeros(M)\n"
+                          "    B[:] = x + 2.0\n"),
+    "shadowed_loop": ("def f(A: f64[N], B: f64[N]):\n"
+                      "    for i in range(1, N):\n"
+                      "        for i in range(2, N):\n"
+                      "            A[i] = 1.0\n"
+                      "        B[0] = A[i - 1]\n"),
+}
+
+
+class TestTypingTable:
+    @pytest.fixture
+    def hits(self, monkeypatch):
+        """Checks every hit of a typing table against a fresh derivation of
+        the node in the same context, on a table of its own; returns the
+        nodes that hit."""
+        seen = []
+        original = sema.TypingTable.lookup
+
+        def checking(table, ctx, e):
+            if table.key(ctx, e) not in table.entries:
+                return original(table, ctx, e)
+            got = original(table, ctx, e)
+            fresh = copy.copy(ctx)
+            fresh.table = sema.TypingTable()
+            fresh.loop_vars = dict(ctx.loop_vars)
+            fresh.local_types = dict(ctx.local_types)
+            fresh.warnings = []
+            try:
+                want = fresh.derivation(e)
+            except sema.SemanticError as ex:
+                want = ex
+            assert got == want, (e.span, got, want)
+            seen.append(e)
+            return got
+
+        monkeypatch.setattr(sema.TypingTable, "lookup", checking)
+        return seen
+
+    @pytest.mark.parametrize("name", ALL_KERNELS)
+    def test_corpus_hits_are_exact(self, hits, name):
+        g, _ = frontend.compile_source(corpus_source(name))
+        assert g is not None and hits
+
+    @pytest.mark.parametrize("name", [*LOWERING_PROGRAMS, "calls", *CONTEXT_PROGRAMS])
+    def test_program_hits_are_exact(self, hits, name):
+        src = {"calls": CALLS, **LOWERING_PROGRAMS, **CONTEXT_PROGRAMS}[name]
+        frontend.compile_source(src)
+
+    @pytest.mark.parametrize("name", ["gemm", "jacobi_2d", "doitgen"])
+    def test_lowering_reads_the_types_desugaring_derived(self, monkeypatch, name):
+        # lowering derives only the subscripts written, which desugaring
+        # does not read
+        program = desugar(parse(corpus_source(name)))
+        targets = [s.target for s in walk(*program.entry.body)
+                   if isinstance(s, SAssign) and isinstance(s.target, ESub)]
+        counts = _counting(monkeypatch, "classify", "resolve_subscript")
+        lower(program)
+        assert counts == {"classify": 0, "resolve_subscript": len(targets)}
+
+    def test_loop_bounds_are_part_of_the_context(self):
+        program = parse("def f(A: f64[N]):\n"
+                        "    for i in range(1, N):\n"
+                        "        A[i - 1] = 1.0\n")
+        ctx = sema.TypeCtx(program.info, program.info.funcs["f"])
+        target = program.entry.body[0].body[0].target
+        ctx.loop_vars["i"] = 1
+        assert str(ctx.subscript(target)[0]) == "i - 1:i - 1:1"
+        ctx.loop_vars["i"] = 0
+        with pytest.raises(sema.SemanticError, match="sign of index 'i - 1' is not provable"):
+            ctx.subscript(target)
+
+    def test_local_types_are_part_of_the_context(self):
+        program = parse("def f(A: f64[N], B: f64[M]):\n    A[:] = x + 1.0\n")
+        ctx = sema.TypeCtx(program.info, program.info.funcs["f"])
+        value = program.entry.body[0].value
+        with pytest.raises(sema.SemanticError, match="undefined name 'x'"):
+            ctx.type_of(value)
+        for shape in ("N", "M"):
+            ctx.local_types["x"] = sema.Ty("array", "f64", (Sym(shape),))
+            assert ctx.type_of(value) == sema.Ty("array", "f64", (Sym(shape),))
+
+
+class TestLoopVariantShape:
+    """Containers are sized once, before the program runs, so a temporary
+    or local whose shape uses a loop variable is refused where it is made."""
+
+    @pytest.mark.parametrize("body, message", [
+        ("C[i, :i + 1] *= beta", "4:9: error: shape of container 'tmp0' uses loop variable 'i'"),
+        ("x = zeros(i + 1)", "4:9: error: shape of container 'x' uses loop variable 'i'"),
+        ("x = C[i, :i + 1] * beta", "4:9: error: shape of container 'x' uses loop variable 'i'"),
+    ])
+    def test_refused(self, body, message):
+        src = ("def f(beta: f64, C: f64[N, N]):\n"
+               "    for j in range(N):\n"
+               "        for i in range(j, N):\n"
+               f"            {body}\n")
+        g, diags = frontend.compile_source(src)
+        assert g is None
+        assert [str(d) for d in diags] == [message.replace("4:9", "4:13")]
+
+    def test_syrk(self):
+        g, diags = frontend.compile_source(LOWERING_PROGRAMS["loop_variant_shape"])
+        assert g is None
+        assert [str(d) for d in diags] == [
+            "4:9: error: shape of container 'tmp0' uses loop variable 'i'"]
+
+    def test_loop_invariant_shape_compiles(self):
+        src = ("def f(beta: f64, C: f64[N, N]):\n"
+               "    for i in range(N):\n"
+               "        C[i, 1:] *= beta\n")
+        g, diags = frontend.compile_source(src)
+        assert g is not None and not diags

@@ -8,6 +8,7 @@ from sdfgkit.interp import (
     ExecContext, InterpOptions, InterpreterError, OutOfBoundsError, TensorValue,
     interpret,
 )
+from sdfgkit.symbolic import Sym
 
 from conftest import (
     ALL_KERNELS, KERNEL_SYMBOLS, compile_kernel, corpus_source, make_inputs,
@@ -100,12 +101,15 @@ class TestErrors:
             interpret(g, ctx)
 
     def test_transient_sized_by_loop_counter_is_an_interpreter_error(self):
-        # the slice temporary is sized by `i`, which has no value before the loop
+        # the frontend refuses a temporary sized by the loop counter `i`
+        # (`B[0:i] = A[0:i] * 2.0`), so the graph gets one by hand: `i` has
+        # no value before the loop, when containers are sized
         src = ("def f(A: f64[N], B: f64[N]):\n"
                "    for i in range(1, N):\n"
-               "        B[0:i] = A[0:i] * 2.0\n")
+               "        B[0:N - 1] = A[0:N - 1] * 2.0\n")
         g, diags = frontend.compile_source(src)
         assert g is not None and not diags
+        g.containers["tmp0"].shape = (Sym("i"),)
         ctx = ExecContext(bindings={"N": 8})
         ctx.bind_inputs({"A": np.ones(8), "B": np.zeros(8)})
         with pytest.raises(InterpreterError) as exc:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -9,7 +11,7 @@ from sdfgkit.ir import (
     MapExit, Memlet, NestedSdfg, Node, Schedule, Sdfg, State, StateFacts, Tasklet, Wcr,
     content_key, race_free, structural_eq, validate,
 )
-from sdfgkit.serialize import deserialize, serialize
+from sdfgkit.serialize import deserialize, from_dict, serialize
 from sdfgkit.symbolic import Const, SubsetRange, Sym
 from sdfgkit.texpr import TBin, TNum, TRef
 
@@ -90,6 +92,16 @@ class TestValidate:
         errors = [d for d in g.validate() if d.severity == "error"]
         assert [(d.code, d.state, d.node) for d in errors] == [
             ("exit-connector", g.states[49].label, e.dst.nid)]
+
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    def test_state_label_must_be_a_string(self, k):
+        # a list-valued label on a state but the first (whose label the
+        # start names) is reported, not hashed
+        doc = json.loads(serialize(compile_kernel("jacobi_1d")))
+        doc["states"][k]["label"] = ["x"]
+        g = from_dict(doc)
+        assert [(d.severity, d.code, d.message) for d in g.validate()] == [
+            ("error", "state-labels", "state label ['x'] is not a string")]
 
     def test_pinned_graphs_pass_exit_connectors(self):
         from test_optimizer_pin import DISTRIBUTED, LOWERED_NAMES, lowered_source
@@ -634,7 +646,7 @@ class TestStreams:
     def test_streams_serialize_but_never_execute(self):
         import numpy as np
         from sdfgkit.interp import ExecContext, InterpreterError, interpret
-        from sdfgkit.serialize import deserialize, serialize
+        from sdfgkit.serialize import deserialize, from_dict, serialize
         from sdfgkit.texpr import TRef
 
         g = Sdfg("fifo")

@@ -6,7 +6,7 @@ the sorted diagnostic strings, for every corpus kernel, the nested-call
 program of ``test_interp_paths``, the local-view stencil and the programs of
 ``LOWERING_PROGRAMS``, which reach the lowering branches the others do not:
 compound conditions, calls in tasklets, per-iteration locals and
-write-conflict resolution in map bodies, and the rejections.  Each
+write-conflict resolution in map bodies, warnings, and the rejections.  Each
 ``OPTIMIZED`` digest is a sha256 over three texts, joined by newlines:
 ``serialize(g)`` after ``auto_optimize``, ``emit_c(g)``, and the pass report
 as sorted-key JSON.  Each ``DISTRIBUTED`` digest is a sha256 over
@@ -123,6 +123,17 @@ def f(A: f64[N]):
 def h(A: f64[N]):
     f(A)
 """,
+    "elementwise_warnings": """
+def f(A: f64[N], B: f64[M], C: f64[N]):
+    C[:] = (A * B + A) * 2.0 - B
+""",
+    "loop_variant_shape": """
+def syrk(alpha: f64, beta: f64, C: f64[N, N], A: f64[N, M]):
+    for i in range(N):
+        C[i, :i + 1] *= beta
+        for k in range(M):
+            C[i, :i + 1] += alpha * A[i, k] * A[:i + 1, k]
+""",
 }
 
 # Extents of the programs of LOWERING_PROGRAMS that compile.
@@ -159,6 +170,8 @@ LOWERED = {
     "call_in_map_body": "31a2e157cb189e34da06271d35728f0d0abf471e1c8550f50bf45b261b8cc53e",
     "control_dependent": "a44654a5132cc836c00a435e9f1b1bf68183c00fba72f01c874a2f30d5138cc0",
     "recursion": "04bc9a04fed930f661220af0755dcc5f2dbf11885df05bf146d976096361b49a",
+    "elementwise_warnings": "3ca1cecaf45369cf1cbb58da81ddc423fa17d7fa80e8278b97e9d7620eff64e8",
+    "loop_variant_shape": "19bfe66ec136276e1b3f037ef024797911c1dc3eac75015c5ace8ee10623064e",
 }
 
 OPTIMIZED = {

@@ -89,6 +89,14 @@ class TestSymbolBounds:
         assert from_dict(doc).symbols[doc["symbols"][0]["name"]] == -3
 
 
+def test_transition_assignments_must_be_an_object():
+    doc = json.loads(serialize(compile_kernel("jacobi_1d")))
+    assert doc["transitions"][0]["assignments"]
+    doc["transitions"][0]["assignments"] = [["t", "0"]]
+    with pytest.raises(SchemaError, match=r"^transitions\[0\]\.assignments is a list, not an object$"):
+        from_dict(doc)
+
+
 def _clear_tables():
     for table in (symbolic.parse_expr, symbolic.parse_subset, texpr.parse_texpr,
                   symbolic._decide):

@@ -224,8 +224,9 @@ def subgraph_fusion(g: Sdfg) -> PassReport:
     legal pair of top-level parallel maps (more dimensions first, then in
     topological order), every fusion built on a copy of the state and kept
     only when the copy is race-free.  Each state's fusions are folded on one
-    copy instead, checked for races once (see :class:`_MapFusion`); only when
-    that check fails does the state fuse pair by pair.  Container
+    copy instead and checked for races once (see :class:`_MapFusion`); only
+    when a fusion does not keep the scope brackets or that check fails does
+    the state fuse pair by pair.  Container
     descriptors change when the state's result is swapped in, so a rejected
     candidate leaves the graph untouched."""
     report = PassReport()
@@ -275,24 +276,24 @@ class _Racy(Exception):
 class _MapFusion:
     """The fusions of the top-level parallel maps of ``g.states[i]``, one
     pair at a time as :func:`subgraph_fusion` describes, on a working copy
-    of the state (``work``, taken at the first fusion).
+    of the state (``work``).
 
     Without ``deferred``, every fusion is built on a copy of the working
-    state and kept only when the copy passes ``race_free``.  With it, a
-    fusion whose shape keeps the scope brackets (:meth:`_clean`) is applied
-    to the working state in place and its race check is deferred: one
-    ``race_free`` of the state before the fusions and one of the state after
-    stand for the checks of every state between.  A race that a fusion
-    introduces stays in the later states, except a conflict across
-    iterations that involves an intermediate's memlets, which the fusion
-    moves inside the scope; such a conflict is in the scopes being fused, so
-    it is looked for there before the fusion.  Any other fusion is checked
-    like one without ``deferred``, after a check of the working state.  A
-    deferred check that fails raises :class:`_Racy`.
+    state and kept only when the copy passes ``race_free``.  With it, the
+    fusions fold into one working copy in place, taken at the first fusion,
+    and their race checks are deferred: one ``race_free`` of the state
+    before the fusions and one of the state after stand for the checks of
+    every state between.  That holds for fusions that keep the scope
+    brackets (:meth:`_clean`): a race such a fusion introduces stays in the
+    later states, except a conflict across iterations that involves an
+    intermediate's memlets, which the fusion moves inside the scope; such a
+    conflict is in the scopes being fused, so it is looked for there before
+    the fusion.  A fold that meets a fusion of another shape, or such a
+    conflict, or whose deferred checks fail, raises :class:`_Racy`.
 
-    The search skips a pair it rejected when neither map's scope nor any
-    node connecting it has changed since: a rejection stands while reach
-    only grows, which a fusion of that shape ensures.
+    The fold skips a pair it rejected when neither map's scope nor any node
+    connecting it has changed since: a rejection stands while reach only
+    grows, which a clean fusion ensures.
     """
 
     def __init__(self, g: Sdfg, i: int, places: dict[str, list[tuple[int, int]]],
@@ -307,8 +308,6 @@ class _MapFusion:
         self.sig = {nid: _space_sig(self.base.nodes[nid]) for nid in self.top}
         self.count = 0
         self.scalars: set[str] = set()
-        self.base_checked = False  # the state before the fusions is race-free
-        self.unchecked = 0  # fusions applied since the working state was checked
         # how often each map's scope or connecting nodes changed, by its role
         # in a pair: as the map fused into (first) or the one fused (second)
         self.first: dict[int, int] = {}
@@ -317,11 +316,12 @@ class _MapFusion:
         self._index()
 
     def run(self) -> bool:
-        """Fuse to a fixed point; False when a deferred race check fails."""
+        """Fuse to a fixed point; False when the fold raises :class:`_Racy`."""
         try:
             while self._step():
                 pass
-            self._check()
+            if self.deferred:
+                self._check()
         except _Racy:
             return False
         return True
@@ -334,18 +334,13 @@ class _MapFusion:
                 self.exits.setdefault(n.entry.nid, n)
 
     def _check(self) -> None:
-        """Check the races deferred so far.  The state before the fusions
-        is checked only when more than one fusion followed it unchecked: the
-        check of the state after one fusion is that fusion's own."""
-        if not self.unchecked:
-            return
-        if (not self.base_checked and self.unchecked > 1
-                and not race_free(self.base, self.asm, self.base_facts)):
+        """The deferred race checks: the state before the fusions when more
+        than one fusion followed it (the check of the state after one fusion
+        is that fusion's own), then the state after."""
+        if self.count > 1 and not race_free(self.base, self.asm, self.base_facts):
             raise _Racy
-        self.base_checked = True
-        if not race_free(self.work, self.asm):
+        if self.count and not race_free(self.work, self.asm):
             raise _Racy
-        self.unchecked = 0
 
     def _step(self) -> bool:
         """Apply the first legal fusion; False when there is none."""
@@ -467,52 +462,45 @@ class _MapFusion:
     def _fuse(self, m1: MapEntry, m2: MapEntry, mapping: dict[str, str],
               mids: dict[int, AccessNode]) -> bool | None:
         """Fuse m2 into m1: True when fused, False when the fused state
-        races, None when the fusion breaks the scope brackets or closes a
-        cycle."""
-        clean = self._clean(m1, m2, mids)
-        touched = self._producers_touched(m2) if clean else ()
+        races, None when the fusion closes a cycle."""
         children = self._children(m2)
-        if self.deferred and clean:
-            if mids and any(iteration_conflicts(m.param_names, self.outs[m.nid],
-                                                self.ins[self.exits[m.nid].nid])
-                            for m in (m1, m2)):
-                raise _Racy  # the working state races already
+        if self.deferred:
+            if not self._clean(m1, m2, mids) or mids and any(
+                    iteration_conflicts(m.param_names, self.outs[m.nid],
+                                        self.ins[self.exits[m.nid].nid]) for m in (m1, m2)):
+                raise _Racy
+            touched = self._producers_touched(m2)
             if self.work is self.base:
                 self.work = self.base.clone()
                 self._index()
                 self.order = [self.work.nodes[n.nid] for n in self.order]
             st, ins, outs = self.work, self.ins, self.outs
-            self.unchecked += 1
         else:
             st = self.work.clone()
             ins, outs = _edge_index(st)
         nodes = st.nodes
         _apply_fusion(st, ins, outs, nodes[m1.nid], nodes[m2.nid], [nodes[c] for c in children],
                       mapping, [nodes[nid] for nid in mids])
-        if st is not self.work:
+        if self.deferred:
+            del self.exits[m2.nid]
+            self.top.discard(m2.nid)
+            self._reorder(m1.nid)
+            for nid in touched | {m1.nid}:
+                self.first[nid] = self.first.get(nid, 0) + 1
+            self.second[m1.nid] = self.second.get(m1.nid, 0) + 1
+        else:
             try:
                 facts = st.facts()
                 facts.parents
             except ValueError:
                 return None
-            if self.deferred:
-                self._check()
             if not race_free(st, self.asm, facts):
                 return False
-            self.work, self.base_checked = st, True
+            self.work = st
             self._index()
             self.order = list(facts.order)
             self.top = {n.nid for n in facts.scopes[None]
                         if isinstance(n, MapEntry) and n.schedule is Schedule.PARALLEL}
-        else:
-            del self.exits[m2.nid]
-            self.top.discard(m2.nid)
-            self._reorder(m1.nid)
-        if clean:
-            for nid in touched | {m1.nid}:
-                self.first[nid] = self.first.get(nid, 0) + 1
-            self.second[m1.nid] = self.second.get(m1.nid, 0) + 1
-        else:
             self.rejected.clear()  # a dropped edge may have shortened paths
         self.count += 1
         inside = set(self._children(nodes[m1.nid]))
@@ -589,7 +577,9 @@ def _apply_fusion(st: State, ins: dict[int, list[Edge]], outs: dict[int, list[Ed
     parameters renamed by ``mapping``; the intermediates ``mids`` move into
     the fused scope.  ``ins`` and ``outs`` index the state's edges
     (:func:`_edge_index`) and are kept up to date; the edge list ends as
-    adding and removing each edge in turn would leave it."""
+    adding and removing each edge in turn would leave it.  A connector
+    rerouted to m1's entry or exit is named ``F<m2's id>_<its name>``,
+    with a numeric suffix when an edge into that node names it already."""
     removed: set[int] = set()
 
     def add(src, dst, memlet=None, src_conn=None, dst_conn=None):
@@ -626,32 +616,32 @@ def _apply_fusion(st: State, ins: dict[int, list[Edge]], outs: dict[int, list[Ed
                     remove(ce)
                 remove(e)
 
-    # remaining m2 entry routing moves to m1's entry
-    for e in list(ins[m2.nid]):
-        if e.memlet is None:
+    def move(hub, to):
+        """Route each input of ``hub`` with its outputs through ``to``, on a
+        connector no edge into ``to`` names yet."""
+        taken = {_strip(e.dst_conn) for e in ins[to.nid]}
+        for e in list(ins[hub.nid]):
+            conn = _strip(e.dst_conn)
+            for ce in [ce for ce in outs[hub.nid] if _strip(ce.src_conn) == conn]:
+                fresh, k = f"F{m2.nid}_{conn}", 0
+                while fresh in taken:
+                    k += 1
+                    fresh = f"F{m2.nid}_{conn}_{k}"
+                taken.add(fresh)
+                add(e.src, to, e.memlet, e.src_conn, f"IN_{fresh}")
+                add(to, ce.dst, ce.memlet, f"OUT_{fresh}", ce.dst_conn)
+                remove(ce)
             remove(e)
-            continue
-        conn = _strip(e.dst_conn)
-        for ce in [ce for ce in outs[m2.nid] if _strip(ce.src_conn) == conn]:
-            fresh = f"F{st._next_id}_{conn}"
-            add(e.src, m1, e.memlet, e.src_conn, f"IN_{fresh}")
-            add(m1, ce.dst, ce.memlet, f"OUT_{fresh}", ce.dst_conn)
-            remove(ce)
+
+    # the rest of m2's reads move to m1's entry, its writes to m1's exit
+    for e in [e for e in ins[m2.nid] if e.memlet is None]:
         remove(e)
+    move(m2, m1)
     for e in list(outs[m2.nid]):  # dependency-only edges
         if e.memlet is None:
             add(m1, e.dst)
         remove(e)
-
-    # m2's writes move to m1's exit
-    for e in list(ins[x2.nid]):
-        conn = _strip(e.dst_conn)
-        for ce in [ce for ce in outs[x2.nid] if _strip(ce.src_conn) == conn]:
-            fresh = f"F{st._next_id}_{conn}"
-            add(e.src, x1, e.memlet, e.src_conn, f"IN_{fresh}")
-            add(x1, ce.dst, ce.memlet, f"OUT_{fresh}", ce.dst_conn)
-            remove(ce)
-        remove(e)
+    move(x2, x1)
 
     for n in (m2, x2):  # the edges left at the removed nodes go with them
         for e in ins[n.nid] + outs[n.nid]:

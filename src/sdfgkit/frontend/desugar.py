@@ -83,7 +83,15 @@ class _Desugarer:
             if value.fn in _ALLOC_FNS:
                 if not isinstance(s.target, EName):
                     raise SemanticError(f"{value.fn}() must assign to a plain name", s.span)
-                self.ctx.local_types[s.target.id] = self.ctx.type_of(value)
+                name, ty = s.target.id, self.ctx.type_of(value)
+                fi = self.ctx.fi
+                if name in fi.arrays or name in fi.float_scalars:
+                    raise SemanticError(f"{value.fn}() cannot rebind parameter '{name}'", s.span)
+                # a container has one type, taken where it is first made
+                old = self.ctx.local_types.setdefault(name, ty)
+                if old != ty:
+                    raise SemanticError(f"'{name}' is reallocated as {_spelled(ty)}; "
+                                        f"it was made as {_spelled(old)}", s.span)
             out.append(s)
             return
 
@@ -154,6 +162,11 @@ class _Desugarer:
         self.ctx.local_types[tmp] = self.ctx.type_of(root)
         out.append(SAssign(e.span, EName(e.span, tmp), "=", root))
         return EName(e.span, tmp)
+
+
+def _spelled(ty: Ty) -> str:
+    """``ty`` as a parameter declaration spells it."""
+    return f"{ty.dtype}[{', '.join(map(str, ty.shape))}]" if ty.is_array else ty.dtype
 
 
 def desugar(program: Program) -> Program:

@@ -11,6 +11,8 @@ map that cannot be proven conflict-free get write-conflict resolution.
 
 from __future__ import annotations
 
+import itertools
+
 from .. import symbolic, texpr
 from ..ir import (
     AccessNode, DType, LibKind, LibraryNode, MapEntry, MapExit, Memlet,
@@ -162,7 +164,14 @@ class _FuncLowerer:
         value = s.value
         if isinstance(value, ECall) and value.fn in ("zeros", "empty", "requests"):
             assert isinstance(s.target, EName)
-            self.declare_local(s.target.id, self.ctx.type_of(value), s.span)
+            name, ty = s.target.id, self.ctx.type_of(value)
+            again = name in self.g.containers
+            self.declare_local(name, ty, s.span)
+            if value.fn == "zeros" and (again or self.ctx.loop_vars):
+                # the local may hold what an earlier run of the loop or an
+                # earlier allocation wrote: clear it
+                self.elementwise_stmt(s, name, self.full(ty.shape), [True] * len(ty.shape),
+                                      ENum(s.span, 0.0, True))
             return
         if isinstance(value, ECall) and value.fn in ("block_scatter", "block_gather"):
             self.comm_collective(s, value)
@@ -533,13 +542,17 @@ class _Router:
     by the surrounding map parameters ``params``, and scalar containers are
     routed whole.  In a map body (``scope_values`` given) operands are
     scalars, and the body's per-iteration locals are read from the access
-    nodes in ``scope_values`` rather than through the map entry.
+    nodes in ``scope_values`` rather than through the map entry.  Connectors
+    are numbered by ``numbers``, which the statements of one map body share,
+    so that no two of its tasklets read through one entry connector name.
     """
 
     def __init__(self, fl: _FuncLowerer, st: State, entry: MapEntry | None = None,
                  params: list[str] | None = None,
-                 scope_values: dict[str, AccessNode] | None = None):
+                 scope_values: dict[str, AccessNode] | None = None,
+                 numbers: itertools.count | None = None):
         self.fl = fl
+        self.numbers = numbers or itertools.count()
         self.st = st
         self.entry = entry
         self.params = params or []
@@ -586,7 +599,7 @@ class _Router:
         key = (container, str(elem))
         if key in self.routes:
             return self.routes[key]
-        conn = f"in{len(self.conn_order)}"
+        conn = f"in{next(self.numbers)}"
         self.routes[key] = conn
         self.conn_order.append(conn)
         if outer is None and self.entry is not None:
@@ -623,10 +636,12 @@ class _MapScopeLowerer:
         self.exit = exit_node
         self.params = params
         self.scope_values: dict[str, AccessNode] = {}  # per-iteration scalar locals
+        self.numbers = itertools.count()  # the body's connector numbers
         self.wrote_through_exit = False
 
     def assign(self, s: SAssign) -> None:
-        router = _Router(self.fl, self.st, self.entry, scope_values=self.scope_values)
+        router = _Router(self.fl, self.st, self.entry, scope_values=self.scope_values,
+                         numbers=self.numbers)
         code = router.to_texpr(s.value)
         wcr: Wcr | None = None
         if isinstance(s.target, EName):

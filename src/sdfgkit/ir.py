@@ -830,6 +830,11 @@ def validate(g: Sdfg, facts: dict[State, StateFacts] | None = None) -> list[Diag
             if m.container not in g.containers:
                 err(f"unknown container {m.container}", "unknown-container", st.label)
                 continue
+            acc = [n for n in (e.src, e.dst) if isinstance(n, AccessNode)]
+            if len(acc) == 1 and acc[0].container != m.container:
+                # only a copy between two access nodes names either container
+                err(f"edge at access node {acc[0].nid} of '{acc[0].container}' carries "
+                    f"memlet {m}", "access-container", st.label, acc[0].nid)
             desc = g.containers[m.container]
             if m.subset.rank != desc.rank:
                 err(
@@ -854,6 +859,14 @@ def validate(g: Sdfg, facts: dict[State, StateFacts] | None = None) -> list[Diag
 
         # dataflow endpoints: sinks must be access nodes; tasklet outputs consumed
         for n in st.nodes.values():
+            if isinstance(n, (MapEntry, MapExit)):
+                # each connector of a scope node pairs one input with its outputs
+                seen: set[str] = set()
+                for conn in [e.dst_conn for e in sf.ins[n.nid] if isinstance(e.dst_conn, str)]:
+                    if conn in seen:
+                        err(f"two edges into {type(n).__name__} {n.nid} name connector '{conn}'",
+                            "scope-connector", st.label, n.nid)
+                    seen.add(conn)
             if isinstance(n, MapExit):
                 # an exit passes each write on from IN_x to the edges out of OUT_x
                 # (a graph without connectors pairs its unnamed edges)

@@ -800,9 +800,10 @@ def _convert_loop(g: Sdfg, loop: LoopInfo, reductions: dict[str, Wcr], private: 
             continue
         new.add_edge(src, dst, m, sc, dc)
 
-    # tasklets with no remaining inputs still need a scope dependency
+    # tasklets and inner maps with no remaining inputs still need a scope
+    # dependency
     for n in list(new.sorted_nodes()):
-        if isinstance(n, (AccessNode, MapEntry, MapExit)):
+        if isinstance(n, (AccessNode, MapExit)) or n is entry:
             continue
         if not new.in_edges(n):
             new.add_edge(entry, n)

@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from sdfgkit import frontend
-from sdfgkit.frontend import check_restrictions, desugar, lower, parse, parse_tokens, sema
+from sdfgkit.autoopt import auto_optimize
+from sdfgkit.frontend import (
+    check_restrictions, desugar, lower, oracle, parse, parse_tokens, sema,
+)
+from sdfgkit.interp import ExecContext, InterpOptions, interpret
 from sdfgkit.frontend.dsl_ast import ESub, SAssign, SFor, walk
 from sdfgkit.frontend.parser import DslSyntaxError
 from sdfgkit.ir import LibKind, LibraryNode, MapEntry, Wcr, structural_eq
@@ -265,9 +269,10 @@ class TestOneDerivation:
             f"{span}: warning: element-wise shapes not provably equal" for span in spans]
 
 
-# Programs whose expressions are read in two contexts: desugaring gives the
-# reallocated `x` its second type while lowering keeps the container's first,
-# and lowering forgets the shadowed `i` after the inner loop.
+# Programs whose expressions are read in two contexts: lowering forgets the
+# shadowed `i` after the inner loop.  Desugaring refuses the reallocated `x`,
+# which lowering used to read with its first type where desugaring had
+# given it the second.
 CONTEXT_PROGRAMS = {
     "reallocated_local": ("def f(A: f64[N], B: f64[M]):\n"
                           "    x = zeros(N)\n"
@@ -353,6 +358,51 @@ class TestTypingTable:
         for shape in ("N", "M"):
             ctx.local_types["x"] = sema.Ty("array", "f64", (Sym(shape),))
             assert ctx.type_of(value) == sema.Ty("array", "f64", (Sym(shape),))
+
+
+class TestZeros:
+    """A ``zeros`` that may run after its local was written (in a loop, or
+    a second allocation) clears the local; a local keeps the type it was
+    made with."""
+
+    @pytest.mark.parametrize("name, want", [
+        ("zeros_in_loop", lambda A: np.array([A[0]] * 3 + [0.0])),
+        ("zeros_twice", lambda A: np.full(4, 2.0)),
+    ])
+    def test_matches_oracle(self, name, want):
+        src = LOWERING_PROGRAMS[name]
+        g, diags = frontend.compile_source(src)
+        assert not diags
+        optimized = g.copy()
+        auto_optimize(optimized)
+        symbols = {"N": 4}
+        inputs = {"A": np.array([5.0, 1.0, 2.0, 3.0]), "B": np.zeros(4)}
+        ref = oracle.evaluate_program(parse(src), symbols, copy.deepcopy(inputs))
+        assert np.array_equal(ref["B"], want(inputs["A"]))
+        for graph in (g, optimized):
+            for reverse in (False, True):
+                for vectorize in (False, True):
+                    ctx = ExecContext(bindings=dict(symbols)).bind_inputs(copy.deepcopy(inputs))
+                    out = interpret(graph, ctx, InterpOptions(reverse_maps=reverse,
+                                                              vectorize=vectorize))
+                    assert all(np.array_equal(out[k], ref[k]) for k in ref)
+
+    @pytest.mark.parametrize("src, message", [
+        (LOWERING_PROGRAMS["zeros_other_shape"],
+         "5:5: error: 'x' is reallocated as f64[M]; it was made as f64[N]"),
+        ("def f(A: f64[N]):\n    x = 1.0\n    x = zeros(N)\n    A[:] = x\n",
+         "3:5: error: 'x' is reallocated as f64[N]; it was made as f64"),
+        ("def f(A: f64[N], B: f64[N]):\n    A = zeros(N)\n    B[:] = A + 1.0\n",
+         "2:5: error: zeros() cannot rebind parameter 'A'"),
+    ], ids=["other_shape", "scalar_first", "parameter"])
+    def test_refused(self, src, message):
+        g, diags = frontend.compile_source(src)
+        assert g is None
+        assert [str(d) for d in diags] == [message]
+
+    def test_first_allocation_makes_no_state(self):
+        g, _ = frontend.compile_source("def f(A: f64[N]):\n    x = zeros(N)\n    A[:] = x + 1.0\n")
+        assert len(g.states) == 1
 
 
 class TestLoopVariantShape:

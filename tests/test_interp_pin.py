@@ -27,7 +27,7 @@ from sdfgkit.interp import ExecContext, InterpOptions, interpret
 from sdfgkit.serialize import deserialize, serialize
 
 PINNED = {
-    "adi": "c8fcf4b54226fd5b4b31cafe91d8a3b03474bcf97b7af71a34d794ebcc426095",
+    "adi": "94e7b4465360897e7baa1da3e5aae2d32bd31ee24b7c9b71d6dfc14b124223c4",
     "atax": "7e81f025d0f9134b37a782335a5e1ad76ffe82d26067d42cc9b2940df581289c",
     "bicg": "80be6008bd80e9c22174cf9e427f95bd26e35f47f2aef59714ff2599f90315c6",
     "doitgen": "d3876cee19bef19dba095310e04d1a1ba14795825927bca909bb8c31754ddea8",

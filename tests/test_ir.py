@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -103,24 +104,71 @@ class TestValidate:
         assert [(d.severity, d.code, d.message) for d in g.validate()] == [
             ("error", "state-labels", "state label ['x'] is not a string")]
 
-    def test_pinned_graphs_pass_exit_connectors(self):
-        from test_optimizer_pin import DISTRIBUTED, LOWERED_NAMES, lowered_source
-        from sdfgkit.autoopt import specialize
-        from sdfgkit.dist import ProcessGrid, distribution_pipeline
-        graphs = [frontend.compile_source(lowered_source(n))[0] for n in LOWERED_NAMES]
-        for name in ALL_KERNELS:
-            g = compile_kernel(name)
-            auto_optimize(g)
-            cpu = g.copy()
-            specialize(cpu)
-            graphs += [g, cpu]
-        for name in DISTRIBUTED:
-            g = compile_kernel(name)
-            distribution_pipeline(g, ProcessGrid.parse("2x2"))
-            graphs.append(g)
-        for g in graphs:
-            if g is not None:
-                assert not [d for d in g.validate() if d.code == "exit-connector"], g.name
+    @pytest.mark.parametrize("code", ["exit-connector", "scope-connector", "access-container"])
+    def test_pinned_graphs_pass_exit_connectors(self, code):
+        for g in pinned_graphs():
+            assert not [d for d in g.validate() if d.code == code], g.name
+
+    @pytest.mark.parametrize("node", ["entry", "exit"])
+    def test_scope_connector_taken_twice(self, node):
+        g = build_shift_map("B")
+        st = g.states[0]
+        scope = next(n for n in st.nodes.values()
+                     if isinstance(n, MapEntry if node == "entry" else MapExit))
+        first = st.in_edges(scope)[0]
+        st.add_edge(first.src, scope, first.memlet, first.src_conn, first.dst_conn)
+        assert [(d.code, d.node) for d in g.validate() if d.severity == "error"] == [
+            ("scope-connector", scope.nid)]
+
+    def test_unnamed_scope_inputs_may_repeat(self):
+        g = build_shift_map("B")
+        st = g.states[0]
+        entry = next(n for n in st.nodes.values() if isinstance(n, MapEntry))
+        st.add_edge(st.add(AccessNode("B")), entry)
+        st.add_edge(st.add(AccessNode("B")), entry)
+        assert "scope-connector" not in [d.code for d in g.validate()]
+
+    @pytest.mark.parametrize("end", ["read", "write"])
+    def test_access_node_edge_names_its_container(self, end):
+        # a tasklet copies B[0] to A[0], and both its memlets name the
+        # container at one end
+        g = build_shift_map("B")
+        st = g.states[0]
+        t = st.add(Tasklet("copy", ("v",), ("out",), (("out", TRef("v")),)))
+        src, dst = st.add(AccessNode("B")), st.add(AccessNode("A"))
+        m = Memlet("A" if end == "read" else "B", SubsetRange.point([Const(0)]))
+        st.add_edge(src, t, m, dst_conn="v")
+        st.add_edge(t, dst, m, src_conn="out")
+        errors = [(d.code, d.node) for d in g.validate() if d.code == "access-container"]
+        assert errors == [("access-container", (src if end == "read" else dst).nid)]
+
+    def test_copy_between_access_nodes_names_either_container(self):
+        g = build_shift_map("B")
+        st = g.states[0]
+        whole = SubsetRange.make([(0, Sym("N") - 1, 1)])
+        a = next(n for n in st.nodes.values() if isinstance(n, AccessNode) and n.container == "A")
+        st.add_edge(a, st.add(AccessNode("B")), Memlet("A", whole))
+        assert "access-container" not in [d.code for d in g.validate()]
+
+    def test_miswired_fused_write(self):
+        # subgraph fusion once gave two connectors of one map the same name,
+        # and a fused adi then wrote p[k0 + 1, j] into an access node of
+        # tmp8: redirect that write in the optimized graph's document
+        g = compile_kernel("adi")
+        auto_optimize(g)
+        doc = json.loads(serialize(g))
+        st = next(s for s in doc["states"] if s["label"] == "s16")
+        kinds = {n["id"]: n for n in st["nodes"]}
+        tmp8 = next(i for i, n in kinds.items() if n.get("container") == "tmp8")
+        e = next(e for e in st["edges"] if e.get("memlet", "").startswith("p[k0 + 1")
+                 and kinds[e["src"]]["type"] == "tasklet" and kinds[e["dst"]]["type"] == "map_exit")
+        e["dst"] = tmp8
+        del e["dst_conn"]
+        assert not [d for d in from_dict(json.loads(serialize(g))).validate()
+                    if d.severity == "error"]
+        errors = [(d.code, d.state, d.node) for d in from_dict(doc).validate()
+                  if d.code == "access-container"]
+        assert errors == [("access-container", "s16", tmp8)]
 
     def test_parallel_map_conflict_needs_wcr(self):
         g = Sdfg("bad")
@@ -146,6 +194,28 @@ class TestValidate:
             if e.memlet is not None and e.memlet.container == "s":
                 e.memlet.wcr = Wcr.ADD
         assert [d for d in g.validate() if d.severity == "error"] == []
+
+
+@functools.lru_cache(maxsize=1)
+def pinned_graphs() -> tuple[Sdfg, ...]:
+    """Every kind of graph the pins hold: the lowered programs, the
+    optimized and CPU-specialized corpus, and the corpus distributed on
+    2x2."""
+    from test_optimizer_pin import DISTRIBUTED, LOWERED_NAMES, lowered_source
+    from sdfgkit.autoopt import specialize
+    from sdfgkit.dist import ProcessGrid, distribution_pipeline
+    graphs = [frontend.compile_source(lowered_source(n))[0] for n in LOWERED_NAMES]
+    for name in ALL_KERNELS:
+        g = compile_kernel(name)
+        auto_optimize(g)
+        cpu = g.copy()
+        specialize(cpu)
+        graphs += [g, cpu]
+    for name in DISTRIBUTED:
+        g = compile_kernel(name)
+        distribution_pipeline(g, ProcessGrid.parse("2x2"))
+        graphs.append(g)
+    return tuple(g for g in graphs if g is not None)
 
 
 def build_shift_map(read: str) -> Sdfg:

@@ -6,7 +6,8 @@ the sorted diagnostic strings, for every corpus kernel, the nested-call
 program of ``test_interp_paths``, the local-view stencil and the programs of
 ``LOWERING_PROGRAMS``, which reach the lowering branches the others do not:
 compound conditions, calls in tasklets, per-iteration locals and
-write-conflict resolution in map bodies, warnings, and the rejections.  Each
+write-conflict resolution in map bodies, reallocated locals, warnings, and
+the rejections.  Each
 ``OPTIMIZED`` digest is a sha256 over three texts, joined by newlines:
 ``serialize(g)`` after ``auto_optimize``, ``emit_c(g)``, and the pass report
 as sorted-key JSON.  Each ``DISTRIBUTED`` digest is a sha256 over
@@ -134,6 +135,27 @@ def syrk(alpha: f64, beta: f64, C: f64[N, N], A: f64[N, M]):
         for k in range(M):
             C[i, :i + 1] += alpha * A[i, k] * A[:i + 1, k]
 """,
+    "zeros_in_loop": """
+def f(A: f64[N], B: f64[N]):
+    for t in range(0, 3):
+        x = zeros(N)
+        x[0] = x[0] + A[0]
+        B[t] = x[0]
+""",
+    "zeros_twice": """
+def f(A: f64[N], B: f64[N]):
+    x = zeros(N)
+    x[:] = A + 1.0
+    x = zeros(N)
+    B[:] = x + 2.0
+""",
+    "zeros_other_shape": """
+def f(A: f64[N], B: f64[M]):
+    x = zeros(N)
+    A[:] = x + 1.0
+    x = zeros(M)
+    B[:] = x + 2.0
+""",
 }
 
 # Extents of the programs of LOWERING_PROGRAMS that compile.
@@ -159,7 +181,7 @@ LOWERED = {
     "calls": "bdf0711e7b9fea1acc8a42b20b2276c2f9818d7a3ab8214538becdefe3c02c39",
     "jacobi2d_local_view": "d3b2278429b4f5911dfa8794db87bed63b88b6e552e3c37e1837f38f58f4ff1a",
     "branches": "b49ad98b2c4d6a11088214f079df75692fc68969fb4ff755507a677b880c8d51",
-    "map_body": "bb42bccde41252ab2f831c54f0131b9da89e469483a1465396eeb00a7119f63c",
+    "map_body": "aba101fb60c6f16ab6eb6cd86aefdaad3b5f67ec3d15a59b8a7037f188cc4e96",
     "condition_subscript": "6d105987ed642a2b7fbe81c4927734ec901c615a7479a94a5820d4f25cb2e13e",
     "condition_whole_array": "5e0ad4bb0381885d328fc6a01f15dcd8e35783aa610fda0f9725b4537c92fd1d",
     "map_array_op": "4257d640c05e9edcb705f90840672b24961654ee0334d5468d5c49e44a0be341",
@@ -172,20 +194,23 @@ LOWERED = {
     "recursion": "04bc9a04fed930f661220af0755dcc5f2dbf11885df05bf146d976096361b49a",
     "elementwise_warnings": "3ca1cecaf45369cf1cbb58da81ddc423fa17d7fa80e8278b97e9d7620eff64e8",
     "loop_variant_shape": "19bfe66ec136276e1b3f037ef024797911c1dc3eac75015c5ace8ee10623064e",
+    "zeros_in_loop": "99b4dc776b25f3f9e24d534fe9c396c432d63b59fc033072774d9e66907e6bd4",
+    "zeros_twice": "58474bea877444fce2e92a314a114fdcd3220a846ecd8fd61be32219b616f46a",
+    "zeros_other_shape": "e1ea9f189446f1ccb14f7aadfbe8d60c850777aeb6092fc533a4be95c5bdf966",
 }
 
 OPTIMIZED = {
-    "adi": "4aeead36bf3245a3fe10d833a3119a1d51e201875cb1c13c61a1c2f37ba16666",
+    "adi": "10f928ba8a9936c361afbeba0bf6e1b3e196af1c6c8fa0b791438add5f9c05d3",
     "atax": "da959df989c5eda5b33d114d7ccce59f4c99f9072d2bf154fde63909a78574e5",
     "bicg": "1cb0ac13051580233b89eaebf00847393a480ace4f417264a9bc42815938baaf",
     "doitgen": "251e2f02400303c6534e5955a40e604d5a8a08be13c0fc716842459c228638ec",
     "fig4_loop": "a343ad5b0e1b0546a8daad8023f3f883e23c7cc97cd20edfd4c5fcff860ee6ea",
-    "gemm": "8d84f3a0c7ed07bbdbb203db5424f634cdbe6c87ce176cabc0ccc22c3c60a819",
-    "gemver": "36f8598b59d9158383cbb37b235300039e9516a2e32132f9ef0480f312576193",
-    "gesummv": "04dc30e596a9a74968ae0937ce17c3a909f32a2689b05692410ecd3a4036de94",
-    "jacobi_1d": "9cb5fbb197128393e5215be175ac05cbafe7d02ac9ce912c9e3a33815f60143a",
-    "jacobi_2d": "a20edb7db4680dd04513d70d01b4c071b44a8e13a2bc8908c2ebc813800152cb",
-    "k2mm": "a90b9c2585b7309878e42831acff24d28416c7d2693a8214c78838b857a18d89",
+    "gemm": "7c90c60008ba08264046541873e12f850b0128b0c7a71c15efbf1ff17806264f",
+    "gemver": "db3e585c7ab27b9badcaebca29af0e3e9baa23cfa13b4984122cf34736d583ed",
+    "gesummv": "4447b10a5a0317b4ac398f1d6644bb524c8029787d4bd985856f9d004d4dd6f0",
+    "jacobi_1d": "f5df58bbb1dceda5ab6c90556434f66ce6e4f02c89532065c9a71e360623bb8f",
+    "jacobi_2d": "42921e468ef204f35d48dbe642c21b7c4232c39d23ef9104ef08a7de4ac869b7",
+    "k2mm": "4bbb6794e18f0e8d0ce048f735c8c846b97b31b3b2a9a94ac320d21bb07a67b1",
     "k3mm": "aa8e50531e6e573f494e393f97756e3c4606bbea46834fd67097957cdaa9d608",
     "mvt": "86edf00757fb8f12ec6ce1b7d5b122d7db7694c1da70aa3a56040fd4b72f88fe",
     "wcr_sum": "e3d3cd90beb7b3ed7324d52a02e68efd8759583b03190de22d9988175033e352",

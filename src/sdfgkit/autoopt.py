@@ -15,7 +15,6 @@ succeeds.  The C emitter runs it on a copy before it emits.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -291,9 +290,8 @@ class _MapFusion:
     the fusion.  A fold that meets a fusion of another shape, or such a
     conflict, or whose deferred checks fail, raises :class:`_Racy`.
 
-    The fold skips a pair it rejected when neither map's scope nor any node
-    connecting it has changed since: a rejection stands while reach only
-    grows, which a clean fusion ensures.
+    Each search for a pair orders the working state once and tries every
+    pair.
     """
 
     def __init__(self, g: Sdfg, i: int, places: dict[str, list[tuple[int, int]]],
@@ -302,17 +300,11 @@ class _MapFusion:
         self.asm = g.assumptions()
         self.base = self.work = g.states[i]
         self.base_facts = self.base.facts()
-        self.order = list(self.base_facts.order)  # the working state's topological order
         self.top = {n.nid for n in self.base_facts.scopes[None]
                     if isinstance(n, MapEntry) and n.schedule is Schedule.PARALLEL}
         self.sig = {nid: _space_sig(self.base.nodes[nid]) for nid in self.top}
         self.count = 0
         self.scalars: set[str] = set()
-        # how often each map's scope or connecting nodes changed, by its role
-        # in a pair: as the map fused into (first) or the one fused (second)
-        self.first: dict[int, int] = {}
-        self.second: dict[int, int] = {}
-        self.rejected: dict[tuple[int, int], tuple[int, int]] = {}
         self._index()
 
     def run(self) -> bool:
@@ -344,22 +336,16 @@ class _MapFusion:
 
     def _step(self) -> bool:
         """Apply the first legal fusion; False when there is none."""
-        maps = [n for n in self.order if n.nid in self.top]
+        maps = [n for n in self.work.topological() if n.nid in self.top]
         pos = {n.nid: k for k, n in enumerate(maps)}
         maps.sort(key=lambda m: -len(m.params))
         for m1 in maps:
             for m2 in maps:
                 if m1 is m2 or pos[m1.nid] > pos[m2.nid] or self.sig[m1.nid] != self.sig[m2.nid]:
                     continue
-                stamp = (self.first.get(m1.nid, 0), self.second.get(m2.nid, 0))
-                if self.rejected.get((m1.nid, m2.nid)) == stamp:
-                    continue
                 legal = self._legal(m1, m2)
-                fused = None if legal is None else self._fuse(m1, m2, *legal)
-                if fused:
+                if legal is not None and self._fuse(m1, m2, *legal):
                     return True
-                if fused is None:  # the pair's own shape rejects it
-                    self.rejected[m1.nid, m2.nid] = stamp
         return False
 
     def _legal(self, m1: MapEntry, m2: MapEntry
@@ -450,30 +436,19 @@ class _MapFusion:
         return (len(set(entry_in)) == len(entry_in) and set(entry_in) == entry_out
                 and len(set(exit_in)) == len(exit_in) and set(exit_in) == exit_out)
 
-    def _producers_touched(self, m2: MapEntry) -> set[int]:
-        """The maps whose exit feeds a node that fusing m2 rewires: a source
-        of m2's entry (its out edges change) or a consumer of m2's exit (its
-        in edges change).  Their checks as the first map of a pair read
-        those nodes; the intermediates, which change too, are the fused
-        pair's own."""
-        nodes = [e.src for e in self.ins[m2.nid]] + [e.dst for e in self.outs[self.exits[m2.nid].nid]]
-        return {e.src.entry.nid for n in nodes for e in self.ins[n.nid] if isinstance(e.src, MapExit)}
-
     def _fuse(self, m1: MapEntry, m2: MapEntry, mapping: dict[str, str],
-              mids: dict[int, AccessNode]) -> bool | None:
-        """Fuse m2 into m1: True when fused, False when the fused state
-        races, None when the fusion closes a cycle."""
+              mids: dict[int, AccessNode]) -> bool:
+        """Fuse m2 into m1: False when the fused state closes a cycle or
+        races."""
         children = self._children(m2)
         if self.deferred:
             if not self._clean(m1, m2, mids) or mids and any(
                     iteration_conflicts(m.param_names, self.outs[m.nid],
                                         self.ins[self.exits[m.nid].nid]) for m in (m1, m2)):
                 raise _Racy
-            touched = self._producers_touched(m2)
             if self.work is self.base:
                 self.work = self.base.clone()
                 self._index()
-                self.order = [self.work.nodes[n.nid] for n in self.order]
             st, ins, outs = self.work, self.ins, self.outs
         else:
             st = self.work.clone()
@@ -484,59 +459,23 @@ class _MapFusion:
         if self.deferred:
             del self.exits[m2.nid]
             self.top.discard(m2.nid)
-            self._reorder(m1.nid)
-            for nid in touched | {m1.nid}:
-                self.first[nid] = self.first.get(nid, 0) + 1
-            self.second[m1.nid] = self.second.get(m1.nid, 0) + 1
         else:
             try:
                 facts = st.facts()
                 facts.parents
             except ValueError:
-                return None
+                return False
             if not race_free(st, self.asm, facts):
                 return False
             self.work = st
             self._index()
-            self.order = list(facts.order)
             self.top = {n.nid for n in facts.scopes[None]
                         if isinstance(n, MapEntry) and n.schedule is Schedule.PARALLEL}
-            self.rejected.clear()  # a dropped edge may have shortened paths
         self.count += 1
         inside = set(self._children(nodes[m1.nid]))
         for nid in mids:
             self._scalarize(nodes[nid], inside)
         return True
-
-    def _reorder(self, nid: int) -> None:
-        """Bring ``self.order`` up to date after a fusion in place into the
-        map ``nid``, as ``State.topological`` would order the working state.
-        Such a fusion keeps every node whose in edges it changes below the
-        map (:meth:`_clean`), and each of them came after the map, so the
-        nodes before the map keep their places; Kahn's order is taken on
-        from there."""
-        nodes, outs = self.work.nodes, self.outs
-        order = self.order[:next(k for k, n in enumerate(self.order) if n.nid == nid)]
-        done = {n.nid for n in order}
-        # the nodes left have no edge into the ones placed
-        indeg = {k: 0 for k in nodes if k not in done}
-        for k in indeg:
-            for e in outs[k]:
-                indeg[e.dst.nid] += 1
-        ready = [k for k, d in indeg.items() if not d]
-        heapq.heapify(ready)
-        pop, push = heapq.heappop, heapq.heappush
-        while ready:
-            k = pop(ready)
-            order.append(nodes[k])
-            for e in outs[k]:
-                dst = e.dst.nid
-                indeg[dst] -= 1
-                if not indeg[dst]:
-                    push(ready, dst)
-        if len(order) != len(nodes):
-            raise ValueError(f"cycle in state '{self.work.label}'")
-        self.order = order
 
     def _scalarize(self, acc: AccessNode, inside: set[int]) -> None:
         """Shrink ``acc``'s container to a scalar when it is a transient

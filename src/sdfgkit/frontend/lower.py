@@ -167,7 +167,7 @@ class _FuncLowerer:
             name, ty = s.target.id, self.ctx.type_of(value)
             again = name in self.g.containers
             self.declare_local(name, ty, s.span)
-            if value.fn == "zeros" and (again or self.ctx.loop_vars):
+            if value.fn in ("zeros", "empty") and (again or self.ctx.loop_vars):
                 # the local may hold what an earlier run of the loop or an
                 # earlier allocation wrote: clear it
                 self.elementwise_stmt(s, name, self.full(ty.shape), [True] * len(ty.shape),

@@ -197,6 +197,12 @@ def _resolve_function(pi: ProgramInfo, fi: FuncInfo, diags: list[Diagnostic]) ->
                                    f"map binds {len(s.ranges)} dimensions to "
                                    f"{len(s.names)} names")
                     )
+                for name in s.names:
+                    if name in loop_vars:
+                        diags.append(
+                            Diagnostic("error", s.span,
+                                       f"loop variable '{name}' is bound by an enclosing loop")
+                        )
                 walk_stmts(s.body, loop_vars | set(s.names))
             elif isinstance(s, SIf):
                 check_expr(s.cond, loop_vars)

@@ -120,6 +120,16 @@ COMM_KINDS = {
     LibKind.BLOCK_GATHER,
     *P2P_KINDS,
 }
+# the connectors of each kind of library node: (inputs, outputs)
+LIB_CONNECTORS: dict[LibKind, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    LibKind.MATMUL: (("a", "b"), ("out",)),
+    **{k: (("a",), ("out",)) for k in (
+        LibKind.REDUCE, LibKind.TRANSPOSE, LibKind.BCAST, LibKind.SCATTER, LibKind.GATHER,
+        LibKind.BLOCK_SCATTER, LibKind.BLOCK_GATHER)},
+    LibKind.ISEND: (("buf",), ("req",)),
+    LibKind.IRECV: ((), ("buf", "req")),
+    LibKind.WAITALL: (("req",), ("req",)),
+}
 
 
 @dataclass
@@ -879,6 +889,17 @@ def validate(g: Sdfg, facts: dict[State, StateFacts] | None = None) -> list[Diag
                     elif (None if conn is None else "OUT_" + conn[3:]) not in passed:
                         err(f"no edge leaves map exit {n.nid} for its input {conn or 'without a connector'}",
                             "exit-connector", st.label, n.nid)
+            if isinstance(n, LibraryNode):
+                # each edge names one of the kind's connectors, each once
+                takes, gives = LIB_CONNECTORS[n.kind]
+                for side, want, edges in (("in", takes, sf.ins[n.nid]),
+                                          ("out", gives, sf.outs[n.nid])):
+                    conns = [e.dst_conn if side == "in" else e.src_conn for e in edges]
+                    if (len(conns) != len(want) or any(e.memlet is None for e in edges)
+                            or set(want) != {c for c in conns if isinstance(c, str)}):
+                        err(f"{side} edges of {n.kind.value} node {n.nid} name "
+                            f"{[str(c) for c in conns]}; it takes {list(want)}, "
+                            "each once with a memlet", "library-connector", st.label, n.nid)
             if not sf.outs[n.nid] and not isinstance(n, AccessNode):
                 err(
                     f"{type(n).__name__} {n.nid} is a dataflow sink",

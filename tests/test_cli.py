@@ -40,6 +40,17 @@ def test_parse_reports_errors(tmp_path, capsys):
     assert "undefined" in capsys.readouterr().err
 
 
+def test_parse_refuses_shadowed_loop_variable(tmp_path, capsys):
+    bad = tmp_path / "shadow.dpy"
+    bad.write_text("def f(A: f64[N], B: f64[N]):\n"
+                   "    for i in range(1, N):\n"
+                   "        for i in range(2, N):\n"
+                   "            A[i] = 1.0\n")
+    assert main(["parse", str(bad)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "3:9: error: loop variable 'i' is bound by an enclosing loop"]
+
+
 def test_run_identity_product(tmp_path, gemm_inputs, capsys):
     graph = tmp_path / "gemm.sdfg.json"
     assert main(["parse", str(CORPUS / "gemm.dpy"), "-o", str(graph)]) == 0

@@ -269,10 +269,10 @@ class TestOneDerivation:
             f"{span}: warning: element-wise shapes not provably equal" for span in spans]
 
 
-# Programs whose expressions are read in two contexts: lowering forgets the
-# shadowed `i` after the inner loop.  Desugaring refuses the reallocated `x`,
-# which lowering used to read with its first type where desugaring had
-# given it the second.
+# Programs whose expressions are read in two contexts: lowering used to
+# forget the shadowed `i` after the inner loop, which analysis now refuses.
+# Desugaring refuses the reallocated `x`, which lowering used to read with
+# its first type where desugaring had given it the second.
 CONTEXT_PROGRAMS = {
     "reallocated_local": ("def f(A: f64[N], B: f64[M]):\n"
                           "    x = zeros(N)\n"
@@ -361,12 +361,13 @@ class TestTypingTable:
 
 
 class TestZeros:
-    """A ``zeros`` that may run after its local was written (in a loop, or
-    a second allocation) clears the local; a local keeps the type it was
-    made with."""
+    """A ``zeros`` or ``empty`` that may run after its local was written (in
+    a loop, or a second allocation) clears the local; a local keeps the type
+    it was made with."""
 
     @pytest.mark.parametrize("name, want", [
         ("zeros_in_loop", lambda A: np.array([A[0]] * 3 + [0.0])),
+        ("empty_in_loop", lambda A: np.array([A[0]] * 3 + [0.0])),
         ("zeros_twice", lambda A: np.full(4, 2.0)),
     ])
     def test_matches_oracle(self, name, want):
@@ -403,6 +404,38 @@ class TestZeros:
     def test_first_allocation_makes_no_state(self):
         g, _ = frontend.compile_source("def f(A: f64[N]):\n    x = zeros(N)\n    A[:] = x + 1.0\n")
         assert len(g.states) == 1
+
+
+class TestShadowedLoop:
+    """A loop or map that binds a name an enclosing loop binds is refused
+    where it is written."""
+
+    MESSAGE = "3:9: error: loop variable 'i' is bound by an enclosing loop"
+
+    @pytest.mark.parametrize("src", [
+        CONTEXT_PROGRAMS["shadowed_loop"],
+        "def f(A: f64[N], B: f64[N]):\n"
+        "    for i in range(1, N):\n"
+        "        for i in range(2, N):\n"
+        "            A[i] = 1.0\n",
+        "def f(A: f64[N], B: f64[N]):\n"
+        "    for i in range(1, N):\n"
+        "        for i in map[0:N]:\n"
+        "            A[i] = 1.0\n",
+    ], ids=["read_after", "inner_only", "inner_map"])
+    def test_refused(self, src):
+        g, diags = frontend.compile_source(src)
+        assert g is None
+        assert [str(d) for d in diags] == [self.MESSAGE]
+
+    def test_sibling_loops_compile(self):
+        src = ("def f(A: f64[N]):\n"
+               "    for i in range(1, N):\n"
+               "        A[i] = 1.0\n"
+               "    for i in range(2, N):\n"
+               "        A[i] = 2.0\n")
+        g, diags = frontend.compile_source(src)
+        assert g is not None and not diags
 
 
 class TestLoopVariantShape:

@@ -104,10 +104,48 @@ class TestValidate:
         assert [(d.severity, d.code, d.message) for d in g.validate()] == [
             ("error", "state-labels", "state label ['x'] is not a string")]
 
-    @pytest.mark.parametrize("code", ["exit-connector", "scope-connector", "access-container"])
+    @pytest.mark.parametrize("code", ["exit-connector", "scope-connector", "access-container",
+                                      "library-connector"])
     def test_pinned_graphs_pass_exit_connectors(self, code):
         for g in pinned_graphs():
             assert not [d for d in g.validate() if d.code == code], g.name
+
+    def test_library_node_takes_its_kinds_connectors(self):
+        # bicg's matmul loses its input b: the edge from A goes to s instead
+        from sdfgkit.interp import ExecContext, InterpreterError, interpret
+        doc = json.loads(serialize(compile_kernel("bicg")))
+        edge = doc["states"][0]["edges"][1]
+        assert edge["dst"] == 0 and edge["dst_conn"] == "b"
+        edge["dst"] = 3
+        del edge["dst_conn"]
+        g = from_dict(doc)
+        errors = [(d.code, d.node) for d in g.validate() if d.code == "library-connector"]
+        assert errors == [("library-connector", 0)]
+        ctx = ExecContext(bindings={"N": 3, "M": 2}).bind_inputs({
+            "A": np.ones((3, 2)), "p": np.ones(2), "r": np.ones(3),
+            "q": np.zeros(3), "s": np.zeros(2)})
+        with pytest.raises(InterpreterError, match="does not validate"):
+            interpret(g, ctx)
+
+    @pytest.mark.parametrize("kind, ins, outs", [
+        ("matmul", ["a", "a"], ["out"]),
+        ("transpose", ["a"], []),
+        ("transpose", ["a"], ["out", None]),
+        ("transpose", [None], ["out"]),
+    ], ids=["repeated", "no_output", "extra_output", "unnamed"])
+    def test_library_connector_mutants(self, kind, ins, outs):
+        g = Sdfg("lib")
+        g.add_symbol("N", 2)
+        g.add_array("A", DType.F64, (Sym("N"), Sym("N")))
+        g.add_array("B", DType.F64, (Sym("N"), Sym("N")))
+        st = g.add_state("s0")
+        whole = SubsetRange.make([(0, Sym("N") - 1, 1)] * 2)
+        lib = st.add(LibraryNode(LibKind(kind), kind))
+        for conn in ins:
+            st.add_edge(st.add(AccessNode("A")), lib, Memlet("A", whole), dst_conn=conn)
+        for conn in outs:
+            st.add_edge(lib, st.add(AccessNode("B")), Memlet("B", whole), src_conn=conn)
+        assert "library-connector" in [d.code for d in g.validate()]
 
     @pytest.mark.parametrize("node", ["entry", "exit"])
     def test_scope_connector_taken_twice(self, node):

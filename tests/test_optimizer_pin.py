@@ -142,6 +142,13 @@ def f(A: f64[N], B: f64[N]):
         x[0] = x[0] + A[0]
         B[t] = x[0]
 """,
+    "empty_in_loop": """
+def f(A: f64[N], B: f64[N]):
+    for t in range(0, 3):
+        x = empty(N)
+        x[0] = x[0] + A[0]
+        B[t] = x[0]
+""",
     "zeros_twice": """
 def f(A: f64[N], B: f64[N]):
     x = zeros(N)
@@ -195,6 +202,7 @@ LOWERED = {
     "elementwise_warnings": "3ca1cecaf45369cf1cbb58da81ddc423fa17d7fa80e8278b97e9d7620eff64e8",
     "loop_variant_shape": "19bfe66ec136276e1b3f037ef024797911c1dc3eac75015c5ace8ee10623064e",
     "zeros_in_loop": "99b4dc776b25f3f9e24d534fe9c396c432d63b59fc033072774d9e66907e6bd4",
+    "empty_in_loop": "99b4dc776b25f3f9e24d534fe9c396c432d63b59fc033072774d9e66907e6bd4",
     "zeros_twice": "58474bea877444fce2e92a314a114fdcd3220a846ecd8fd61be32219b616f46a",
     "zeros_other_shape": "e1ea9f189446f1ccb14f7aadfbe8d60c850777aeb6092fc533a4be95c5bdf966",
 }

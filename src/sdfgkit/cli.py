@@ -135,8 +135,8 @@ def cmd_parse(args) -> int:
 
 
 def cmd_show(args) -> int:
-    g, diags = _load_graph(args.file)
-    if _print_diags(diags) or g is None:
+    g = _load_valid_graph(args.file)
+    if g is None:
         return 1
     _emit_output(to_dot(g) if args.format == "dot" else serialize(g), args.output)
     return 0

@@ -764,6 +764,39 @@ def race_free(state: State, assumptions: Assumptions,
     return not data_races(state, assumptions, facts)
 
 
+def _library_attribute_problems(n: LibraryNode, ins: Sequence[Edge],
+                                outs: Sequence[Edge]) -> list[str]:
+    """What is wrong with the attributes a matmul's or reduce's expansions
+    read: each ``<conn>_kept`` is absent or one boolean per dimension of
+    that connector's memlet, a reduce's ``axes`` is absent, null or a list
+    of ints, and its ``op`` names a ``Wcr``."""
+    if n.kind not in (LibKind.MATMUL, LibKind.REDUCE):
+        return []
+    ranks = {e.dst_conn: e.memlet.subset.rank for e in ins if e.memlet is not None}
+    ranks.update((e.src_conn, e.memlet.subset.rank) for e in outs if e.memlet is not None)
+    what, attrs, problems = f"{n.kind.value} node {n.nid}", n.attributes, []
+    for conn in LIB_CONNECTORS[n.kind][0] + LIB_CONNECTORS[n.kind][1]:
+        kept = attrs.get(f"{conn}_kept")
+        if kept is None:
+            continue
+        if not isinstance(kept, (list, tuple)) or any(type(k) is not bool for k in kept):
+            problems.append(f"{conn}_kept of {what} is {kept!r}, not a list of booleans")
+        elif conn in ranks and len(kept) != ranks[conn]:
+            problems.append(f"{conn}_kept of {what} has {len(kept)} entries for the "
+                            f"{ranks[conn]} dimensions of its memlet")
+    if n.kind is LibKind.REDUCE:
+        axes = attrs.get("axes")
+        if axes is not None and (not isinstance(axes, (list, tuple))
+                                 or any(type(a) is not int for a in axes)):
+            problems.append(f"axes of {what} is {axes!r}, not null or a list of ints")
+        try:
+            Wcr(attrs.get("op", "add"))
+        except (ValueError, TypeError):
+            problems.append(f"op of {what} is {attrs.get('op')!r}, not one of "
+                            f"{[w.value for w in Wcr]}")
+    return problems
+
+
 def validate(g: Sdfg, facts: dict[State, StateFacts] | None = None) -> list[Diagnostic]:
     """Structural validation; returns diagnostics instead of raising.
 
@@ -900,6 +933,8 @@ def validate(g: Sdfg, facts: dict[State, StateFacts] | None = None) -> list[Diag
                         err(f"{side} edges of {n.kind.value} node {n.nid} name "
                             f"{[str(c) for c in conns]}; it takes {list(want)}, "
                             "each once with a memlet", "library-connector", st.label, n.nid)
+                for problem in _library_attribute_problems(n, sf.ins[n.nid], sf.outs[n.nid]):
+                    err(problem, "library-attributes", st.label, n.nid)
             if not sf.outs[n.nid] and not isinstance(n, AccessNode):
                 err(
                     f"{type(n).__name__} {n.nid} is a dataflow sink",

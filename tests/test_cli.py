@@ -319,6 +319,41 @@ def test_graph_that_fails_validation_is_one_line(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["show", "optimize", "emit"])
+def test_invalid_document_is_refused(command, tmp_path, capsys):
+    """A lowered document whose first state has no label names no start
+    state: every command that loads a graph refuses it in one line."""
+    graph = tmp_path / "gemm.sdfg.json"
+    assert main(["parse", str(CORPUS / "gemm.dpy"), "-o", str(graph)]) == 0
+    doc = json.loads(graph.read_text())
+    doc["states"][0]["label"] = None
+    graph.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, str(graph), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: missing or unknown start state 's0' [start-state]\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kept", [[True], "x"], ids=["short", "string"])
+@pytest.mark.parametrize("command", ["show", "optimize", "emit"])
+def test_bad_library_attributes_are_refused(command, kept, tmp_path, capsys):
+    """A matmul whose ``a_kept`` does not match its memlet is refused where
+    ``emit`` used to raise ``StopIteration`` inside the expansion."""
+    graph = tmp_path / "gemm.sdfg.json"
+    assert main(["parse", str(CORPUS / "gemm.dpy"), "-o", str(graph)]) == 0
+    doc = json.loads(graph.read_text())
+    node = next(n for st in doc["states"] for n in st["nodes"] if n.get("kind") == "matmul")
+    node["attrs"]["a_kept"] = kept
+    graph.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, str(graph), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "a_kept of matmul node 0" in err
+    assert err.endswith("[library-attributes]\n")
+
+
 @pytest.mark.parametrize("bound", ["x", True, 1.5], ids=["str", "bool", "float"])
 @pytest.mark.parametrize("command", ["optimize", "emit", "run"])
 def test_non_integer_symbol_bound_is_one_line(command, bound, tmp_path, capsys):

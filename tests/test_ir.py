@@ -105,10 +105,41 @@ class TestValidate:
             ("error", "state-labels", "state label ['x'] is not a string")]
 
     @pytest.mark.parametrize("code", ["exit-connector", "scope-connector", "access-container",
-                                      "library-connector"])
+                                      "library-connector", "library-attributes"])
     def test_pinned_graphs_pass_exit_connectors(self, code):
         for g in pinned_graphs():
             assert not [d for d in g.validate() if d.code == code], g.name
+
+    @pytest.mark.parametrize("kernel, kind, attr, value, message", [
+        ("gemm", "matmul", "a_kept", [True], "a_kept of matmul node 0 has 1 entries "
+         "for the 2 dimensions of its memlet"),
+        ("gemm", "matmul", "a_kept", "x", "a_kept of matmul node 0 is 'x', not a list of booleans"),
+        ("gemm", "matmul", "b_kept", [1, 1], "b_kept of matmul node 0 is [1, 1], "
+         "not a list of booleans"),
+        ("gemm", "matmul", "out_kept", [True, True, False], "out_kept of matmul node 0 has 3 "
+         "entries for the 2 dimensions of its memlet"),
+        ("doitgen", "reduce", "a_kept", None, None),
+        ("doitgen", "reduce", "axes", "x", "axes of reduce node 0 is 'x', not null or a list of ints"),
+        ("doitgen", "reduce", "axes", [True], "axes of reduce node 0 is [True], "
+         "not null or a list of ints"),
+        ("doitgen", "reduce", "axes", [0], None),
+        ("doitgen", "reduce", "op", "sub", "op of reduce node 0 is 'sub', "
+         "not one of ['add', 'mul', 'min', 'max']"),
+        ("doitgen", "reduce", "op", ["add"], "op of reduce node 0 is ['add'], "
+         "not one of ['add', 'mul', 'min', 'max']"),
+    ], ids=["short", "string", "ints", "long", "absent", "axes_string", "axes_bool",
+            "axes_list", "op_unknown", "op_list"])
+    def test_library_attributes(self, kernel, kind, attr, value, message):
+        # gemm's and doitgen's lowered documents, one attribute of their
+        # first matmul or reduce replaced
+        doc = json.loads(serialize(compile_kernel(kernel)))
+        state, node = next((st, n) for st in doc["states"] for n in st["nodes"]
+                           if n.get("kind") == kind)
+        assert node["id"] == 0
+        node["attrs"][attr] = value
+        found = [(d.severity, d.message, d.state, d.node)
+                 for d in from_dict(doc).validate() if d.code == "library-attributes"]
+        assert found == ([("error", message, state["label"], 0)] if message else [])
 
     def test_library_node_takes_its_kinds_connectors(self):
         # bicg's matmul loses its input b: the edge from A goes to s instead

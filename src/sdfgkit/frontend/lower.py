@@ -15,8 +15,8 @@ import itertools
 
 from .. import symbolic, texpr
 from ..ir import (
-    AccessNode, DType, LibKind, LibraryNode, MapEntry, MapExit, Memlet,
-    NestedSdfg, Schedule, Sdfg, State, Tasklet, Wcr,
+    AccessNode, DType, LibKind, LibraryNode, MapEntry, MapExit, Meet, Memlet,
+    NestedSdfg, Schedule, Sdfg, State, Tasklet, Wcr, meet,
 )
 from ..symbolic import Const, SubsetRange, Sym, SymExpr, element_subset, propagate_subset
 from ..texpr import TBin, TCall, TExpr, TNum, TRef, TUn
@@ -690,6 +690,4 @@ class _MapScopeLowerer:
 
 def _conflicts(t_sub: SubsetRange, params: set[str]) -> bool:
     """Whether two iterations may write the same cells (needs wcr)."""
-    from ..ir import _pinned  # shared with validation
-
-    return not _pinned(params, t_sub, t_sub) >= params
+    return meet(params, t_sub, t_sub) is Meet.UNKNOWN

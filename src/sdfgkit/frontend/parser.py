@@ -12,11 +12,18 @@ import re
 
 from .dsl_ast import (
     DTYPES, EBin, ECall, EName, ENum, ESlice, ESub, EUn, Expr, FuncDef, Param,
-    Program, SAssign, SCall, SFor, SIf, Span, SReturn, Stmt,
+    Program, SAssign, SCall, SFor, SIf, Span, SReturn, Stmt, children,
 )
 
 KEYWORDS = {"def", "for", "in", "if", "elif", "else", "return", "range", "map",
             "and", "or", "not"}
+
+# The analyses after parsing recurse once per level of an expression tree, and
+# the parser once per bracket: a deeper expression is a syntax error, not a
+# RecursionError.  A chain of 200 operands, as ``x + x + ... + x``, is 200
+# levels deep.
+MAX_DEPTH = 200
+MAX_BRACKETS = 50
 
 # one token and the spaces before it
 _TOKEN_RE = re.compile(
@@ -96,6 +103,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.i = 0
+        self.brackets = -1  # the expressions being parsed inside the outermost one
 
     # -- token helpers -------------------------------------------------------
 
@@ -269,7 +277,19 @@ class _Parser:
     # -- expressions ----------------------------------------------------------
 
     def expr(self) -> Expr:
-        return self.or_expr()
+        start = self.i
+        if self.brackets == MAX_BRACKETS:
+            raise DslSyntaxError(f"expression nests more than {MAX_BRACKETS} brackets deep",
+                                 self.toks[start].span)
+        self.brackets += 1
+        e = self.or_expr()
+        self.brackets -= 1
+        # each level of the tree has a token of its own, so only an
+        # expression of more tokens than levels allowed can be too deep
+        if self.brackets < 0 and self.i - start > MAX_DEPTH and _depth(e) > MAX_DEPTH:
+            raise DslSyntaxError(f"expression is more than {MAX_DEPTH} levels deep",
+                                 self.toks[start].span)
+        return e
 
     def or_expr(self) -> Expr:
         e = self.and_expr()
@@ -286,10 +306,15 @@ class _Parser:
         return e
 
     def not_expr(self) -> Expr:
-        if self.at("KW", "not"):
-            t = self.take("KW")
-            return EUn(t.span, "not", self.not_expr())
-        return self.comparison()
+        if not self.at("KW", "not"):
+            return self.comparison()
+        spans = []  # a loop, not one call per sign, however many there are
+        while self.at("KW", "not"):
+            spans.append(self.take("KW").span)
+        e = self.comparison()
+        for span in reversed(spans):
+            e = EUn(span, "not", e)
+        return e
 
     def comparison(self) -> Expr:
         e = self.arith()
@@ -313,13 +338,18 @@ class _Parser:
         return e
 
     def unary(self) -> Expr:
-        if self.at("OP", "-"):
-            t = self.take_op("-")
-            return EUn(t.span, "-", self.unary())
-        if self.at("OP", "+"):
-            self.take_op("+")
-            return self.unary()
-        return self.atom()
+        t = self.toks[self.i]
+        if t.kind != "OP" or t.value not in ("-", "+"):
+            return self.atom()
+        spans = []  # of each minus sign (a plus sign changes nothing), in a loop
+        while self.at("OP", "-") or self.at("OP", "+"):
+            t = self.take("OP")
+            if t.value == "-":
+                spans.append(t.span)
+        e = self.atom()
+        for span in reversed(spans):
+            e = EUn(span, "-", e)
+        return e
 
     def atom(self) -> Expr:
         t = self.peek()
@@ -382,6 +412,16 @@ class _Parser:
         if not isinstance(e, ESlice):
             raise DslSyntaxError("map dimensions must be slices `begin:end`", e.span)
         return e
+
+
+def _depth(e: Expr) -> int:
+    """The number of levels of the tree under ``e``, found without recursion."""
+    deepest, stack = 0, [(e, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((kid, level + 1) for kid in children(node))
+    return deepest
 
 
 def parse_tokens(source: str) -> Program:

@@ -1293,19 +1293,24 @@ def _param_offset(b: SymExpr, p: str) -> SymExpr | None:
     return symbolic.simplify(b - symbolic.Sym(p))
 
 
-def _vector_roles(accesses, dims, k: int, shapes) -> dict[str, str]:
-    """The role of every container the body touches:
+def _vector_roles(accesses, dims, params: tuple[str, ...],
+                  shapes) -> tuple[dict[str, str], set[int]]:
+    """The role of every container the body touches, and the ids of the
+    memlets that read a written container's values from before the launch:
 
     - ``read``: never written;
-    - ``plain``: written without WCR through a subset that uses every
-      parameter, and every access uses that same subset;
+    - ``plain``: written without WCR through one subset that uses every
+      parameter; an access through that subset sees what the body wrote
+      before it at the same point, and every other access is a read that
+      never meets the write (:func:`ir.meet`), so it sees the value from
+      before the launch, as it does on the per-point path;
     - ``temp``: a rank-0 intermediate, written before it is read;
     - ``fold``: rank 0, read and written by one tasklet only (``c = c OP x``);
     - ``wcr``: written through WCR, with no other access."""
     by_container: dict[str, list] = {}
     for a in accesses:
         by_container.setdefault(a[1].memlet.container, []).append(a)
-    roles = {}
+    roles, early, names = {}, set(), set(params)
     for c, acc in by_container.items():
         writes = [e for _, e, w, _ in acc if w]
         if not writes:
@@ -1323,11 +1328,18 @@ def _vector_roles(accesses, dims, k: int, shapes) -> dict[str, str]:
                 raise _NotVector(f"'{c}' is read before it is written")
         else:
             sub = writes[0].memlet.subset
-            if (sorted(d for d, _ in dims[id(writes[0].memlet)] if d is not None) != list(range(k))
-                    or any(e.memlet.subset != sub for _, e, _, _ in acc)):
-                raise _NotVector(f"'{c}' is written and accessed through other subsets")
+            if sorted(d for d, _ in dims[id(writes[0].memlet)] if d is not None) != list(
+                    range(len(params))):
+                raise _NotVector(f"'{c}' is written through a subset that misses a parameter")
+            for _, e, w, _ in acc:
+                if e.memlet.subset == sub:
+                    continue
+                if w or ir.meet(names, sub, e.memlet.subset) is not ir.Meet.NEVER:
+                    raise _NotVector(f"'{c}' is written and accessed through subsets "
+                                     "that may meet")
+                early.add(id(e.memlet))
             roles[c] = "plain"
-    return roles
+    return roles, early
 
 
 def _fold(t: Tasklet, conn: str, outs: list[Edge]) -> tuple[np.ufunc, texpr.TExpr]:
@@ -1431,8 +1443,8 @@ def _compile_vector(facts: StateFacts, scope: MapEntry, members, ranges: Callabl
                     for t, _ in order):
         raise _NotVector("no parameters, or an input connector fed twice")
     grids = _intermediates(accesses, dims, levels, inner, containers) if inner else {}
-    roles = _vector_roles([a for a in accesses if a[1].memlet.container not in grids]
-                          if grids else accesses, dims, k, shapes)
+    roles, early = _vector_roles([a for a in accesses if a[1].memlet.container not in grids]
+                                 if grids else accesses, dims, outer, shapes)
     if inner and any(lv and not w and roles[e.memlet.container] != "read"
                      for _, e, w, lv in accesses):
         raise _NotVector("an inner map reads what the map's body writes")
@@ -1571,7 +1583,7 @@ def _compile_vector(facts: StateFacts, scope: MapEntry, members, ranges: Callabl
             role = roles[c]
             if role == "fold":
                 fold = (c, *_fold(t, e.dst_conn, outs[t.nid]))
-            elif role == "read":
+            elif role == "read" or id(e.memlet) in early:
                 code, axes = read(e.memlet, lv)
                 if code not in views:
                     views[code] = _Value(fresh("_v", code), axes)

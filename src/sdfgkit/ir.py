@@ -797,6 +797,23 @@ def _library_attribute_problems(n: LibraryNode, ins: Sequence[Edge],
     return problems
 
 
+def _tasklet_connector_problems(n: Tasklet, outs: Sequence[Edge]) -> list[str]:
+    """What is wrong with the connectors a tasklet's code assigns: each is
+    one of its out-connectors, and each out-connector an edge writes (an
+    edge without a connector writes the first) is assigned, as the
+    interpreter and the C emitter read it."""
+    assigned = [conn for conn, _ in n.code]
+    first = n.outputs[0] if n.outputs else None
+    written = {first if e.src_conn is None else e.src_conn
+               for e in outs if e.memlet is not None}
+    problems = [f"assigns {c!r}, which is not an out-connector"
+                for c in assigned if c not in n.outputs]
+    if not written.issubset(assigned):
+        problems += [f"does not assign {c!r}, which an edge writes"
+                     for c in sorted(written.difference(assigned), key=str)]
+    return problems
+
+
 def validate(g: Sdfg, facts: dict[State, StateFacts] | None = None) -> list[Diagnostic]:
     """Structural validation; returns diagnostics instead of raising.
 
@@ -952,6 +969,10 @@ def validate(g: Sdfg, facts: dict[State, StateFacts] | None = None) -> list[Diag
                         st.label,
                         n.nid,
                     )
+                problems = _tasklet_connector_problems(n, sf.outs[n.nid])
+                if problems:
+                    err(f"tasklet {n.name} {', and '.join(problems)}", "tasklet-connector",
+                        st.label, n.nid)
                 scope_params = visible[parents[n.nid]]
                 for _, code in n.code:
                     for name in code.free_names():
@@ -1016,15 +1037,43 @@ def _pinned(params: set[str], w: SubsetRange, x: SubsetRange) -> set[str]:
     return out
 
 
+class Meet(Enum):
+    """Where a write and another access of one container in a map over some
+    parameters can touch one element (see :func:`meet`)."""
+
+    NEVER = "never"  # at no pair of iterations
+    SAME_POINT = "same point"  # only when both run at one iteration
+    UNKNOWN = "unknown"
+
+
+def meet(params: set[str], w: SubsetRange, x: SubsetRange) -> Meet:
+    """The dependence test of a write ``w`` and an access ``x`` of one
+    container in a map over ``params``: the race check and the vector
+    launch both ask it.
+
+    ``NEVER`` when some dimension that no parameter indexes has point
+    indices whose difference simplifies to a nonzero constant (the ZIV test
+    of Allen and Kennedy, *Optimizing Compilers for Modern Architectures*,
+    2001); ``SAME_POINT`` when the two pin every parameter (see
+    :func:`_pinned`); ``UNKNOWN`` otherwise."""
+    for (wb, we, _), (xb, xe, _) in zip(w.dims, x.dims):
+        if (wb is not xb and wb is we and xb is xe and params.isdisjoint(wb.free_symbols())
+                and params.isdisjoint(xb.free_symbols())):
+            d = symbolic.simplify(wb - xb)
+            if isinstance(d, symbolic.Const) and d.value != 0:
+                return Meet.NEVER
+    return Meet.SAME_POINT if _pinned(params, w, x) >= params else Meet.UNKNOWN
+
+
 def scope_cross_iteration_hazards(
     state: State, entry: MapEntry, facts: StateFacts | None = None
 ) -> list[tuple[str, Memlet, Memlet]]:
     """Same-container boundary memlets that may collide across iterations.
 
-    A write/access pair is safe only if every map parameter is pinned (the
-    colliding cells force the iterations to be identical) or both sides agree
-    on the same write-conflict resolution.  ``facts`` is the state's
-    snapshot, taken here when not given.
+    A write/access pair is safe only if :func:`meet` proves that they never
+    meet or meet only at one iteration, or both sides agree on the same
+    write-conflict resolution.  ``facts`` is the state's snapshot, taken
+    here when not given.
     """
     facts = facts or state.facts()
     return iteration_conflicts(entry.param_names, facts.outs[entry.nid],
@@ -1051,9 +1100,8 @@ def iteration_conflicts(param_names: Sequence[str], read_edges: Sequence[Edge],
             for x in others:
                 if w.wcr is not None and x.wcr == w.wcr:
                     continue
-                if _pinned(params, w.subset, x.subset) >= params:
-                    continue
-                hazards.append((cont, w, x))
+                if meet(params, w.subset, x.subset) is Meet.UNKNOWN:
+                    hazards.append((cont, w, x))
     return hazards
 
 

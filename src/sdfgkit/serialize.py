@@ -179,11 +179,19 @@ def serialize(g: Sdfg) -> str:
     return json.dumps(to_dict(g), indent=2) + "\n"
 
 
-def _state_from_json(d: dict) -> State:
+def _text(value, path: str, *indices: int) -> str:
+    """``value``, which must be a string: the text at the field ``path`` of
+    the document, whose ``{}`` the ``indices`` fill (only for the message)."""
+    if not isinstance(value, str):
+        raise SchemaError(f"{path.format(*indices)} is {value!r}, not a string")
+    return value
+
+
+def _state_from_json(d: dict, i: int) -> State:
     st = State(d["label"])
     nodes: list = []
     pending_exits: list[tuple[MapExit, int]] = []
-    for nd in d["nodes"]:
+    for j, nd in enumerate(d["nodes"]):
         t = nd["type"]
         if t == "access":
             node = AccessNode(nd["container"])
@@ -196,7 +204,8 @@ def _state_from_json(d: dict) -> State:
             )
         elif t == "map_entry":
             params = []
-            for p, rng in nd["params"]:
+            for k, (p, rng) in enumerate(nd["params"]):
+                rng = _text(rng, "states[{}].nodes[{}].params[{}][1]", i, j, k)
                 sub = symbolic.parse_subset(rng)
                 params.append((p, sub.dims[0]))
             node = MapEntry(tuple(params), Schedule(nd["schedule"]), nd.get("tiled", False))
@@ -221,10 +230,13 @@ def _state_from_json(d: dict) -> State:
         if not isinstance(entry, MapEntry):
             raise SchemaError("map_exit does not reference a map_entry")
         ex.entry = entry
-    for ed in d["edges"]:
+    for j, ed in enumerate(d["edges"]):
         memlet = None
         if "memlet" in ed:
-            memlet = memlet_from_text(ed["memlet"], ed.get("wcr"), ed.get("volume"))
+            volume = ed.get("volume")
+            memlet = memlet_from_text(
+                _text(ed["memlet"], "states[{}].edges[{}].memlet", i, j), ed.get("wcr"),
+                None if volume is None else _text(volume, "states[{}].edges[{}].volume", i, j))
         st.add_edge(
             nodes[ed["src"]],
             nodes[ed["dst"]],
@@ -258,8 +270,8 @@ def from_dict(d: dict) -> Sdfg:
                 Lifetime(c["lifetime"]),
                 Storage(c["storage"]),
             )
-        for sd in d["states"]:
-            g.states.append(_state_from_json(sd))
+        for i, sd in enumerate(d["states"]):
+            g.states.append(_state_from_json(sd, i))
         for i, td in enumerate(d["transitions"]):
             assignments = td["assignments"]
             if not isinstance(assignments, dict):

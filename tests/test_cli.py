@@ -40,6 +40,16 @@ def test_parse_reports_errors(tmp_path, capsys):
     assert "undefined" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("terms", [250, 1000])
+def test_parse_refuses_a_too_deep_sum_in_one_line(terms, tmp_path, capsys):
+    src = tmp_path / "deep.dpy"
+    src.write_text("def f(A: f64[4], x: f64):\n    A[0] = " + " + ".join(["x"] * terms) + "\n")
+    assert main(["parse", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "2:12: expression is more than 200 levels deep\n"
+
+
 def test_parse_refuses_shadowed_loop_variable(tmp_path, capsys):
     bad = tmp_path / "shadow.dpy"
     bad.write_text("def f(A: f64[N], B: f64[N]):\n"
@@ -317,6 +327,24 @@ def test_graph_that_fails_validation_is_one_line(command, tmp_path, capsys):
     label, node = doc["states"][0]["label"], nodes[-1]["id"]
     assert f"(state {label}, node {node})" in err and "Diagnostic(" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["optimize", "emit"])
+def test_tasklet_code_that_misses_its_connector_is_one_line(command, tmp_path, capsys):
+    """A tasklet whose code assigns another name than its out-connector is
+    refused where ``emit`` used to raise ``KeyError: 'out'``."""
+    graph = tmp_path / "fig4.sdfg.json"
+    assert main(["parse", str(CORPUS / "fig4_loop.dpy"), "-o", str(graph)]) == 0
+    doc = json.loads(graph.read_text())
+    node = next(n for st in doc["states"] for n in st["nodes"] if n.get("name") == "assign_C")
+    node["code"] = [["zz", "in0 + 1.0"]]
+    graph.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, str(graph), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "tasklet assign_C assigns 'zz'" in err
+    assert err.endswith("[tasklet-connector]\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["show", "optimize", "emit"])

@@ -10,7 +10,7 @@ from sdfgkit.frontend import (
     check_restrictions, desugar, lower, oracle, parse, parse_tokens, sema,
 )
 from sdfgkit.interp import ExecContext, InterpOptions, interpret
-from sdfgkit.frontend.dsl_ast import ESub, SAssign, SFor, walk
+from sdfgkit.frontend.dsl_ast import ESub, EUn, SAssign, SFor, walk
 from sdfgkit.frontend.parser import DslSyntaxError
 from sdfgkit.ir import LibKind, LibraryNode, MapEntry, Wcr, structural_eq
 from sdfgkit.serialize import serialize
@@ -53,6 +53,61 @@ class TestParse:
     def test_tabs_rejected(self):
         with pytest.raises(DslSyntaxError):
             parse("def f(x: f64):\n\tx = 1.0\n")
+
+
+DEEP = {
+    "sum_250": " + ".join(["x"] * 250),
+    "sum_1000": " + ".join(["x"] * 1000),
+    "negations": "-" * 200 + "x",
+    "not_chain": "not " * 200 + "x < 1.0",
+    "brackets": "(" * 51 + "x" + ")" * 51,
+    "calls": "sqrt(" * 51 + "x" + ")" * 51,
+    "right_nested": "x + (" * 51 + "x" + ")" * 51,
+}
+
+AT_THE_BOUND = {
+    "sum_200": " + ".join(["x"] * 200),
+    "negations": "-" * 199 + "x",
+    "brackets": "(" * 50 + "x" + ")" * 50,
+    "calls": "sqrt(" * 50 + "x" + ")" * 50,
+    "right_nested": "x * 0.5 + (" * 50 + "x" + ")" * 50,
+}
+
+
+def deep_program(value: str) -> str:
+    return f"def f(A: f64[4], x: f64):\n    A[0] = {value}\n"
+
+
+class TestExpressionDepth:
+    """Expressions deeper than the analyses can recurse are syntax errors at
+    the expression, not a ``RecursionError``; those at the bound compile and
+    run as the oracle does."""
+
+    @pytest.mark.parametrize("case", sorted(DEEP))
+    def test_too_deep_is_a_located_syntax_error(self, case):
+        with pytest.raises(DslSyntaxError, match=r"^2:\d+: expression (is more than 200 "
+                                                 r"levels|nests more than 50 brackets) deep$"):
+            frontend.compile_source(deep_program(DEEP[case]))
+
+    @pytest.mark.parametrize("case", sorted(AT_THE_BOUND))
+    def test_at_the_bound_compiles_and_runs(self, case):
+        source = deep_program(AT_THE_BOUND[case])
+        g, diags = frontend.compile_source(source)
+        assert g is not None and not [d for d in diags if d.severity == "error"]
+        inputs = {"A": np.zeros(4), "x": 0.75}
+        want = oracle.evaluate_program(parse(source), {}, copy.deepcopy(inputs))
+        optimized = g.copy()
+        auto_optimize(optimized)
+        for graph in (g, optimized):
+            ctx = ExecContext(bindings={}).bind_inputs(copy.deepcopy(inputs))
+            assert interpret(graph, ctx)["A"].tobytes() == want["A"].tobytes()
+
+    def test_prefix_operators_nest_right_to_left(self):
+        value = parse(deep_program("not not - + -x < 1.0")).entry.body[0].value
+        assert [(type(n).__name__, getattr(n, "op", None)) for n in walk(value)] == [
+            ("EUn", "not"), ("EUn", "not"), ("EBin", "<"), ("EUn", "-"), ("EUn", "-"),
+            ("EName", None), ("ENum", None)]
+        assert [n.span.col for n in walk(value) if isinstance(n, EUn)] == [12, 16, 20, 24]
 
 
 class TestRestrictions:

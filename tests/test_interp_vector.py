@@ -7,16 +7,19 @@ corpus runs plain, optimized and JSON round-tripped in both map orders; the
 hand-built graphs cover what the corpus does not (transposed reads,
 strides, empty ranges, reductions over an inner parameter, folds, Python
 integers stored into f64 data, an access out of bounds in the middle of a
-launch, maps that hold an inner map and REDUCE nodes of each operator), and
+launch, maps that hold an inner map and REDUCE nodes of each operator,
+written containers read through subsets that never meet the write), and
 maps that stay on the per-point path (int64 data, parameters and symbols as
 values, inner maps that write part of a transient, use the outer
-parameters in their ranges or read what the outer body writes, and a
-reduction whose result does not fit its output)."""
+parameters in their ranges or read what the outer body writes, a
+reduction whose result does not fit its output, and reads that may meet a
+write)."""
 
 import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from conftest import ALL_KERNELS, KERNEL_SYMBOLS, compile_kernel, corpus_source, make_inputs
 from sdfgkit import frontend, interp
@@ -25,7 +28,8 @@ from sdfgkit.interp import (
     ExecContext, InterpOptions, InterpreterError, Machine, OutOfBoundsError,
 )
 from sdfgkit.ir import (
-    AccessNode, DType, LibKind, LibraryNode, MapEntry, MapExit, Memlet, Sdfg, Tasklet, Wcr,
+    AccessNode, DType, LibKind, LibraryNode, Meet, MapEntry, MapExit, Memlet, Sdfg, Tasklet,
+    Wcr, meet,
 )
 from sdfgkit.serialize import deserialize, serialize
 from sdfgkit.symbolic import Const, Sym, SubsetRange, as_expr
@@ -279,6 +283,110 @@ def test_map_that_does_not_qualify_runs_point_by_point(case):
     inputs = {"A": RNG.uniform(0.5, 1.5, 12), "B": RNG.uniform(0.5, 1.5, 12)}
     _, _, _, m = assert_same(g, {"N": 3}, inputs)
     assert vector_maps(m) == [False]
+
+
+# -- writes that other accesses of the container never meet -------------------------
+
+# a map over i in 0..4 with the symbols j and M, which index no parameter
+MEET_ARRAYS = {"P": (F, (6, 6)), "B": (F, (6,))}
+MEET_INPUTS = {"P": RNG.uniform(0.5, 1.5, (6, 6)), "B": np.zeros(6)}
+
+NEVER_MEET = {
+    # P[i, j] = P[i, j - 1] / 2 + 1: each column from the one before (adi's sweep)
+    "column": [("a * 0.5 + 1.0", {"a": ("P", [i, j - 1])}, [("P", [i, j], None)])],
+    # a row from the rows above and below
+    "row": [("a - b", {"a": ("P", [j + 1, i]), "b": ("P", [j - 1, i])}, [("P", [j, i], None)])],
+    # a later tasklet reads the new P[i, j] back, and the next column's old values
+    "column_read_back": [
+        ("a * 0.5 + 1.0", {"a": ("P", [i, j - 1])}, [("P", [i, j], None)]),
+        ("a + b", {"a": ("P", [i, j]), "b": ("P", [i, j + 1])}, [("B", [i], None)])],
+    # an in-place update, then a read of the column before it
+    "in_place_then_column": [
+        ("a * 3.0", {"a": ("P", [i, j])}, [("P", [i, j], None)]),
+        ("a - b", {"a": ("P", [i, j - 1]), "b": ("P", [i, j])}, [("B", [i], None)])],
+}
+
+MAY_MEET = {
+    # P[i, j] from P[i + 1, j], which the next point writes (as NOT_VECTOR's
+    # shifted_update in one dimension)
+    "parameter_offset": [("a", {"a": ("P", [i + 1, j])}, [("P", [i, j], None)])],
+    # P[i, j] from P[i, M]: one column when M = j
+    "symbolic_offset": [("a + 1.0", {"a": ("P", [i, Sym("M")])}, [("P", [i, j], None)])],
+    # P[i, j] from P[i, 2]: one column when j = 2
+    "pinned_constant": [("a + 1.0", {"a": ("P", [i, 2])}, [("P", [i, j], None)])],
+}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("at", [1, 2, 4])
+@pytest.mark.parametrize("case", sorted(NEVER_MEET))
+def test_reads_that_never_meet_the_write_run_vectorized(case, at, reverse):
+    """A written container read through subsets that never meet the write
+    (:func:`ir.meet`) runs as one launch; those reads see the values from
+    before the launch, as on the per-point path."""
+    g = map_graph([("i", 0, 4, 1)], MEET_ARRAYS, NEVER_MEET[case], ["j", "M"])
+    error, _, _, mach = assert_same(g, {"j": at, "M": 3}, MEET_INPUTS, reverse)
+    assert error is None
+    assert vector_maps(mach) == [True]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("at", [2, 3])
+@pytest.mark.parametrize("case", sorted(MAY_MEET))
+def test_reads_that_may_meet_the_write_run_point_by_point(case, at, reverse):
+    g = map_graph([("i", 0, 4, 1)], MEET_ARRAYS, MAY_MEET[case], ["j", "M"])
+    error, _, _, mach = assert_same(g, {"j": at, "M": 3}, MEET_INPUTS, reverse)
+    assert error is None
+    assert vector_maps(mach) == [False]
+
+
+def _index(draw, at=None):
+    """A two-dimensional point index, each dimension ``i + a``, ``j + b`` or
+    a constant, ``i`` in at most one; ``i`` in dimension ``at`` when given."""
+    out = []
+    for d in range(2):
+        taken = at is not None or any("i" in x.free_symbols() for x in out)
+        kinds = ["i"] if d == at else ["j", "c"] if taken else ["i", "j", "c"]
+        kind = draw(hst.sampled_from(kinds))
+        if kind == "i":
+            out.append(i + draw(hst.integers(0, 1)))
+        elif kind == "j":
+            out.append(j + draw(hst.integers(-2, 2)))
+        else:
+            out.append(Const(draw(hst.integers(0, 5))))
+    return out
+
+
+@hst.composite
+def meet_maps(draw):
+    """``(tasklets, write, reads)``: a tasklet that writes ``P[write]`` from
+    two reads of P, each the write's subset or another, and maybe one more
+    that reads ``P[write]`` back and a third subset into B."""
+    write = _index(draw, draw(hst.integers(0, 1)))
+    reads = [write if draw(hst.booleans()) else _index(draw) for _ in range(2)]
+    tasklets = [("a * 0.5 + b * 0.25 + 1.0", {"a": ("P", reads[0]), "b": ("P", reads[1])},
+                 [("P", write, None)])]
+    if draw(hst.booleans()):
+        reads.append(_index(draw))
+        tasklets.append(("c - d", {"c": ("P", write), "d": ("P", reads[2])},
+                         [("B", [i], None)]))
+    return tasklets, write, reads
+
+
+@settings(max_examples=60, deadline=None)
+@given(meet_maps(), hst.integers(2, 3), hst.booleans())
+def test_admitted_maps_equal_the_reference(case, at, reverse):
+    """Over generated pairs of affine subsets, a map runs as one launch
+    exactly when every read of P is the write's subset or never meets it,
+    and every launch agrees bit for bit with the per-point path."""
+    tasklets, write, reads = case
+    g = map_graph([("i", 0, 4, 1)], MEET_ARRAYS, tasklets, ["j", "M"])
+    error, _, _, mach = assert_same(g, {"j": at, "M": 3}, MEET_INPUTS, reverse)
+    assert error is None
+    w = SubsetRange.point(write)
+    admitted = all(r == write or meet({"i"}, w, SubsetRange.point(r)) is Meet.NEVER
+                   for r in reads)
+    assert vector_maps(mach) == [admitted]
 
 
 SCALAR_CASES = {
@@ -564,3 +672,26 @@ def test_doitgen_runs_one_launch(monkeypatch):
         assert counters["map_iterations"] == 576 + 6912 and counters["bytes_moved"] == 225_792
         assert all(store[k].tobytes() == ref[1][k].tobytes() for k in store)
         assert vector_maps(m) == [True]
+
+
+@pytest.mark.parametrize("size", [8, 16])
+def test_adi_runs_no_map_point_by_point(size, monkeypatch):
+    """Optimized adi's sweeps over j hold maps that write one column or row
+    of p, q, u or v and read the one before it.  Each of those maps runs as
+    one vector launch, so no map runs point by point, and outputs and
+    counters are the per-point path's."""
+    symbols = {"N": size, "TSTEPS": 2}
+    inputs = make_inputs(frontend.parse(corpus_source("adi")), symbols, seed=0)
+    g = compile_kernel("adi")
+    auto_optimize(g)
+    refs = [run(g, symbols, inputs, reverse, vectorize=False) for reverse in (False, True)]
+
+    def no_points(self, launch, env):
+        raise AssertionError("a map ran point by point")
+
+    monkeypatch.setattr(Machine, "_run_points", no_points)
+    for reverse, ref in zip((False, True), refs):
+        error, store, counters, mach = run(g, symbols, inputs, reverse)
+        assert error is None and counters == ref[2]
+        assert all(store[k].tobytes() == ref[1][k].tobytes() for k in store)
+        assert all(vector_maps(mach))

@@ -9,8 +9,8 @@ from sdfgkit import frontend
 from sdfgkit.autoopt import auto_optimize
 from sdfgkit.ir import (
     AccessNode, DataDescriptor, DataKind, DType, LibKind, LibraryNode, MapEntry,
-    MapExit, Memlet, NestedSdfg, Node, Schedule, Sdfg, State, StateFacts, Tasklet, Wcr,
-    content_key, race_free, structural_eq, validate,
+    MapExit, Meet, Memlet, NestedSdfg, Node, Schedule, Sdfg, State, StateFacts, Tasklet, Wcr,
+    content_key, meet, race_free, structural_eq, validate,
 )
 from sdfgkit.serialize import deserialize, from_dict, serialize
 from sdfgkit.symbolic import Const, SubsetRange, Sym
@@ -105,10 +105,27 @@ class TestValidate:
             ("error", "state-labels", "state label ['x'] is not a string")]
 
     @pytest.mark.parametrize("code", ["exit-connector", "scope-connector", "access-container",
-                                      "library-connector", "library-attributes"])
+                                      "library-connector", "library-attributes",
+                                      "tasklet-connector"])
     def test_pinned_graphs_pass_exit_connectors(self, code):
         for g in pinned_graphs():
             assert not [d for d in g.validate() if d.code == code], g.name
+
+    @pytest.mark.parametrize("code, message", [
+        ([["zz", "in0 + 1.0"]], "tasklet assign_C assigns 'zz', which is not an out-connector, "
+         "and does not assign 'out', which an edge writes"),
+        ([["out", "in0 + 1.0"], ["zz", "in0"]], "tasklet assign_C assigns 'zz', which is not "
+         "an out-connector"),
+        ([], "tasklet assign_C does not assign 'out', which an edge writes"),
+    ], ids=["renamed", "extra", "none"])
+    def test_tasklet_code_matches_its_out_connectors(self, code, message):
+        """``emit`` raised ``KeyError: 'out'`` on the renamed assignment."""
+        doc = json.loads(serialize(compile_kernel("fig4_loop")))
+        node = next(n for st in doc["states"] for n in st["nodes"]
+                    if n.get("name") == "assign_C")
+        node["code"] = code
+        assert [(d.severity, d.code, d.message) for d in from_dict(doc).validate()] == [
+            ("error", "tasklet-connector", message)]
 
     @pytest.mark.parametrize("kernel, kind, attr, value, message", [
         ("gemm", "matmul", "a_kept", [True], "a_kept of matmul node 0 has 1 entries "
@@ -311,6 +328,28 @@ def build_shift_map(read: str) -> Sdfg:
     return g
 
 
+def build_column_map(read: list) -> Sdfg:
+    """A parallel map over i that reads ``A[read]`` and writes ``A[i + 1, j]``
+    for a symbol j."""
+    g = Sdfg("column")
+    g.add_symbol("N", 2)
+    g.add_symbol("j", 1)
+    g.add_array("A", DType.F64, (Sym("N"), Sym("N")))
+    st = g.add_state("s0")
+    entry = st.add(MapEntry((("i", (Const(0), Sym("N") - 2, Const(1))),),
+                            Schedule.PARALLEL))
+    ex = st.add(MapExit(entry))
+    t = st.add(Tasklet("t", ("v",), ("out",), (("out", TRef("v")),)))
+    full = SubsetRange.make([(0, Sym("N") - 1, 1)] * 2)
+    st.add_edge(st.add(AccessNode("A")), entry, Memlet("A", full), dst_conn="IN_v")
+    st.add_edge(entry, t, Memlet("A", SubsetRange.point(read)),
+                src_conn="OUT_v", dst_conn="v")
+    st.add_edge(t, ex, Memlet("A", SubsetRange.point([Sym("i") + 1, Sym("j")])),
+                src_conn="out", dst_conn="IN_o")
+    st.add_edge(ex, st.add(AccessNode("A")), Memlet("A", full), src_conn="OUT_o")
+    return g
+
+
 def build_cycle() -> Sdfg:
     g = Sdfg("cycle")
     g.add_scalar("x", DType.F64)
@@ -374,11 +413,49 @@ def build_read_then_overwrite(ordered: bool) -> Sdfg:
     (lambda: build_shift_map("A"), False),
     (lambda: build_read_then_overwrite(True), True),
     (lambda: build_read_then_overwrite(False), False),
+    (lambda: build_column_map([Sym("i"), Sym("j") - 1]), True),
+    (lambda: build_column_map([Sym("i"), Sym("j")]), False),
 ], ids=["clean", "cycle", "scope_join", "unordered_writes", "cross_iteration",
-        "read_before_overwrite", "read_unordered_with_overwrite"])
+        "read_before_overwrite", "read_unordered_with_overwrite", "other_column",
+        "same_column"])
 def test_race_free_predicate(build, legal):
     g = build()
     assert race_free(g.states[0], g.assumptions()) is legal
+
+
+_i, _j, _m = Sym("i"), Sym("j"), Sym("M")
+
+
+@pytest.mark.parametrize("w, x, answer", [
+    # a dimension no parameter indexes, points a nonzero constant apart
+    ([_i, _j], [_i, _j - 1], Meet.NEVER),
+    ([_j + 1, _i], [_j - 2, _i + 1], Meet.NEVER),
+    ([_i, 3], [_i + 1, 5], Meet.NEVER),
+    # both pin the parameter: they meet only at one iteration
+    ([_i, _j], [_i, _j], Meet.SAME_POINT),
+    ([_i, _j], [_i, 2], Meet.SAME_POINT),
+    ([_i + 1, _j], [1 + _i, 2 * _j - _j], Meet.SAME_POINT),
+    # neither test decides
+    ([_i], [_i + 1], Meet.UNKNOWN),
+    ([_i + 1, _j], [_i, _m], Meet.UNKNOWN),
+    ([_i + 1, _j], [_i, _j], Meet.UNKNOWN),
+    ([_i, _j], [_j, _i], Meet.UNKNOWN),
+], ids=["column", "row", "constants", "same", "pinned_constant", "unsimplified",
+        "parameter_offset", "symbolic_offset", "same_column", "transposed"])
+def test_meet_answers_three_ways(w, x, answer):
+    w, x = SubsetRange.point(w), SubsetRange.point(x)
+    assert meet({"i"}, w, x) is answer
+    assert meet({"i"}, x, w) is answer
+
+
+def test_meet_reads_only_point_dimensions():
+    """A range in the unindexed dimension decides nothing, and a dimension
+    a parameter indexes is not tested for a constant offset."""
+    row = SubsetRange.make([(_i, _i, 1), (0, _j, 1)])
+    assert meet({"i"}, row, SubsetRange.point([_i, _j + 1])) is Meet.SAME_POINT
+    assert meet({"i"}, row, SubsetRange.point([_i + 1, _j + 1])) is Meet.UNKNOWN
+    assert meet({"i", "k"}, SubsetRange.point([_i, Sym("k")]),
+                SubsetRange.point([_i, Sym("k") + 1])) is Meet.UNKNOWN
 
 
 class TestFreeSymbols:

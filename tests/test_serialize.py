@@ -97,6 +97,34 @@ def test_transition_assignments_must_be_an_object():
         from_dict(doc)
 
 
+def _first(doc, kind: str) -> tuple[int, int, dict]:
+    """``(state index, index, item)`` of the first map entry (``kind`` is
+    ``"nodes"``) or memlet edge (``"edges"``) of a document."""
+    return next((i, j, x) for i, st in enumerate(doc["states"]) for j, x in enumerate(st[kind])
+                if x.get("type") == "map_entry" or "memlet" in x)
+
+
+@pytest.mark.parametrize("value", [7, None, ["0:N"]], ids=["int", "null", "list"])
+@pytest.mark.parametrize("field", ["range", "memlet", "volume"])
+def test_non_string_subset_text_is_a_schema_error(field, value):
+    """A map range or memlet that is not a string is refused with its field
+    path, where a range used to raise ``AttributeError`` from the parser."""
+    doc = json.loads(serialize(compile_kernel("jacobi_1d")))
+    if field == "range":
+        i, j, node = _first(doc, "nodes")
+        node["params"][0][1] = value
+        path = rf"states\[{i}\]\.nodes\[{j}\]\.params\[0\]\[1\]"
+    else:
+        i, j, edge = _first(doc, "edges")
+        edge[field] = value
+        path = rf"states\[{i}\]\.edges\[{j}\]\.{field}"
+    if field == "volume" and value is None:
+        from_dict(doc)  # no volume: the loader derives it
+        return
+    with pytest.raises(SchemaError, match=rf"^{path} is .*, not a string$"):
+        from_dict(doc)
+
+
 def _clear_tables():
     for table in (symbolic.parse_expr, symbolic.parse_subset, texpr.parse_texpr,
                   symbolic._decide):

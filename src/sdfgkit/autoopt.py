@@ -21,7 +21,7 @@ from typing import Callable
 
 from . import symbolic, texpr
 from .ir import (
-    AccessNode, DataKind, Edge, LibKind, LibraryNode, Lifetime, MapEntry, MapExit,
+    AccessNode, DataKind, LibKind, LibraryNode, Lifetime, MapEntry, MapExit,
     Memlet, NestedSdfg, Node, Schedule, Sdfg, State, Storage, Tasklet, Ternary, Wcr,
     iteration_conflicts, race_free,
 )
@@ -79,18 +79,10 @@ def _rename_in_scope(st: State, entry: MapEntry, children: list[Node],
     """Substitute ``sub`` for parameters of ``entry`` in its scope, whose
     nodes are ``children``: memlets (the scope's boundary included), tasklet
     code and nested map ranges."""
-    inside = {id(n) for n in children}
-    exit_node = st.exit_of(entry)
-    _rename([e for e in st.edges
-             if id(e.src) in inside or id(e.dst) in inside
-             or e.src is entry or e.dst is exit_node], children, sub)
-
-
-def _rename(edges: list[Edge], children: list[Node], sub: dict[str, SymExpr]) -> None:
-    """Substitute ``sub`` in the memlets of ``edges``, the edges of a scope
-    whose nodes are ``children``, and in those nodes."""
+    edges = {id(e): e for n in children for e in st.in_edges(n) + st.out_edges(n)}
+    edges.update((id(e), e) for e in st.out_edges(entry) + st.in_edges(st.exit_of(entry)))
     tsub = {k: texpr.parse_texpr(str(v)) for k, v in sub.items()}
-    for e in edges:
+    for e in edges.values():
         if e.memlet is not None:
             e.memlet.subset = e.memlet.subset.substitute(sub)
             e.memlet.volume = symbolic.substitute(e.memlet.volume, sub)
@@ -305,7 +297,6 @@ class _MapFusion:
         self.sig = {nid: _space_sig(self.base.nodes[nid]) for nid in self.top}
         self.count = 0
         self.scalars: set[str] = set()
-        self._index()
 
     def run(self) -> bool:
         """Fuse to a fixed point; False when the fold raises :class:`_Racy`."""
@@ -317,13 +308,6 @@ class _MapFusion:
         except _Racy:
             return False
         return True
-
-    def _index(self) -> None:
-        self.ins, self.outs = _edge_index(self.work)
-        self.exits: dict[int, MapExit] = {}
-        for n in self.work.nodes.values():
-            if isinstance(n, MapExit):
-                self.exits.setdefault(n.entry.nid, n)
 
     def _check(self) -> None:
         """The deferred race checks: the state before the fusions when more
@@ -355,24 +339,26 @@ class _MapFusion:
         mapping = _align_params(m1, m2)
         if mapping is None:
             return None
-        consumers = {e.dst.nid: e.dst for e in self.outs[self.exits[m1.nid].nid]}
+        st = self.work
+        x1 = st.exit_of(m1)
+        consumers = {e.dst.nid: e.dst for e in st.out_edges(x1)}
         # the intermediates: access nodes fed by m1's exit and feeding m2's entry
         mids = {
             nid: n for nid, n in consumers.items()
-            if isinstance(n, AccessNode) and any(e.dst is m2 for e in self.outs[nid])
+            if isinstance(n, AccessNode) and any(e.dst is m2 for e in st.out_edges(n))
         }
         if not mids:
             # only contiguous subgraphs fuse: the maps must at least share an input
-            in1 = {e.memlet.container for e in self.ins[m1.nid] if e.memlet}
-            in2 = {e.memlet.container for e in self.ins[m2.nid] if e.memlet}
+            in1 = {e.memlet.container for e in st.in_edges(m1) if e.memlet}
+            in2 = {e.memlet.container for e in st.in_edges(m2) if e.memlet}
             if not (in1 & in2):
                 return None
         # no other consumer of m1 may reach m2 (fusing would close a cycle);
         # the consumers of a top-level exit are top-level
-        if any(nid not in mids and self._reaches(nid, m2.nid) for nid in consumers):
+        if any(nid not in mids and st.reaches(n, m2) for nid, n in consumers.items()):
             return None
-        w1 = _by_container(self.ins[self.exits[m1.nid].nid])
-        r2 = _by_container(self.outs[m2.nid])
+        w1 = _by_container(st.in_edges(x1))
+        r2 = _by_container(st.out_edges(m2))
         rename = {k: Sym(v) for k, v in mapping.items()}
         asm = self.asm
         for p, _ in m1.params:
@@ -386,31 +372,6 @@ class _MapFusion:
                     return None
         return mapping, mids
 
-    def _reaches(self, src: int, dst: int) -> bool:
-        seen, pending = {src}, [src]
-        while pending:
-            for e in self.outs[pending.pop()]:
-                nid = e.dst.nid
-                if nid == dst:
-                    return True
-                if nid not in seen:
-                    seen.add(nid)
-                    pending.append(nid)
-        return False
-
-    def _children(self, entry: MapEntry) -> list[int]:
-        """The ids of the nodes inside ``entry``'s scope, in id order: those
-        its out edges reach before its exit."""
-        exit_node = self.exits[entry.nid]
-        seen: set[int] = set()
-        pending = [entry]
-        while pending:
-            for e in self.outs[pending.pop().nid]:
-                if e.dst is not exit_node and e.dst.nid not in seen:
-                    seen.add(e.dst.nid)
-                    pending.append(e.dst)
-        return sorted(seen)
-
     def _clean(self, m1: MapEntry, m2: MapEntry, mids: dict[int, AccessNode]) -> bool:
         """Whether fusing m2 into m1 keeps the scope brackets and drops no
         memlet by its shape: each intermediate is written only by m1's exit,
@@ -419,20 +380,20 @@ class _MapFusion:
         m2; the connectors into m2's entry are distinct, carry memlets and
         match the ones out of it; and those into m2's exit match the ones
         out of it."""
-        ins, outs = self.ins, self.outs
-        x1, x2 = self.exits[m1.nid], self.exits[m2.nid]
-        written = {pe.dst_conn for pe in ins[x1.nid] if pe.memlet is not None}
-        producers = [e for nid in mids for e in ins[nid]]
+        st = self.work
+        x1, x2 = st.exit_of(m1), st.exit_of(m2)
+        written = {pe.dst_conn for pe in st.in_edges(x1) if pe.memlet is not None}
+        producers = [e for n in mids.values() for e in st.in_edges(n)]
         if (any(e.src is not x1 or "IN_" + _strip(e.src_conn) not in written for e in producers)
                 or len({e.src_conn for e in producers}) != len(producers)
-                or any(e.dst is not m2 for nid in mids for e in outs[nid])):
+                or any(e.dst is not m2 for n in mids.values() for e in st.out_edges(n))):
             return False
-        if any(e.memlet is None for e in ins[m2.nid]):
+        if any(e.memlet is None for e in st.in_edges(m2)):
             return False
-        entry_in = [_strip(e.dst_conn) for e in ins[m2.nid]]
-        entry_out = {_strip(e.src_conn) for e in outs[m2.nid] if e.memlet is not None}
-        exit_in = [_strip(e.dst_conn) for e in ins[x2.nid]]
-        exit_out = {_strip(e.src_conn) for e in outs[x2.nid]}
+        entry_in = [_strip(e.dst_conn) for e in st.in_edges(m2)]
+        entry_out = {_strip(e.src_conn) for e in st.out_edges(m2) if e.memlet is not None}
+        exit_in = [_strip(e.dst_conn) for e in st.in_edges(x2)]
+        exit_out = {_strip(e.src_conn) for e in st.out_edges(x2)}
         return (len(set(entry_in)) == len(entry_in) and set(entry_in) == entry_out
                 and len(set(exit_in)) == len(exit_in) and set(exit_in) == exit_out)
 
@@ -440,24 +401,22 @@ class _MapFusion:
               mids: dict[int, AccessNode]) -> bool:
         """Fuse m2 into m1: False when the fused state closes a cycle or
         races."""
-        children = self._children(m2)
+        work = self.work
+        children = [c.nid for c in work.scope_children(m2)]
         if self.deferred:
             if not self._clean(m1, m2, mids) or mids and any(
-                    iteration_conflicts(m.param_names, self.outs[m.nid],
-                                        self.ins[self.exits[m.nid].nid]) for m in (m1, m2)):
+                    iteration_conflicts(m.param_names, work.out_edges(m),
+                                        work.in_edges(work.exit_of(m))) for m in (m1, m2)):
                 raise _Racy
-            if self.work is self.base:
+            if work is self.base:
                 self.work = self.base.clone()
-                self._index()
-            st, ins, outs = self.work, self.ins, self.outs
+            st = self.work
         else:
-            st = self.work.clone()
-            ins, outs = _edge_index(st)
+            st = work.clone()
         nodes = st.nodes
-        _apply_fusion(st, ins, outs, nodes[m1.nid], nodes[m2.nid], [nodes[c] for c in children],
+        _apply_fusion(st, nodes[m1.nid], nodes[m2.nid], [nodes[c] for c in children],
                       mapping, [nodes[nid] for nid in mids])
         if self.deferred:
-            del self.exits[m2.nid]
             self.top.discard(m2.nid)
         else:
             try:
@@ -468,11 +427,10 @@ class _MapFusion:
             if not race_free(st, self.asm, facts):
                 return False
             self.work = st
-            self._index()
             self.top = {n.nid for n in facts.scopes[None]
                         if isinstance(n, MapEntry) and n.schedule is Schedule.PARALLEL}
         self.count += 1
-        inside = set(self._children(nodes[m1.nid]))
+        inside = {c.nid for c in st.scope_children(nodes[m1.nid])}
         for nid in mids:
             self._scalarize(nodes[nid], inside)
         return True
@@ -499,94 +457,64 @@ class _MapFusion:
         self.scalars.add(cont)
 
 
-def _edge_index(st: State) -> tuple[dict[int, list[Edge]], dict[int, list[Edge]]]:
-    """The in and out edges of each node of ``st`` by id, in edge order."""
-    ins: dict[int, list[Edge]] = {nid: [] for nid in st.nodes}
-    outs: dict[int, list[Edge]] = {nid: [] for nid in st.nodes}
-    for e in st.edges:
-        outs[e.src.nid].append(e)
-        ins[e.dst.nid].append(e)
-    return ins, outs
-
-
-def _apply_fusion(st: State, ins: dict[int, list[Edge]], outs: dict[int, list[Edge]],
-                  m1: MapEntry, m2: MapEntry, m2_children: list[Node],
+def _apply_fusion(st: State, m1: MapEntry, m2: MapEntry, m2_children: list[Node],
                   mapping: dict[str, str], mids: list[AccessNode]) -> None:
     """Fuse m2's scope, whose nodes are ``m2_children``, into m1's with m2's
     parameters renamed by ``mapping``; the intermediates ``mids`` move into
-    the fused scope.  ``ins`` and ``outs`` index the state's edges
-    (:func:`_edge_index`) and are kept up to date; the edge list ends as
-    adding and removing each edge in turn would leave it.  A connector
-    rerouted to m1's entry or exit is named ``F<m2's id>_<its name>``,
-    with a numeric suffix when an edge into that node names it already."""
-    removed: set[int] = set()
-
-    def add(src, dst, memlet=None, src_conn=None, dst_conn=None):
-        e = st.add_edge(src, dst, memlet, src_conn, dst_conn)
-        outs[src.nid].append(e)
-        ins[dst.nid].append(e)
-
-    def remove(e):
-        removed.add(id(e))
-        outs[e.src.nid].remove(e)
-        ins[e.dst.nid].remove(e)
-
+    the fused scope.  A connector rerouted to m1's entry or exit is named
+    ``F<m2's id>_<its name>``, with a numeric suffix when an edge into that
+    node names it already."""
     x1, x2 = st.exit_of(m1), st.exit_of(m2)
-    scope = {id(e): e for n in m2_children for e in ins[n.nid] + outs[n.nid]}
-    scope.update((id(e), e) for e in outs[m2.nid] + ins[x2.nid])
-    _rename(list(scope.values()), m2_children, {k: Sym(v) for k, v in mapping.items()})
+    _rename_in_scope(st, m2, m2_children, {k: Sym(v) for k, v in mapping.items()})
 
     # move intermediate access nodes into the fused scope
     for n in mids:
-        for e in list(ins[n.nid]):
+        for e in st.in_edges(n):
             if e.src is x1:
                 # producer edge: rewire from the producing node directly
                 conn = "IN_" + _strip(e.src_conn)
-                for pe in [pe for pe in ins[x1.nid] if pe.dst_conn == conn and pe.memlet is not None]:
-                    add(pe.src, n, pe.memlet, pe.src_conn, None)
-                    remove(pe)
-                remove(e)
-        for e in list(outs[n.nid]):
+                for pe in [pe for pe in st.in_edges(x1)
+                           if pe.dst_conn == conn and pe.memlet is not None]:
+                    st.add_edge(pe.src, n, pe.memlet, pe.src_conn, None)
+                    st.remove_edge(pe)
+                st.remove_edge(e)
+        for e in st.out_edges(n):
             if e.dst is m2:
                 # consumer edge: connect the access node into m2's scope reads
                 conn = _strip(e.dst_conn)
-                for ce in [ce for ce in outs[m2.nid] if _strip(ce.src_conn) == conn]:
-                    add(n, ce.dst, ce.memlet, None, ce.dst_conn)
-                    remove(ce)
-                remove(e)
+                for ce in [ce for ce in st.out_edges(m2) if _strip(ce.src_conn) == conn]:
+                    st.add_edge(n, ce.dst, ce.memlet, None, ce.dst_conn)
+                    st.remove_edge(ce)
+                st.remove_edge(e)
 
     def move(hub, to):
         """Route each input of ``hub`` with its outputs through ``to``, on a
         connector no edge into ``to`` names yet."""
-        taken = {_strip(e.dst_conn) for e in ins[to.nid]}
-        for e in list(ins[hub.nid]):
+        taken = {_strip(e.dst_conn) for e in st.in_edges(to)}
+        for e in st.in_edges(hub):
             conn = _strip(e.dst_conn)
-            for ce in [ce for ce in outs[hub.nid] if _strip(ce.src_conn) == conn]:
+            for ce in [ce for ce in st.out_edges(hub) if _strip(ce.src_conn) == conn]:
                 fresh, k = f"F{m2.nid}_{conn}", 0
                 while fresh in taken:
                     k += 1
                     fresh = f"F{m2.nid}_{conn}_{k}"
                 taken.add(fresh)
-                add(e.src, to, e.memlet, e.src_conn, f"IN_{fresh}")
-                add(to, ce.dst, ce.memlet, f"OUT_{fresh}", ce.dst_conn)
-                remove(ce)
-            remove(e)
+                st.add_edge(e.src, to, e.memlet, e.src_conn, f"IN_{fresh}")
+                st.add_edge(to, ce.dst, ce.memlet, f"OUT_{fresh}", ce.dst_conn)
+                st.remove_edge(ce)
+            st.remove_edge(e)
 
     # the rest of m2's reads move to m1's entry, its writes to m1's exit
-    for e in [e for e in ins[m2.nid] if e.memlet is None]:
-        remove(e)
+    for e in [e for e in st.in_edges(m2) if e.memlet is None]:
+        st.remove_edge(e)
     move(m2, m1)
-    for e in list(outs[m2.nid]):  # dependency-only edges
+    for e in st.out_edges(m2):  # dependency-only edges
         if e.memlet is None:
-            add(m1, e.dst)
-        remove(e)
+            st.add_edge(m1, e.dst)
+        st.remove_edge(e)
     move(x2, x1)
-
-    for n in (m2, x2):  # the edges left at the removed nodes go with them
-        for e in ins[n.nid] + outs[n.nid]:
-            remove(e)
-        del ins[n.nid], outs[n.nid], st.nodes[n.nid]
-    st.edges = [e for e in st.edges if id(e) not in removed]
+    st.remove_node(m2)  # with the edges left at them
+    st.remove_node(x2)
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,7 @@ class _Emitter:
         self.w(f"{st.label}:;")
         self.w("{")
         self.indent += 1
-        scopes = st.scopes()
+        scopes = st.facts().scopes
         for node in scopes[None]:
             self.emit_node(st, node, scopes)
         self.indent -= 1

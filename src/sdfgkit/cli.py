@@ -211,8 +211,8 @@ def _has_comm(g: Sdfg) -> bool:
 
 
 def cmd_run(args) -> int:
-    g, diags = _load_graph(args.file)
-    if _print_diags(diags) or g is None:
+    g = _load_valid_graph(args.file)
+    if g is None:
         return 1
     bindings = _parse_bindings(args.symbol)
     ctx = ExecContext(bindings=bindings)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from .. import symbolic
 from ..ir import (
-    AccessNode, DataKind, Edge, LibKind, LibraryNode, MapEntry, Memlet, Sdfg,
+    AccessNode, DataKind, Edge, LibKind, LibraryNode, MapEntry, Memlet, Node, Sdfg,
     State, Storage, Tasklet, Wcr,
 )
 from ..passes import PassReport, _snapshot, coarsen, nodes_of
@@ -74,7 +74,7 @@ def distribute(g: Sdfg, grid: ProcessGrid) -> PassReport:
     """Distribute every supported operation of the top-level graph."""
     report = PassReport()
     for st in g.states:
-        scopes = st.scopes()
+        scopes = st.facts().scopes
         maps = {}
         for node in scopes[None]:
             if isinstance(node, MapEntry):
@@ -114,7 +114,7 @@ def _aligned(sub: SubsetRange, params: tuple[str, ...]) -> bool:
 
 
 def _map_operands(g: Sdfg, st: State, entry: MapEntry,
-                  members: list) -> list[_Operand] | None:
+                  members: tuple[Node, ...]) -> list[_Operand] | None:
     exit_node = st.exit_of(entry)
     params = entry.param_names
     if any(_extent(rng).free_symbols() & g.assigned_symbols() for _, rng in entry.params):

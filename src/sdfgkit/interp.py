@@ -609,10 +609,10 @@ class Machine:
                 machine = env[_MACHINE]
                 st = machine.g.states[index]
                 comm_node = st.nodes[nid]
-                ins = {e.dst_conn: e.memlet for e in st.edges
-                       if e.dst is comm_node and e.memlet is not None}
-                outs = {e.src_conn: e.memlet for e in st.edges
-                        if e.src is comm_node and e.memlet is not None}
+                ins = {e.dst_conn: e.memlet for e in st.in_edges(comm_node)
+                       if e.memlet is not None}
+                outs = {e.src_conn: e.memlet for e in st.out_edges(comm_node)
+                        if e.memlet is not None}
                 yield CommEvent(comm_node, label, dict(env), ins, outs, machine)
 
             return comm

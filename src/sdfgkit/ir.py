@@ -284,18 +284,31 @@ class Diagnostic:
 
 
 class State:
-    """A label plus an acyclic dataflow multigraph."""
+    """A label plus an acyclic dataflow multigraph.
+
+    The state indexes its own adjacency: the in and out edges of each node,
+    in edge order, and the exit of each map entry (the first exit added for
+    it).  The index is keyed by node object, so :meth:`renumber` keeps it;
+    :meth:`add`, :meth:`add_edge`, :meth:`remove_edge`, :meth:`remove_node`
+    and :meth:`clone` keep it current, and the queries read it."""
 
     def __init__(self, label: str):
         self.label = label
         self.nodes: dict[int, Node] = {}
         self.edges: list[Edge] = []
         self._next_id = 0
+        self._ins: dict[Node, list[Edge]] = {}
+        self._outs: dict[Node, list[Edge]] = {}
+        self._exits: dict[MapEntry, MapExit] = {}
 
     def add(self, node: Node) -> Node:
         node.nid = self._next_id
         self._next_id += 1
         self.nodes[node.nid] = node
+        self._ins[node] = []
+        self._outs[node] = []
+        if isinstance(node, MapExit):
+            self._exits.setdefault(node.entry, node)
         return node
 
     def add_edge(
@@ -308,6 +321,8 @@ class State:
     ) -> Edge:
         e = Edge(src, dst, memlet, src_conn, dst_conn)
         self.edges.append(e)
+        self._outs[src].append(e)
+        self._ins[dst].append(e)
         return e
 
     def clone(self) -> "State":
@@ -319,23 +334,44 @@ class State:
         ``SymExpr``, ``SubsetRange`` and ``TExpr`` values are shared."""
         out = State(self.label)
         out._next_id = self._next_id
-        out.nodes = {nid: n.clone() for nid, n in self.nodes.items()}
-        for n in out.nodes.values():
+        nodes = out.nodes = {nid: n.clone() for nid, n in self.nodes.items()}
+        ins = out._ins = {n: [] for n in nodes.values()}
+        outs = out._outs = {n: [] for n in nodes.values()}
+        for n in nodes.values():
             if isinstance(n, MapExit):
-                n.entry = out.nodes[n.entry.nid]
-        out.edges = [
-            Edge(out.nodes[e.src.nid], out.nodes[e.dst.nid],
-                 None if e.memlet is None else _shallow(e.memlet), e.src_conn, e.dst_conn)
-            for e in self.edges
-        ]
+                n.entry = nodes[n.entry.nid]
+                out._exits.setdefault(n.entry, n)
+        for e in self.edges:
+            c = Edge(nodes[e.src.nid], nodes[e.dst.nid],
+                     None if e.memlet is None else _shallow(e.memlet), e.src_conn, e.dst_conn)
+            out.edges.append(c)
+            outs[c.src].append(c)
+            ins[c.dst].append(c)
         return out
 
     def remove_node(self, node: Node) -> None:
-        self.edges = [e for e in self.edges if e.src is not node and e.dst is not node]
+        """Remove ``node`` with its edges."""
+        gone = self._ins.pop(node) + self._outs.pop(node)
+        if gone:
+            dead = {id(e) for e in gone}
+            self.edges = [e for e in self.edges if id(e) not in dead]
+            for e in gone:
+                if e.src is not node:
+                    self._outs[e.src].remove(e)
+                if e.dst is not node:
+                    self._ins[e.dst].remove(e)
         del self.nodes[node.nid]
+        if isinstance(node, MapExit) and self._exits.get(node.entry) is node:
+            del self._exits[node.entry]
+            for n in self.nodes.values():  # another exit of the entry, in an invalid graph
+                if isinstance(n, MapExit) and n.entry is node.entry:
+                    self._exits[n.entry] = n
+                    break
 
     def remove_edge(self, edge: Edge) -> None:
         self.edges.remove(edge)
+        self._outs[edge.src].remove(edge)
+        self._ins[edge.dst].remove(edge)
 
     def sorted_nodes(self) -> list[Node]:
         return [self.nodes[k] for k in sorted(self.nodes)]
@@ -351,25 +387,53 @@ class State:
         self._next_id = len(nodes)
 
     def in_edges(self, node: Node) -> list[Edge]:
-        return [e for e in self.edges if e.dst is node]
+        return list(self._ins[node])
 
     def out_edges(self, node: Node) -> list[Edge]:
-        return [e for e in self.edges if e.src is node]
+        return list(self._outs[node])
+
+    def exit_of(self, entry: MapEntry) -> MapExit:
+        try:
+            return self._exits[entry]
+        except KeyError:
+            raise KeyError(f"map entry {entry.nid} has no exit") from None
+
+    def scope_children(self, entry: MapEntry) -> list[Node]:
+        """Every node inside ``entry``'s scope, at any depth, by node id: the
+        nodes its out edges reach before its exit."""
+        exit_node = self.exit_of(entry)
+        seen: set[Node] = set()
+        pending = [entry]
+        while pending:
+            for e in self._outs[pending.pop()]:
+                if e.dst is not exit_node and e.dst not in seen:
+                    seen.add(e.dst)
+                    pending.append(e.dst)
+        return sorted(seen, key=lambda n: n.nid)
+
+    def reaches(self, src: Node, dst: Node) -> bool:
+        """Whether a path of one or more edges leads from ``src`` to ``dst``."""
+        seen, pending = {src}, [src]
+        while pending:
+            for e in self._outs[pending.pop()]:
+                if e.dst is dst:
+                    return True
+                if e.dst not in seen:
+                    seen.add(e.dst)
+                    pending.append(e.dst)
+        return False
 
     def topological(self) -> list[Node]:
         """Kahn's order that always takes the smallest ready node id."""
-        indeg = {nid: 0 for nid in self.nodes}
-        succs: dict[int, list[int]] = {nid: [] for nid in self.nodes}
-        for e in self.edges:
-            indeg[e.dst.nid] += 1
-            succs[e.src.nid].append(e.dst.nid)
+        indeg = {nid: len(self._ins[n]) for nid, n in self.nodes.items()}
         ready = [nid for nid, d in indeg.items() if d == 0]
         heapq.heapify(ready)
         order: list[Node] = []
         while ready:
-            nid = heapq.heappop(ready)
-            order.append(self.nodes[nid])
-            for dst in succs[nid]:
+            node = self.nodes[heapq.heappop(ready)]
+            order.append(node)
+            for e in self._outs[node]:
+                dst = e.dst.nid
                 indeg[dst] -= 1
                 if indeg[dst] == 0:
                     heapq.heappush(ready, dst)
@@ -379,42 +443,19 @@ class State:
 
     def facts(self) -> "StateFacts":
         """A snapshot of this state's structural analyses (see
-        :class:`StateFacts`); raises ``ValueError`` when the state has a
-        cycle."""
-        ins: dict[int, list[Edge]] = {nid: [] for nid in self.nodes}
-        outs: dict[int, list[Edge]] = {nid: [] for nid in self.nodes}
-        for e in self.edges:
-            ins[e.dst.nid].append(e)
-            outs[e.src.nid].append(e)
-        exits: dict[MapEntry, MapExit] = {}
-        for n in self.nodes.values():
-            if isinstance(n, MapExit):
-                exits.setdefault(n.entry, n)
+        :class:`StateFacts`), its edges copied from the index; raises
+        ``ValueError`` when the state has a cycle."""
+        ins, outs = self._ins, self._outs
         return StateFacts(
             self, tuple(self.topological()),
-            MappingProxyType({nid: tuple(v) for nid, v in ins.items()}),
-            MappingProxyType({nid: tuple(v) for nid, v in outs.items()}),
-            MappingProxyType(exits))
+            MappingProxyType({nid: tuple(ins[n]) for nid, n in self.nodes.items()}),
+            MappingProxyType({nid: tuple(outs[n]) for nid, n in self.nodes.items()}),
+            MappingProxyType(dict(self._exits)))
 
     def scope_parents(self) -> dict[int, MapEntry | None]:
         """Scope membership for every node, in topological order; edges must
         respect scope brackets."""
         return dict(self.facts().parents)
-
-    def scopes(self) -> dict[MapEntry | None, list[Node]]:
-        """Direct members of every scope (key None for the top level), each in
-        topological order.  An exit belongs to its entry's enclosing scope."""
-        return {k: list(v) for k, v in self.facts().scopes.items()}
-
-    def scope_children(self, entry: MapEntry) -> list[Node]:
-        """Every node inside ``entry``'s scope, at any depth, by node id."""
-        return self.facts().scope_children(entry)
-
-    def exit_of(self, entry: MapEntry) -> MapExit:
-        for node in self.nodes.values():
-            if isinstance(node, MapExit) and node.entry is entry:
-                return node
-        raise KeyError(f"map entry {entry.nid} has no exit")
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,9 +467,10 @@ class StateFacts:
     holds only while the state's nodes and edges stay unchanged: the caller
     that owns such a state takes one snapshot and passes it to every
     analysis of the state.  The order, the edges of each node (in edge
-    order) and the entry-to-exit lookup are built at once; the scope
-    parents, scopes and reachability on first use.  ``parents`` (and
-    ``scopes``) raise ``ValueError`` when an edge breaks the scope brackets.
+    order) and the entry-to-exit lookup, copied from the state's index, are
+    taken at once; the scope parents, scopes and reachability on first use.
+    ``parents`` (and ``scopes``) raise ``ValueError`` when an edge breaks
+    the scope brackets.
     """
 
     state: State
@@ -472,7 +514,8 @@ class StateFacts:
 
     @cached_property
     def scopes(self) -> Mapping[MapEntry | None, tuple[Node, ...]]:
-        """Direct members of every scope, as :meth:`State.scopes`."""
+        """Direct members of every scope (key None for the top level), each in
+        topological order.  An exit belongs to its entry's enclosing scope."""
         members: dict[MapEntry | None, list[Node]] = {None: []}
         for n in self.state.nodes.values():
             if isinstance(n, MapEntry):
@@ -490,17 +533,6 @@ class StateFacts:
             succs = [e.dst.nid for e in self.outs[node.nid]]
             reach[node.nid] = frozenset(succs).union(*(reach[d] for d in succs))
         return MappingProxyType(reach)
-
-    def scope_children(self, entry: MapEntry) -> list[Node]:
-        """Every node inside ``entry``'s scope, at any depth, by node id."""
-        out: list[Node] = []
-        pending = [entry]
-        while pending:
-            for n in self.scopes.get(pending.pop(), ()):
-                out.append(n)
-                if isinstance(n, MapEntry):
-                    pending.append(n)
-        return sorted(out, key=lambda n: n.nid)
 
 
 @dataclass(eq=False)
@@ -884,6 +916,11 @@ def validate(g: Sdfg, facts: dict[State, StateFacts] | None = None) -> list[Diag
             err("unbalanced map entry/exit pairs", "scope-brackets", st.label)
 
         for e in st.edges:
+            for end, conn in ((e.src, e.src_conn), (e.dst, e.dst_conn)):
+                if isinstance(end, AccessNode) and conn is not None:
+                    # an access node is all one container: it has no connectors
+                    err(f"edge at access node {end.nid} of '{end.container}' names "
+                        f"connector '{conn}'", "access-connector", st.label, end.nid)
             if e.memlet is None:
                 continue
             m = e.memlet

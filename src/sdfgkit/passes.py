@@ -150,31 +150,6 @@ def _fusible_chains(g: Sdfg) -> list[list[InterstateEdge]]:
     return chains
 
 
-def _reach(st: State) -> dict[Node, set[Node]]:
-    """The nodes each node of the acyclic state ``st`` reaches by one or
-    more edges, from a walk over its edges alone."""
-    succs: dict[Node, list[Node]] = {n: [] for n in st.nodes.values()}
-    for e in st.edges:
-        succs[e.src].append(e.dst)
-    reach: dict[Node, set[Node]] = {}
-    for root in succs:
-        path = [(root, iter(succs[root]))] if root not in reach else []
-        on_path = {root}
-        while path:
-            n, todo = path[-1]
-            d = next((d for d in todo if d not in reach), None)
-            if d is None:
-                path.pop()
-                on_path.discard(n)
-                reach[n] = set(succs[n]).union(*(reach[x] for x in succs[n]))
-            elif d in on_path:
-                raise ValueError(f"cycle in state '{st.label}'")
-            else:
-                path.append((d, iter(succs[d])))
-                on_path.add(d)
-    return reach
-
-
 def _merge_states(states: list[State]) -> State | None:
     """Build from copies of ``states`` (each running right after the one
     before) their fused state, the left fold of pairwise merges; None when
@@ -211,7 +186,8 @@ def _merge_states(states: list[State]) -> State | None:
                 fuse_map[n] = cands[0]
         last = i == len(states) - 1
         if not last:
-            b_reach = _reach(b)
+            nodes = b.nodes
+            b_reach = {nodes[nid]: {nodes[d] for d in r} for nid, r in b.facts().reach.items()}
             grown: dict[Node, set[Node]] = {}
             for n, target in fuse_map.items():
                 grown.setdefault(target, set()).update(b_reach[n])
@@ -426,6 +402,7 @@ def _inline_one(g: Sdfg, st: State, node: NestedSdfg) -> None:
             rename[cname] = (e.memlet.container, e.memlet.subset)
 
     node_map: dict[int, object] = {}
+    copies: list[Node] = []
     for n in istate.sorted_nodes():
         old_id = n.nid
         if isinstance(n, AccessNode):
@@ -439,11 +416,10 @@ def _inline_one(g: Sdfg, st: State, node: NestedSdfg) -> None:
                 node_map[old_id] = out_by_conn[n.container].dst
                 continue
             nn = AccessNode(outer_name)
-            st.add(nn)
+            copies.append(nn)
             node_map[old_id] = nn
             continue
         nn = n.clone()
-        nn.nid = -1
         if isinstance(nn, MapEntry):
             nn.params = tuple(
                 (p, tuple(symbolic.substitute(x, symmap) for x in rng))
@@ -452,13 +428,12 @@ def _inline_one(g: Sdfg, st: State, node: NestedSdfg) -> None:
         if isinstance(nn, Tasklet):
             tmap = {k: texpr.parse_texpr(str(v)) for k, v in symmap.items()}
             nn.code = tuple((c, texpr.subst_refs(e, tmap)) for c, e in nn.code)
-        st.add(nn)
+        copies.append(nn)
         node_map[old_id] = nn
-    # fix MapExit entry links to the copied entries
-    for n in istate.sorted_nodes():
-        if isinstance(n, MapExit):
-            copied = node_map[n.nid]
-            copied.entry = node_map[n.entry.nid]
+    for nn in copies:  # each copied exit names the copied entry
+        if isinstance(nn, MapExit):
+            nn.entry = node_map[nn.entry.nid]
+        st.add(nn)
 
     for e in istate.edges:
         m = e.memlet

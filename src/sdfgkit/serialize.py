@@ -187,6 +187,13 @@ def _text(value, path: str, *indices: int) -> str:
     return value
 
 
+def _texts(values, path: str, *indices: int) -> tuple[str, ...]:
+    """``values``, which must be a list of strings (see :func:`_text`)."""
+    if not isinstance(values, list):
+        raise SchemaError(f"{path.format(*indices)} is {values!r}, not a list")
+    return tuple(_text(v, path + "[{}]", *indices, k) for k, v in enumerate(values))
+
+
 def _state_from_json(d: dict, i: int) -> State:
     st = State(d["label"])
     nodes: list = []
@@ -198,13 +205,15 @@ def _state_from_json(d: dict, i: int) -> State:
         elif t == "tasklet":
             node = Tasklet(
                 nd.get("name", "t"),
-                tuple(nd["ins"]),
-                tuple(nd["outs"]),
-                tuple((c, texpr.parse_texpr(e)) for c, e in nd["code"]),
+                _texts(nd["ins"], "states[{}].nodes[{}].ins", i, j),
+                _texts(nd["outs"], "states[{}].nodes[{}].outs", i, j),
+                tuple((_text(c, "states[{}].nodes[{}].code[{}][0]", i, j, k), texpr.parse_texpr(e))
+                      for k, (c, e) in enumerate(nd["code"])),
             )
         elif t == "map_entry":
             params = []
             for k, (p, rng) in enumerate(nd["params"]):
+                p = _text(p, "states[{}].nodes[{}].params[{}][0]", i, j, k)
                 rng = _text(rng, "states[{}].nodes[{}].params[{}][1]", i, j, k)
                 sub = symbolic.parse_subset(rng)
                 params.append((p, sub.dims[0]))
@@ -223,13 +232,14 @@ def _state_from_json(d: dict, i: int) -> State:
             )
         else:
             raise SchemaError(f"unknown node type {t!r}")
-        st.add(node)
         nodes.append(node)
     for ex, entry_pos in pending_exits:
         entry = nodes[entry_pos]
         if not isinstance(entry, MapEntry):
             raise SchemaError("map_exit does not reference a map_entry")
         ex.entry = entry
+    for node in nodes:
+        st.add(node)
     for j, ed in enumerate(d["edges"]):
         memlet = None
         if "memlet" in ed:
@@ -237,13 +247,10 @@ def _state_from_json(d: dict, i: int) -> State:
             memlet = memlet_from_text(
                 _text(ed["memlet"], "states[{}].edges[{}].memlet", i, j), ed.get("wcr"),
                 None if volume is None else _text(volume, "states[{}].edges[{}].volume", i, j))
-        st.add_edge(
-            nodes[ed["src"]],
-            nodes[ed["dst"]],
-            memlet,
-            ed.get("src_conn"),
-            ed.get("dst_conn"),
-        )
+        src_conn, dst_conn = (
+            None if ed.get(key) is None else _text(ed[key], "states[{}].edges[{}]." + key, i, j)
+            for key in ("src_conn", "dst_conn"))
+        st.add_edge(nodes[ed["src"]], nodes[ed["dst"]], memlet, src_conn, dst_conn)
     return st
 
 
@@ -253,7 +260,7 @@ def from_dict(d: dict) -> Sdfg:
     if d["version"] != SCHEMA_VERSION:
         raise SchemaError(f"schema version {d['version']} unsupported (want {SCHEMA_VERSION})")
     try:
-        g = Sdfg(d["name"])
+        g = Sdfg(_text(d["name"], "name"))
         for s in d["symbols"]:
             lower = s["min"]
             if type(lower) is not int:  # a bool is an int to isinstance

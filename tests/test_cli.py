@@ -347,6 +347,25 @@ def test_tasklet_code_that_misses_its_connector_is_one_line(command, tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+def test_run_refuses_a_graph_that_fails_validation(tmp_path, capsys):
+    """``run`` prints each diagnostic and exits 1, as the other commands do,
+    where it reported a runtime error and exited 2."""
+    graph = tmp_path / "fig4.sdfg.json"
+    assert main(["parse", str(CORPUS / "fig4_loop.dpy"), "-o", str(graph)]) == 0
+    doc = json.loads(graph.read_text())
+    node = next(n for st in doc["states"] for n in st["nodes"] if n.get("name") == "assign_C")
+    node["code"] = [["zz", "in0 + 1.0"]]
+    graph.write_text(json.dumps(doc))
+    d = tmp_path / "i"
+    d.mkdir()
+    TensorValue.of(np.zeros(4)).save(d / "C.json")
+    capsys.readouterr()
+    assert main(["run", str(graph), "-s", "NI=4", "--inputs", str(d)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "tasklet assign_C assigns 'zz'" in err
+    assert err.endswith("[tasklet-connector]\n") and "runtime error" not in err
+
+
 @pytest.mark.parametrize("command", ["show", "optimize", "emit"])
 def test_invalid_document_is_refused(command, tmp_path, capsys):
     """A lowered document whose first state has no label names no start
@@ -392,3 +411,24 @@ def test_non_integer_symbol_bound_is_one_line(command, bound, tmp_path, capsys):
     assert main([command, str(graph)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "not an integer" in err
+
+
+@pytest.mark.parametrize("field", ["dst_conn", "params", "name"])
+@pytest.mark.parametrize("command", ["show", "optimize", "emit", "run"])
+def test_non_string_name_is_one_line(command, field, tmp_path, capsys):
+    """A lowered document with an object ``dst_conn``, an integer map
+    parameter or a list-valued graph name is refused by the loader in one
+    line, where ``optimize`` and ``show`` ended in tracebacks and an
+    integer parameter read as an undeclared name."""
+    from test_serialize import junk_name
+
+    graph = tmp_path / "jacobi_1d.sdfg.json"
+    assert main(["parse", str(CORPUS / "jacobi_1d.dpy"), "-o", str(graph)]) == 0
+    doc = json.loads(graph.read_text())
+    path = junk_name(doc, field)
+    graph.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, str(graph), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"{path} is ") and "not a string" in err
+    assert not (tmp_path / "out").exists()

@@ -645,7 +645,8 @@ def test_fast_path_fires(name, monkeypatch):
     assert error is None and counters == ref[2]
     assert all(store[k].tobytes() == ref[1][k].tobytes() for k in store)
     nested = {(st.label, scope.nid): any(isinstance(x, MapEntry) for x in members)
-              for st in g.states for scope, members in st.scopes().items() if scope is not None}
+              for st in g.states for scope, members in st.facts().scopes.items()
+              if scope is not None}
     planned = {(plan.label, nid): mp.vector is not None
                for plan in m.program.plans.values() for nid, mp in plan.maps.items()}
     assert all(vector or nested[key] for key, vector in planned.items())

@@ -105,8 +105,8 @@ class TestValidate:
             ("error", "state-labels", "state label ['x'] is not a string")]
 
     @pytest.mark.parametrize("code", ["exit-connector", "scope-connector", "access-container",
-                                      "library-connector", "library-attributes",
-                                      "tasklet-connector"])
+                                      "access-connector", "library-connector",
+                                      "library-attributes", "tasklet-connector"])
     def test_pinned_graphs_pass_exit_connectors(self, code):
         for g in pinned_graphs():
             assert not [d for d in g.validate() if d.code == code], g.name
@@ -227,6 +227,20 @@ class TestValidate:
         st.add_edge(t, dst, m, src_conn="out")
         errors = [(d.code, d.node) for d in g.validate() if d.code == "access-container"]
         assert errors == [("access-container", (src if end == "read" else dst).nid)]
+
+    @pytest.mark.parametrize("end", ["src", "dst"])
+    @pytest.mark.parametrize("memlet", [True, False], ids=["memlet", "dependency"])
+    def test_access_node_takes_no_connector(self, end, memlet):
+        g = build_shift_map("B")
+        st = g.states[0]
+        e = next(e for e in st.edges if isinstance(getattr(e, end), AccessNode))
+        if not memlet:
+            e = st.add_edge(e.src, e.dst)
+        setattr(e, f"{end}_conn", "x")
+        node = getattr(e, end)
+        assert [(d.code, d.node, d.message) for d in g.validate() if d.severity == "error"] == [
+            ("access-connector", node.nid,
+             f"edge at access node {node.nid} of '{node.container}' names connector 'x'")]
 
     def test_copy_between_access_nodes_names_either_container(self):
         g = build_shift_map("B")
@@ -635,11 +649,11 @@ class TestQueries:
             for st in g.states:
                 parents = st.scope_parents()
                 order = st.topological()
-                scopes = st.scopes()
+                scopes = st.facts().scopes
                 keys = [None] + [n for n in st.nodes.values() if isinstance(n, MapEntry)]
                 assert list(scopes) == keys
                 for key in keys:
-                    assert scopes[key] == [n for n in order if parents[n.nid] is key]
+                    assert list(scopes[key]) == [n for n in order if parents[n.nid] is key]
 
     def test_auto_optimize_topological_calls_bounded(self, monkeypatch):
         # machine-independent guard against re-deriving the order in a loop:
@@ -732,7 +746,6 @@ class TestFacts:
             assert list(facts.scopes) == [None] + entries
             for key, members in facts.scopes.items():
                 assert list(members) == [n for n in order if parents[n.nid] is key]
-            assert {k: list(v) for k, v in facts.scopes.items()} == st.scopes()
             assert dict(facts.reach) == per_node_reachability(st)
             for n in st.nodes.values():
                 assert list(facts.ins[n.nid]) == st.in_edges(n)
@@ -740,7 +753,7 @@ class TestFacts:
             for entry in entries:
                 assert facts.exits[entry] is st.exit_of(entry)
                 inside = [n for n in st.sorted_nodes() if entry in enclosing(parents, n)]
-                assert facts.scope_children(entry) == inside == st.scope_children(entry)
+                assert st.scope_children(entry) == inside
 
     @pytest.mark.parametrize("build, code, message", [
         (build_cycle, "state-cycle", "cycle in state 's0'"),
@@ -823,6 +836,92 @@ def own_entries(g: Sdfg) -> bool:
             if isinstance(n, NestedSdfg) and not own_entries(n.sdfg):
                 return False
     return True
+
+
+def scanned_children(st: State, entry: MapEntry, exit_node: MapExit) -> list:
+    """The nodes ``entry``'s out edges reach before ``exit_node``, by a scan
+    of the edge list at each step, in id order."""
+    seen, pending = [], [entry]
+    while pending:
+        n = pending.pop()
+        for e in st.edges:
+            if e.src is n and e.dst is not exit_node and e.dst not in seen:
+                seen.append(e.dst)
+                pending.append(e.dst)
+    return sorted(seen, key=lambda n: n.nid)
+
+
+def assert_index_matches_scan(st: State) -> None:
+    """Every query the state answers from its index equals a scan of its
+    nodes and edges."""
+    nodes = list(st.nodes.values())
+    exits = {}
+    for n in nodes:
+        if isinstance(n, MapExit):
+            exits.setdefault(n.entry, n)
+    facts = st.facts()
+    assert list(facts.ins) == list(facts.outs) == list(st.nodes)
+    assert dict(facts.exits) == exits
+    for n in nodes:
+        ins = [e for e in st.edges if e.dst is n]
+        outs = [e for e in st.edges if e.src is n]
+        assert st.in_edges(n) == ins == list(facts.ins[n.nid])
+        assert st.out_edges(n) == outs == list(facts.outs[n.nid])
+        st.in_edges(n).append(None)  # a fresh list each call
+        st.out_edges(n).clear()
+        assert st.in_edges(n) == ins and st.out_edges(n) == outs
+        if not isinstance(n, MapEntry):
+            continue
+        if n in exits:
+            assert st.exit_of(n) is exits[n]
+            assert st.scope_children(n) == scanned_children(st, n, exits[n])
+        else:
+            for query in (st.exit_of, st.scope_children):
+                with pytest.raises(KeyError, match=f"map entry {n.nid} has no exit"):
+                    query(n)
+
+
+class TestIndex:
+    @given(hst.data())
+    @settings(max_examples=200, deadline=None)
+    def test_edits_keep_the_index(self, data):
+        """Random edits of a state and of its clones: after each, the index
+        of every one of them equals a scan.  Edges run from lower to higher
+        ids, so each state stays acyclic."""
+        states = [State("s")]
+        conns = hst.sampled_from([None, "IN_a", "OUT_a", "x"])
+        for _ in range(data.draw(hst.integers(1, 40))):
+            st = data.draw(hst.sampled_from(states))
+            nodes = st.sorted_nodes()
+            entries = [n for n in nodes if isinstance(n, MapEntry)]
+            op = data.draw(hst.sampled_from(
+                ["access", "map", "exit", "edge", "edge", "remove_edge", "remove_node",
+                 "clone", "renumber"]))
+            if op == "access":
+                st.add(AccessNode("A"))
+            elif op == "map":
+                st.add(MapExit(st.add(MapEntry((("i", (Const(0), Const(3), Const(1))),)))))
+            elif op == "exit" and entries:  # a second exit, as an invalid graph may hold
+                st.add(MapExit(data.draw(hst.sampled_from(entries))))
+            elif op == "edge" and len(nodes) > 1:
+                a, b = sorted(data.draw(hst.lists(hst.sampled_from(nodes), min_size=2,
+                                                  max_size=2, unique=True)),
+                              key=lambda n: n.nid)
+                st.add_edge(a, b, None, data.draw(conns), data.draw(conns))
+            elif op == "remove_edge" and st.edges:
+                st.remove_edge(data.draw(hst.sampled_from(st.edges)))
+            elif op == "remove_node" and nodes:
+                node = data.draw(hst.sampled_from(nodes))
+                # an entry goes with its exits, which a clone could not re-link
+                for n in [n for n in nodes if isinstance(n, MapExit) and n.entry is node]:
+                    st.remove_node(n)
+                st.remove_node(node)
+            elif op == "clone":
+                states.append(st.clone())
+            elif op == "renumber":
+                st.renumber()
+            for each in states:
+                assert_index_matches_scan(each)
 
 
 class TestClone:

@@ -589,6 +589,18 @@ class TestChainFusion:
 # check, the search starting again from the first pair after each fusion.
 
 
+def _reference_children(facts: StateFacts, entry: MapEntry) -> list:
+    """Every node inside ``entry``'s scope, at any depth, by node id, from
+    the snapshot's scope tree."""
+    out, pending = [], [entry]
+    while pending:
+        for n in facts.scopes.get(pending.pop(), ()):
+            out.append(n)
+            if isinstance(n, MapEntry):
+                pending.append(n)
+    return sorted(out, key=lambda n: n.nid)
+
+
 def _reference_intermediates(facts: StateFacts, m1: MapEntry, m2: MapEntry):
     consumers = {e.dst.nid: e.dst for e in facts.outs[facts.exits[m1].nid]}
     mids = {
@@ -596,7 +608,7 @@ def _reference_intermediates(facts: StateFacts, m1: MapEntry, m2: MapEntry):
         if isinstance(n, AccessNode) and any(e.dst is m2 for e in facts.outs[nid])
     }
     reach = facts.reach
-    inside = {c.nid for m in (m1, m2) for c in facts.scope_children(m)}
+    inside = {c.nid for m in (m1, m2) for c in _reference_children(facts, m)}
     for nid in consumers:
         if nid not in mids and nid not in inside and m2.nid in reach[nid]:
             return None
@@ -692,7 +704,7 @@ def _reference_try_fuse(g: Sdfg, facts: StateFacts, m1: MapEntry, m2: MapEntry):
     cand = facts.state.clone()
     scope = cand.nodes[m1.nid]
     cand_mids = [cand.nodes[nid] for nid in mids]
-    m2_children = [cand.nodes[c.nid] for c in facts.scope_children(m2)]
+    m2_children = [cand.nodes[c.nid] for c in _reference_children(facts, m2)]
     _reference_apply_fusion(cand, scope, cand.nodes[m2.nid], m2_children, mapping, cand_mids)
     try:
         cand_facts = cand.facts()
@@ -712,7 +724,7 @@ def _reference_scalarize(g: Sdfg, facts: StateFacts, acc: AccessNode, scope: Map
             if isinstance(n, AccessNode) and n.container == cont]
     edges = [e for s2, _ in occs for e in s2.edges
              if e.memlet is not None and e.memlet.container == cont]
-    in_scope = {id(c) for c in facts.scope_children(scope)}
+    in_scope = {id(c) for c in _reference_children(facts, scope)}
     if any(id(n) not in in_scope for _, n in occs):
         return
     subsets = {str(e.memlet.subset) for e in edges}

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -145,3 +146,56 @@ def test_round_trip_key_is_the_same_with_tables_cleared_and_warm(name):
         warm = deserialize(text)
         assert content_key(cold) == content_key(warm)
         assert serialize(cold) == serialize(warm) == text
+
+
+def junk_name(doc: dict, field: str) -> str:
+    """Put a non-string where ``doc``, a lowered document, holds a name of
+    the kind ``field``; returns the path of the field it changed."""
+    if field == "name":
+        doc["name"] = ["a"]
+        return "name"
+    if field in ("src_conn", "dst_conn"):
+        i, j, edge = next((i, j, e) for i, st in enumerate(doc["states"])
+                          for j, e in enumerate(st["edges"]) if field in e)
+        edge[field] = {"x": 1}
+        return f"states[{i}].edges[{j}].{field}"
+    kind = "map_entry" if field == "params" else "tasklet"
+    i, j, node = next((i, j, n) for i, st in enumerate(doc["states"])
+                      for j, n in enumerate(st["nodes"]) if n["type"] == kind)
+    if field in ("params", "code"):
+        node[field][0][0] = 7
+        return f"states[{i}].nodes[{j}].{field}[0][0]"
+    node[field][0] = None
+    return f"states[{i}].nodes[{j}].{field}[0]"
+
+
+@pytest.mark.parametrize("field", ["name", "params", "src_conn", "dst_conn", "ins", "outs",
+                                   "code"])
+def test_non_string_name_is_a_schema_error(field):
+    """A graph, map parameter, connector or tasklet code target name that is
+    not a string is refused with its field path, where it used to reach the
+    validator and the passes (a traceback from ``optimize`` on an object
+    ``dst_conn``, an "undeclared name" for an integer parameter)."""
+    doc = json.loads(serialize(compile_kernel("jacobi_1d")))
+    path = re.escape(junk_name(doc, field))
+    with pytest.raises(SchemaError, match=rf"^{path} is .*, not a string$"):
+        from_dict(doc)
+
+
+def test_name_lists_must_be_lists():
+    doc = json.loads(serialize(compile_kernel("jacobi_1d")))
+    i, j, node = next((i, j, n) for i, st in enumerate(doc["states"])
+                      for j, n in enumerate(st["nodes"]) if n["type"] == "tasklet")
+    node["ins"] = "in0"
+    with pytest.raises(SchemaError, match=rf"^states\[{i}\]\.nodes\[{j}\]\.ins is 'in0', not a list$"):
+        from_dict(doc)
+
+
+def test_absent_and_null_connectors_load():
+    doc = json.loads(serialize(compile_kernel("jacobi_1d")))
+    for st in doc["states"]:
+        for e in st["edges"]:
+            e.pop("dst_conn", None)
+            e["src_conn"] = None
+    g = from_dict(doc)
+    assert all(e.src_conn is None is e.dst_conn for st in g.states for e in st.edges)

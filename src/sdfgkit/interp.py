@@ -3,13 +3,16 @@
 Maps always run in lexicographic iteration order (even with a parallel
 schedule), so results are bitwise reproducible and usable as golden oracles.
 A graph is validated and its per-node work compiled (memlet accesses with
-their bounds checks, tasklet bodies, map ranges, transitions) once per
-content, container shapes and options, into a :class:`Program` kept in a
-table of programs (see :func:`compile`).  The compiled functions are built
-once per program and never rebound: each takes the run's environment, which
-holds the run's store arrays, counters and machine under keys no name can
-equal, so a run only calls them.  A map whose body is tasklets over affine
-point memlets
+their bounds checks, tasklet bodies, library nodes, copies, map ranges,
+transitions) once per content, container shapes and options, into a
+:class:`Program` kept in a table of programs (see :func:`compile`), where
+the bindings that found a program find it again without re-sizing.  Each
+tasklet, library node and copy is one generated function whose subset
+evaluation, bounds checks and byte counts come from one line writer (see
+:func:`_access_lines`).  The compiled functions are built once per program
+and never rebound: each takes the run's environment, which holds the run's
+store arrays, counters and machine under keys no name can equal, so a run
+only calls them.  A map whose body is tasklets over affine point memlets
 (and possibly inner maps of such tasklets and reductions of what they
 write) also gets a vector launch that runs all its points at once with
 NumPy slices, equal bit for bit to the point-by-point order (see
@@ -177,7 +180,8 @@ def compile(g: Sdfg, bindings: Mapping[str, int],
     """The :class:`Program` of ``g`` at ``bindings``, from the table of
     programs: the graph is validated once per content, and a program is
     made once per content, container shapes and options (and rank set, for
-    the rank simulator's machines).  Raises :class:`InterpreterError` when
+    the rank simulator's machines) and found again by equal bindings without
+    sizing the containers.  Raises :class:`InterpreterError` when
     the graph does not validate, a free symbol is unbound or a container
     cannot be sized."""
     return _compile(g, _entry(g), bindings, options or InterpOptions(), None, {})[0]
@@ -222,12 +226,18 @@ def _compile(g: Sdfg, entry: "_Graph", bindings: Mapping[str, int], opt: InterpO
              rank_local: frozenset[str] | None,
              facts: dict[State, StateFacts]) -> tuple["Program", dict[str, int]]:
     """:func:`compile` with the graph's entry given; also returns the
-    symbol table.  A validation adds its state snapshots to ``facts``."""
+    symbol table.  A validation adds its state snapshots to ``facts``.
+    Bindings that found a program before find it again without any check
+    or sizing: those passed when the program was found."""
+    sym = {k: int(v) for k, v in bindings.items()}
+    bound = (tuple(sym.items()), opt.reverse_maps, opt.vectorize, rank_local, _GRID_LIMIT)
+    program = entry.bound.get(bound)
+    if program is not None:
+        return program, sym
     entry.validate(g, facts)
     missing = entry.free_symbols(g) - set(bindings)
     if missing:
         raise InterpreterError(f"missing symbol bindings: {sorted(missing)}")
-    sym = {k: int(v) for k, v in bindings.items()}
     shapes = []
     for name, desc in g.containers.items():
         if desc.kind is DataKind.STREAM and _stream_used(g, name):
@@ -240,7 +250,11 @@ def _compile(g: Sdfg, entry: "_Graph", bindings: Mapping[str, int], opt: InterpO
                 f"cannot size container '{name}': its shape uses unbound symbol "
                 + ", ".join(f"'{s}'" for s in sorted(unbound)))
         shapes.append(tuple(d.evaluate(sym) for d in desc.shape))
-    return entry.program(g, tuple(shapes), opt, rank_local), sym
+    program = entry.program(g, tuple(shapes), opt, rank_local)
+    if len(entry.bound) >= _PROGRAMS_LIMIT:
+        del entry.bound[next(iter(entry.bound))]
+    entry.bound[bound] = program
+    return program, sym
 
 
 def _stream_used(g: Sdfg, name: str) -> bool:
@@ -255,15 +269,16 @@ class Machine:
     """One logical execution of a graph (one rank, in the simulator).
 
     :meth:`prepare` takes the graph's :class:`Program` from the table of
-    programs (see :func:`compile`), fills the run's store and puts each
-    store array and the counters into the run's environment, the symbol
-    table; :meth:`run` adds the machine itself while it runs.  The program
-    keeps every plan across runs: a state is planned on its first execution
-    (its edges are indexed by node, and every node that does work becomes
-    a step: a compiled tasklet, a copy, a library call, a map launch), and
-    each map on its first launch.  A step reads what it needs of the run
-    from the environment it is called with, so executing a map point only
-    calls compiled code."""
+    programs (see :func:`compile`), fills the run's store by the program's
+    layout of the containers, without reading the graph's descriptors, and
+    puts each store array and the counters into the run's environment, the
+    symbol table; :meth:`run` adds the machine itself while it runs.  The
+    program keeps every plan across runs: a state is planned on its first
+    execution (its edges are indexed by node, and every node that does work
+    becomes a step: a generated tasklet, copy or library call, or a map
+    launch), and each map on its first launch.  A step reads what it needs
+    of the run from the environment it is called with, so executing a map
+    point only calls compiled code."""
 
     def __init__(self, g: Sdfg, ctx: ExecContext, options: InterpOptions | None = None):
         self.g = g
@@ -293,41 +308,38 @@ class Machine:
             self._entry = _entry(g)
         program, self.sym = _compile(g, self._entry, ctx.bindings, self.opt, self.rank_local,
                                      self._facts_of)
-        for name, desc in g.containers.items():
-            shape = program.shapes[name]
-            if not desc.transient:
+        sym = self.sym
+        # the store is never rebound after this (every write is in place), so
+        # the environment holds the run's arrays for the whole run
+        for name, key, shape, dtype, transient, persistent, scalar in program.layout:
+            if not transient:
                 if name not in ctx.store:
-                    if self.rank_local is not None:
-                        # root-resident container: a placeholder this rank never reads
-                        self.store[name] = np.zeros(shape, dtype=desc.dtype.np)
-                        continue
-                    raise InterpreterError(f"missing input container '{name}'")
-                arr = np.asarray(ctx.store[name], dtype=desc.dtype.np)
-                if desc.kind is DataKind.SCALAR:
-                    arr = arr.reshape(())
-                elif arr.shape != shape:
-                    raise InterpreterError(
-                        f"input '{name}' has shape {arr.shape}, descriptor says {shape}"
-                    )
-                self.store[name] = arr.copy()
-            elif desc.lifetime is Lifetime.PERSISTENT:
+                    if self.rank_local is None:
+                        raise InterpreterError(f"missing input container '{name}'")
+                    # root-resident container: a placeholder this rank never reads
+                    arr = np.zeros(shape, dtype=dtype)
+                else:
+                    arr = np.asarray(ctx.store[name], dtype=dtype)
+                    if scalar:
+                        arr = arr.reshape(())
+                    elif arr.shape != shape:
+                        raise InterpreterError(
+                            f"input '{name}' has shape {arr.shape}, descriptor says {shape}"
+                        )
+                    arr = arr.copy()
+            elif persistent:
                 arr = ctx.persistent.get(name)
                 if arr is None:
-                    arr = ctx.persistent[name] = np.zeros(shape, dtype=desc.dtype.np)
-                elif (not isinstance(arr, np.ndarray) or arr.shape != shape
-                      or arr.dtype != desc.dtype.np):
+                    arr = ctx.persistent[name] = np.zeros(shape, dtype=dtype)
+                elif not isinstance(arr, np.ndarray) or arr.shape != shape or arr.dtype != dtype:
                     raise InterpreterError(
                         f"persistent '{name}' has shape {np.shape(arr)} and dtype "
                         f"{np.asarray(arr).dtype}, descriptor says {shape} and "
-                        f"{np.dtype(desc.dtype.np)}")
-                self.store[name] = arr
+                        f"{np.dtype(dtype)}")
             else:
-                self.store[name] = np.zeros(shape, dtype=desc.dtype.np)
-        # the store is never rebound after this (every write is in place), so
-        # the environment holds the run's arrays for the whole run
-        for name, arr in self.store.items():
-            self.sym[_array(name)] = arr
-        self.sym[_COUNTERS] = ctx.counters
+                arr = np.zeros(shape, dtype=dtype)
+            self.store[name] = sym[key] = arr
+        sym[_COUNTERS] = ctx.counters
         self.program = program
 
     def outputs(self) -> dict[str, np.ndarray]:
@@ -383,6 +395,12 @@ class Machine:
         :func:`_compile_access`)."""
         return _compile_access(m, mode, self.program.shapes[m.container],
                                self.g.containers[m.container].dtype.nbytes, state, nid)
+
+    def _access_lines(self, src: "_Source", m: Memlet, mode: str, state: str, nid: int,
+                      tag: str, misfit: Callable | None = None) -> tuple[str | None, list[str]]:
+        """:func:`_access_lines` of ``m`` in this run's program."""
+        return _access_lines(src, m, mode, self.program.shapes[m.container],
+                             self.g.containers[m.container].dtype.nbytes, state, nid, tag, misfit)
 
     def _access(self, m: Memlet, mode: str, state: str, nid: int) -> Callable:
         """:meth:`_accessor`, for communication events: the program keeps
@@ -475,9 +493,8 @@ class Machine:
         per-point steps, which launch them."""
         facts = self._facts(plan.index)
         scope = facts.state.nodes[nid]
-        ranges = _compile_ranges(scope.params)
-        return _MapPlan(plan, nid, ranges, scope.param_names,
-                        self._vector_launch(facts, scope, ranges), nid in plan.event_scopes)
+        return _MapPlan(plan, nid, _compile_ranges(scope.params), scope.param_names,
+                        self._vector_launch(facts, scope), nid in plan.event_scopes)
 
     def _map_steps(self, mp: "_MapPlan") -> list:
         """The per-point steps of a map, compiled on its first per-point
@@ -501,16 +518,14 @@ class Machine:
                 steps.append(_raiser(ex))
         return steps
 
-    def _vector_launch(self, facts: StateFacts, scope: MapEntry,
-                       ranges: Callable) -> Callable | None:
+    def _vector_launch(self, facts: StateFacts, scope: MapEntry) -> Callable | None:
         """The map's vector launch (see :func:`_compile_vector`), or None when
         vectorizing is off or the map does not qualify."""
         if not self.opt.vectorize:
             return None
         try:
-            return _compile_vector(facts, scope, facts.scopes[scope], ranges,
-                                   self.program.shapes, self.g.containers,
-                                   self.opt.reverse_maps)
+            return _compile_vector(facts, scope, facts.scopes[scope], self.program.shapes,
+                                   self.g.containers, self.opt.reverse_maps)
         except _NotVector:
             return None
 
@@ -548,32 +563,21 @@ class Machine:
         raise InterpreterError(f"cannot execute node {type(node).__name__}")
 
     def _copy_step(self, label: str, e: Edge) -> Callable:
-        """A copy between access nodes.  A memlet on the source container
-        fills the whole destination; one on the destination container
-        receives the whole source."""
+        """A copy between access nodes, one generated function.  A memlet on
+        the source container fills the whole destination; one on the
+        destination container receives the whole source."""
         src, dst, m = e.src.container, e.dst.container, e.memlet
         shapes, nid = self.program.shapes, e.dst.nid
         if m.container == src:
-            read = self._accessor(m, "read", label, e.src.nid)
-            m = Memlet(dst, SubsetRange.full(shapes[dst]), wcr=m.wcr)
+            read, m = m, Memlet(dst, SubsetRange.full(shapes[dst]), wcr=m.wcr)
         else:
-            whole = Memlet(src, SubsetRange.full(shapes[src]))
-            read = self._accessor(whole, "read", label, e.src.nid)
-        lengths = _compile_lengths(m)
-        write = self._accessor(m, "write", label, nid)
-
-        def copy(env):
-            data, shape = read(env), lengths(env)
-            try:
-                data = data.reshape(shape)
-            except ValueError:
-                raise InterpreterError(
-                    f"copy of {data.size} elements from '{src}' does not fit "
-                    f"the {shape} elements of '{dst}' at node {nid} "
-                    f"in state '{label}'") from None
-            write(env, data)
-
-        return copy
+            read = Memlet(src, SubsetRange.full(shapes[src]))
+        code = _Source()
+        data, _ = self._access_lines(code, read, "read", label, e.src.nid, "a")
+        code.lines.append(f"_vo = {data}")
+        self._access_lines(code, m, "write", label, nid, "o",
+                           _misfit_error(("copy of", f" from '{src}'"), dst, label, nid))
+        return code.build("_e")
 
     def _tasklet_step(self, facts: StateFacts, label: str, node: Tasklet) -> Callable:
         """One function that reads the inputs, evaluates every output's code
@@ -581,8 +585,8 @@ class Machine:
         src = _Source()
         conns: dict[str, str] = {}
         for i, e in enumerate(e for e in facts.ins[node.nid] if e.memlet is not None):
-            read = self._accessor(e.memlet, "scalar", label, node.nid)
-            src.lines.append(f"_a{i} = {src.value(read)}(_e)")
+            data, _ = self._access_lines(src, e.memlet, "scalar", label, node.nid, f"i{i}")
+            src.lines.append(f"_a{i} = {data}")
             conns[e.dst_conn] = f"_a{i}"
         results: dict[str, str] = {}
         body = []
@@ -592,12 +596,10 @@ class Machine:
         if body:
             src.lines += ["try:", *body, "except KeyError as _x:",
                           "    raise _unbound_name(_x) from None"]
-        for e in facts.outs[node.nid]:
-            if e.memlet is None:
-                continue
-            write = self._accessor(e.memlet, "pwrite", label, node.nid)
+        for j, e in enumerate(e for e in facts.outs[node.nid] if e.memlet is not None):
             value = results[e.src_conn if e.src_conn in results else node.outputs[0]]
-            src.lines.append(f"{src.value(write)}(_e, {value})")
+            src.lines.append(f"_vw{j} = {value}")
+            self._access_lines(src, e.memlet, "pwrite", label, node.nid, f"w{j}")
         return src.build("_e")
 
     def _library_step(self, facts: StateFacts, plan: "_StatePlan",
@@ -616,52 +618,30 @@ class Machine:
                 yield CommEvent(comm_node, label, dict(env), ins, outs, machine)
 
             return comm
-        ins = {e.dst_conn: e for e in facts.ins[nid] if e.memlet is not None}
-        outs = [e for e in facts.outs[nid] if e.memlet is not None]
-        if node.kind not in (LibKind.MATMUL, LibKind.REDUCE, LibKind.TRANSPOSE):
-            raise InterpreterError(f"unknown library node kind {node.kind}")
-        read_a = self._accessor(ins["a"].memlet, "read", label, nid)
-        out = outs[0].memlet
-        lengths = _compile_lengths(out)
-        write = self._accessor(out, "write", label, nid)
-        attrs, kind, container = node.attributes, node.kind, out.container
-
-        def fit(env, result: np.ndarray) -> np.ndarray:
-            shape = lengths(env)
-            try:
-                return result.reshape(shape)
-            except ValueError:
-                raise InterpreterError(
-                    f"{kind.value} result of {result.size} elements does not fit the "
-                    f"{shape} elements of '{container}' at node {nid} "
-                    f"in state '{label}'") from None
-
+        ins = {e.dst_conn: e.memlet for e in facts.ins[nid] if e.memlet is not None}
+        out = next(e.memlet for e in facts.outs[nid] if e.memlet is not None)
+        kind, attrs, code = node.kind, node.attributes, _Source()
         if kind is LibKind.MATMUL:
-            read_a = _squeezed(read_a, _squeeze_key(attrs.get("a_kept")))
-            read_b = _squeezed(self._accessor(ins["b"].memlet, "read", label, nid),
-                               _squeeze_key(attrs.get("b_kept")))
-
-            def matmul(env):
-                a, b = read_a(env), read_b(env)
-                write(env, fit(env, np.matmul(a, b)))
-
-            return matmul
-        if kind is LibKind.REDUCE:
+            result = f"{code.value(np.matmul)}(_ra, _rb)"
+        elif kind is LibKind.REDUCE:
             axes = attrs.get("axes")
-            axes = None if axes is None else tuple(axes)
-            ufunc = _REDUCE_UFUNCS[Wcr(attrs.get("op", "add"))]
-            read_a = _squeezed(read_a, _squeeze_key(attrs.get("a_kept")))
-
-            def reduce(env):
-                write(env, fit(env, np.asarray(ufunc.reduce(read_a(env), axis=axes))))
-
-            return reduce
-
-        def transpose(env):
-            a = read_a(env)
-            write(env, fit(env, a.T))
-
-        return transpose
+            ufunc = code.value(_REDUCE_UFUNCS[Wcr(attrs.get("op", "add"))])
+            axes = code.value(None if axes is None else tuple(axes))
+            result = f"{ufunc}.reduce(_ra, axis={axes})"
+        elif kind is LibKind.TRANSPOSE:
+            result = "_ra.T"
+        else:
+            raise InterpreterError(f"unknown library node kind {kind}")
+        for conn in ("a", "b") if kind is LibKind.MATMUL else ("a",):
+            data, _ = self._access_lines(code, ins[conn], "read", label, nid, conn)
+            # a transpose drops no dimension
+            key = None if kind is LibKind.TRANSPOSE else _squeeze_key(attrs.get(f"{conn}_kept"))
+            code.lines.append(f"_r{conn} = {data}{'' if key is None else f'[{code.value(key)}]'}")
+        code.lines.append(f"_vo = {result}")
+        self._access_lines(code, out, "write", label, nid, "o",
+                           _misfit_error((f"{kind.value} result of", ""), out.container,
+                                         label, nid))
+        return code.build("_e")
 
     def _nested_step(self, facts: StateFacts, plan: "_StatePlan",
                      node: NestedSdfg) -> Callable:
@@ -677,9 +657,14 @@ class Machine:
         for e in facts.ins[nid]:
             if e.memlet is None:
                 continue
-            scalar = node.sdfg.containers[e.dst_conn].kind is DataKind.SCALAR
-            ins.append((e.dst_conn, self._accessor(e.memlet, "read", label, nid),
-                        None if scalar else _compile_lengths(e.memlet)))
+            # the callee's input: one element, or the subset's lengths
+            code = _Source()
+            data, lengths = self._access_lines(code, e.memlet, "read", label, nid, "")
+            if node.sdfg.containers[e.dst_conn].kind is DataKind.SCALAR:
+                lengths = []
+            lengths = "".join(x + ", " for x in lengths)
+            code.lines.append(f"return _asarray({data}).reshape(({lengths}))")
+            ins.append((e.dst_conn, code.build("_e")))
         outs = [(e.src_conn, self._accessor(e.memlet, "write", label, nid))
                 for e in facts.outs[nid] if e.memlet is not None]
         call = (index, nid, entry, symbol_map, ins, outs)
@@ -696,10 +681,8 @@ class Machine:
             persistent={},
             rank=self.ctx.rank,
         )
-        for conn, read, lengths in ins:
-            data = read(env)
-            inner_ctx.store[conn] = (np.asarray(data).reshape(()) if lengths is None
-                                     else data.reshape(lengths(env)))
+        for conn, read in ins:
+            inner_ctx.store[conn] = read(env)
         inner = Machine(self.g.states[index].nodes[nid].sdfg, inner_ctx, self.opt)
         inner._entry = entry
         yield from inner.run()
@@ -719,15 +702,9 @@ def _launch_step(plan: "_StatePlan", nid: int) -> Callable:
 
 
 def _squeeze_key(kept: list[bool] | None) -> tuple | None:
-    """The index that drops the dimensions ``kept`` marks False."""
-    return None if kept is None else tuple(slice(None) if k else 0 for k in kept)
-
-
-def _squeezed(read: Callable, key: tuple | None) -> Callable:
-    """``read`` indexed by ``key`` (see :func:`_squeeze_key`)."""
-    if key is None:
-        return read
-    return lambda env: read(env)[key]
+    """The index that drops the dimensions ``kept`` marks False (None when
+    it drops none)."""
+    return None if kept is None or all(kept) else tuple(slice(None) if k else 0 for k in kept)
 
 
 def _drive(steps: list[Callable], env) -> Iterator[CommEvent]:
@@ -801,8 +778,9 @@ def _array(name: str) -> _Key:
 class _Graph:
     """What the interpreter derives once per graph content: the validation
     verdict, the free symbols, the entries of the nested graphs (by state
-    index and node id) and the programs (by container shapes, options,
-    rank set and the grid limit of vector launches)."""
+    index and node id) and the programs, by container shapes, options,
+    rank set and the grid limit of vector launches, and again by bindings
+    in their place of shapes (each map holds at most _PROGRAMS_LIMIT)."""
 
     def __init__(self):
         self.validated = False
@@ -810,6 +788,9 @@ class _Graph:
         self.free: set[str] | None = None
         self.nested: dict[tuple[int, int], _Graph] = {}
         self.programs: dict[tuple, Program] = {}
+        # the program of each set of bindings, options, rank set and grid
+        # limit that found one, oldest first
+        self.bound: dict[tuple, Program] = {}
 
     def validate(self, g: Sdfg, facts: dict[State, StateFacts]) -> None:
         if not self.validated:
@@ -840,15 +821,21 @@ class Program:
     """A validated graph's plans at one set of container shapes, options
     and rank set, kept in the table of programs (see :func:`compile`).
 
-    It holds the container shapes, the index of each state label, the plan
-    of every state executed so far (by label; see :class:`_StatePlan`) and
-    the accessors of communication events.
+    It holds the container shapes, the layout that a run's store is filled
+    by (per container: its name, its key in the environment, its shape and
+    NumPy dtype, and whether it is transient, persistent and a scalar), the
+    index of each state label, the plan of every state executed so far (by
+    label; see :class:`_StatePlan`) and the accessors of communication
+    events.
     Plans are made on first use by the machine that needs them, from its
     own graph, and hold no run's arrays, counters or machine: their
     functions read those from the run's environment."""
 
     def __init__(self, g: Sdfg, shapes: tuple):
         self.shapes: dict[str, tuple[int, ...]] = dict(zip(g.containers, shapes))
+        self.layout = [(name, _array(name), shape, desc.dtype.np, desc.transient,
+                        desc.lifetime is Lifetime.PERSISTENT, desc.kind is DataKind.SCALAR)
+                       for (name, desc), shape in zip(g.containers.items(), shapes)]
         self.index: dict[str, int] = {}
         for i, s in enumerate(g.states):
             self.index.setdefault(s.label, i)
@@ -899,8 +886,8 @@ class _MapPlan:
 _SYM_OPS = {symbolic.Add: "+", symbolic.Sub: "-", symbolic.Mul: "*"}
 _SYM_CALLS = {symbolic.FloorDiv: "_fdiv", symbolic.Min: "_min", symbolic.Max: "_max"}
 _TEXPR_OPS = {op: op for op in ("+", "-", "*", "/", "//", *texpr.COMPARISONS)}
-_WCR_UPDATE = {Wcr.ADD: "{old} + _v", Wcr.MUL: "{old} * _v",
-               Wcr.MIN: "_minimum({old}, _v)", Wcr.MAX: "_maximum({old}, _v)"}
+_WCR_UPDATE = {Wcr.ADD: "{old} + {v}", Wcr.MUL: "{old} * {v}",
+               Wcr.MIN: "_minimum({old}, {v})", Wcr.MAX: "_maximum({old}, {v})"}
 
 
 def _fdiv(a: int, b: int) -> int:
@@ -931,12 +918,13 @@ def _raiser(ex: BaseException) -> Callable:
 
 
 _GLOBALS = {
-    "__builtins__": {}, "KeyError": KeyError, "IndexError": IndexError, "slice": slice,
+    "__builtins__": {}, "KeyError": KeyError, "IndexError": IndexError,
+    "ValueError": ValueError, "slice": slice,
     "_range": range, "_bool": bool, "_min": min, "_max": max, "_fdiv": _fdiv,
     "_minimum": np.minimum, "_maximum": np.maximum,
     "_unbound_symbol": _unbound_symbol, "_unbound_name": _unbound_name,
     "Exception": Exception, "_len": len, "_f64": np.float64, "_bcast": np.broadcast_to,
-    "_concat": np.concatenate, "_contig": np.ascontiguousarray,
+    "_concat": np.concatenate, "_contig": np.ascontiguousarray, "_asarray": np.asarray,
 }
 
 
@@ -1055,104 +1043,121 @@ def _ranges_of(params) -> Callable:
     return src.build("_e")
 
 
-def _evaluate_subset(src: _Source, m: Memlet) -> tuple[list[bool], list[str]]:
-    """Append the evaluation of every dimension of ``m``'s subset (its begin
-    ``_b<d>``, stop ``_t<d>`` and stride ``_s<d>``, each stride checked) to
-    ``src``; returns which dimensions are points and the length expressions.
-    A dimension whose begin and end are the same expression with stride 1 is
-    a point: only its begin is evaluated."""
-    subset = m.subset
-    point = [b == e and s == symbolic.Const(1) for b, e, s in subset.dims]
-    lines, lengths = [], []
-    for d, (b, e, s) in enumerate(subset.dims):
-        lines.append(f"    _b{d} = {src.sym(b)}")
-        if point[d]:
-            lengths.append("1")
-            continue
-        lines += [f"    _t{d} = {src.sym(e)} + 1", f"    _s{d} = {src.sym(s)}"]
-        if s == symbolic.Const(1):
-            lengths.append(f"_max(0, _t{d} - _b{d})")
-            continue
-        if not (isinstance(s, symbolic.Const) and s.value >= 1):
-            lines.append(f"    if _s{d} < 1: {src.value(_stride_error(m.container, m.subset))}(_s{d})")
-        lengths.append(f"_max(0, (_t{d} - _b{d} + _s{d} - 1) // _s{d})")
-    if lines:
-        src.lines += ["try:", *lines, "except KeyError as _x:",
-                      "    raise _unbound_symbol(_x) from None"]
-    return point, lengths
+def _access_lines(src: _Source, m: Memlet, mode: str, shape: tuple[int, ...], nbytes: int,
+                  state: str, nid: int, tag: str = "",
+                  misfit: Callable | None = None) -> tuple[str | None, list[str]]:
+    """Append to ``src`` the access of ``m`` to its container, of shape
+    ``shape``, in one of four modes:
 
-
-def _compile_lengths(m: Memlet) -> Callable:
-    """``fn(env)`` -> the length of every dimension of ``m``'s subset."""
-    src = _Source()
-    _, lengths = _evaluate_subset(src, m)
-    src.lines.append(f"return ({''.join(f'{x}, ' for x in lengths)})")
-    return src.build("_e")
-
-
-def _compile_access(m: Memlet, mode: str, shape: tuple[int, ...], nbytes: int,
-                    state: str, nid: int) -> Callable:
-    """Compile the access of ``m`` to its container, of shape ``shape``, in
-    one of four modes:
-
-    - ``read``: ``fn(env)`` -> the subset as an array view;
-    - ``scalar``: ``fn(env)`` -> the subset's first element (a tasklet input);
-    - ``write``: ``fn(env, value)`` stores ``value`` into the subset, through
-      ``m.wcr`` if set;
+    - ``read``: the subset as an array view;
+    - ``scalar``: the subset's first element (a tasklet input);
+    - ``write``: stores ``_v<tag>`` into the subset, through ``m.wcr`` if
+      set; with ``misfit``, ``_v<tag>`` is first reshaped to the subset's
+      lengths and ``misfit(size, lengths)`` raises if it does not fit;
     - ``pwrite``: like ``write``, storing a tasklet's scalar result.
 
-    Each evaluates the subset, checks the rank and the bounds, and counts
-    ``bytes_moved`` (and ``wcr_commits``).  A subset of points only is
-    indexed directly in ``scalar`` and ``pwrite`` mode."""
-    rank = m.subset.rank
+    Each evaluates the subset (its begin ``_b<d><tag>``, stop ``_t<d><tag>``
+    and stride ``_s<d><tag>`` per dimension, each stride checked), checks
+    the rank and the bounds, and counts ``bytes_moved`` (and
+    ``wcr_commits``).  A dimension whose begin and end are the same
+    expression with stride 1 is a point: only its begin is evaluated.  A
+    subset of points only is indexed directly in ``scalar`` and ``pwrite``
+    mode, and in ``write`` mode with ``misfit`` and no WCR.  Returns the
+    expression of what a read mode reads (None in a write mode) and the
+    length expression of every dimension."""
+    rank, subset = m.subset.rank, m.subset
     if rank != len(shape):
         raise OutOfBoundsError(f"rank mismatch on '{m.container}' at node {nid} "
                                f"in state '{state}'")
-    src = _Source()
-    point, lengths = _evaluate_subset(src, m)
-    triples, outside = [], []
-    for d in range(rank):
-        extent = src.value(shape[d])
+    point = [b == e and s == _ONE for b, e, s in subset.dims]
+    lines, lengths, triples, outside, slices = [], [], [], [], []
+    for d, (b, e, s) in enumerate(subset.dims):
+        bd, td, sd, extent = f"_b{d}{tag}", f"_t{d}{tag}", f"_s{d}{tag}", src.value(shape[d])
+        lines.append(f"    {bd} = {src.sym(b)}")
         if point[d]:
-            triples.append(f"(_b{d}, _b{d} + 1, 1), ")
-            outside.append(f"not 0 <= _b{d} < {extent}")
+            lengths.append("1")
+            triples.append(f"({bd}, {bd} + 1, 1), ")
+            outside.append(f"not 0 <= {bd} < {extent}")
+            slices.append(f"slice({bd}, {bd} + 1, 1), ")
             continue
-        triples.append(f"(_b{d}, _t{d}, _s{d}), ")
-        last = (f"_t{d} - 1" if m.subset.dims[d][2] == symbolic.Const(1)
-                else f"_b{d} + (_t{d} - 1 - _b{d}) // _s{d} * _s{d}")
-        outside.append(f"(_t{d} > _b{d} and (_b{d} < 0 or {last} >= {extent}))")
+        lines += [f"    {td} = {src.sym(e)} + 1", f"    {sd} = {src.sym(s)}"]
+        if s == _ONE:
+            lengths.append(f"_max(0, {td} - {bd})")
+            last = f"{td} - 1"
+        else:
+            if not (isinstance(s, symbolic.Const) and s.value >= 1):
+                fail = src.value(_stride_error(m.container, subset))
+                lines.append(f"    if {sd} < 1: {fail}({sd})")
+            lengths.append(f"_max(0, ({td} - {bd} + {sd} - 1) // {sd})")
+            last = f"{bd} + ({td} - 1 - {bd}) // {sd} * {sd}"
+        triples.append(f"({bd}, {td}, {sd}), ")
+        outside.append(f"({td} > {bd} and ({bd} < 0 or {last} >= {extent}))")
+        slices.append(f"slice({bd}, {td}, {sd}), ")
+    if lines:
+        src.lines += ["try:", *lines, "except KeyError as _x:",
+                      "    raise _unbound_symbol(_x) from None"]
+    value, sizes = f"_v{tag}", f"({''.join(x + ', ' for x in lengths)})"
+    direct = all(point) and (mode in ("scalar", "pwrite")
+                             or (misfit is not None and m.wcr is None))
+    if misfit is not None:
+        fit = ["try:", f"    {value} = {value}.reshape({'()' if direct else sizes})",
+               "except ValueError:", f"    {src.value(misfit)}({value}.size, {sizes})"]
+        # a single element stored by index: only an array needs reshaping
+        src.lines += [f"if {value}.ndim:", *("    " + x for x in fit)] if direct else fit
     if outside:
         fail = src.value(_bounds_error(m.container, shape, state, nid))
         src.lines.append(f"if {' or '.join(outside)}: {fail}(({''.join(triples)}))")
 
     a, c, nb = src.env(_array(m.container)), src.env(_COUNTERS), src.value(nbytes)
-    slices = "".join(f"slice(_b{d}, _b{d} + 1, 1), " if point[d] else
-                     f"slice(_b{d}, _t{d}, _s{d}), " for d in range(rank))
-    index = ", ".join(f"_b{d}" for d in range(rank)) or "()"
-    direct = all(point) and mode in ("scalar", "pwrite")
+    index = ", ".join(f"_b{d}{tag}" for d in range(rank)) or "()"
     if mode == "scalar" and direct:
-        src.lines += [f"{c}.bytes_moved += {nb}", f"return {a}[{index}]"]
-    elif mode in ("scalar", "read"):
-        src.lines += [f"_r = {a}[({slices})]", f"{c}.bytes_moved += _r.size * {nb}"]
-        if mode == "read":
-            src.lines.append("return _r")
-        else:
-            empty = src.value(_empty_error(m.container, m.subset, state, nid))
-            src.lines += ["try:", "    return _r.reshape(-1)[0] if _r.ndim else _r[()]",
+        src.lines.append(f"{c}.bytes_moved += {nb}")
+        return f"{a}[{index}]", lengths
+    r = f"_r{tag}"
+    if mode in ("scalar", "read"):
+        src.lines += [f"{r} = {a}[({''.join(slices)})]", f"{c}.bytes_moved += {r}.size * {nb}"]
+        if mode == "scalar":
+            empty = src.value(_empty_error(m.container, subset, state, nid))
+            src.lines += ["try:", f"    {r} = {r}.reshape(-1)[0] if {r}.ndim else {r}[()]",
                           "except IndexError:", f"    {empty}()"]
+        return r, lengths
+    key = index if direct else f"_key{tag}"
+    if not direct:
+        src.lines.append(f"{key} = ({''.join(slices)})")
+    n = " * ".join(x for x in lengths if x != "1") or "1"
+    if n != "1":
+        src.lines.append(f"_n{tag} = {n}")
+        n = f"_n{tag}"
+    if m.wcr is None:
+        src.lines += [f"{c}.bytes_moved += {n} * {nb}", f"{a}[{key}] = {value}"]
     else:
-        key = index if direct else "_key"
-        if not direct:
-            src.lines.append(f"_key = ({slices})")
-        count = " * ".join(x for x in lengths if x != "1") or "1"
-        src.lines.append(f"_n = {count}")
-        if m.wcr is None:
-            src.lines += [f"{c}.bytes_moved += _n * {nb}", f"{a}[{key}] = _v"]
-        else:
-            update = _WCR_UPDATE[m.wcr].format(old=f"_A[{key}]")
-            src.lines += [f"_C = {c}", f"_C.bytes_moved += _n * {nb}", f"_A = {a}",
-                          f"_A[{key}] = {update}", "_C.wcr_commits += _n"]
-    return src.build("_e, _v" if mode in ("write", "pwrite") else "_e")
+        update = _WCR_UPDATE[m.wcr].format(old=f"_A{tag}[{key}]", v=value)
+        src.lines += [f"_C{tag} = {c}", f"_C{tag}.bytes_moved += {n} * {nb}", f"_A{tag} = {a}",
+                      f"_A{tag}[{key}] = {update}", f"_C{tag}.wcr_commits += {n}"]
+    return None, lengths
+
+
+def _compile_access(m: Memlet, mode: str, shape: tuple[int, ...], nbytes: int,
+                    state: str, nid: int) -> Callable:
+    """The access of ``m`` in ``mode`` (see :func:`_access_lines`) as a
+    function: ``fn(env)`` returns what a read mode reads, ``fn(env, value)``
+    stores ``value`` in a write mode."""
+    src = _Source()
+    data, _ = _access_lines(src, m, mode, shape, nbytes, state, nid)
+    if data is not None:
+        src.lines.append(f"return {data}")
+    return src.build("_e" if data is not None else "_e, _v")
+
+
+def _misfit_error(what: tuple[str, str], container: str, state: str, nid: int) -> Callable:
+    """``fail(size, lengths)``, raising that ``what`` (the message's text
+    before and after the size) does not fit ``container``'s subset."""
+    def fail(size, lengths):
+        raise InterpreterError(
+            f"{what[0]} {size} elements{what[1]} does not fit the {lengths} elements of "
+            f"'{container}' at node {nid} in state '{state}'")
+
+    return fail
 
 
 def _stride_error(container: str, subset: SubsetRange) -> Callable:
@@ -1403,7 +1408,7 @@ def _reduction(node: LibraryNode, ins: list[Edge], outs: list[Edge], shapes,
     return ins[0], ufunc
 
 
-def _compile_vector(facts: StateFacts, scope: MapEntry, members, ranges: Callable,
+def _compile_vector(facts: StateFacts, scope: MapEntry, members,
                     shapes: Mapping[str, tuple[int, ...]], containers,
                     reverse: bool) -> Callable:
     """Compile the vector launch of ``scope``: ``fn(env) -> bool``, True
@@ -1649,21 +1654,29 @@ def _compile_vector(facts: StateFacts, scope: MapEntry, members, ranges: Callabl
             target = aligned(target, present) + "[...]"
         stores.append(f"{target} = {v.code}")
 
-    def lens(axes) -> str:
-        return " * ".join(f"_len(_r{d})" for d in axes)
+    # each level's first and last point per axis, ``_a<d>`` and ``_z<d>``:
+    # evaluated inline when every stride is 1, else from range objects
+    inline = all(unit)
 
-    head = [f"{''.join(f'_r{d}, ' for d in range(k))}= {src.value(ranges)}(_e)",
-            f"if not ({' and '.join(f'_r{d}' for d in range(k))}): return True"]
-    for entry, axes in zip(inner, levels[1:]):
-        own = axes[k:]
-        head += [f"{''.join(f'_r{d}, ' for d in own)}= "
-                 f"{src.value(_compile_ranges(entry.params))}(_e)",
-                 f"if not ({' and '.join(f'_r{d}' for d in own)}): return False"]
-    steps = [d for d, (_, (_, _, s)) in enumerate(params)
-             if not (isinstance(s, symbolic.Const) and s.value >= 1)]
-    if steps:
-        head.append(f"if {' or '.join(f'_r{d}.step < 1' for d in steps)}: return False")
-    head += [f"_a{d}, _z{d} = _r{d}.start, _r{d}[-1]" for d in range(len(params))]
+    def lens(axes) -> str:
+        return " * ".join(f"(_z{d} - _a{d} + 1)" if inline else f"_len(_r{d})" for d in axes)
+
+    head = []
+    for ps, axes, empty in ((scope.params, levels[0], "True"),
+                            *((e.params, lv[k:], "False") for e, lv in zip(inner, levels[1:]))):
+        if inline:
+            head += [f"_a{d}, _z{d} = {src.sym(b)}, {src.sym(e)}"
+                     for d, (_, (b, e, _)) in zip(axes, ps)]
+            head.append(f"if {' or '.join(f'_z{d} < _a{d}' for d in axes)}: return {empty}")
+        else:
+            head += [f"{''.join(f'_r{d}, ' for d in axes)}= {src.value(_compile_ranges(ps))}(_e)",
+                     f"if not ({' and '.join(f'_r{d}' for d in axes)}): return {empty}"]
+    if not inline:
+        steps = [d for d, (_, (_, _, s)) in enumerate(params)
+                 if not (isinstance(s, symbolic.Const) and s.value >= 1)]
+        if steps:
+            head.append(f"if {' or '.join(f'_r{d}.step < 1' for d in steps)}: return False")
+        head += [f"_a{d}, _z{d} = _r{d}.start, _r{d}[-1]" for d in range(len(params))]
     head.append(f"_n = {lens(range(k))}")
     # elements a memlet moves at each point of each level (all of them f64)
     moved = [0] * len(levels)
@@ -1681,7 +1694,7 @@ def _compile_vector(facts: StateFacts, scope: MapEntry, members, ranges: Callabl
         count.append(f"_c.map_iterations += _n * _m{lv}")
         if moved[lv]:
             count.append(f"_c.bytes_moved += _n * _m{lv} * {num(moved[lv] * nbytes)}")
-    head += [f"_g{lv} = ({''.join(f'_len(_r{d}), ' for d in levels[lv])})"
+    head += [f"_g{lv} = ({''.join(lens([d]) + ', ' for d in levels[lv])})"
              for lv in sorted(needs_grid)]
     if checks:
         prelude.append(f"if {' or '.join(checks)}: return False")

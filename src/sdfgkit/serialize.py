@@ -195,19 +195,20 @@ def _texts(values, path: str, *indices: int) -> tuple[str, ...]:
 
 
 def _state_from_json(d: dict, i: int) -> State:
-    st = State(d["label"])
+    st = State(d["label"])  # the validator reports a label that is not a string
     nodes: list = []
     pending_exits: list[tuple[MapExit, int]] = []
     for j, nd in enumerate(d["nodes"]):
         t = nd["type"]
         if t == "access":
-            node = AccessNode(nd["container"])
+            node = AccessNode(_text(nd["container"], "states[{}].nodes[{}].container", i, j))
         elif t == "tasklet":
             node = Tasklet(
-                nd.get("name", "t"),
+                _text(nd.get("name", "t"), "states[{}].nodes[{}].name", i, j),
                 _texts(nd["ins"], "states[{}].nodes[{}].ins", i, j),
                 _texts(nd["outs"], "states[{}].nodes[{}].outs", i, j),
-                tuple((_text(c, "states[{}].nodes[{}].code[{}][0]", i, j, k), texpr.parse_texpr(e))
+                tuple((_text(c, "states[{}].nodes[{}].code[{}][0]", i, j, k),
+                       texpr.parse_texpr(_text(e, "states[{}].nodes[{}].code[{}][1]", i, j, k)))
                       for k, (c, e) in enumerate(nd["code"])),
             )
         elif t == "map_entry":
@@ -222,7 +223,8 @@ def _state_from_json(d: dict, i: int) -> State:
             node = MapExit(None)  # type: ignore[arg-type]
             pending_exits.append((node, nd["entry"]))
         elif t == "library":
-            node = LibraryNode(LibKind(nd["kind"]), nd.get("name", ""),
+            node = LibraryNode(LibKind(nd["kind"]),
+                               _text(nd.get("name", ""), "states[{}].nodes[{}].name", i, j),
                                _attr_from_json(nd.get("attrs", {})))
         elif t == "nested":
             node = NestedSdfg(
@@ -261,15 +263,16 @@ def from_dict(d: dict) -> Sdfg:
         raise SchemaError(f"schema version {d['version']} unsupported (want {SCHEMA_VERSION})")
     try:
         g = Sdfg(_text(d["name"], "name"))
-        for s in d["symbols"]:
-            lower = s["min"]
+        for i, s in enumerate(d["symbols"]):
+            name, lower = _text(s["name"], "symbols[{}].name", i), s["min"]
             if type(lower) is not int:  # a bool is an int to isinstance
-                raise SchemaError(f"symbol '{s['name']}' has lower bound {lower!r}, "
+                raise SchemaError(f"symbol '{name}' has lower bound {lower!r}, "
                                   "not an integer")
-            g.symbols[s["name"]] = lower
-        for c in d["containers"]:
-            g.containers[c["name"]] = DataDescriptor(
-                c["name"],
+            g.symbols[name] = lower
+        for i, c in enumerate(d["containers"]):
+            name = _text(c["name"], "containers[{}].name", i)
+            g.containers[name] = DataDescriptor(
+                name,
                 DType(c["dtype"]),
                 tuple(symbolic.parse_expr(s) for s in c["shape"]),
                 DataKind(c["kind"]),
@@ -284,16 +287,21 @@ def from_dict(d: dict) -> Sdfg:
             if not isinstance(assignments, dict):
                 raise SchemaError(f"transitions[{i}].assignments is a "
                                   f"{type(assignments).__name__}, not an object")
+            condition = td.get("condition")
+            if condition is not None:
+                condition = _text(condition, "transitions[{}].condition", i)
             g.transitions.append(
                 InterstateEdge(
-                    td["src"],
-                    td["dst"],
-                    texpr.parse_texpr(td["condition"]) if td.get("condition") else None,
-                    {k: symbolic.simplify(symbolic.parse_expr(v))
+                    _text(td["src"], "transitions[{}].src", i),
+                    _text(td["dst"], "transitions[{}].dst", i),
+                    texpr.parse_texpr(condition) if condition else None,
+                    {k: symbolic.simplify(symbolic.parse_expr(
+                        _text(v, "transitions[{}].assignments[{!r}]", i, k)))
                      for k, v in assignments.items()},
                 )
             )
-        g.start = d["start"]
+        start = d["start"]  # null for a graph without states, which validation reports
+        g.start = None if start is None else _text(start, "start")
     except (KeyError, TypeError, IndexError, ValueError) as ex:
         if isinstance(ex, SchemaError):
             raise

@@ -432,3 +432,24 @@ def test_non_string_name_is_one_line(command, field, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"{path} is ") and "not a string" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", ["access", "tasklet", "condition"])
+@pytest.mark.parametrize("command", ["show", "optimize", "emit", "run"])
+def test_non_string_text_is_one_line(command, field, tmp_path, capsys):
+    """A lowered document with a list-valued access node container, tasklet
+    name or transition condition is refused by the loader in one line that
+    names the field, where the container read as a misleading validator
+    diagnostic and the tasklet name loaded."""
+    from test_serialize import junk_text
+
+    graph = tmp_path / "jacobi_1d.sdfg.json"
+    assert main(["parse", str(CORPUS / "jacobi_1d.dpy"), "-o", str(graph)]) == 0
+    doc = json.loads(graph.read_text())
+    path = junk_text(doc, field)
+    graph.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, str(graph), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"{path} is ") and "not a string" in err
+    assert not (tmp_path / "out").exists()

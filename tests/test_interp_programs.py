@@ -369,3 +369,64 @@ def test_texpr_keeps_hash_text_and_negation():
         assert twin == e and hash(twin) == hash(e) and texpr.to_text(twin) == texpr.to_text(e)
     assert TNum(1) == TNum(1.0) and hash(TNum(1)) == hash(TNum(1.0)) == hash((1,))
     assert texpr.to_text(TNum(1)) != texpr.to_text(TNum(1.0))
+
+
+def test_bindings_find_their_program_again(monkeypatch):
+    """One graph object run at N=4, 6 and 4 gives, each time, the outputs
+    and counters of a fresh copy run from an empty table; the third run
+    validates and plans nothing, and a copy at N=6 finds the second run's
+    program."""
+    g = compile_kernel("jacobi_1d")
+    program = frontend.parse(corpus_source("jacobi_1d"))
+    cases = {n: ({"N": n, "TSTEPS": 3}, make_inputs(program, {"N": n, "TSTEPS": 3}, seed=n))
+             for n in (4, 6)}
+    fresh = {}
+    for n, (symbols, inputs) in cases.items():
+        clear_programs()
+        fresh[n] = run(g.copy(), symbols, inputs)
+    clear_programs()
+    plans = Plans(monkeypatch)
+    for n in (4, 6, 4):
+        plans.reset()
+        assert_same(run(g, *cases[n]), fresh[n])
+    assert plans.none
+    first, second = (interp.compile(g, cases[n][0]) for n in (4, 6))
+    assert interp.compile(g.copy(), {"TSTEPS": 3, "N": 6}) is second is not first
+
+
+def test_missing_binding_after_a_hit():
+    """A run without N, after runs with it found their program, still
+    reports the missing binding."""
+    clear_programs()
+    g, symbols, inputs = kernel("jacobi_1d")
+    run(g, symbols, inputs)
+    run(g, symbols, inputs)
+    with pytest.raises(InterpreterError, match=r"missing symbol bindings: \['N'\]"):
+        run(g, {"TSTEPS": symbols["TSTEPS"]}, inputs)
+
+
+def test_unbound_shape_symbol_after_a_hit():
+    """A transient sized by the loop counter ``t``, which a transition
+    assigns, is sized when ``t`` is bound and refused when it is not, after
+    runs that bound it found their program."""
+    clear_programs()
+    g, symbols, inputs = kernel("jacobi_1d")
+    g.add_array("X", DType.F64, (Sym("t"),), transient=True)
+    for _ in range(2):
+        run(g, {**symbols, "t": 2}, inputs)
+    with pytest.raises(InterpreterError, match="cannot size container 'X': its shape uses "
+                                               "unbound symbol 't'"):
+        run(g, symbols, inputs)
+
+
+def test_grid_limit_patched_between_runs_gives_a_new_program(monkeypatch):
+    clear_programs()
+    g, symbols, inputs = kernel("doitgen", optimized=True)
+    before = run(g, symbols, inputs)
+    program = interp.compile(g, symbols)
+    assert interp.compile(g, symbols) is program
+    monkeypatch.setattr(interp, "_GRID_LIMIT", 1)
+    assert interp.compile(g, symbols) is not program
+    assert_same(run(g, symbols, inputs), before)
+    monkeypatch.undo()
+    assert interp.compile(g, symbols) is program

@@ -199,3 +199,75 @@ def test_absent_and_null_connectors_load():
             e["src_conn"] = None
     g = from_dict(doc)
     assert all(e.src_conn is None is e.dst_conn for st in g.states for e in st.edges)
+
+
+def junk_text(doc: dict, field: str) -> str:
+    """Put a list where ``doc``, a lowered document, holds a text of the
+    kind ``field``; returns the path of the field it changed."""
+    def node(*types):
+        return next((i, j, n) for i, st in enumerate(doc["states"])
+                    for j, n in enumerate(st["nodes"]) if n["type"] in types)
+
+    if field in ("symbol", "container"):
+        section = "symbols" if field == "symbol" else "containers"
+        doc[section][0]["name"] = ["x"]
+        return f"{section}[0].name"
+    if field == "start":
+        doc["start"] = ["x"]
+        return "start"
+    if field in ("src", "dst", "condition", "assignment"):
+        i, t = next((i, t) for i, t in enumerate(doc["transitions"])
+                    if t["assignments" if field == "assignment" else "condition"])
+        if field == "assignment":
+            key = next(iter(t["assignments"]))
+            t["assignments"][key] = ["x"]
+            return f"transitions[{i}].assignments[{key!r}]"
+        t[field] = ["x"]
+        return f"transitions[{i}].{field}"
+    i, j, n = node({"access": "access", "library": "library"}.get(field, "tasklet"))
+    if field == "access":
+        n["container"] = ["x"]
+        return f"states[{i}].nodes[{j}].container"
+    if field == "code_text":
+        n["code"][0][1] = ["x"]
+        return f"states[{i}].nodes[{j}].code[0][1]"
+    n["name"] = ["x"]
+    return f"states[{i}].nodes[{j}].name"
+
+
+TEXT_FIELDS = {
+    "tasklet": "jacobi_1d", "access": "jacobi_1d", "container": "jacobi_1d",
+    "symbol": "jacobi_1d", "library": "doitgen", "src": "jacobi_1d", "dst": "jacobi_1d",
+    "condition": "jacobi_1d", "assignment": "jacobi_1d", "start": "jacobi_1d",
+    "code_text": "jacobi_1d",
+}
+
+
+@pytest.mark.parametrize("field", sorted(TEXT_FIELDS))
+def test_non_string_text_is_a_schema_error(field):
+    """A tasklet or library node name, an access node's container, a
+    container or symbol name, a transition's ends, condition or
+    assignment, the start state or a tasklet's code text that is not a
+    string is refused with its field path, where it used to load (a
+    tasklet name), reach the validator under a misleading diagnostic (a
+    container) or fail as a generic document error."""
+    doc = json.loads(serialize(compile_kernel(TEXT_FIELDS[field])))
+    path = re.escape(junk_text(doc, field))
+    with pytest.raises(SchemaError, match=rf"^{path} is \['x'\], not a string$"):
+        from_dict(doc)
+
+
+def test_absent_names_and_null_conditions_load():
+    """A tasklet or library node without a name, and a transition whose
+    condition is null, still load."""
+    for kernel in ("jacobi_1d", "doitgen"):
+        doc = json.loads(serialize(compile_kernel(kernel)))
+        for st in doc["states"]:
+            for n in st["nodes"]:
+                n.pop("name", None)
+        for t in doc["transitions"]:
+            if not t["condition"]:
+                t["condition"] = None
+        g = from_dict(doc)
+        names = {n.name for st in g.states for n in st.nodes.values() if hasattr(n, "name")}
+        assert names <= {"t", ""}

@@ -9,7 +9,11 @@ transitions) once per content, container shapes and options, into a
 the bindings that found a program find it again without re-sizing.  Each
 tasklet, library node and copy is one generated function whose subset
 evaluation, bounds checks and byte counts come from one line writer (see
-:func:`_access_lines`).  The compiled functions are built once per program
+:func:`_access_lines`).  Each state is one generated state function that
+runs its steps, takes the first transition out of it that holds and returns
+the plan of its destination, linked on first use, so running the state
+machine is calling one function per state (see
+:meth:`Machine._state_function`).  The compiled functions are built once per program
 and never rebound: each takes the run's environment, which holds the run's
 store arrays, counters and machine under keys no name can equal, so a run
 only calls them.  A map whose body is tasklets over affine point memlets
@@ -276,9 +280,12 @@ class Machine:
     program keeps every plan across runs: a state is planned on its first
     execution (its edges are indexed by node, and every node that does work
     becomes a step: a generated tasklet, copy or library call, or a map
-    launch), and each map on its first launch.  A step reads what it needs
-    of the run from the environment it is called with, so executing a map
-    point only calls compiled code."""
+    launch; its steps and transitions become its state function), and each
+    map on its first launch.  :meth:`run` calls :meth:`exec_state` on each
+    state's plan, which returns the next one, within the transition budget
+    ``MAX_TRANSITIONS``.  A step reads what it needs of the run from the
+    environment it is called with, so executing a map point only calls
+    compiled code."""
 
     def __init__(self, g: Sdfg, ctx: ExecContext, options: InterpOptions | None = None):
         self.g = g
@@ -353,40 +360,42 @@ class Machine:
 
     def run(self) -> Iterator[CommEvent]:
         self.prepare()
-        sym, program = self.sym, self.program
+        sym = self.sym
         # the machine is in its environment only while it runs, so that no
         # reference cycle outlives the run and keeps its arrays
         sym[_MACHINE] = self
         try:
-            current = self.g.start
-            steps = 0
-            while current is not None:
-                plan = program.plans.get(current)
-                if plan is None:
-                    i = program.index.get(current)
-                    if i is None:
-                        raise KeyError(f"no state '{current}'")
-                    plan = program.plans[current] = self._plan_state(i)
-                events = self.exec_state(plan)
-                if events:
-                    yield from events
-                if not plan.leaving:
-                    break
-                nxt = None
-                for holds, assignments, dst in plan.leaving:
-                    if holds is None or holds(sym):
-                        for k, fn in assignments:
-                            sym[k] = fn(sym)
-                        nxt = dst
-                        break
-                if nxt is None:
-                    raise InterpreterError(f"no transition taken out of state '{current}'")
-                current = nxt
-                steps += 1
-                if steps > MAX_TRANSITIONS:
+            plan = self._plan(self.g.start)
+            budget, taken = MAX_TRANSITIONS, -1
+            while plan is not None:
+                taken += 1
+                if taken > budget:
                     raise InterpreterError("transition budget exceeded (infinite loop?)")
+                if plan.events:
+                    plan = yield from self.exec_state(plan)
+                else:
+                    plan = self.exec_state(plan)
         finally:
             del sym[_MACHINE]
+
+    def _plan(self, label: str) -> "_StatePlan":
+        """The plan of state ``label``, made on the state's first execution
+        in this run's program."""
+        program = self.program
+        plan = program.plans.get(label)
+        if plan is None:
+            i = program.index.get(label)
+            if i is None:
+                raise KeyError(f"no state '{label}'")
+            plan = program.plans[label] = self._plan_state(i)
+        return plan
+
+    def _link(self, plan: "_StatePlan", j: int, label: str) -> "_StatePlan":
+        """The plan of state ``label``, the destination of transition ``j``
+        out of ``plan``, kept as that transition's successor: a state
+        function links each successor on the first run that takes it."""
+        nxt = plan.successors[j] = self._plan(label)
+        return nxt
 
     # -- data movement -------------------------------------------------------------
 
@@ -414,18 +423,17 @@ class Machine:
 
     # -- state execution -------------------------------------------------------------
 
-    def exec_state(self, plan: "_StatePlan") -> Iterable[CommEvent]:
-        """Execute one state by its plan.  A state that can reach a
-        communication node returns a generator of its events, which runs the
-        state as it is driven; any other state runs at once and returns
-        ``()``.  The state's environment is the symbol table, which no step
-        writes and no transition changes before the state is done."""
-        env = self.sym
+    def exec_state(self, plan: "_StatePlan") -> "_StatePlan | None | Iterator[CommEvent]":
+        """Execute one state by its plan and take the first transition out
+        of it that holds; returns the successor's plan, or None when no
+        transition leaves the state.  A state that can reach a communication
+        node returns instead a generator of its events, which runs the state
+        as it is driven and returns the successor's plan.  The state's
+        environment is the symbol table, which no step writes and no
+        transition changes before the state's steps are done."""
         if plan.events:
-            return _drive(plan.top, env)
-        for fn in plan.top:
-            fn(env)
-        return ()
+            return _drive_state(plan, self.sym)
+        return plan.run(self.sym)
 
     def exec_map(self, plan: "_StatePlan", nid: int, env) -> Iterable[CommEvent]:
         """One launch of map ``nid`` of ``plan``, planning the map first if
@@ -479,13 +487,82 @@ class Machine:
     def _plan_state(self, i: int) -> "_StatePlan":
         facts = self._facts(i)
         plan = _StatePlan(i, facts)
-        plan.top = self._scope_steps(facts, plan, None, facts.scopes[None])
-        shapes = self.program.shapes
-        plan.leaving = [
-            (None if t.condition is None else _compile_condition(t.condition, shapes),
-             [(k, _compile_sym(v)) for k, v in t.assignments.items()], t.dst)
-            for t in self.g.transitions if t.src == plan.label]
+        if plan.events:
+            plan.top = self._scope_steps(facts, plan, None, facts.scopes[None])
+        plan.run = self._state_function(facts, plan)
         return plan
+
+    def _state_function(self, facts: StateFacts, plan: "_StatePlan") -> Callable:
+        """The state function of ``plan``, one generated function ``fn(env)``
+        that returns the successor's plan.  It calls the state's top-level
+        steps in order, launching each map through ``exec_map`` of the
+        machine in the environment, looked up at each launch.  Then it tries
+        the transitions that leave the state in graph order: a condition's
+        names resolve first, each to a symbol or else to a container's
+        value, and the first transition that holds applies its assignments
+        in order, each seeing those before it, and returns its successor
+        (linked on first use, see :meth:`_link`).  It returns None when no
+        transition leaves the state and raises when none holds.  A state
+        that can raise events gets the function without steps: its steps
+        are ``plan.top``, which :meth:`exec_state` drives."""
+        src = _Source()
+        machine, p = src.env(_MACHINE), src.value(plan)
+        if not plan.events:
+            for node in facts.scopes[None]:
+                if self._root_only(facts, node):
+                    continue
+                if isinstance(node, MapEntry):
+                    src.lines.append(f"{machine}.exec_map({p}, {src.value(node.nid)}, _e)")
+                    continue
+                src.lines += [f"{src.value(fn)}(_e)" for fn in self._node_steps(facts, plan, node)]
+        leaving = [t for t in self.g.transitions if t.src == plan.label]
+        plan.successors, names = [None] * len(leaving), {}
+        slots = src.value(plan.successors)
+        for j, t in enumerate(leaving):
+            pad = ""
+            if t.condition is not None:
+                src.lines.append(f"if {self._condition(src, t.condition, names)}:")
+                pad = "    "
+            for k, v in t.assignments.items():
+                where = src.value(f" in the assignment to '{k}' on transition "
+                                  f"'{t.src}' -> '{t.dst}'")
+                src.lines += [f"{pad}try:", f"{pad}    _e[{src.value(k)}] = {src.sym(v)}",
+                              f"{pad}except KeyError as _x:",
+                              f"{pad}    raise _unbound_symbol(_x, {where}) from None"]
+            slot = src.value(j)
+            src.lines.append(f"{pad}return {slots}[{slot}] or "
+                             f"{machine}._link({p}, {slot}, {src.value(t.dst)})")
+            if t.condition is None:
+                break
+        else:
+            if leaving:
+                fail = _raiser(InterpreterError(
+                    f"no transition taken out of state '{plan.label}'"))
+                src.lines.append(f"{src.value(fail)}(_e)")
+        return src.build("_e")
+
+    def _condition(self, src: "_Source", cond: texpr.TExpr, names: dict[str, str]) -> str:
+        """Append to ``src`` the resolution of each name of ``cond`` that
+        ``names`` (each name the state function resolved so far, and its
+        variable) lacks, to a symbol or else to a container's value, and
+        return the condition's code; a condition that cannot be written
+        fails when evaluated."""
+        shapes = self.program.shapes
+        for name in sorted(cond.free_names()):
+            if name in names:
+                continue
+            var = names[name] = f"_c{len(names)}"
+            key = src.value(name)
+            if name in shapes:
+                src.lines.append(
+                    f"{var} = _e[{key}] if {key} in _e else {src.env(_array(name))}[()]")
+            else:
+                src.lines += ["try:", f"    {var} = _e[{key}]", "except KeyError:",
+                              f"    raise _unknown_name({key}) from None"]
+        try:
+            return src.texpr(cond, names)
+        except (KeyError, TypeError, ValueError) as ex:  # raised when evaluated
+            return f"{src.value(_raiser(ex))}(_e)"
 
     def _plan_map(self, plan: "_StatePlan", nid: int) -> "_MapPlan":
         """A map's plan, made on its first launch.  The maps inside a map
@@ -508,15 +585,16 @@ class Machine:
 
     def _scope_steps(self, facts: StateFacts, plan: "_StatePlan", scope: MapEntry | None,
                      members) -> list:
-        steps = []
-        for node in members:
-            if scope is None and self._root_only(facts, node):
-                continue
-            try:
-                steps += self._steps(facts, plan, node)
-            except Exception as ex:  # a malformed node fails when it executes
-                steps.append(_raiser(ex))
-        return steps
+        return [fn for node in members
+                if scope is not None or not self._root_only(facts, node)
+                for fn in self._node_steps(facts, plan, node)]
+
+    def _node_steps(self, facts: StateFacts, plan: "_StatePlan", node) -> list:
+        """:meth:`_steps`, or a step that raises for a malformed node."""
+        try:
+            return self._steps(facts, plan, node)
+        except Exception as ex:  # a malformed node fails when it executes
+            return [_raiser(ex)]
 
     def _vector_launch(self, facts: StateFacts, scope: MapEntry) -> Callable | None:
         """The map's vector launch (see :func:`_compile_vector`), or None when
@@ -716,6 +794,14 @@ def _drive(steps: list[Callable], env) -> Iterator[CommEvent]:
             yield from events
 
 
+def _drive_state(plan: "_StatePlan", env) -> Iterator[CommEvent]:
+    """:meth:`Machine.exec_state` for a state that can raise events: its
+    steps, driven, then its state function, which returns the successor's
+    plan."""
+    yield from _drive(plan.top, env)
+    return plan.run(env)
+
+
 def _drive_points(points, names, steps, env, counters: Counters) -> Iterator[CommEvent]:
     """:meth:`Machine._run_points` for a scope that can raise events."""
     for point in points:
@@ -846,17 +932,21 @@ class Program:
 class _StatePlan:
     """A state's plan: its index and label, the scopes that can raise events
     (by map entry id, None for the top level; ``events``: whether the top
-    level can), the steps of its top level, the transitions that leave it
-    as ``(condition, assignments, destination)``, compiled, and the
-    :class:`_MapPlan` of each map launched so far, by entry id.  A step
-    takes the environment and returns None or an iterable of events."""
+    level can), its state function (``run``, see
+    :meth:`Machine._state_function`), the plan of the destination of each
+    transition that leaves it (``successors``, in graph order, None until a
+    run first takes it), the steps of its top level if it can raise events,
+    and the :class:`_MapPlan` of each map launched so far, by entry id.  A
+    step takes the environment and returns None or an iterable of
+    events."""
 
     def __init__(self, index: int, facts: StateFacts):
         self.index, self.label = index, facts.state.label
         self.event_scopes = _event_scopes(facts)
         self.events = None in self.event_scopes
+        self.run: Callable | None = None
+        self.successors: list[_StatePlan | None] = []
         self.top: list = []
-        self.leaving: list[tuple] = []
         self.maps: dict[int, _MapPlan] = {}
 
 
@@ -896,12 +986,19 @@ def _fdiv(a: int, b: int) -> int:
     return a // b
 
 
-def _unbound_symbol(ex: KeyError) -> KeyError:
-    return KeyError(f"unbound symbol '{ex.args[0]}'")
+def _unbound_symbol(ex: KeyError, where: str = "") -> InterpreterError:
+    """The error of a symbol the environment does not bind, raised where a
+    generated function catches the environment's ``KeyError``; ``where``
+    ends the message."""
+    return InterpreterError(f"unbound symbol '{ex.args[0]}'{where}")
 
 
-def _unbound_name(ex: KeyError) -> KeyError:
-    return KeyError(f"unbound name '{ex.args[0]}' in scalar expression")
+def _unbound_name(ex: KeyError) -> InterpreterError:
+    return InterpreterError(f"unbound name '{ex.args[0]}' in scalar expression")
+
+
+def _unknown_name(name: str) -> InterpreterError:
+    return InterpreterError(f"condition references unknown name '{name}'")
 
 
 def _raiser(ex: BaseException) -> Callable:
@@ -923,6 +1020,7 @@ _GLOBALS = {
     "_range": range, "_bool": bool, "_min": min, "_max": max, "_fdiv": _fdiv,
     "_minimum": np.minimum, "_maximum": np.maximum,
     "_unbound_symbol": _unbound_symbol, "_unbound_name": _unbound_name,
+    "_unknown_name": _unknown_name,
     "Exception": Exception, "_len": len, "_f64": np.float64, "_bcast": np.broadcast_to,
     "_concat": np.concatenate, "_contig": np.ascontiguousarray, "_asarray": np.asarray,
 }
@@ -999,30 +1097,11 @@ def _value_names(n: int) -> str:
 
 @functools.lru_cache(maxsize=1024)
 def _compile_sym(e: SymExpr) -> Callable:
-    """``fn(env) -> int``, raising symbolic's unbound-symbol KeyError.
-    Cached: the function binds nothing but ``e``."""
+    """``fn(env) -> int``, raising :class:`InterpreterError` on an unbound
+    symbol.  Cached: the function binds nothing but ``e``."""
     src = _Source()
     src.lines = [f"try:", f"    return {src.sym(e)}", "except KeyError as _x:",
                  "    raise _unbound_symbol(_x) from None"]
-    return src.build("_e")
-
-
-def _compile_condition(cond: texpr.TExpr, shapes: Mapping[str, tuple]) -> Callable:
-    """``fn(sym) -> bool``.  Every name of the condition is resolved first,
-    to a symbol or else to a container's scalar value, and then the
-    condition is evaluated like a tasklet body."""
-    src, conns = _Source(), {}
-    for i, name in enumerate(cond.free_names()):
-        key = src.value(name)
-        unknown = InterpreterError(f"condition references unknown name '{name}'")
-        other = (f"{src.env(_array(name))}[()]" if name in shapes
-                 else f"{src.value(_raiser(unknown))}(None)")
-        src.lines.append(f"_c{i} = _e[{key}] if {key} in _e else {other}")
-        conns[name] = f"_c{i}"
-    try:
-        src.lines.append(f"return _bool({src.texpr(cond, conns)})")
-    except (KeyError, TypeError, ValueError) as ex:  # raised when evaluated
-        src.lines.append(f"{src.value(_raiser(ex))}(None)")
     return src.build("_e")
 
 

@@ -179,18 +179,23 @@ def serialize(g: Sdfg) -> str:
     return json.dumps(to_dict(g), indent=2) + "\n"
 
 
-def _text(value, path: str, *indices: int) -> str:
-    """``value``, which must be a string: the text at the field ``path`` of
-    the document, whose ``{}`` the ``indices`` fill (only for the message)."""
-    if not isinstance(value, str):
-        raise SchemaError(f"{path.format(*indices)} is {value!r}, not a string")
+def _typed(value, kind: type, what: str, path: str, *indices: int):
+    """``value``, which must be a ``kind`` (``what`` in the message; a bool
+    is no integer): the value at the field ``path`` of the document, whose
+    ``{}`` the ``indices`` fill (only for the message)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise SchemaError(f"{path.format(*indices)} is {value!r}, not {what}")
     return value
 
 
+def _text(value, path: str, *indices: int) -> str:
+    """``value``, which must be a string (see :func:`_typed`)."""
+    return _typed(value, str, "a string", path, *indices)
+
+
 def _texts(values, path: str, *indices: int) -> tuple[str, ...]:
-    """``values``, which must be a list of strings (see :func:`_text`)."""
-    if not isinstance(values, list):
-        raise SchemaError(f"{path.format(*indices)} is {values!r}, not a list")
+    """``values``, which must be a list of strings (see :func:`_typed`)."""
+    _typed(values, list, "a list", path, *indices)
     return tuple(_text(v, path + "[{}]", *indices, k) for k, v in enumerate(values))
 
 
@@ -200,6 +205,8 @@ def _state_from_json(d: dict, i: int) -> State:
     pending_exits: list[tuple[MapExit, int]] = []
     for j, nd in enumerate(d["nodes"]):
         t = nd["type"]
+        # edges name nodes by position: an absent id loads, a junk one does not
+        _typed(nd.get("id", j), int, "an integer", "states[{}].nodes[{}].id", i, j)
         if t == "access":
             node = AccessNode(_text(nd["container"], "states[{}].nodes[{}].container", i, j))
         elif t == "tasklet":
@@ -218,14 +225,17 @@ def _state_from_json(d: dict, i: int) -> State:
                 rng = _text(rng, "states[{}].nodes[{}].params[{}][1]", i, j, k)
                 sub = symbolic.parse_subset(rng)
                 params.append((p, sub.dims[0]))
-            node = MapEntry(tuple(params), Schedule(nd["schedule"]), nd.get("tiled", False))
+            node = MapEntry(tuple(params), Schedule(nd["schedule"]),
+                            _typed(nd.get("tiled", False), bool, "a boolean",
+                                   "states[{}].nodes[{}].tiled", i, j))
         elif t == "map_exit":
             node = MapExit(None)  # type: ignore[arg-type]
             pending_exits.append((node, nd["entry"]))
         elif t == "library":
             node = LibraryNode(LibKind(nd["kind"]),
                                _text(nd.get("name", ""), "states[{}].nodes[{}].name", i, j),
-                               _attr_from_json(nd.get("attrs", {})))
+                               _attr_from_json(_typed(nd.get("attrs", {}), dict, "an object",
+                                                      "states[{}].nodes[{}].attrs", i, j)))
         elif t == "nested":
             node = NestedSdfg(
                 from_dict(nd["sdfg"]),

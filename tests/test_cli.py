@@ -453,3 +453,25 @@ def test_non_string_text_is_one_line(command, field, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"{path} is ") and "not a string" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", ["attrs", "id", "tiled_list", "tiled_string"])
+@pytest.mark.parametrize("command", ["show", "optimize", "emit"])
+def test_node_attribute_of_the_wrong_type_is_one_line(command, field, tmp_path, capsys):
+    """A lowered document with list-valued library ``attrs``, a string
+    node ``id`` or a map entry's ``tiled`` that is no boolean is refused by
+    the loader in one line that names the field, where ``attrs`` ended in
+    an ``AttributeError`` traceback and the others loaded."""
+    from test_serialize import NODE_ATTRIBUTES, junk_attribute
+
+    kernel = NODE_ATTRIBUTES[field][0]
+    graph = tmp_path / f"{kernel}.sdfg.json"
+    assert main(["parse", str(CORPUS / f"{kernel}.dpy"), "-o", str(graph)]) == 0
+    doc = json.loads(graph.read_text())
+    path = junk_attribute(doc, field)
+    graph.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, str(graph), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"{path} is ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

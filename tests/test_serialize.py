@@ -271,3 +271,47 @@ def test_absent_names_and_null_conditions_load():
         g = from_dict(doc)
         names = {n.name for st in g.states for n in st.nodes.values() if hasattr(n, "name")}
         assert names <= {"t", ""}
+
+
+def junk_attribute(doc: dict, field: str) -> str:
+    """Put a value of the wrong type where ``doc``, a lowered document, holds
+    the node attribute ``field`` (``attrs`` of a library node, ``tiled`` of
+    a map entry as a string or a list, or a node's ``id``); returns the
+    path of the field it changed."""
+    kind = {"attrs": "library", "id": "access"}.get(field, "map_entry")
+    i, j, node = next((i, j, n) for i, st in enumerate(doc["states"])
+                      for j, n in enumerate(st["nodes"]) if n["type"] == kind)
+    if field == "attrs":
+        node["attrs"] = []
+    elif field == "id":
+        node["id"] = str(node["id"])
+    else:
+        node["tiled"] = "yes" if field == "tiled_string" else [True]
+        field = "tiled"
+    return f"states[{i}].nodes[{j}].{field}"
+
+
+NODE_ATTRIBUTES = {"attrs": ("gemm", "an object"), "id": ("jacobi_1d", "an integer"),
+                   "tiled_list": ("jacobi_1d", "a boolean"),
+                   "tiled_string": ("jacobi_1d", "a boolean")}
+
+
+@pytest.mark.parametrize("field", sorted(NODE_ATTRIBUTES))
+def test_node_attribute_of_the_wrong_type_is_a_schema_error(field):
+    """A library node's ``attrs`` that is not an object, a map entry's
+    ``tiled`` that is not a boolean and a node ``id`` that is not an integer
+    are refused with the field path, where the first ended ``show``,
+    ``optimize`` and ``emit`` in ``AttributeError`` and the others loaded."""
+    kernel, what = NODE_ATTRIBUTES[field]
+    doc = json.loads(serialize(compile_kernel(kernel)))
+    path = re.escape(junk_attribute(doc, field))
+    with pytest.raises(SchemaError, match=rf"^{path} is .*, not {what}$"):
+        from_dict(doc)
+
+
+def test_a_tiled_map_entry_loads():
+    doc = json.loads(serialize(compile_kernel("jacobi_1d")))
+    node = next(n for st in doc["states"] for n in st["nodes"] if n["type"] == "map_entry")
+    node["tiled"] = True
+    assert any(n.tiled for st in from_dict(doc).states for n in st.nodes.values()
+               if hasattr(n, "tiled"))

@@ -12,8 +12,9 @@ evaluation, bounds checks and byte counts come from one line writer (see
 :func:`_access_lines`).  Each state is one generated state function that
 runs its steps, takes the first transition out of it that holds and returns
 the plan of its destination, linked on first use, so running the state
-machine is calling one function per state (see
-:meth:`Machine._state_function`).  The compiled functions are built once per program
+machine is calling one function per state; the function of a loop's head
+runs the loop's states inline and starts over, and launches its maps
+without a method call (see :meth:`Machine._state_function`).  The compiled functions are built once per program
 and never rebound: each takes the run's environment, which holds the run's
 store arrays, counters and machine under keys no name can equal, so a run
 only calls them.  A map whose body is tasklets over affine point memlets
@@ -278,12 +279,15 @@ class Machine:
     puts each store array and the counters into the run's environment, the
     symbol table; :meth:`run` adds the machine itself while it runs.  The
     program keeps every plan across runs: a state is planned on its first
-    execution (its edges are indexed by node, and every node that does work
-    becomes a step: a generated tasklet, copy or library call, or a map
-    launch; its steps and transitions become its state function), and each
-    map on its first launch.  :meth:`run` calls :meth:`exec_state` on each
+    execution, or with the loop that inlines it (its edges are indexed by
+    node, and every node that does work becomes a step: a generated
+    tasklet, copy or library call, or a map launch; its steps and
+    transitions become its state function).  A map is planned with the
+    steps of its scope: a top-level map with its state, an inner map on
+    the first per-point launch of the map around it.  :meth:`run` calls :meth:`exec_state` on each
     state's plan, which returns the next one, within the transition budget
-    ``MAX_TRANSITIONS``.  A step reads what it needs of the run from the
+    ``MAX_TRANSITIONS``; the state function of a loop's head runs the whole
+    loop in one call.  A step reads what it needs of the run from the
     environment it is called with, so executing a map point only calls
     compiled code."""
 
@@ -359,35 +363,41 @@ class Machine:
     # -- state machine -----------------------------------------------------------
 
     def run(self) -> Iterator[CommEvent]:
+        """Run the state machine from the start state: call
+        :meth:`exec_state` on each state's plan, which returns the next
+        one, until a state returns None.  The run may take
+        ``MAX_TRANSITIONS`` transitions, read when it starts; it raises
+        before it executes the state that one more would lead to.  What is
+        left of the budget is in the environment, where a state function
+        that runs a loop counts the transitions it takes itself."""
         self.prepare()
         sym = self.sym
         # the machine is in its environment only while it runs, so that no
-        # reference cycle outlives the run and keeps its arrays
-        sym[_MACHINE] = self
+        # reference cycle outlives the run and keeps its arrays; the budget
+        # counts the start state as one transition
+        sym[_MACHINE], sym[_LEFT] = self, MAX_TRANSITIONS + 1
         try:
             plan = self._plan(self.g.start)
-            budget, taken = MAX_TRANSITIONS, -1
             while plan is not None:
-                taken += 1
-                if taken > budget:
-                    raise InterpreterError("transition budget exceeded (infinite loop?)")
+                left = sym[_LEFT] = sym[_LEFT] - 1
+                if left < 0:
+                    raise _exceeded()
                 if plan.events:
                     plan = yield from self.exec_state(plan)
                 else:
                     plan = self.exec_state(plan)
         finally:
-            del sym[_MACHINE]
+            del sym[_MACHINE], sym[_LEFT]
 
     def _plan(self, label: str) -> "_StatePlan":
         """The plan of state ``label``, made on the state's first execution
-        in this run's program."""
-        program = self.program
-        plan = program.plans.get(label)
+        in this run's program (or with the loop that inlines it)."""
+        plan = self.program.plans.get(label)
         if plan is None:
-            i = program.index.get(label)
+            i = self.program.index.get(label)
             if i is None:
                 raise KeyError(f"no state '{label}'")
-            plan = program.plans[label] = self._plan_state(i)
+            plan = self._plan_state(i)
         return plan
 
     def _link(self, plan: "_StatePlan", j: int, label: str) -> "_StatePlan":
@@ -426,27 +436,24 @@ class Machine:
     def exec_state(self, plan: "_StatePlan") -> "_StatePlan | None | Iterator[CommEvent]":
         """Execute one state by its plan and take the first transition out
         of it that holds; returns the successor's plan, or None when no
-        transition leaves the state.  A state that can reach a communication
-        node returns instead a generator of its events, which runs the state
-        as it is driven and returns the successor's plan.  The state's
-        environment is the symbol table, which no step writes and no
-        transition changes before the state's steps are done."""
+        transition leaves the state.  A state at the head of a loop (see
+        :meth:`_state_function`) runs the loop's states within this one
+        call and returns the plan of the state its loop leaves to.  A state
+        that can reach a communication node returns instead a generator of
+        its events, which runs the state as it is driven and returns the
+        successor's plan.  The state's environment is the symbol table,
+        which no step writes and no transition changes before the state's
+        steps are done."""
         if plan.events:
             return _drive_state(plan, self.sym)
         return plan.run(self.sym)
 
-    def exec_map(self, plan: "_StatePlan", nid: int, env) -> Iterable[CommEvent]:
-        """One launch of map ``nid`` of ``plan``, planning the map first if
-        no run has launched it yet.  A map with a vector launch runs all its
-        points at once if that launch succeeds; otherwise the scope's steps
-        run once per point.  Returns the events of the per-point steps, as
-        :meth:`exec_state` does."""
-        mp = plan.maps.get(nid)
-        if mp is None:
-            mp = plan.maps[nid] = self._plan_map(plan, nid)
-        if mp.vector is not None and mp.vector(env):
-            return ()
-        return self._run_points(mp, env)
+    def exec_map(self, mp: "_MapPlan", env) -> Iterable[CommEvent]:
+        """One launch of a planned map, as its launch step makes it (see
+        :func:`_launch_step`).  Steps and state functions launch maps
+        without this method; it stays for callers outside the interpreter
+        (``bench/tracing.py`` patches it by name)."""
+        return _launch_step(mp)(env)
 
     def _run_points(self, mp: "_MapPlan", env) -> Iterable[CommEvent]:
         """Run the scope's steps once per point, in lexicographic order: at
@@ -485,68 +492,130 @@ class Machine:
         return facts
 
     def _plan_state(self, i: int) -> "_StatePlan":
+        """Plan state ``i`` and keep its plan in the program before its
+        state function is written, so that the loops it heads and the loops
+        it is a state of can both inline it."""
         facts = self._facts(i)
-        plan = _StatePlan(i, facts)
+        plan = self.program.plans[facts.state.label] = _StatePlan(i, facts)
+        plan.top = self._scope_steps(facts, plan, None, facts.scopes[None])
         if plan.events:
-            plan.top = self._scope_steps(facts, plan, None, facts.scopes[None])
-        plan.run = self._state_function(facts, plan)
+            plan.top = _launches(plan.top)
+        plan.run = self._state_function(plan)
         return plan
 
-    def _state_function(self, facts: StateFacts, plan: "_StatePlan") -> Callable:
+    def _state_function(self, plan: "_StatePlan") -> Callable:
         """The state function of ``plan``, one generated function ``fn(env)``
-        that returns the successor's plan.  It calls the state's top-level
-        steps in order, launching each map through ``exec_map`` of the
-        machine in the environment, looked up at each launch.  Then it tries
-        the transitions that leave the state in graph order: a condition's
-        names resolve first, each to a symbol or else to a container's
-        value, and the first transition that holds applies its assignments
-        in order, each seeing those before it, and returns its successor
-        (linked on first use, see :meth:`_link`).  It returns None when no
-        transition leaves the state and raises when none holds.  A state
-        that can raise events gets the function without steps: its steps
-        are ``plan.top``, which :meth:`exec_state` drives."""
+        that returns the successor's plan.  It runs the state's top-level
+        steps in order, each map launched inline as its launch step would
+        (see :func:`_launch_step`).  Then it tries the transitions that
+        leave the state in graph order: a condition's names resolve first,
+        each to a symbol or else to a container's value, and the first
+        transition that holds applies its assignments in order, each seeing
+        those before it, and returns its successor (linked on first use,
+        see :meth:`_link`).  It returns None when no transition leaves the
+        state and raises when none holds.
+
+        A transition that comes back to the state through a chain of
+        states, each of which can raise no event and leaves by its one
+        transition, which is unconditional, is a loop: the function runs
+        the chain's steps and assignments inline and starts over, counting
+        each transition against the budget that :meth:`run` keeps in the
+        environment, so that it raises where :meth:`run` would.  A state
+        whose first transition is unconditional heads no loop: it always
+        takes that transition, so a loop back to it ends only in an error,
+        and in a cycle of such states each would inline all the others.  A
+        state that can raise events gets the function without steps or
+        loops: its steps are ``plan.top``, which :meth:`exec_state`
+        drives."""
         src = _Source()
         machine, p = src.env(_MACHINE), src.value(plan)
-        if not plan.events:
-            for node in facts.scopes[None]:
-                if self._root_only(facts, node):
-                    continue
-                if isinstance(node, MapEntry):
-                    src.lines.append(f"{machine}.exec_map({p}, {src.value(node.nid)}, _e)")
-                    continue
-                src.lines += [f"{src.value(fn)}(_e)" for fn in self._node_steps(facts, plan, node)]
-        leaving = [t for t in self.g.transitions if t.src == plan.label]
+        leaving = self.g.out_transitions(plan.label)
+        tried = next((j + 1 for j, t in enumerate(leaving) if t.condition is None),
+                     len(leaving))
+        heads = not plan.events and bool(leaving) and leaving[0].condition is not None
+        chains = [self._chain(plan.label, t) if heads else None for t in leaving[:tried]]
+        loops = any(c is not None for c in chains)
+        lines = [] if plan.events else self._top_lines(src, plan)
         plan.successors, names = [None] * len(leaving), {}
         slots = src.value(plan.successors)
-        for j, t in enumerate(leaving):
+        count = ["_l -= 1", "if _l < 0:", "    raise _exceeded()"]
+        for j, (t, chain) in enumerate(zip(leaving, chains)):
             pad = ""
             if t.condition is not None:
-                src.lines.append(f"if {self._condition(src, t.condition, names)}:")
+                lines.append(f"if {self._condition(src, t.condition, names, lines)}:")
                 pad = "    "
-            for k, v in t.assignments.items():
-                where = src.value(f" in the assignment to '{k}' on transition "
-                                  f"'{t.src}' -> '{t.dst}'")
-                src.lines += [f"{pad}try:", f"{pad}    _e[{src.value(k)}] = {src.sym(v)}",
-                              f"{pad}except KeyError as _x:",
-                              f"{pad}    raise _unbound_symbol(_x, {where}) from None"]
-            slot = src.value(j)
-            src.lines.append(f"{pad}return {slots}[{slot}] or "
+            block = self._assignments(src, t)
+            if chain is None:
+                slot = src.value(j)
+                if loops:
+                    block.append(f"{src.env(_LEFT)} = _l")
+                block.append(f"return {slots}[{slot}] or "
                              f"{machine}._link({p}, {slot}, {src.value(t.dst)})")
-            if t.condition is None:
-                break
-        else:
-            if leaving:
-                fail = _raiser(InterpreterError(
-                    f"no transition taken out of state '{plan.label}'"))
-                src.lines.append(f"{src.value(fail)}(_e)")
+            else:
+                block += count
+                for label in chain:
+                    inner = self._plan(label)
+                    block += self._top_lines(src, inner)
+                    block += self._assignments(src, self.g.out_transitions(label)[0])
+                    block += count
+                block.append("continue")
+            lines += [pad + line for line in block]
+        if leaving and leaving[tried - 1].condition is not None:
+            fail = _raiser(InterpreterError(f"no transition taken out of state '{plan.label}'"))
+            lines.append(f"{src.value(fail)}(_e)")
+        if loops:
+            lines = [f"_l = {src.env(_LEFT)}", "while True:", *("    " + x for x in lines)]
+        src.lines = lines
         return src.build("_e")
 
-    def _condition(self, src: "_Source", cond: texpr.TExpr, names: dict[str, str]) -> str:
-        """Append to ``src`` the resolution of each name of ``cond`` that
+    def _chain(self, head: str, t) -> list[str] | None:
+        """The labels of the states that transition ``t`` out of ``head``
+        leads through before it comes back to ``head``, if each of them can
+        raise no event and leaves by its one transition, which is
+        unconditional; else None."""
+        chain, label = [], t.dst
+        while label != head:
+            leaving = self.g.out_transitions(label)
+            if (label in chain or len(leaving) != 1 or leaving[0].condition is not None
+                    or None in _event_scopes(self._facts(self.program.index[label]))):
+                return None
+            chain.append(label)
+            label = leaving[0].dst
+        return chain
+
+    def _top_lines(self, src: "_Source", plan: "_StatePlan") -> list[str]:
+        """The lines that run ``plan.top`` of a state that can raise no
+        events: a map's vector launch, and the per-point steps through the
+        machine's ``_run_points`` if it has none or it declines."""
+        lines = []
+        for step in plan.top:
+            if not isinstance(step, _MapPlan):
+                lines.append(f"{src.value(step)}(_e)")
+                continue
+            points = f"{src.env(_MACHINE)}._run_points({src.value(step)}, _e)"
+            if step.vector is None:
+                lines.append(points)
+            else:
+                lines += [f"if not {src.value(step.vector)}(_e):", f"    {points}"]
+        return lines
+
+    def _assignments(self, src: "_Source", t) -> list[str]:
+        """The lines that apply the assignments of transition ``t`` in
+        order, each seeing those before it."""
+        lines = []
+        for k, v in t.assignments.items():
+            where = src.value(f" in the assignment to '{k}' on transition "
+                              f"'{t.src}' -> '{t.dst}'")
+            lines += ["try:", f"    _e[{src.value(k)}] = {src.sym(v)}",
+                      "except KeyError as _x:", f"    raise _unbound_symbol(_x, {where}) from None"]
+        return lines
+
+    def _condition(self, src: "_Source", cond: texpr.TExpr, names: dict[str, str],
+                   lines: list[str]) -> str:
+        """Append to ``lines`` the resolution of each name of ``cond`` that
         ``names`` (each name the state function resolved so far, and its
         variable) lacks, to a symbol or else to a container's value, and
-        return the condition's code; a condition that cannot be written
-        fails when evaluated."""
+        return the condition's code."""
         shapes = self.program.shapes
         for name in sorted(cond.free_names()):
             if name in names:
@@ -554,24 +623,24 @@ class Machine:
             var = names[name] = f"_c{len(names)}"
             key = src.value(name)
             if name in shapes:
-                src.lines.append(
+                lines.append(
                     f"{var} = _e[{key}] if {key} in _e else {src.env(_array(name))}[()]")
             else:
-                src.lines += ["try:", f"    {var} = _e[{key}]", "except KeyError:",
-                              f"    raise _unknown_name({key}) from None"]
-        try:
-            return src.texpr(cond, names)
-        except (KeyError, TypeError, ValueError) as ex:  # raised when evaluated
-            return f"{src.value(_raiser(ex))}(_e)"
+                lines += ["try:", f"    {var} = _e[{key}]", "except KeyError:",
+                          f"    raise _unknown_name({key}) from None"]
+        return src.texpr(cond, names)
 
     def _plan_map(self, plan: "_StatePlan", nid: int) -> "_MapPlan":
-        """A map's plan, made on its first launch.  The maps inside a map
-        with a vector launch are planned only if a launch falls back to the
-        per-point steps, which launch them."""
+        """A map's plan, made when the steps of its scope are (see
+        :meth:`_scope_steps`) and kept in ``plan.maps``.  The maps inside a
+        map with a vector launch are planned only if a launch falls back to
+        the per-point steps."""
         facts = self._facts(plan.index)
         scope = facts.state.nodes[nid]
-        return _MapPlan(plan, nid, _compile_ranges(scope.params), scope.param_names,
-                        self._vector_launch(facts, scope), nid in plan.event_scopes)
+        mp = plan.maps[nid] = _MapPlan(plan, nid, _compile_ranges(scope.params),
+                                       scope.param_names, self._vector_launch(facts, scope),
+                                       nid in plan.event_scopes)
+        return mp
 
     def _map_steps(self, mp: "_MapPlan") -> list:
         """The per-point steps of a map, compiled on its first per-point
@@ -580,11 +649,13 @@ class Machine:
             plan = mp.plan
             facts = self._facts(plan.index)
             scope = facts.state.nodes[mp.nid]
-            mp.steps = self._scope_steps(facts, plan, scope, facts.scopes[scope])
+            mp.steps = _launches(self._scope_steps(facts, plan, scope, facts.scopes[scope]))
         return mp.steps
 
     def _scope_steps(self, facts: StateFacts, plan: "_StatePlan", scope: MapEntry | None,
                      members) -> list:
+        """The steps of a scope's members in order, each map as its
+        :class:`_MapPlan`, planned here."""
         return [fn for node in members
                 if scope is not None or not self._root_only(facts, node)
                 for fn in self._node_steps(facts, plan, node)]
@@ -631,7 +702,7 @@ class Machine:
         if isinstance(node, Tasklet):
             return [self._tasklet_step(facts, plan.label, node)]
         if isinstance(node, MapEntry):
-            return [_launch_step(plan, node.nid)]
+            return [self._plan_map(plan, node.nid)]
         if isinstance(node, MapExit):
             return []
         if isinstance(node, LibraryNode):
@@ -772,11 +843,20 @@ _REDUCE_UFUNCS = {Wcr.ADD: np.add, Wcr.MUL: np.multiply,
                   Wcr.MIN: np.minimum, Wcr.MAX: np.maximum}
 
 
-def _launch_step(plan: "_StatePlan", nid: int) -> Callable:
-    """The step that launches map ``nid`` of ``plan`` in the running
-    machine.  ``exec_map`` is looked up on each launch, never kept, so a
-    method patched on the class between runs sees every launch."""
-    return lambda env: env[_MACHINE].exec_map(plan, nid, env)
+def _launch_step(mp: "_MapPlan") -> Callable:
+    """The step that launches ``mp`` in the running machine: its vector
+    launch, else the machine's ``_run_points``, whose events it returns.
+    A state function writes the same launch inline (see
+    :meth:`Machine._top_lines`)."""
+    vector = mp.vector
+    if vector is None:
+        return lambda env: env[_MACHINE]._run_points(mp, env)
+    return lambda env: () if vector(env) else env[_MACHINE]._run_points(mp, env)
+
+
+def _launches(steps: list) -> list[Callable]:
+    """``steps`` with each :class:`_MapPlan` as its launch step."""
+    return [_launch_step(s) if isinstance(s, _MapPlan) else s for s in steps]
 
 
 def _squeeze_key(kept: list[bool] | None) -> tuple | None:
@@ -842,8 +922,9 @@ def _event_scopes(facts: StateFacts) -> frozenset:
 class _Key:
     """A key of the run's environment that no symbol, map parameter or
     container name can equal: of the array of container ``name`` (one per
-    name, see :func:`_array`), or (``_COUNTERS``, ``_MACHINE``) of the
-    counters or the machine."""
+    name, see :func:`_array`), or (``_COUNTERS``, ``_MACHINE``, ``_LEFT``)
+    of the counters, the machine or what is left of the run's transition
+    budget."""
 
     __slots__ = ("name",)
 
@@ -851,7 +932,7 @@ class _Key:
         self.name = name
 
 
-_COUNTERS, _MACHINE = _Key(None), _Key(None)
+_COUNTERS, _MACHINE, _LEFT = _Key(None), _Key(None), _Key(None)
 
 
 @functools.cache
@@ -935,10 +1016,12 @@ class _StatePlan:
     level can), its state function (``run``, see
     :meth:`Machine._state_function`), the plan of the destination of each
     transition that leaves it (``successors``, in graph order, None until a
-    run first takes it), the steps of its top level if it can raise events,
-    and the :class:`_MapPlan` of each map launched so far, by entry id.  A
-    step takes the environment and returns None or an iterable of
-    events."""
+    run first takes it), the steps of its top level (``top``: the steps
+    :meth:`Machine.exec_state` drives if it can raise events, else each
+    step's function or, for a map, its :class:`_MapPlan`, which the state
+    functions that run the state launch inline), and the :class:`_MapPlan`
+    of each map planned so far, by entry id.  A step takes the environment
+    and returns None or an iterable of events."""
 
     def __init__(self, index: int, facts: StateFacts):
         self.index, self.label = index, facts.state.label
@@ -1001,6 +1084,10 @@ def _unknown_name(name: str) -> InterpreterError:
     return InterpreterError(f"condition references unknown name '{name}'")
 
 
+def _exceeded() -> InterpreterError:
+    return InterpreterError("transition budget exceeded (infinite loop?)")
+
+
 def _raiser(ex: BaseException) -> Callable:
     """A function that raises a copy of ``ex``.  Copies carry no traceback,
     so a plan that keeps this function keeps no frame of the run that made
@@ -1020,7 +1107,7 @@ _GLOBALS = {
     "_range": range, "_bool": bool, "_min": min, "_max": max, "_fdiv": _fdiv,
     "_minimum": np.minimum, "_maximum": np.maximum,
     "_unbound_symbol": _unbound_symbol, "_unbound_name": _unbound_name,
-    "_unknown_name": _unknown_name,
+    "_unknown_name": _unknown_name, "_exceeded": _exceeded,
     "Exception": Exception, "_len": len, "_f64": np.float64, "_bcast": np.broadcast_to,
     "_concat": np.concatenate, "_contig": np.ascontiguousarray, "_asarray": np.asarray,
 }

@@ -1012,7 +1012,10 @@ def validate(g: Sdfg, facts: dict[State, StateFacts] | None = None) -> list[Diag
                         st.label, n.nid)
                 scope_params = visible[parents[n.nid]]
                 for _, code in n.code:
-                    for name in code.free_names():
+                    for what in texpr.unrendered(code):
+                        err(f"tasklet {n.name} code uses {what}, which the expression "
+                            "grammar does not render", "unknown-operator", st.label, n.nid)
+                    for name in sorted(code.free_names()):
                         if (name not in n.inputs and name not in known_names
                                 and name not in scope_params):
                             err(
@@ -1032,22 +1035,31 @@ def validate(g: Sdfg, facts: dict[State, StateFacts] | None = None) -> list[Diag
     # interstate edges
     labels = {s.label for s in g.states}
     leaving: dict[str, list[InterstateEdge]] = {}
+    textless: set[str] = set()  # states a condition of which has no text
     for t in g.transitions:
         leaving.setdefault(t.src, []).append(t)
         if t.src not in labels or t.dst not in labels:
             err(f"transition {t.src}->{t.dst} references unknown state", "unknown-state")
             continue
         if t.condition is not None:
-            for name in t.condition.free_names():
+            for what in texpr.unrendered(t.condition):
+                err(f"condition on {t.src}->{t.dst} uses {what}, which the expression "
+                    "grammar does not render", "unknown-operator")
+                textless.add(t.src)
+            for name in sorted(t.condition.free_names()):
                 if name not in known_names:
                     err(
                         f"condition on {t.src}->{t.dst} uses undeclared name '{name}'",
                         "unknown-symbol",
                     )
+                elif name in g.containers and g.containers[name].rank:
+                    # a condition reads one value: a symbol or a scalar's
+                    err(f"condition on {t.src}->{t.dst} reads array '{name}'; a condition "
+                        "reads only symbols and scalars", "condition-container")
     for st in g.states:
         outs = leaving.get(st.label, [])
         conded = [t for t in outs if t.condition is not None]
-        if conded and len(conded) == len(outs):
+        if conded and len(conded) == len(outs) and st.label not in textless:
             if not _exhaustive_conditions([t.condition for t in conded]):
                 warn(
                     f"outgoing conditions of '{st.label}' may not be exhaustive",

@@ -194,6 +194,39 @@ def to_text(e: TExpr) -> str:
     return e._text
 
 
+def unrendered(e: TExpr) -> list[str]:
+    """What in ``e`` the text form cannot render, each once in the order of
+    a walk: a binary or unary operator or a call that the grammar does not
+    parse, or a node that is no expression."""
+    out: dict[str, None] = {}
+    _unrenderable(e, out)
+    return list(out)
+
+
+def _unrenderable(x, out: dict[str, None]) -> None:
+    if isinstance(x, (TNum, TRef)):
+        return
+    if isinstance(x, TBin):
+        if x.op not in _PREC or x.op in ("not", "u-"):
+            out[f"operator {x.op!r}"] = None
+        _unrenderable(x.left, out)
+        _unrenderable(x.right, out)
+    elif isinstance(x, TUn):
+        if x.op not in ("-", "not"):
+            out[f"unary operator {x.op!r}"] = None
+        _unrenderable(x.operand, out)
+    elif isinstance(x, TSelect):
+        for y in (x.cond, x.then, x.other):
+            _unrenderable(y, out)
+    elif isinstance(x, TCall):
+        if x.fn not in _INTRINSICS:
+            out[f"call {x.fn!r}"] = None
+        for y in x.args:
+            _unrenderable(y, out)
+    else:
+        out[f"node {type(x).__name__}"] = None
+
+
 def _render(x: TExpr, parent: int) -> str:
     if isinstance(x, TNum):
         if isinstance(x.value, float):

@@ -366,6 +366,28 @@ def test_run_refuses_a_graph_that_fails_validation(tmp_path, capsys):
     assert err.endswith("[tasklet-connector]\n") and "runtime error" not in err
 
 
+def test_run_refuses_a_condition_over_an_array(tmp_path, capsys):
+    """A transition condition that reads an array is refused with the
+    validator's diagnostic, where ``run`` ended in a ``ValueError``
+    traceback (the truth value of an array)."""
+    graph = tmp_path / "jacobi_1d.sdfg.json"
+    assert main(["parse", str(CORPUS / "jacobi_1d.dpy"), "-o", str(graph)]) == 0
+    doc = json.loads(graph.read_text())
+    doc["transitions"][1]["condition"] = "A > 0.5"
+    graph.write_text(json.dumps(doc))
+    d = tmp_path / "i"
+    d.mkdir()
+    for name in "AB":
+        TensorValue.of(np.ones(8)).save(d / f"{name}.json")
+    capsys.readouterr()
+    assert main(["run", str(graph), "-s", "N=8,TSTEPS=4", "--inputs", str(d)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    # the other line warns that the guard's two conditions may not be exhaustive
+    assert lines[0] == ("error: condition on loop0_guard->s1 reads array 'A'; a condition "
+                        "reads only symbols and scalars [condition-container]")
+    assert len(lines) == 2 and lines[1].startswith("warning: ")
+
+
 @pytest.mark.parametrize("command", ["show", "optimize", "emit"])
 def test_invalid_document_is_refused(command, tmp_path, capsys):
     """A lowered document whose first state has no label names no start

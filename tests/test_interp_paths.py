@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import KERNEL_SYMBOLS, compile_kernel, corpus_source, make_inputs
-from sdfgkit import frontend
+from sdfgkit import frontend, interp
 from sdfgkit.autoopt import auto_optimize
 from sdfgkit.frontend import oracle
 from sdfgkit.interp import (
@@ -233,36 +233,41 @@ def test_nested_symbols_derived_once_per_run(monkeypatch):
 @pytest.mark.parametrize("reverse, vectorize", [(False, True), (True, True), (False, False)])
 def test_state_and_map_entry_points(optimized, states, launches, reverse, vectorize,
                                     monkeypatch):
-    # every state execution goes through Machine.exec_state and every map
-    # launch through Machine.exec_map, whether or not a state can raise
-    # events, and whether the run plans or finds plans that a run made
-    # before the methods were patched (as the benchmark's tracer patches
-    # them between passes)
+    # a run of ``states`` states takes one transition fewer, whether its
+    # loops run inside their head's state function or state by state, and
+    # whether the run plans or finds plans that a run made before: with the
+    # budget at that count the run passes, with one less it raises.  With
+    # vectorizing off every one of its ``launches`` map launches runs point
+    # by point
     symbols = KERNEL_SYMBOLS["jacobi_1d"]
     inputs = make_inputs(frontend.parse(corpus_source("jacobi_1d")), symbols, seed=0)
     g = compile_kernel("jacobi_1d")
     if optimized:
         auto_optimize(g)
-    options = InterpOptions(reverse_maps=reverse, vectorize=vectorize)
 
-    def run():
+    def run(vectorize=vectorize):
+        options = InterpOptions(reverse_maps=reverse, vectorize=vectorize)
         interpret(g.copy(), ExecContext(bindings=dict(symbols)).bind_inputs(inputs), options)
 
-    def counted_run() -> tuple[int, int]:
-        calls = []
+    def budgeted_run(budget: int) -> None:
         with monkeypatch.context() as patch:
-            for name in ("exec_state", "exec_map"):
-                method = getattr(Machine, name)
-                patch.setattr(Machine, name, lambda self, *args, _name=name, _method=method:
-                              calls.append(_name) or _method(self, *args))
+            patch.setattr(interp, "MAX_TRANSITIONS", budget)
             run()
-        return calls.count("exec_state"), calls.count("exec_map")
 
-    clear_programs()
-    assert counted_run() == (states, launches)
-    clear_programs()
-    run()
-    assert counted_run() == (states, launches)
+    for table in ("empty", "filled"):
+        clear_programs()
+        if table == "filled":
+            run()
+        budgeted_run(states - 1)
+        with pytest.raises(InterpreterError) as exc:
+            budgeted_run(states - 2)
+        assert str(exc.value) == "transition budget exceeded (infinite loop?)"
+    points = Machine._run_points
+    calls = []
+    monkeypatch.setattr(Machine, "_run_points",
+                        lambda self, mp, env: calls.append(mp) or points(self, mp, env))
+    run(vectorize=False)
+    assert len(calls) == launches
 
 
 def _nested_in_map_graph() -> Sdfg:

@@ -14,7 +14,7 @@ from sdfgkit.ir import (
 )
 from sdfgkit.serialize import deserialize, from_dict, serialize
 from sdfgkit.symbolic import Const, SubsetRange, Sym
-from sdfgkit.texpr import TBin, TNum, TRef
+from sdfgkit.texpr import TBin, TCall, TNum, TRef, TUn, parse_texpr
 
 from conftest import ALL_KERNELS, compile_kernel
 
@@ -110,6 +110,74 @@ class TestValidate:
     def test_pinned_graphs_pass_exit_connectors(self, code):
         for g in pinned_graphs():
             assert not [d for d in g.validate() if d.code == code], g.name
+
+    @pytest.mark.parametrize("condition, message", [
+        ("A > 0.5", "condition on loop0_guard->s1 reads array 'A'; a condition reads only "
+         "symbols and scalars"),
+        ("t < TSTEPS and B < 1.0", "condition on loop0_guard->s1 reads array 'B'; a "
+         "condition reads only symbols and scalars"),
+        ("t < TSTEPS", None),
+    ], ids=["array", "mixed", "symbols"])
+    def test_condition_reads_no_array(self, condition, message):
+        """``interpret`` raised a bare ``ValueError`` (the truth value of an
+        array) on a condition over an array, which validated."""
+        doc = json.loads(serialize(compile_kernel("jacobi_1d")))
+        doc["transitions"][1]["condition"] = condition
+        want = [] if message is None else [("error", "condition-container", message)]
+        assert [(d.severity, d.code, d.message) for d in from_dict(doc).validate()
+                if d.severity == "error"] == want
+
+    def test_condition_names_are_reported_in_sorted_order(self):
+        """The diagnostics of a condition's names, and a tasklet's, follow
+        the names' order, not the order of a set of them under the run's
+        hash seed."""
+        g = compile_kernel("jacobi_1d")
+        g.transitions[1].condition = parse_texpr("uu > vv + ww")
+        st, node = next((st, n) for st in g.states for n in st.nodes.values()
+                        if isinstance(n, Tasklet))
+        node.code = ((node.outputs[0], parse_texpr("zz + xx * yy")),)
+        messages = [d.message for d in g.validate() if d.severity == "error"]
+        assert messages == [f"tasklet {node.name} references unknown name '{x}'"
+                            for x in ("xx", "yy", "zz")] + [
+            f"condition on loop0_guard->s1 uses undeclared name '{x}'" for x in ("uu", "vv", "ww")]
+
+    def test_condition_reads_a_scalar(self):
+        g = compile_kernel("gemm")
+        g.add_transition(g.states[-1].label, g.start, parse_texpr("alpha > 2.0 * beta"))
+        assert not [d for d in g.validate() if d.code == "condition-container"]
+
+    @pytest.mark.parametrize("code, what", [
+        (TBin("%", TRef("in0"), TNum(2)), "operator '%'"),
+        (TUn("~", TRef("in0")), "unary operator '~'"),
+        (TCall("floor", (TRef("in0"),)), "call 'floor'"),
+        (TBin("+", TCall("sqrt", (TBin("**", TRef("in0"), TNum(2)),)), TNum(1)),
+         "operator '**'"),
+    ], ids=["modulo", "invert", "call", "inside"])
+    def test_tasklet_operator_the_grammar_renders(self, code, what):
+        g = compile_kernel("fig4_loop")
+        st, node = next((st, n) for st in g.states for n in st.nodes.values()
+                        if isinstance(n, Tasklet) and n.name == "assign_C")
+        node.code = (("out", code),)
+        assert [(d.code, d.message, d.state, d.node) for d in g.validate()] == [
+            ("unknown-operator", f"tasklet assign_C code uses {what}, which the expression "
+             "grammar does not render", st.label, node.nid)]
+
+    def test_condition_operator_the_grammar_renders(self):
+        g = compile_kernel("jacobi_1d")
+        g.transitions[1].condition = TBin("%", TRef("t"), TNum(2))
+        assert [(d.code, d.message) for d in g.validate()] == [
+            ("unknown-operator", "condition on loop0_guard->s1 uses operator '%', which the "
+             "expression grammar does not render")]
+
+    def test_pinned_graphs_pass_condition_and_operator_rules(self):
+        """Every graph the pins hold, the parsed corpus and the local-view
+        stencil read no array in a condition and use only operators the
+        grammar renders."""
+        from sdfgkit.dist.benchmark import build_graph
+        graphs = [*pinned_graphs(), *map(compile_kernel, ALL_KERNELS), build_graph()]
+        for g in graphs:
+            assert not [d for d in g.validate()
+                        if d.code in ("condition-container", "unknown-operator")], g.name
 
     @pytest.mark.parametrize("code, message", [
         ([["zz", "in0 + 1.0"]], "tasklet assign_C assigns 'zz', which is not an out-connector, "

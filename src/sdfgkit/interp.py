@@ -14,7 +14,8 @@ runs its steps, takes the first transition out of it that holds and returns
 the plan of its destination, linked on first use, so running the state
 machine is calling one function per state; the function of a loop's head
 runs the loop's states inline and starts over, and launches its maps
-without a method call (see :meth:`Machine._state_function`).  The compiled functions are built once per program
+without a method call, each vector launch that the loop leaves invariant
+set up once at the loop's entry (see :meth:`Machine._state_function`).  The compiled functions are built once per program
 and never rebound: each takes the run's environment, which holds the run's
 store arrays, counters and machine under keys no name can equal, so a run
 only calls them.  A map whose body is tasklets over affine point memlets
@@ -520,7 +521,10 @@ class Machine:
         transition, which is unconditional, is a loop: the function runs
         the chain's steps and assignments inline and starts over, counting
         each transition against the budget that :meth:`run` keeps in the
-        environment, so that it raises where :meth:`run` would.  A state
+        environment, so that it raises where :meth:`run` would.  Before
+        its ``while True`` it runs the loop-entry set-up of each vector
+        launch whose set-up reads no symbol the loop's transitions assign
+        (see :meth:`_top_lines`).  A state
         whose first transition is unconditional heads no loop: it always
         takes that transition, so a loop back to it ends only in an error,
         and in a cycle of such states each would inline all the others.  A
@@ -535,7 +539,15 @@ class Machine:
         heads = not plan.events and bool(leaving) and leaving[0].condition is not None
         chains = [self._chain(plan.label, t) if heads else None for t in leaving[:tried]]
         loops = any(c is not None for c in chains)
-        lines = [] if plan.events else self._top_lines(src, plan)
+        # a loop runs at its entry the set-up of each launch that reads no
+        # symbol its transitions assign (see _top_lines)
+        entries = None
+        if loops:
+            assigned = {k for t, chain in zip(leaving, chains) if chain is not None
+                        for x in (t, *(self.g.out_transitions(label)[0] for label in chain))
+                        for k in x.assignments}
+            entries = (assigned, {})
+        lines = [] if plan.events else self._top_lines(src, plan, entries)
         plan.successors, names = [None] * len(leaving), {}
         slots = src.value(plan.successors)
         count = ["_l -= 1", "if _l < 0:", "    raise _exceeded()"]
@@ -555,7 +567,7 @@ class Machine:
                 block += count
                 for label in chain:
                     inner = self._plan(label)
-                    block += self._top_lines(src, inner)
+                    block += self._top_lines(src, inner, entries)
                     block += self._assignments(src, self.g.out_transitions(label)[0])
                     block += count
                 block.append("continue")
@@ -564,7 +576,9 @@ class Machine:
             fail = _raiser(InterpreterError(f"no transition taken out of state '{plan.label}'"))
             lines.append(f"{src.value(fail)}(_e)")
         if loops:
-            lines = [f"_l = {src.env(_LEFT)}", "while True:", *("    " + x for x in lines)]
+            setups = [f"{var} = {src.value(mp.vector.entry())}(_e) or {src.value(mp.vector.run)}"
+                      for mp, var in entries[1].items()]
+            lines = [f"_l = {src.env(_LEFT)}", *setups, "while True:", *("    " + x for x in lines)]
         src.lines = lines
         return src.build("_e")
 
@@ -583,10 +597,17 @@ class Machine:
             label = leaving[0].dst
         return chain
 
-    def _top_lines(self, src: "_Source", plan: "_StatePlan") -> list[str]:
+    def _top_lines(self, src: "_Source", plan: "_StatePlan",
+                   entries: tuple[set[str], dict] | None = None) -> list[str]:
         """The lines that run ``plan.top`` of a state that can raise no
         events: a map's vector launch, and the per-point steps through the
-        machine's ``_run_points`` if it has none or it declines."""
+        machine's ``_run_points`` if it has none or it declines.  In a loop,
+        ``entries`` holds the symbols the loop's transitions assign and the
+        variable of each launch whose set-up the loop runs at its entry (see
+        :class:`_Vector`), to which this adds every launch whose set-up
+        reads none of those symbols: such a launch calls what its set-up
+        returned, its trip or, if the set-up declined, its standalone
+        form."""
         lines = []
         for step in plan.top:
             if not isinstance(step, _MapPlan):
@@ -595,8 +616,12 @@ class Machine:
             points = f"{src.env(_MACHINE)}._run_points({src.value(step)}, _e)"
             if step.vector is None:
                 lines.append(points)
+                continue
+            if entries is not None and entries[0].isdisjoint(step.vector.reads):
+                launch = entries[1].setdefault(step, f"_h{len(entries[1])}")
             else:
-                lines += [f"if not {src.value(step.vector)}(_e):", f"    {points}"]
+                launch = src.value(step.vector.run)
+            lines += [f"if not {launch}(_e):", f"    {points}"]
         return lines
 
     def _assignments(self, src: "_Source", t) -> list[str]:
@@ -667,7 +692,7 @@ class Machine:
         except Exception as ex:  # a malformed node fails when it executes
             return [_raiser(ex)]
 
-    def _vector_launch(self, facts: StateFacts, scope: MapEntry) -> Callable | None:
+    def _vector_launch(self, facts: StateFacts, scope: MapEntry) -> "_Vector | None":
         """The map's vector launch (see :func:`_compile_vector`), or None when
         vectorizing is off or the map does not qualify."""
         if not self.opt.vectorize:
@@ -848,9 +873,9 @@ def _launch_step(mp: "_MapPlan") -> Callable:
     launch, else the machine's ``_run_points``, whose events it returns.
     A state function writes the same launch inline (see
     :meth:`Machine._top_lines`)."""
-    vector = mp.vector
-    if vector is None:
+    if mp.vector is None:
         return lambda env: env[_MACHINE]._run_points(mp, env)
+    vector = mp.vector.run
     return lambda env: () if vector(env) else env[_MACHINE]._run_points(mp, env)
 
 
@@ -1035,11 +1060,12 @@ class _StatePlan:
 
 class _MapPlan:
     """A map's state plan and entry id, compiled ranges, parameter names,
-    vector launch (None if it has none), per-point steps (None until a
-    launch first runs point by point) and whether they can raise events."""
+    vector launch (a :class:`_Vector`, None if it has none), per-point steps
+    (None until a launch first runs point by point) and whether they can
+    raise events."""
 
     def __init__(self, plan: _StatePlan, nid: int, ranges: Callable, names: tuple[str, ...],
-                 vector: Callable | None, events: bool):
+                 vector: "_Vector | None", events: bool):
         self.plan, self.nid, self.ranges, self.names = plan, nid, ranges, names
         self.vector = vector
         self.steps: list | None = None
@@ -1574,13 +1600,64 @@ def _reduction(node: LibraryNode, ins: list[Edge], outs: list[Edge], shapes,
     return ins[0], ufunc
 
 
+def _done(env) -> bool:
+    """The trip of an empty launch: it runs no point."""
+    return True
+
+
+class _Vector:
+    """A map's vector launch: the three groups of lines that
+    :func:`_compile_vector` writes for it, in two placements.
+
+    - The set-up: the range ends and the empty check, the array loads, the
+      offset terms, the bounds checks, the reads that are views, the view
+      that each store into an array writes through (WCR ones included; a
+      rank-0 container is stored by index) and the counters object.
+    - The trip: the arithmetic and the reads that copy (one element, or a
+      container's values from before the launch), last values included.
+    - The tail: the stores and the counts.
+
+    ``run(env) -> bool``, the standalone form, runs all three.
+    :meth:`entry` builds on first use the loop-entry form ``fn(env)``,
+    which runs the set-up alone and returns the rest as ``trip(env) ->
+    bool`` (:func:`_done` for an empty launch), or None when the set-up
+    declines.  The first two values of the source are what the set-up
+    returns for an empty launch and when it declines: True and False in
+    the standalone form, ``_done`` and None in the loop-entry form.
+    ``reads`` holds the symbols the set-up reads."""
+
+    __slots__ = ("run", "reads", "_parts", "_entry")
+
+    def __init__(self, src: _Source, setup: list[str], trip: list[str], tail: list[str],
+                 reads: frozenset[str]):
+        self.reads, self._parts, self._entry = reads, (src.values, setup, trip, tail), None
+        src.lines = ["try:", *("    " + x for x in setup + trip), "except Exception:",
+                     "    return _k1", *tail, "return True"]
+        self.run = src.build("_e")
+
+    def entry(self) -> Callable:
+        """The loop-entry form, built on first use."""
+        if self._entry is None:
+            values, setup, trip, tail = self._parts
+            src = _Source()
+            src.values = [_done, None, *values[2:]]
+            src.lines = ["try:", *("    " + x for x in setup), "except Exception:",
+                         "    return _k1", "def _trip(_e):", "    try:",
+                         *("        " + x for x in trip or ["pass"]), "    except Exception:",
+                         "        return False", *("    " + x for x in tail), "    return True",
+                         "return _trip"]
+            self._entry, self._parts = src.build("_e"), None
+        return self._entry
+
+
 def _compile_vector(facts: StateFacts, scope: MapEntry, members,
                     shapes: Mapping[str, tuple[int, ...]], containers,
-                    reverse: bool) -> Callable:
-    """Compile the vector launch of ``scope``: ``fn(env) -> bool``, True
-    when it ran every point (it also counts them), False when it stored
-    nothing and the launch must run point by point.  Raises
-    :class:`_NotVector` when the map does not qualify."""
+                    reverse: bool) -> _Vector:
+    """Compile the vector launch of ``scope``, whose ``run(env) -> bool``
+    returns True when it ran every point (it also counts them), False when
+    it stored nothing and the launch must run point by point (see
+    :class:`_Vector` for its loop-entry form).  Raises :class:`_NotVector`
+    when the map does not qualify."""
     outer = scope.param_names
     k = len(outer)
     order, inner, reduces = _vector_members(facts, scope, members)
@@ -1621,10 +1698,14 @@ def _compile_vector(facts: StateFacts, scope: MapEntry, members,
         raise _NotVector("an inner map reads what the map's body writes")
 
     src = _Source()
+    # what the set-up returns for an empty launch and when it declines: in
+    # the standalone form True and False (see _Vector.entry for the other)
+    empty, decline = src.value(True), src.value(False)
     numbers: dict[tuple, str] = {}
     offsets: dict[SymExpr, str] = {}
     prelude: list[str] = []
     checks: dict[str, None] = {}
+    view_lines: list[str] = []  # the set-up's views: reads and store targets
     body: list[str] = []
     stores: list[str] = []
     unit = [isinstance(s, symbolic.Const) and s.value == 1 for _, (_, _, s) in params]
@@ -1714,9 +1795,9 @@ def _compile_vector(facts: StateFacts, scope: MapEntry, members,
         needs_grid.add(lv)
         return f"_bcast({v.code}, _g{lv})"
 
-    def fresh(prefix: str, code: str) -> str:
-        name = f"{prefix}{len(body)}"
-        body.append(f"{name} = {code}")
+    def fresh(prefix: str, code: str, lines: list[str] = body) -> str:
+        name = f"{prefix}{len(view_lines) + len(body)}"
+        lines.append(f"{name} = {code}")
         return name
 
     def output(m: Memlet, v: _Value) -> None:
@@ -1756,8 +1837,8 @@ def _compile_vector(facts: StateFacts, scope: MapEntry, members,
                 fold = (c, *_fold(t, e.dst_conn, outs[t.nid]))
             elif role == "read" or id(e.memlet) in early:
                 code, axes = read(e.memlet, lv)
-                if code not in views:
-                    views[code] = _Value(fresh("_v", code), axes)
+                if code not in views:  # a read of one element copies it, at each trip
+                    views[code] = _Value(fresh("_v", code, view_lines if axes else body), axes)
                 conns[e.dst_conn] = views[code]
             elif c in current:
                 conns[e.dst_conn] = current[c]
@@ -1788,7 +1869,7 @@ def _compile_vector(facts: StateFacts, scope: MapEntry, members,
     for m, v in wcrs:
         idx, present = index(m)
         target = fresh("_t", aligned(f"{arrays[m.container]}[{idx + ', ' if idx else ''}...]",
-                                     present))
+                                     present), view_lines)
         ufunc = src.value(_REDUCE_UFUNCS[m.wcr])
         reduced = [d for d in range(k) if d not in present]
         if not reduced:
@@ -1815,10 +1896,8 @@ def _compile_vector(facts: StateFacts, scope: MapEntry, members,
             checks[f"_a{d}{off} != 0 or _z{d}{off} != {num(extent - 1)}"] = None
     for c, (m, v) in plain.items():
         idx, present = index(m)
-        target = f"{arrays[c]}[{idx}]"
-        if sorted(present) != present:
-            target = aligned(target, present) + "[...]"
-        stores.append(f"{target} = {v.code}")
+        target = fresh("_s", aligned(f"{arrays[c]}[{idx}]", present), view_lines)
+        stores.append(f"{target}[...] = {v.code}")
 
     # each level's first and last point per axis, ``_a<d>`` and ``_z<d>``:
     # evaluated inline when every stride is 1, else from range objects
@@ -1828,20 +1907,20 @@ def _compile_vector(facts: StateFacts, scope: MapEntry, members,
         return " * ".join(f"(_z{d} - _a{d} + 1)" if inline else f"_len(_r{d})" for d in axes)
 
     head = []
-    for ps, axes, empty in ((scope.params, levels[0], "True"),
-                            *((e.params, lv[k:], "False") for e, lv in zip(inner, levels[1:]))):
+    for ps, axes, result in ((scope.params, levels[0], empty),
+                             *((e.params, lv[k:], decline) for e, lv in zip(inner, levels[1:]))):
         if inline:
             head += [f"_a{d}, _z{d} = {src.sym(b)}, {src.sym(e)}"
                      for d, (_, (b, e, _)) in zip(axes, ps)]
-            head.append(f"if {' or '.join(f'_z{d} < _a{d}' for d in axes)}: return {empty}")
+            head.append(f"if {' or '.join(f'_z{d} < _a{d}' for d in axes)}: return {result}")
         else:
             head += [f"{''.join(f'_r{d}, ' for d in axes)}= {src.value(_compile_ranges(ps))}(_e)",
-                     f"if not ({' and '.join(f'_r{d}' for d in axes)}): return {empty}"]
+                     f"if not ({' and '.join(f'_r{d}' for d in axes)}): return {result}"]
     if not inline:
         steps = [d for d, (_, (_, _, s)) in enumerate(params)
                  if not (isinstance(s, symbolic.Const) and s.value >= 1)]
         if steps:
-            head.append(f"if {' or '.join(f'_r{d}.step < 1' for d in steps)}: return False")
+            head.append(f"if {' or '.join(f'_r{d}.step < 1' for d in steps)}: return {decline}")
         head += [f"_a{d}, _z{d} = _r{d}.start, _r{d}[-1]" for d in range(len(params))]
     head.append(f"_n = {lens(range(k))}")
     # elements a memlet moves at each point of each level (all of them f64)
@@ -1851,23 +1930,24 @@ def _compile_vector(facts: StateFacts, scope: MapEntry, members,
     for e, _ in reductions.values():
         moved[0] += math.prod(shapes[e.memlet.container])
     nbytes = DType.F64.nbytes
-    count = [f"_c = {src.env(_COUNTERS)}", "_c.map_iterations += _n"]
+    count = ["_c.map_iterations += _n"]
     if moved[0]:
         count.append(f"_c.bytes_moved += _n * {num(moved[0] * nbytes)}")
     for lv in range(1, len(levels)):
         head += [f"_m{lv} = {lens(levels[lv][k:])}",
-                 f"if _n * _m{lv} > {num(_GRID_LIMIT)}: return False"]
+                 f"if _n * _m{lv} > {num(_GRID_LIMIT)}: return {decline}"]
         count.append(f"_c.map_iterations += _n * _m{lv}")
         if moved[lv]:
             count.append(f"_c.bytes_moved += _n * _m{lv} * {num(moved[lv] * nbytes)}")
     head += [f"_g{lv} = ({''.join(lens([d]) + ', ' for d in levels[lv])})"
              for lv in sorted(needs_grid)]
     if checks:
-        prelude.append(f"if {' or '.join(checks)}: return False")
+        prelude.append(f"if {' or '.join(checks)}: return {decline}")
     commits = sum(w and e.memlet.wcr is not None for _, e, w, _ in accesses)
     if commits:
         count.append(f"_c.wcr_commits += _n * {num(commits)}")
     loads = [f"{a} = {src.env(_array(c))}" for c, a in arrays.items()]
-    src.lines = ["try:", *(f"    {line}" for line in head + loads + prelude + body),
-                 "except Exception:", "    return False", *stores, *count, "return True"]
-    return src.build("_e")
+    setup = [*head, *loads, *prelude, *view_lines, f"_c = {src.env(_COUNTERS)}"]
+    reads = frozenset(s for _, dim in params for x in dim for s in x.free_symbols()).union(
+        *(x.free_symbols() for x in offsets))
+    return _Vector(src, setup, body, stores + count, reads)

@@ -877,7 +877,8 @@ def validate(g: Sdfg, facts: dict[State, StateFacts] | None = None) -> list[Diag
         err("duplicate state labels", "state-labels")
 
     assumptions = g.assumptions()
-    known_names = set(g.containers) | set(g.symbols) | g.assigned_symbols()
+    symbol_names = set(g.symbols) | g.assigned_symbols()
+    known_names = symbol_names | set(g.containers)
 
     for d in g.containers.values():
         for dim in d.shape:
@@ -904,11 +905,19 @@ def validate(g: Sdfg, facts: dict[State, StateFacts] | None = None) -> list[Diag
             err(str(ex), "scope-structure", st.label)
             continue
 
-        # the map parameters visible inside each scope
+        # the map parameters visible inside each scope; a map's range may
+        # name the declared and assigned symbols and the parameters of the
+        # maps around it
         visible: dict[MapEntry | None, frozenset[str]] = {None: frozenset()}
         for n in sf.order:
             if isinstance(n, MapEntry):
-                visible[n] = visible[parents[n.nid]].union(n.param_names)
+                outer = visible[parents[n.nid]]
+                for p, (b, e, s) in n.params:
+                    names = b.free_symbols() | e.free_symbols() | s.free_symbols()
+                    for sname in sorted(names - symbol_names - outer):
+                        err(f"range {b}:{e}:{s} of map parameter '{p}' uses undeclared "
+                            f"name '{sname}'", "unknown-symbol", st.label, n.nid)
+                visible[n] = outer.union(n.param_names)
 
         entries = [n for n in st.nodes.values() if isinstance(n, MapEntry)]
         exits = [n for n in st.nodes.values() if isinstance(n, MapExit)]

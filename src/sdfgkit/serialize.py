@@ -199,11 +199,20 @@ def _texts(values, path: str, *indices: int) -> tuple[str, ...]:
     return tuple(_text(v, path + "[{}]", *indices, k) for k, v in enumerate(values))
 
 
+def _objects(values, path: str, *indices: int) -> list[dict]:
+    """``values``, which must be a list of objects (see :func:`_typed`)."""
+    _typed(values, list, "a list", path, *indices)
+    for k, v in enumerate(values):
+        _typed(v, dict, "an object", path + "[{}]", *indices, k)
+    return values
+
+
 def _state_from_json(d: dict, i: int) -> State:
+    _typed(d, dict, "an object", "states[{}]", i)
     st = State(d["label"])  # the validator reports a label that is not a string
     nodes: list = []
     pending_exits: list[tuple[MapExit, int]] = []
-    for j, nd in enumerate(d["nodes"]):
+    for j, nd in enumerate(_objects(d["nodes"], "states[{}].nodes", i)):
         t = nd["type"]
         # edges name nodes by position: an absent id loads, a junk one does not
         _typed(nd.get("id", j), int, "an integer", "states[{}].nodes[{}].id", i, j)
@@ -240,7 +249,8 @@ def _state_from_json(d: dict, i: int) -> State:
             node = NestedSdfg(
                 from_dict(nd["sdfg"]),
                 {k: symbolic.simplify(symbolic.parse_expr(v))
-                 for k, v in nd["symbol_map"].items()},
+                 for k, v in _typed(nd["symbol_map"], dict, "an object",
+                                    "states[{}].nodes[{}].symbol_map", i, j).items()},
             )
         else:
             raise SchemaError(f"unknown node type {t!r}")
@@ -252,7 +262,7 @@ def _state_from_json(d: dict, i: int) -> State:
         ex.entry = entry
     for node in nodes:
         st.add(node)
-    for j, ed in enumerate(d["edges"]):
+    for j, ed in enumerate(_objects(d["edges"], "states[{}].edges", i)):
         memlet = None
         if "memlet" in ed:
             volume = ed.get("volume")

@@ -497,3 +497,44 @@ def test_node_attribute_of_the_wrong_type_is_one_line(command, field, tmp_path, 
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"{path} is ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", ["state", "nodes", "edges", "node", "edge"])
+@pytest.mark.parametrize("command", ["show", "optimize", "emit", "run"])
+def test_state_structure_of_the_wrong_type_is_one_line(command, field, tmp_path, capsys):
+    """A lowered document whose state, list of nodes or edges, or one node
+    or edge is a string is refused by the loader in one line that names
+    the field, with exit status 1, where it ended in an ``AttributeError``
+    traceback."""
+    from test_serialize import junk_structure
+
+    graph = tmp_path / "jacobi_1d.sdfg.json"
+    assert main(["parse", str(CORPUS / "jacobi_1d.dpy"), "-o", str(graph)]) == 0
+    doc = json.loads(graph.read_text())
+    path, what = junk_structure(doc, field, "x")
+    graph.write_text(json.dumps(doc))
+    capsys.readouterr()
+    args = ["-s", "N=8,TSTEPS=2"] if command == "run" else ["-o", str(tmp_path / "out")]
+    assert main([command, str(graph), *args]) == 1
+    err = capsys.readouterr().err
+    assert err == f"{path} is 'x', not {what}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["show", "optimize", "emit", "run"])
+def test_undeclared_name_in_a_map_range_is_a_diagnostic(command, tmp_path, capsys):
+    """wcr_sum with its map range set to ``0:zz:1`` is refused by the
+    validator, where it validated and ``optimize`` failed after optimizing
+    ("optimized graph no longer validates")."""
+    graph = tmp_path / "wcr_sum.sdfg.json"
+    assert main(["parse", str(CORPUS / "wcr_sum.dpy"), "-o", str(graph)]) == 0
+    doc = json.loads(graph.read_text())
+    node = next(n for st in doc["states"] for n in st["nodes"] if n["type"] == "map_entry")
+    node["params"][0][1] = "0:zz:1"
+    graph.write_text(json.dumps(doc))
+    capsys.readouterr()
+    args = ["-s", "NI=2,NJ=2"] if command == "run" else ["-o", str(tmp_path / "out")]
+    assert main([command, str(graph), *args]) == 1
+    err = capsys.readouterr().err
+    assert "error: range 0:zz:1 of map parameter 'i' uses undeclared name 'zz'" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()

@@ -1048,3 +1048,64 @@ class TestStreams:
         ctx = ExecContext(bindings={"N": 4}).bind_inputs({"x": 1.0})
         with pytest.raises(InterpreterError, match="stream"):
             interpret(g, ctx)
+
+
+def range_diagnostics(g: Sdfg) -> list[str]:
+    return [d.message for d in g.validate() if d.code == "unknown-symbol"]
+
+
+@pytest.mark.parametrize("text, names", [
+    ("0:zz:1", ["zz"]), ("0:C:1", ["C"]), ("0:i:1", ["i"]), ("zz:yy:xx", ["xx", "yy", "zz"]),
+    ("0:NI - 2:1", []), ("1:NJ:2", []),
+], ids=["undeclared", "container", "own-parameter", "sorted", "declared", "stride"])
+def test_map_range_names_only_symbols(text, names):
+    """A map range may name declared symbols, symbols a transition assigns
+    and the parameters of enclosing maps; wcr_sum with its range set to
+    ``0:zz:1`` validated, and failed only after optimizing."""
+    doc = json.loads(serialize(compile_kernel("wcr_sum")))
+    i, j, node = next((i, j, n) for i, st in enumerate(doc["states"])
+                      for j, n in enumerate(st["nodes"]) if n["type"] == "map_entry")
+    p = node["params"][0][0]
+    node["params"][0][1] = text
+    b, e, s = (str(x) for x in from_dict(doc).states[i].nodes[j].params[0][1])
+    assert range_diagnostics(from_dict(doc)) == [
+        f"range {b}:{e}:{s} of map parameter '{p}' uses undeclared name '{name}'"
+        for name in names]
+
+
+def test_map_range_names_an_assigned_symbol():
+    """``u``, which no graph symbol declares, is bound by a transition."""
+    g = compile_kernel("jacobi_1d")
+    entry = next(n for st in g.states for n in st.nodes.values() if isinstance(n, MapEntry))
+    (p, (b, _, s)), = entry.params
+    entry.params = ((p, (b, Sym("u"), s)),)
+    assert range_diagnostics(g) == [f"range {b}:u:{s} of map parameter '{p}' uses undeclared "
+                                    "name 'u'"]
+    g.transitions[0].assignments["u"] = Const(2)
+    assert range_diagnostics(g) == []
+
+
+def test_inner_map_range_names_the_outer_parameter():
+    """An inner map over ``j`` in ``0..i`` may name the enclosing map's
+    ``i``; the outer map may not name ``j``."""
+    def graph(outer_end, inner_end) -> Sdfg:
+        g = Sdfg("triangle")
+        g.add_symbol("N", 1)
+        g.add_array("A", DType.F64, (Sym("N"), Sym("N")))
+        st = g.add_state("s0", start=True)
+        outer = st.add(MapEntry((("i", (Const(0), outer_end, Const(1))),)))
+        inner = st.add(MapEntry((("j", (Const(0), inner_end, Const(1))),)))
+        t = st.add(Tasklet("one", (), ("out",), (("out", TNum(1.0)),)))
+        inner_exit, outer_exit = st.add(MapExit(inner)), st.add(MapExit(outer))
+        st.add_edge(outer, inner)
+        st.add_edge(inner, t)
+        st.add_edge(t, inner_exit, Memlet("A", SubsetRange.point([Sym("i"), Sym("j")])),
+                    "out", "IN_A")
+        whole = g.containers["A"].full_subset()
+        st.add_edge(inner_exit, outer_exit, Memlet("A", whole), "OUT_A", "IN_A")
+        st.add_edge(outer_exit, st.add(AccessNode("A")), Memlet("A", whole), "OUT_A")
+        return g
+
+    assert range_diagnostics(graph(Sym("N") - 1, Sym("i"))) == []
+    assert range_diagnostics(graph(Sym("j"), Sym("i"))) == [
+        "range 0:j:1 of map parameter 'i' uses undeclared name 'j'"]

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from sdfgkit import autoopt, passes, symbolic, texpr
+from sdfgkit import autoopt, frontend, passes, symbolic, texpr
 from sdfgkit.dot import to_dot
 from sdfgkit.ir import Sdfg, content_key, structural_eq
 from sdfgkit.serialize import SchemaError, deserialize, from_dict, serialize
@@ -315,3 +315,55 @@ def test_a_tiled_map_entry_loads():
     node["tiled"] = True
     assert any(n.tiled for st in from_dict(doc).states for n in st.nodes.values()
                if hasattr(n, "tiled"))
+
+
+def junk_structure(doc: dict, field: str, junk) -> tuple[str, str]:
+    """Put ``junk`` where ``doc``, a lowered document, holds the structure
+    ``field`` of its first state with edges: the state itself, its list of
+    nodes or edges, or its first node or edge.  Returns the path of the
+    field it changed and what that field must be."""
+    i, st = next((i, st) for i, st in enumerate(doc["states"]) if st["edges"])
+    if field == "state":
+        doc["states"][i] = junk
+        return f"states[{i}]", "an object"
+    if field in ("nodes", "edges"):
+        st[field] = junk
+        return f"states[{i}].{field}", "a list"
+    st[field + "s"][0] = junk
+    return f"states[{i}].{field}s[0]", "an object"
+
+
+# each structure of a state, with junk of every other JSON type
+STRUCTURE_JUNK = [(field, junk) for field in ("state", "nodes", "edges", "node", "edge")
+                  for junk in ("x", 3, None, {"a": 1} if field in ("nodes", "edges") else [1])]
+
+
+@pytest.mark.parametrize("field, junk", STRUCTURE_JUNK)
+def test_state_structure_of_the_wrong_type_is_a_schema_error(field, junk):
+    """A state, its list of nodes or edges, or one node or edge of the wrong
+    type is refused with its field path, where a string element or list
+    ended in ``AttributeError: 'str' object has no attribute 'get'``."""
+    doc = json.loads(serialize(compile_kernel("jacobi_1d")))
+    path, what = junk_structure(doc, field, junk)
+    with pytest.raises(SchemaError, match=rf"^{re.escape(path)} is .*, not {what}$"):
+        from_dict(doc)
+
+
+NESTED_CALL = """
+def scale(X: f64[N], a: f64):
+    X[:] = a * X
+
+def main(A: f64[N], s: f64):
+    scale(A, s)
+"""
+
+
+def test_nested_symbol_map_must_be_an_object():
+    g, _ = frontend.compile_source(NESTED_CALL)
+    doc = json.loads(serialize(g))
+    i, j = next((i, j) for i, st in enumerate(doc["states"])
+                for j, n in enumerate(st["nodes"]) if n["type"] == "nested")
+    doc["states"][i]["nodes"][j]["symbol_map"] = ["N"]
+    with pytest.raises(SchemaError, match=rf"^states\[{i}\]\.nodes\[{j}\]\.symbol_map is "
+                                          r"\['N'\], not an object$"):
+        from_dict(doc)

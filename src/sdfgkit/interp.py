@@ -12,7 +12,9 @@ evaluation, bounds checks and byte counts come from one line writer (see
 :func:`_access_lines`).  Each state is one generated state function that
 runs its steps, takes the first transition out of it that holds and returns
 the plan of its destination, linked on first use, so running the state
-machine is calling one function per state; the function of a loop's head
+machine is calling one function per state; a map that runs point by point
+runs one generated function too, a loop nest over its points (see
+:meth:`Machine._points`); the function of a loop's head
 runs the loop's states inline and starts over, and launches its maps
 without a method call, each vector launch that the loop leaves invariant
 set up once at the loop's entry (see :meth:`Machine._state_function`).  The compiled functions are built once per program
@@ -22,9 +24,10 @@ only calls them.  A map whose body is tasklets over affine point memlets
 (and possibly inner maps of such tasklets and reductions of what they
 write) also gets a vector launch that runs all its points at once with
 NumPy slices, equal bit for bit to the point-by-point order (see
-:func:`_compile_vector`).  Communication library nodes are *yielded* as events;
-the plain entry point :func:`interpret` rejects them, while the rank
-simulator drives the same generator and services the events.
+:func:`_compile_vector`).  Communication library nodes are *yielded* as events:
+the functions of a scope that holds one or a nested graph are generators.
+The plain entry point :func:`interpret` rejects the events, while the rank
+simulator drives the same generator and services them.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from __future__ import annotations
 import builtins
 import copy
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -285,12 +287,15 @@ class Machine:
     tasklet, copy or library call, or a map launch; its steps and
     transitions become its state function).  A map is planned with the
     steps of its scope: a top-level map with its state, an inner map on
-    the first per-point launch of the map around it.  :meth:`run` calls :meth:`exec_state` on each
-    state's plan, which returns the next one, within the transition budget
-    ``MAX_TRANSITIONS``; the state function of a loop's head runs the whole
-    loop in one call.  A step reads what it needs of the run from the
-    environment it is called with, so executing a map point only calls
-    compiled code."""
+    the first per-point launch of the map around it, whose body becomes
+    its per-point function.  One writer, :meth:`_top_lines`, writes the
+    steps of every scope into these functions, and a scope that can raise
+    events into a generator.  :meth:`run` calls :meth:`exec_state` on
+    each state's plan, which returns the next one, within the transition
+    budget ``MAX_TRANSITIONS``; the state function of a loop's head runs
+    the whole loop in one call.  A step reads what it needs of the run
+    from the environment it is called with, so executing a map point only
+    calls compiled code."""
 
     def __init__(self, g: Sdfg, ctx: ExecContext, options: InterpOptions | None = None):
         self.g = g
@@ -435,47 +440,39 @@ class Machine:
     # -- state execution -------------------------------------------------------------
 
     def exec_state(self, plan: "_StatePlan") -> "_StatePlan | None | Iterator[CommEvent]":
-        """Execute one state by its plan and take the first transition out
-        of it that holds; returns the successor's plan, or None when no
-        transition leaves the state.  A state at the head of a loop (see
-        :meth:`_state_function`) runs the loop's states within this one
-        call and returns the plan of the state its loop leaves to.  A state
-        that can reach a communication node returns instead a generator of
-        its events, which runs the state as it is driven and returns the
-        successor's plan.  The state's environment is the symbol table,
-        which no step writes and no transition changes before the state's
-        steps are done."""
-        if plan.events:
-            return _drive_state(plan, self.sym)
+        """Execute one state by its state function (see
+        :meth:`_state_function`) and take the first transition out of it
+        that holds; returns the successor's plan, or None when no
+        transition leaves the state.  A state at the head of a loop runs
+        the loop's states within this one call and returns the plan of the
+        state its loop leaves to.  The state function of a state that can
+        reach a communication node is a generator: it returns a generator
+        of the state's events, which runs the state as it is driven and
+        returns the successor's plan.  The state's environment is the
+        symbol table, which no step writes and no transition changes before
+        the state's steps are done."""
         return plan.run(self.sym)
 
     def exec_map(self, mp: "_MapPlan", env) -> Iterable[CommEvent]:
-        """One launch of a planned map, as its launch step makes it (see
-        :func:`_launch_step`).  Steps and state functions launch maps
-        without this method; it stays for callers outside the interpreter
-        (``bench/tracing.py`` patches it by name)."""
-        return _launch_step(mp)(env)
+        """One launch of a planned map, as a state function or a per-point
+        function writes it inline (see :meth:`_top_lines`): its vector
+        launch, else :meth:`_run_points`, whose events it returns.  The
+        generated code does not call this method; it stays for callers
+        outside the interpreter (``bench/tracing.py`` patches it by
+        name)."""
+        if mp.vector is not None and mp.vector.run(env):
+            return ()
+        return self._run_points(mp, env)
 
     def _run_points(self, mp: "_MapPlan", env) -> Iterable[CommEvent]:
-        """Run the scope's steps once per point, in lexicographic order: at
-        once, or as a generator of events if the scope can raise any."""
-        points = itertools.product(*mp.ranges(env))
-        if self.opt.reverse_maps:
-            points = reversed(list(points))
-        steps = mp.steps
-        if steps is None:
-            steps = self._map_steps(mp)
-        names = mp.names
-        ienv = dict(env)
-        counters = self.ctx.counters
-        if mp.events:
-            return _drive_points(points, names, steps, ienv, counters)
-        for point in points:
-            ienv.update(zip(names, point))
-            counters.map_iterations += 1
-            for fn in steps:
-                fn(ienv)
-        return ()
+        """One launch of ``mp`` point by point, in lexicographic order, by
+        its per-point function (see :meth:`_points`), made on its first
+        such launch: at once, or as a generator of events if the scope can
+        raise any."""
+        points = mp.points
+        if points is None:
+            points = mp.points = self._points(mp)
+        return points(env) or ()
 
     # -- planning ---------------------------------------------------------------------
     #
@@ -499,17 +496,15 @@ class Machine:
         facts = self._facts(i)
         plan = self.program.plans[facts.state.label] = _StatePlan(i, facts)
         plan.top = self._scope_steps(facts, plan, None, facts.scopes[None])
-        if plan.events:
-            plan.top = _launches(plan.top)
         plan.run = self._state_function(plan)
         return plan
 
     def _state_function(self, plan: "_StatePlan") -> Callable:
         """The state function of ``plan``, one generated function ``fn(env)``
         that returns the successor's plan.  It runs the state's top-level
-        steps in order, each map launched inline as its launch step would
-        (see :func:`_launch_step`).  Then it tries the transitions that
-        leave the state in graph order: a condition's names resolve first,
+        steps in order, each map launched inline (see :meth:`_top_lines`).
+        Then it tries the transitions that leave the state in graph order:
+        a condition's names resolve first,
         each to a symbol or else to a container's value, and the first
         transition that holds applies its assignments in order, each seeing
         those before it, and returns its successor (linked on first use,
@@ -528,9 +523,9 @@ class Machine:
         whose first transition is unconditional heads no loop: it always
         takes that transition, so a loop back to it ends only in an error,
         and in a cycle of such states each would inline all the others.  A
-        state that can raise events gets the function without steps or
-        loops: its steps are ``plan.top``, which :meth:`exec_state`
-        drives."""
+        state that can raise events heads no loop, and its function is a
+        generator that passes on the events of its steps before it takes a
+        transition, and returns the successor's plan."""
         src = _Source()
         machine, p = src.env(_MACHINE), src.value(plan)
         leaving = self.g.out_transitions(plan.label)
@@ -547,7 +542,11 @@ class Machine:
                         for x in (t, *(self.g.out_transitions(label)[0] for label in chain))
                         for k in x.assignments}
             entries = (assigned, {})
-        lines = [] if plan.events else self._top_lines(src, plan, entries)
+        lines = self._top_lines(src, plan.top, entries, plan.events)
+        if plan.events:
+            # a generator even when this rank drops every step that yields
+            # (see _root_only)
+            lines.insert(0, "yield from ()")
         plan.successors, names = [None] * len(leaving), {}
         slots = src.value(plan.successors)
         count = ["_l -= 1", "if _l < 0:", "    raise _exceeded()"]
@@ -567,7 +566,7 @@ class Machine:
                 block += count
                 for label in chain:
                     inner = self._plan(label)
-                    block += self._top_lines(src, inner, entries)
+                    block += self._top_lines(src, inner.top, entries)
                     block += self._assignments(src, self.g.out_transitions(label)[0])
                     block += count
                 block.append("continue")
@@ -597,11 +596,16 @@ class Machine:
             label = leaving[0].dst
         return chain
 
-    def _top_lines(self, src: "_Source", plan: "_StatePlan",
-                   entries: tuple[set[str], dict] | None = None) -> list[str]:
-        """The lines that run ``plan.top`` of a state that can raise no
-        events: a map's vector launch, and the per-point steps through the
-        machine's ``_run_points`` if it has none or it declines.  In a loop,
+    def _top_lines(self, src: "_Source", steps: list,
+                   entries: tuple[set[str], dict] | None = None,
+                   events: bool = False) -> list[str]:
+        """The lines that run ``steps``, the steps of one scope: a state's
+        top level (``plan.top``) or a map's body (see :meth:`_points`).
+        Each step is called, and each map is launched by its vector launch,
+        and through the machine's ``_run_points`` if it has none or it
+        declines.  In a scope that can raise events (``events``), each step
+        and each map whose scope can raise events passes its events on
+        with ``yield from``, so the lines belong to a generator.  In a loop,
         ``entries`` holds the symbols the loop's transitions assign and the
         variable of each launch whose set-up the loop runs at its entry (see
         :class:`_Vector`), to which this adds every launch whose set-up
@@ -609,13 +613,14 @@ class Machine:
         returned, its trip or, if the set-up declined, its standalone
         form."""
         lines = []
-        for step in plan.top:
+        for step in steps:
             if not isinstance(step, _MapPlan):
-                lines.append(f"{src.value(step)}(_e)")
+                call = f"{src.value(step)}(_e)"
+                lines.append(f"yield from {call} or ()" if events else call)
                 continue
             points = f"{src.env(_MACHINE)}._run_points({src.value(step)}, _e)"
-            if step.vector is None:
-                lines.append(points)
+            if step.vector is None:  # as has every map whose scope can raise events
+                lines.append(f"yield from {points}" if step.events else points)
                 continue
             if entries is not None and entries[0].isdisjoint(step.vector.reads):
                 launch = entries[1].setdefault(step, f"_h{len(entries[1])}")
@@ -667,15 +672,31 @@ class Machine:
                                        nid in plan.event_scopes)
         return mp
 
-    def _map_steps(self, mp: "_MapPlan") -> list:
-        """The per-point steps of a map, compiled on its first per-point
-        launch."""
-        if mp.steps is None:
-            plan = mp.plan
-            facts = self._facts(plan.index)
-            scope = facts.state.nodes[mp.nid]
-            mp.steps = _launches(self._scope_steps(facts, plan, scope, facts.scopes[scope]))
-        return mp.steps
+    def _points(self, mp: "_MapPlan") -> Callable:
+        """The per-point function of ``mp``, one generated function
+        ``fn(env)``.  It evaluates the map's ranges once, copies the
+        environment once, and runs a nest of loops, one per parameter in
+        order, each over its range (reversed under ``reverse_maps``), so
+        the points come in lexicographic order or its reverse.  For each
+        point it binds the parameters, counts the point and runs the
+        scope's steps, written by :meth:`_top_lines`, inner maps launched
+        inline; it is a generator if the scope can raise events."""
+        plan = mp.plan
+        facts = self._facts(plan.index)
+        scope = facts.state.nodes[mp.nid]
+        steps = self._scope_steps(facts, plan, scope, facts.scopes[scope])
+        src = _Source()
+        ranges = "".join(f"_r{d}, " for d in range(len(mp.names)))
+        lines = [f"{ranges}= {src.value(mp.ranges)}(_e)"] if ranges else []
+        lines += ["_e = _dict(_e)", f"_c = {src.env(_COUNTERS)}"]
+        pad = ""
+        for d, name in enumerate(mp.names):
+            axis = f"_reversed(_r{d})" if self.opt.reverse_maps else f"_r{d}"
+            lines += [f"{pad}for _p{d} in {axis}:", f"{pad}    _e[{src.value(name)}] = _p{d}"]
+            pad += "    "
+        body = ["_c.map_iterations += 1", *self._top_lines(src, steps, events=mp.events)]
+        src.lines = lines + [pad + line for line in body]
+        return src.build("_e")
 
     def _scope_steps(self, facts: StateFacts, plan: "_StatePlan", scope: MapEntry | None,
                      members) -> list:
@@ -868,51 +889,10 @@ _REDUCE_UFUNCS = {Wcr.ADD: np.add, Wcr.MUL: np.multiply,
                   Wcr.MIN: np.minimum, Wcr.MAX: np.maximum}
 
 
-def _launch_step(mp: "_MapPlan") -> Callable:
-    """The step that launches ``mp`` in the running machine: its vector
-    launch, else the machine's ``_run_points``, whose events it returns.
-    A state function writes the same launch inline (see
-    :meth:`Machine._top_lines`)."""
-    if mp.vector is None:
-        return lambda env: env[_MACHINE]._run_points(mp, env)
-    vector = mp.vector.run
-    return lambda env: () if vector(env) else env[_MACHINE]._run_points(mp, env)
-
-
-def _launches(steps: list) -> list[Callable]:
-    """``steps`` with each :class:`_MapPlan` as its launch step."""
-    return [_launch_step(s) if isinstance(s, _MapPlan) else s for s in steps]
-
-
 def _squeeze_key(kept: list[bool] | None) -> tuple | None:
     """The index that drops the dimensions ``kept`` marks False (None when
     it drops none)."""
     return None if kept is None or all(kept) else tuple(slice(None) if k else 0 for k in kept)
-
-
-def _drive(steps: list[Callable], env) -> Iterator[CommEvent]:
-    """Run ``steps`` in order, passing on the events of those that return
-    any."""
-    for fn in steps:
-        events = fn(env)
-        if events is not None:
-            yield from events
-
-
-def _drive_state(plan: "_StatePlan", env) -> Iterator[CommEvent]:
-    """:meth:`Machine.exec_state` for a state that can raise events: its
-    steps, driven, then its state function, which returns the successor's
-    plan."""
-    yield from _drive(plan.top, env)
-    return plan.run(env)
-
-
-def _drive_points(points, names, steps, env, counters: Counters) -> Iterator[CommEvent]:
-    """:meth:`Machine._run_points` for a scope that can raise events."""
-    for point in points:
-        env.update(zip(names, point))
-        counters.map_iterations += 1
-        yield from _drive(steps, env)
 
 
 def _event_scopes(facts: StateFacts) -> frozenset:
@@ -1041,12 +1021,11 @@ class _StatePlan:
     level can), its state function (``run``, see
     :meth:`Machine._state_function`), the plan of the destination of each
     transition that leaves it (``successors``, in graph order, None until a
-    run first takes it), the steps of its top level (``top``: the steps
-    :meth:`Machine.exec_state` drives if it can raise events, else each
+    run first takes it), the steps of its top level in order (``top``: each
     step's function or, for a map, its :class:`_MapPlan`, which the state
-    functions that run the state launch inline), and the :class:`_MapPlan`
+    functions that run the state launch inline) and the :class:`_MapPlan`
     of each map planned so far, by entry id.  A step takes the environment
-    and returns None or an iterable of events."""
+    and returns None or, if it can raise events, an iterable of them."""
 
     def __init__(self, index: int, facts: StateFacts):
         self.index, self.label = index, facts.state.label
@@ -1060,15 +1039,15 @@ class _StatePlan:
 
 class _MapPlan:
     """A map's state plan and entry id, compiled ranges, parameter names,
-    vector launch (a :class:`_Vector`, None if it has none), per-point steps
-    (None until a launch first runs point by point) and whether they can
-    raise events."""
+    vector launch (a :class:`_Vector`, None if it has none), per-point
+    function (see :meth:`Machine._points`; None until a launch first runs
+    point by point) and whether its scope can raise events."""
 
     def __init__(self, plan: _StatePlan, nid: int, ranges: Callable, names: tuple[str, ...],
                  vector: "_Vector | None", events: bool):
         self.plan, self.nid, self.ranges, self.names = plan, nid, ranges, names
         self.vector = vector
-        self.steps: list | None = None
+        self.points: Callable | None = None
         self.events = events
 
 
@@ -1130,7 +1109,8 @@ def _raiser(ex: BaseException) -> Callable:
 _GLOBALS = {
     "__builtins__": {}, "KeyError": KeyError, "IndexError": IndexError,
     "ValueError": ValueError, "slice": slice,
-    "_range": range, "_bool": bool, "_min": min, "_max": max, "_fdiv": _fdiv,
+    "_range": range, "_reversed": reversed, "_dict": dict, "_bool": bool, "_min": min,
+    "_max": max, "_fdiv": _fdiv,
     "_minimum": np.minimum, "_maximum": np.maximum,
     "_unbound_symbol": _unbound_symbol, "_unbound_name": _unbound_name,
     "_unknown_name": _unknown_name, "_exceeded": _exceeded,

@@ -973,6 +973,7 @@ def validate(g: Sdfg, facts: dict[State, StateFacts] | None = None) -> list[Diag
                         err(f"two edges into {type(n).__name__} {n.nid} name connector '{conn}'",
                             "scope-connector", st.label, n.nid)
                     seen.add(conn)
+            reported = len(diags)
             if isinstance(n, MapExit):
                 # an exit passes each write on from IN_x to the edges out of OUT_x
                 # (a graph without connectors pairs its unnamed edges)
@@ -985,6 +986,31 @@ def validate(g: Sdfg, facts: dict[State, StateFacts] | None = None) -> list[Diag
                     elif (None if conn is None else "OUT_" + conn[3:]) not in passed:
                         err(f"no edge leaves map exit {n.nid} for its input {conn or 'without a connector'}",
                             "exit-connector", st.label, n.nid)
+            if isinstance(n, (MapEntry, MapExit)) and len(diags) == reported:
+                # an edge out of a scope node passes on an input: OUT_x the
+                # edge into IN_x (a graph without connectors pairs its
+                # unnamed edges), and an edge into an entry names IN_x; an
+                # exit whose inputs fail exit-connector is not reported again
+                what = "map entry" if isinstance(n, MapEntry) else "map exit"
+                taken = {e.dst_conn for e in sf.ins[n.nid]}
+                for e in sf.ins[n.nid] if isinstance(n, MapEntry) else ():
+                    conn = e.dst_conn
+                    if e.memlet is not None and conn is not None and not conn.startswith("IN_"):
+                        err(f"edge into map entry {n.nid} names connector '{conn}', not IN_x",
+                            "entry-connector", st.label, n.nid)
+                for e in sf.outs[n.nid]:
+                    conn = e.src_conn
+                    if e.memlet is None:
+                        continue
+                    if conn is not None and not conn.startswith("OUT_"):
+                        err(f"edge out of {what} {n.nid} names connector '{conn}', not OUT_x",
+                            "entry-connector", st.label, n.nid)
+                    elif conn is None and None not in taken:
+                        err(f"edge out of {what} {n.nid} names no connector, but every edge "
+                            "into it names one", "entry-connector", st.label, n.nid)
+                    elif conn is not None and "IN_" + conn[4:] not in taken:
+                        err(f"edge out of {what} {n.nid} names {conn}, but no edge into it "
+                            f"names IN_{conn[4:]}", "entry-connector", st.label, n.nid)
             if isinstance(n, LibraryNode):
                 # each edge names one of the kind's connectors, each once
                 takes, gives = LIB_CONNECTORS[n.kind]

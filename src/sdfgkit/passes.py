@@ -633,6 +633,12 @@ def _loop_to_map(g: Sdfg, loop: LoopInfo) -> bool:
             continue
         if body.in_edges(n) and body.out_edges(n):
             return False
+    # an edge at an access node that stays outside the scope is rerouted
+    # through the map's entry or exit by its memlet
+    for e in body.edges:
+        if e.memlet is None and any(isinstance(n, AccessNode) and n.container not in private
+                                    for n in (e.src, e.dst)):
+            return False
 
     _convert_loop(g, loop, reductions, private)
     return True

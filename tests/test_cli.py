@@ -538,3 +538,30 @@ def test_undeclared_name_in_a_map_range_is_a_diagnostic(command, tmp_path, capsy
     err = capsys.readouterr().err
     assert "error: range 0:zz:1 of map parameter 'i' uses undeclared name 'zz'" in err
     assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, state, edge, key", [
+    ("doitgen", 4, 0, "memlet"), ("fig4_loop", 2, 1, "memlet"), ("adi", 16, 0, "dst_conn")])
+def test_optimize_of_an_edge_missing_a_key_has_no_traceback(name, state, edge, key, tmp_path,
+                                                            capsys):
+    """A lowered document with one edge's memlet or connector deleted is
+    optimized (exit 0, the report on stderr) or refused in one line (exit
+    1), where ``optimize`` ended in a traceback: an ``AttributeError`` from
+    loop-to-map, or ``auto_optimize``'s "optimized graph no longer
+    validates"."""
+    graph = tmp_path / f"{name}.sdfg.json"
+    assert main(["parse", str(CORPUS / f"{name}.dpy"), "-o", str(graph)]) == 0
+    doc = json.loads(graph.read_text())
+    del doc["states"][state]["edges"][edge][key]
+    graph.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["optimize", str(graph), "-o", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc in (0, 1) and "Traceback" not in err
+    if rc == 0:
+        assert [d["parallelized"] for d in json.loads(err)["loop_decisions"]].count(False) >= 1
+    else:
+        assert err.count("\n") == 1
+    if key == "dst_conn":
+        assert rc == 1 and err == ("error: edge out of map entry 0 names OUT_in0, but no edge "
+                                   "into it names IN_in0 (state s15, node 0) [entry-connector]\n")

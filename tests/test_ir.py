@@ -94,6 +94,48 @@ class TestValidate:
         assert [(d.code, d.state, d.node) for d in errors] == [
             ("exit-connector", g.states[49].label, e.dst.nid)]
 
+    @pytest.mark.parametrize("edge, end, conn, messages", [
+        (0, "dst", None,
+         ["edge out of map entry 0 names OUT_in0, but no edge into it names IN_in0"]),
+        (0, "dst", "in0",
+         ["edge into map entry 0 names connector 'in0', not IN_x",
+          "edge out of map entry 0 names OUT_in0, but no edge into it names IN_in0"]),
+        (1, "src", None,
+         ["edge out of map entry 0 names no connector, but every edge into it names one"]),
+        (1, "src", "OUT_gone",
+         ["edge out of map entry 0 names OUT_gone, but no edge into it names IN_gone"]),
+        (1, "src", "in0", ["edge out of map entry 0 names connector 'in0', not OUT_x"]),
+    ])
+    def test_entry_edges_must_pair_their_connectors(self, edge, end, conn, messages):
+        # adi's lowered v -> entry[IN_in0], entry[OUT_in0] -> tasklet[in0]:
+        # with the first connector deleted the graph validated, and
+        # auto_optimize's own check failed on "tasklet compute missing
+        # inputs ['in0']"
+        g = compile_kernel("adi")
+        st = g.states[16]
+        setattr(st.edges[edge], f"{end}_conn", conn)
+        errors = [d for d in g.validate() if d.severity == "error"]
+        assert [(d.code, d.message, d.state, d.node) for d in errors] == [
+            ("entry-connector", message, st.label, 0) for message in messages]
+
+    def test_exit_edges_out_must_pair_their_connectors(self):
+        # a second edge out of adi's map exit 1, for an input it lacks
+        g = compile_kernel("adi")
+        st = g.states[16]
+        st.add_edge(st.edges[3].src, st.add(AccessNode("q")), st.edges[3].memlet, "OUT_w1")
+        assert [d.message for d in g.validate() if d.code == "entry-connector"] == [
+            "edge out of map exit 1 names OUT_w1, but no edge into it names IN_w1"]
+
+    def test_unnamed_scope_edges_pair(self):
+        # a graph without connectors pairs its unnamed edges
+        g = compile_kernel("adi")
+        for e in g.states[16].edges:
+            if isinstance(e.src, (MapEntry, MapExit)):
+                e.src_conn = None
+            if isinstance(e.dst, (MapEntry, MapExit)):
+                e.dst_conn = None
+        assert not [d for d in g.validate() if d.severity == "error"]
+
     @pytest.mark.parametrize("k", [1, 5, 10])
     def test_state_label_must_be_a_string(self, k):
         # a list-valued label on a state but the first (whose label the
@@ -104,9 +146,10 @@ class TestValidate:
         assert [(d.severity, d.code, d.message) for d in g.validate()] == [
             ("error", "state-labels", "state label ['x'] is not a string")]
 
-    @pytest.mark.parametrize("code", ["exit-connector", "scope-connector", "access-container",
-                                      "access-connector", "library-connector",
-                                      "library-attributes", "tasklet-connector"])
+    @pytest.mark.parametrize("code", ["exit-connector", "entry-connector", "scope-connector",
+                                      "access-container", "access-connector",
+                                      "library-connector", "library-attributes",
+                                      "tasklet-connector"])
     def test_pinned_graphs_pass_exit_connectors(self, code):
         for g in pinned_graphs():
             assert not [d for d in g.validate() if d.code == code], g.name

@@ -209,6 +209,24 @@ class TestLoopToMap:
         ctx = ExecContext(bindings={"NI": 5}).bind_inputs({"C": np.arange(5.0)})
         assert np.array_equal(interpret(g, ctx)["C"], np.arange(5.0) + 1)
 
+    @pytest.mark.parametrize("name, state, edge, guard", [
+        ("doitgen", 4, 0, "loop2_guard"), ("fig4_loop", 2, 1, "loop0_guard")])
+    def test_body_edge_without_memlet_is_declined(self, name, state, edge, guard):
+        """A loop whose body has an edge at an access node without a memlet
+        is not converted: the conversion reroutes such an edge through the
+        map's entry or exit by its memlet, and raised ``AttributeError`` on
+        ``None``.  Without the deletion the same loop converts."""
+        decisions = []
+        for delete in (False, True):
+            g = compile_kernel(name)
+            if delete:
+                g.states[state].edges[edge].memlet = None
+            coarsen(g)
+            rep = PassReport()
+            loop_to_map(g, next(x for x in find_loops(g) if x.guard == guard), rep)
+            decisions += rep.loop_decisions
+        assert decisions == [(guard, True), (guard, False)]
+
     def test_jacobi_time_loop_refused(self):
         g = compile_kernel("jacobi_1d")
         coarsen(g)
